@@ -160,9 +160,13 @@ SpuManager::refreshCaches() const
         return;
     userCache_.clear();
     leafCache_.clear();
+    topTotalCache_ = shareSum(topLevel_);
+    groupTotalCache_.clear();
     // piso-lint: allow(hot-path-full-scan) -- rebuilt once per topology
     // change and served from the cache in between.
     for (const auto &[id, s] : spus_) {
+        if (!s.children.empty())
+            groupTotalCache_[id] = shareSum(s.children);
         if (id < kFirstUserSpu || !pathActive(id))
             continue;
         if (s.state == SpuState::Active)
@@ -188,17 +192,27 @@ SpuManager::leafSpus() const
 }
 
 double
-SpuManager::siblingTotal(SpuId parent) const
+SpuManager::shareSum(const std::vector<SpuId> &children) const
 {
     // Suspended siblings contribute +0.0 rather than being skipped:
     // the flat registry kept suspended SPUs in its share ledger with
     // share 0, and the float sum must stay identical.
     double total = 0.0;
-    for (SpuId c : childrenOf(parent)) {
+    for (SpuId c : children) {
         const Spu &s = spu(c);
         total += s.state == SpuState::Active ? s.share : 0.0;
     }
     return total;
+}
+
+double
+SpuManager::siblingTotal(SpuId parent) const
+{
+    refreshCaches();
+    if (parent == kNoSpu)
+        return topTotalCache_;
+    const double *total = groupTotalCache_.find(parent);
+    return total ? *total : 0.0;
 }
 
 double

@@ -176,8 +176,12 @@ class SpuManager
   private:
     /** Σ shares over @p parent's children, ascending by id, counting
      *  suspended children as +0.0 — the float-sum order the flat
-     *  share ledger used, preserved for bit-compatibility. */
+     *  share ledger used, preserved for bit-compatibility. Served
+     *  from the caches refreshCaches() keeps. */
     double siblingTotal(SpuId parent) const;
+
+    /** The sum siblingTotal() caches, over @p children in order. */
+    double shareSum(const std::vector<SpuId> &children) const;
 
     bool pathActive(SpuId spu) const;
 
@@ -186,7 +190,8 @@ class SpuManager
     void buildSubtree(SpuId parent, std::size_t node,
                       ShareTree &tree) const;
 
-    /** Rebuild the user/leaf caches if version_ moved. */
+    /** Rebuild the user/leaf and sibling-total caches if version_
+     *  moved. */
     void refreshCaches() const;
 
     SpuTable<Spu> spus_;
@@ -214,6 +219,15 @@ class SpuManager
     // piso-lint: allow(checkpoint-field-coverage) -- derived cache,
     // rebuilt lazily by refreshCaches().
     mutable std::vector<SpuId> leafCache_;
+
+    /** Cached siblingTotal(): of the top level, and of each group's
+     *  children keyed by the group; valid like the caches above. */
+    // piso-lint: allow(checkpoint-field-coverage) -- derived cache,
+    // rebuilt lazily by refreshCaches().
+    mutable double topTotalCache_ = 0.0;
+    // piso-lint: allow(checkpoint-field-coverage) -- derived cache,
+    // rebuilt lazily by refreshCaches().
+    mutable SpuTable<double> groupTotalCache_;
 };
 
 } // namespace piso

@@ -479,6 +479,7 @@ formatSweepSummary(const SweepOutcome &outcome, bool includePerf)
     if (includePerf) {
         header.push_back("events");
         header.push_back("wall (ms)");
+        header.push_back("setup (ms)");
         header.push_back("M ev/s");
         header.push_back("policy iters");
     }
@@ -505,6 +506,7 @@ formatSweepSummary(const SweepOutcome &outcome, bool includePerf)
         if (includePerf) {
             row.push_back(std::to_string(r.perf.events));
             row.push_back(TextTable::num(r.perf.wallSec * 1e3, 1));
+            row.push_back(TextTable::num(r.perf.setupSec * 1e3, 1));
             row.push_back(
                 TextTable::num(r.perf.eventsPerSec() / 1e6, 2));
             row.push_back(std::to_string(

@@ -149,9 +149,10 @@ std::string formatSweepJsonl(const SweepOutcome &outcome);
 
 /** Aligned summary table (task, params, status, simulated time, jobs,
  *  mean response) for terminals. @p includePerf adds per-task
- *  simulator-performance columns (events, wall ms, M events/s); it
- *  defaults off because host timing varies run to run, and the
- *  jobs-invariance test compares the perf-free table. */
+ *  simulator-performance columns (events, wall ms, setup ms,
+ *  M events/s, policy iterations); it defaults off because host
+ *  timing varies run to run, and the jobs-invariance test compares
+ *  the perf-free table. */
 std::string formatSweepSummary(const SweepOutcome &outcome,
                                bool includePerf = false);
 

@@ -330,6 +330,7 @@ formatResultsJson(const SimResults &r, bool withPerf)
         // out of band; deterministic consumers strip the whole object.
         os << ",\"perf\":{\"events\":" << r.perf.events
            << ",\"wall_ms\":" << r.perf.wallSec * 1e3
+           << ",\"setup_ms\":" << r.perf.setupSec * 1e3
            << ",\"events_per_sec\":" << r.perf.eventsPerSec()
            << ",\"policy_iters_cpu\":" << r.perf.policyItersCpu
            << ",\"policy_iters_mem\":" << r.perf.policyItersMem

@@ -63,11 +63,11 @@ void printResults(const SimResults &results);
  * counters) for scripting and plotting. Stable key names; numbers in
  * seconds/milliseconds as named.
  *
- * @p withPerf appends a "perf" object (events, wall_ms,
- * events_per_sec) describing the *simulator's* host-side speed. It
- * defaults off — and must stay off wherever byte-identical output is
- * required (golden fixtures, sweep JSONL streams) — because wall-clock
- * varies run to run.
+ * @p withPerf appends a "perf" object (events, wall_ms, setup_ms,
+ * events_per_sec, policy iterations) describing the *simulator's*
+ * host-side speed. It defaults off — and must stay off wherever
+ * byte-identical output is required (golden fixtures, sweep JSONL
+ * streams) — because wall-clock varies run to run.
  */
 std::string formatResultsJson(const SimResults &results,
                               bool withPerf = false);

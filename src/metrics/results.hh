@@ -94,7 +94,12 @@ struct DiskResult
 struct RunPerf
 {
     std::uint64_t events = 0;  //!< events executed by the run loop
-    double wallSec = 0.0;      //!< host wall-clock for run()
+    double wallSec = 0.0;      //!< host wall-clock for run()'s event loop
+
+    /** Host wall-clock of the set-up replay (file layout, job builds,
+     *  policy start), done by run() on a cold start or by restore();
+     *  not part of wallSec. */
+    double setupSec = 0.0;
 
     /** @name Policy-loop iteration counters
      *  Work performed by the periodic resource policies: entries

@@ -1,8 +1,13 @@
 #include "src/os/filesystem.hh"
 
+#include <type_traits>
+
 #include "src/util/log.hh"
 
 namespace piso {
+
+static_assert(std::is_trivially_copyable_v<FileInfo>,
+              "FileInfo keeps names in the FileSystem arena");
 
 FileSystem::FileSystem(std::uint32_t sectorBytes, std::uint32_t blockBytes,
                        std::uint64_t seed)
@@ -32,8 +37,9 @@ FileSystem::addDisk(DiskId disk, std::uint64_t totalSectors)
 }
 
 FileId
-FileSystem::allocate(std::string name, DiskId disk, std::uint64_t bytes,
-                     FilePlacement placement, bool withMetadata)
+FileSystem::allocate(std::string_view name, DiskId disk,
+                     std::uint64_t bytes, FilePlacement placement,
+                     bool withMetadata)
 {
     auto it = disks_.find(disk);
     if (it == disks_.end())
@@ -52,9 +58,13 @@ FileSystem::allocate(std::string name, DiskId disk, std::uint64_t bytes,
         const std::uint64_t span = space.totalSectors - space.metadataEnd;
         if (sectors > span)
             PISO_FATAL("file '", name, "' larger than disk ", disk);
-        start = space.metadataEnd +
-                (rng_.uniformInt(span - sectors) / sectorsPerBlock_) *
-                    sectorsPerBlock_;
+        // A file filling the whole data zone has one place to go; it
+        // takes it without a draw, so no other file's draws move.
+        start = space.metadataEnd;
+        if (sectors < span) {
+            start += (rng_.uniformInt(span - sectors) / sectorsPerBlock_) *
+                     sectorsPerBlock_;
+        }
     } else {
         if (space.nextFree + sectors > space.totalSectors)
             PISO_FATAL("disk ", disk, " out of space for '", name, "'");
@@ -64,8 +74,7 @@ FileSystem::allocate(std::string name, DiskId disk, std::uint64_t bytes,
     space.allocated += sectors;
 
     FileInfo info;
-    info.id = static_cast<FileId>(files_.size());
-    info.name = std::move(name);
+    info.id = static_cast<FileId>(fileCount());
     info.disk = disk;
     info.startSector = start;
     info.sectors = sectors;
@@ -75,30 +84,65 @@ FileSystem::allocate(std::string name, DiskId disk, std::uint64_t bytes,
             space.nextMetadata = 0; // metadata sectors are reused
         info.metadataSector = space.nextMetadata++;
     }
-    files_.push_back(info);
+    addFile(info, name);
     return info.id;
 }
 
-FileId
-FileSystem::createFile(std::string name, DiskId disk, std::uint64_t bytes,
-                       FilePlacement placement)
+std::size_t
+FileSystem::fileCount() const
 {
-    return allocate(std::move(name), disk, bytes, placement, true);
+    return files_.empty()
+               ? 0
+               : (files_.size() - 1) * kChunkFiles + files_.back().size();
+}
+
+void
+FileSystem::addFile(const FileInfo &info, std::string_view name)
+{
+    if (files_.empty() || files_.back().size() == kChunkFiles) {
+        files_.emplace_back();
+        files_.back().reserve(kChunkFiles);
+    }
+    files_.back().push_back(info);
+    names_ += name;
+    nameEnds_.push_back(names_.size());
 }
 
 FileId
-FileSystem::createExtent(std::string name, DiskId disk, std::uint64_t bytes,
-                         FilePlacement placement)
+FileSystem::createFile(std::string_view name, DiskId disk,
+                       std::uint64_t bytes, FilePlacement placement)
 {
-    return allocate(std::move(name), disk, bytes, placement, false);
+    return allocate(name, disk, bytes, placement, true);
+}
+
+FileId
+FileSystem::createExtent(std::string_view name, DiskId disk,
+                         std::uint64_t bytes, FilePlacement placement)
+{
+    return allocate(name, disk, bytes, placement, false);
+}
+
+std::size_t
+FileSystem::index(FileId id) const
+{
+    if (id < 0 || static_cast<std::size_t>(id) >= nameEnds_.size())
+        PISO_PANIC("unknown file id ", id);
+    return static_cast<std::size_t>(id);
 }
 
 const FileInfo &
 FileSystem::file(FileId id) const
 {
-    if (id < 0 || static_cast<std::size_t>(id) >= files_.size())
-        PISO_PANIC("unknown file id ", id);
-    return files_[static_cast<std::size_t>(id)];
+    const std::size_t i = index(id);
+    return files_[i / kChunkFiles][i % kChunkFiles];
+}
+
+std::string_view
+FileSystem::fileName(FileId id) const
+{
+    const std::size_t i = index(id);
+    const std::size_t begin = i == 0 ? 0 : nameEnds_[i - 1];
+    return std::string_view(names_).substr(begin, nameEnds_[i] - begin);
 }
 
 std::uint64_t
@@ -108,7 +152,7 @@ FileSystem::blockCount(FileId id, std::uint64_t offset,
     const FileInfo &f = file(id);
     if (offset + bytes > f.sectors * sectorBytes_) {
         PISO_PANIC("access [", offset, ", +", bytes, ") beyond file '",
-                   f.name, "'");
+                   fileName(id), "'");
     }
     if (bytes == 0)
         return 0;
@@ -130,7 +174,8 @@ FileSystem::blockSector(FileId id, std::uint64_t blockNo) const
     const std::uint64_t sector =
         f.startSector + blockNo * sectorsPerBlock_;
     if (sector >= f.startSector + f.sectors)
-        PISO_PANIC("block ", blockNo, " beyond file '", f.name, "'");
+        PISO_PANIC("block ", blockNo, " beyond file '", fileName(id),
+                   "'");
     return sector;
 }
 
@@ -156,15 +201,17 @@ FileSystem::save(CkptWriter &w) const
         w.u64(space.metadataEnd);
         w.u64(space.allocated);
     }
-    w.u64(files_.size());
-    for (const FileInfo &f : files_) {
-        w.i64(f.id);
-        w.str(f.name);
-        w.i64(f.disk);
-        w.u64(f.startSector);
-        w.u64(f.sectors);
-        w.u64(f.metadataSector);
-        w.u64(f.bytes);
+    w.u64(fileCount());
+    for (const std::vector<FileInfo> &chunk : files_) {
+        for (const FileInfo &f : chunk) {
+            w.i64(f.id);
+            w.str(fileName(f.id));
+            w.i64(f.disk);
+            w.u64(f.startSector);
+            w.u64(f.sectors);
+            w.u64(f.metadataSector);
+            w.u64(f.bytes);
+        }
     }
 }
 
@@ -184,19 +231,20 @@ FileSystem::load(CkptReader &r)
         space.allocated = r.u64();
         disks_.emplace(id, space);
     }
-    const std::uint64_t fileCount = r.u64();
+    const std::uint64_t count = r.u64();
     files_.clear();
-    files_.reserve(fileCount);
-    for (std::uint64_t i = 0; i < fileCount; ++i) {
+    names_.clear();
+    nameEnds_.clear();
+    for (std::uint64_t i = 0; i < count; ++i) {
         FileInfo f;
         f.id = static_cast<FileId>(r.i64());
-        f.name = r.str();
+        const std::string name = r.str();
         f.disk = static_cast<DiskId>(r.i64());
         f.startSector = r.u64();
         f.sectors = r.u64();
         f.metadataSector = r.u64();
         f.bytes = r.u64();
-        files_.push_back(std::move(f));
+        addFile(f, name);
     }
 }
 

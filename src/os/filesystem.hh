@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/sim/checkpoint.hh"
@@ -34,11 +35,11 @@ enum class FilePlacement
                  //!< files spread around, like an aged file system)
 };
 
-/** One file: a single contiguous extent plus a metadata sector. */
+/** One file: a single contiguous extent plus a metadata sector. Its
+ *  name lives in the FileSystem's name arena (FileSystem::fileName). */
 struct FileInfo
 {
     FileId id = kNoFile;
-    std::string name;
     DiskId disk = 0;
     std::uint64_t startSector = 0;
     std::uint64_t sectors = 0;
@@ -70,17 +71,23 @@ class FileSystem
      * Create a file of @p bytes on @p disk.
      * @return the new file's id.
      */
-    FileId createFile(std::string name, DiskId disk, std::uint64_t bytes,
+    FileId createFile(std::string_view name, DiskId disk,
+                      std::uint64_t bytes,
                       FilePlacement placement = FilePlacement::Sequential);
 
     /**
      * Reserve a raw extent (e.g. per-SPU swap space) of @p bytes.
      * Returned as a FileInfo with no metadata sector semantics.
      */
-    FileId createExtent(std::string name, DiskId disk, std::uint64_t bytes,
+    FileId createExtent(std::string_view name, DiskId disk,
+                        std::uint64_t bytes,
                         FilePlacement placement = FilePlacement::Sequential);
 
     const FileInfo &file(FileId id) const;
+
+    /** Name of file @p id. The view is valid until the next file is
+     *  created or the table is loaded. */
+    std::string_view fileName(FileId id) const;
 
     std::uint32_t blockBytes() const { return blockBytes_; }
     std::uint32_t sectorsPerBlock() const { return sectorsPerBlock_; }
@@ -116,8 +123,18 @@ class FileSystem
         std::uint64_t allocated = 0;
     };
 
-    FileId allocate(std::string name, DiskId disk, std::uint64_t bytes,
-                    FilePlacement placement, bool withMetadata);
+    FileId allocate(std::string_view name, DiskId disk,
+                    std::uint64_t bytes, FilePlacement placement,
+                    bool withMetadata);
+
+    /** Files in the table. */
+    std::size_t fileCount() const;
+
+    /** Index of @p id in the table; panics on an unknown id. */
+    std::size_t index(FileId id) const;
+
+    /** Append @p info, named @p name, as the next file. */
+    void addFile(const FileInfo &info, std::string_view name);
 
     // piso-lint: allow(checkpoint-field-coverage) -- geometry
     // configuration, identical after deterministic setup replay.
@@ -130,7 +147,26 @@ class FileSystem
     std::uint32_t sectorsPerBlock_;
     Rng rng_;
     std::map<DiskId, DiskSpace> disks_;
-    std::vector<FileInfo> files_;
+
+    /** Records per chunk of the file table. */
+    static constexpr std::size_t kChunkFiles = 4096;
+
+    /** The file table in id order, kChunkFiles records per chunk.
+     *  Growing it never moves a record, so a set-up replay that lays
+     *  out a few hundred thousand files writes each record once
+     *  instead of copying the table at every doubling. */
+    std::vector<std::vector<FileInfo>> files_;
+
+    /** Every file's name back to back, in id order; file i's name
+     *  ends at nameEnds_[i] and starts where file i-1's ends. One
+     *  arena instead of a string per file keeps FileInfo trivially
+     *  copyable. */
+    // piso-lint: allow(checkpoint-field-coverage) -- imaged name by
+    // name through fileName() in save; load rebuilds it via addFile().
+    std::string names_;
+    // piso-lint: allow(checkpoint-field-coverage) -- imaged name by
+    // name through fileName() in save; load rebuilds it via addFile().
+    std::vector<std::size_t> nameEnds_;
 };
 
 } // namespace piso

@@ -77,7 +77,7 @@ CkptWriter::f64(double v)
 }
 
 void
-CkptWriter::str(const std::string &v)
+CkptWriter::str(std::string_view v)
 {
     u32(static_cast<std::uint32_t>(v.size()));
     payload_ += v;

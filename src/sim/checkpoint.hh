@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "src/util/time.hh"
 
@@ -61,7 +62,7 @@ class CkptWriter
     // piso-lint: allow(determinism-wallclock) -- serialises a simulated Time field, not a wallclock read
     void time(Time v) { u64(v); }
     void f64(double v);
-    void str(const std::string &v);
+    void str(std::string_view v);
 
     const std::string &payload() const { return payload_; }
 

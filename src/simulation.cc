@@ -131,6 +131,7 @@ struct Simulation::Impl
     std::vector<Job> jobs;
     bool ran = false;
     bool setupDone = false;
+    double setupSec = 0.0;  //!< host wall-clock of setupRun()
     std::uint64_t kernelPinnedPages = 0;
 
     /** Sorted fault schedule, delivered by a cursor interleaved with
@@ -514,6 +515,8 @@ Simulation::Impl::setupRun()
     if (setupDone)
         PISO_FATAL("Simulation setup replayed twice");
     setupDone = true;
+    // piso-lint: allow(determinism-wallclock) -- host-side RunPerf timing; reported out-of-band, never feeds simulated state
+    const auto wallStart = std::chrono::steady_clock::now();
 
     if (spuMgr.leafSpus().empty())
         PISO_FATAL("no SPUs configured");
@@ -599,6 +602,12 @@ Simulation::Impl::setupRun()
     kernel->start();
     if (memPolicy)
         memPolicy->start();
+
+    setupSec =
+        // piso-lint: allow(determinism-wallclock) -- host-side RunPerf timing; reported out-of-band, never feeds simulated state
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      wallStart)
+            .count();
 }
 
 SimResults
@@ -770,6 +779,7 @@ Simulation::run()
     res.completed = im.kernel->liveProcesses() == 0;
     res.kernel = im.kernel->stats();
     res.perf.events = im.events.executedEvents() - eventsBefore;
+    res.perf.setupSec = im.setupSec;
     res.perf.policyItersCpu = im.sched->policyIters();
     res.perf.policyItersMem =
         im.memPolicy ? im.memPolicy->policyIters() : 0;

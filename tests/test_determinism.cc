@@ -188,6 +188,7 @@ TEST(Determinism, PerfCountersStayOutOfJsonl)
     const std::string jsonl = sweepJsonl(plan, 4);
     EXPECT_EQ(jsonl.find("\"perf\""), std::string::npos);
     EXPECT_EQ(jsonl.find("wall_ms"), std::string::npos);
+    EXPECT_EQ(jsonl.find("setup_ms"), std::string::npos);
     EXPECT_EQ(jsonl.find("events_per_sec"), std::string::npos);
 }
 
@@ -202,12 +203,14 @@ TEST(Determinism, PerfJsonIsOptIn)
     const std::string withPerf = formatResultsJson(r, true);
     EXPECT_NE(withPerf.find("\"perf\""), std::string::npos);
     EXPECT_NE(withPerf.find("\"wall_ms\""), std::string::npos);
+    EXPECT_NE(withPerf.find("\"setup_ms\""), std::string::npos);
     EXPECT_NE(withPerf.find("\"events_per_sec\""), std::string::npos);
 
     // The counters themselves are real: the run executed events and
     // took measurable time.
     EXPECT_GT(r.perf.events, 0u);
     EXPECT_GT(r.perf.wallSec, 0.0);
+    EXPECT_GT(r.perf.setupSec, 0.0);
     EXPECT_GT(r.perf.eventsPerSec(), 0.0);
 }
 
@@ -218,6 +221,8 @@ TEST(Determinism, SummaryPerfColumnsAreOptIn)
     EXPECT_EQ(exp::formatSweepSummary(out).find("M ev/s"),
               std::string::npos);
     EXPECT_NE(exp::formatSweepSummary(out, true).find("M ev/s"),
+              std::string::npos);
+    EXPECT_NE(exp::formatSweepSummary(out, true).find("setup (ms)"),
               std::string::npos);
 }
 

@@ -154,3 +154,68 @@ TEST(FileSystem, DuplicateDiskRejected)
     FileSystem fs = makeFs();
     EXPECT_THROW(fs.addDisk(0, 100), std::runtime_error);
 }
+
+TEST(FileSystem, ScatteredFileFillingTheDataZoneTakesItWithoutADraw)
+{
+    // 64 metadata sectors + an 80-sector data zone: a 10-block file
+    // has exactly one place to go.
+    FileSystem fs;
+    fs.addDisk(0, 64 + 80);
+    const FileId fill =
+        fs.createFile("fill", 0, 10 * 4096, FilePlacement::Scattered);
+    EXPECT_EQ(fs.file(fill).startSector, 64u);
+    EXPECT_EQ(fs.file(fill).sectors, 80u);
+
+    // The placement drew nothing: the next scattered file on another
+    // disk lands where it would have without the filling file.
+    FileSystem ref;
+    ref.addDisk(1, 2000000);
+    fs.addDisk(1, 2000000);
+    const FileId a = fs.createFile("a", 1, 4096, FilePlacement::Scattered);
+    const FileId b = ref.createFile("a", 1, 4096, FilePlacement::Scattered);
+    EXPECT_EQ(fs.file(a).startSector, ref.file(b).startSector);
+}
+
+TEST(FileSystem, NamesLiveInTheArena)
+{
+    FileSystem fs = makeFs();
+    const FileId a = fs.createFile("alpha.c", 0, 4096);
+    const FileId e = fs.createFile("", 0, 4096);
+    const FileId b = fs.createExtent("swap-spu2", 0, 1 << 20);
+    EXPECT_EQ(fs.fileName(a), "alpha.c");
+    EXPECT_EQ(fs.fileName(e), "");
+    EXPECT_EQ(fs.fileName(b), "swap-spu2");
+    EXPECT_DEATH(fs.fileName(99), "unknown file");
+}
+
+TEST(FileSystem, SaveLoadRoundTripsTheFileTable)
+{
+    // Enough files to span several chunks of the table.
+    FileSystem fs = makeFs();
+    fs.createFile("", 0, 4096);
+    fs.createExtent("swap", 0, 1 << 20);
+    const int n = 10000;
+    for (int i = 2; i < n; ++i) {
+        fs.createFile("f" + std::to_string(i), 0, 4096 * (1 + i % 3),
+                      FilePlacement::Scattered);
+    }
+    CkptWriter w;
+    fs.save(w);
+
+    FileSystem back;
+    CkptReader r(w.image(0));
+    back.load(r);
+    r.expectEnd();
+    CkptWriter again;
+    back.save(again);
+    EXPECT_EQ(again.payload(), w.payload());
+    EXPECT_EQ(back.fileName(0), "");
+    EXPECT_EQ(back.fileName(1), "swap");
+    for (FileId id = 2; id < n; ++id) {
+        ASSERT_EQ(back.fileName(id), "f" + std::to_string(id));
+        ASSERT_EQ(back.file(id).id, id);
+        ASSERT_EQ(back.file(id).startSector, fs.file(id).startSector);
+        ASSERT_EQ(back.file(id).bytes, 4096u * (1 + id % 3));
+    }
+    EXPECT_DEATH(back.file(n), "unknown file");
+}

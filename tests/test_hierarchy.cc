@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "src/core/ledger.hh"
 #include "src/core/share_tree.hh"
 #include "src/core/spu.hh"
+#include "src/sim/checkpoint.hh"
 #include "src/sim/random.hh"
 #include "src/util/error.hh"
 
@@ -23,6 +25,30 @@ namespace {
 
 constexpr std::size_t kMaxDepth = 4;
 constexpr std::size_t kMaxLeaves = 256;
+
+/** shareOf() recomputed from the public tree, summing every sibling
+ *  set afresh instead of reading SpuManager's cached totals. */
+double
+uncachedShareOf(const SpuManager &mgr, SpuId id)
+{
+    if (mgr.spu(id).state != SpuState::Active)
+        return 0.0;
+    double f = 1.0;
+    for (SpuId n : mgr.pathOf(id)) {
+        const Spu &node = mgr.spu(n);
+        if (node.state != SpuState::Active)
+            return 0.0;
+        double total = 0.0;
+        for (SpuId c : mgr.childrenOf(node.parent)) {
+            const Spu &s = mgr.spu(c);
+            total += s.state == SpuState::Active ? s.share : 0.0;
+        }
+        if (total == 0.0)
+            return 0.0;
+        f = f * (node.share / total);
+    }
+    return f;
+}
 
 /** Grow a random tree under @p parent, returning next free SPU id. */
 SpuId
@@ -328,5 +354,63 @@ TEST(Hierarchy, RandomManagerTreesEntitleWithinDivisible)
         for (SpuId top : mgr.childrenOf(kNoSpu))
             topSum += l.levels(top).entitled;
         EXPECT_EQ(topSum, divisible);
+
+        // Then change the tree at random: every cached sibling total
+        // must follow each create, destroy, suspend, resume and load.
+        auto expectUncached = [&](const char *op, int step) {
+            for (SpuId id : all) {
+                EXPECT_EQ(mgr.shareOf(id), uncachedShareOf(mgr, id))
+                    << "trial " << trial << " step " << step << " after "
+                    << op << ", spu " << id;
+            }
+        };
+        for (int step = 0; step < 40; ++step) {
+            const SpuId pick = all[rng.uniformInt(all.size())];
+            switch (rng.uniformInt(5)) {
+              case 0: {
+                const SpuId parent =
+                    mgr.pathOf(pick).size() < kMaxDepth ? pick : kNoSpu;
+                all.push_back(mgr.create({.name = "",
+                                          .share = 0.5 + rng.uniform(),
+                                          .parent = parent}));
+                expectUncached("create", step);
+                break;
+              }
+              case 1:
+                if (mgr.isGroup(pick) || all.size() < 2)
+                    continue;
+                mgr.destroy(pick);
+                all.erase(std::find(all.begin(), all.end(), pick));
+                expectUncached("destroy", step);
+                break;
+              case 2:
+                mgr.suspend(pick);
+                expectUncached("suspend", step);
+                break;
+              case 3:
+                mgr.resume(pick);
+                expectUncached("resume", step);
+                break;
+              default: {
+                // Save, flip one SPU's state, load: the image's states
+                // come back and the caches must not keep the flip.
+                CkptWriter w;
+                mgr.save(w);
+                const bool wasActive =
+                    mgr.spu(pick).state == SpuState::Active;
+                if (wasActive)
+                    mgr.suspend(pick);
+                else
+                    mgr.resume(pick);
+                EXPECT_EQ(mgr.shareOf(pick), uncachedShareOf(mgr, pick));
+                CkptReader r(w.image(0));
+                mgr.load(r);
+                EXPECT_EQ(mgr.spu(pick).state == SpuState::Active,
+                          wasActive);
+                expectUncached("load", step);
+                break;
+              }
+            }
+        }
     }
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/piso.hh"
+#include "tests/pmake_ref_util.hh"
 
 using namespace piso;
 
@@ -122,6 +123,102 @@ TEST(Workloads, PmakeParallelismUsesBothCpus)
     sim2.addJob(sim2.addSpu({.name = "u"}), makePmake("pm", two));
     const double t2 = sim2.run().job("pm").responseSec();
     EXPECT_LT(t2, 0.75 * t1);
+}
+
+TEST(Workloads, PmakeWorkersReplayTheUnrolledScript)
+{
+    struct Case
+    {
+        bool lock;
+        bool metadataSync;
+        int workers;
+        int files;
+    };
+    const Case cases[] = {
+        {false, true, 2, 12}, {true, true, 3, 5}, {false, false, 1, 1},
+        {true, false, 2, 1},  {true, true, 1, 7},
+    };
+    Simulation sim(smallMachine());
+    const int lock = sim.kernel().createLock(true);
+    for (const Case &c : cases) {
+        SCOPED_TRACE(::testing::Message()
+                     << "lock=" << c.lock << " sync=" << c.metadataSync
+                     << " workers=" << c.workers << " files=" << c.files);
+        PmakeConfig cfg;
+        cfg.parallelism = c.workers;
+        cfg.filesPerWorker = c.files;
+        cfg.metadataSync = c.metadataSync;
+        cfg.inodeLock = c.lock ? lock : -1;
+
+        // The same job laid out three times: twice by makePmake (a
+        // second copy receives restored cursors), once by the
+        // reference unroller.
+        FileSystem fs, twinFs, refFs;
+        for (FileSystem *f : {&fs, &twinFs, &refFs})
+            f->addDisk(0, 2000000);
+        WorkloadEnv env{fs, Rng(42)};
+        WorkloadEnv twinEnv{twinFs, Rng(42)};
+        WorkloadEnv refEnv{refFs, Rng(42)};
+        const JobSpec job = makePmake("pm", cfg);
+        std::vector<ProcessSpec> procs = job.build(sim.kernel(), env);
+        std::vector<ProcessSpec> twins = job.build(sim.kernel(), twinEnv);
+        const auto scripts = testutil::unrollPmake("pm", cfg, refEnv);
+
+        // Same file ids, names and placements, same fs and jitter
+        // draws.
+        CkptWriter table, refTable;
+        fs.save(table);
+        refFs.save(refTable);
+        EXPECT_EQ(table.payload(), refTable.payload());
+        EXPECT_EQ(env.rng.next(), refEnv.rng.next());
+
+        ASSERT_EQ(procs.size(), scripts.size());
+        Process self(1, 2, kNoJob, "p",
+                     std::make_unique<ScriptBehavior>(
+                         std::vector<Action>{}),
+                     Rng(1));
+        Rng rng(1);
+        const BehaviorContext ctx{0, rng};
+        for (std::size_t w = 0; w < procs.size(); ++w) {
+            Behavior &worker = *procs[w].behavior;
+            Behavior &twin = *twins[w].behavior;
+            const std::vector<Action> &script = scripts[w];
+            for (std::size_t i = 0; i <= script.size(); ++i) {
+                // A cursor saved at index i restores to the same spot.
+                CkptWriter cursor;
+                worker.save(cursor);
+                CkptReader r(cursor.image(0));
+                twin.load(r);
+                r.expectEnd();
+                CkptWriter again;
+                twin.save(again);
+                EXPECT_EQ(again.payload(), cursor.payload());
+
+                const std::string want =
+                    i < script.size()
+                        ? testutil::describeAction(script[i])
+                        : testutil::describeAction(ExitAction{});
+                EXPECT_EQ(testutil::describeAction(worker.next(self, ctx)),
+                          want)
+                    << "worker " << w << " action " << i;
+                EXPECT_EQ(testutil::describeAction(twin.next(self, ctx)),
+                          want)
+                    << "worker " << w << " action " << i;
+            }
+            // Exit repeats; the cursor stays at the end.
+            EXPECT_TRUE(std::holds_alternative<ExitAction>(
+                worker.next(self, ctx)));
+            CkptWriter end, want;
+            worker.save(end);
+            want.u64(script.size());
+            EXPECT_EQ(end.payload(), want.payload());
+
+            CkptWriter past;
+            past.u64(script.size() + 1);
+            CkptReader r(past.image(0));
+            EXPECT_THROW(twin.load(r), ConfigError);
+        }
+    }
 }
 
 TEST(Workloads, OceanBarriersKeepRanksTogether)
