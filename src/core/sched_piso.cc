@@ -1,7 +1,5 @@
 #include "src/core/sched_piso.hh"
 
-#include <algorithm>
-
 #include "src/sim/trace.hh"
 
 namespace piso {
@@ -12,28 +10,31 @@ PisoScheduler::setSpuParents(const SpuTable<SpuId> &parents)
     parents_ = parents;
 }
 
-std::vector<SpuId>
-PisoScheduler::pathTo(SpuId spu) const
-{
-    std::vector<SpuId> path;
-    for (SpuId n = spu; n != kNoSpu;) {
-        path.push_back(n);
-        const SpuId *p = parents_.find(n);
-        n = p ? *p : kNoSpu;
-    }
-    std::reverse(path.begin(), path.end());
-    return path;
-}
-
 std::size_t
-PisoScheduler::kinship(SpuId a, SpuId b) const
+PisoScheduler::kinship(const SpuTable<SpuId> &parents, SpuId a, SpuId b)
 {
-    const std::vector<SpuId> pa = pathTo(a);
-    const std::vector<SpuId> pb = pathTo(b);
-    std::size_t n = 0;
-    while (n < pa.size() && n < pb.size() && pa[n] == pb[n])
-        ++n;
-    return n;
+    const auto parentOf = [&parents](SpuId spu) {
+        const SpuId *p = parents.find(spu);
+        return p ? *p : kNoSpu;
+    };
+    std::size_t da = 0;
+    for (SpuId n = a; n != kNoSpu; n = parentOf(n))
+        ++da;
+    std::size_t db = 0;
+    for (SpuId n = b; n != kNoSpu; n = parentOf(n))
+        ++db;
+    // Lift the deeper SPU to the other's depth, then walk both up in
+    // step: the first node they share is the deepest common ancestor,
+    // and its depth is the length of the common root-down prefix.
+    for (; da > db; --da)
+        a = parentOf(a);
+    for (; db > da; --db)
+        b = parentOf(b);
+    for (; a != b; --da) {
+        a = parentOf(a);
+        b = parentOf(b);
+    }
+    return da;
 }
 
 Process *
@@ -54,7 +55,7 @@ PisoScheduler::popBestKin(SpuId owner)
             ++policyIters_;
             if (spu == owner)
                 continue;
-            const std::size_t kin = kinship(owner, spu);
+            const std::size_t kin = kinship(parents_, owner, spu);
             if (best && kin < bestKin)
                 continue;
             for (Process *q : queue) {
@@ -73,7 +74,7 @@ PisoScheduler::popBestKin(SpuId owner)
             ++policyIters_;
             if (spu == owner)
                 continue;
-            const std::size_t kin = kinship(owner, spu);
+            const std::size_t kin = kinship(parents_, owner, spu);
             if (best && kin < bestKin)
                 continue;
             for (Process *q : ready_[spu]) {
@@ -131,18 +132,26 @@ void
 PisoScheduler::onReadyNoIdle(Process *p)
 {
     // All CPUs are busy. If one of this SPU's own CPUs is out on loan,
-    // claim it back: immediately under the IPI model, at the next
-    // clock tick (<= 10 ms) otherwise.
-    for (auto &c : cpus_) {
-        if (currentOwner(c) != p->spu() || !c.loaned)
-            continue;
-        if (ipiRevoke_) {
-            revoke(c);
-        } else {
-            c.revokePending = true;
+    // claim it back. Only a CPU where the SPU holds a share can have
+    // it as its current owner.
+    for (CpuId id : cpusOf(p->spu())) {
+        Cpu &c = cpus_[static_cast<std::size_t>(id)];
+        if (c.loaned && currentOwner(c) == p->spu()) {
+            reclaim(c);
+            return;
         }
-        return;
     }
+}
+
+void
+PisoScheduler::reclaim(Cpu &cpu)
+{
+    // Immediately under the IPI model, at the next clock tick
+    // (<= 10 ms) otherwise.
+    if (ipiRevoke_)
+        revoke(cpu);
+    else
+        cpu.revokePending = true;
 }
 
 void

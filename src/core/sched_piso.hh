@@ -52,11 +52,25 @@ class PisoScheduler : public QuotaScheduler
      *  order of popBestForeign. */
     void setSpuParents(const SpuTable<SpuId> &parents) override;
 
+    /** Length of the common root-down path prefix of @p a and @p b in
+     *  the tree @p parents: the depth of their deepest common ancestor
+     *  (0 when none). Allocation-free. */
+    static std::size_t kinship(const SpuTable<SpuId> &parents, SpuId a,
+                               SpuId b);
+
   protected:
     Process *selectNext(Cpu &cpu) override;
     bool eligibleIdle(const Cpu &cpu, const Process *p) const override;
     void onReadyNoIdle(Process *p) override;
     void policyTick() override;
+    bool confinedToOwnCpus() const override { return false; }
+
+    /** A lending CPU can pick from any SPU's queue: the full pass. */
+    void idlePass() override { CpuScheduler::idlePass(); }
+
+    /** Claim back the loaned CPU @p cpu for its owner: revoke now
+     *  under the IPI model, else mark it for the next tick. */
+    void reclaim(Cpu &cpu);
 
     void saveReady(CkptWriter &w) const override
     {
@@ -77,11 +91,6 @@ class PisoScheduler : public QuotaScheduler
     /** Best foreign ready process, preferring higher kinship with
      *  @p owner; equals popBestForeign when no parent links exist. */
     Process *popBestKin(SpuId owner);
-
-    /** Length of the common root-down path prefix of two SPUs. */
-    std::size_t kinship(SpuId a, SpuId b) const;
-
-    std::vector<SpuId> pathTo(SpuId spu) const;
 
     SpuTable<SpuId> parents_;
     bool ipiRevoke_ = false;

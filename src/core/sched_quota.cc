@@ -1,5 +1,7 @@
 #include "src/core/sched_quota.hh"
 
+#include <algorithm>
+
 namespace piso {
 
 std::size_t
@@ -99,6 +101,28 @@ QuotaScheduler::policyTick()
         if (c.running->spu() != owner && readyCount(owner) > 0)
             preemptCpu(c);
     }
+}
+
+void
+QuotaScheduler::idlePass()
+{
+    // A CPU that never lends only picks from its current owner's
+    // queue, and that owner holds a share on it: only the CPUs of SPUs
+    // with ready work can pick. Visit them in the ascending id order of
+    // the full pass.
+    for (SpuId spu : nonEmpty_) {
+        const std::vector<CpuId> &own = cpusOf(spu);
+        idleScan_.insert(idleScan_.end(), own.begin(), own.end());
+    }
+    std::sort(idleScan_.begin(), idleScan_.end());
+    idleScan_.erase(std::unique(idleScan_.begin(), idleScan_.end()),
+                    idleScan_.end());
+    for (CpuId id : idleScan_) {
+        Cpu &c = cpus_[static_cast<std::size_t>(id)];
+        if (!c.running)
+            dispatch(c);
+    }
+    idleScan_.clear();
 }
 
 } // namespace piso

@@ -41,6 +41,9 @@ class QuotaScheduler : public CpuScheduler
     void enqueueReady(Process *p) override;
     bool eligibleIdle(const Cpu &cpu, const Process *p) const override;
     void policyTick() override;
+    bool anyReady() const override { return !nonEmpty_.empty(); }
+    bool confinedToOwnCpus() const override { return true; }
+    void idlePass() override;
 
     /** Pop the highest-priority ready process of @p spu (nullptr if
      *  none). */
@@ -98,6 +101,11 @@ class QuotaScheduler : public CpuScheduler
      * order (and with it every golden) is unchanged.
      */
     std::set<SpuId> nonEmpty_;
+
+  private:
+    /** idlePass's merge buffer, kept to stay allocation-free; empty
+     *  between calls. */
+    std::vector<CpuId> idleScan_;
 };
 
 } // namespace piso

@@ -28,6 +28,7 @@ class SmpScheduler : public CpuScheduler
     Process *selectNext(Cpu &cpu) override;
     void enqueueReady(Process *p) override;
     bool eligibleIdle(const Cpu &cpu, const Process *p) const override;
+    bool anyReady() const override { return !ready_.empty(); }
 
     void saveReady(CkptWriter &w) const override
     {

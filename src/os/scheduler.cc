@@ -21,6 +21,7 @@ CpuScheduler::CpuScheduler(EventQueue &events, int numCpus, Time tickPeriod,
     cpus_.resize(static_cast<std::size_t>(numCpus));
     for (int i = 0; i < numCpus; ++i)
         cpus_[static_cast<std::size_t>(i)].id = i;
+    rebuildCpuIndex();
 }
 
 void
@@ -62,29 +63,51 @@ CpuScheduler::processReady(Process *p)
     p->setState(ProcState::Ready);
     p->readySince = events_.now();
 
-    // Prefer an idle CPU this process is eligible for. Scan home CPUs
-    // implicitly: eligibleIdle() encodes the policy, and we prefer a
-    // CPU whose home SPU matches to keep loans short.
-    Cpu *fallback = nullptr;
-    for (auto &c : cpus_) {
+    const CpuId id = idleCpuFor(p);
+    enqueueReady(p);
+    if (id != kNoCpu)
+        dispatch(cpus_[static_cast<std::size_t>(id)]);
+    else
+        onReadyNoIdle(p);
+}
+
+CpuId
+CpuScheduler::idleCpuFor(const Process *p) const
+{
+    // Prefer the lowest-id idle CPU p is eligible for whose home SPU is
+    // p's own or none, to keep loans short; failing that, the lowest-id
+    // eligible idle CPU at all. Every preferred CPU is in cpusOf(spu) or
+    // unownedCpus_, so one ascending merge of the two finds the first
+    // preferred CPU and the first other eligible CPU among them.
+    const SpuId spu = p->spu();
+    const std::vector<CpuId> &own = cpusOf(spu);
+    auto a = own.begin();
+    auto b = unownedCpus_.begin();
+    CpuId fallback = kNoCpu;
+    while (a != own.end() || b != unownedCpus_.end()) {
+        const bool fromOwn =
+            b == unownedCpus_.end() || (a != own.end() && *a < *b);
+        const CpuId id = fromOwn ? *a++ : *b++;
+        const Cpu &c = cpus_[static_cast<std::size_t>(id)];
         if (!c.online || c.running || !eligibleIdle(c, p))
             continue;
-        if (c.homeSpu == p->spu() || c.homeSpu == kNoSpu) {
-            enqueueReady(p);
-            dispatch(c);
-            return;
-        }
-        if (!fallback)
-            fallback = &c;
+        if (c.homeSpu == spu || c.homeSpu == kNoSpu)
+            return id;
+        if (fallback == kNoCpu)
+            fallback = id;
     }
-    if (fallback) {
-        enqueueReady(p);
-        dispatch(*fallback);
-        return;
+    // A policy that never lends has no eligible CPU outside the merge.
+    // One that lends may take any CPU: only ids below the candidate
+    // found can still beat it.
+    if (confinedToOwnCpus())
+        return fallback;
+    const CpuId end = fallback == kNoCpu ? numCpus() : fallback;
+    for (CpuId id = 0; id < end; ++id) {
+        const Cpu &c = cpus_[static_cast<std::size_t>(id)];
+        if (c.online && !c.running && eligibleIdle(c, p))
+            return id;
     }
-
-    enqueueReady(p);
-    onReadyNoIdle(p);
+    return fallback;
 }
 
 void
@@ -216,6 +239,55 @@ CpuScheduler::policyTick()
 }
 
 void
+CpuScheduler::idlePass()
+{
+    // Idle CPUs whose eligibility changed since they went idle (time
+    // partition rotated, a loan hold-off expired) have no other event
+    // to wake them: give them a dispatch chance every tick. With
+    // nothing ready no dispatch can pick, and a dispatch that picks
+    // nothing only clears revokePending, which is already false on
+    // every idle online CPU: the pass would change nothing. The eager
+    // baseline (bench/ext_scale) keeps the unskipped pass: its
+    // dispatches drive the full ready-table scans that baseline exists
+    // to measure.
+    if (!anyReady() && !eagerLoops_)
+        return;
+    for (auto &c : cpus_) {
+        if (!c.running)
+            dispatch(c);
+    }
+}
+
+const std::vector<CpuId> &
+CpuScheduler::cpusOf(SpuId spu) const
+{
+    static const std::vector<CpuId> kNone;
+    const std::vector<CpuId> *own = spuCpus_.find(spu);
+    return own ? *own : kNone;
+}
+
+void
+CpuScheduler::rebuildCpuIndex()
+{
+    for (auto [spu, own] : spuCpus_)
+        own.clear();
+    unownedCpus_.clear();
+    const auto add = [this](SpuId spu, CpuId id) {
+        std::vector<CpuId> &own = spuCpus_[spu];
+        if (own.empty() || own.back() != id)
+            own.push_back(id);
+    };
+    for (const Cpu &c : cpus_) {
+        if (c.homeSpu == kNoSpu)
+            unownedCpus_.push_back(c.id);
+        else
+            add(c.homeSpu, c.id);
+        for (const auto &[spu, frac] : c.timeShares)
+            add(spu, c.id);
+    }
+}
+
+void
 CpuScheduler::tick()
 {
     const Time now = events_.now();
@@ -252,14 +324,7 @@ CpuScheduler::tick()
     }
 
     policyTick();
-
-    // Idle CPUs whose eligibility changed since they went idle (time
-    // partition rotated, a loan hold-off expired) have no other event
-    // to wake them: give them a dispatch chance every tick.
-    for (auto &c : cpus_) {
-        if (!c.running)
-            dispatch(c);
-    }
+    idlePass();
 
     events_.scheduleAfter(tickPeriod_, [this] { tick(); }, "schedTick");
 }
@@ -320,6 +385,7 @@ CpuScheduler::setCpuOnline(CpuId cpuId, bool online)
     c.homeSpu = kNoSpu;
     c.timeShares.clear();
     c.revokePending = false;
+    rebuildCpuIndex();
     PISO_TRACE(TraceCat::Sched, events_.now(), "cpu", c.id, " offline");
     if (c.running)
         preemptCpu(c);
@@ -381,8 +447,11 @@ CpuScheduler::repartitionCpus(const SpuTable<double> &cpuShares)
 void
 CpuScheduler::partitionCpus(const SpuTable<double> &cpuShares)
 {
-    if (cpuShares.empty())
+    if (cpuShares.empty()) {
+        // repartitionCpus() has just cleared every CPU's ownership.
+        rebuildCpuIndex();
         return;
+    }
 
     double total = 0.0;
     for (const auto &[spu, share] : cpuShares)
@@ -433,6 +502,7 @@ CpuScheduler::partitionCpus(const SpuTable<double> &cpuShares)
         if (!c.timeShares.empty())
             c.homeSpu = c.timeShares.front().first;
     }
+    rebuildCpuIndex();
 }
 
 void
@@ -508,6 +578,7 @@ CpuScheduler::load(CkptReader &r,
         c.busyTime = r.time();
         c.idleTime = r.time();
     }
+    rebuildCpuIndex();
 
     all_.clear();
     const std::uint64_t nall = r.u64();

@@ -18,6 +18,19 @@
  *
  * The scheduler assigns CPUs; the Kernel (a SchedClient) executes the
  * processes' compute segments and tells the scheduler about blocking.
+ *
+ * Placement works from a derived per-SPU CPU index. Its invariant:
+ * cpusOf(s) lists, ascending, every CPU whose homeSpu is s or whose
+ * timeShares name s, and unownedCpus() lists, ascending, every CPU
+ * whose homeSpu is kNoSpu (offline CPUs included). Only
+ * partitionCpus(), repartitionCpus(), setCpuOnline(false) and load()
+ * change ownership, and each rebuilds the index before returning; no
+ * other code writes homeSpu or timeShares. An SPU's preferred CPUs
+ * (home SPU its own or none), the CPUs it can be current owner of and,
+ * under a policy that never lends, every CPU it is eligible for are in
+ * cpusOf(s) or unownedCpus(), so a wake-up or a revocation visits the
+ * handful of CPUs an SPU holds a share on rather than the whole
+ * machine.
  */
 
 #include <cstdint>
@@ -143,7 +156,12 @@ class CpuScheduler
     /// @{
     int numCpus() const { return static_cast<int>(cpus_.size()); }
     const Cpu &cpu(CpuId id) const { return cpus_.at(id); }
-    Cpu &cpu(CpuId id) { return cpus_.at(id); }
+
+    /** CPUs where @p spu holds a home or time share, ascending. */
+    const std::vector<CpuId> &cpusOf(SpuId spu) const;
+
+    /** CPUs with no home SPU (offline ones included), ascending. */
+    const std::vector<CpuId> &unownedCpus() const { return unownedCpus_; }
 
     /** CPUs currently online. */
     int onlineCpus() const;
@@ -243,6 +261,17 @@ class CpuScheduler
     /** Hook: @p p became ready but no idle CPU accepted it. */
     virtual void onReadyNoIdle(Process *p);
 
+    /** Is any process waiting in the ready structures? */
+    virtual bool anyReady() const = 0;
+
+    /** True for a policy that never lends: a process is only ever
+     *  eligible on the CPUs its SPU holds a share on. */
+    virtual bool confinedToOwnCpus() const { return false; }
+
+    /** The tick's idle pass: offer a dispatch to every idle CPU that
+     *  could pick something, in ascending id order. */
+    virtual void idlePass();
+
     /** @name Checkpoint hooks: subclass ready-queue state
      *  Must round-trip the ready structures exactly (FIFO order
      *  included) so restored dispatch decisions are bit-identical. */
@@ -295,6 +324,13 @@ class CpuScheduler
     void tick();
     void freeCpu(Process *p, bool requeue);
 
+    /** The idle CPU processReady places @p p on (kNoCpu if none). */
+    CpuId idleCpuFor(const Process *p) const;
+
+    /** Recompute spuCpus_/unownedCpus_ from cpus_ (the file comment's
+     *  invariant). */
+    void rebuildCpuIndex();
+
     // piso-lint: allow(checkpoint-field-coverage) -- scheduler tuning
     // configuration, identical after deterministic setup replay.
     Time tickPeriod_;
@@ -318,6 +354,14 @@ class CpuScheduler
     Time sharePeriod_ = 100 * kMs;
 
     SpuTable<Time> spuCpuTime_;
+
+    /** The per-SPU CPU index (see the file comment). */
+    // piso-lint: allow(checkpoint-field-coverage) -- derived from
+    // cpus_ ownership, which is imaged; load() rebuilds it.
+    SpuTable<std::vector<CpuId>> spuCpus_;
+    // piso-lint: allow(checkpoint-field-coverage) -- derived from
+    // cpus_ ownership, which is imaged; load() rebuilds it.
+    std::vector<CpuId> unownedCpus_;
 };
 
 } // namespace piso

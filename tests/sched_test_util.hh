@@ -84,6 +84,23 @@ class FakeClient : public SchedClient
         w -= std::min(elapsed, w);
     }
 
+    /** Stop the running @p p mid-segment and block it; its remaining
+     *  work resumes when it is next made ready. */
+    void
+    block(Process *p)
+    {
+        stopRunning(*p);
+        sched_.processBlocked(p);
+    }
+
+    /** Stop the running @p p mid-segment and exit it early. */
+    void
+    exit(Process *p)
+    {
+        stopRunning(*p);
+        sched_.processExited(p);
+    }
+
     Time remainingWork(Process *p) const { return work_.at(p); }
 
     /** Run until all created processes exited (with a safety cap). */
