@@ -65,20 +65,11 @@ class DiskBandwidthTracker
      *  links are replayed by the deterministic setup phase. */
     /// @{
     void
-    save(CkptWriter &w) const
+    ckpt(CkptIo &io)
     {
-        entries_.saveTable(w, [](CkptWriter &wr, const Entry &e) {
-            wr.f64(e.count);
-            wr.time(e.last);
-        });
-    }
-
-    void
-    load(CkptReader &r)
-    {
-        entries_.loadTable(r, [](CkptReader &rd, Entry &e) {
-            e.count = rd.f64();
-            e.last = rd.time();
+        entries_.table(io, [&io](Entry &e) {
+            io.f64(e.count);
+            io.time(e.last);
         });
     }
     /// @}
@@ -93,15 +84,9 @@ class DiskBandwidthTracker
 
     double decayed(const Entry &e, Time now) const;
 
-    // piso-lint: allow(checkpoint-field-coverage) -- constructor
-    // configuration, identical after deterministic setup replay.
     Time halfLife_;
     SpuTable<Entry> entries_;
-    // piso-lint: allow(checkpoint-field-coverage) -- SPU topology is
-    // replayed by the setup phase, not carried in the image.
     SpuTable<SpuId> parents_;
-    // piso-lint: allow(checkpoint-field-coverage) -- shares are
-    // replayed by the setup phase, not carried in the image.
     ResourceLedger shares_{"bandwidth"};
 };
 

@@ -166,26 +166,14 @@ class ResourceLedger
     /** @name Checkpoint */
     /// @{
     void
-    save(CkptWriter &w) const
+    ckpt(CkptIo &io)
     {
-        w.u64(capacity_);
-        spus_.saveTable(w, [](CkptWriter &wr, const Entry &e) {
-            wr.u64(e.levels.entitled);
-            wr.u64(e.levels.allowed);
-            wr.u64(e.levels.used);
-            wr.f64(e.share);
-        });
-    }
-
-    void
-    load(CkptReader &r)
-    {
-        capacity_ = r.u64();
-        spus_.loadTable(r, [](CkptReader &rd, Entry &e) {
-            e.levels.entitled = rd.u64();
-            e.levels.allowed = rd.u64();
-            e.levels.used = rd.u64();
-            e.share = rd.f64();
+        io.u64(capacity_);
+        spus_.table(io, [&io](Entry &e) {
+            io.u64(e.levels.entitled);
+            io.u64(e.levels.allowed);
+            io.u64(e.levels.used);
+            io.f64(e.share);
         });
     }
     /// @}
@@ -200,8 +188,6 @@ class ResourceLedger
     const Entry &entry(SpuId spu) const;
     Entry &entry(SpuId spu);
 
-    // piso-lint: allow(checkpoint-field-coverage) -- the diagnostic
-    // label, fixed at construction; identical after setup replay.
     std::string resource_;
     SpuTable<Entry> spus_;
     std::uint64_t capacity_ = 0;

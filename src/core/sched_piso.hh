@@ -72,17 +72,10 @@ class PisoScheduler : public QuotaScheduler
      *  under the IPI model, else mark it for the next tick. */
     void reclaim(Cpu &cpu);
 
-    void saveReady(CkptWriter &w) const override
+    void ckptReady(CkptIo &io, const ProcessByPid &byPid) override
     {
-        QuotaScheduler::saveReady(w);
-        w.u64(revocations_);
-    }
-
-    void loadReady(CkptReader &r,
-                   const std::function<Process *(Pid)> &byPid) override
-    {
-        QuotaScheduler::loadReady(r, byPid);
-        revocations_ = r.u64();
+        QuotaScheduler::ckptReady(io, byPid);
+        io.u64(revocations_);
     }
 
   private:

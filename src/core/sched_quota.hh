@@ -61,25 +61,13 @@ class QuotaScheduler : public CpuScheduler
             nonEmpty_.erase(spu);
     }
 
-    void saveReady(CkptWriter &w) const override
+    void ckptReady(CkptIo &io, const ProcessByPid &byPid) override
     {
-        ready_.saveTable(
-            w, [](CkptWriter &wr, const std::list<Process *> &q) {
-                wr.u64(q.size());
-                for (const Process *p : q)
-                    wr.i64(p->pid());
-            });
-    }
-
-    void loadReady(CkptReader &r,
-                   const std::function<Process *(Pid)> &byPid) override
-    {
-        ready_.loadTable(
-            r, [&byPid](CkptReader &rd, std::list<Process *> &q) {
-                const std::uint64_t n = rd.u64();
-                for (std::uint64_t i = 0; i < n; ++i)
-                    q.push_back(byPid(static_cast<Pid>(rd.i64())));
-            });
+        ready_.table(io, [&io, &byPid](std::list<Process *> &q) {
+            ckptProcesses(io, q, byPid);
+        });
+        if (!io.loading())
+            return;
         nonEmpty_.clear();
         // piso-lint: allow(hot-path-full-scan) -- restore-time rebuild
         // of the active set, not an event callback.

@@ -303,40 +303,29 @@ SpuManager::shareTree() const
 }
 
 void
-SpuManager::save(CkptWriter &w) const
+SpuManager::ckpt(CkptIo &io)
 {
     const std::vector<SpuId> all = spus_.ids();
-    w.u64(all.size());
+    io.expect(all.size(), "SPU");
     for (SpuId id : all) {
-        w.u64(static_cast<std::uint64_t>(id));
-        w.u8(spu(id).state == SpuState::Suspended ? 1 : 0);
-    }
-    w.u64(static_cast<std::uint64_t>(next_));
-}
-
-void
-SpuManager::load(CkptReader &r)
-{
-    const std::uint64_t n = r.u64();
-    if (n != spus_.ids().size()) {
-        throw ConfigError("checkpoint SPU count " + std::to_string(n) +
-                          " does not match the replayed configuration");
-    }
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const SpuId id = static_cast<SpuId>(r.u64());
-        const std::uint8_t suspended = r.u8();
+        bool suspended = spus_[id].state == SpuState::Suspended;
+        io.u64(id);
+        io.boolean(suspended);
+        if (!io.loading())
+            continue;
         if (!exists(id)) {
             throw ConfigError(
                 "checkpoint references unknown SPU id " +
                 std::to_string(static_cast<std::uint64_t>(id)));
         }
-        spus_[id].state = suspended != 0 ? SpuState::Suspended
-                                         : SpuState::Active;
+        spus_[id].state =
+            suspended ? SpuState::Suspended : SpuState::Active;
     }
-    next_ = static_cast<SpuId>(r.u64());
+    io.u64(next_);
     // The restored states may differ from anything observed during
     // setup replay; invalidate caches and captured versions.
-    ++version_;
+    if (io.loading())
+        ++version_;
 }
 
 } // namespace piso

@@ -162,16 +162,12 @@ class SpuManager
      */
     SpuTable<std::uint64_t> entitleLeaves(std::uint64_t divisible) const;
 
-    /** @name Checkpoint
-     *  The tree structure itself (names, shares, parent/child edges)
-     *  is replayed by the deterministic setup phase; only the mutable
-     *  run-state — per-SPU life-cycle state and the id allocator — is
-     *  serialised. load() validates the replayed tree covers exactly
-     *  the SPUs present at save time. */
-    /// @{
-    void save(CkptWriter &w) const;
-    void load(CkptReader &r);
-    /// @}
+    /** Checkpoint: the tree structure itself (names, shares,
+     *  parent/child edges) is replayed by the deterministic setup
+     *  phase; only the mutable run-state — per-SPU life-cycle state
+     *  and the id allocator — is imaged. Loading validates the
+     *  replayed tree covers exactly the SPUs present at save time. */
+    void ckpt(CkptIo &io);
 
   private:
     /** Σ shares over @p parent's children, ascending by id, counting
@@ -198,35 +194,23 @@ class SpuManager
 
     /** Top-level user SPUs, ascending by id (the synthetic root's
      *  children). */
-    // piso-lint: allow(checkpoint-field-coverage) -- SPU topology is
-    // rebuilt by setup replay; only per-SPU state is imaged.
     std::vector<SpuId> topLevel_;
 
     SpuId next_ = kFirstUserSpu;
 
-    // piso-lint: allow(checkpoint-field-coverage) -- monotonic cache
-    // invalidation counter; load bumps it rather than restoring it.
+    // Monotonic cache invalidation counter; loading bumps it
+    // rather than restoring it.
     std::uint64_t version_ = 0;
 
     /** Cached userSpus()/leafSpus(), valid while
      *  cacheVersion_ == version_. */
-    // piso-lint: allow(checkpoint-field-coverage) -- cache validity
-    // tag, rebuilt lazily after the load-time version_ bump.
     mutable std::uint64_t cacheVersion_ = ~std::uint64_t{0};
-    // piso-lint: allow(checkpoint-field-coverage) -- derived cache,
-    // rebuilt lazily by refreshCaches().
     mutable std::vector<SpuId> userCache_;
-    // piso-lint: allow(checkpoint-field-coverage) -- derived cache,
-    // rebuilt lazily by refreshCaches().
     mutable std::vector<SpuId> leafCache_;
 
     /** Cached siblingTotal(): of the top level, and of each group's
      *  children keyed by the group; valid like the caches above. */
-    // piso-lint: allow(checkpoint-field-coverage) -- derived cache,
-    // rebuilt lazily by refreshCaches().
     mutable double topTotalCache_ = 0.0;
-    // piso-lint: allow(checkpoint-field-coverage) -- derived cache,
-    // rebuilt lazily by refreshCaches().
     mutable SpuTable<double> groupTotalCache_;
 };
 

@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/sim/checkpoint.hh"
 #include "src/sim/ids.hh"
 #include "src/util/log.hh"
 #include "src/util/error.hh"
@@ -202,35 +203,29 @@ class DenseTable
     };
 
     /**
-     * Serialise the table: present-entry count, then (id, value) pairs
-     * in ascending id order. @p saveValue is invoked as
-     * saveValue(writer, const T&). Templated on the writer so this
-     * header stays independent of src/sim/checkpoint.hh.
+     * Image the table: present-entry count, then (id, value) pairs in
+     * ascending id order, with @p value(T&) imaging each value.
+     * Loading rebuilds the table from default-constructed entries.
      */
-    template <typename W, typename Fn>
+    template <typename Fn>
     void
-    saveTable(W &w, Fn &&saveValue) const
+    table(CkptIo &io, Fn &&value)
     {
-        w.u64(count_);
-        for (std::size_t i = 0; i < slots_.size(); ++i) {
-            if (slots_[i]) {
-                w.u64(i);
-                saveValue(w, *slots_[i]);
+        const std::size_t n = io.count(count_);
+        if (!io.loading()) {
+            for (std::size_t i = 0; i < slots_.size(); ++i) {
+                if (slots_[i]) {
+                    io.u64(i);
+                    value(*slots_[i]);
+                }
             }
+            return;
         }
-    }
-
-    /** Rebuild from saveTable() output; @p loadValue fills each
-     *  default-constructed entry as loadValue(reader, T&). */
-    template <typename R, typename Fn>
-    void
-    loadTable(R &r, Fn &&loadValue)
-    {
         clear();
-        const std::uint64_t n = r.u64();
-        for (std::uint64_t k = 0; k < n; ++k) {
-            const auto id = static_cast<Id>(r.u64());
-            loadValue(r, (*this)[id]);
+        for (std::size_t k = 0; k < n; ++k) {
+            Id id{};
+            io.u64(id);
+            value((*this)[id]);
         }
     }
 

@@ -161,7 +161,7 @@ finish(std::vector<Analyzed> &files, int reanalyzed)
 // ---------------------------------------------------------------------
 
 constexpr const char *kCacheMagic = "piso-lint-cache";
-constexpr int kCacheSchema = 1;
+constexpr int kCacheSchema = 2;
 
 std::uint64_t
 registryFingerprint()
@@ -217,20 +217,6 @@ writeCache(const std::string &path,
            << '\n';
         for (const IncludeEdge &e : s.includes)
             os << "i\t" << e.line << '\t' << e.target << '\n';
-        for (const ClassDecl &c : s.classes) {
-            os << "c\t" << c.line << '\t' << c.name << '\n';
-            for (const FieldDecl &f : c.fields)
-                os << "f\t" << f.line << '\t' << f.name << '\n';
-        }
-        for (const CkptBody &b : s.ckptBodies) {
-            os << "b\t" << b.line << '\t' << (b.isSave ? 1 : 0) << '\t'
-               << b.className << '\t';
-            for (std::size_t i = 0; i < b.idents.size(); ++i)
-                os << (i ? " " : "") << b.idents[i];
-            os << '\n';
-        }
-        for (const FuncDef &d : s.functions)
-            os << "d\t" << d.line << '\t' << d.qualified << '\n';
         for (std::size_t i = 0; i < s.suppressions.size(); ++i) {
             const Suppression &sup = s.suppressions[i];
             const int target = i < s.suppressionTargets.size()
@@ -319,40 +305,6 @@ readCache(const std::string &path, std::map<std::string, Analyzed> &out)
             if (f.size() != 3 || !toInt(f[1], n))
                 return false;
             cur.summary.includes.push_back({n, f[2]});
-            break;
-        case 'c':
-            splitTabs(line, 3, f);
-            if (f.size() != 3 || !toInt(f[1], n))
-                return false;
-            cur.summary.classes.push_back({f[2], n, {}});
-            break;
-        case 'f':
-            splitTabs(line, 3, f);
-            if (f.size() != 3 || !toInt(f[1], n) ||
-                cur.summary.classes.empty())
-                return false;
-            cur.summary.classes.back().fields.push_back({f[2], n});
-            break;
-        case 'b': {
-            splitTabs(line, 5, f);
-            if (f.size() != 5 || !toInt(f[1], n))
-                return false;
-            CkptBody body;
-            body.line = n;
-            body.isSave = f[2] == "1";
-            body.className = f[3];
-            std::istringstream is(f[4]);
-            std::string ident;
-            while (is >> ident)
-                body.idents.push_back(ident);
-            cur.summary.ckptBodies.push_back(std::move(body));
-            break;
-        }
-        case 'd':
-            splitTabs(line, 3, f);
-            if (f.size() != 3 || !toInt(f[1], n))
-                return false;
-            cur.summary.functions.push_back({f[2], n});
             break;
         case 's': {
             splitTabs(line, 7, f);
@@ -561,7 +513,7 @@ void
 filterToDiff(LintResult &result, const DiffLines &diff)
 {
     const auto keep = [&](const Finding &f) {
-        if (f.rule == kRuleCheckpointCoverage || f.rule == kRuleLayering)
+        if (f.rule == kRuleLayering)
             return true;  // whole-tree properties gate regardless
         const auto it = diff.byPath.find(f.path);
         if (it == diff.byPath.end())

@@ -20,9 +20,9 @@
  *    construction.
  *
  *  - A diff filter (`--diff-base <ref>`): findings are restricted to
- *    changed lines, except the checkpoint-field-coverage and layering
- *    families, which gate tree-wide (a diff touching neither line can
- *    still break a whole-tree property).
+ *    changed lines, except the layering family, which gates tree-wide
+ *    (a diff touching no include line can still break a whole-tree
+ *    property).
  *
  * Exit-code contract (stable; CI keys off it):
  *   0  clean
@@ -104,8 +104,8 @@ bool lintFilesCached(const std::vector<std::string> &paths,
 
 /**
  * Drop findings outside @p diff's changed lines — except the
- * tree-wide-gating families (kRuleCheckpointCoverage, kRuleLayering),
- * which are always kept.
+ * tree-wide-gating layering family (kRuleLayering), which is always
+ * kept.
  */
 void filterToDiff(LintResult &result, const DiffLines &diff);
 

@@ -3,23 +3,13 @@
 
 /**
  * @file
- * The semantic cross-file index behind piso-lint's project rules.
+ * The cross-file index behind piso-lint's project rules.
  *
  * The per-file token rules see one translation unit at a time; the
- * index is what lets a rule reason *across* files: which class declares
- * which non-static data members (parsed from headers), where each
- * `Class::method` definition lives, which files a file includes, and —
- * the checkpoint-specific part — the identifier sets referenced inside
- * every `save(CkptWriter&)` / `load(CkptReader&)` body.
- *
- * Deliberately still not a C++ front end (no libclang): the index is
- * produced by a single pass over the existing lexer's token stream,
- * tracking only namespace/class/block scope, template angle brackets,
- * and statement boundaries. What it does and does not resolve is
- * documented in DESIGN.md ("semantic index"); the short version is
- * that names join by identifier text, not by symbol, which is exactly
- * right for a tree with project-unique type names and a style checker
- * that wants to stay fast and dependency-free.
+ * index is what lets a rule reason *across* files. It holds two things
+ * per file: the project includes (the edges the layering rule walks)
+ * and each suppression directive with the line it covers, resolved
+ * while the token stream is at hand so cached files need no re-lex.
  */
 
 #include <cstdint>
@@ -37,47 +27,12 @@ struct IncludeEdge
     std::string target;  //!< as written, e.g. "src/os/vm.hh"
 };
 
-/** One non-static data member of a class. */
-struct FieldDecl
-{
-    std::string name;
-    int line = 0;
-};
-
-/** A class/struct and its non-static data members. */
-struct ClassDecl
-{
-    std::string name;  //!< innermost name (joins across files by text)
-    int line = 0;
-    std::vector<FieldDecl> fields;
-};
-
-/** The body of one `Class::save(CkptWriter&)` or
- *  `Class::load(CkptReader&)` definition (inline or out-of-line). */
-struct CkptBody
-{
-    std::string className;
-    bool isSave = false;  //!< save(CkptWriter&) vs load(CkptReader&)
-    int line = 0;
-    std::vector<std::string> idents;  //!< sorted unique body identifiers
-};
-
-/** One function *definition* (the function-to-file map). */
-struct FuncDef
-{
-    std::string qualified;  //!< "Class::method" or a free "name"
-    int line = 0;
-};
-
 /** Everything the project rules need to know about one file. */
 struct FileSummary
 {
     std::string path;          //!< project-relative
     std::uint64_t hash = 0;    //!< FNV-1a of the file contents
     std::vector<IncludeEdge> includes;
-    std::vector<ClassDecl> classes;
-    std::vector<CkptBody> ckptBodies;
-    std::vector<FuncDef> functions;
     std::vector<Suppression> suppressions;
     /** Per-suppression resolved target line: the line the directive
      *  covers (own-line comments cover the next code line). Resolved at

@@ -865,74 +865,6 @@ contextCaptureCheck(const SourceFile &f, std::vector<Finding> &out)
 }
 
 // ---------------------------------------------------------------------
-// checkpoint-field-coverage (cross-file)
-// ---------------------------------------------------------------------
-
-void
-checkpointCoverageCheck(const ProjectIndex &index,
-                        std::vector<Finding> &out)
-{
-    // Join every save/load body by class name, across all files.
-    struct Bodies
-    {
-        std::vector<std::string> save;  // sorted unique idents
-        std::vector<std::string> load;
-        bool hasSave = false;
-        bool hasLoad = false;
-    };
-    std::map<std::string, Bodies> byClass;
-    for (const FileSummary *file : index.files) {
-        for (const CkptBody &b : file->ckptBodies) {
-            Bodies &dst = byClass[b.className];
-            auto &set = b.isSave ? dst.save : dst.load;
-            set.insert(set.end(), b.idents.begin(), b.idents.end());
-            (b.isSave ? dst.hasSave : dst.hasLoad) = true;
-        }
-    }
-    for (auto &[name, bodies] : byClass) {
-        std::sort(bodies.save.begin(), bodies.save.end());
-        std::sort(bodies.load.begin(), bodies.load.end());
-    }
-
-    // Every non-static data member of a participating type must be
-    // referenced on both paths: an unreferenced field is state the
-    // image silently drops (restore would resurrect a stale value).
-    for (const FileSummary *file : index.files) {
-        if (!startsWith(file->path, "src/"))
-            continue;
-        for (const ClassDecl &cls : file->classes) {
-            const auto it = byClass.find(cls.name);
-            if (it == byClass.end() || !it->second.hasSave ||
-                !it->second.hasLoad)
-                continue;
-            for (const FieldDecl &field : cls.fields) {
-                const bool inSave = std::binary_search(
-                    it->second.save.begin(), it->second.save.end(),
-                    field.name);
-                const bool inLoad = std::binary_search(
-                    it->second.load.begin(), it->second.load.end(),
-                    field.name);
-                if (inSave && inLoad)
-                    continue;
-                const char *where =
-                    !inSave && !inLoad
-                        ? "both the save and the load path"
-                        : (!inSave ? "the save path (load touches it)"
-                                   : "the load path (save writes it)");
-                out.push_back(
-                    {kRuleCheckpointCoverage, file->path, field.line,
-                     "field '" + field.name + "' of checkpointed type '" +
-                         cls.name + "' is missing from " + where +
-                         " of " + cls.name +
-                         "::save/load (serialise it, or justify with "
-                         "piso-lint: allow(checkpoint-field-coverage) "
-                         "-- <why it is replay-derived/transient>)"});
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // layering (cross-file)
 // ---------------------------------------------------------------------
 
@@ -1050,9 +982,6 @@ const std::vector<ProjectRule> &
 projectRuleRegistry()
 {
     static const std::vector<ProjectRule> kRules = {
-        {kRuleCheckpointCoverage,
-         "every field of a save/load type serialized on both paths",
-         checkpointCoverageCheck},
         {kRuleLayering,
          "include edges respect the layer order; no include cycles",
          layeringCheck},

@@ -43,11 +43,10 @@ struct Rule
 
 /**
  * A cross-file rule: runs once per lint run over the semantic index
- * (src/lint/index.hh) instead of once per file, so it can join class
- * field lists against out-of-line save/load bodies or walk the whole
- * include graph. Findings carry the file/line of the offending
- * declaration or include, and the normal per-line `piso-lint: allow`
- * escape applies there.
+ * (src/lint/index.hh) instead of once per file, so it can walk the
+ * whole include graph. Findings carry the file/line of the offending
+ * include, and the normal per-line `piso-lint: allow` escape applies
+ * there.
  */
 struct ProjectRule
 {
@@ -66,14 +65,10 @@ const std::vector<ProjectRule> &projectRuleRegistry();
 /** True when @p name names a registered rule (either registry). */
 bool knownRule(const std::string &name);
 
-/** @name Rule families that gate tree-wide even under --diff-base.
- *  A missing checkpoint field or an upward include is a whole-tree
- *  property: a diff touching neither line can still introduce one. */
-/// @{
-inline constexpr const char *kRuleCheckpointCoverage =
-    "checkpoint-field-coverage";
+/** The rule family that gates tree-wide even under --diff-base. An
+ *  upward include or a cycle is a whole-tree property: a diff touching
+ *  no include line can still introduce one. */
 inline constexpr const char *kRuleLayering = "layering";
-/// @}
 
 /** @name Rule names used by the engine's own suppression findings.
  *  These are not in the registry (they cannot be suppressed). */

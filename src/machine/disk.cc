@@ -197,80 +197,43 @@ DiskDevice::complete(DiskRequest req, DiskServiceTime st)
 }
 
 void
-SpuDiskStats::save(CkptWriter &w) const
+SpuDiskStats::ckpt(CkptIo &io)
 {
-    requests.save(w);
-    sectors.save(w);
-    errors.save(w);
-    waitMs.save(w);
-    serviceMs.save(w);
+    requests.ckpt(io);
+    sectors.ckpt(io);
+    errors.ckpt(io);
+    waitMs.ckpt(io);
+    serviceMs.ckpt(io);
 }
 
 void
-SpuDiskStats::load(CkptReader &r)
+DiskStats::ckpt(CkptIo &io)
 {
-    requests.load(r);
-    sectors.load(r);
-    errors.load(r);
-    waitMs.load(r);
-    serviceMs.load(r);
+    requests.ckpt(io);
+    sectors.ckpt(io);
+    errors.ckpt(io);
+    waitMs.ckpt(io);
+    positionMs.ckpt(io);
+    seekMs.ckpt(io);
+    io.time(busyTime);
 }
 
 void
-DiskStats::save(CkptWriter &w) const
+DiskDevice::ckpt(CkptIo &io)
 {
-    requests.save(w);
-    sectors.save(w);
-    errors.save(w);
-    waitMs.save(w);
-    positionMs.save(w);
-    seekMs.save(w);
-    w.time(busyTime);
-}
-
-void
-DiskStats::load(CkptReader &r)
-{
-    requests.load(r);
-    sectors.load(r);
-    errors.load(r);
-    waitMs.load(r);
-    positionMs.load(r);
-    seekMs.load(r);
-    busyTime = r.time();
-}
-
-void
-DiskDevice::save(CkptWriter &w) const
-{
-    if (busy_ || !queue_.empty()) {
+    if (!io.loading() && (busy_ || !queue_.empty())) {
         throw InvariantError("disk '" + name_ +
                              "' has in-flight or queued requests at "
                              "checkpoint time (not I/O-quiescent)");
     }
-    w.u64(headSector_);
-    w.u64(nextId_);
-    w.f64(slowFactor_);
-    w.f64(errorRate_);
-    w.boolean(dead_);
-    rng_.save(w);
-    stats_.save(w);
-    spuStats_.saveTable(
-        w, [](CkptWriter &wr, const SpuDiskStats &s) { s.save(wr); });
-}
-
-void
-DiskDevice::load(CkptReader &r)
-{
-    headSector_ = r.u64();
-    nextId_ = r.u64();
-    slowFactor_ = r.f64();
-    errorRate_ = r.f64();
-    dead_ = r.boolean();
-    rng_.load(r);
-    stats_.load(r);
-    spuStats_.loadTable(
-        r, [](CkptReader &rd, SpuDiskStats &s) { s.load(rd); });
+    io.u64(headSector_);
+    io.u64(nextId_);
+    io.f64(slowFactor_);
+    io.f64(errorRate_);
+    io.boolean(dead_);
+    rng_.ckpt(io);
+    stats_.ckpt(io);
+    spuStats_.table(io, [&io](SpuDiskStats &s) { s.ckpt(io); });
 }
 
 } // namespace piso

@@ -91,8 +91,7 @@ struct SpuDiskStats
     Accumulator waitMs;     //!< queue wait per request, ms
     Accumulator serviceMs;  //!< full service time per request, ms
 
-    void save(CkptWriter &w) const;
-    void load(CkptReader &r);
+    void ckpt(CkptIo &io);
 };
 
 /** Device-wide statistics. */
@@ -106,8 +105,7 @@ struct DiskStats
     Accumulator seekMs;        //!< seek only, ms
     Time busyTime = 0;         //!< total time servicing requests
 
-    void save(CkptWriter &w) const;
-    void load(CkptReader &r);
+    void ckpt(CkptIo &io);
 };
 
 /**
@@ -185,12 +183,10 @@ class DiskDevice
 
     const std::string &name() const { return name_; }
 
-    /** Serialise head/fault/RNG/stats state. Only legal while idle
-     *  with an empty queue (in-flight callbacks cannot serialise). */
-    void save(CkptWriter &w) const;
-
-    /** Restore state saved with save(). */
-    void load(CkptReader &r);
+    /** Image head/fault/RNG/stats state. Saving is only legal while
+     *  idle with an empty queue (in-flight callbacks cannot
+     *  serialise). */
+    void ckpt(CkptIo &io);
 
   private:
     void startNext();
@@ -200,25 +196,15 @@ class DiskDevice
      *  mechanism (dead device). */
     void failFast(DiskRequest req);
 
-    // piso-lint: allow(checkpoint-field-coverage) -- wiring reference;
-    // the event queue is imaged by Simulation, not per device.
     EventQueue &events_;
-    // piso-lint: allow(checkpoint-field-coverage) -- HP97560 service
-    // model parameters, fixed at construction.
     DiskModel model_;
-    // piso-lint: allow(checkpoint-field-coverage) -- policy object
-    // recreated by setup replay; its tracker is imaged separately.
     std::unique_ptr<DiskScheduler> scheduler_;
     Rng rng_;
-    // piso-lint: allow(checkpoint-field-coverage) -- log label, fixed
-    // at construction (save reads it only for error text).
     std::string name_;
 
-    // piso-lint: allow(checkpoint-field-coverage) -- save() throws
-    // unless the queue is empty; nothing to image.
+    // Saving throws unless the queue is empty: nothing to image.
     std::deque<DiskRequest> queue_;
-    // piso-lint: allow(checkpoint-field-coverage) -- save() throws
-    // unless idle; always false in any image.
+    // Saving throws unless idle: false in any image.
     bool busy_ = false;
     double slowFactor_ = 1.0;
     double errorRate_ = 0.0;

@@ -73,24 +73,14 @@ class PhysicalMemory
     std::uint64_t pendingRetire() const { return pendingRetire_; }
 
     void
-    save(CkptWriter &w) const
+    ckpt(CkptIo &io)
     {
-        w.u64(totalPages_);
-        w.u64(freePages_);
-        w.u64(pendingRetire_);
-    }
-
-    void
-    load(CkptReader &r)
-    {
-        totalPages_ = r.u64();
-        freePages_ = r.u64();
-        pendingRetire_ = r.u64();
+        io.u64(totalPages_);
+        io.u64(freePages_);
+        io.u64(pendingRetire_);
     }
 
   private:
-    // piso-lint: allow(checkpoint-field-coverage) -- page size is
-    // machine configuration, identical after setup replay.
     std::uint32_t pageBytes_;
     std::uint64_t totalPages_;
     std::uint64_t freePages_;

@@ -96,26 +96,16 @@ NetworkInterface::startNext()
 }
 
 void
-NetworkInterface::save(CkptWriter &w) const
+NetworkInterface::ckpt(CkptIo &io)
 {
-    if (busy_ || !queue_.empty()) {
+    if (!io.loading() && (busy_ || !queue_.empty())) {
         throw InvariantError("network '" + name_ +
                              "' has in-flight or queued messages at "
                              "checkpoint time (not quiescent)");
     }
-    w.u64(nextId_);
-    total_.save(w);
-    spuStats_.saveTable(
-        w, [](CkptWriter &wr, const SpuNetStats &s) { s.save(wr); });
-}
-
-void
-NetworkInterface::load(CkptReader &r)
-{
-    nextId_ = r.u64();
-    total_.load(r);
-    spuStats_.loadTable(
-        r, [](CkptReader &rd, SpuNetStats &s) { s.load(rd); });
+    io.u64(nextId_);
+    total_.ckpt(io);
+    spuStats_.table(io, [&io](SpuNetStats &s) { s.ckpt(io); });
 }
 
 } // namespace piso

@@ -72,19 +72,11 @@ struct SpuNetStats
     Accumulator waitMs;  //!< queue wait per message
 
     void
-    save(CkptWriter &w) const
+    ckpt(CkptIo &io)
     {
-        messages.save(w);
-        bytes.save(w);
-        waitMs.save(w);
-    }
-
-    void
-    load(CkptReader &r)
-    {
-        messages.load(r);
-        bytes.load(r);
-        waitMs.load(r);
+        messages.ckpt(io);
+        bytes.ckpt(io);
+        waitMs.ckpt(io);
     }
 };
 
@@ -127,34 +119,22 @@ class NetworkInterface
     NetScheduler &scheduler() { return *scheduler_; }
     const NetScheduler &scheduler() const { return *scheduler_; }
 
-    /** Serialise counters; only legal while idle with empty queue. */
-    void save(CkptWriter &w) const;
-    void load(CkptReader &r);
+    /** Image counters; saving is only legal while idle with an empty
+     *  queue. */
+    void ckpt(CkptIo &io);
 
   private:
     void startNext();
 
-    // piso-lint: allow(checkpoint-field-coverage) -- wiring reference;
-    // the event queue is imaged by Simulation, not per device.
     EventQueue &events_;
-    // piso-lint: allow(checkpoint-field-coverage) -- link speed is
-    // machine configuration, identical after setup replay.
     double bitsPerSec_;
-    // piso-lint: allow(checkpoint-field-coverage) -- policy object
-    // recreated by setup replay; its tracker is imaged separately.
     std::unique_ptr<NetScheduler> scheduler_;
-    // piso-lint: allow(checkpoint-field-coverage) -- log label, fixed
-    // at construction (save reads it only for error text).
     std::string name_;
-    // piso-lint: allow(checkpoint-field-coverage) -- per-message
-    // overhead is machine configuration, fixed at construction.
     Time overhead_;
 
-    // piso-lint: allow(checkpoint-field-coverage) -- save() throws
-    // unless the queue is empty; nothing to image.
+    // Saving throws unless the queue is empty: nothing to image.
     std::deque<NetMessage> queue_;
-    // piso-lint: allow(checkpoint-field-coverage) -- save() throws
-    // unless idle; always false in any image.
+    // Saving throws unless idle: false in any image.
     bool busy_ = false;
     std::uint64_t nextId_ = 1;
     Counter total_;

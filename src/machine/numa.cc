@@ -80,23 +80,13 @@ NumaModel::touchCost(CpuId cpu, SpuId spu, std::uint64_t bytes, Time now)
 }
 
 void
-NumaModel::save(CkptWriter &w) const
+NumaModel::ckpt(CkptIo &io)
 {
-    w.f64(traffic_);
-    w.time(trafficLast_);
-    w.u64(localTouches_);
-    w.u64(remoteTouches_);
-    w.u64(busBytes_);
-}
-
-void
-NumaModel::load(CkptReader &r)
-{
-    traffic_ = r.f64();
-    trafficLast_ = r.time();
-    localTouches_ = r.u64();
-    remoteTouches_ = r.u64();
-    busBytes_ = r.u64();
+    io.f64(traffic_);
+    io.time(trafficLast_);
+    io.u64(localTouches_);
+    io.u64(remoteTouches_);
+    io.u64(busBytes_);
 }
 
 } // namespace piso

@@ -112,16 +112,13 @@ class NumaModel
 
     /** @name Checkpoint */
     /// @{
-    void save(CkptWriter &w) const;
-    void load(CkptReader &r);
+    void ckpt(CkptIo &io);
     /// @}
 
   private:
     /** Decayed remote bytes outstanding at @p now. */
     double decayedTraffic(Time now) const;
 
-    // piso-lint: allow(checkpoint-field-coverage) -- topology and
-    // latency configuration, identical after setup replay.
     NumaConfig cfg_;
 
     /** Remote bytes, decaying by half every cfg_.busHalfLife. */

@@ -272,92 +272,47 @@ BufferCache::forEachDirty(const std::function<void(CacheBlock &)> &fn)
 }
 
 void
-BufferCache::save(CkptWriter &w) const
+BufferCache::ckpt(CkptIo &io)
 {
-    for (const CacheBlock &blk : slab_) {
-        if (!blk.waiters.empty()) {
-            throw InvariantError(
-                "buffer cache has a block with read waiters at "
-                "checkpoint time (not I/O-quiescent)");
-        }
-        if (blk.flushing) {
-            throw InvariantError(
-                "buffer cache has a flushing block at checkpoint "
-                "time (not I/O-quiescent)");
+    if (!io.loading()) {
+        for (const CacheBlock &blk : slab_) {
+            if (!blk.waiters.empty()) {
+                throw InvariantError(
+                    "buffer cache has a block with read waiters at "
+                    "checkpoint time (not I/O-quiescent)");
+            }
+            if (blk.flushing) {
+                throw InvariantError(
+                    "buffer cache has a flushing block at checkpoint "
+                    "time (not I/O-quiescent)");
+            }
         }
     }
 
-    w.u64(slab_.size());
-    for (const CacheBlock &blk : slab_) {
-        w.i64(blk.key.file);
-        w.u64(blk.key.block);
-        w.boolean(blk.valid);
-        w.boolean(blk.dirty);
-        w.i64(blk.owner);
-        w.u32(blk.slabIndex);
-        w.u32(blk.lruPrev);
-        w.u32(blk.lruNext);
-    }
-    w.u64(freeSlab_.size());
-    for (std::uint32_t slot : freeSlab_)
-        w.u32(slot);
-    w.u64(index_.size());
-    for (const IndexEntry &e : index_) {
-        w.i64(e.key.file);
-        w.u64(e.key.block);
-        w.u32(e.slot);
-    }
-    w.u64(indexMask_);
-    w.u32(lruHead_);
-    w.u32(lruTail_);
-    w.u64(size_);
-    w.u64(dirty_);
-    perSpu_.saveTable(w, [](CkptWriter &wr, const std::size_t &n) {
-        wr.u64(n);
+    io.seq(slab_, [&io](CacheBlock &blk) {
+        io.i64(blk.key.file);
+        io.u64(blk.key.block);
+        io.boolean(blk.valid);
+        io.boolean(blk.dirty);
+        io.i64(blk.owner);
+        io.u32(blk.slabIndex);
+        io.u32(blk.lruPrev);
+        io.u32(blk.lruNext);
     });
-}
-
-void
-BufferCache::load(CkptReader &r)
-{
-    const std::uint64_t slabCount = r.u64();
-    slab_.clear();
-    for (std::uint64_t i = 0; i < slabCount; ++i) {
-        CacheBlock blk;
-        blk.key.file = static_cast<FileId>(r.i64());
-        blk.key.block = r.u64();
-        blk.valid = r.boolean();
-        blk.dirty = r.boolean();
-        blk.flushing = false;
-        blk.owner = static_cast<SpuId>(r.i64());
-        blk.slabIndex = r.u32();
-        blk.lruPrev = r.u32();
-        blk.lruNext = r.u32();
-        slab_.push_back(std::move(blk));
-    }
-    const std::uint64_t freeCount = r.u64();
-    freeSlab_.clear();
-    freeSlab_.reserve(freeCount);
-    for (std::uint64_t i = 0; i < freeCount; ++i)
-        freeSlab_.push_back(r.u32());
-    const std::uint64_t indexCount = r.u64();
-    index_.clear();
-    index_.reserve(indexCount);
-    for (std::uint64_t i = 0; i < indexCount; ++i) {
-        IndexEntry e;
-        e.key.file = static_cast<FileId>(r.i64());
-        e.key.block = r.u64();
-        e.slot = r.u32();
-        index_.push_back(e);
-    }
-    indexMask_ = r.u64();
-    lruHead_ = r.u32();
-    lruTail_ = r.u32();
-    size_ = r.u64();
-    dirty_ = r.u64();
-    perSpu_.loadTable(r, [](CkptReader &rd, std::size_t &n) {
-        n = rd.u64();
+    io.seq(freeSlab_, [&io](std::uint32_t &slot) { io.u32(slot); });
+    io.seq(index_, [&io](IndexEntry &e) {
+        io.i64(e.key.file);
+        io.u64(e.key.block);
+        io.u32(e.slot);
     });
+    io.u64(indexMask_);
+    io.u32(lruHead_);
+    io.u32(lruTail_);
+    io.u64(size_);
+    io.u64(dirty_);
+    perSpu_.table(io, [&io](std::size_t &n) { io.u64(n); });
+    if (!io.loading())
+        return;
 
     for (std::uint32_t slot : freeSlab_) {
         if (slot >= slab_.size())

@@ -118,17 +118,13 @@ class BufferCache
      *  which downstream flush clustering depends on). */
     void forEachDirty(const std::function<void(CacheBlock &)> &fn);
 
-    /** @name Checkpoint
-     *  Raw structural serialisation: slab slots, free list, hash
+    /** Checkpoint: raw structural imaging. Slab slots, free list, hash
      *  index and LRU links are written verbatim so that probe order
      *  and LRU iteration order — both observable through steal and
      *  flush decisions — restore bit-identically. Only legal when no
      *  block is invalid or flushing and no waiters are registered
-     *  (I/O quiescence); save() throws InvariantError otherwise. */
-    /// @{
-    void save(CkptWriter &w) const;
-    void load(CkptReader &r);
-    /// @}
+     *  (I/O quiescence); saving throws InvariantError otherwise. */
+    void ckpt(CkptIo &io);
 
   private:
     /** Slab index meaning "none" (end of an LRU chain, free entry). */

@@ -189,61 +189,47 @@ FileSystem::freeSectors(DiskId disk) const
 }
 
 void
-FileSystem::save(CkptWriter &w) const
+FileSystem::ckpt(CkptIo &io)
 {
-    rng_.save(w);
-    w.u64(disks_.size());
-    for (const auto &[id, space] : disks_) {
-        w.i64(id);
-        w.u64(space.totalSectors);
-        w.u64(space.nextFree);
-        w.u64(space.nextMetadata);
-        w.u64(space.metadataEnd);
-        w.u64(space.allocated);
-    }
-    w.u64(fileCount());
-    for (const std::vector<FileInfo> &chunk : files_) {
-        for (const FileInfo &f : chunk) {
-            w.i64(f.id);
-            w.str(fileName(f.id));
-            w.i64(f.disk);
-            w.u64(f.startSector);
-            w.u64(f.sectors);
-            w.u64(f.metadataSector);
-            w.u64(f.bytes);
-        }
-    }
-}
+    rng_.ckpt(io);
+    io.map(disks_, [&io](DiskId &id, DiskSpace &space) {
+        io.i64(id);
+        io.u64(space.totalSectors);
+        io.u64(space.nextFree);
+        io.u64(space.nextMetadata);
+        io.u64(space.metadataEnd);
+        io.u64(space.allocated);
+    });
 
-void
-FileSystem::load(CkptReader &r)
-{
-    rng_.load(r);
-    const std::uint64_t diskCount = r.u64();
-    disks_.clear();
-    for (std::uint64_t i = 0; i < diskCount; ++i) {
-        const DiskId id = static_cast<DiskId>(r.i64());
-        DiskSpace space;
-        space.totalSectors = r.u64();
-        space.nextFree = r.u64();
-        space.nextMetadata = r.u64();
-        space.metadataEnd = r.u64();
-        space.allocated = r.u64();
-        disks_.emplace(id, space);
+    // Each file is imaged with its name; loading re-adds the files
+    // through addFile(), which rebuilds the chunked table and the
+    // name arena.
+    std::string name;
+    const auto file = [&io, &name](FileInfo &f) {
+        io.i64(f.id);
+        io.str(name);
+        io.i64(f.disk);
+        io.u64(f.startSector);
+        io.u64(f.sectors);
+        io.u64(f.metadataSector);
+        io.u64(f.bytes);
+    };
+    const std::size_t n = io.count(fileCount());
+    if (!io.loading()) {
+        for (std::vector<FileInfo> &chunk : files_) {
+            for (FileInfo &f : chunk) {
+                name.assign(fileName(f.id));
+                file(f);
+            }
+        }
+        return;
     }
-    const std::uint64_t count = r.u64();
     files_.clear();
     names_.clear();
     nameEnds_.clear();
-    for (std::uint64_t i = 0; i < count; ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         FileInfo f;
-        f.id = static_cast<FileId>(r.i64());
-        const std::string name = r.str();
-        f.disk = static_cast<DiskId>(r.i64());
-        f.startSector = r.u64();
-        f.sectors = r.u64();
-        f.metadataSector = r.u64();
-        f.bytes = r.u64();
+        file(f);
         addFile(f, name);
     }
 }

@@ -105,13 +105,10 @@ class FileSystem
     /** Free sectors remaining on @p disk. */
     std::uint64_t freeSectors(DiskId disk) const;
 
-    /** @name Checkpoint — full file table, allocator pointers and the
+    /** Checkpoint: the full file table, allocator pointers and the
      *  scattered-placement RNG (files are created at run time, so the
      *  table cannot be replayed from configuration alone). */
-    /// @{
-    void save(CkptWriter &w) const;
-    void load(CkptReader &r);
-    /// @}
+    void ckpt(CkptIo &io);
 
   private:
     struct DiskSpace
@@ -136,14 +133,8 @@ class FileSystem
     /** Append @p info, named @p name, as the next file. */
     void addFile(const FileInfo &info, std::string_view name);
 
-    // piso-lint: allow(checkpoint-field-coverage) -- geometry
-    // configuration, identical after deterministic setup replay.
     std::uint32_t sectorBytes_;
-    // piso-lint: allow(checkpoint-field-coverage) -- geometry
-    // configuration, identical after deterministic setup replay.
     std::uint32_t blockBytes_;
-    // piso-lint: allow(checkpoint-field-coverage) -- derived from the
-    // two geometry fields above at construction.
     std::uint32_t sectorsPerBlock_;
     Rng rng_;
     std::map<DiskId, DiskSpace> disks_;
@@ -161,11 +152,9 @@ class FileSystem
      *  ends at nameEnds_[i] and starts where file i-1's ends. One
      *  arena instead of a string per file keeps FileInfo trivially
      *  copyable. */
-    // piso-lint: allow(checkpoint-field-coverage) -- imaged name by
-    // name through fileName() in save; load rebuilds it via addFile().
+    // The image carries each file's name; loading rebuilds the
+    // arena and nameEnds_ through addFile().
     std::string names_;
-    // piso-lint: allow(checkpoint-field-coverage) -- imaged name by
-    // name through fileName() in save; load rebuilds it via addFile().
     std::vector<std::size_t> nameEnds_;
 };
 

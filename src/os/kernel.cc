@@ -1446,76 +1446,48 @@ Kernel::requireIoQuiescent() const
 }
 
 void
-Kernel::save(CkptWriter &w) const
+Kernel::ckpt(CkptIo &io)
 {
-    rng_.save(w);
-    stats_.save(w);
-    spuFaults_.saveTable(
-        w, [](CkptWriter &wr, const SpuFaultStats &s) { s.save(wr); });
-
-    w.i64(nextPid_);
-    w.u64(live_);
-    w.u64(processes_.size());
-    for (const auto &p : processes_) {
-        w.i64(p->pid());
-        p->save(w);
-    }
-
-    w.u64(barriers_.size());
-    for (const Barrier &b : barriers_) {
-        w.i64(b.width);
-        w.u64(b.waiting.size());
-        for (const Process *q : b.waiting)
-            w.i64(q->pid());
-    }
-    locks_.save(w);
-    boostedNice_.saveTable(
-        w, [](CkptWriter &wr, const double &v) { wr.f64(v); });
-
-    w.boolean(bdflushPending_);
-    w.u64(readCursor_.size());
-    for (const auto &[key, block] : readCursor_) {
-        w.i64(key.first);
-        w.i64(key.second);
-        w.u64(block);
-    }
-    swapExtent_.saveTable(
-        w, [](CkptWriter &wr, const FileId &f) { wr.i64(f); });
-}
-
-void
-Kernel::load(CkptReader &r)
-{
-    rng_.load(r);
-    stats_.load(r);
-    spuFaults_.loadTable(
-        r, [](CkptReader &rd, SpuFaultStats &s) { s.load(rd); });
-
-    nextPid_ = static_cast<Pid>(r.i64());
-    const std::uint64_t live = r.u64();
-    const std::uint64_t count = r.u64();
-    if (count != processes_.size()) {
-        throw ConfigError("checkpoint process count " +
-                          std::to_string(count) +
-                          " does not match the replayed configuration");
-    }
-    auto byPid = [this](Pid pid) -> Process * {
-        Process *p = process(pid);
-        if (!p) {
-            throw ConfigError("checkpoint references unknown pid " +
-                              std::to_string(pid));
-        }
-        return p;
+    const ProcessByPid byPid = [this](Pid pid) {
+        return imagedProcess(pid);
     };
+    rng_.ckpt(io);
+    stats_.ckpt(io);
+    spuFaults_.table(io, [&io](SpuFaultStats &s) { s.ckpt(io); });
+
+    io.i64(nextPid_);
+    std::uint64_t live = live_;
+    io.u64(live);
+    io.expect(processes_.size(), "process");
     for (const auto &p : processes_) {
-        const Pid pid = static_cast<Pid>(r.i64());
+        Pid pid = p->pid();
+        io.i64(pid);
         if (pid != p->pid()) {
             throw ConfigError(
                 "checkpoint process order does not match the "
                 "replayed configuration");
         }
-        p->load(r);
+        p->ckpt(io);
     }
+
+    io.expect(barriers_.size(), "barrier");
+    for (Barrier &b : barriers_) {
+        io.i64(b.width);
+        ckptProcesses(io, b.waiting, byPid);
+    }
+    locks_.ckpt(io, byPid);
+    boostedNice_.table(io, [&io](double &v) { io.f64(v); });
+
+    io.boolean(bdflushPending_);
+    io.map(readCursor_,
+           [&io](std::pair<Pid, FileId> &key, std::uint64_t &block) {
+               io.i64(key.first);
+               io.i64(key.second);
+               io.u64(block);
+           });
+    swapExtent_.table(io, [&io](FileId &f) { io.i64(f); });
+    if (!io.loading())
+        return;
 
     // Membership lists derive from per-process state: rebuild them in
     // pid order, which is exactly the order createProcess built and
@@ -1533,34 +1505,17 @@ Kernel::load(CkptReader &r)
         throw ConfigError("checkpoint live-process count disagrees "
                           "with per-process states");
     }
+}
 
-    const std::uint64_t nbarriers = r.u64();
-    if (nbarriers != barriers_.size()) {
-        throw ConfigError("checkpoint barrier count " +
-                          std::to_string(nbarriers) +
-                          " does not match the replayed configuration");
+Process *
+Kernel::imagedProcess(Pid pid)
+{
+    Process *p = process(pid);
+    if (!p) {
+        throw ConfigError("checkpoint references unknown pid " +
+                          std::to_string(pid));
     }
-    for (Barrier &b : barriers_) {
-        b.width = static_cast<int>(r.i64());
-        const std::uint64_t waiting = r.u64();
-        b.waiting.clear();
-        for (std::uint64_t i = 0; i < waiting; ++i)
-            b.waiting.push_back(byPid(static_cast<Pid>(r.i64())));
-    }
-    locks_.load(r, byPid);
-    boostedNice_.loadTable(
-        r, [](CkptReader &rd, double &v) { v = rd.f64(); });
-
-    bdflushPending_ = r.boolean();
-    const std::uint64_t cursors = r.u64();
-    readCursor_.clear();
-    for (std::uint64_t i = 0; i < cursors; ++i) {
-        const Pid pid = static_cast<Pid>(r.i64());
-        const FileId file = static_cast<FileId>(r.i64());
-        readCursor_[{pid, file}] = r.u64();
-    }
-    swapExtent_.loadTable(
-        r, [](CkptReader &rd, FileId &f) { f = static_cast<FileId>(rd.i64()); });
+    return p;
 }
 
 Pid

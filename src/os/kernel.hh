@@ -138,47 +138,25 @@ struct KernelStats
     Counter lostWrites;       //!< dirty pages dropped (writeback failed)
 
     void
-    save(CkptWriter &w) const
+    ckpt(CkptIo &io)
     {
-        zeroFills.save(w);
-        refaults.save(w);
-        pageoutWrites.save(w);
-        bdflushRequests.save(w);
-        syncWriteRequests.save(w);
-        bypassWrites.save(w);
-        readRequests.save(w);
-        readAheadRequests.save(w);
-        throttleStalls.save(w);
-        cacheHits.save(w);
-        cacheMisses.save(w);
-        affinityPenalties.save(w);
-        diskErrors.save(w);
-        ioRetries.save(w);
-        ioTimeouts.save(w);
-        failedIos.save(w);
-        lostWrites.save(w);
-    }
-
-    void
-    load(CkptReader &r)
-    {
-        zeroFills.load(r);
-        refaults.load(r);
-        pageoutWrites.load(r);
-        bdflushRequests.load(r);
-        syncWriteRequests.load(r);
-        bypassWrites.load(r);
-        readRequests.load(r);
-        readAheadRequests.load(r);
-        throttleStalls.load(r);
-        cacheHits.load(r);
-        cacheMisses.load(r);
-        affinityPenalties.load(r);
-        diskErrors.load(r);
-        ioRetries.load(r);
-        ioTimeouts.load(r);
-        failedIos.load(r);
-        lostWrites.load(r);
+        zeroFills.ckpt(io);
+        refaults.ckpt(io);
+        pageoutWrites.ckpt(io);
+        bdflushRequests.ckpt(io);
+        syncWriteRequests.ckpt(io);
+        bypassWrites.ckpt(io);
+        readRequests.ckpt(io);
+        readAheadRequests.ckpt(io);
+        throttleStalls.ckpt(io);
+        cacheHits.ckpt(io);
+        cacheMisses.ckpt(io);
+        affinityPenalties.ckpt(io);
+        diskErrors.ckpt(io);
+        ioRetries.ckpt(io);
+        ioTimeouts.ckpt(io);
+        failedIos.ckpt(io);
+        lostWrites.ckpt(io);
     }
 };
 
@@ -191,21 +169,12 @@ struct SpuFaultStats
     Counter failedOps;   //!< I/Os abandoned after the retry limit
 
     void
-    save(CkptWriter &w) const
+    ckpt(CkptIo &io)
     {
-        diskErrors.save(w);
-        ioRetries.save(w);
-        ioTimeouts.save(w);
-        failedOps.save(w);
-    }
-
-    void
-    load(CkptReader &r)
-    {
-        diskErrors.load(r);
-        ioRetries.load(r);
-        ioTimeouts.load(r);
-        failedOps.load(r);
+        diskErrors.ckpt(io);
+        ioRetries.ckpt(io);
+        ioTimeouts.ckpt(io);
+        failedOps.ckpt(io);
     }
 };
 
@@ -315,7 +284,7 @@ class Kernel : public SchedClient
     bool ioIdle() const;
 
     /** @name Checkpoint
-     *  save()/load() cover every mutable kernel structure except the
+     *  ckpt() covers every mutable kernel structure except the
      *  pending events, which the Simulation re-schedules through the
      *  restore*() hooks using the descriptors it recorded (each hook
      *  re-creates one pending event with its original (when, seq)
@@ -329,8 +298,14 @@ class Kernel : public SchedClient
      */
     void requireIoQuiescent() const;
 
-    void save(CkptWriter &w) const;
-    void load(CkptReader &r);
+    /** Image the kernel's run state: counters, processes, barriers,
+     *  locks and the I/O bookkeeping. Loading rebuilds the per-SPU
+     *  membership lists from the restored process states. */
+    void ckpt(CkptIo &io);
+
+    /** The replayed process with @p pid, for resolving pids read from
+     *  an image; throws ConfigError for a pid it never created. */
+    Process *imagedProcess(Pid pid);
 
     /** Pid owning pending event @p id via its startEvent /
      *  segmentEvent / wakeEvent field; kNoPid when no process does. */
@@ -345,8 +320,6 @@ class Kernel : public SchedClient
     /// @}
 
     /** Invoked whenever a process exits (job tracking). */
-    // piso-lint: allow(checkpoint-field-coverage) -- callback wiring,
-    // re-established by setup replay; not serialisable state.
     std::function<void(Process &)> onProcessExit;
 
   private:
@@ -486,32 +459,18 @@ class Kernel : public SchedClient
     void blockProcess(Process &p);
     void wakeProcess(Process &p);
 
-    // piso-lint: allow(checkpoint-field-coverage) -- wiring reference;
-    // each subsystem is imaged by Simulation in its own section.
     EventQueue &events_;
-    // piso-lint: allow(checkpoint-field-coverage) -- wiring reference;
-    // each subsystem is imaged by Simulation in its own section.
     VirtualMemory &vm_;
-    // piso-lint: allow(checkpoint-field-coverage) -- wiring reference;
-    // each subsystem is imaged by Simulation in its own section.
     BufferCache &cache_;
-    // piso-lint: allow(checkpoint-field-coverage) -- wiring reference;
-    // each subsystem is imaged by Simulation in its own section.
     FileSystem &fs_;
-    // piso-lint: allow(checkpoint-field-coverage) -- wiring reference;
-    // each subsystem is imaged by Simulation in its own section.
     CpuScheduler &sched_;
-    // piso-lint: allow(checkpoint-field-coverage) -- wiring; devices
-    // are imaged by Simulation in machine order.
     std::vector<DiskDevice *> disks_;
     Rng rng_;
-    // piso-lint: allow(checkpoint-field-coverage) -- kernel tunables,
-    // identical after deterministic setup replay.
     KernelConfig config_;
 
     std::vector<std::unique_ptr<Process>> processes_;
-    // piso-lint: allow(checkpoint-field-coverage) -- membership lists
-    // are derived; load() rebuilds them from per-process state.
+    // Derived membership lists: not imaged, rebuilt from the
+    // per-process states on load.
     SpuTable<std::vector<Process *>> spuProcs_;
     std::size_t live_ = 0;
     Pid nextPid_ = 1;
@@ -522,24 +481,16 @@ class Kernel : public SchedClient
      *  (pids, unlike pointers, keep any iteration deterministic). */
     DenseTable<Pid, double> boostedNice_;
 
-    // piso-lint: allow(checkpoint-field-coverage) -- wiring reference;
-    // the device is imaged by Simulation in its own section.
     NetworkInterface *net_ = nullptr;
-    // piso-lint: allow(checkpoint-field-coverage) -- wiring reference;
-    // the model is imaged by Simulation in its own section.
     NumaModel *numa_ = nullptr;
 
-    // piso-lint: allow(checkpoint-field-coverage) -- SPU-to-disk
-    // placement is configuration, identical after setup replay.
     SpuTable<DiskId> spuDisk_;
     SpuTable<FileId> swapExtent_;
 
     /** Outstanding kernel-write sectors per disk (throttling). */
-    // piso-lint: allow(checkpoint-field-coverage) -- checked zero by
-    // requireIoQuiescent() before any save; nothing to image.
+    // Zero whenever requireIoQuiescent() admits a checkpoint.
     DenseTable<DiskId, std::uint64_t> flushBacklog_;
-    // piso-lint: allow(checkpoint-field-coverage) -- checked empty by
-    // requireIoQuiescent() before any save; nothing to image.
+    // Empty whenever requireIoQuiescent() admits a checkpoint.
     DenseTable<DiskId, std::vector<Process *>> throttleWaiters_;
     bool bdflushPending_ = false;
 
@@ -548,8 +499,8 @@ class Kernel : public SchedClient
 
     KernelStats stats_;
     mutable SpuTable<SpuFaultStats> spuFaults_;
-    // piso-lint: allow(checkpoint-field-coverage) -- checkpoints are
-    // only taken from running simulations; replay re-runs start().
+    // Not imaged: checkpoints come from running simulations and
+    // setup replay re-runs start().
     bool started_ = false;
 };
 

@@ -117,49 +117,18 @@ LockTable::stats(int id) const
 }
 
 void
-LockTable::save(CkptWriter &w) const
+LockTable::ckpt(CkptIo &io, const ProcessByPid &byPid)
 {
-    w.u64(locks_.size());
-    for (const Lock &l : locks_) {
-        w.boolean(l.readersWriter);
-        w.boolean(l.heldExclusive);
-        w.u64(l.holders.size());
-        for (const Process *p : l.holders)
-            w.i64(p->pid());
-        w.u64(l.queue.size());
-        for (const Waiter &wt : l.queue) {
-            w.i64(wt.proc->pid());
-            w.boolean(wt.exclusive);
-        }
-        l.stats.save(w);
-    }
-}
-
-void
-LockTable::load(CkptReader &r,
-                const std::function<Process *(Pid)> &byPid)
-{
-    const std::uint64_t n = r.u64();
-    if (n != locks_.size()) {
-        throw ConfigError("checkpoint lock count " + std::to_string(n) +
-                          " does not match the replayed configuration");
-    }
+    io.expect(locks_.size(), "lock");
     for (Lock &l : locks_) {
-        l.readersWriter = r.boolean();
-        l.heldExclusive = r.boolean();
-        const std::uint64_t holders = r.u64();
-        l.holders.clear();
-        for (std::uint64_t i = 0; i < holders; ++i)
-            l.holders.push_back(byPid(static_cast<Pid>(r.i64())));
-        const std::uint64_t waiters = r.u64();
-        l.queue.clear();
-        for (std::uint64_t i = 0; i < waiters; ++i) {
-            Waiter wt;
-            wt.proc = byPid(static_cast<Pid>(r.i64()));
-            wt.exclusive = r.boolean();
-            l.queue.push_back(wt);
-        }
-        l.stats.load(r);
+        io.boolean(l.readersWriter);
+        io.boolean(l.heldExclusive);
+        ckptProcesses(io, l.holders, byPid);
+        io.seq(l.queue, [&io, &byPid](Waiter &wt) {
+            ckptProcess(io, wt.proc, byPid);
+            io.boolean(wt.exclusive);
+        });
+        l.stats.ckpt(io);
     }
 }
 

@@ -15,15 +15,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
+#include "src/os/process.hh"
 #include "src/sim/ids.hh"
 #include "src/sim/stats.hh"
 
 namespace piso {
-
-class Process;
 
 /** Contention statistics for one lock. */
 struct LockStats
@@ -32,17 +30,10 @@ struct LockStats
     Counter contended;  //!< acquisitions that had to wait
 
     void
-    save(CkptWriter &w) const
+    ckpt(CkptIo &io)
     {
-        acquisitions.save(w);
-        contended.save(w);
-    }
-
-    void
-    load(CkptReader &r)
-    {
-        acquisitions.load(r);
-        contended.load(r);
+        acquisitions.ckpt(io);
+        contended.ckpt(io);
     }
 };
 
@@ -86,13 +77,9 @@ class LockTable
 
     std::size_t count() const { return locks_.size(); }
 
-    /** @name Checkpoint — holders and waiters are serialised as pids;
-     *  load() resolves them back to processes through @p byPid. */
-    /// @{
-    void save(CkptWriter &w) const;
-    void load(CkptReader &r,
-              const std::function<Process *(Pid)> &byPid);
-    /// @}
+    /** Checkpoint: holders and waiters are imaged as pids; loading
+     *  resolves them back to processes through @p byPid. */
+    void ckpt(CkptIo &io, const ProcessByPid &byPid);
 
   private:
     struct Waiter

@@ -1,6 +1,7 @@
 #include "src/os/process.hh"
 
 #include <type_traits>
+#include <utility>
 
 #include "src/util/log.hh"
 #include "src/util/error.hh"
@@ -36,39 +37,56 @@ Process::Process(Pid pid, SpuId spu, JobId job, std::string name,
 
 namespace {
 
-void
-saveAction(CkptWriter &w, const Action &a)
+/** A default-constructed action of variant alternative @p kind. */
+template <std::size_t... I>
+Action
+actionOfKind(std::size_t kind, std::index_sequence<I...>)
 {
-    w.u8(static_cast<std::uint8_t>(a.index()));
+    Action a;
+    ((kind == I ? (void)a.emplace<I>() : void()), ...);
+    return a;
+}
+
+void
+ckptAction(CkptIo &io, Action &a)
+{
+    auto kind = static_cast<std::uint8_t>(a.index());
+    io.u8(kind);
+    if (io.loading()) {
+        if (kind >= std::variant_size_v<Action>) {
+            throw ConfigError("checkpoint image rejected: unknown action "
+                              "kind " + std::to_string(kind));
+        }
+        a = actionOfKind(
+            kind, std::make_index_sequence<std::variant_size_v<Action>>{});
+    }
     std::visit(
-        [&w](const auto &act) {
+        [&io](auto &act) {
             using T = std::decay_t<decltype(act)>;
-            if constexpr (std::is_same_v<T, ComputeAction>) {
-                w.time(act.duration);
+            if constexpr (std::is_same_v<T, ComputeAction> ||
+                          std::is_same_v<T, SleepAction>) {
+                io.time(act.duration);
             } else if constexpr (std::is_same_v<T, ReadAction>) {
-                w.i64(act.file);
-                w.u64(act.offset);
-                w.u64(act.bytes);
+                io.i64(act.file);
+                io.u64(act.offset);
+                io.u64(act.bytes);
             } else if constexpr (std::is_same_v<T, WriteAction>) {
-                w.i64(act.file);
-                w.u64(act.offset);
-                w.u64(act.bytes);
-                w.boolean(act.sync);
-            } else if constexpr (std::is_same_v<T, GrowMemAction>) {
-                w.u64(act.pages);
-            } else if constexpr (std::is_same_v<T, ShrinkMemAction>) {
-                w.u64(act.pages);
-            } else if constexpr (std::is_same_v<T, SleepAction>) {
-                w.time(act.duration);
+                io.i64(act.file);
+                io.u64(act.offset);
+                io.u64(act.bytes);
+                io.boolean(act.sync);
+            } else if constexpr (std::is_same_v<T, GrowMemAction> ||
+                                 std::is_same_v<T, ShrinkMemAction>) {
+                io.u64(act.pages);
             } else if constexpr (std::is_same_v<T, BarrierAction>) {
-                w.i64(act.barrier);
-                w.boolean(act.spin);
+                io.i64(act.barrier);
+                io.boolean(act.spin);
             } else if constexpr (std::is_same_v<T, LockAction>) {
-                w.i64(act.lock);
-                w.boolean(act.exclusive);
-                w.time(act.hold);
+                io.i64(act.lock);
+                io.boolean(act.exclusive);
+                io.time(act.hold);
             } else if constexpr (std::is_same_v<T, SendAction>) {
-                w.u64(act.bytes);
+                io.u64(act.bytes);
             } else {
                 static_assert(std::is_same_v<T, ExitAction>);
             }
@@ -76,168 +94,80 @@ saveAction(CkptWriter &w, const Action &a)
         a);
 }
 
-Action
-loadAction(CkptReader &r)
-{
-    const std::uint8_t kind = r.u8();
-    switch (kind) {
-      case 0: {
-        ComputeAction a;
-        a.duration = r.time();
-        return a;
-      }
-      case 1: {
-        ReadAction a;
-        a.file = static_cast<FileId>(r.i64());
-        a.offset = r.u64();
-        a.bytes = r.u64();
-        return a;
-      }
-      case 2: {
-        WriteAction a;
-        a.file = static_cast<FileId>(r.i64());
-        a.offset = r.u64();
-        a.bytes = r.u64();
-        a.sync = r.boolean();
-        return a;
-      }
-      case 3: {
-        GrowMemAction a;
-        a.pages = r.u64();
-        return a;
-      }
-      case 4: {
-        ShrinkMemAction a;
-        a.pages = r.u64();
-        return a;
-      }
-      case 5: {
-        SleepAction a;
-        a.duration = r.time();
-        return a;
-      }
-      case 6: {
-        BarrierAction a;
-        a.barrier = static_cast<int>(r.i64());
-        a.spin = r.boolean();
-        return a;
-      }
-      case 7: {
-        LockAction a;
-        a.lock = static_cast<int>(r.i64());
-        a.exclusive = r.boolean();
-        a.hold = r.time();
-        return a;
-      }
-      case 8: {
-        SendAction a;
-        a.bytes = r.u64();
-        return a;
-      }
-      case 9:
-        return ExitAction{};
-      default:
-        throw ConfigError("checkpoint image rejected: unknown action "
-                          "kind " + std::to_string(kind));
-    }
-}
-
 } // namespace
 
 void
-Process::save(CkptWriter &w) const
+ckptProcess(CkptIo &io, Process *&p, const ProcessByPid &byPid)
 {
-    w.u8(static_cast<std::uint8_t>(state_));
-    rng_.save(w);
-    behavior_->save(w);
-
-    w.f64(recentCpu());  // fold pending decay: images carry the value
-    w.f64(nice);
-    w.i64(runningOn);
-    w.i64(lastRanOn);
-    w.time(sliceUsed);
-    w.time(readySince);
-
-    w.time(computeRemaining);
-    w.time(segmentStart);
-    w.boolean(segmentFaults);
-    w.i64(pendingIo);
-    w.i64(lockHeld);
-    w.boolean(pendingAction.has_value());
-    if (pendingAction)
-        saveAction(w, *pendingAction);
-    w.boolean(spinning);
-    w.boolean(ioFailed);
-
-    w.u64(workingSet);
-    w.u64(resident);
-    w.u64(everTouched);
-    w.f64(dirtyFraction);
-    w.time(touchInterval);
-    w.time(growInterval);
-
-    w.time(startTime);
-    w.time(endTime);
-    w.time(cpuTime);
-    w.time(blockedTime);
-    w.time(lastBlockStart);
-    w.u64(zeroFillFaults);
-    w.u64(refaults);
-    w.u64(diskReads);
-    w.u64(diskWrites);
+    Pid pid = io.loading() ? kNoPid : p->pid();
+    io.i64(pid);
+    if (io.loading())
+        p = byPid(pid);
 }
 
 void
-Process::load(CkptReader &r)
+Process::ckpt(CkptIo &io)
 {
-    const std::uint8_t state = r.u8();
-    if (state > static_cast<std::uint8_t>(ProcState::Exited)) {
+    io.u8(state_);
+    if (state_ > ProcState::Exited) {
         throw ConfigError("checkpoint image rejected: unknown process "
-                          "state " + std::to_string(state));
+                          "state " +
+                          std::to_string(static_cast<int>(state_)));
     }
-    state_ = static_cast<ProcState>(state);
-    rng_.load(r);
-    behavior_->load(r);
-
-    setRecentCpu(r.f64());
-    nice = r.f64();
-    runningOn = static_cast<CpuId>(r.i64());
-    lastRanOn = static_cast<CpuId>(r.i64());
-    sliceUsed = r.time();
-    readySince = r.time();
-
-    computeRemaining = r.time();
-    segmentStart = r.time();
-    segmentFaults = r.boolean();
-    pendingIo = static_cast<int>(r.i64());
-    lockHeld = static_cast<int>(r.i64());
-    if (r.boolean())
-        pendingAction = loadAction(r);
+    rng_.ckpt(io);
+    if (io.loading())
+        behavior_->load(io.reader());
     else
-        pendingAction.reset();
-    spinning = r.boolean();
-    ioFailed = r.boolean();
+        behavior_->save(io.writer());
 
-    segmentEvent = kNoEvent;
-    startEvent = kNoEvent;
-    wakeEvent = kNoEvent;
+    double recent = recentCpu();  // images carry the decay folded in
+    io.f64(recent);
+    io.f64(nice);
+    io.i64(runningOn);
+    io.i64(lastRanOn);
+    io.time(sliceUsed);
+    io.time(readySince);
 
-    workingSet = r.u64();
-    resident = r.u64();
-    everTouched = r.u64();
-    dirtyFraction = r.f64();
-    touchInterval = r.time();
-    growInterval = r.time();
+    io.time(computeRemaining);
+    io.time(segmentStart);
+    io.boolean(segmentFaults);
+    io.i64(pendingIo);
+    io.i64(lockHeld);
+    bool hasAction = pendingAction.has_value();
+    io.boolean(hasAction);
+    if (io.loading()) {
+        pendingAction = hasAction ? std::optional<Action>(std::in_place)
+                                  : std::nullopt;
+    }
+    if (pendingAction)
+        ckptAction(io, *pendingAction);
+    io.boolean(spinning);
+    io.boolean(ioFailed);
 
-    startTime = r.time();
-    endTime = r.time();
-    cpuTime = r.time();
-    blockedTime = r.time();
-    lastBlockStart = r.time();
-    zeroFillFaults = r.u64();
-    refaults = r.u64();
-    diskReads = r.u64();
-    diskWrites = r.u64();
+    io.u64(workingSet);
+    io.u64(resident);
+    io.u64(everTouched);
+    io.f64(dirtyFraction);
+    io.time(touchInterval);
+    io.time(growInterval);
+
+    io.time(startTime);
+    io.time(endTime);
+    io.time(cpuTime);
+    io.time(blockedTime);
+    io.time(lastBlockStart);
+    io.u64(zeroFillFaults);
+    io.u64(refaults);
+    io.u64(diskReads);
+    io.u64(diskWrites);
+
+    if (io.loading()) {
+        setRecentCpu(recent);
+        // The pending events are re-linked by the restore path.
+        segmentEvent = kNoEvent;
+        startEvent = kNoEvent;
+        wakeEvent = kNoEvent;
+    }
 }
 
 } // namespace piso

@@ -10,6 +10,7 @@
  */
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -84,16 +85,13 @@ class Process
     /** Wall-clock start of the segment currently running on a CPU. */
     Time segmentStart = 0;
     /** Pending segment-end event while Running. */
-    // piso-lint: allow(checkpoint-field-coverage) -- event ids are
-    // imaged with the event queue; Kernel::restoreSegEnd re-links.
+    // Not imaged: Kernel::restoreSegEnd re-links it.
     EventId segmentEvent = kNoEvent;
     /** Pending process-start event while Embryo. */
-    // piso-lint: allow(checkpoint-field-coverage) -- event ids are
-    // imaged with the event queue; Kernel::restoreProcStart re-links.
+    // Not imaged: Kernel::restoreProcStart re-links it.
     EventId startEvent = kNoEvent;
     /** Pending wake event while Blocked in a SleepAction. */
-    // piso-lint: allow(checkpoint-field-coverage) -- event ids are
-    // imaged with the event queue; Kernel::restoreSleepWake re-links.
+    // Not imaged: Kernel::restoreSleepWake re-links it.
     EventId wakeEvent = kNoEvent;
     /** True when the current segment will end in a page fault. */
     bool segmentFaults = false;
@@ -208,44 +206,44 @@ class Process
     /** Effective scheduling priority; smaller is better. */
     double priority() const { return nice + recentCpu(); }
 
-    /** @name Checkpoint
-     *  Serialises every mutable field except the pending EventIds
+    /** Image every mutable field except the pending EventIds
      *  (segmentEvent/startEvent/wakeEvent), which are re-established
      *  when the restore path re-schedules the pending events. */
-    /// @{
-    void save(CkptWriter &w) const;
-    void load(CkptReader &r);
-    /// @}
+    void ckpt(CkptIo &io);
 
   private:
-    // piso-lint: allow(checkpoint-field-coverage) -- identity assigned
-    // by setup replay; the image cross-checks pid order instead.
     Pid pid_;
-    // piso-lint: allow(checkpoint-field-coverage) -- placement is
-    // configuration, identical after deterministic setup replay.
     SpuId spu_;
-    // piso-lint: allow(checkpoint-field-coverage) -- job membership is
-    // configuration, identical after deterministic setup replay.
     JobId job_;
-    // piso-lint: allow(checkpoint-field-coverage) -- log label, fixed
-    // at creation; identical after setup replay.
     std::string name_;
     std::unique_ptr<Behavior> behavior_;
     Rng rng_;
     ProcState state_ = ProcState::Embryo;
 
     // Lazily decayed usage: mutable so const readers (priority()
-    // comparisons, save()) can fold pending halvings in.
-    // piso-lint: allow(checkpoint-field-coverage) -- imaged through
+    // comparisons) can fold pending halvings in. Imaged through
     // recentCpu()/setRecentCpu(), which fold the pending decay in.
     mutable double recentCpu_ = 0.0;
-    // piso-lint: allow(checkpoint-field-coverage) -- lazy-decay epoch
-    // tag; setRecentCpu() resyncs it to the scheduler's epoch.
+    // Lazy-decay epoch tag; setRecentCpu() resyncs it on load.
     mutable std::uint32_t decayEpoch_ = 0;
-    // piso-lint: allow(checkpoint-field-coverage) -- wiring pointer to
-    // the scheduler's epoch counter, re-bound by setup replay.
     const std::uint32_t *decayEpochSrc_ = nullptr;
 };
+
+/** Resolves a pid read from a checkpoint image to the replayed
+ *  process; throws ConfigError for a pid the replay never created. */
+using ProcessByPid = std::function<Process *(Pid)>;
+
+/** Image the process @p p (never null) as its pid; loading resolves
+ *  the pid through @p byPid. */
+void ckptProcess(CkptIo &io, Process *&p, const ProcessByPid &byPid);
+
+/** Image a sequence of processes as pids (see ckptProcess). */
+template <typename C>
+void
+ckptProcesses(CkptIo &io, C &procs, const ProcessByPid &byPid)
+{
+    io.seq(procs, [&io, &byPid](Process *&p) { ckptProcess(io, p, byPid); });
+}
 
 } // namespace piso
 

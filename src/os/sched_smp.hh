@@ -30,20 +30,9 @@ class SmpScheduler : public CpuScheduler
     bool eligibleIdle(const Cpu &cpu, const Process *p) const override;
     bool anyReady() const override { return !ready_.empty(); }
 
-    void saveReady(CkptWriter &w) const override
+    void ckptReady(CkptIo &io, const ProcessByPid &byPid) override
     {
-        w.u64(ready_.size());
-        for (const Process *p : ready_)
-            w.i64(p->pid());
-    }
-
-    void loadReady(CkptReader &r,
-                   const std::function<Process *(Pid)> &byPid) override
-    {
-        ready_.clear();
-        const std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i)
-            ready_.push_back(byPid(static_cast<Pid>(r.i64())));
+        ckptProcesses(io, ready_, byPid);
     }
 
   private:

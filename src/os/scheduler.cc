@@ -506,86 +506,42 @@ CpuScheduler::partitionCpus(const SpuTable<double> &cpuShares)
 }
 
 void
-CpuScheduler::save(CkptWriter &w) const
+CpuScheduler::ckpt(CkptIo &io, const ProcessByPid &byPid)
 {
-    w.time(lastDecay_);
-    spuCpuTime_.saveTable(
-        w, [](CkptWriter &wr, const Time &t) { wr.time(t); });
+    io.time(lastDecay_);
+    spuCpuTime_.table(io, [&io](Time &t) { io.time(t); });
 
-    w.u64(cpus_.size());
-    for (const Cpu &c : cpus_) {
-        w.i64(c.homeSpu);
-        w.u64(c.timeShares.size());
-        for (const auto &[spu, frac] : c.timeShares) {
-            w.i64(spu);
-            w.f64(frac);
-        }
-        w.i64(c.running ? c.running->pid() : kNoPid);
-        w.boolean(c.online);
-        w.boolean(c.loaned);
-        w.boolean(c.revokePending);
-        w.i64(c.lastSpu);
-        w.time(c.noLoanBefore);
-        w.time(c.lastDispatch);
-        w.time(c.idleSince);
-        w.time(c.busyTime);
-        w.time(c.idleTime);
+    io.expect(cpus_.size(), "CPU");
+    for (Cpu &c : cpus_) {
+        io.i64(c.homeSpu);
+        io.seq(c.timeShares, [&io](std::pair<SpuId, double> &share) {
+            io.i64(share.first);
+            io.f64(share.second);
+        });
+        // Set the running pointer directly: the process is already
+        // mid-segment in the image, so startRunning must NOT run.
+        Pid running = c.running ? c.running->pid() : kNoPid;
+        io.i64(running);
+        if (io.loading())
+            c.running = running == kNoPid ? nullptr : byPid(running);
+        io.boolean(c.online);
+        io.boolean(c.loaned);
+        io.boolean(c.revokePending);
+        io.i64(c.lastSpu);
+        io.time(c.noLoanBefore);
+        io.time(c.lastDispatch);
+        io.time(c.idleSince);
+        io.time(c.busyTime);
+        io.time(c.idleTime);
     }
 
     // Registration order of live processes (pid order is preserved by
     // the std::remove-based erase in processExited).
-    w.u64(all_.size());
-    for (const Process *p : all_)
-        w.i64(p->pid());
+    ckptProcesses(io, all_, byPid);
 
-    saveReady(w);
-}
-
-void
-CpuScheduler::load(CkptReader &r,
-                   const std::function<Process *(Pid)> &byPid)
-{
-    lastDecay_ = r.time();
-    spuCpuTime_.loadTable(
-        r, [](CkptReader &rd, Time &t) { t = rd.time(); });
-
-    const std::uint64_t ncpus = r.u64();
-    if (ncpus != cpus_.size()) {
-        throw ConfigError("checkpoint image rejected: CPU count " +
-                          std::to_string(ncpus) + " != machine's " +
-                          std::to_string(cpus_.size()));
-    }
-    for (Cpu &c : cpus_) {
-        c.homeSpu = static_cast<SpuId>(r.i64());
-        c.timeShares.clear();
-        const std::uint64_t nshares = r.u64();
-        for (std::uint64_t i = 0; i < nshares; ++i) {
-            const auto spu = static_cast<SpuId>(r.i64());
-            const double frac = r.f64();
-            c.timeShares.emplace_back(spu, frac);
-        }
-        // Set the running pointer directly: the process is already
-        // mid-segment in the image, so startRunning must NOT run.
-        const auto pid = static_cast<Pid>(r.i64());
-        c.running = pid == kNoPid ? nullptr : byPid(pid);
-        c.online = r.boolean();
-        c.loaned = r.boolean();
-        c.revokePending = r.boolean();
-        c.lastSpu = static_cast<SpuId>(r.i64());
-        c.noLoanBefore = r.time();
-        c.lastDispatch = r.time();
-        c.idleSince = r.time();
-        c.busyTime = r.time();
-        c.idleTime = r.time();
-    }
-    rebuildCpuIndex();
-
-    all_.clear();
-    const std::uint64_t nall = r.u64();
-    for (std::uint64_t i = 0; i < nall; ++i)
-        all_.push_back(byPid(static_cast<Pid>(r.i64())));
-
-    loadReady(r, byPid);
+    ckptReady(io, byPid);
+    if (io.loading())
+        rebuildCpuIndex();
 }
 
 void

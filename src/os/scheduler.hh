@@ -23,9 +23,9 @@
  * cpusOf(s) lists, ascending, every CPU whose homeSpu is s or whose
  * timeShares name s, and unownedCpus() lists, ascending, every CPU
  * whose homeSpu is kNoSpu (offline CPUs included). Only
- * partitionCpus(), repartitionCpus(), setCpuOnline(false) and load()
- * change ownership, and each rebuilds the index before returning; no
- * other code writes homeSpu or timeShares. An SPU's preferred CPUs
+ * partitionCpus(), repartitionCpus(), setCpuOnline(false) and a
+ * checkpoint load change ownership, and each rebuilds the index
+ * before returning; no other code writes homeSpu or timeShares. An SPU's preferred CPUs
  * (home SPU its own or none), the CPUs it can be current owner of and,
  * under a policy that never lends, every CPU it is eligible for are in
  * cpusOf(s) or unownedCpus(), so a wake-up or a revocation visits the
@@ -34,7 +34,6 @@
  */
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -236,14 +235,12 @@ class CpuScheduler
     /// @}
 
     /** @name Checkpoint
-     *  Covers the base accounting, the per-CPU state (running
+     *  ckpt() covers the base accounting, the per-CPU state (running
      *  processes as pids) and the subclass ready queues. The clock
      *  tick is re-established separately through restoreTick() with
      *  its original (when, seq) ordering key. */
     /// @{
-    void save(CkptWriter &w) const;
-    void load(CkptReader &r,
-              const std::function<Process *(Pid)> &byPid);
+    void ckpt(CkptIo &io, const ProcessByPid &byPid);
     void restoreTick(Time when, std::uint64_t seq);
     /// @}
 
@@ -272,15 +269,10 @@ class CpuScheduler
      *  could pick something, in ascending id order. */
     virtual void idlePass();
 
-    /** @name Checkpoint hooks: subclass ready-queue state
-     *  Must round-trip the ready structures exactly (FIFO order
-     *  included) so restored dispatch decisions are bit-identical. */
-    /// @{
-    virtual void saveReady(CkptWriter &w) const = 0;
-    virtual void
-    loadReady(CkptReader &r,
-              const std::function<Process *(Pid)> &byPid) = 0;
-    /// @}
+    /** Checkpoint hook: image the subclass ready structures. Must
+     *  round-trip them exactly (FIFO order included) so restored
+     *  dispatch decisions are bit-identical. */
+    virtual void ckptReady(CkptIo &io, const ProcessByPid &byPid) = 0;
 
     /** Hook: per-tick policy work (revocation, owner rotation). Runs
      *  after the base slice handling. */
@@ -299,25 +291,19 @@ class CpuScheduler
     /** Priority comparison helper: true if a should run before b. */
     static bool higherPriority(const Process *a, const Process *b);
 
-    // piso-lint: allow(checkpoint-field-coverage) -- wiring reference;
-    // the event queue is imaged by Simulation, not the scheduler.
     EventQueue &events_;
-    // piso-lint: allow(checkpoint-field-coverage) -- callback wiring,
-    // re-established by setup replay; not serialisable state.
     SchedClient *client_ = nullptr;
     std::vector<Cpu> cpus_;
     std::vector<Process *> all_;
 
     /** Eager-baseline mode (see setEagerPolicyLoops). */
-    // piso-lint: allow(checkpoint-field-coverage) -- experiment
-    // configuration, identical after deterministic setup replay.
     bool eagerLoops_ = false;
 
     /** Policy-loop iteration counter (see policyIters). Out of band
      *  like MemPolicy::policyIters: host-side perf telemetry, never
      *  serialised. */
-    // piso-lint: allow(checkpoint-field-coverage) -- out-of-band perf
-    // telemetry (policy_iters_cpu), deliberately not imaged.
+    // Out-of-band perf telemetry (policy_iters_cpu), deliberately
+    // not imaged.
     std::uint64_t policyIters_ = 0;
 
   private:
@@ -331,36 +317,26 @@ class CpuScheduler
      *  invariant). */
     void rebuildCpuIndex();
 
-    // piso-lint: allow(checkpoint-field-coverage) -- scheduler tuning
-    // configuration, identical after deterministic setup replay.
     Time tickPeriod_;
-    // piso-lint: allow(checkpoint-field-coverage) -- scheduler tuning
-    // configuration, identical after deterministic setup replay.
     Time timeSlice_;
-    // piso-lint: allow(checkpoint-field-coverage) -- scheduler tuning
-    // configuration, identical after deterministic setup replay.
     Time decayPeriod_ = kSec;
     Time lastDecay_ = 0;
 
     /** Decay generation: bumped once per decay period instead of
      *  sweeping every process; processes fold missed halvings in on
      *  read (Process::foldDecay). */
-    // piso-lint: allow(checkpoint-field-coverage) -- relative epoch
-    // tag; save folds decay into each process, load resyncs them.
+    // Relative epoch tag, not imaged: the image folds decay into
+    // each process and loading resyncs them.
     std::uint32_t decayEpoch_ = 0;
     /** Rotation period for time-partitioned CPUs. */
-    // piso-lint: allow(checkpoint-field-coverage) -- scheduler tuning
-    // configuration, identical after deterministic setup replay.
     Time sharePeriod_ = 100 * kMs;
 
     SpuTable<Time> spuCpuTime_;
 
     /** The per-SPU CPU index (see the file comment). */
-    // piso-lint: allow(checkpoint-field-coverage) -- derived from
-    // cpus_ ownership, which is imaged; load() rebuilds it.
+    // The CPU index derives from cpus_ ownership: not imaged,
+    // rebuilt by rebuildCpuIndex() on load.
     SpuTable<std::vector<CpuId>> spuCpus_;
-    // piso-lint: allow(checkpoint-field-coverage) -- derived from
-    // cpus_ ownership, which is imaged; load() rebuilds it.
     std::vector<CpuId> unownedCpus_;
 };
 

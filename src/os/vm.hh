@@ -128,27 +128,15 @@ class VirtualMemory
     /** @name Checkpoint */
     /// @{
     void
-    save(CkptWriter &w) const
+    ckpt(CkptIo &io)
     {
-        ledger_.save(w);
-        pressure_.saveTable(w,
-                            [](CkptWriter &wr, const std::uint64_t &n) {
-                                wr.u64(n);
-                            });
-        w.u64(reservePages_);
-    }
-
-    void
-    load(CkptReader &r)
-    {
-        ledger_.load(r);
-        pressure_.loadTable(r, [](CkptReader &rd, std::uint64_t &n) {
-            n = rd.u64();
-        });
-        reservePages_ = r.u64();
+        ledger_.ckpt(io);
+        pressure_.table(io, [&io](std::uint64_t &n) { io.u64(n); });
+        io.u64(reservePages_);
         // Restored state replaced everything a policy pass observes;
         // invalidate any version captured during setup replay.
-        ++version_;
+        if (io.loading())
+            ++version_;
     }
     /// @}
 
@@ -156,14 +144,12 @@ class VirtualMemory
     /** Fatal-checked pressure-counter access. */
     std::uint64_t &pressureEntry(SpuId spu);
 
-    // piso-lint: allow(checkpoint-field-coverage) -- wiring reference;
-    // PhysicalMemory is imaged by Simulation, not through the VM.
     PhysicalMemory &phys_;
     ResourceLedger ledger_{"memory"};
     SpuTable<std::uint64_t> pressure_;
     std::uint64_t reservePages_ = 0;
-    // piso-lint: allow(checkpoint-field-coverage) -- monotonic change
-    // counter; load bumps it rather than restoring it.
+    // Monotonic change counter; loading bumps it rather than
+    // restoring it.
     std::uint64_t version_ = 0;
 };
 

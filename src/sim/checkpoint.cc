@@ -216,4 +216,72 @@ CkptReader::expectEnd() const
                  " trailing payload bytes (layout mismatch)");
 }
 
+std::uint8_t
+CkptIo::wire8(std::uint8_t v)
+{
+    if (r_)
+        return r_->u8();
+    w_->u8(v);
+    return v;
+}
+
+std::uint32_t
+CkptIo::wire32(std::uint32_t v)
+{
+    if (r_)
+        return r_->u32();
+    w_->u32(v);
+    return v;
+}
+
+std::uint64_t
+CkptIo::wire64(std::uint64_t v)
+{
+    if (r_)
+        return r_->u64();
+    w_->u64(v);
+    return v;
+}
+
+void
+CkptIo::f64(double &v)
+{
+    if (r_)
+        v = r_->f64();
+    else
+        w_->f64(v);
+}
+
+void
+CkptIo::str(std::string &v)
+{
+    if (r_)
+        v = r_->str();
+    else
+        w_->str(v);
+}
+
+std::size_t
+CkptIo::count(std::size_t n)
+{
+    std::uint64_t v = n;
+    u64(v);
+    if (r_ && v > r_->remaining())
+        badImage("section count " + std::to_string(v) +
+                 " exceeds the payload");
+    return static_cast<std::size_t>(v);
+}
+
+void
+CkptIo::expect(std::size_t have, const char *what)
+{
+    std::uint64_t v = have;
+    u64(v);
+    if (v != have) {
+        throw ConfigError(std::string("checkpoint ") + what + " count " +
+                          std::to_string(v) +
+                          " does not match the replayed configuration");
+    }
+}
+
 } // namespace piso

@@ -21,16 +21,18 @@
  * replayed setup never created) are InvariantError instead.
  *
  * The writer/reader pair deliberately knows nothing about the
- * simulator: subsystems serialise themselves through
- * `save(CkptWriter&) const` / `load(CkptReader&)` pairs and the
- * Simulation owns field order and the config digest (docs/checkpoint.md
- * documents the format and the versioning policy).
+ * simulator: each subsystem images itself through one `ckpt(CkptIo&)`
+ * walk that serves both directions, and the Simulation owns section
+ * order and the config digest (docs/checkpoint.md documents the format
+ * and the versioning policy).
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "src/util/time.hh"
 
@@ -118,6 +120,132 @@ class CkptReader
     std::string payload_;
     std::size_t pos_ = 0;
     std::uint64_t configDigest_ = 0;
+};
+
+/**
+ * One field walk for both directions: over a writer every call appends
+ * the referenced field, over a reader it overwrites the field with the
+ * next payload value. A class images itself with a single
+ * `ckpt(CkptIo&)` that names its fields once, in image order, and
+ * rebuilds derived state at the end under `if (io.loading())`.
+ *
+ * The primitives fix the wire width; the field may be any integer or
+ * enum type the value fits (an `int` imaged as i64, an enum as u8).
+ */
+class CkptIo
+{
+  public:
+    explicit CkptIo(CkptWriter &w) : w_(&w) {}
+    explicit CkptIo(CkptReader &r) : r_(&r) {}
+
+    bool loading() const { return r_ != nullptr; }
+
+    /** The underlying container, for hooks that take one directly. */
+    CkptWriter &writer() { return *w_; }
+    CkptReader &reader() { return *r_; }
+
+    template <typename T>
+    void
+    u8(T &v)
+    {
+        v = static_cast<T>(wire8(static_cast<std::uint8_t>(v)));
+    }
+
+    template <typename T>
+    void
+    u32(T &v)
+    {
+        v = static_cast<T>(wire32(static_cast<std::uint32_t>(v)));
+    }
+
+    template <typename T>
+    void
+    u64(T &v)
+    {
+        v = static_cast<T>(wire64(static_cast<std::uint64_t>(v)));
+    }
+
+    template <typename T>
+    void
+    i64(T &v)
+    {
+        v = static_cast<T>(static_cast<std::int64_t>(wire64(
+            static_cast<std::uint64_t>(static_cast<std::int64_t>(v)))));
+    }
+
+    void boolean(bool &v) { u8(v); }
+    // piso-lint: allow(determinism-wallclock) -- images a simulated Time field, not a wallclock read
+    void time(Time &v) { u64(v); }
+    void f64(double &v);
+    void str(std::string &v);
+
+    /**
+     * The length of a variable-length section: writes @p n, or reads
+     * it back. Every element takes at least one byte, so a read count
+     * larger than the unread payload is rejected (ConfigError) before
+     * anything is sized by it.
+     */
+    std::size_t count(std::size_t n);
+
+    /**
+     * A count the replayed configuration already fixes (CPUs,
+     * processes, locks, ...): writes @p have, or reads the image's
+     * count and rejects it (ConfigError) unless it equals @p have.
+     * @p what names the counted thing in the message.
+     */
+    void expect(std::size_t have, const char *what);
+
+    /** A sequence container: its count(), then @p fn(element&) per
+     *  element; loading clears @p c and appends value-initialised
+     *  elements that @p fn fills. */
+    template <typename C, typename Fn>
+    void
+    seq(C &c, Fn &&fn)
+    {
+        const std::size_t n = count(c.size());
+        if (!loading()) {
+            for (auto &v : c)
+                fn(v);
+            return;
+        }
+        c.clear();
+        for (std::size_t i = 0; i < n; ++i) {
+            typename C::value_type v{};
+            fn(v);
+            c.push_back(std::move(v));
+        }
+    }
+
+    /** An ordered map: its count(), then @p fn(key&, value&) per
+     *  entry in key order; loading rebuilds @p m from the image. */
+    template <typename M, typename Fn>
+    void
+    map(M &m, Fn &&fn)
+    {
+        const std::size_t n = count(m.size());
+        if (!loading()) {
+            for (auto &[key, value] : m) {
+                typename M::key_type k = key;
+                fn(k, value);
+            }
+            return;
+        }
+        m.clear();
+        for (std::size_t i = 0; i < n; ++i) {
+            typename M::key_type k{};
+            typename M::mapped_type v{};
+            fn(k, v);
+            m.emplace(std::move(k), std::move(v));
+        }
+    }
+
+  private:
+    std::uint8_t wire8(std::uint8_t v);
+    std::uint32_t wire32(std::uint32_t v);
+    std::uint64_t wire64(std::uint64_t v);
+
+    CkptWriter *w_ = nullptr;
+    CkptReader *r_ = nullptr;
 };
 
 } // namespace piso

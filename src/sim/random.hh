@@ -59,20 +59,12 @@ class Rng
      */
     Rng fork();
 
-    /** Serialise the full 256-bit stream position. */
+    /** Image the full 256-bit stream position. */
     void
-    save(CkptWriter &w) const
-    {
-        for (std::uint64_t s : s_)
-            w.u64(s);
-    }
-
-    /** Restore a stream position saved with save(). */
-    void
-    load(CkptReader &r)
+    ckpt(CkptIo &io)
     {
         for (std::uint64_t &s : s_)
-            s = r.u64();
+            io.u64(s);
     }
 
   private:

@@ -33,8 +33,7 @@ class Counter
     /** Reset to zero. */
     void reset() { value_ = 0; }
 
-    void save(CkptWriter &w) const { w.u64(value_); }
-    void load(CkptReader &r) { value_ = r.u64(); }
+    void ckpt(CkptIo &io) { io.u64(value_); }
 
   private:
     std::uint64_t value_ = 0;
@@ -72,25 +71,14 @@ class Accumulator
     void reset();
 
     void
-    save(CkptWriter &w) const
+    ckpt(CkptIo &io)
     {
-        w.u64(count_);
-        w.f64(mean_);
-        w.f64(m2_);
-        w.f64(sum_);
-        w.f64(min_);
-        w.f64(max_);
-    }
-
-    void
-    load(CkptReader &r)
-    {
-        count_ = r.u64();
-        mean_ = r.f64();
-        m2_ = r.f64();
-        sum_ = r.f64();
-        min_ = r.f64();
-        max_ = r.f64();
+        io.u64(count_);
+        io.f64(mean_);
+        io.f64(m2_);
+        io.f64(sum_);
+        io.f64(min_);
+        io.f64(max_);
     }
 
   private:

@@ -175,6 +175,8 @@ struct Simulation::Impl
 
     void writeImage(std::ostream &out);
     void loadImage(CkptReader &r);
+    /** The subsystem section of the image, both directions. */
+    void ckptSubsystems(CkptIo &io);
     void restoreFaultRestore(FaultKind kind, DiskId disk, Time when,
                              std::uint64_t seq);
     /// @}
@@ -1080,37 +1082,53 @@ Simulation::Impl::writeImage(std::ostream &out)
         w.i64(d.arg);
     }
 
-    rng.save(w);
-    phys.save(w);
-    vm.save(w);
-    cache.save(w);
-    fs.save(w);
-    spuMgr.save(w);
-
-    w.u64(disks.size());
-    for (const auto &d : disks)
-        d->save(w);
-    for (const FairDiskScheduler *fds : fairSchedulers)
-        fds->tracker().save(w);
-    w.boolean(network != nullptr);
-    if (network) {
-        network->save(w);
-        w.boolean(fairNet != nullptr);
-        if (fairNet)
-            fairNet->tracker().save(w);
-    }
-    w.boolean(numa != nullptr);
-    if (numa)
-        numa->save(w);
-
-    sched->save(w);
-    kernel->save(w);
-
-    w.u64(jobs.size());
-    for (const Job &j : jobs)
-        j.save(w);
+    CkptIo io(w);
+    ckptSubsystems(io);
 
     w.emit(out, configDigest());
+}
+
+void
+Simulation::Impl::ckptSubsystems(CkptIo &io)
+{
+    // A subsystem the configuration builds or leaves out must be the
+    // same on both sides of the image.
+    const auto present = [&io](bool have, const char *what) {
+        bool imaged = have;
+        io.boolean(imaged);
+        if (imaged != have) {
+            throw ConfigError(std::string("checkpoint image rejected: ") +
+                              what + " mismatch");
+        }
+        return have;
+    };
+
+    rng.ckpt(io);
+    phys.ckpt(io);
+    vm.ckpt(io);
+    cache.ckpt(io);
+    fs.ckpt(io);
+    spuMgr.ckpt(io);
+
+    io.expect(disks.size(), "disk");
+    for (auto &d : disks)
+        d->ckpt(io);
+    for (FairDiskScheduler *fds : fairSchedulers)
+        fds->tracker().ckpt(io);
+    if (present(network != nullptr, "network presence")) {
+        network->ckpt(io);
+        if (present(fairNet != nullptr, "network scheduler"))
+            fairNet->tracker().ckpt(io);
+    }
+    if (present(numa != nullptr, "NUMA model presence"))
+        numa->ckpt(io);
+
+    sched->ckpt(io, [this](Pid pid) { return kernel->imagedProcess(pid); });
+    kernel->ckpt(io);
+
+    io.expect(jobs.size(), "job");
+    for (Job &j : jobs)
+        j.ckpt(io);
 }
 
 void
@@ -1163,57 +1181,8 @@ Simulation::Impl::loadImage(CkptReader &r)
         descs.push_back(d);
     }
 
-    rng.load(r);
-    phys.load(r);
-    vm.load(r);
-    cache.load(r);
-    fs.load(r);
-    spuMgr.load(r);
-
-    if (r.u64() != disks.size()) {
-        throw ConfigError(
-            "checkpoint image rejected: disk count mismatch");
-    }
-    for (auto &d : disks)
-        d->load(r);
-    for (FairDiskScheduler *fds : fairSchedulers)
-        fds->tracker().load(r);
-    if (r.boolean() != (network != nullptr)) {
-        throw ConfigError(
-            "checkpoint image rejected: network presence mismatch");
-    }
-    if (network) {
-        network->load(r);
-        if (r.boolean() != (fairNet != nullptr)) {
-            throw ConfigError("checkpoint image rejected: network "
-                              "scheduler mismatch");
-        }
-        if (fairNet)
-            fairNet->tracker().load(r);
-    }
-    if (r.boolean() != (numa != nullptr)) {
-        throw ConfigError(
-            "checkpoint image rejected: NUMA model presence mismatch");
-    }
-    if (numa)
-        numa->load(r);
-
-    const auto byPid = [this](Pid pid) -> Process * {
-        Process *p = kernel->process(pid);
-        if (!p) {
-            throw ConfigError("checkpoint references unknown pid " +
-                              std::to_string(pid));
-        }
-        return p;
-    };
-    sched->load(r, byPid);
-    kernel->load(r);
-
-    if (r.u64() != jobs.size())
-        throw ConfigError("checkpoint image rejected: job count mismatch");
-    for (Job &j : jobs)
-        j.load(r);
-
+    CkptIo io(r);
+    ckptSubsystems(io);
     r.expectEnd();
 
     // Re-bind every pending event at its original heap coordinates,

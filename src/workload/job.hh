@@ -100,36 +100,19 @@ class Job
     /** @name Checkpoint */
     /// @{
     void
-    save(CkptWriter &w) const
+    ckpt(CkptIo &io)
     {
-        w.i64(remaining_);
-        w.boolean(started_);
-        w.boolean(failed_);
-        w.time(endTime_);
-    }
-
-    void
-    load(CkptReader &r)
-    {
-        remaining_ = static_cast<int>(r.i64());
-        started_ = r.boolean();
-        failed_ = r.boolean();
-        endTime_ = r.time();
+        io.i64(remaining_);
+        io.boolean(started_);
+        io.boolean(failed_);
+        io.time(endTime_);
     }
     /// @}
 
   private:
-    // piso-lint: allow(checkpoint-field-coverage) -- identity assigned
-    // by setup replay, identical on every run of the config.
     JobId id_;
-    // piso-lint: allow(checkpoint-field-coverage) -- report label,
-    // fixed by configuration; identical after setup replay.
     std::string name_;
-    // piso-lint: allow(checkpoint-field-coverage) -- placement is
-    // configuration, identical after deterministic setup replay.
     SpuId spu_;
-    // piso-lint: allow(checkpoint-field-coverage) -- arrival time is
-    // configuration, identical after deterministic setup replay.
     Time startAt_;
     int remaining_ = 0;
     bool started_ = false;

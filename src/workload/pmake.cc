@@ -106,14 +106,9 @@ class CompileWorker : public Behavior
         return WriteAction{meta_, 0, 512, cfg_.metadataSync};
     }
 
-    // piso-lint: allow(checkpoint-field-coverage) -- behaviour
-    // parameters, identical after deterministic setup replay.
     PmakeConfig cfg_;
-    // piso-lint: allow(checkpoint-field-coverage) -- file id assigned
-    // by deterministic setup replay.
     FileId meta_;
-    // piso-lint: allow(checkpoint-field-coverage) -- per-file records
-    // are configuration replayed by setup; only the cursor is imaged.
+    // Replayed by setup; only the cursor is imaged.
     std::vector<CompileStep> steps_;
     std::size_t index_ = 0;
 };

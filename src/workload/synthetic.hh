@@ -49,8 +49,7 @@ class ScriptBehavior : public Behavior
     }
 
   private:
-    // piso-lint: allow(checkpoint-field-coverage) -- the script is
-    // configuration replayed by setup; only the cursor is imaged.
+    // Replayed by setup; only the cursor is imaged.
     std::vector<Action> script_;
     std::size_t index_ = 0;
 };
@@ -90,8 +89,6 @@ class ComputeBehavior : public Behavior
     }
 
   private:
-    // piso-lint: allow(checkpoint-field-coverage) -- behaviour
-    // parameters, identical after deterministic setup replay.
     ComputeSpec spec_;
     Time done_ = 0;
     bool grown_ = false;

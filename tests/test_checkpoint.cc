@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -503,4 +504,81 @@ TEST(Checkpoint, BigMachineNumaStateSurvivesTheRoundTrip)
     EXPECT_EQ(warm.numa.localTouches, cold.numa.localTouches);
     EXPECT_EQ(warm.numa.remoteTouches, cold.numa.remoteTouches);
     EXPECT_EQ(warm.numa.busBytes, cold.numa.busBytes);
+}
+
+// ---------------------------------------------------------------------
+// Image stability: the payload bytes are part of the format
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** FNV-1a digest of one image the battery above produces. */
+struct PinnedImage
+{
+    const char *shape;
+    Scheme scheme;
+    /** The t=0 image, or the one taken at the shape's early time. */
+    bool timeZero;
+    std::uint64_t digest;
+};
+
+/** A mismatch here means the payload layout changed: that needs a
+ *  kCkptVersion bump (docs/checkpoint.md), not just new digests. The
+ *  copy shape under Quo never quiesces, so it has no mid-run image. */
+const PinnedImage kPinnedImages[] = {
+    {"pmake", Scheme::Smp, true, 0xb30b7226d3a6e0fdull},
+    {"pmake", Scheme::Smp, false, 0x6a2aa927480a8853ull},
+    {"pmake", Scheme::Quota, true, 0xbbf0c46a52b6bbadull},
+    {"pmake", Scheme::Quota, false, 0x331a961e16d06e1eull},
+    {"pmake", Scheme::PIso, true, 0x41d95a7f4fc33298ull},
+    {"pmake", Scheme::PIso, false, 0x3487a91949a8d4d8ull},
+    {"compute", Scheme::Smp, true, 0xd3aa336da8633964ull},
+    {"compute", Scheme::Smp, false, 0x55fcce49dbcf2c51ull},
+    {"compute", Scheme::Quota, true, 0x3c1517ee6c15fb21ull},
+    {"compute", Scheme::Quota, false, 0x81acdacb1097dc2bull},
+    {"compute", Scheme::PIso, true, 0xa02a0bc8a6a4a2afull},
+    {"compute", Scheme::PIso, false, 0x37bbe7340ddb513bull},
+    {"copy", Scheme::Smp, true, 0x38eb7f0564e2e76aull},
+    {"copy", Scheme::Smp, false, 0x32de2f1f0c8d3048ull},
+    {"copy", Scheme::Quota, true, 0x9155746f474461c3ull},
+    {"copy", Scheme::PIso, true, 0x5c813ac4386a4a05ull},
+    {"copy", Scheme::PIso, false, 0xe3ff4d03f02d1f50ull},
+    {"tree", Scheme::Smp, true, 0x5489767c6e0124d6ull},
+    {"tree", Scheme::Smp, false, 0x9e32658cea4a1a5eull},
+    {"tree", Scheme::Quota, true, 0x2f6d706ec87b7779ull},
+    {"tree", Scheme::Quota, false, 0x45abe2d8a8cdc148ull},
+    {"tree", Scheme::PIso, true, 0xb8015315d66d87caull},
+    {"tree", Scheme::PIso, false, 0xd12c6f6e628f08d2ull},
+};
+
+std::string
+timeZeroImage(const WorkloadSpec &spec)
+{
+    Simulation sim(spec.config);
+    populateWorkloadSpec(sim, spec);
+    std::ostringstream out;
+    sim.checkpoint(out);
+    return out.str();
+}
+
+} // namespace
+
+TEST(Checkpoint, ImageBytesArePinned)
+{
+    for (const PinnedImage &pin : kPinnedImages) {
+        const Shape *shape = nullptr;
+        for (const Shape &s : kShapes)
+            if (std::string(s.name) == pin.shape)
+                shape = &s;
+        ASSERT_NE(shape, nullptr) << pin.shape;
+
+        const WorkloadSpec spec = shapeSpec(shape->text, pin.scheme);
+        const std::string image = pin.timeZero
+                                      ? timeZeroImage(spec)
+                                      : observe(spec, shape->early).image;
+        ASSERT_FALSE(image.empty()) << pin.shape;
+        EXPECT_EQ(ckptFnv1a(image), pin.digest)
+            << pin.shape << "/" << schemeName(pin.scheme)
+            << (pin.timeZero ? " t=0" : " early");
+    }
 }

@@ -28,6 +28,8 @@
 #include <vector>
 
 #include "src/config/workload_spec.hh"
+#include "src/core/spu_table.hh"
+#include "src/os/buffer_cache.hh"
 #include "src/piso.hh"
 #include "src/sim/checkpoint.hh"
 #include "src/sim/event_queue.hh"
@@ -187,6 +189,32 @@ TEST(CheckpointFuzz, ReaderBoundsChecksEveryPrimitive)
     CkptReader r3(img);
     r3.requireDigest(1);
     EXPECT_THROW(r3.str(), ConfigError);
+}
+
+TEST(CheckpointFuzz, HugeSectionCountsAreRejectedBeforeSizing)
+{
+    // A well-formed, checksummed payload whose section count claims
+    // more elements than there are bytes left must be rejected before
+    // anything is sized by it: a free-slab count of 2^61 once escaped
+    // the buffer cache's reserve() as std::length_error.
+    {
+        CkptWriter w;
+        w.u64(0);            // slab blocks
+        w.u64(1ull << 61);   // free-slab slots
+        CkptReader r(w.image(0));
+        CkptIo io(r);
+        BufferCache cache;
+        EXPECT_THROW(cache.ckpt(io), ConfigError);
+    }
+    {
+        CkptWriter w;
+        w.u64(1ull << 61);   // present entries
+        CkptReader r(w.image(0));
+        CkptIo io(r);
+        SpuTable<std::uint64_t> table;
+        EXPECT_THROW(table.table(io, [&io](std::uint64_t &v) { io.u64(v); }),
+                     ConfigError);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -200,14 +200,17 @@ TEST(FileSystem, SaveLoadRoundTripsTheFileTable)
                       FilePlacement::Scattered);
     }
     CkptWriter w;
-    fs.save(w);
+    CkptIo save(w);
+    fs.ckpt(save);
 
     FileSystem back;
     CkptReader r(w.image(0));
-    back.load(r);
+    CkptIo load(r);
+    back.ckpt(load);
     r.expectEnd();
     CkptWriter again;
-    back.save(again);
+    CkptIo resave(again);
+    back.ckpt(resave);
     EXPECT_EQ(again.payload(), w.payload());
     EXPECT_EQ(back.fileName(0), "");
     EXPECT_EQ(back.fileName(1), "swap");

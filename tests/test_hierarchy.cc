@@ -395,7 +395,8 @@ TEST(Hierarchy, RandomManagerTreesEntitleWithinDivisible)
                 // Save, flip one SPU's state, load: the image's states
                 // come back and the caches must not keep the flip.
                 CkptWriter w;
-                mgr.save(w);
+                CkptIo save(w);
+                mgr.ckpt(save);
                 const bool wasActive =
                     mgr.spu(pick).state == SpuState::Active;
                 if (wasActive)
@@ -404,7 +405,8 @@ TEST(Hierarchy, RandomManagerTreesEntitleWithinDivisible)
                     mgr.resume(pick);
                 EXPECT_EQ(mgr.shareOf(pick), uncachedShareOf(mgr, pick));
                 CkptReader r(w.image(0));
-                mgr.load(r);
+                CkptIo load(r);
+                mgr.ckpt(load);
                 EXPECT_EQ(mgr.spu(pick).state == SpuState::Active,
                           wasActive);
                 expectUncached("load", step);

@@ -159,30 +159,8 @@ TEST(LintRules, ScheduledLambdasCapturingPerThreadContexts)
 }
 
 // ---------------------------------------------------------------------
-// Project (cross-file) rules over the semantic index.
+// Project (cross-file) rules over the include index.
 // ---------------------------------------------------------------------
-
-TEST(LintProject, DeletedSaveFieldFailsWithExactlyCheckpointCoverage)
-{
-    // The class declares four fields; the .cc save body was edited to
-    // drop dropped_, ghost_ is on neither path, cache_ is covered by a
-    // justified allow. Every surviving finding must be the
-    // checkpoint-field-coverage rule and nothing else.
-    const LintResult r = lintFixtures(
-        {"src/core/ckpt_cover.hh", "src/core/ckpt_cover.cc"});
-    EXPECT_EQ(hits(r), (Hits{{kRuleCheckpointCoverage, 21},
-                             {kRuleCheckpointCoverage, 22}}));
-    EXPECT_EQ(r.exitCode(), 1);
-    ASSERT_EQ(r.findings.size(), 2u);
-    for (const Finding &f : r.findings)
-        EXPECT_EQ(f.path, "src/core/ckpt_cover.hh");
-    EXPECT_NE(r.findings[0].message.find(
-                  "missing from the save path (load touches it)"),
-              std::string::npos);
-    EXPECT_NE(r.findings[1].message.find(
-                  "missing from both the save and the load path"),
-              std::string::npos);
-}
 
 TEST(LintProject, UpwardIncludeIsReportedWithTheEdgeNamed)
 {
@@ -362,12 +340,12 @@ TEST(LintEngine, FixtureTreeTotals)
     std::string error;
     ASSERT_TRUE(lintFiles({std::string(PISO_LINT_FIXTURE_DIR)}, r, error))
         << error;
-    EXPECT_EQ(r.filesScanned, 23);
+    EXPECT_EQ(r.filesScanned, 21);
     // 4 wallclock + 1 unordered + 2 globals + 3 tables + 1 guard +
     // 2 io + 2 taxonomy + 2 full-scan + 1 nojust + 2 unknown +
-    // 2 stale + 3 time-unit + 3 context-capture + 2 checkpoint +
-    // 2 layering = 32, each exactly once.
-    EXPECT_EQ(r.findings.size(), 32u);
+    // 2 stale + 3 time-unit + 3 context-capture + 2 layering = 30,
+    // each exactly once.
+    EXPECT_EQ(r.findings.size(), 30u);
     EXPECT_EQ(r.exitCode(), 1);
     // With no cache every file is re-analyzed.
     EXPECT_EQ(r.filesReanalyzed, r.filesScanned);
@@ -421,22 +399,21 @@ TEST(LintEngine, ListAllowsNamesEveryDirective)
     LintResult r;
     std::string error;
     ASSERT_TRUE(lintFiles({fixture("src/sim/allow_file_ok.cc"),
-                           fixture("src/core/ckpt_cover.hh"),
-                           fixture("src/core/ckpt_cover.cc")},
+                           fixture("src/sim/suppressed_ok.cc")},
                           r, error))
         << error;
     const std::string text = formatAllows(r);
-    EXPECT_NE(
-        text.find("src/core/ckpt_cover.hh:23: "
-                  "allow(checkpoint-field-coverage) -- fixture: derived"),
-        std::string::npos)
+    EXPECT_NE(text.find("src/sim/suppressed_ok.cc:7: "
+                        "allow(memory-raw-new) -- fixture: exercising a "
+                        "justified own-line suppression"),
+              std::string::npos)
         << text;
     EXPECT_NE(text.find("src/sim/allow_file_ok.cc:1: "
                         "allow-file(hygiene-io) -- fixture: a demo "
                         "reporter that"),
               std::string::npos)
         << text;
-    EXPECT_NE(text.find("2 suppression(s) in 3 files"),
+    EXPECT_NE(text.find("3 suppression(s) in 2 files"),
               std::string::npos)
         << text;
 }
@@ -558,8 +535,7 @@ TEST(LintEngine, RegistryIsCompleteAndKnown)
     for (const std::string &name : expected)
         EXPECT_TRUE(knownRule(name));
 
-    const std::vector<std::string> project = {kRuleCheckpointCoverage,
-                                              kRuleLayering};
+    const std::vector<std::string> project = {kRuleLayering};
     const auto &prules = projectRuleRegistry();
     ASSERT_EQ(prules.size(), project.size());
     for (std::size_t i = 0; i < prules.size(); ++i)

@@ -359,24 +359,30 @@ runTwins(const Scenario &sc)
         } else {
             op = "save-load";
             CkptWriter ws;
-            s.sched.save(ws);
+            const ProcessByPid byPidS = [&](Pid pid) { return s.byPid(pid); };
+            CkptIo saveS(ws);
+            s.sched.ckpt(saveS, byPidS);
             const std::string image = ws.image(0);
-            const auto byPidS = [&](Pid pid) { return s.byPid(pid); };
             // A scheduler that never saw a partition gets its index from
-            // load() alone.
+            // a checkpoint load alone.
             EventQueue probeEvents;
             Policy probe(probeEvents, sc.cpus);
             CkptReader rp(image);
-            probe.load(rp, byPidS);
+            CkptIo loadP(rp);
+            probe.ckpt(loadP, byPidS);
             expectIndexMatchesCpus(probe, sc.spus, where + op + " probe");
             for (SpuId spu = 0; spu < kFirstSpu + sc.spus + 1; ++spu)
                 EXPECT_EQ(probe.cpusOf(spu), s.sched.cpusOf(spu)) << where;
             CkptReader rs(image);
-            s.sched.load(rs, byPidS);
+            CkptIo loadS(rs);
+            s.sched.ckpt(loadS, byPidS);
+            const ProcessByPid byPidR = [&](Pid pid) { return r.byPid(pid); };
             CkptWriter wr;
-            r.sched.save(wr);
+            CkptIo saveR(wr);
+            r.sched.ckpt(saveR, byPidR);
             CkptReader rr(wr.image(0));
-            r.sched.load(rr, [&](Pid pid) { return r.byPid(pid); });
+            CkptIo loadR(rr);
+            r.sched.ckpt(loadR, byPidR);
         }
         if (!check(where + op))
             return 0;

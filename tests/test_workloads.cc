@@ -167,8 +167,9 @@ TEST(Workloads, PmakeWorkersReplayTheUnrolledScript)
         // Same file ids, names and placements, same fs and jitter
         // draws.
         CkptWriter table, refTable;
-        fs.save(table);
-        refFs.save(refTable);
+        CkptIo tableIo(table), refTableIo(refTable);
+        fs.ckpt(tableIo);
+        refFs.ckpt(refTableIo);
         EXPECT_EQ(table.payload(), refTable.payload());
         EXPECT_EQ(env.rng.next(), refEnv.rng.next());
 

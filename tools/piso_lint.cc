@@ -8,9 +8,8 @@
  *   piso_lint --list-allows src            # every suppression, audited
  *   piso_lint --cache .lint-cache src      # incremental re-analysis
  *   piso_lint --diff-base origin/main src  # PR mode: changed lines
- *                                          # only (checkpoint-coverage
- *                                          # and layering still gate
- *                                          # tree-wide)
+ *                                          # only (layering still
+ *                                          # gates tree-wide)
  *
  * Exit codes: 0 clean, 1 findings, 2 usage/I-O error. Rules and the
  * suppression syntax are documented in docs/static-analysis.md.
@@ -48,9 +47,8 @@ printUsage(std::FILE *to)
                  "                     include-graph closure\n"
                  "  --diff-base <ref>  report only findings on lines "
                  "changed since\n"
-                 "                     <ref> (git diff); "
-                 "checkpoint-field-coverage and\n"
-                 "                     layering still gate tree-wide\n"
+                 "                     <ref> (git diff); layering "
+                 "still gates tree-wide\n"
                  "  --time             print scan/analysis timing to "
                  "stderr\n"
                  "  -h, --help         show this help and exit\n"
