@@ -65,9 +65,9 @@ class DiskBandwidthTracker
      *  links are replayed by the deterministic setup phase. */
     /// @{
     void
-    ckpt(CkptIo &io)
+    ckpt(CkptIo &io, std::size_t spuBound)
     {
-        entries_.table(io, [&io](Entry &e) {
+        entries_.table(io, spuBound, [&io](Entry &e) {
             io.f64(e.count);
             io.time(e.last);
         });

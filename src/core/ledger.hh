@@ -166,10 +166,10 @@ class ResourceLedger
     /** @name Checkpoint */
     /// @{
     void
-    ckpt(CkptIo &io)
+    ckpt(CkptIo &io, std::size_t spuBound)
     {
         io.u64(capacity_);
-        spus_.table(io, [&io](Entry &e) {
+        spus_.table(io, spuBound, [&io](Entry &e) {
             io.u64(e.levels.entitled);
             io.u64(e.levels.allowed);
             io.u64(e.levels.used);

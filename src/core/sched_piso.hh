@@ -72,9 +72,10 @@ class PisoScheduler : public QuotaScheduler
      *  under the IPI model, else mark it for the next tick. */
     void reclaim(Cpu &cpu);
 
-    void ckptReady(CkptIo &io, const ProcessByPid &byPid) override
+    void ckptReady(CkptIo &io, const ProcessByPid &byPid,
+                   std::size_t spuBound) override
     {
-        QuotaScheduler::ckptReady(io, byPid);
+        QuotaScheduler::ckptReady(io, byPid, spuBound);
         io.u64(revocations_);
     }
 

@@ -61,11 +61,13 @@ class QuotaScheduler : public CpuScheduler
             nonEmpty_.erase(spu);
     }
 
-    void ckptReady(CkptIo &io, const ProcessByPid &byPid) override
+    void ckptReady(CkptIo &io, const ProcessByPid &byPid,
+                   std::size_t spuBound) override
     {
-        ready_.table(io, [&io, &byPid](std::list<Process *> &q) {
-            ckptProcesses(io, q, byPid);
-        });
+        ready_.table(io, spuBound,
+                     [&io, &byPid](std::list<Process *> &q) {
+                         ckptProcesses(io, q, byPid);
+                     });
         if (!io.loading())
             return;
         nonEmpty_.clear();

@@ -169,6 +169,10 @@ class SpuManager
      *  replayed tree covers exactly the SPUs present at save time. */
     void ckpt(CkptIo &io);
 
+    /** One past the largest SPU id created: the bound on every SPU id
+     *  a checkpoint image may name. */
+    std::size_t idBound() const { return static_cast<std::size_t>(next_); }
+
   private:
     /** Σ shares over @p parent's children, ascending by id, counting
      *  suspended children as +0.0 — the float-sum order the flat

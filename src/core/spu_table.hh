@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <optional>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -205,11 +206,15 @@ class DenseTable
     /**
      * Image the table: present-entry count, then (id, value) pairs in
      * ascending id order, with @p value(T&) imaging each value.
-     * Loading rebuilds the table from default-constructed entries.
+     * Loading rebuilds the table from default-constructed entries and
+     * rejects (ConfigError) an id that is not strictly ascending or not
+     * below @p idBound, which the caller takes from the replayed
+     * configuration (the SPU or pid count), so no image can size the
+     * table.
      */
     template <typename Fn>
     void
-    table(CkptIo &io, Fn &&value)
+    table(CkptIo &io, std::size_t idBound, Fn &&value)
     {
         const std::size_t n = io.count(count_);
         if (!io.loading()) {
@@ -222,10 +227,18 @@ class DenseTable
             return;
         }
         clear();
+        std::size_t next = 0;
         for (std::size_t k = 0; k < n; ++k) {
-            Id id{};
+            std::uint64_t id = 0;
             io.u64(id);
-            value((*this)[id]);
+            if (id < next || id >= idBound) {
+                throw ConfigError(
+                    "checkpoint image rejected: table id " +
+                    std::to_string(id) + " is out of order or not below " +
+                    std::to_string(idBound));
+            }
+            next = static_cast<std::size_t>(id) + 1;
+            value((*this)[static_cast<Id>(id)]);
         }
     }
 

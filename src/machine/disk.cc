@@ -219,7 +219,7 @@ DiskStats::ckpt(CkptIo &io)
 }
 
 void
-DiskDevice::ckpt(CkptIo &io)
+DiskDevice::ckpt(CkptIo &io, std::size_t spuBound)
 {
     if (!io.loading() && (busy_ || !queue_.empty())) {
         throw InvariantError("disk '" + name_ +
@@ -233,7 +233,8 @@ DiskDevice::ckpt(CkptIo &io)
     io.boolean(dead_);
     rng_.ckpt(io);
     stats_.ckpt(io);
-    spuStats_.table(io, [&io](SpuDiskStats &s) { s.ckpt(io); });
+    spuStats_.table(io, spuBound,
+                    [&io](SpuDiskStats &s) { s.ckpt(io); });
 }
 
 } // namespace piso

@@ -185,8 +185,8 @@ class DiskDevice
 
     /** Image head/fault/RNG/stats state. Saving is only legal while
      *  idle with an empty queue (in-flight callbacks cannot
-     *  serialise). */
-    void ckpt(CkptIo &io);
+     *  serialise). Per-SPU ids must be below @p spuBound. */
+    void ckpt(CkptIo &io, std::size_t spuBound);
 
   private:
     void startNext();

@@ -96,7 +96,7 @@ NetworkInterface::startNext()
 }
 
 void
-NetworkInterface::ckpt(CkptIo &io)
+NetworkInterface::ckpt(CkptIo &io, std::size_t spuBound)
 {
     if (!io.loading() && (busy_ || !queue_.empty())) {
         throw InvariantError("network '" + name_ +
@@ -105,7 +105,8 @@ NetworkInterface::ckpt(CkptIo &io)
     }
     io.u64(nextId_);
     total_.ckpt(io);
-    spuStats_.table(io, [&io](SpuNetStats &s) { s.ckpt(io); });
+    spuStats_.table(io, spuBound,
+                    [&io](SpuNetStats &s) { s.ckpt(io); });
 }
 
 } // namespace piso

@@ -120,8 +120,8 @@ class NetworkInterface
     const NetScheduler &scheduler() const { return *scheduler_; }
 
     /** Image counters; saving is only legal while idle with an empty
-     *  queue. */
-    void ckpt(CkptIo &io);
+     *  queue. Per-SPU ids must be below @p spuBound. */
+    void ckpt(CkptIo &io, std::size_t spuBound);
 
   private:
     void startNext();

@@ -1,11 +1,30 @@
 #include "src/os/buffer_cache.hh"
 
 #include <algorithm>
+#include <string>
 
 #include "src/util/log.hh"
 #include "src/util/error.hh"
 
 namespace piso {
+
+namespace {
+
+/** What a checkpoint load found at each slab slot. */
+enum SlotState : char
+{
+    kUnreached,
+    kLive, //!< on the LRU list
+    kFree, //!< on the free list
+};
+
+[[noreturn]] void
+badImage(const std::string &why)
+{
+    throw ConfigError("checkpoint image rejected: buffer-cache " + why);
+}
+
+} // namespace
 
 std::uint64_t
 BufferCache::hashKey(const BlockKey &key)
@@ -30,8 +49,8 @@ std::size_t
 BufferCache::probe(const BlockKey &key) const
 {
     std::size_t pos = hashKey(key) & indexMask_;
-    while (index_[pos].key.file != kNoFile) {
-        if (index_[pos].key == key)
+    while (index_[pos].file != kNoFile) {
+        if (index_[pos].file == key.file && index_[pos].block == key.block)
             return pos;
         pos = (pos + 1) & indexMask_;
     }
@@ -39,20 +58,17 @@ BufferCache::probe(const BlockKey &key) const
 }
 
 void
-BufferCache::ensureIndexCapacity()
+BufferCache::growIndex()
 {
-    if (!index_.empty() && (size_ + 1) * 4 <= index_.size() * 3)
-        return;
-
     const std::size_t newCap = index_.empty() ? 64 : index_.size() * 2;
     std::vector<IndexEntry> old = std::move(index_);
     index_.assign(newCap, IndexEntry{});
     indexMask_ = newCap - 1;
     for (const IndexEntry &e : old) {
-        if (e.key.file == kNoFile)
+        if (e.file == kNoFile)
             continue;
-        std::size_t pos = hashKey(e.key) & indexMask_;
-        while (index_[pos].key.file != kNoFile)
+        std::size_t pos = hashKey(BlockKey{e.file, e.block}) & indexMask_;
+        while (index_[pos].file != kNoFile)
             pos = (pos + 1) & indexMask_;
         index_[pos] = e;
     }
@@ -65,8 +81,10 @@ BufferCache::eraseIndexAt(std::size_t pos)
     // probe chains never need tombstones.
     std::size_t hole = pos;
     std::size_t next = (hole + 1) & indexMask_;
-    while (index_[next].key.file != kNoFile) {
-        const std::size_t home = hashKey(index_[next].key) & indexMask_;
+    while (index_[next].file != kNoFile) {
+        const std::size_t home =
+            hashKey(BlockKey{index_[next].file, index_[next].block}) &
+            indexMask_;
         // Movable iff its home slot is outside the cyclic range
         // (hole, next] — i.e. probing from home reaches the hole
         // before (or at) its current position.
@@ -79,32 +97,52 @@ BufferCache::eraseIndexAt(std::size_t pos)
     index_[hole] = IndexEntry{};
 }
 
+template <typename L>
 void
-BufferCache::lruUnlink(CacheBlock &blk)
+BufferCache::unlink(ListEnds &list, CacheBlock &blk)
 {
-    PISO_CHECK(blk.lruPrev != kNullSlot || lruHead_ == blk.slabIndex,
-               "LRU unlink of a block that is not on the list (slot ",
+    const std::uint32_t prev = blk.*L::prev;
+    const std::uint32_t next = blk.*L::next;
+    PISO_CHECK(prev != kNullSlot || list.head == blk.slabIndex,
+               "list unlink of a block that is not on the list (slot ",
                blk.slabIndex, ")");
-    if (blk.lruPrev != kNullSlot)
-        slab_[blk.lruPrev].lruNext = blk.lruNext;
+    if (prev != kNullSlot)
+        slab_[prev].*L::next = next;
     else
-        lruHead_ = blk.lruNext;
-    if (blk.lruNext != kNullSlot)
-        slab_[blk.lruNext].lruPrev = blk.lruPrev;
+        list.head = next;
+    if (next != kNullSlot)
+        slab_[next].*L::prev = prev;
     else
-        lruTail_ = blk.lruPrev;
+        list.tail = prev;
 }
 
+template <typename L>
 void
-BufferCache::lruPushFront(CacheBlock &blk)
+BufferCache::pushFront(ListEnds &list, CacheBlock &blk)
 {
-    blk.lruPrev = kNullSlot;
-    blk.lruNext = lruHead_;
-    if (lruHead_ != kNullSlot)
-        slab_[lruHead_].lruPrev = blk.slabIndex;
+    blk.*L::prev = kNullSlot;
+    blk.*L::next = list.head;
+    if (list.head != kNullSlot)
+        slab_[list.head].*L::prev = blk.slabIndex;
     else
-        lruTail_ = blk.slabIndex;
-    lruHead_ = blk.slabIndex;
+        list.tail = blk.slabIndex;
+    list.head = blk.slabIndex;
+}
+
+std::uint32_t
+BufferCache::Slab::grow()
+{
+    if (size_ == chunks_.size() * kChunk)
+        chunks_.push_back(std::make_unique<CacheBlock[]>(kChunk));
+    return static_cast<std::uint32_t>(size_++);
+}
+
+BufferCache::Owner &
+BufferCache::ownerOf(SpuId spu)
+{
+    Owner *o = owners_.find(spu);
+    PISO_CHECK(o != nullptr, "cache block owned by unknown SPU ", spu);
+    return *o;
 }
 
 CacheBlock *
@@ -113,7 +151,7 @@ BufferCache::find(const BlockKey &key)
     if (index_.empty())
         return nullptr;
     const std::size_t pos = probe(key);
-    if (index_[pos].key.file == kNoFile)
+    if (index_[pos].file == kNoFile)
         return nullptr;
     return &slab_[index_[pos].slot];
 }
@@ -121,9 +159,12 @@ BufferCache::find(const BlockKey &key)
 CacheBlock &
 BufferCache::insert(const BlockKey &key, SpuId owner, bool valid)
 {
-    ensureIndexCapacity();
+    // Keep the load factor at or below 1/2: most probes are misses,
+    // and a miss walks the whole chain.
+    if ((size_ + 1) * 2 > index_.size())
+        growIndex();
     const std::size_t pos = probe(key);
-    PISO_INVARIANT(index_[pos].key.file == kNoFile,
+    PISO_INVARIANT(index_[pos].file == kNoFile,
                    "duplicate cache insert for file ", key.file,
                    " block ", key.block);
 
@@ -132,10 +173,9 @@ BufferCache::insert(const BlockKey &key, SpuId owner, bool valid)
         slot = freeSlab_.back();
         freeSlab_.pop_back();
     } else {
-        slot = static_cast<std::uint32_t>(slab_.size());
-        slab_.emplace_back();
+        slot = slab_.grow();
     }
-    index_[pos] = IndexEntry{key, slot};
+    index_[pos] = IndexEntry{key.block, key.file, slot};
 
     CacheBlock &blk = slab_[slot];
     blk.key = key;
@@ -145,8 +185,10 @@ BufferCache::insert(const BlockKey &key, SpuId owner, bool valid)
     blk.owner = owner;
     blk.waiters.clear();
     blk.slabIndex = slot;
-    lruPushFront(blk);
-    ++perSpu_[owner];
+    pushFront<LruLinks>(lru_, blk);
+    Owner &o = owners_[owner];
+    pushFront<OwnLinks>(o.lru, blk);
+    ++o.pages;
     ++size_;
     return blk;
 }
@@ -154,8 +196,13 @@ BufferCache::insert(const BlockKey &key, SpuId owner, bool valid)
 void
 BufferCache::touch(CacheBlock &blk)
 {
-    lruUnlink(blk);
-    lruPushFront(blk);
+    if (lru_.head == blk.slabIndex)
+        return; // already most recent, so also first in its owner list
+    unlink<LruLinks>(lru_, blk);
+    pushFront<LruLinks>(lru_, blk);
+    Owner &o = ownerOf(blk.owner);
+    unlink<OwnLinks>(o.lru, blk);
+    pushFront<OwnLinks>(o.lru, blk);
 }
 
 void
@@ -163,9 +210,18 @@ BufferCache::setOwner(CacheBlock &blk, SpuId owner)
 {
     if (blk.owner == owner)
         return;
-    --perSpu_[blk.owner];
+    // Pushing to the front of the new owner's list keeps it in global
+    // LRU order only for the globally most recent block.
+    PISO_CHECK(lru_.head == blk.slabIndex,
+               "setOwner on a block that is not most recently used (slot ",
+               blk.slabIndex, ")");
+    Owner &from = ownerOf(blk.owner);
+    unlink<OwnLinks>(from.lru, blk);
+    --from.pages;
     blk.owner = owner;
-    ++perSpu_[owner];
+    Owner &to = owners_[owner]; // may grow the table: after `from`
+    pushFront<OwnLinks>(to.lru, blk);
+    ++to.pages;
 }
 
 void
@@ -173,8 +229,7 @@ BufferCache::remove(const BlockKey &key)
 {
     PISO_INVARIANT(!index_.empty(), "removing uncached block");
     const std::size_t pos = probe(key);
-    PISO_INVARIANT(index_[pos].key.file != kNoFile,
-                   "removing uncached block");
+    PISO_INVARIANT(index_[pos].file != kNoFile, "removing uncached block");
 
     CacheBlock &blk = slab_[index_[pos].slot];
     PISO_INVARIANT(blk.waiters.empty(),
@@ -182,14 +237,18 @@ BufferCache::remove(const BlockKey &key)
     PISO_CHECK(blk.key == key,
                "cache index slot disagrees with its slab block (file ",
                key.file, " block ", key.block, ")");
-    if (blk.dirty)
+    if (blk.dirty) {
+        unlink<DirtyLinks>(dirtyList_, blk);
         --dirty_;
-    --perSpu_[blk.owner];
-    lruUnlink(blk);
+    }
+    Owner &o = ownerOf(blk.owner);
+    unlink<OwnLinks>(o.lru, blk);
+    --o.pages;
+    unlink<LruLinks>(lru_, blk);
     freeSlab_.push_back(blk.slabIndex);
     eraseIndexAt(pos);
     --size_;
-    // Scrub the freed block so slab scans (forEachDirty) skip it.
+    // Scrub the freed block so a saved image carries no stale state.
     blk.key = BlockKey{};
     blk.valid = false;
     blk.dirty = false;
@@ -200,13 +259,20 @@ BufferCache::remove(const BlockKey &key)
 bool
 BufferCache::stealClean(SpuId victim, SpuId &owner)
 {
-    // Walk from least-recently-used towards the front.
-    for (std::uint32_t idx = lruTail_; idx != kNullSlot;
-         idx = slab_[idx].lruPrev) {
+    // Walk from least-recently-used towards the front: the global list
+    // for any owner, else the victim's own list.
+    const Owner *o = nullptr;
+    if (victim != kNoSpu) {
+        o = owners_.find(victim);
+        if (!o)
+            return false;
+    }
+    std::uint32_t idx = o ? o->lru.tail : lru_.tail;
+    const Link prev = o ? OwnLinks::prev : LruLinks::prev;
+    for (; idx != kNullSlot; idx = slab_[idx].*prev) {
+        ++stealVisits_;
         CacheBlock &blk = slab_[idx];
         if (!blk.valid || blk.dirty || blk.flushing)
-            continue;
-        if (victim != kNoSpu && blk.owner != victim)
             continue;
         owner = blk.owner;
         const BlockKey key = blk.key; // remove() scrubs blk.key
@@ -231,6 +297,7 @@ BufferCache::markDirty(CacheBlock &blk)
 {
     if (!blk.dirty) {
         blk.dirty = true;
+        pushFront<DirtyLinks>(dirtyList_, blk);
         ++dirty_;
     }
 }
@@ -240,6 +307,7 @@ BufferCache::markClean(CacheBlock &blk)
 {
     if (blk.dirty) {
         blk.dirty = false;
+        unlink<DirtyLinks>(dirtyList_, blk);
         --dirty_;
     }
     blk.flushing = false;
@@ -248,34 +316,57 @@ BufferCache::markClean(CacheBlock &blk)
 std::size_t
 BufferCache::pagesOf(SpuId spu) const
 {
-    const std::size_t *count = perSpu_.find(spu);
-    return count ? *count : 0;
+    const Owner *o = owners_.find(spu);
+    return o ? o->pages : 0;
 }
 
 void
-BufferCache::forEachDirty(const std::function<void(CacheBlock &)> &fn)
+BufferCache::collectDirty()
 {
-    // Collect and sort so callers see ascending key order — flush
-    // clustering and first-dirty-victim selection depend on it.
-    std::vector<std::pair<BlockKey, std::uint32_t>> dirty;
-    dirty.reserve(dirty_);
-    for (const CacheBlock &blk : slab_) {
-        if (blk.valid && blk.dirty && !blk.flushing)
-            dirty.emplace_back(blk.key, blk.slabIndex);
+    // Sort so callers see ascending key order — flush clustering and
+    // first-dirty-victim selection depend on it.
+    dirtyScratch_.clear();
+    for (std::uint32_t idx = dirtyList_.head; idx != kNullSlot;
+         idx = slab_[idx].dirtyNext) {
+        const CacheBlock &blk = slab_[idx];
+        if (blk.valid && !blk.flushing)
+            dirtyScratch_.push_back(
+                IndexEntry{blk.key.block, blk.key.file, idx});
     }
-    std::sort(dirty.begin(), dirty.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
+    std::sort(dirtyScratch_.begin(), dirtyScratch_.end(),
+              [](const IndexEntry &a, const IndexEntry &b) {
+                  return a.file != b.file ? a.file < b.file
+                                          : a.block < b.block;
               });
-    for (const auto &[key, slot] : dirty)
-        fn(slab_[slot]);
 }
 
 void
-BufferCache::ckpt(CkptIo &io)
+BufferCache::rebuildIndex(const std::vector<char> &state)
+{
+    std::size_t cap = 64;
+    while (size_ * 2 > cap)
+        cap *= 2;
+    index_.assign(cap, IndexEntry{});
+    indexMask_ = cap - 1;
+    for (std::size_t i = 0; i < slab_.size(); ++i) {
+        if (state[i] != kLive)
+            continue;
+        const BlockKey &key = slab_[i].key;
+        const std::size_t pos = probe(key);
+        if (index_[pos].file != kNoFile)
+            badImage("holds file " + std::to_string(key.file) +
+                     " block " + std::to_string(key.block) + " twice");
+        index_[pos] =
+            IndexEntry{key.block, key.file, static_cast<std::uint32_t>(i)};
+    }
+}
+
+void
+BufferCache::ckpt(CkptIo &io, std::size_t spuBound)
 {
     if (!io.loading()) {
-        for (const CacheBlock &blk : slab_) {
+        for (std::uint32_t i = 0; i < slab_.size(); ++i) {
+            const CacheBlock &blk = slab_[i];
             if (!blk.waiters.empty()) {
                 throw InvariantError(
                     "buffer cache has a block with read waiters at "
@@ -289,7 +380,16 @@ BufferCache::ckpt(CkptIo &io)
         }
     }
 
-    io.seq(slab_, [&io](CacheBlock &blk) {
+    const std::size_t slots = io.count(slab_.size());
+    if (io.loading()) {
+        if (slots >= kNullSlot)
+            badImage("slab has more slots than a slab index can name");
+        slab_.clear();
+        for (std::size_t i = 0; i < slots; ++i)
+            slab_.grow();
+    }
+    for (std::uint32_t i = 0; i < slots; ++i) {
+        CacheBlock &blk = slab_[i];
         io.i64(blk.key.file);
         io.u64(blk.key.block);
         io.boolean(blk.valid);
@@ -298,36 +398,101 @@ BufferCache::ckpt(CkptIo &io)
         io.u32(blk.slabIndex);
         io.u32(blk.lruPrev);
         io.u32(blk.lruNext);
-    });
+    }
     io.seq(freeSlab_, [&io](std::uint32_t &slot) { io.u32(slot); });
-    io.seq(index_, [&io](IndexEntry &e) {
-        io.i64(e.key.file);
-        io.u64(e.key.block);
-        io.u32(e.slot);
-    });
-    io.u64(indexMask_);
-    io.u32(lruHead_);
-    io.u32(lruTail_);
+    io.u32(lru_.head);
+    io.u32(lru_.tail);
     io.u64(size_);
     io.u64(dirty_);
-    perSpu_.table(io, [&io](std::size_t &n) { io.u64(n); });
+    owners_.table(io, spuBound,
+                  [&io](Owner &o) { io.u64(o.pages); });
     if (!io.loading())
         return;
 
+    // Validate every imaged link before anything follows one: walk the
+    // LRU list from the tail, checking range, prev/next agreement and
+    // termination, and count the blocks it reaches.
+    const std::size_t n = slab_.size();
+    const auto inRange = [n](std::uint32_t slot) {
+        return slot == kNullSlot || slot < n;
+    };
+    std::vector<char> state(n, kUnreached);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (slab_[i].slabIndex != i)
+            badImage("block " + std::to_string(i) +
+                     " records slab index " +
+                     std::to_string(slab_[i].slabIndex));
+    }
+    if (!inRange(lru_.head) || !inRange(lru_.tail))
+        badImage("LRU head or tail out of range");
+    std::size_t reached = 0;
+    std::uint32_t after = kNullSlot;
+    for (std::uint32_t idx = lru_.tail; idx != kNullSlot;) {
+        if (state[idx] != kUnreached)
+            badImage("LRU list has a cycle");
+        const CacheBlock &blk = slab_[idx];
+        if (blk.lruNext != after)
+            badImage("LRU links disagree at slot " + std::to_string(idx));
+        if (!inRange(blk.lruPrev))
+            badImage("LRU link out of range at slot " +
+                     std::to_string(idx));
+        state[idx] = kLive;
+        ++reached;
+        after = idx;
+        idx = blk.lruPrev;
+    }
+    if (after != lru_.head)
+        badImage("LRU head disagrees with the list");
+    if (reached != size_)
+        badImage("LRU list holds " + std::to_string(reached) +
+                 " blocks, size says " + std::to_string(size_));
+
+    if (freeSlab_.size() != n - size_)
+        badImage("free list does not cover the unused slab slots");
     for (std::uint32_t slot : freeSlab_) {
-        if (slot >= slab_.size())
-            throw ConfigError("checkpoint image rejected: buffer-cache "
-                              "free-slab slot out of range");
+        if (slot >= n || state[slot] != kUnreached)
+            badImage("free-slab slot " + std::to_string(slot) +
+                     " out of range or in use");
+        state[slot] = kFree;
     }
-    for (const IndexEntry &e : index_) {
-        if (e.slot != kNullSlot && e.slot >= slab_.size())
-            throw ConfigError("checkpoint image rejected: buffer-cache "
-                              "index slot out of range");
+
+    std::vector<std::size_t> pages(spuBound, 0);
+    std::size_t dirty = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const CacheBlock &blk = slab_[i];
+        if (state[i] != kLive)
+            continue;
+        if (blk.key.file < 0)
+            badImage("live block " + std::to_string(i) +
+                     " has no file");
+        if (blk.owner < 0 || static_cast<std::size_t>(blk.owner) >= spuBound)
+            badImage("block owner SPU " + std::to_string(blk.owner) +
+                     " is not in the configuration");
+        ++pages[static_cast<std::size_t>(blk.owner)];
+        dirty += blk.dirty ? 1 : 0;
     }
-    if (index_.empty() ? indexMask_ != 0
-                       : indexMask_ + 1 != index_.size())
-        throw ConfigError("checkpoint image rejected: buffer-cache "
-                          "index mask disagrees with index size");
+    if (dirty != dirty_)
+        badImage("dirty count disagrees with the blocks");
+    for (std::size_t spu = 0; spu < spuBound; ++spu) {
+        const Owner *o = owners_.find(static_cast<SpuId>(spu));
+        if ((o ? o->pages : 0) != pages[spu])
+            badImage("page count of SPU " + std::to_string(spu) +
+                     " disagrees with the blocks");
+    }
+
+    // Rebuild the derived structures. Owner lists are filled from the
+    // LRU tail so each is the global order filtered by owner.
+    rebuildIndex(state);
+    for (std::uint32_t idx = lru_.tail; idx != kNullSlot;
+         idx = slab_[idx].lruPrev) {
+        CacheBlock &blk = slab_[idx];
+        pushFront<OwnLinks>(owners_[blk.owner].lru, blk);
+    }
+    dirtyList_ = ListEnds{};
+    for (std::size_t i = 0; i < n; ++i) {
+        if (state[i] == kLive && slab_[i].dirty)
+            pushFront<DirtyLinks>(dirtyList_, slab_[i]);
+    }
 }
 
 } // namespace piso

@@ -12,16 +12,32 @@
  * Kernel charges/uncharges frames through VirtualMemory and tells the
  * cache what happened; this keeps all memory policy in one place.
  *
- * Storage is an open-addressed hash index (linear probing with
- * backward-shift deletion) over a pointer-stable block slab, with the
- * LRU order kept as an intrusive doubly-linked list of slab indices —
- * lookup and eviction cost no red-black-tree rebalances and no
- * per-node allocations.
+ * Blocks live in a pointer-stable slab (fixed chunks that never move)
+ * and are found through an open-addressed hash index (linear probing,
+ * backward-shift deletion, load factor at most 1/2). Each block sits
+ * on up to three intrusive doubly-linked lists of slab indices:
+ *
+ *  - the global LRU list (front = most recently used);
+ *  - its owner SPU's LRU list, holding *all* of that owner's blocks,
+ *    so a victim-filtered steal walks only the victim's blocks;
+ *  - the dirty list (unordered), so a flush visits only dirty blocks.
+ *
+ * Invariant: each owner's list is the global LRU order filtered by
+ * owner. insert() and touch() put a block at the front of both lists,
+ * and setOwner() moves it to the front of the new owner's list, which
+ * is only right because the Kernel reclassifies a block right after
+ * touch(), when it is the global most-recently-used block. setOwner()
+ * checks that under PISO_HARDENED.
+ *
+ * A checkpoint images the slab, the free list and the global LRU
+ * links, so steal order survives a restore. The index, the owner lists
+ * and the dirty list are derived state: loading validates the imaged
+ * links and rebuilds all three from the slab.
  */
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "src/core/spu_table.hh"
@@ -51,11 +67,15 @@ struct CacheBlock
     /** Callbacks run when an in-flight read completes. */
     std::vector<std::function<void()>> waiters;
 
-    /** @name BufferCache internals (slab index and LRU links). */
+    /** @name BufferCache internals (slab index and list links). */
     /// @{
     std::uint32_t slabIndex = 0;
     std::uint32_t lruPrev = 0;
     std::uint32_t lruNext = 0;
+    std::uint32_t ownPrev = 0;
+    std::uint32_t ownNext = 0;
+    std::uint32_t dirtyPrev = 0;
+    std::uint32_t dirtyNext = 0;
     /// @}
 };
 
@@ -78,21 +98,23 @@ class BufferCache
      */
     CacheBlock &insert(const BlockKey &key, SpuId owner, bool valid);
 
-    /** Move @p blk to the front of the LRU list. */
+    /** Move @p blk to the front of the LRU list (and of its owner's). */
     void touch(CacheBlock &blk);
 
     /** Remove a block (the caller uncharges the frame). */
     void remove(const BlockKey &key);
 
     /** Change the charged owner of @p blk (shared-page reclassification;
-     *  the caller moves the frame charge in VirtualMemory). */
+     *  the caller moves the frame charge in VirtualMemory). @p blk must
+     *  be the most recently used block: call it right after touch(). */
     void setOwner(CacheBlock &blk, SpuId owner);
 
     /**
      * Steal the least-recently-used *clean, valid, non-flushing* block
      * owned by @p victim (or by anyone if @p victim == kNoSpu).
      * The block is removed; its owner is returned through @p owner so
-     * the caller can transfer the frame charge.
+     * the caller can transfer the frame charge. A named victim costs
+     * a walk of that victim's blocks only.
      * @return true if a block was stolen.
      */
     bool stealClean(SpuId victim, SpuId &owner);
@@ -100,7 +122,7 @@ class BufferCache
     /** Mark @p blk valid and run (and clear) its waiters. */
     void markValid(CacheBlock &blk);
 
-    /** Dirty/clean transitions keep the dirty count exact. */
+    /** Dirty/clean transitions keep the dirty list and count exact. */
     void markDirty(CacheBlock &blk);
     void markClean(CacheBlock &blk);
 
@@ -113,35 +135,120 @@ class BufferCache
     /** Blocks charged to @p spu. */
     std::size_t pagesOf(SpuId spu) const;
 
+    /** Blocks stealClean() has examined so far (a work counter). */
+    std::uint64_t stealVisits() const { return stealVisits_; }
+
     /** Invoke @p fn on every dirty, valid, non-flushing block, in
      *  ascending key order (the order the old std::map walk produced,
-     *  which downstream flush clustering depends on). */
-    void forEachDirty(const std::function<void(CacheBlock &)> &fn);
+     *  which downstream flush clustering depends on). @p fn must not
+     *  insert or remove blocks. */
+    template <typename Fn>
+    void
+    forEachDirty(Fn &&fn)
+    {
+        collectDirty();
+        for (const IndexEntry &e : dirtyScratch_)
+            fn(slab_[e.slot]);
+    }
 
-    /** Checkpoint: raw structural imaging. Slab slots, free list, hash
-     *  index and LRU links are written verbatim so that probe order
-     *  and LRU iteration order — both observable through steal and
-     *  flush decisions — restore bit-identically. Only legal when no
-     *  block is invalid or flushing and no waiters are registered
-     *  (I/O quiescence); saving throws InvariantError otherwise. */
-    void ckpt(CkptIo &io);
+    /** Checkpoint: the slab, free list, global LRU links and per-SPU
+     *  page counts are imaged verbatim so that LRU order — observable
+     *  through steal decisions — restores bit-identically; loading
+     *  validates them (ConfigError) and rebuilds the index, the owner
+     *  lists and the dirty list. SPU ids must be below @p spuBound.
+     *  Only legal when no block is invalid or flushing and no waiters
+     *  are registered (I/O quiescence); saving throws InvariantError
+     *  otherwise. */
+    void ckpt(CkptIo &io, std::size_t spuBound);
 
   private:
-    /** Slab index meaning "none" (end of an LRU chain, free entry). */
+    /** Slab index meaning "none" (end of a list, free entry). */
     static constexpr std::uint32_t kNullSlot = 0xffffffffu;
 
-    /** One hash-table entry; key.file == kNoFile marks it empty. */
+    /** Block storage indexed by slot, in fixed chunks that never move,
+     *  so a CacheBlock reference stays valid while the slab grows. */
+    class Slab
+    {
+      public:
+        CacheBlock &
+        operator[](std::uint32_t slot)
+        {
+            return chunks_[slot >> kChunkShift][slot & (kChunk - 1)];
+        }
+
+        std::size_t size() const { return size_; }
+
+        /** Append a default-constructed block; @return its slot. */
+        std::uint32_t grow();
+
+        void
+        clear()
+        {
+            chunks_.clear();
+            size_ = 0;
+        }
+
+      private:
+        static constexpr unsigned kChunkShift = 8;
+        static constexpr std::uint32_t kChunk = 1u << kChunkShift;
+
+        std::vector<std::unique_ptr<CacheBlock[]>> chunks_;
+        std::size_t size_ = 0;
+    };
+
+    /** One hash-table entry; file == kNoFile marks it empty. Also the
+     *  sort record of forEachDirty. */
     struct IndexEntry
     {
-        BlockKey key;
+        std::uint64_t block = 0;
+        FileId file = kNoFile;
         std::uint32_t slot = kNullSlot;
     };
+    static_assert(sizeof(IndexEntry) == 16);
+
+    /** Head and tail slab indices of one intrusive list. */
+    struct ListEnds
+    {
+        std::uint32_t head = kNullSlot;
+        std::uint32_t tail = kNullSlot;
+    };
+
+    /** Per-owner state: page count and the owner's LRU list. */
+    struct Owner
+    {
+        std::size_t pages = 0;
+        ListEnds lru;
+    };
+
+    /** The three lists a block can be on, as link-member pairs. */
+    using Link = std::uint32_t CacheBlock::*;
+    struct LruLinks
+    {
+        static constexpr Link prev = &CacheBlock::lruPrev;
+        static constexpr Link next = &CacheBlock::lruNext;
+    };
+    struct OwnLinks
+    {
+        static constexpr Link prev = &CacheBlock::ownPrev;
+        static constexpr Link next = &CacheBlock::ownNext;
+    };
+    struct DirtyLinks
+    {
+        static constexpr Link prev = &CacheBlock::dirtyPrev;
+        static constexpr Link next = &CacheBlock::dirtyNext;
+    };
+
+    template <typename L> void unlink(ListEnds &list, CacheBlock &blk);
+    template <typename L> void pushFront(ListEnds &list, CacheBlock &blk);
 
     static std::uint64_t hashKey(const BlockKey &key);
 
-    /** Grow (or create) the index so one more insert keeps the load
-     *  factor at or below 3/4. */
-    void ensureIndexCapacity();
+    /** Double (or create) the index; out of line, off the insert path. */
+    void growIndex();
+
+    /** Size the index for size_ blocks and enter every block whose
+     *  load-time @p state is live. */
+    void rebuildIndex(const std::vector<char> &state);
 
     /** Probe for @p key. @return the index position holding it, or the
      *  first empty position when absent. */
@@ -150,18 +257,23 @@ class BufferCache
     /** Backward-shift deletion at index position @p pos. */
     void eraseIndexAt(std::size_t pos);
 
-    void lruUnlink(CacheBlock &blk);
-    void lruPushFront(CacheBlock &blk);
+    /** Fill dirtyScratch_ with the flushable blocks, sorted by key. */
+    void collectDirty();
 
-    std::deque<CacheBlock> slab_;
+    /** Owner entry of @p spu, which must have a block. */
+    Owner &ownerOf(SpuId spu);
+
+    Slab slab_;
     std::vector<std::uint32_t> freeSlab_;
     std::vector<IndexEntry> index_;
     std::size_t indexMask_ = 0;
-    std::uint32_t lruHead_ = kNullSlot;
-    std::uint32_t lruTail_ = kNullSlot;
+    ListEnds lru_;
+    ListEnds dirtyList_;
     std::size_t size_ = 0;
     std::size_t dirty_ = 0;
-    SpuTable<std::size_t> perSpu_;
+    SpuTable<Owner> owners_;
+    std::vector<IndexEntry> dirtyScratch_;
+    std::uint64_t stealVisits_ = 0;
 };
 
 } // namespace piso

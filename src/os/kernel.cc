@@ -1320,19 +1320,20 @@ Kernel::bdflush()
     // Gather dirty blocks per disk, sorted by sector, and batch them
     // into shared-SPU write requests (Section 3.3: shared delayed
     // writes scheduled under the shared SPU, pages charged to the
-    // owning user SPUs once the write is done).
+    // owning user SPUs once the write is done). Items point at the
+    // visited blocks: the slab never moves a block, and nothing below
+    // removes one except the dead-disk drop, which removes only that
+    // disk's own items.
     struct Item
     {
         std::uint64_t sector;
-        BlockKey key;
-        SpuId owner;
+        CacheBlock *blk;
     };
     std::map<DiskId, std::vector<Item>> perDisk;
     cache_.forEachDirty([&](CacheBlock &blk) {
         const FileInfo &f = fs_.file(blk.key.file);
         perDisk[f.disk].push_back(
-            Item{fs_.blockSector(blk.key.file, blk.key.block), blk.key,
-                 blk.owner});
+            Item{fs_.blockSector(blk.key.file, blk.key.block), &blk});
     });
 
     const std::uint32_t spb = fs_.sectorsPerBlock();
@@ -1346,8 +1347,10 @@ Kernel::bdflush()
                        items.size(), " dirty blocks for dead disk",
                        disk);
             for (const Item &item : items) {
-                cache_.remove(item.key);
-                vm_.uncharge(item.owner);
+                const SpuId owner = item.blk->owner;
+                const BlockKey key = item.blk->key; // remove() scrubs it
+                cache_.remove(key);
+                vm_.uncharge(owner);
             }
             continue;
         }
@@ -1368,10 +1371,10 @@ Kernel::bdflush()
             std::vector<BlockKey> keys;
             SpuTable<std::uint32_t> chargeMap;
             for (std::size_t k = i; k < j; ++k) {
-                keys.push_back(items[k].key);
-                chargeMap[items[k].owner] += spb;
-                if (CacheBlock *blk = cache_.find(items[k].key))
-                    blk->flushing = true;
+                CacheBlock &blk = *items[k].blk;
+                keys.push_back(blk.key);
+                chargeMap[blk.owner] += spb;
+                blk.flushing = true;
             }
 
             DiskRequest req;
@@ -1446,14 +1449,17 @@ Kernel::requireIoQuiescent() const
 }
 
 void
-Kernel::ckpt(CkptIo &io)
+Kernel::ckpt(CkptIo &io, std::size_t spuBound)
 {
+    // Every pid was handed out by the replayed set-up.
+    const auto pidBound = static_cast<std::size_t>(nextPid_);
     const ProcessByPid byPid = [this](Pid pid) {
         return imagedProcess(pid);
     };
     rng_.ckpt(io);
     stats_.ckpt(io);
-    spuFaults_.table(io, [&io](SpuFaultStats &s) { s.ckpt(io); });
+    spuFaults_.table(io, spuBound,
+                     [&io](SpuFaultStats &s) { s.ckpt(io); });
 
     io.i64(nextPid_);
     std::uint64_t live = live_;
@@ -1476,7 +1482,7 @@ Kernel::ckpt(CkptIo &io)
         ckptProcesses(io, b.waiting, byPid);
     }
     locks_.ckpt(io, byPid);
-    boostedNice_.table(io, [&io](double &v) { io.f64(v); });
+    boostedNice_.table(io, pidBound, [&io](double &v) { io.f64(v); });
 
     io.boolean(bdflushPending_);
     io.map(readCursor_,
@@ -1485,7 +1491,7 @@ Kernel::ckpt(CkptIo &io)
                io.i64(key.second);
                io.u64(block);
            });
-    swapExtent_.table(io, [&io](FileId &f) { io.i64(f); });
+    swapExtent_.table(io, spuBound, [&io](FileId &f) { io.i64(f); });
     if (!io.loading())
         return;
 

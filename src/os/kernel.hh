@@ -300,8 +300,9 @@ class Kernel : public SchedClient
 
     /** Image the kernel's run state: counters, processes, barriers,
      *  locks and the I/O bookkeeping. Loading rebuilds the per-SPU
-     *  membership lists from the restored process states. */
-    void ckpt(CkptIo &io);
+     *  membership lists from the restored process states. SPU ids
+     *  must be below @p spuBound. */
+    void ckpt(CkptIo &io, std::size_t spuBound);
 
     /** The replayed process with @p pid, for resolving pids read from
      *  an image; throws ConfigError for a pid it never created. */

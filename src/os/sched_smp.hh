@@ -30,7 +30,8 @@ class SmpScheduler : public CpuScheduler
     bool eligibleIdle(const Cpu &cpu, const Process *p) const override;
     bool anyReady() const override { return !ready_.empty(); }
 
-    void ckptReady(CkptIo &io, const ProcessByPid &byPid) override
+    void ckptReady(CkptIo &io, const ProcessByPid &byPid,
+                   std::size_t) override
     {
         ckptProcesses(io, ready_, byPid);
     }

@@ -506,10 +506,11 @@ CpuScheduler::partitionCpus(const SpuTable<double> &cpuShares)
 }
 
 void
-CpuScheduler::ckpt(CkptIo &io, const ProcessByPid &byPid)
+CpuScheduler::ckpt(CkptIo &io, const ProcessByPid &byPid,
+                   std::size_t spuBound)
 {
     io.time(lastDecay_);
-    spuCpuTime_.table(io, [&io](Time &t) { io.time(t); });
+    spuCpuTime_.table(io, spuBound, [&io](Time &t) { io.time(t); });
 
     io.expect(cpus_.size(), "CPU");
     for (Cpu &c : cpus_) {
@@ -539,7 +540,7 @@ CpuScheduler::ckpt(CkptIo &io, const ProcessByPid &byPid)
     // the std::remove-based erase in processExited).
     ckptProcesses(io, all_, byPid);
 
-    ckptReady(io, byPid);
+    ckptReady(io, byPid, spuBound);
     if (io.loading())
         rebuildCpuIndex();
 }

@@ -240,7 +240,8 @@ class CpuScheduler
      *  tick is re-established separately through restoreTick() with
      *  its original (when, seq) ordering key. */
     /// @{
-    void ckpt(CkptIo &io, const ProcessByPid &byPid);
+    void ckpt(CkptIo &io, const ProcessByPid &byPid,
+              std::size_t spuBound);
     void restoreTick(Time when, std::uint64_t seq);
     /// @}
 
@@ -271,8 +272,10 @@ class CpuScheduler
 
     /** Checkpoint hook: image the subclass ready structures. Must
      *  round-trip them exactly (FIFO order included) so restored
-     *  dispatch decisions are bit-identical. */
-    virtual void ckptReady(CkptIo &io, const ProcessByPid &byPid) = 0;
+     *  dispatch decisions are bit-identical. SPU ids must be below
+     *  @p spuBound. */
+    virtual void ckptReady(CkptIo &io, const ProcessByPid &byPid,
+                           std::size_t spuBound) = 0;
 
     /** Hook: per-tick policy work (revocation, owner rotation). Runs
      *  after the base slice handling. */

@@ -128,10 +128,11 @@ class VirtualMemory
     /** @name Checkpoint */
     /// @{
     void
-    ckpt(CkptIo &io)
+    ckpt(CkptIo &io, std::size_t spuBound)
     {
-        ledger_.ckpt(io);
-        pressure_.table(io, [&io](std::uint64_t &n) { io.u64(n); });
+        ledger_.ckpt(io, spuBound);
+        pressure_.table(io, spuBound,
+                        [&io](std::uint64_t &n) { io.u64(n); });
         io.u64(reservePages_);
         // Restored state replaced everything a policy pass observes;
         // invalidate any version captured during setup replay.

@@ -118,7 +118,7 @@ CkptReader::CkptReader(const std::string &image)
         badImage("format version " + std::to_string(version) +
                  " (this build reads version " +
                  std::to_string(kCkptVersion) + ")");
-    // The flags word is reserved: a version-1 reader must refuse any
+    // The flags word is reserved: this reader must refuse any
     // bit it does not understand rather than silently misinterpret a
     // future image (or a corrupted one).
     if (const std::uint64_t flags = readLe(image, 12, 4); flags != 0)

@@ -43,7 +43,7 @@ inline constexpr char kCkptMagic[8] = {'P', 'I', 'S', 'O',
                                        'C', 'K', 'P', 'T'};
 
 /** Bump on any payload layout change; old images are rejected. */
-inline constexpr std::uint32_t kCkptVersion = 1;
+inline constexpr std::uint32_t kCkptVersion = 2;
 
 /** FNV-1a 64-bit over @p data (payload checksums, config digests). */
 std::uint64_t ckptFnv1a(const std::string &data);

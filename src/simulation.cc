@@ -1103,28 +1103,32 @@ Simulation::Impl::ckptSubsystems(CkptIo &io)
         return have;
     };
 
+    // Taken before spuMgr's walk loads the imaged allocator.
+    const std::size_t spus = spuMgr.idBound();
+
     rng.ckpt(io);
     phys.ckpt(io);
-    vm.ckpt(io);
-    cache.ckpt(io);
+    vm.ckpt(io, spus);
+    cache.ckpt(io, spus);
     fs.ckpt(io);
     spuMgr.ckpt(io);
 
     io.expect(disks.size(), "disk");
     for (auto &d : disks)
-        d->ckpt(io);
+        d->ckpt(io, spus);
     for (FairDiskScheduler *fds : fairSchedulers)
-        fds->tracker().ckpt(io);
+        fds->tracker().ckpt(io, spus);
     if (present(network != nullptr, "network presence")) {
-        network->ckpt(io);
+        network->ckpt(io, spus);
         if (present(fairNet != nullptr, "network scheduler"))
-            fairNet->tracker().ckpt(io);
+            fairNet->tracker().ckpt(io, spus);
     }
     if (present(numa != nullptr, "NUMA model presence"))
         numa->ckpt(io);
 
-    sched->ckpt(io, [this](Pid pid) { return kernel->imagedProcess(pid); });
-    kernel->ckpt(io);
+    sched->ckpt(
+        io, [this](Pid pid) { return kernel->imagedProcess(pid); }, spus);
+    kernel->ckpt(io, spus);
 
     io.expect(jobs.size(), "job");
     for (Job &j : jobs)

@@ -2,20 +2,25 @@
  * @file
  * Randomized BufferCache testing against a reference model.
  *
- * The cache's open-addressed index and intrusive LRU list replaced a
- * std::map + std::list pair; this fuzz harness replays random
- * insert / find+touch / dirty / clean / remove / steal / reown
- * sequences against exactly that simple structure and checks every
- * observable after each step: lookup results, size and dirty counts,
- * per-SPU occupancy, LRU steal order, and forEachDirty's ascending key
- * order (the property flush clustering depends on).
+ * The cache's open-addressed index, intrusive LRU, per-owner and
+ * dirty lists replaced a std::map + std::list pair; this fuzz harness
+ * replays random insert / find+touch / dirty / clean / remove / steal
+ * / touch+reown sequences against exactly that simple structure and
+ * checks every observable after each step: lookup results, size and
+ * dirty counts, per-SPU occupancy, LRU steal order (global and
+ * victim-filtered), and forEachDirty's ascending key order (the
+ * property flush clustering depends on). Every 97 operations the cache
+ * is round-tripped through a checkpoint into a fresh instance, so the
+ * index and lists rebuilt on load are checked against the same model.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <list>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "src/os/buffer_cache.hh"
@@ -85,14 +90,42 @@ struct ModelCache
 };
 
 constexpr SpuId kSpus[] = {0, 1, 2, 3, 4};
+constexpr std::size_t kSpuBound = 5;
 
 BlockKey
 randomKey(Rng &rng)
 {
-    // A small key universe so hits, collisions, reinsertion after
-    // removal, and probe-chain shifts all happen constantly.
-    return BlockKey{static_cast<FileId>(rng.uniformInt(4)),
-                    rng.uniformInt(32)};
+    // Half the keys come from a small universe so hits, collisions,
+    // reinsertion after removal, and probe-chain shifts all happen
+    // constantly; the other half from a wide one, so the cache grows
+    // to hundreds of blocks and the index doubles several times.
+    if (rng.chance(0.5))
+        return BlockKey{static_cast<FileId>(rng.uniformInt(4)),
+                        rng.uniformInt(32)};
+    return BlockKey{static_cast<FileId>(4 + rng.uniformInt(4)),
+                    rng.uniformInt(256)};
+}
+
+/** Save @p cache and load the image into a fresh cache. Ends every
+ *  flush first: an image is only taken at I/O quiescence. */
+std::unique_ptr<BufferCache>
+roundTrip(BufferCache &cache, ModelCache &model)
+{
+    for (auto &[key, b] : model.blocks) {
+        if (b.flushing) {
+            cache.find(key)->flushing = false;
+            b.flushing = false;
+        }
+    }
+    CkptWriter w;
+    CkptIo save(w);
+    cache.ckpt(save, kSpuBound);
+    CkptReader r(w.image(0));
+    CkptIo load(r);
+    auto fresh = std::make_unique<BufferCache>();
+    fresh->ckpt(load, kSpuBound);
+    r.expectEnd();
+    return fresh;
 }
 
 } // namespace
@@ -101,10 +134,12 @@ TEST(BufferCacheProperty, FuzzAgainstReferenceModel)
 {
     Rng rng(2024);
     for (int trial = 0; trial < 10; ++trial) {
-        BufferCache cache;
+        auto owned = std::make_unique<BufferCache>();
         ModelCache model;
+        std::size_t peak = 0;
 
-        for (int op = 0; op < 2000; ++op) {
+        for (int op = 0; op < 3000; ++op) {
+            BufferCache &cache = *owned;
             const BlockKey key = randomKey(rng);
             CacheBlock *blk = cache.find(key);
             const auto mit = model.blocks.find(key);
@@ -170,10 +205,12 @@ TEST(BufferCacheProperty, FuzzAgainstReferenceModel)
                 }
                 break;
             }
-            case 6: { // reown (shared-page reclassification)
+            case 6: { // touch+reown, the kernel's only reclassification
                 if (blk) {
                     const SpuId owner =
                         kSpus[rng.uniformInt(std::size(kSpus))];
+                    cache.touch(*blk);
+                    model.touch(key);
                     cache.setOwner(*blk, owner);
                     model.blocks[key].owner = owner;
                 }
@@ -218,7 +255,16 @@ TEST(BufferCacheProperty, FuzzAgainstReferenceModel)
                 }
                 ASSERT_EQ(got, want);
             }
+
+            peak = std::max(peak, cache.size());
+            if (op % 97 == 96)
+                owned = roundTrip(cache, model);
         }
+        // 64 entries at load factor 1/2 hold 32 blocks: beyond 128 the
+        // index has doubled at least three times.
+        EXPECT_GT(peak, 128u) << "trial " << trial;
+
+        BufferCache &cache = *owned;
 
         // Drain with steals: eviction must proceed in exact LRU order
         // over the clean blocks, then stall on the dirty remainder.
@@ -272,7 +318,10 @@ TEST(BufferCacheProperty, PerSpuOccupancyTracksOwnershipChanges)
     EXPECT_EQ(cache.pagesOf(1), 3u);
     EXPECT_EQ(cache.pagesOf(7), 0u);  // never-seen SPU
 
-    cache.setOwner(*cache.find(BlockKey{2, 0}), 1);
+    // The kernel reclassifies a block right after touching it.
+    CacheBlock &reowned = *cache.find(BlockKey{2, 0});
+    cache.touch(reowned);
+    cache.setOwner(reowned, 1);
     EXPECT_EQ(cache.pagesOf(0), 2u);
     EXPECT_EQ(cache.pagesOf(1), 4u);
 
@@ -282,4 +331,23 @@ TEST(BufferCacheProperty, PerSpuOccupancyTracksOwnershipChanges)
     EXPECT_EQ(owner, 0);
     EXPECT_EQ(cache.pagesOf(0), 1u);
     EXPECT_EQ(cache.pagesOf(1), 4u);
+}
+
+TEST(BufferCacheProperty, VictimStealWalksOnlyTheVictimsBlocks)
+{
+    // 10,000 clean blocks of SPU 2 are less recently used than SPU 3's
+    // one block: the global walk would pass all of them, SPU 3's own
+    // list holds just its block.
+    BufferCache cache;
+    for (std::uint64_t i = 0; i < 10000; ++i)
+        cache.insert(BlockKey{1, i}, 2, true);
+    cache.insert(BlockKey{2, 0}, 3, true);
+
+    const std::uint64_t before = cache.stealVisits();
+    SpuId owner = kNoSpu;
+    ASSERT_TRUE(cache.stealClean(3, owner));
+    EXPECT_EQ(owner, 3);
+    EXPECT_EQ(cache.stealVisits() - before, 1u);
+    EXPECT_EQ(cache.find(BlockKey{2, 0}), nullptr);
+    EXPECT_EQ(cache.pagesOf(2), 10000u);
 }

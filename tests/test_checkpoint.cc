@@ -526,29 +526,29 @@ struct PinnedImage
  *  kCkptVersion bump (docs/checkpoint.md), not just new digests. The
  *  copy shape under Quo never quiesces, so it has no mid-run image. */
 const PinnedImage kPinnedImages[] = {
-    {"pmake", Scheme::Smp, true, 0xb30b7226d3a6e0fdull},
-    {"pmake", Scheme::Smp, false, 0x6a2aa927480a8853ull},
-    {"pmake", Scheme::Quota, true, 0xbbf0c46a52b6bbadull},
-    {"pmake", Scheme::Quota, false, 0x331a961e16d06e1eull},
-    {"pmake", Scheme::PIso, true, 0x41d95a7f4fc33298ull},
-    {"pmake", Scheme::PIso, false, 0x3487a91949a8d4d8ull},
-    {"compute", Scheme::Smp, true, 0xd3aa336da8633964ull},
-    {"compute", Scheme::Smp, false, 0x55fcce49dbcf2c51ull},
-    {"compute", Scheme::Quota, true, 0x3c1517ee6c15fb21ull},
-    {"compute", Scheme::Quota, false, 0x81acdacb1097dc2bull},
-    {"compute", Scheme::PIso, true, 0xa02a0bc8a6a4a2afull},
-    {"compute", Scheme::PIso, false, 0x37bbe7340ddb513bull},
-    {"copy", Scheme::Smp, true, 0x38eb7f0564e2e76aull},
-    {"copy", Scheme::Smp, false, 0x32de2f1f0c8d3048ull},
-    {"copy", Scheme::Quota, true, 0x9155746f474461c3ull},
-    {"copy", Scheme::PIso, true, 0x5c813ac4386a4a05ull},
-    {"copy", Scheme::PIso, false, 0xe3ff4d03f02d1f50ull},
-    {"tree", Scheme::Smp, true, 0x5489767c6e0124d6ull},
-    {"tree", Scheme::Smp, false, 0x9e32658cea4a1a5eull},
-    {"tree", Scheme::Quota, true, 0x2f6d706ec87b7779ull},
-    {"tree", Scheme::Quota, false, 0x45abe2d8a8cdc148ull},
-    {"tree", Scheme::PIso, true, 0xb8015315d66d87caull},
-    {"tree", Scheme::PIso, false, 0xd12c6f6e628f08d2ull},
+    {"pmake", Scheme::Smp, true, 0x54f51e87d940ec2full},
+    {"pmake", Scheme::Smp, false, 0x5295286e4cee2d0cull},
+    {"pmake", Scheme::Quota, true, 0xaef2c4fbc7ad98b4ull},
+    {"pmake", Scheme::Quota, false, 0x252631f053bf24c1ull},
+    {"pmake", Scheme::PIso, true, 0xf33bdc229eea60caull},
+    {"pmake", Scheme::PIso, false, 0xc45a3329dfd39b45ull},
+    {"compute", Scheme::Smp, true, 0x70cb19ed0c87b43aull},
+    {"compute", Scheme::Smp, false, 0xe4cc5d1f694032d7ull},
+    {"compute", Scheme::Quota, true, 0xb98b75ede0e72ffaull},
+    {"compute", Scheme::Quota, false, 0x564198a936a72fafull},
+    {"compute", Scheme::PIso, true, 0xa230c5c7cf93a243ull},
+    {"compute", Scheme::PIso, false, 0xb2c4fbd9afd83466ull},
+    {"copy", Scheme::Smp, true, 0xad715ce38b82af66ull},
+    {"copy", Scheme::Smp, false, 0x9ed4614c852447f8ull},
+    {"copy", Scheme::Quota, true, 0x6b815d1ece9b2096ull},
+    {"copy", Scheme::PIso, true, 0x74e7e38832989d71ull},
+    {"copy", Scheme::PIso, false, 0xa4b6585d16a5a921ull},
+    {"tree", Scheme::Smp, true, 0x71703ad01d55378full},
+    {"tree", Scheme::Smp, false, 0xf83f80d3d53f2bf5ull},
+    {"tree", Scheme::Quota, true, 0x9daa97c3019fe7c1ull},
+    {"tree", Scheme::Quota, false, 0x8e46b71411373159ull},
+    {"tree", Scheme::PIso, true, 0x212680289a7e0bbfull},
+    {"tree", Scheme::PIso, false, 0x0ebb95b59e203cabull},
 };
 
 std::string

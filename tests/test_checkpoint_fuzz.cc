@@ -149,6 +149,19 @@ TEST(CheckpointFuzz, WrongMagicVersionAndDigestAreConfigErrors)
     wrongVersion[8] = static_cast<char>(kCkptVersion + 1);
     EXPECT_THROW(tryRestore(wrongVersion), ConfigError);
 
+    // Version 1 imaged the buffer-cache index; its images are refused
+    // by name, not misread.
+    std::string versionOne = image;
+    versionOne[8] = 1;
+    try {
+        tryRestore(versionOne);
+        ADD_FAILURE() << "version-1 image accepted";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("format version 1"),
+                  std::string::npos)
+            << e.what();
+    }
+
     std::string wrongFlags = image;
     wrongFlags[12] = 1;
     EXPECT_THROW(tryRestore(wrongFlags), ConfigError);
@@ -191,6 +204,79 @@ TEST(CheckpointFuzz, ReaderBoundsChecksEveryPrimitive)
     EXPECT_THROW(r3.str(), ConfigError);
 }
 
+namespace {
+
+constexpr std::uint32_t kNull = 0xffffffffu;
+
+/** One imaged cache block's LRU links. */
+struct Links
+{
+    std::uint32_t prev;
+    std::uint32_t next;
+};
+
+/** A checksummed buffer-cache section: one clean valid block of SPU 2
+ *  per entry of @p links, no free slots, and the given list ends and
+ *  size. */
+std::string
+cacheImage(const std::vector<Links> &links, std::uint32_t head,
+           std::uint32_t tail, std::uint64_t size)
+{
+    CkptWriter w;
+    w.u64(links.size());
+    for (std::size_t i = 0; i < links.size(); ++i) {
+        w.i64(1);           // file
+        w.u64(i);           // block
+        w.boolean(true);    // valid
+        w.boolean(false);   // dirty
+        w.i64(2);           // owner
+        w.u32(static_cast<std::uint32_t>(i));
+        w.u32(links[i].prev);
+        w.u32(links[i].next);
+    }
+    w.u64(0);               // free-slab slots
+    w.u32(head);
+    w.u32(tail);
+    w.u64(size);
+    w.u64(0);               // dirty blocks
+    w.u64(1);               // per-SPU page counts: SPU 2 holds all
+    w.u64(2);
+    w.u64(links.size());
+    return w.image(0);
+}
+
+/** Load a buffer-cache section; @return the ConfigError's text, or
+ *  "" when it loads. */
+std::string
+cacheRejection(const std::string &image)
+{
+    CkptReader r(image);
+    CkptIo io(r);
+    BufferCache cache;
+    try {
+        cache.ckpt(io, 8);
+    } catch (const ConfigError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** Load a one-entry table whose id is @p id. */
+void
+loadTable(std::uint64_t id)
+{
+    CkptWriter w;
+    w.u64(1);
+    w.u64(id);
+    w.u64(0);
+    CkptReader r(w.image(0));
+    CkptIo io(r);
+    SpuTable<std::uint64_t> table;
+    table.table(io, 8, [&io](std::uint64_t &v) { io.u64(v); });
+}
+
+} // namespace
+
 TEST(CheckpointFuzz, HugeSectionCountsAreRejectedBeforeSizing)
 {
     // A well-formed, checksummed payload whose section count claims
@@ -204,7 +290,7 @@ TEST(CheckpointFuzz, HugeSectionCountsAreRejectedBeforeSizing)
         CkptReader r(w.image(0));
         CkptIo io(r);
         BufferCache cache;
-        EXPECT_THROW(cache.ckpt(io), ConfigError);
+        EXPECT_THROW(cache.ckpt(io, 8), ConfigError);
     }
     {
         CkptWriter w;
@@ -212,9 +298,49 @@ TEST(CheckpointFuzz, HugeSectionCountsAreRejectedBeforeSizing)
         CkptReader r(w.image(0));
         CkptIo io(r);
         SpuTable<std::uint64_t> table;
-        EXPECT_THROW(table.table(io, [&io](std::uint64_t &v) { io.u64(v); }),
+        EXPECT_THROW(table.table(io, 8, [&io](std::uint64_t &v) { io.u64(v); }),
                      ConfigError);
     }
+
+    // Table ids outside the configuration: 2^31-1 once sized the table
+    // to it (std::bad_alloc), 2^32-1 read back as SPU -1 and panicked.
+    EXPECT_NO_THROW(loadTable(7));
+    EXPECT_THROW(loadTable((1ull << 31) - 1), ConfigError);
+    EXPECT_THROW(loadTable((1ull << 32) - 1), ConfigError);
+    EXPECT_THROW(loadTable(8), ConfigError);
+    {
+        CkptWriter w;
+        w.u64(2);            // ids must ascend strictly
+        w.u64(3);
+        w.u64(0);
+        w.u64(3);
+        w.u64(0);
+        CkptReader r(w.image(0));
+        CkptIo io(r);
+        SpuTable<std::uint64_t> table;
+        EXPECT_THROW(table.table(io, 8, [&io](std::uint64_t &v) { io.u64(v); }),
+                     ConfigError);
+    }
+
+    // Buffer-cache links are followed only after they are validated:
+    // a head far past the slab once loaded and crashed the next insert.
+    // The chain 1 -> 0 (tail 1, head 0) is well formed.
+    const auto rejected = [](const std::string &image, const char *why) {
+        return cacheRejection(image).find(why) != std::string::npos;
+    };
+    EXPECT_EQ(cacheRejection(cacheImage({{kNull, 1}, {0, kNull}}, 0, 1, 2)),
+              "");
+    EXPECT_TRUE(rejected(cacheImage({{kNull, kNull}}, 4000000, 0, 1),
+                         "head or tail out of range"));
+    // A 2-cycle: walking prev from the tail returns to it.
+    EXPECT_TRUE(
+        rejected(cacheImage({{1, 1}, {0, kNull}}, 0, 1, 2), "cycle"));
+    // Block 0's next does not name block 1, whose prev is block 0.
+    EXPECT_TRUE(rejected(cacheImage({{kNull, kNull}, {0, kNull}}, 0, 1, 2),
+                         "links disagree"));
+    // The list holds two blocks, size_ claims three.
+    EXPECT_TRUE(rejected(cacheImage({{kNull, 1}, {0, kNull}}, 0, 1, 3),
+                         "size says 3"));
 }
 
 // ---------------------------------------------------------------------

@@ -358,10 +358,12 @@ runTwins(const Scenario &sc)
             }
         } else {
             op = "save-load";
+            // Every SPU id the scenario uses is below this bound.
+            const auto spus = static_cast<std::size_t>(kFirstSpu + sc.spus + 1);
             CkptWriter ws;
             const ProcessByPid byPidS = [&](Pid pid) { return s.byPid(pid); };
             CkptIo saveS(ws);
-            s.sched.ckpt(saveS, byPidS);
+            s.sched.ckpt(saveS, byPidS, spus);
             const std::string image = ws.image(0);
             // A scheduler that never saw a partition gets its index from
             // a checkpoint load alone.
@@ -369,20 +371,20 @@ runTwins(const Scenario &sc)
             Policy probe(probeEvents, sc.cpus);
             CkptReader rp(image);
             CkptIo loadP(rp);
-            probe.ckpt(loadP, byPidS);
+            probe.ckpt(loadP, byPidS, spus);
             expectIndexMatchesCpus(probe, sc.spus, where + op + " probe");
             for (SpuId spu = 0; spu < kFirstSpu + sc.spus + 1; ++spu)
                 EXPECT_EQ(probe.cpusOf(spu), s.sched.cpusOf(spu)) << where;
             CkptReader rs(image);
             CkptIo loadS(rs);
-            s.sched.ckpt(loadS, byPidS);
+            s.sched.ckpt(loadS, byPidS, spus);
             const ProcessByPid byPidR = [&](Pid pid) { return r.byPid(pid); };
             CkptWriter wr;
             CkptIo saveR(wr);
-            r.sched.ckpt(saveR, byPidR);
+            r.sched.ckpt(saveR, byPidR, spus);
             CkptReader rr(wr.image(0));
             CkptIo loadR(rr);
-            r.sched.ckpt(loadR, byPidR);
+            r.sched.ckpt(loadR, byPidR, spus);
         }
         if (!check(where + op))
             return 0;

@@ -104,8 +104,9 @@ benchEventQueue(std::uint64_t totalEvents)
 
 /**
  * Buffer-cache churn: sequential-ish inserts with LRU touches, dirty
- * marking, periodic clean steals and dirty scans — the doRead/doWrite
- * /pageout mix. @return cache operations per second.
+ * marking, periodic clean steals (half of them victim-filtered) and
+ * dirty scans — the doRead/doWrite/pageout mix. @return cache
+ * operations per second.
  */
 double
 benchBufferCache(std::uint64_t totalOps)
@@ -137,10 +138,13 @@ benchBufferCache(std::uint64_t totalOps)
         ++ops;
 
         // Keep the cache bounded like a full machine would: steal the
-        // LRU clean block once we pass 8k resident blocks.
+        // LRU clean block once we pass 8k resident blocks. Half the
+        // steals name a victim SPU, as every kernel steal does; the
+        // rest, and a victim with nothing clean, take any owner's.
         if (cache.size() > 8192) {
             SpuId owner = kNoSpu;
-            cache.stealClean(kNoSpu, owner);
+            if (((x >> 40) & 1) == 0 || !cache.stealClean(spu, owner))
+                cache.stealClean(kNoSpu, owner);
             ++ops;
         }
 
