@@ -51,8 +51,7 @@ run(Scheme scheme, bool faulty, std::uint64_t seed)
     JobSpec v;
     v.name = "victim";
     v.build = [](Kernel &, WorkloadEnv &env) {
-        const FileId f = env.fs.createFile("victim.dat", env.disk,
-                                           kReads * 16 * 1024);
+        const FileId f = env.fs.createFile(env.disk, kReads * 16 * 1024);
         std::vector<Action> script;
         for (int i = 0; i < kReads; ++i) {
             script.push_back(ReadAction{f, i * 16ull * 1024, 16 * 1024});

@@ -101,6 +101,10 @@ struct RunPerf
      *  not part of wallSec. */
     double setupSec = 0.0;
 
+    /** Host wall-clock of restore()'s image load, after its set-up
+     *  replay; 0 on a cold start. */
+    double loadSec = 0.0;
+
     /** @name Policy-loop iteration counters
      *  Work performed by the periodic resource policies: entries
      *  examined by CPU scheduler scans, leaf SPUs visited by memory

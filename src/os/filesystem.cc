@@ -1,13 +1,12 @@
 #include "src/os/filesystem.hh"
 
-#include <type_traits>
+#include <algorithm>
+#include <string>
 
+#include "src/util/error.hh"
 #include "src/util/log.hh"
 
 namespace piso {
-
-static_assert(std::is_trivially_copyable_v<FileInfo>,
-              "FileInfo keeps names in the FileSystem arena");
 
 FileSystem::FileSystem(std::uint32_t sectorBytes, std::uint32_t blockBytes,
                        std::uint64_t seed)
@@ -24,27 +23,37 @@ FileSystem::FileSystem(std::uint32_t sectorBytes, std::uint32_t blockBytes,
 void
 FileSystem::addDisk(DiskId disk, std::uint64_t totalSectors)
 {
-    if (disks_.count(disk))
+    if (disk < 0)
+        PISO_FATAL("invalid disk id ", disk, " for the file system");
+    if (findDisk(disk))
         PISO_FATAL("disk ", disk, " already added to the file system");
-    DiskSpace space;
+    if (static_cast<std::size_t>(disk) >= disks_.size())
+        disks_.resize(static_cast<std::size_t>(disk) + 1);
+    DiskSpace &space = disks_[static_cast<std::size_t>(disk)];
     space.totalSectors = totalSectors;
     // Reserve ~0.2% at the front as the metadata zone (inodes,
     // directories) so metadata writes seek away from data extents.
     space.metadataEnd = std::max<std::uint64_t>(totalSectors / 512, 64);
     space.nextMetadata = 0;
     space.nextFree = space.metadataEnd;
-    disks_[disk] = space;
+}
+
+const FileSystem::DiskSpace *
+FileSystem::findDisk(DiskId disk) const
+{
+    if (disk < 0 || static_cast<std::size_t>(disk) >= disks_.size())
+        return nullptr;
+    const DiskSpace &space = disks_[static_cast<std::size_t>(disk)];
+    return space.metadataEnd == 0 ? nullptr : &space;
 }
 
 FileId
-FileSystem::allocate(std::string_view name, DiskId disk,
-                     std::uint64_t bytes, FilePlacement placement,
-                     bool withMetadata)
+FileSystem::allocate(DiskId disk, std::uint64_t bytes,
+                     FilePlacement placement, bool withMetadata)
 {
-    auto it = disks_.find(disk);
-    if (it == disks_.end())
-        PISO_FATAL("unknown disk ", disk, " for file '", name, "'");
-    DiskSpace &space = it->second;
+    if (!findDisk(disk))
+        PISO_FATAL("unknown disk ", disk, " in the file system");
+    DiskSpace &space = disks_[static_cast<std::size_t>(disk)];
 
     std::uint64_t blocks = (bytes + blockBytes_ - 1) / blockBytes_;
     if (blocks == 0)
@@ -57,7 +66,8 @@ FileSystem::allocate(std::string_view name, DiskId disk,
         // with the next-fit frontier region.
         const std::uint64_t span = space.totalSectors - space.metadataEnd;
         if (sectors > span)
-            PISO_FATAL("file '", name, "' larger than disk ", disk);
+            PISO_FATAL("file of ", bytes, " bytes larger than disk ",
+                       disk);
         // A file filling the whole data zone has one place to go; it
         // takes it without a draw, so no other file's draws move.
         start = space.metadataEnd;
@@ -67,11 +77,11 @@ FileSystem::allocate(std::string_view name, DiskId disk,
         }
     } else {
         if (space.nextFree + sectors > space.totalSectors)
-            PISO_FATAL("disk ", disk, " out of space for '", name, "'");
+            PISO_FATAL("disk ", disk, " out of space for a file of ",
+                       bytes, " bytes");
         start = space.nextFree;
         space.nextFree += sectors;
     }
-    space.allocated += sectors;
 
     FileInfo info;
     info.id = static_cast<FileId>(fileCount());
@@ -84,7 +94,7 @@ FileSystem::allocate(std::string_view name, DiskId disk,
             space.nextMetadata = 0; // metadata sectors are reused
         info.metadataSector = space.nextMetadata++;
     }
-    addFile(info, name);
+    addFile(info);
     return info.id;
 }
 
@@ -97,35 +107,33 @@ FileSystem::fileCount() const
 }
 
 void
-FileSystem::addFile(const FileInfo &info, std::string_view name)
+FileSystem::addFile(const FileInfo &info)
 {
     if (files_.empty() || files_.back().size() == kChunkFiles) {
         files_.emplace_back();
         files_.back().reserve(kChunkFiles);
     }
     files_.back().push_back(info);
-    names_ += name;
-    nameEnds_.push_back(names_.size());
 }
 
 FileId
-FileSystem::createFile(std::string_view name, DiskId disk,
-                       std::uint64_t bytes, FilePlacement placement)
+FileSystem::createFile(DiskId disk, std::uint64_t bytes,
+                       FilePlacement placement)
 {
-    return allocate(name, disk, bytes, placement, true);
+    return allocate(disk, bytes, placement, true);
 }
 
 FileId
-FileSystem::createExtent(std::string_view name, DiskId disk,
-                         std::uint64_t bytes, FilePlacement placement)
+FileSystem::createExtent(DiskId disk, std::uint64_t bytes,
+                         FilePlacement placement)
 {
-    return allocate(name, disk, bytes, placement, false);
+    return allocate(disk, bytes, placement, false);
 }
 
 std::size_t
 FileSystem::index(FileId id) const
 {
-    if (id < 0 || static_cast<std::size_t>(id) >= nameEnds_.size())
+    if (id < 0 || static_cast<std::size_t>(id) >= fileCount())
         PISO_PANIC("unknown file id ", id);
     return static_cast<std::size_t>(id);
 }
@@ -137,22 +145,14 @@ FileSystem::file(FileId id) const
     return files_[i / kChunkFiles][i % kChunkFiles];
 }
 
-std::string_view
-FileSystem::fileName(FileId id) const
-{
-    const std::size_t i = index(id);
-    const std::size_t begin = i == 0 ? 0 : nameEnds_[i - 1];
-    return std::string_view(names_).substr(begin, nameEnds_[i] - begin);
-}
-
 std::uint64_t
 FileSystem::blockCount(FileId id, std::uint64_t offset,
                        std::uint64_t bytes) const
 {
     const FileInfo &f = file(id);
     if (offset + bytes > f.sectors * sectorBytes_) {
-        PISO_PANIC("access [", offset, ", +", bytes, ") beyond file '",
-                   fileName(id), "'");
+        PISO_PANIC("access [", offset, ", +", bytes, ") beyond file ",
+                   id);
     }
     if (bytes == 0)
         return 0;
@@ -162,75 +162,78 @@ FileSystem::blockCount(FileId id, std::uint64_t offset,
 }
 
 std::uint64_t
-FileSystem::blockOf(std::uint64_t offset) const
-{
-    return offset / blockBytes_;
-}
-
-std::uint64_t
 FileSystem::blockSector(FileId id, std::uint64_t blockNo) const
 {
     const FileInfo &f = file(id);
     const std::uint64_t sector =
         f.startSector + blockNo * sectorsPerBlock_;
     if (sector >= f.startSector + f.sectors)
-        PISO_PANIC("block ", blockNo, " beyond file '", fileName(id),
-                   "'");
+        PISO_PANIC("block ", blockNo, " beyond file ", id);
     return sector;
 }
 
 std::uint64_t
 FileSystem::freeSectors(DiskId disk) const
 {
-    auto it = disks_.find(disk);
-    if (it == disks_.end())
-        PISO_FATAL("unknown disk ", disk);
-    return it->second.totalSectors - it->second.nextFree;
+    const DiskSpace *space = findDisk(disk);
+    if (!space)
+        PISO_FATAL("unknown disk ", disk, " in the file system");
+    return space->totalSectors - space->nextFree;
 }
 
 void
 FileSystem::ckpt(CkptIo &io)
 {
+    const auto reject = [](const char *what) {
+        throw ConfigError(std::string("checkpoint image rejected: ") +
+                          what);
+    };
+
     rng_.ckpt(io);
-    io.map(disks_, [&io](DiskId &id, DiskSpace &space) {
-        io.i64(id);
-        io.u64(space.totalSectors);
+
+    // The disks and their geometry come from the configuration; only
+    // the two cursors move.
+    io.expect(static_cast<std::size_t>(std::count_if(
+                  disks_.begin(), disks_.end(),
+                  [](const DiskSpace &s) { return s.metadataEnd != 0; })),
+              "file-system disk");
+    for (DiskSpace &space : disks_) {
+        if (space.metadataEnd == 0)
+            continue;
         io.u64(space.nextFree);
         io.u64(space.nextMetadata);
-        io.u64(space.metadataEnd);
-        io.u64(space.allocated);
-    });
+        if (io.loading() && (space.nextFree < space.metadataEnd ||
+                             space.nextFree > space.totalSectors ||
+                             space.nextMetadata > space.metadataEnd))
+            reject("file-system cursor out of range");
+    }
 
-    // Each file is imaged with its name; loading re-adds the files
-    // through addFile(), which rebuilds the chunked table and the
-    // name arena.
-    std::string name;
-    const auto file = [&io, &name](FileInfo &f) {
-        io.i64(f.id);
-        io.str(name);
+    // The replay has rebuilt the set-up's files; only the ones made
+    // after it are imaged, each as the next id.
+    io.expect(setupFiles_, "set-up file");
+    if (io.loading() && fileCount() != setupFiles_)
+        PISO_PANIC("file-system load expects the replayed set-up table (",
+                   setupFiles_, " files), found ", fileCount());
+    const std::size_t n = io.count(fileCount() - setupFiles_);
+    for (std::size_t i = 0; i < n; ++i) {
+        FileInfo f;
+        if (!io.loading())
+            f = file(static_cast<FileId>(setupFiles_ + i));
         io.i64(f.disk);
         io.u64(f.startSector);
         io.u64(f.sectors);
         io.u64(f.metadataSector);
         io.u64(f.bytes);
-    };
-    const std::size_t n = io.count(fileCount());
-    if (!io.loading()) {
-        for (std::vector<FileInfo> &chunk : files_) {
-            for (FileInfo &f : chunk) {
-                name.assign(fileName(f.id));
-                file(f);
-            }
-        }
-        return;
-    }
-    files_.clear();
-    names_.clear();
-    nameEnds_.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-        FileInfo f;
-        file(f);
-        addFile(f, name);
+        if (!io.loading())
+            continue;
+        const DiskSpace *space = findDisk(f.disk);
+        if (!space || f.startSector < space->metadataEnd ||
+            f.startSector > space->totalSectors ||
+            f.sectors > space->totalSectors - f.startSector ||
+            f.metadataSector >= space->metadataEnd)
+            reject("file extent outside the configured disks");
+        f.id = static_cast<FileId>(fileCount());
+        addFile(f);
     }
 }
 

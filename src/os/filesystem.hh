@@ -11,13 +11,18 @@
  * disk; pmake touches many small files scattered across the disk plus
  * one repeatedly-rewritten metadata sector. This module provides just
  * enough layout to reproduce those patterns: contiguous or scattered
- * extent allocation and a metadata sector per file.
+ * extent allocation and a metadata sector per file. Files have ids,
+ * not names: nothing in the model looks a file up by name.
+ *
+ * The file table is set-up state. The set-up replay creates the same
+ * files in the same order from the configuration, so a checkpoint
+ * images only what the replay cannot rebuild: the allocator cursors,
+ * the placement RNG, the number of set-up files (checked on load) and
+ * the files created after endSetup(), which today are the kernel's
+ * swap extents.
  */
 
 #include <cstdint>
-#include <map>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/sim/checkpoint.hh"
@@ -35,8 +40,7 @@ enum class FilePlacement
                  //!< files spread around, like an aged file system)
 };
 
-/** One file: a single contiguous extent plus a metadata sector. Its
- *  name lives in the FileSystem's name arena (FileSystem::fileName). */
+/** One file: a single contiguous extent plus a metadata sector. */
 struct FileInfo
 {
     FileId id = kNoFile;
@@ -71,23 +75,20 @@ class FileSystem
      * Create a file of @p bytes on @p disk.
      * @return the new file's id.
      */
-    FileId createFile(std::string_view name, DiskId disk,
-                      std::uint64_t bytes,
+    FileId createFile(DiskId disk, std::uint64_t bytes,
                       FilePlacement placement = FilePlacement::Sequential);
 
     /**
      * Reserve a raw extent (e.g. per-SPU swap space) of @p bytes.
      * Returned as a FileInfo with no metadata sector semantics.
      */
-    FileId createExtent(std::string_view name, DiskId disk,
-                        std::uint64_t bytes,
+    FileId createExtent(DiskId disk, std::uint64_t bytes,
                         FilePlacement placement = FilePlacement::Sequential);
 
     const FileInfo &file(FileId id) const;
 
-    /** Name of file @p id. The view is valid until the next file is
-     *  created or the table is loaded. */
-    std::string_view fileName(FileId id) const;
+    /** Files in the table; ids run from 0 to fileCount() - 1. */
+    std::size_t fileCount() const;
 
     std::uint32_t blockBytes() const { return blockBytes_; }
     std::uint32_t sectorsPerBlock() const { return sectorsPerBlock_; }
@@ -96,48 +97,49 @@ class FileSystem
     std::uint64_t blockCount(FileId id, std::uint64_t offset,
                              std::uint64_t bytes) const;
 
-    /** First block index covering @p offset. */
-    std::uint64_t blockOf(std::uint64_t offset) const;
-
     /** Absolute disk sector of block @p blockNo of file @p id. */
     std::uint64_t blockSector(FileId id, std::uint64_t blockNo) const;
 
     /** Free sectors remaining on @p disk. */
     std::uint64_t freeSectors(DiskId disk) const;
 
-    /** Checkpoint: the full file table, allocator pointers and the
-     *  scattered-placement RNG (files are created at run time, so the
-     *  table cannot be replayed from configuration alone). */
+    /** The set-up replay is over: the files made so far are rebuilt by
+     *  every replay, so a checkpoint images only the later ones. */
+    void endSetup() { setupFiles_ = fileCount(); }
+
+    /** Checkpoint: the allocator cursors, the scattered-placement RNG
+     *  and the files created after endSetup(). A load runs on a table
+     *  the replay has just rebuilt: it checks the set-up file count
+     *  against the image and appends the later files. */
     void ckpt(CkptIo &io);
 
   private:
+    /** A declared disk; metadataEnd is 0 for an id never added. */
     struct DiskSpace
     {
         std::uint64_t totalSectors = 0;
         std::uint64_t nextFree = 0;       //!< next-fit pointer
         std::uint64_t nextMetadata = 0;   //!< metadata zone pointer
         std::uint64_t metadataEnd = 0;
-        std::uint64_t allocated = 0;
     };
 
-    FileId allocate(std::string_view name, DiskId disk,
-                    std::uint64_t bytes, FilePlacement placement,
-                    bool withMetadata);
+    /** @p disk's space, or nullptr if it was never added. */
+    const DiskSpace *findDisk(DiskId disk) const;
 
-    /** Files in the table. */
-    std::size_t fileCount() const;
+    FileId allocate(DiskId disk, std::uint64_t bytes,
+                    FilePlacement placement, bool withMetadata);
 
     /** Index of @p id in the table; panics on an unknown id. */
     std::size_t index(FileId id) const;
 
-    /** Append @p info, named @p name, as the next file. */
-    void addFile(const FileInfo &info, std::string_view name);
+    /** Append @p info as the next file. */
+    void addFile(const FileInfo &info);
 
     std::uint32_t sectorBytes_;
     std::uint32_t blockBytes_;
     std::uint32_t sectorsPerBlock_;
     Rng rng_;
-    std::map<DiskId, DiskSpace> disks_;
+    std::vector<DiskSpace> disks_;  //!< indexed by DiskId
 
     /** Records per chunk of the file table. */
     static constexpr std::size_t kChunkFiles = 4096;
@@ -148,14 +150,8 @@ class FileSystem
      *  instead of copying the table at every doubling. */
     std::vector<std::vector<FileInfo>> files_;
 
-    /** Every file's name back to back, in id order; file i's name
-     *  ends at nameEnds_[i] and starts where file i-1's ends. One
-     *  arena instead of a string per file keeps FileInfo trivially
-     *  copyable. */
-    // The image carries each file's name; loading rebuilds the
-    // arena and nameEnds_ through addFile().
-    std::string names_;
-    std::vector<std::size_t> nameEnds_;
+    /** Files the set-up replay made (see endSetup()). */
+    std::size_t setupFiles_ = 0;
 };
 
 } // namespace piso

@@ -468,8 +468,7 @@ Kernel::swapLocation(SpuId spu, DiskId &disk, std::uint64_t &sector,
         const std::uint64_t bytes =
             config_.swapExtentPages *
             static_cast<std::uint64_t>(fs_.blockBytes());
-        extent = fs_.createExtent("swap-spu" + std::to_string(spu),
-                                  disk, bytes);
+        extent = fs_.createExtent(disk, bytes);
         swapExtent_[spu] = extent;
     }
     const FileInfo &f = fs_.file(extent);
@@ -1461,26 +1460,18 @@ Kernel::ckpt(CkptIo &io, std::size_t spuBound)
     spuFaults_.table(io, spuBound,
                      [&io](SpuFaultStats &s) { s.ckpt(io); });
 
-    io.i64(nextPid_);
     std::uint64_t live = live_;
     io.u64(live);
+    // Processes, barriers and locks are all made by the set-up, so
+    // their pids, widths and kinds are the replay's; only the counts
+    // are checked.
     io.expect(processes_.size(), "process");
-    for (const auto &p : processes_) {
-        Pid pid = p->pid();
-        io.i64(pid);
-        if (pid != p->pid()) {
-            throw ConfigError(
-                "checkpoint process order does not match the "
-                "replayed configuration");
-        }
+    for (const auto &p : processes_)
         p->ckpt(io);
-    }
 
     io.expect(barriers_.size(), "barrier");
-    for (Barrier &b : barriers_) {
-        io.i64(b.width);
+    for (Barrier &b : barriers_)
         ckptProcesses(io, b.waiting, byPid);
-    }
     locks_.ckpt(io, byPid);
     boostedNice_.table(io, pidBound, [&io](double &v) { io.f64(v); });
 
@@ -1491,7 +1482,14 @@ Kernel::ckpt(CkptIo &io, std::size_t spuBound)
                io.i64(key.second);
                io.u64(block);
            });
-    swapExtent_.table(io, spuBound, [&io](FileId &f) { io.i64(f); });
+    // Loaded after the file system, which has appended the swap
+    // extents: every imaged extent must name one of its files.
+    swapExtent_.table(io, spuBound, [this, &io](FileId &f) {
+        io.i64(f);
+        if (f < 0 || static_cast<std::size_t>(f) >= fs_.fileCount())
+            throw ConfigError("checkpoint swap extent names unknown "
+                              "file " + std::to_string(f));
+    });
     if (!io.loading())
         return;
 

@@ -121,7 +121,6 @@ LockTable::ckpt(CkptIo &io, const ProcessByPid &byPid)
 {
     io.expect(locks_.size(), "lock");
     for (Lock &l : locks_) {
-        io.boolean(l.readersWriter);
         io.boolean(l.heldExclusive);
         ckptProcesses(io, l.holders, byPid);
         io.seq(l.queue, [&io, &byPid](Waiter &wt) {

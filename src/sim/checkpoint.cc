@@ -198,16 +198,6 @@ CkptReader::f64()
     return std::bit_cast<double>(u64());
 }
 
-std::string
-CkptReader::str()
-{
-    const std::uint32_t n = u32();
-    need(n);
-    std::string v = payload_.substr(pos_, n);
-    pos_ += n;
-    return v;
-}
-
 void
 CkptReader::expectEnd() const
 {
@@ -250,15 +240,6 @@ CkptIo::f64(double &v)
         v = r_->f64();
     else
         w_->f64(v);
-}
-
-void
-CkptIo::str(std::string &v)
-{
-    if (r_)
-        v = r_->str();
-    else
-        w_->str(v);
 }
 
 std::size_t

@@ -43,7 +43,7 @@ inline constexpr char kCkptMagic[8] = {'P', 'I', 'S', 'O',
                                        'C', 'K', 'P', 'T'};
 
 /** Bump on any payload layout change; old images are rejected. */
-inline constexpr std::uint32_t kCkptVersion = 2;
+inline constexpr std::uint32_t kCkptVersion = 3;
 
 /** FNV-1a 64-bit over @p data (payload checksums, config digests). */
 std::uint64_t ckptFnv1a(const std::string &data);
@@ -64,6 +64,8 @@ class CkptWriter
     // piso-lint: allow(determinism-wallclock) -- serialises a simulated Time field, not a wallclock read
     void time(Time v) { u64(v); }
     void f64(double v);
+    /** Length-prefixed bytes. Only the config digest uses it; images
+     *  carry no strings. */
     void str(std::string_view v);
 
     const std::string &payload() const { return payload_; }
@@ -106,7 +108,6 @@ class CkptReader
     // piso-lint: allow(determinism-wallclock) -- deserialises a simulated Time field, not a wallclock read
     Time time() { return u64(); }
     double f64();
-    std::string str();
 
     /** Bytes of payload not yet consumed. */
     std::size_t remaining() const { return payload_.size() - pos_; }
@@ -177,7 +178,6 @@ class CkptIo
     // piso-lint: allow(determinism-wallclock) -- images a simulated Time field, not a wallclock read
     void time(Time &v) { u64(v); }
     void f64(double &v);
-    void str(std::string &v);
 
     /**
      * The length of a variable-length section: writes @p n, or reads

@@ -132,6 +132,7 @@ struct Simulation::Impl
     bool ran = false;
     bool setupDone = false;
     double setupSec = 0.0;  //!< host wall-clock of setupRun()
+    double loadSec = 0.0;   //!< host wall-clock of restore()'s loadImage()
     std::uint64_t kernelPinnedPages = 0;
 
     /** Sorted fault schedule, delivered by a cursor interleaved with
@@ -601,6 +602,7 @@ Simulation::Impl::setupRun()
     faultSchedule = cfg.faults.schedule();
     faultCursor = 0;
 
+    fs.endSetup();
     kernel->start();
     if (memPolicy)
         memPolicy->start();
@@ -698,6 +700,14 @@ Simulation::run()
                    ? im.faultSchedule[im.faultCursor].at
                    : kTimeNever;
     };
+    // A fault due before (or at) the next event. The cursor test comes
+    // first, so a run without a fault plan never probes the queue head
+    // twice per event, and a drained queue never reads past the plan.
+    const auto faultDue = [&im] {
+        return im.faultCursor < im.faultSchedule.size() &&
+               im.faultSchedule[im.faultCursor].at <=
+                   im.events.nextEventTime();
+    };
 
     while (im.kernel->liveProcesses() > 0 &&
            im.events.now() <= im.cfg.maxTime) {
@@ -729,7 +739,7 @@ Simulation::run()
         }
         // Fault-plan cursor: deliver every fault due before (or at)
         // the next event, at its exact timestamp.
-        if (nextFaultAt() <= im.events.nextEventTime()) {
+        if (faultDue()) {
             const FaultEvent &ev = im.faultSchedule[im.faultCursor++];
             im.events.advanceTo(ev.at);
             im.applyFault(ev);
@@ -760,7 +770,7 @@ Simulation::run()
         im.kernel->syncAll();
         while (!im.kernel->ioIdle() &&
                im.events.now() <= im.cfg.maxTime) {
-            if (nextFaultAt() <= im.events.nextEventTime()) {
+            if (faultDue()) {
                 const FaultEvent &ev =
                     im.faultSchedule[im.faultCursor++];
                 im.events.advanceTo(ev.at);
@@ -782,6 +792,7 @@ Simulation::run()
     res.kernel = im.kernel->stats();
     res.perf.events = im.events.executedEvents() - eventsBefore;
     res.perf.setupSec = im.setupSec;
+    res.perf.loadSec = im.loadSec;
     res.perf.policyItersCpu = im.sched->policyIters();
     res.perf.policyItersMem =
         im.memPolicy ? im.memPolicy->policyIters() : 0;
@@ -1293,7 +1304,14 @@ Simulation::restore(std::istream &in)
     CkptReader r = CkptReader::fromStream(in);
     r.requireDigest(im.configDigest());
     im.setupRun();
+    // piso-lint: allow(determinism-wallclock) -- host-side RunPerf timing; reported out-of-band, never feeds simulated state
+    const auto loadStart = std::chrono::steady_clock::now();
     im.loadImage(r);
+    im.loadSec =
+        // piso-lint: allow(determinism-wallclock) -- host-side RunPerf timing; reported out-of-band, never feeds simulated state
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      loadStart)
+            .count();
 }
 
 } // namespace piso

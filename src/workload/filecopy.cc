@@ -14,10 +14,8 @@ makeFileCopy(std::string name, const FileCopyConfig &cfg)
     JobSpec job;
     job.name = std::move(name);
     job.build = [cfg, jobName = job.name](Kernel &, WorkloadEnv &env) {
-        const FileId src =
-            env.fs.createFile(jobName + ".src", env.disk, cfg.bytes);
-        const FileId dst =
-            env.fs.createFile(jobName + ".dst", env.disk, cfg.bytes);
+        const FileId src = env.fs.createFile(env.disk, cfg.bytes);
+        const FileId dst = env.fs.createFile(env.disk, cfg.bytes);
 
         std::vector<Action> script;
         script.push_back(GrowMemAction{cfg.wsPages});

@@ -16,15 +16,12 @@ makeOltp(std::string name, const OltpConfig &cfg)
     JobSpec job;
     job.name = std::move(name);
     job.build = [cfg, jobName = job.name](Kernel &, WorkloadEnv &env) {
-        const FileId table =
-            env.fs.createFile(jobName + ".table", env.disk,
-                              cfg.tableBytes);
+        const FileId table = env.fs.createFile(env.disk, cfg.tableBytes);
         // The write-ahead log: appends walk it sequentially.
         const std::uint64_t logBytes =
             static_cast<std::uint64_t>(cfg.servers) *
             cfg.transactionsPerServer * cfg.logAppendBytes + 4096;
-        const FileId log =
-            env.fs.createFile(jobName + ".log", env.disk, logBytes);
+        const FileId log = env.fs.createFile(env.disk, logBytes);
 
         const std::uint64_t pageBytes = 4096;
         const std::uint64_t tablePages = cfg.tableBytes / pageBytes;

@@ -127,28 +127,17 @@ makePmake(std::string name, const PmakeConfig &cfg)
                                           WorkloadEnv &env) {
         // One shared metadata block per job: every worker rewrites it,
         // so the disk sees repeated writes to a single sector.
-        std::string fileName = jobName + ".meta";
-        const FileId meta = env.fs.createFile(fileName, env.disk, 512);
+        const FileId meta = env.fs.createFile(env.disk, 512);
 
         std::vector<ProcessSpec> procs;
         for (int w = 0; w < cfg.parallelism; ++w) {
             std::vector<CompileStep> steps;
             steps.reserve(static_cast<std::size_t>(cfg.filesPerWorker));
             for (int i = 0; i < cfg.filesPerWorker; ++i) {
-                // <job>.w<w>.f<i>.c and .o, built in one reused buffer.
-                fileName.resize(jobName.size());
-                fileName += ".w";
-                fileName += std::to_string(w);
-                fileName += ".f";
-                fileName += std::to_string(i);
-                fileName += ".c";
-                const FileId src =
-                    env.fs.createFile(fileName, env.disk, cfg.srcBytes,
-                                      FilePlacement::Scattered);
-                fileName.back() = 'o';
-                const FileId obj =
-                    env.fs.createFile(fileName, env.disk, cfg.objBytes,
-                                      FilePlacement::Scattered);
+                const FileId src = env.fs.createFile(
+                    env.disk, cfg.srcBytes, FilePlacement::Scattered);
+                const FileId obj = env.fs.createFile(
+                    env.disk, cfg.objBytes, FilePlacement::Scattered);
 
                 const double f = env.rng.uniformRange(0.8, 1.2);
                 const Time compile = static_cast<Time>(

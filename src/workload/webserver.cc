@@ -19,9 +19,8 @@ makeWebServer(std::string name, const WebServerConfig &cfg)
         std::vector<FileId> docs;
         docs.reserve(static_cast<std::size_t>(cfg.documents));
         for (int d = 0; d < cfg.documents; ++d) {
-            docs.push_back(env.fs.createFile(
-                jobName + ".doc" + std::to_string(d), env.disk,
-                cfg.docBytes, FilePlacement::Scattered));
+            docs.push_back(env.fs.createFile(env.disk, cfg.docBytes,
+                                             FilePlacement::Scattered));
         }
         const int hotCount = std::max(1, cfg.documents / 10);
 

@@ -28,11 +28,9 @@ namespace piso::testutil {
  *  in @p env.fs and jitter is drawn from @p env.rng as makePmake's
  *  build does. */
 inline std::vector<std::vector<Action>>
-unrollPmake(const std::string &jobName, const PmakeConfig &cfg,
-            WorkloadEnv &env)
+unrollPmake(const PmakeConfig &cfg, WorkloadEnv &env)
 {
-    const FileId meta =
-        env.fs.createFile(jobName + ".meta", env.disk, 512);
+    const FileId meta = env.fs.createFile(env.disk, 512);
 
     std::vector<std::vector<Action>> scripts;
     for (int w = 0; w < cfg.parallelism; ++w) {
@@ -40,14 +38,10 @@ unrollPmake(const std::string &jobName, const PmakeConfig &cfg,
         script.push_back(GrowMemAction{cfg.workerWsPages});
 
         for (int i = 0; i < cfg.filesPerWorker; ++i) {
-            const std::string stem = jobName + ".w" + std::to_string(w) +
-                                     ".f" + std::to_string(i);
-            const FileId src =
-                env.fs.createFile(stem + ".c", env.disk, cfg.srcBytes,
-                                  FilePlacement::Scattered);
-            const FileId obj =
-                env.fs.createFile(stem + ".o", env.disk, cfg.objBytes,
-                                  FilePlacement::Scattered);
+            const FileId src = env.fs.createFile(
+                env.disk, cfg.srcBytes, FilePlacement::Scattered);
+            const FileId obj = env.fs.createFile(
+                env.disk, cfg.objBytes, FilePlacement::Scattered);
 
             if (cfg.inodeLock >= 0) {
                 script.push_back(

@@ -302,6 +302,107 @@ TEST(Checkpoint, TimeZeroImageRestoresToTheColdRun)
 }
 
 // ---------------------------------------------------------------------
+// The file table is replayed, not imaged
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** A machine too small for its two working sets: the pageout daemon
+ *  and refaults reserve swap extents soon after the start. */
+const char *kSwapShape = R"(
+machine cpus=2 memory_mb=8 disks=2 scheme=piso seed=13
+spu a share=1 disk=0
+spu b share=1 disk=1
+job a compute name=big1 cpu_ms=3000 ws_pages=1500
+job b compute name=big2 cpu_ms=3000 ws_pages=1500
+)";
+
+std::string
+pmakeTimeZeroImage(int files)
+{
+    const WorkloadSpec spec = parseWorkloadSpec(
+        "machine cpus=4 memory_mb=24 disks=2 scheme=piso seed=7\n"
+        "spu a share=1 disk=0\n"
+        "spu b share=1 disk=1\n"
+        "job a pmake name=pa workers=2 files=" +
+        std::to_string(files) +
+        "\n"
+        "job b pmake name=pb workers=2 files=" +
+        std::to_string(files) + "\n");
+    Simulation sim(spec.config);
+    populateWorkloadSpec(sim, spec);
+    std::ostringstream out;
+    sim.checkpoint(out);
+    return out.str();
+}
+
+} // namespace
+
+TEST(Checkpoint, TimeZeroImageSizeDoesNotGrowWithTheFileCount)
+{
+    const std::string few = pmakeTimeZeroImage(64);
+    const std::string many = pmakeTimeZeroImage(4096);
+    EXPECT_EQ(few.size(), many.size());
+}
+
+TEST(Checkpoint, PagedOutShapeImagesItsSwapExtentsAndRestoresExactly)
+{
+    const WorkloadSpec spec = parseWorkloadSpec(kSwapShape);
+
+    // The set-up's files: a t=0 checkpoint replays the set-up.
+    Simulation fresh(spec.config);
+    populateWorkloadSpec(fresh, spec);
+    std::ostringstream t0;
+    fresh.checkpoint(t0);
+    const std::size_t setupFiles = fresh.fs().fileCount();
+
+    WorkloadSpec stopAt = spec;
+    std::string image;
+    stopAt.config.checkpointAt = 600 * kMs;
+    stopAt.config.checkpointStop = true;
+    stopAt.config.checkpointSink = [&image](std::string img) {
+        image = std::move(img);
+    };
+    Simulation first(stopAt.config);
+    populateWorkloadSpec(first, stopAt);
+    first.run();
+    ASSERT_FALSE(image.empty());
+
+    // Every file made after set-up is a swap extent, one per SPU.
+    const FileSystem &fs = first.fs();
+    ASSERT_EQ(fs.fileCount(), setupFiles + 2)
+        << "both SPUs should have paged out before the checkpoint";
+    for (std::size_t i = setupFiles; i < fs.fileCount(); ++i) {
+        const FileInfo &f = fs.file(static_cast<FileId>(i));
+        EXPECT_EQ(f.metadataSector, 0u);
+        EXPECT_EQ(f.sectors,
+                  spec.config.kernel.swapExtentPages * fs.sectorsPerBlock());
+    }
+
+    // The restored table is the replayed set-up plus exactly the
+    // imaged extents, record for record.
+    Simulation warm(spec.config);
+    populateWorkloadSpec(warm, spec);
+    std::istringstream in(image);
+    warm.restore(in);
+    ASSERT_EQ(warm.fs().fileCount(), fs.fileCount());
+    for (std::size_t i = 0; i < fs.fileCount(); ++i) {
+        const FileInfo &a = fs.file(static_cast<FileId>(i));
+        const FileInfo &b = warm.fs().file(static_cast<FileId>(i));
+        ASSERT_EQ(b.id, a.id);
+        ASSERT_EQ(b.disk, a.disk);
+        ASSERT_EQ(b.startSector, a.startSector);
+        ASSERT_EQ(b.sectors, a.sectors);
+        ASSERT_EQ(b.metadataSector, a.metadataSector);
+        ASSERT_EQ(b.bytes, a.bytes);
+    }
+    std::ostringstream again;
+    warm.checkpoint(again);
+    EXPECT_EQ(again.str(), image);
+    EXPECT_EQ(formatResultsJson(warm.run()), coldJson(spec));
+}
+
+// ---------------------------------------------------------------------
 // The config digest guards against mismatched configurations
 // ---------------------------------------------------------------------
 
@@ -526,29 +627,29 @@ struct PinnedImage
  *  kCkptVersion bump (docs/checkpoint.md), not just new digests. The
  *  copy shape under Quo never quiesces, so it has no mid-run image. */
 const PinnedImage kPinnedImages[] = {
-    {"pmake", Scheme::Smp, true, 0x54f51e87d940ec2full},
-    {"pmake", Scheme::Smp, false, 0x5295286e4cee2d0cull},
-    {"pmake", Scheme::Quota, true, 0xaef2c4fbc7ad98b4ull},
-    {"pmake", Scheme::Quota, false, 0x252631f053bf24c1ull},
-    {"pmake", Scheme::PIso, true, 0xf33bdc229eea60caull},
-    {"pmake", Scheme::PIso, false, 0xc45a3329dfd39b45ull},
-    {"compute", Scheme::Smp, true, 0x70cb19ed0c87b43aull},
-    {"compute", Scheme::Smp, false, 0xe4cc5d1f694032d7ull},
-    {"compute", Scheme::Quota, true, 0xb98b75ede0e72ffaull},
-    {"compute", Scheme::Quota, false, 0x564198a936a72fafull},
-    {"compute", Scheme::PIso, true, 0xa230c5c7cf93a243ull},
-    {"compute", Scheme::PIso, false, 0xb2c4fbd9afd83466ull},
-    {"copy", Scheme::Smp, true, 0xad715ce38b82af66ull},
-    {"copy", Scheme::Smp, false, 0x9ed4614c852447f8ull},
-    {"copy", Scheme::Quota, true, 0x6b815d1ece9b2096ull},
-    {"copy", Scheme::PIso, true, 0x74e7e38832989d71ull},
-    {"copy", Scheme::PIso, false, 0xa4b6585d16a5a921ull},
-    {"tree", Scheme::Smp, true, 0x71703ad01d55378full},
-    {"tree", Scheme::Smp, false, 0xf83f80d3d53f2bf5ull},
-    {"tree", Scheme::Quota, true, 0x9daa97c3019fe7c1ull},
-    {"tree", Scheme::Quota, false, 0x8e46b71411373159ull},
-    {"tree", Scheme::PIso, true, 0x212680289a7e0bbfull},
-    {"tree", Scheme::PIso, false, 0x0ebb95b59e203cabull},
+    {"pmake", Scheme::Smp, true, 0xf981a74a75917483ull},
+    {"pmake", Scheme::Smp, false, 0xc04f115c82745bbaull},
+    {"pmake", Scheme::Quota, true, 0xa8a30c4efcbc348bull},
+    {"pmake", Scheme::Quota, false, 0xfce32cc34e962116ull},
+    {"pmake", Scheme::PIso, true, 0xc3f86a56a8a524e8ull},
+    {"pmake", Scheme::PIso, false, 0x066c0d59b6423087ull},
+    {"compute", Scheme::Smp, true, 0x95585ae0b53ca1e3ull},
+    {"compute", Scheme::Smp, false, 0x193ee0ba7fe3d1a9ull},
+    {"compute", Scheme::Quota, true, 0x677d91e17270e573ull},
+    {"compute", Scheme::Quota, false, 0x78766c4eb4615750ull},
+    {"compute", Scheme::PIso, true, 0x380f7e96ef2d6400ull},
+    {"compute", Scheme::PIso, false, 0x9dc8d001fa814279ull},
+    {"copy", Scheme::Smp, true, 0xa6d92cd190019581ull},
+    {"copy", Scheme::Smp, false, 0x3d381c2bb536f598ull},
+    {"copy", Scheme::Quota, true, 0x0d9342ed5227a279ull},
+    {"copy", Scheme::PIso, true, 0xb84c0f9bde73336eull},
+    {"copy", Scheme::PIso, false, 0xf72daaa6e8745521ull},
+    {"tree", Scheme::Smp, true, 0xe032422ca83bde1dull},
+    {"tree", Scheme::Smp, false, 0x89761ec9624aca9cull},
+    {"tree", Scheme::Quota, true, 0x9bc1008aa955ff2dull},
+    {"tree", Scheme::Quota, false, 0xc2ee74f1343dc49bull},
+    {"tree", Scheme::PIso, true, 0x4871b5d77b5c1930ull},
+    {"tree", Scheme::PIso, false, 0x968eea2926dd7a4eull},
 };
 
 std::string

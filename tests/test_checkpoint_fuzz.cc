@@ -30,6 +30,7 @@
 #include "src/config/workload_spec.hh"
 #include "src/core/spu_table.hh"
 #include "src/os/buffer_cache.hh"
+#include "src/os/filesystem.hh"
 #include "src/piso.hh"
 #include "src/sim/checkpoint.hh"
 #include "src/sim/event_queue.hh"
@@ -149,17 +150,21 @@ TEST(CheckpointFuzz, WrongMagicVersionAndDigestAreConfigErrors)
     wrongVersion[8] = static_cast<char>(kCkptVersion + 1);
     EXPECT_THROW(tryRestore(wrongVersion), ConfigError);
 
-    // Version 1 imaged the buffer-cache index; its images are refused
-    // by name, not misread.
-    std::string versionOne = image;
-    versionOne[8] = 1;
-    try {
-        tryRestore(versionOne);
-        ADD_FAILURE() << "version-1 image accepted";
-    } catch (const ConfigError &e) {
-        EXPECT_NE(std::string(e.what()).find("format version 1"),
-                  std::string::npos)
-            << e.what();
+    // Version 1 imaged the buffer-cache index and version 2 the whole
+    // file table; their images are refused by name, not misread.
+    for (const int old : {1, 2}) {
+        std::string oldImage = image;
+        oldImage[8] = static_cast<char>(old);
+        try {
+            tryRestore(oldImage);
+            ADD_FAILURE() << "version-" << old << " image accepted";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "format version " + std::to_string(old) +
+                          " (this build reads version 3)"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 
     std::string wrongFlags = image;
@@ -201,7 +206,8 @@ TEST(CheckpointFuzz, ReaderBoundsChecksEveryPrimitive)
 
     CkptReader r3(img);
     r3.requireDigest(1);
-    EXPECT_THROW(r3.str(), ConfigError);
+    EXPECT_EQ(r3.u32(), 7u);
+    EXPECT_THROW(r3.u8(), ConfigError);
 }
 
 namespace {
@@ -320,6 +326,38 @@ TEST(CheckpointFuzz, HugeSectionCountsAreRejectedBeforeSizing)
         SpuTable<std::uint64_t> table;
         EXPECT_THROW(table.table(io, 8, [&io](std::uint64_t &v) { io.u64(v); }),
                      ConfigError);
+    }
+
+    // The set-up replay rebuilds the file table, so an image whose
+    // set-up file count disagrees with the replay is refused by name
+    // before any file is appended.
+    {
+        FileSystem saved;
+        saved.addDisk(0, 1 << 20);
+        for (int i = 0; i < 3; ++i)
+            saved.createFile(0, 4096, FilePlacement::Scattered);
+        saved.endSetup();
+        CkptWriter w;
+        CkptIo save(w);
+        saved.ckpt(save);
+
+        FileSystem replayed;
+        replayed.addDisk(0, 1 << 20);
+        replayed.createFile(0, 4096, FilePlacement::Scattered);
+        replayed.endSetup();
+        CkptReader r(w.image(0));
+        CkptIo load(r);
+        try {
+            replayed.ckpt(load);
+            ADD_FAILURE() << "mismatched set-up file count accepted";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "checkpoint set-up file count 3 does not match "
+                          "the replayed configuration"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(replayed.fileCount(), 1u);
     }
 
     // Buffer-cache links are followed only after they are validated:

@@ -126,7 +126,7 @@ TEST(Edges, ReadOfZeroBytesIsFree)
     JobSpec j;
     j.name = "z";
     j.build = [](Kernel &, WorkloadEnv &env) {
-        const FileId f = env.fs.createFile("f", env.disk, 4096);
+        const FileId f = env.fs.createFile(env.disk, 4096);
         std::vector<ProcessSpec> procs;
         procs.push_back(ProcessSpec{
             "z", std::make_unique<ScriptBehavior>(std::vector<Action>{
@@ -205,7 +205,7 @@ TEST(Edges, SequentialJobsReuseWarmCache)
     JobSpec writer;
     writer.name = "writer";
     writer.build = [&shared](Kernel &, WorkloadEnv &env) {
-        shared = env.fs.createFile("data", env.disk, 256 * 1024);
+        shared = env.fs.createFile(env.disk, 256 * 1024);
         std::vector<ProcessSpec> procs;
         procs.push_back(ProcessSpec{
             "w", std::make_unique<ScriptBehavior>(std::vector<Action>{

@@ -22,8 +22,7 @@ makeReadJob(std::string name, int reads, std::uint64_t bytes)
     JobSpec j;
     j.name = name;
     j.build = [name, reads, bytes](Kernel &, WorkloadEnv &env) {
-        const FileId f =
-            env.fs.createFile(name + ".dat", env.disk, reads * bytes);
+        const FileId f = env.fs.createFile(env.disk, reads * bytes);
         std::vector<Action> script;
         for (int i = 0; i < reads; ++i)
             script.push_back(ReadAction{f, i * bytes, bytes});

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/os/filesystem.hh"
+#include "src/util/error.hh"
 
 using namespace piso;
 
@@ -31,7 +34,7 @@ TEST(FileSystem, BlockGeometry)
 TEST(FileSystem, CreateFileRecordsSize)
 {
     FileSystem fs = makeFs();
-    const FileId id = fs.createFile("a", 0, 10000);
+    const FileId id = fs.createFile(0, 10000);
     const FileInfo &f = fs.file(id);
     EXPECT_EQ(f.bytes, 10000u);
     EXPECT_EQ(f.sectors, 3u * 8u); // 3 blocks
@@ -41,8 +44,8 @@ TEST(FileSystem, CreateFileRecordsSize)
 TEST(FileSystem, SequentialFilesAreAdjacent)
 {
     FileSystem fs = makeFs();
-    const FileId a = fs.createFile("a", 0, 4096);
-    const FileId b = fs.createFile("b", 0, 4096);
+    const FileId a = fs.createFile(0, 4096);
+    const FileId b = fs.createFile(0, 4096);
     EXPECT_EQ(fs.file(b).startSector,
               fs.file(a).startSector + fs.file(a).sectors);
 }
@@ -53,7 +56,7 @@ TEST(FileSystem, ScatteredFilesSpread)
     std::vector<std::uint64_t> starts;
     for (int i = 0; i < 20; ++i) {
         const FileId id =
-            fs.createFile("s" + std::to_string(i), 0, 4096,
+            fs.createFile(0, 4096,
                           FilePlacement::Scattered);
         starts.push_back(fs.file(id).startSector);
     }
@@ -65,15 +68,15 @@ TEST(FileSystem, ScatteredFilesSpread)
 TEST(FileSystem, ZeroByteFileStillGetsABlock)
 {
     FileSystem fs = makeFs();
-    const FileId id = fs.createFile("z", 0, 0);
+    const FileId id = fs.createFile(0, 0);
     EXPECT_EQ(fs.file(id).sectors, 8u);
 }
 
 TEST(FileSystem, MetadataSectorInFrontZone)
 {
     FileSystem fs = makeFs();
-    const FileId a = fs.createFile("a", 0, 4096);
-    const FileId b = fs.createFile("b", 0, 4096);
+    const FileId a = fs.createFile(0, 4096);
+    const FileId b = fs.createFile(0, 4096);
     EXPECT_LT(fs.file(a).metadataSector, 2000000u / 512 + 64);
     EXPECT_NE(fs.file(a).metadataSector, fs.file(b).metadataSector);
     // Data extents start past the metadata zone.
@@ -83,7 +86,7 @@ TEST(FileSystem, MetadataSectorInFrontZone)
 TEST(FileSystem, BlockSectorMapsThroughExtent)
 {
     FileSystem fs = makeFs();
-    const FileId id = fs.createFile("a", 0, 5 * 4096);
+    const FileId id = fs.createFile(0, 5 * 4096);
     const FileInfo &f = fs.file(id);
     EXPECT_EQ(fs.blockSector(id, 0), f.startSector);
     EXPECT_EQ(fs.blockSector(id, 4), f.startSector + 32);
@@ -92,7 +95,7 @@ TEST(FileSystem, BlockSectorMapsThroughExtent)
 TEST(FileSystem, BlockCountSpansPartialBlocks)
 {
     FileSystem fs = makeFs();
-    const FileId id = fs.createFile("a", 0, 10 * 4096);
+    const FileId id = fs.createFile(0, 10 * 4096);
     EXPECT_EQ(fs.blockCount(id, 0, 4096), 1u);
     EXPECT_EQ(fs.blockCount(id, 0, 4097), 2u);
     EXPECT_EQ(fs.blockCount(id, 4095, 2), 2u); // straddles boundary
@@ -102,7 +105,7 @@ TEST(FileSystem, BlockCountSpansPartialBlocks)
 TEST(FileSystem, CreateExtentHasNoMetadataChurn)
 {
     FileSystem fs = makeFs();
-    const FileId swap = fs.createExtent("swap", 0, 1 << 20);
+    const FileId swap = fs.createExtent(0, 1 << 20);
     EXPECT_EQ(fs.file(swap).sectors, (1u << 20) / 512);
 }
 
@@ -110,7 +113,7 @@ TEST(FileSystem, FreeSectorsDecrease)
 {
     FileSystem fs = makeFs();
     const std::uint64_t before = fs.freeSectors(0);
-    fs.createFile("a", 0, 1 << 20);
+    fs.createFile(0, 1 << 20);
     EXPECT_EQ(fs.freeSectors(0), before - (1u << 20) / 512);
 }
 
@@ -119,8 +122,8 @@ TEST(FileSystem, MultipleDisksIndependent)
     FileSystem fs;
     fs.addDisk(0, 1000000);
     fs.addDisk(1, 1000000);
-    const FileId a = fs.createFile("a", 0, 4096);
-    const FileId b = fs.createFile("b", 1, 4096);
+    const FileId a = fs.createFile(0, 4096);
+    const FileId b = fs.createFile(1, 4096);
     EXPECT_EQ(fs.file(a).disk, 0);
     EXPECT_EQ(fs.file(b).disk, 1);
     EXPECT_EQ(fs.file(a).startSector, fs.file(b).startSector);
@@ -129,7 +132,7 @@ TEST(FileSystem, MultipleDisksIndependent)
 TEST(FileSystem, ErrorsOnUnknownDiskOrFile)
 {
     FileSystem fs = makeFs();
-    EXPECT_THROW(fs.createFile("x", 9, 4096), std::runtime_error);
+    EXPECT_THROW(fs.createFile(9, 4096), std::runtime_error);
     EXPECT_THROW(fs.freeSectors(7), std::runtime_error);
     EXPECT_DEATH(fs.file(1234), "unknown file");
 }
@@ -138,13 +141,13 @@ TEST(FileSystem, DiskFullIsFatal)
 {
     FileSystem fs;
     fs.addDisk(0, 1024);
-    EXPECT_THROW(fs.createFile("big", 0, 10 << 20), std::runtime_error);
+    EXPECT_THROW(fs.createFile(0, 10 << 20), std::runtime_error);
 }
 
 TEST(FileSystem, AccessBeyondFilePanics)
 {
     FileSystem fs = makeFs();
-    const FileId id = fs.createFile("a", 0, 4096);
+    const FileId id = fs.createFile(0, 4096);
     EXPECT_DEATH(fs.blockCount(id, 0, 2 * 4096 + 1), "beyond");
     EXPECT_DEATH(fs.blockSector(id, 5), "beyond");
 }
@@ -162,7 +165,7 @@ TEST(FileSystem, ScatteredFileFillingTheDataZoneTakesItWithoutADraw)
     FileSystem fs;
     fs.addDisk(0, 64 + 80);
     const FileId fill =
-        fs.createFile("fill", 0, 10 * 4096, FilePlacement::Scattered);
+        fs.createFile(0, 10 * 4096, FilePlacement::Scattered);
     EXPECT_EQ(fs.file(fill).startSector, 64u);
     EXPECT_EQ(fs.file(fill).sectors, 80u);
 
@@ -171,54 +174,142 @@ TEST(FileSystem, ScatteredFileFillingTheDataZoneTakesItWithoutADraw)
     FileSystem ref;
     ref.addDisk(1, 2000000);
     fs.addDisk(1, 2000000);
-    const FileId a = fs.createFile("a", 1, 4096, FilePlacement::Scattered);
-    const FileId b = ref.createFile("a", 1, 4096, FilePlacement::Scattered);
+    const FileId a = fs.createFile(1, 4096, FilePlacement::Scattered);
+    const FileId b = ref.createFile(1, 4096, FilePlacement::Scattered);
     EXPECT_EQ(fs.file(a).startSector, ref.file(b).startSector);
 }
 
-TEST(FileSystem, NamesLiveInTheArena)
+TEST(FileSystem, IdsRunInCreationOrder)
 {
     FileSystem fs = makeFs();
-    const FileId a = fs.createFile("alpha.c", 0, 4096);
-    const FileId e = fs.createFile("", 0, 4096);
-    const FileId b = fs.createExtent("swap-spu2", 0, 1 << 20);
-    EXPECT_EQ(fs.fileName(a), "alpha.c");
-    EXPECT_EQ(fs.fileName(e), "");
-    EXPECT_EQ(fs.fileName(b), "swap-spu2");
-    EXPECT_DEATH(fs.fileName(99), "unknown file");
+    const FileId a = fs.createFile(0, 4096);
+    const FileId e = fs.createFile(0, 0);
+    const FileId b = fs.createExtent(0, 1 << 20);
+    EXPECT_EQ(a, 0);
+    EXPECT_EQ(e, 1);
+    EXPECT_EQ(b, 2);
+    EXPECT_EQ(fs.fileCount(), 3u);
+    for (FileId id : {a, e, b})
+        EXPECT_EQ(fs.file(id).id, id);
+    EXPECT_DEATH(fs.file(99), "unknown file id 99");
+    EXPECT_DEATH(fs.file(-1), "unknown file");
 }
+
+namespace {
+
+/** The set-up both sides of a checkpoint replay: enough files to span
+ *  several chunks of the table. */
+void
+replaySetup(FileSystem &fs, int n)
+{
+    fs.createFile(0, 4096);
+    fs.createExtent(0, 1 << 20);
+    for (int i = 2; i < n; ++i)
+        fs.createFile(0, 4096 * (1 + i % 3), FilePlacement::Scattered);
+    fs.endSetup();
+}
+
+std::string
+image(FileSystem &fs)
+{
+    CkptWriter w;
+    CkptIo io(w);
+    fs.ckpt(io);
+    return w.image(0);
+}
+
+} // namespace
 
 TEST(FileSystem, SaveLoadRoundTripsTheFileTable)
 {
-    // Enough files to span several chunks of the table.
-    FileSystem fs = makeFs();
-    fs.createFile("", 0, 4096);
-    fs.createExtent("swap", 0, 1 << 20);
     const int n = 10000;
-    for (int i = 2; i < n; ++i) {
-        fs.createFile("f" + std::to_string(i), 0, 4096 * (1 + i % 3),
-                      FilePlacement::Scattered);
-    }
-    CkptWriter w;
-    CkptIo save(w);
-    fs.ckpt(save);
+    FileSystem fs = makeFs();
+    replaySetup(fs, n);
+    // Made after set-up, like the kernel's swap extents: imaged.
+    fs.createExtent(0, 1 << 20);
+    fs.createFile(0, 4096, FilePlacement::Scattered);
+    const std::string img = image(fs);
 
-    FileSystem back;
-    CkptReader r(w.image(0));
+    FileSystem back = makeFs();
+    replaySetup(back, n);
+    CkptReader r(img);
     CkptIo load(r);
     back.ckpt(load);
     r.expectEnd();
-    CkptWriter again;
-    CkptIo resave(again);
-    back.ckpt(resave);
-    EXPECT_EQ(again.payload(), w.payload());
-    EXPECT_EQ(back.fileName(0), "");
-    EXPECT_EQ(back.fileName(1), "swap");
-    for (FileId id = 2; id < n; ++id) {
-        ASSERT_EQ(back.fileName(id), "f" + std::to_string(id));
-        ASSERT_EQ(back.file(id).id, id);
-        ASSERT_EQ(back.file(id).startSector, fs.file(id).startSector);
-        ASSERT_EQ(back.file(id).bytes, 4096u * (1 + id % 3));
+    EXPECT_EQ(image(back), img);
+
+    ASSERT_EQ(back.fileCount(), static_cast<std::size_t>(n) + 2);
+    for (FileId id = 0; id < n + 2; ++id) {
+        const FileInfo &a = fs.file(id);
+        const FileInfo &b = back.file(id);
+        ASSERT_EQ(b.id, id);
+        ASSERT_EQ(b.disk, a.disk);
+        ASSERT_EQ(b.startSector, a.startSector);
+        ASSERT_EQ(b.sectors, a.sectors);
+        ASSERT_EQ(b.metadataSector, a.metadataSector);
+        ASSERT_EQ(b.bytes, a.bytes);
     }
-    EXPECT_DEATH(back.file(n), "unknown file");
+    EXPECT_EQ(back.file(1).sectors, (1u << 20) / 512);
+    for (FileId id = 2; id < n; ++id)
+        ASSERT_EQ(back.file(id).bytes, 4096u * (1 + id % 3));
+    EXPECT_EQ(back.freeSectors(0), fs.freeSectors(0));
+    EXPECT_DEATH(back.file(n + 2), "unknown file");
+
+    // The cursors and the placement RNG came back too: the next files
+    // land where the original's do.
+    for (FilePlacement p :
+         {FilePlacement::Sequential, FilePlacement::Scattered}) {
+        EXPECT_EQ(back.file(back.createFile(0, 4096, p)).startSector,
+                  fs.file(fs.createFile(0, 4096, p)).startSector);
+    }
+}
+
+TEST(FileSystem, ImageCarriesOnlyTheFilesMadeAfterSetUp)
+{
+    FileSystem few = makeFs();
+    replaySetup(few, 10);
+    FileSystem many = makeFs();
+    replaySetup(many, 5000);
+    EXPECT_EQ(image(few).size(), image(many).size());
+
+    // Each later file adds one fixed-size record.
+    const std::size_t before = image(few).size();
+    few.createExtent(0, 1 << 20);
+    const std::size_t one = image(few).size() - before;
+    few.createExtent(0, 1 << 20);
+    EXPECT_EQ(image(few).size(), before + 2 * one);
+}
+
+TEST(FileSystem, LoadRejectsAnExtentOutsideTheDisks)
+{
+    const auto rejection = [](const std::string &img) {
+        FileSystem fs = makeFs();
+        replaySetup(fs, 10);
+        CkptReader r(img);
+        CkptIo io(r);
+        try {
+            fs.ckpt(io);
+        } catch (const ConfigError &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+
+    FileSystem fs = makeFs();
+    replaySetup(fs, 10);
+    fs.createExtent(0, 1 << 20);
+    const std::string good = image(fs);
+    EXPECT_EQ(rejection(good), "");
+
+    // The same image with the later extent's start sector (the second
+    // of its five trailing u64 fields) moved past the end of its disk.
+    std::string payload = good.substr(32, good.size() - 40);
+    const std::size_t at = payload.size() - 4 * 8;
+    for (int i = 0; i < 8; ++i)
+        payload[at + i] = static_cast<char>((2000000ull >> (8 * i)) & 0xff);
+    CkptWriter w;
+    for (char c : payload)
+        w.u8(static_cast<std::uint8_t>(c));
+    EXPECT_NE(rejection(w.image(0)).find("outside the configured disks"),
+              std::string::npos);
 }

@@ -140,7 +140,7 @@ TEST_F(KernelFixture, ShrinkMemReleasesFrames)
 
 TEST_F(KernelFixture, ColdReadGoesToDisk)
 {
-    const FileId f = fs.createFile("data", 0, 64 * 1024);
+    const FileId f = fs.createFile(0, 64 * 1024);
     Process *p = spawn(2, {ReadAction{f, 0, 64 * 1024}});
     run();
     EXPECT_EQ(p->state(), ProcState::Exited);
@@ -151,7 +151,7 @@ TEST_F(KernelFixture, ColdReadGoesToDisk)
 
 TEST_F(KernelFixture, WarmReadHitsCache)
 {
-    const FileId f = fs.createFile("data", 0, 16 * 1024);
+    const FileId f = fs.createFile(0, 16 * 1024);
     spawn(2, {ReadAction{f, 0, 16 * 1024}, ComputeAction{kMs},
               ReadAction{f, 0, 16 * 1024}});
     run();
@@ -161,7 +161,7 @@ TEST_F(KernelFixture, WarmReadHitsCache)
 
 TEST_F(KernelFixture, SequentialReadsTriggerReadAhead)
 {
-    const FileId f = fs.createFile("stream", 0, 1 << 20);
+    const FileId f = fs.createFile(0, 1 << 20);
     std::vector<Action> script;
     for (std::uint64_t off = 0; off < (1 << 20); off += 32 * 1024)
         script.push_back(ReadAction{f, off, 32 * 1024});
@@ -175,7 +175,7 @@ TEST_F(KernelFixture, SequentialReadsTriggerReadAhead)
 
 TEST_F(KernelFixture, DelayedWriteReturnsQuickly)
 {
-    const FileId f = fs.createFile("out", 0, 256 * 1024);
+    const FileId f = fs.createFile(0, 256 * 1024);
     Process *p = spawn(2, {WriteAction{f, 0, 256 * 1024, false}});
     run(10 * kSec);
     EXPECT_EQ(p->state(), ProcState::Exited);
@@ -186,7 +186,7 @@ TEST_F(KernelFixture, DelayedWriteReturnsQuickly)
 
 TEST_F(KernelFixture, BdflushCleansDirtyBlocks)
 {
-    const FileId f = fs.createFile("out", 0, 256 * 1024);
+    const FileId f = fs.createFile(0, 256 * 1024);
     spawn(2, {WriteAction{f, 0, 256 * 1024, false},
               SleepAction{3 * kSec}});
     run(20 * kSec);
@@ -196,7 +196,7 @@ TEST_F(KernelFixture, BdflushCleansDirtyBlocks)
 
 TEST_F(KernelFixture, BdflushWritesUnderSharedSpu)
 {
-    const FileId f = fs.createFile("out", 0, 256 * 1024);
+    const FileId f = fs.createFile(0, 256 * 1024);
     spawn(2, {WriteAction{f, 0, 256 * 1024, false},
               SleepAction{3 * kSec}});
     run(20 * kSec);
@@ -205,7 +205,7 @@ TEST_F(KernelFixture, BdflushWritesUnderSharedSpu)
 
 TEST_F(KernelFixture, SyncWriteWaitsForDisk)
 {
-    const FileId f = fs.createFile("meta", 0, 4096);
+    const FileId f = fs.createFile(0, 4096);
     Process *p = spawn(2, {WriteAction{f, 0, 512, true}});
     run();
     EXPECT_GT(kernel->stats().syncWriteRequests.value(), 0u);
@@ -363,7 +363,7 @@ TEST_F(KernelFixture, PressureNotedWhenAtLimit)
 
 TEST_F(KernelFixture, SecondSpuTouchingBlockReclassifiesToShared)
 {
-    const FileId f = fs.createFile("lib", 0, 32 * 1024);
+    const FileId f = fs.createFile(0, 32 * 1024);
     spawn(2, {ReadAction{f, 0, 32 * 1024}});
     spawn(3, {SleepAction{kSec}, ReadAction{f, 0, 32 * 1024}});
     run();
@@ -397,7 +397,7 @@ TEST_F(KernelFixture, ReadBeyondCacheBudgetStillCompletes)
 {
     // A file much bigger than memory: the cache recycles itself.
     const std::uint64_t bytes = (kPages + 1000) * 4096;
-    const FileId f = fs.createFile("huge", 0, bytes);
+    const FileId f = fs.createFile(0, bytes);
     std::vector<Action> script;
     for (std::uint64_t off = 0; off < bytes; off += 64 * 1024) {
         script.push_back(ReadAction{
@@ -479,7 +479,7 @@ TEST_F(KernelFixture, WriteThrottleEngagesOnFloods)
                                       std::vector<DiskDevice *>{
                                           disk.get()},
                                       Rng(13), kc);
-    const FileId f = fs.createFile("flood", 0, 8 << 20);
+    const FileId f = fs.createFile(0, 8 << 20);
     std::vector<Action> script;
     for (std::uint64_t off = 0; off < (8u << 20); off += 64 * 1024)
         script.push_back(WriteAction{f, off, 64 * 1024, false});

@@ -94,8 +94,8 @@ TEST(KernelIo, BdflushChargesPagesToOwningSpus)
     vm.setAllowed(kKernelSpu, 4096);
     vm.setAllowed(kSharedSpu, 4096);
 
-    const FileId fa = fs.createFile("a", 0, 64 * 1024);
-    const FileId fb = fs.createFile("b", 0, 64 * 1024);
+    const FileId fa = fs.createFile(0, 64 * 1024);
+    const FileId fb = fs.createFile(0, 64 * 1024);
     kernel.createProcess(2, kNoJob, "wa",
                          std::make_unique<ScriptBehavior>(
                              std::vector<Action>{
@@ -146,7 +146,7 @@ TEST(KernelIo, DrainFlushesEverythingAtRunEnd)
     JobSpec j;
     j.name = "w";
     j.build = [bytes](Kernel &, WorkloadEnv &env) {
-        const FileId f = env.fs.createFile("out", env.disk, bytes);
+        const FileId f = env.fs.createFile(env.disk, bytes);
         std::vector<ProcessSpec> procs;
         procs.push_back(ProcessSpec{
             "w", std::make_unique<ScriptBehavior>(std::vector<Action>{
@@ -172,7 +172,7 @@ TEST(KernelIo, NonSequentialReadsDontPrefetch)
     JobSpec j;
     j.name = "rand";
     j.build = [](Kernel &, WorkloadEnv &env) {
-        const FileId f = env.fs.createFile("data", env.disk, 4 * kMiB);
+        const FileId f = env.fs.createFile(env.disk, 4 * kMiB);
         std::vector<Action> script;
         // Stride access pattern: never sequential.
         for (int i = 0; i < 32; ++i) {
@@ -206,7 +206,7 @@ TEST(KernelIo, SharedPageReclassificationOnWrite)
     JobSpec writerA;
     writerA.name = "wa";
     writerA.build = [&shared](Kernel &, WorkloadEnv &env) {
-        shared = env.fs.createFile("log", env.disk, 32 * 1024);
+        shared = env.fs.createFile(env.disk, 32 * 1024);
         std::vector<ProcessSpec> procs;
         procs.push_back(ProcessSpec{
             "wa", std::make_unique<ScriptBehavior>(std::vector<Action>{
@@ -277,7 +277,7 @@ TEST(KernelIo, CopyCostMakesCachedReadsNonFree)
     JobSpec j;
     j.name = "reread";
     j.build = [](Kernel &, WorkloadEnv &env) {
-        const FileId f = env.fs.createFile("data", env.disk, 256 * 1024);
+        const FileId f = env.fs.createFile(env.disk, 256 * 1024);
         std::vector<Action> script;
         script.push_back(ReadAction{f, 0, 256 * 1024}); // cold
         for (int i = 0; i < 100; ++i)

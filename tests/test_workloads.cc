@@ -162,7 +162,7 @@ TEST(Workloads, PmakeWorkersReplayTheUnrolledScript)
         const JobSpec job = makePmake("pm", cfg);
         std::vector<ProcessSpec> procs = job.build(sim.kernel(), env);
         std::vector<ProcessSpec> twins = job.build(sim.kernel(), twinEnv);
-        const auto scripts = testutil::unrollPmake("pm", cfg, refEnv);
+        const auto scripts = testutil::unrollPmake(cfg, refEnv);
 
         // Same file ids, names and placements, same fs and jitter
         // draws.
