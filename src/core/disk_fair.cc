@@ -193,16 +193,17 @@ PisoDiskScheduler::pick(const std::deque<DiskRequest> &queue,
         PISO_PANIC("PIso disk policy asked to pick from an empty queue");
     policyIters_ += queue.size();
 
-    // Ratios of the user SPUs with active requests.
-    SpuTable<double> ratios;
+    // Ratios of the user SPUs with active requests (a member table,
+    // cleared per pick, so a pick allocates nothing once warm).
+    ratios_.clear();
     for (const DiskRequest &r : queue) {
         if (r.spu == kSharedSpu || r.spu == kKernelSpu)
             continue;
-        if (!ratios.contains(r.spu))
-            ratios[r.spu] = tracker_.hierarchicalRatio(r.spu, now);
+        if (!ratios_.contains(r.spu))
+            ratios_[r.spu] = tracker_.hierarchicalRatio(r.spu, now);
     }
 
-    if (ratios.empty() || sharedEligible(queue, now)) {
+    if (ratios_.empty() || sharedEligible(queue, now)) {
         // Service shared/kernel requests by head position among
         // themselves.
         const std::size_t idx = CScanScheduler::pickAmong(
@@ -214,11 +215,11 @@ PisoDiskScheduler::pick(const std::deque<DiskRequest> &queue,
     }
 
     double avg = 0.0;
-    // piso-lint: allow(hot-path-full-scan) -- 'ratios' holds only the
+    // piso-lint: allow(hot-path-full-scan) -- 'ratios_' holds only the
     // SPUs with queued requests on this disk: already O(active).
-    for (const auto &[spu, ratio] : ratios)
+    for (const auto &[spu, ratio] : ratios_)
         avg += ratio;
-    avg /= static_cast<double>(ratios.size());
+    avg /= static_cast<double>(ratios_.size());
 
     // Fairness criterion (Section 3.3): an SPU fails when its ratio
     // exceeds the average by more than the BW difference threshold.
@@ -226,7 +227,7 @@ PisoDiskScheduler::pick(const std::deque<DiskRequest> &queue,
     const double cutoff = avg + threshold_;
     std::size_t idx = CScanScheduler::pickAmong(
         queue, headSector, [&](const DiskRequest &r) {
-            const double *ratio = ratios.find(r.spu);
+            const double *ratio = ratios_.find(r.spu);
             return ratio && *ratio <= cutoff;
         });
     if (idx == queue.size()) {
@@ -234,12 +235,13 @@ PisoDiskScheduler::pick(const std::deque<DiskRequest> &queue,
         // plain C-SCAN over user requests.
         idx = CScanScheduler::pickAmong(
             queue, headSector, [&](const DiskRequest &r) {
-                return ratios.contains(r.spu);
+                return ratios_.contains(r.spu);
             });
     }
     if (idx == queue.size()) {
         // Only shared requests remain.
-        idx = CScanScheduler::pickAmong(queue, headSector, nullptr);
+        idx = CScanScheduler::pickAmong(queue, headSector,
+                                        CScanScheduler::anyRequest);
     }
     return idx;
 }

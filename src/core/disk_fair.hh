@@ -163,6 +163,8 @@ class PisoDiskScheduler : public FairDiskScheduler
 
   private:
     double threshold_;
+    /** pick()'s per-SPU ratios; scratch, reused across picks. */
+    SpuTable<double> ratios_;
 };
 
 } // namespace piso

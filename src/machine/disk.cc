@@ -21,11 +21,22 @@ DiskDevice::DiskDevice(EventQueue &events, const DiskModel &model,
         PISO_FATAL("disk '", name_, "' constructed without a scheduler");
 }
 
+void
+DiskDevice::setSink(DiskSink &sink)
+{
+    if (busy_ || queued() || !failing_.empty())
+        PISO_FATAL("cannot change the sink of active disk '", name_, "'");
+    sink_ = &sink;
+}
+
 std::uint64_t
 DiskDevice::submit(DiskRequest req)
 {
     if (req.sectors == 0)
         PISO_PANIC("zero-length request submitted to ", name_);
+    if (sink_ == nullptr)
+        PISO_PANIC("request submitted to ", name_,
+                   " before its completion sink was set");
     if (req.startSector + req.sectors > model_.totalSectors())
         PISO_PANIC("request beyond end of ", name_);
 
@@ -35,7 +46,9 @@ DiskDevice::submit(DiskRequest req)
         failFast(std::move(req));
         return nextId_ - 1;
     }
-    queue_.push_back(std::move(req));
+    if (!queue_)
+        queue_.emplace();
+    queue_->push_back(std::move(req));
     if (!busy_)
         startNext();
     return nextId_ - 1;
@@ -67,8 +80,10 @@ DiskDevice::kill()
     // The in-flight request (if any) completes through complete(),
     // which marks it failed because the device is now dead. Queued
     // requests fail immediately.
+    if (!queued())
+        return;
     std::deque<DiskRequest> drained;
-    drained.swap(queue_);
+    drained.swap(*queue_);
     for (DiskRequest &req : drained)
         failFast(std::move(req));
 }
@@ -77,18 +92,27 @@ void
 DiskDevice::failFast(DiskRequest req)
 {
     req.failed = true;
-    events_.scheduleAfter(
-        0,
-        [this, r = std::move(req)]() mutable {
-            stats_.requests.add();
-            stats_.errors.add();
-            auto &ss = spuStats_[r.spu];
-            ss.requests.add();
-            ss.errors.add();
-            if (r.onComplete)
-                r.onComplete(r);
-        },
-        "diskFailFast");
+    failing_.push_back(std::move(req));
+    events_.scheduleAfter(0, [this] { completeFailFast(); },
+                          "diskFailFast");
+}
+
+void
+DiskDevice::completeFailFast()
+{
+    PISO_CHECK(failHead_ < failing_.size(), "diskFailFast on ", name_,
+               " with no failed request");
+    const DiskRequest r = std::move(failing_[failHead_]);
+    if (++failHead_ == failing_.size()) {
+        failing_.clear();
+        failHead_ = 0;
+    }
+    stats_.requests.add();
+    stats_.errors.add();
+    auto &ss = spuStats_[r.spu];
+    ss.requests.add();
+    ss.errors.add();
+    sink_->diskComplete(r);
 }
 
 void
@@ -96,7 +120,7 @@ DiskDevice::setScheduler(std::unique_ptr<DiskScheduler> scheduler)
 {
     if (!scheduler)
         PISO_FATAL("null scheduler for disk '", name_, "'");
-    if (busy_ || !queue_.empty())
+    if (busy_ || queued())
         PISO_FATAL("cannot swap scheduler on active disk '", name_, "'");
     scheduler_ = std::move(scheduler);
 }
@@ -110,20 +134,21 @@ DiskDevice::spuStats(SpuId spu) const
 void
 DiskDevice::startNext()
 {
-    if (queue_.empty())
+    if (!queued())
         return;
 
     const std::size_t idx =
-        scheduler_->pick(queue_, headSector_, events_.now());
-    if (idx >= queue_.size())
+        scheduler_->pick(*queue_, headSector_, events_.now());
+    if (idx >= queue_->size())
         PISO_PANIC("disk scheduler picked index ", idx, " of ",
-                   queue_.size());
+                   queue_->size());
 
-    DiskRequest req = std::move(queue_[idx]);
-    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
+    inService_ = std::move((*queue_)[idx]);
+    queue_->erase(queue_->begin() + static_cast<std::ptrdiff_t>(idx));
+    DiskRequest &req = inService_;
 
-    DiskServiceTime st = model_.service(headSector_, req.startSector,
-                                        req.sectors, rng_);
+    DiskServiceTime &st = inServiceTime_;
+    st = model_.service(headSector_, req.startSector, req.sectors, rng_);
     if (slowFactor_ > 1.0) {
         st.seek = static_cast<Time>(static_cast<double>(st.seek) *
                                     slowFactor_);
@@ -149,17 +174,16 @@ DiskDevice::startNext()
     ss.serviceMs.sample(toMillis(st.total()));
 
     busy_ = true;
-    events_.scheduleAfter(
-        st.total(),
-        [this, r = std::move(req), st]() mutable {
-            complete(std::move(r), st);
-        },
-        "diskComplete");
+    events_.scheduleAfter(st.total(), [this] { complete(); },
+                          "diskComplete");
 }
 
 void
-DiskDevice::complete(DiskRequest req, DiskServiceTime st)
+DiskDevice::complete()
 {
+    // Moved out: the sink may submit, which starts the next request.
+    DiskRequest req = std::move(inService_);
+    const DiskServiceTime st = inServiceTime_;
     // A device that died mid-service loses the request it was working
     // on along with everything else.
     if (dead_)
@@ -188,11 +212,10 @@ DiskDevice::complete(DiskRequest req, DiskServiceTime st)
     scheduler_->onComplete(req, events_.now());
     busy_ = false;
 
-    if (req.onComplete)
-        req.onComplete(req);
+    sink_->diskComplete(req);
 
-    // The callback may have queued more work.
-    if (!busy_ && !queue_.empty())
+    // The sink may have queued more work.
+    if (!busy_ && queued())
         startNext();
 }
 
@@ -221,7 +244,7 @@ DiskStats::ckpt(CkptIo &io)
 void
 DiskDevice::ckpt(CkptIo &io, std::size_t spuBound)
 {
-    if (!io.loading() && (busy_ || !queue_.empty())) {
+    if (!io.loading() && (busy_ || queued() || !failing_.empty())) {
         throw InvariantError("disk '" + name_ +
                              "' has in-flight or queued requests at "
                              "checkpoint time (not I/O-quiescent)");

@@ -14,9 +14,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/core/spu_table.hh"
 #include "src/machine/disk_model.hh"
@@ -42,8 +44,8 @@ struct DiskRequest
      *  successfully (injected transient error or dead disk). */
     bool failed = false;
 
-    /** Invoked at completion time (after stats are recorded). */
-    std::function<void(const DiskRequest &)> onComplete;
+    /** The submitter's operation; handed back to the sink. */
+    IoTag tag;
 
     /**
      * Bandwidth charge breakdown. Normally empty, meaning all sectors
@@ -53,6 +55,20 @@ struct DiskRequest
      * split here.
      */
     std::vector<std::pair<SpuId, std::uint32_t>> charges;
+};
+
+/**
+ * Receives every request a DiskDevice completes, after the device has
+ * recorded its statistics. One sink per device; the Kernel is the
+ * sink of every disk it drives.
+ */
+class DiskSink
+{
+  public:
+    virtual void diskComplete(const DiskRequest &req) = 0;
+
+  protected:
+    ~DiskSink() = default;
 };
 
 /**
@@ -126,6 +142,10 @@ class DiskDevice
                std::unique_ptr<DiskScheduler> scheduler, Rng rng,
                std::string name = "disk");
 
+    /** Report completions to @p sink (set before the first submit;
+     *  replaceable only while idle). */
+    void setSink(DiskSink &sink);
+
     /** Enqueue a request; service begins immediately if idle.
      *  @return the id assigned to the request. */
     std::uint64_t submit(DiskRequest req);
@@ -138,7 +158,7 @@ class DiskDevice
     std::uint64_t headSector() const { return headSector_; }
 
     /** Requests waiting (not counting the one in service). */
-    std::size_t queueDepth() const { return queue_.size(); }
+    std::size_t queueDepth() const { return queue_ ? queue_->size() : 0; }
 
     /** True while a request is being serviced. */
     bool busy() const { return busy_; }
@@ -189,23 +209,38 @@ class DiskDevice
     void ckpt(CkptIo &io, std::size_t spuBound);
 
   private:
+    bool queued() const { return queueDepth() > 0; }
     void startNext();
-    void complete(DiskRequest req, DiskServiceTime st);
+    /** Finish the request in service (the diskComplete event). */
+    void complete();
 
-    /** Complete @p req immediately with failed = true, bypassing the
-     *  mechanism (dead device). */
+    /** Complete @p req with failed = true at the current time,
+     *  bypassing the mechanism (dead device). */
     void failFast(DiskRequest req);
+    /** Report the oldest fast-failed request (the diskFailFast event). */
+    void completeFailFast();
 
     EventQueue &events_;
     DiskModel model_;
     std::unique_ptr<DiskScheduler> scheduler_;
     Rng rng_;
     std::string name_;
+    DiskSink *sink_ = nullptr;
 
-    // Saving throws unless the queue is empty: nothing to image.
-    std::deque<DiskRequest> queue_;
+    // Saving throws unless the queues are empty: nothing to image.
+    // Made on the first submit: an empty std::deque allocates, and a
+    // machine may never use some of its disks.
+    std::optional<std::deque<DiskRequest>> queue_;
+    /** Fast-failed requests from failHead_ on, oldest first: one
+     *  diskFailFast event each, all due at their failing time, so they
+     *  run in this order. */
+    std::vector<DiskRequest> failing_;
+    std::size_t failHead_ = 0;
     // Saving throws unless idle: false in any image.
     bool busy_ = false;
+    /** The request in service and its service time (valid while busy). */
+    DiskRequest inService_;
+    DiskServiceTime inServiceTime_;
     double slowFactor_ = 1.0;
     double errorRate_ = 0.0;
     bool dead_ = false;

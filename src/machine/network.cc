@@ -39,11 +39,22 @@ NetworkInterface::transmitTime(std::uint64_t bytes) const
     return overhead_ + fromSeconds(seconds);
 }
 
+void
+NetworkInterface::setSink(NetSink &sink)
+{
+    if (busy_ || !queue_.empty())
+        PISO_FATAL("cannot change the sink of active link '", name_, "'");
+    sink_ = &sink;
+}
+
 std::uint64_t
 NetworkInterface::submit(NetMessage msg)
 {
     if (msg.bytes == 0)
         PISO_PANIC("zero-length message on ", name_);
+    if (sink_ == nullptr)
+        PISO_PANIC("message submitted to ", name_,
+                   " before its completion sink was set");
     msg.id = nextId_++;
     msg.issueTime = events_.now();
     queue_.push_back(std::move(msg));
@@ -69,30 +80,33 @@ NetworkInterface::startNext()
         PISO_PANIC("net scheduler picked index ", idx, " of ",
                    queue_.size());
 
-    NetMessage msg = std::move(queue_[idx]);
+    inService_ = queue_[idx];
     queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
 
-    auto &ss = spuStats_[msg.spu];
-    ss.waitMs.sample(toMillis(events_.now() - msg.issueTime));
+    auto &ss = spuStats_[inService_.spu];
+    ss.waitMs.sample(toMillis(events_.now() - inService_.issueTime));
 
     busy_ = true;
-    events_.scheduleAfter(
-        transmitTime(msg.bytes),
-        [this, m = std::move(msg)]() mutable {
-            total_.add();
-            PISO_TRACE(TraceCat::Net, events_.now(), name_, " sent ",
-                       m.bytes, "B for spu", m.spu);
-            auto &stats = spuStats_[m.spu];
-            stats.messages.add();
-            stats.bytes.add(m.bytes);
-            scheduler_->onComplete(m, events_.now());
-            busy_ = false;
-            if (m.onComplete)
-                m.onComplete(m);
-            if (!busy_ && !queue_.empty())
-                startNext();
-        },
-        "netTx");
+    events_.scheduleAfter(transmitTime(inService_.bytes),
+                          [this] { complete(); }, "netTx");
+}
+
+void
+NetworkInterface::complete()
+{
+    // Copied out: the sink may submit, which starts the next message.
+    const NetMessage m = inService_;
+    total_.add();
+    PISO_TRACE(TraceCat::Net, events_.now(), name_, " sent ", m.bytes,
+               "B for spu", m.spu);
+    auto &stats = spuStats_[m.spu];
+    stats.messages.add();
+    stats.bytes.add(m.bytes);
+    scheduler_->onComplete(m, events_.now());
+    busy_ = false;
+    sink_->netComplete(m);
+    if (!busy_ && !queue_.empty())
+        startNext();
 }
 
 void

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -36,9 +35,21 @@ struct NetMessage
     Pid pid = kNoPid;
     std::uint64_t bytes = 0;
     Time issueTime = 0;       //!< filled in by the interface
+    IoTag tag;                //!< the submitter's operation
+};
 
-    /** Invoked when the last bit leaves the wire. */
-    std::function<void(const NetMessage &)> onComplete;
+/**
+ * Receives every message the interface finishes transmitting (when
+ * the last bit leaves the wire). One sink per interface; the Kernel
+ * is the sink of the interface it drives.
+ */
+class NetSink
+{
+  public:
+    virtual void netComplete(const NetMessage &msg) = 0;
+
+  protected:
+    ~NetSink() = default;
 };
 
 /** Policy choosing the next message to transmit. */
@@ -100,6 +111,10 @@ class NetworkInterface
                      std::string name = "net0",
                      Time perMessageOverhead = 50 * kUs);
 
+    /** Report completions to @p sink (set before the first submit;
+     *  replaceable only while idle). */
+    void setSink(NetSink &sink);
+
     /** Queue a message; transmission begins immediately if idle.
      *  @return the id assigned to the message. */
     std::uint64_t submit(NetMessage msg);
@@ -125,17 +140,21 @@ class NetworkInterface
 
   private:
     void startNext();
+    /** Finish the message on the wire (the netTx event). */
+    void complete();
 
     EventQueue &events_;
     double bitsPerSec_;
     std::unique_ptr<NetScheduler> scheduler_;
     std::string name_;
     Time overhead_;
+    NetSink *sink_ = nullptr;
 
     // Saving throws unless the queue is empty: nothing to image.
     std::deque<NetMessage> queue_;
     // Saving throws unless idle: false in any image.
     bool busy_ = false;
+    NetMessage inService_;  //!< the message on the wire (while busy)
     std::uint64_t nextId_ = 1;
     Counter total_;
     mutable SpuTable<SpuNetStats> spuStats_;

@@ -183,7 +183,6 @@ BufferCache::insert(const BlockKey &key, SpuId owner, bool valid)
     blk.dirty = false;
     blk.flushing = false;
     blk.owner = owner;
-    blk.waiters.clear();
     blk.slabIndex = slot;
     pushFront<LruLinks>(lru_, blk);
     Owner &o = owners_[owner];
@@ -232,8 +231,7 @@ BufferCache::remove(const BlockKey &key)
     PISO_INVARIANT(index_[pos].file != kNoFile, "removing uncached block");
 
     CacheBlock &blk = slab_[index_[pos].slot];
-    PISO_INVARIANT(blk.waiters.empty(),
-                   "removing a block with waiters");
+    PISO_INVARIANT(!hasWaiters(blk), "removing a block with waiters");
     PISO_CHECK(blk.key == key,
                "cache index slot disagrees with its slab block (file ",
                key.file, " block ", key.block, ")");
@@ -283,13 +281,21 @@ BufferCache::stealClean(SpuId victim, SpuId &owner)
 }
 
 void
-BufferCache::markValid(CacheBlock &blk)
+BufferCache::addWaiter(CacheBlock &blk, Process &p)
 {
-    blk.valid = true;
-    auto waiters = std::move(blk.waiters);
-    blk.waiters.clear();
-    for (auto &fn : waiters)
-        fn();
+    std::uint32_t n = freeWait_;
+    if (n != kNullSlot) {
+        freeWait_ = waitNodes_[n].next;
+    } else {
+        n = static_cast<std::uint32_t>(waitNodes_.size());
+        waitNodes_.emplace_back();
+    }
+    waitNodes_[n] = WaitNode{&p, kNullSlot};
+    if (blk.waitTail == kNullSlot)
+        blk.waitHead = n;
+    else
+        waitNodes_[blk.waitTail].next = n;
+    blk.waitTail = n;
 }
 
 void
@@ -367,7 +373,7 @@ BufferCache::ckpt(CkptIo &io, std::size_t spuBound)
     if (!io.loading()) {
         for (std::uint32_t i = 0; i < slab_.size(); ++i) {
             const CacheBlock &blk = slab_[i];
-            if (!blk.waiters.empty()) {
+            if (hasWaiters(blk)) {
                 throw InvariantError(
                     "buffer cache has a block with read waiters at "
                     "checkpoint time (not I/O-quiescent)");
@@ -387,6 +393,9 @@ BufferCache::ckpt(CkptIo &io, std::size_t spuBound)
         slab_.clear();
         for (std::size_t i = 0; i < slots; ++i)
             slab_.grow();
+        // An image has no waiters, so none of the pool is in use.
+        waitNodes_.clear();
+        freeWait_ = kNullSlot;
     }
     for (std::uint32_t i = 0; i < slots; ++i) {
         CacheBlock &blk = slab_[i];

@@ -29,6 +29,10 @@
  * touch(), when it is the global most-recently-used block. setOwner()
  * checks that under PISO_HARDENED.
  *
+ * Processes waiting for an in-flight block sit on a FIFO list of
+ * nodes in a pool the cache owns; markValid() releases them in arrival
+ * order.
+ *
  * A checkpoint images the slab, the free list and the global LRU
  * links, so steal order survives a restore. The index, the owner lists
  * and the dirty list are derived state: loading validates the imaged
@@ -36,7 +40,6 @@
  */
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -45,6 +48,8 @@
 #include "src/sim/ids.hh"
 
 namespace piso {
+
+class Process;
 
 /** Identifies one file block. */
 struct BlockKey
@@ -64,10 +69,8 @@ struct CacheBlock
     bool flushing = false;  //!< write in flight; not stealable
     SpuId owner = kNoSpu;   //!< SPU charged for the page
 
-    /** Callbacks run when an in-flight read completes. */
-    std::vector<std::function<void()>> waiters;
-
-    /** @name BufferCache internals (slab index and list links). */
+    /** @name BufferCache internals (slab index, list links, and the
+     *  ends of the waiter list in the cache's node pool). */
     /// @{
     std::uint32_t slabIndex = 0;
     std::uint32_t lruPrev = 0;
@@ -76,8 +79,11 @@ struct CacheBlock
     std::uint32_t ownNext = 0;
     std::uint32_t dirtyPrev = 0;
     std::uint32_t dirtyNext = 0;
+    std::uint32_t waitHead = 0xffffffffu;
+    std::uint32_t waitTail = 0xffffffffu;
     /// @}
 };
+static_assert(sizeof(CacheBlock) == 64);
 
 /** Buffer-cache block table with LRU stealing. */
 class BufferCache
@@ -119,8 +125,38 @@ class BufferCache
      */
     bool stealClean(SpuId victim, SpuId &owner);
 
-    /** Mark @p blk valid and run (and clear) its waiters. */
-    void markValid(CacheBlock &blk);
+    /** Queue @p p behind the in-flight read of @p blk. */
+    void addWaiter(CacheBlock &blk, Process &p);
+
+    /** True when a process waits for @p blk. */
+    bool
+    hasWaiters(const CacheBlock &blk) const
+    {
+        return blk.waitHead != kNullSlot;
+    }
+
+    /**
+     * Mark @p blk valid and release its waiters: the list is detached
+     * first, then @p wake(Process &) runs for each waiter in arrival
+     * order. A wake may queue new waiters (on any block).
+     */
+    template <typename Wake>
+    void
+    markValid(CacheBlock &blk, Wake &&wake)
+    {
+        blk.valid = true;
+        std::uint32_t n = blk.waitHead;
+        blk.waitHead = blk.waitTail = kNullSlot;
+        while (n != kNullSlot) {
+            WaitNode &node = waitNodes_[n];
+            Process *p = node.proc;
+            const std::uint32_t next = node.next;
+            node.next = freeWait_;
+            freeWait_ = n;
+            wake(*p);
+            n = next;
+        }
+    }
 
     /** Dirty/clean transitions keep the dirty list and count exact. */
     void markDirty(CacheBlock &blk);
@@ -206,6 +242,13 @@ class BufferCache
     };
     static_assert(sizeof(IndexEntry) == 16);
 
+    /** One waiter in the pool: a process and the next node. */
+    struct WaitNode
+    {
+        Process *proc = nullptr;
+        std::uint32_t next = kNullSlot;
+    };
+
     /** Head and tail slab indices of one intrusive list. */
     struct ListEnds
     {
@@ -273,6 +316,8 @@ class BufferCache
     std::size_t dirty_ = 0;
     SpuTable<Owner> owners_;
     std::vector<IndexEntry> dirtyScratch_;
+    std::vector<WaitNode> waitNodes_;
+    std::uint32_t freeWait_ = kNullSlot;  //!< free-node list head
     std::uint64_t stealVisits_ = 0;
 };
 

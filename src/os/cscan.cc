@@ -5,39 +5,12 @@
 namespace piso {
 
 std::size_t
-CScanScheduler::pickAmong(
-    const std::deque<DiskRequest> &queue, std::uint64_t headSector,
-    const std::function<bool(const DiskRequest &)> &eligible)
-{
-    // The next request in the upward sweep: smallest startSector >=
-    // head. If none, wrap to the smallest startSector overall.
-    std::size_t best = queue.size();
-    std::size_t bestWrap = queue.size();
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-        const DiskRequest &r = queue[i];
-        if (eligible && !eligible(r))
-            continue;
-        if (r.startSector >= headSector) {
-            if (best == queue.size() ||
-                r.startSector < queue[best].startSector) {
-                best = i;
-            }
-        }
-        if (bestWrap == queue.size() ||
-            r.startSector < queue[bestWrap].startSector) {
-            bestWrap = i;
-        }
-    }
-    return best != queue.size() ? best : bestWrap;
-}
-
-std::size_t
 CScanScheduler::pick(const std::deque<DiskRequest> &queue,
                      std::uint64_t headSector, Time)
 {
     if (queue.empty())
         PISO_PANIC("C-SCAN asked to pick from an empty queue");
-    return pickAmong(queue, headSector, nullptr);
+    return pickAmong(queue, headSector, anyRequest);
 }
 
 } // namespace piso

@@ -27,13 +27,40 @@ class CScanScheduler : public DiskScheduler
 
     /**
      * Shared helper: index of the C-SCAN choice among @p queue
-     * restricted to indices for which @p eligible returns true (used
-     * by the PIso policy to apply C-SCAN over the fair subset).
+     * restricted to requests for which @p eligible(const DiskRequest &)
+     * returns true (used by the PIso policy to apply C-SCAN over the
+     * fair subset).
      * @return queue.size() if no eligible request exists.
      */
+    template <typename Eligible>
     static std::size_t
     pickAmong(const std::deque<DiskRequest> &queue, std::uint64_t headSector,
-              const std::function<bool(const DiskRequest &)> &eligible);
+              Eligible &&eligible)
+    {
+        // The next request in the upward sweep: smallest startSector
+        // >= head. If none, wrap to the smallest startSector overall.
+        std::size_t best = queue.size();
+        std::size_t bestWrap = queue.size();
+        for (std::size_t i = 0; i < queue.size(); ++i) {
+            const DiskRequest &r = queue[i];
+            if (!eligible(r))
+                continue;
+            if (r.startSector >= headSector) {
+                if (best == queue.size() ||
+                    r.startSector < queue[best].startSector) {
+                    best = i;
+                }
+            }
+            if (bestWrap == queue.size() ||
+                r.startSector < queue[bestWrap].startSector) {
+                bestWrap = i;
+            }
+        }
+        return best != queue.size() ? best : bestWrap;
+    }
+
+    /** pickAmong's predicate admitting every request. */
+    static bool anyRequest(const DiskRequest &) { return true; }
 };
 
 } // namespace piso

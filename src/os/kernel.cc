@@ -17,6 +17,8 @@ Kernel::Kernel(EventQueue &events, VirtualMemory &vm, BufferCache &cache,
 {
     if (disks_.empty())
         PISO_FATAL("kernel needs at least one disk");
+    for (DiskDevice *d : disks_)
+        d->setSink(*this);
     sched_.setClient(this);
     vm_.registerSpu(kKernelSpu);
     vm_.registerSpu(kSharedSpu);
@@ -28,6 +30,14 @@ Kernel::setSpuDisk(SpuId spu, DiskId disk)
     if (disk < 0 || static_cast<std::size_t>(disk) >= disks_.size())
         PISO_FATAL("SPU ", spu, " assigned to unknown disk ", disk);
     spuDisk_[spu] = disk;
+}
+
+void
+Kernel::setNetwork(NetworkInterface *net)
+{
+    net_ = net;
+    if (net_ != nullptr)
+        net_->setSink(*this);
 }
 
 void
@@ -329,10 +339,9 @@ Kernel::execute(Process &p, const Action &a)
                 msg.spu = p.spu();
                 msg.pid = p.pid();
                 msg.bytes = act.bytes;
-                msg.onComplete = [this, &p](const NetMessage &) {
-                    wakeProcess(p);
-                };
-                net_->submit(std::move(msg));
+                msg.tag = tagOf(ops_[newOp(IoOp{
+                    .kind = IoKind::NetSend, .attempt = 1, .proc = &p})]);
+                net_->submit(msg);
                 blockProcess(p);
                 return Exec::Blocked;
             } else {
@@ -519,7 +528,7 @@ Kernel::reclaimPage(SpuId victim)
     //    its home location first.
     CacheBlock *dirtyBlk = nullptr;
     cache_.forEachDirty([&](CacheBlock &blk) {
-        if (!dirtyBlk && blk.owner == victim && blk.waiters.empty())
+        if (!dirtyBlk && blk.owner == victim && !cache_.hasWaiters(blk))
             dirtyBlk = &blk;
     });
     if (dirtyBlk) {
@@ -574,29 +583,22 @@ Kernel::reclaimAny(SpuId requester)
 }
 
 void
-Kernel::writeReclaimedPage(const Reclaimed &r, std::function<void()> done)
+Kernel::writeReclaimedPage(const Reclaimed &r, Process &p, FrameGrant grant)
 {
     stats_.pageoutWrites.add();
-    DiskRequest req;
-    req.spu = kSharedSpu;
-    req.startSector = r.sector;
-    req.sectors = fs_.sectorsPerBlock();
-    req.write = true;
-    req.charges = {{r.from, fs_.sectorsPerBlock()}};
-    // The frame must be granted whether or not the writeback made it
-    // to disk; a permanently failed write means the victim page's data
-    // is lost, not that the waiting allocation may hang.
-    submitIo(
-        r.disk, std::move(req),
-        [done](const DiskRequest &) { done(); },
-        [this, done] {
-            stats_.lostWrites.add();
-            done();
-        });
+    issueIo(newOp(IoOp{.kind = IoKind::FramePageout,
+                       .grant = grant,
+                       .disk = r.disk,
+                       .spu = kSharedSpu,
+                       .proc = &p,
+                       .sector = r.sector,
+                       .sectors = fs_.sectorsPerBlock(),
+                       .grantSpu = p.spu(),
+                       .from = r.from}));
 }
 
 bool
-Kernel::acquireFrame(Process &p, std::function<void()> onGranted)
+Kernel::acquireFrame(Process &p, FrameGrant grant)
 {
     const SpuId spu = p.spu();
     if (vm_.tryCharge(spu))
@@ -617,12 +619,23 @@ Kernel::acquireFrame(Process &p, std::function<void()> onGranted)
         return true;
     }
 
-    writeReclaimedPage(
-        r, [this, spu, from = r.from, fn = std::move(onGranted)] {
-            vm_.transferCharge(from, spu);
-            fn();
-        });
+    writeReclaimedPage(r, p, grant);
     return false;
+}
+
+void
+Kernel::grantFrame(Process &p, FrameGrant grant)
+{
+    switch (grant) {
+      case FrameGrant::ZeroFill:
+        ++p.everTouched;
+        ++p.resident;
+        wakeProcess(p);
+        return;
+      case FrameGrant::SwapIn:
+        startSwapIn(p);
+        return;
+    }
 }
 
 bool
@@ -658,12 +671,7 @@ Kernel::pageFault(Process &p)
     if (zero_fill) {
         stats_.zeroFills.add();
         ++p.zeroFillFaults;
-        auto finish = [this, &p] {
-            ++p.everTouched;
-            ++p.resident;
-            wakeProcess(p);
-        };
-        if (acquireFrame(p, finish)) {
+        if (acquireFrame(p, FrameGrant::ZeroFill)) {
             ++p.everTouched;
             ++p.resident;
             p.computeRemaining += config_.zeroFillCost;
@@ -682,36 +690,25 @@ Kernel::pageFault(Process &p)
     // Refault: get a frame, then read the page back from swap.
     stats_.refaults.add();
     ++p.refaults;
-    auto swap_in = [this, &p] {
-        DiskId d;
-        std::uint64_t sector;
-        swapLocation(p.spu(), d, sector, p.rng());
-        DiskRequest req;
-        req.spu = p.spu();
-        req.pid = p.pid();
-        req.startSector = sector;
-        req.sectors = fs_.sectorsPerBlock();
-        req.write = false;
-        ++p.diskReads;
-        submitIo(
-            d, std::move(req),
-            [this, &p](const DiskRequest &) {
-                ++p.resident;
-                wakeProcess(p);
-            },
-            [this, &p] {
-                // The frame is charged and stays with the process,
-                // but its backing data is gone: fatal for the process.
-                ++p.resident;
-                p.ioFailed = true;
-                wakeProcess(p);
-            });
-    };
-
-    const bool have_frame = acquireFrame(p, swap_in);
+    const bool have_frame = acquireFrame(p, FrameGrant::SwapIn);
     blockProcess(p);
     if (have_frame)
-        swap_in();
+        startSwapIn(p);
+}
+
+void
+Kernel::startSwapIn(Process &p)
+{
+    DiskId d;
+    std::uint64_t sector;
+    swapLocation(p.spu(), d, sector, p.rng());
+    ++p.diskReads;
+    issueIo(newOp(IoOp{.kind = IoKind::SwapIn,
+                       .disk = d,
+                       .spu = p.spu(),
+                       .proc = &p,
+                       .sector = sector,
+                       .sectors = fs_.sectorsPerBlock()}));
 }
 
 void
@@ -732,26 +729,14 @@ Kernel::flushClusteredPageouts(
             std::uint64_t sector;
             swapLocation(spu, d, sector, rng_, n);
             stats_.pageoutWrites.add(n);
-            DiskRequest req;
-            req.spu = kSharedSpu;
-            req.startSector = sector;
-            req.sectors = static_cast<std::uint32_t>(n * spb);
-            req.write = true;
-            req.charges = {
-                {spu, static_cast<std::uint32_t>(n * spb)}};
-            auto uncharge = [this, spu = spu, n] {
-                for (std::uint64_t i = 0; i < n; ++i)
-                    vm_.uncharge(spu);
-            };
-            submitIo(
-                d, std::move(req),
-                [uncharge](const DiskRequest &) { uncharge(); },
-                [this, uncharge, n] {
-                    // Evicted pages whose writeback failed: data lost,
-                    // but the frames still return to the pool.
-                    stats_.lostWrites.add(n);
-                    uncharge();
-                });
+            issueIo(newOp(IoOp{
+                .kind = IoKind::ClusterPageout,
+                .disk = d,
+                .spu = kSharedSpu,
+                .sector = sector,
+                .sectors = static_cast<std::uint32_t>(n * spb),
+                .count = n,
+                .from = spu}));
         }
     }
 }
@@ -837,91 +822,315 @@ Kernel::retryBackoff(Time base, int attempt)
     return retryBackoffClamped(base, attempt, 60 * kSec);
 }
 
-void
-Kernel::submitIo(DiskId disk, DiskRequest req,
-                 std::function<void(const DiskRequest &)> onSuccess,
-                 std::function<void()> onFail)
+std::uint32_t
+Kernel::newOp(const IoOp &op)
 {
-    auto ctx = std::make_shared<IoCtx>();
-    ctx->disk = disk;
-    ctx->req = std::move(req);
-    ctx->req.onComplete = nullptr;  // per-attempt; filled by issueIo
-    ctx->onSuccess = std::move(onSuccess);
-    ctx->onFail = std::move(onFail);
-    issueIo(std::move(ctx));
+    std::uint32_t slot;
+    if (!freeOps_.empty()) {
+        slot = freeOps_.back();
+        freeOps_.pop_back();
+    } else {
+        slot = static_cast<std::uint32_t>(ops_.size());
+        ops_.emplace_back();
+        opKeys_.emplace_back();
+    }
+    const std::uint32_t generation = ops_[slot].generation;
+    ops_[slot] = op;
+    ops_[slot].generation = generation;
+    ops_[slot].slot = slot;
+    ++liveOps_;
+    return slot;
 }
 
 void
-Kernel::issueIo(std::shared_ptr<IoCtx> ctx)
+Kernel::freeOp(std::uint32_t slot)
 {
-    ++ctx->attempt;
-    const int attempt = ctx->attempt;
+    IoOp &op = ops_[slot];
+    PISO_CHECK(op.settled, "freeing I/O op slot ", slot,
+               " before it settled");
+    // Any tag still naming this slot is stale from here on.
+    ++op.generation;
+    opKeys_[slot].clear();
+    freeOps_.push_back(slot);
+    --liveOps_;
+}
 
+Kernel::IoOp *
+Kernel::liveOp(const IoTag &tag)
+{
+    PISO_CHECK(tag.slot < ops_.size(), "I/O tag names op slot ", tag.slot,
+               " of ", ops_.size());
+    IoOp &op = ops_[tag.slot];
+    // A completion from an attempt the watchdog already gave up on is
+    // stale: the retry (or the failure path) owns the I/O now. One from
+    // a settled operation is stale too, even once the slot is reused.
+    if (op.generation != tag.generation || op.settled ||
+        op.attempt != tag.attempt)
+        return nullptr;
+    return &op;
+}
+
+IoTag
+Kernel::tagOf(const IoOp &op)
+{
+    return IoTag{op.slot, op.generation, op.attempt};
+}
+
+DiskRequest
+Kernel::requestFor(const IoOp &op) const
+{
+    PISO_CHECK(op.kind != IoKind::FlushWrite && op.kind != IoKind::NetSend,
+               "no retryable disk request for I/O kind ",
+               static_cast<int>(op.kind));
+    DiskRequest req;
+    req.spu = op.spu;
+    req.startSector = op.sector;
+    req.sectors = op.sectors;
+    req.write = op.kind != IoKind::DemandRead &&
+                op.kind != IoKind::ReadAhead && op.kind != IoKind::SwapIn;
+    req.tag = tagOf(op);
+    if (op.kind == IoKind::FramePageout ||
+        op.kind == IoKind::ClusterPageout) {
+        // Scheduled under the shared SPU, charged to the pages' owner.
+        req.charges.emplace_back(op.from, op.sectors);
+    } else {
+        req.pid = op.proc->pid();
+    }
+    return req;
+}
+
+void
+Kernel::issueIo(std::uint32_t slot)
+{
+    IoOp &op = ops_[slot];
+    ++op.attempt;
     if (config_.ioTimeout > 0) {
-        ctx->timeoutEvent = events_.scheduleAfter(
-            config_.ioTimeout,
-            [this, ctx, attempt] {
-                if (ctx->settled || attempt != ctx->attempt)
-                    return;
-                ctx->timeoutEvent = kNoEvent;
-                stats_.ioTimeouts.add();
-                spuFaults_[ctx->req.spu].ioTimeouts.add();
-                PISO_TRACE(TraceCat::Disk, events_.now(), "io timeout"
-                           " disk", ctx->disk, " spu", ctx->req.spu,
-                           " attempt ", attempt);
-                ioAttemptFailed(ctx);
-            },
+        const IoTag tag = tagOf(op);
+        op.timeoutEvent = events_.scheduleAfter(
+            config_.ioTimeout, [this, tag] { ioTimedOut(tag); },
             "ioTimeout");
     }
-
-    DiskRequest req = ctx->req;
-    req.onComplete = [this, ctx, attempt](const DiskRequest &r) {
-        // A completion from an attempt the watchdog already gave up on
-        // is stale: the retry (or the failure path) owns the I/O now.
-        if (ctx->settled || attempt != ctx->attempt)
-            return;
-        if (ctx->timeoutEvent != kNoEvent) {
-            events_.cancel(ctx->timeoutEvent);
-            ctx->timeoutEvent = kNoEvent;
-        }
-        if (!r.failed) {
-            ctx->settled = true;
-            if (ctx->onSuccess)
-                ctx->onSuccess(r);
-            return;
-        }
-        stats_.diskErrors.add();
-        spuFaults_[ctx->req.spu].diskErrors.add();
-        ioAttemptFailed(ctx);
-    };
-    disks_.at(static_cast<std::size_t>(ctx->disk))->submit(std::move(req));
+    disks_.at(static_cast<std::size_t>(op.disk))->submit(requestFor(op));
 }
 
 void
-Kernel::ioAttemptFailed(std::shared_ptr<IoCtx> ctx)
+Kernel::ioTimedOut(const IoTag &tag)
 {
+    IoOp *op = liveOp(tag);
+    if (!op)
+        return;
+    op->timeoutEvent = kNoEvent;
+    stats_.ioTimeouts.add();
+    spuFaults_[op->spu].ioTimeouts.add();
+    PISO_TRACE(TraceCat::Disk, events_.now(), "io timeout disk", op->disk,
+               " spu", op->spu, " attempt ", tag.attempt);
+    ioAttemptFailed(tag.slot);
+}
+
+void
+Kernel::diskComplete(const DiskRequest &r)
+{
+    const std::uint32_t slot = r.tag.slot;
+    IoOp *op = liveOp(r.tag);
+    if (!op)
+        return;
+    if (op->kind == IoKind::FlushWrite) {
+        // Delayed writes re-dirty on failure rather than retry:
+        // clearing the flushing flag re-exposes the blocks to the next
+        // bdflush pass (or its dead-disk drop).
+        const DiskId disk = op->disk;
+        flushBacklog_[disk] -= op->sectors;
+        if (r.failed)
+            stats_.diskErrors.add();
+        settleIo(slot, !r.failed);
+        wakeThrottled(disk);
+        return;
+    }
+    if (op->timeoutEvent != kNoEvent) {
+        events_.cancel(op->timeoutEvent);
+        op->timeoutEvent = kNoEvent;
+    }
+    if (!r.failed) {
+        settleIo(slot, true);
+        return;
+    }
+    stats_.diskErrors.add();
+    spuFaults_[op->spu].diskErrors.add();
+    ioAttemptFailed(slot);
+}
+
+void
+Kernel::netComplete(const NetMessage &msg)
+{
+    PISO_CHECK(liveOp(msg.tag) != nullptr,
+               "network completion for a settled op");
+    settleIo(msg.tag.slot, true);
+}
+
+void
+Kernel::ioAttemptFailed(std::uint32_t slot)
+{
+    IoOp &op = ops_[slot];
     const bool diskDead =
-        disks_.at(static_cast<std::size_t>(ctx->disk))->dead();
-    if (ctx->attempt > config_.ioRetryLimit || diskDead) {
-        ctx->settled = true;
+        disks_.at(static_cast<std::size_t>(op.disk))->dead();
+    if (op.attempt > config_.ioRetryLimit || diskDead) {
         stats_.failedIos.add();
-        spuFaults_[ctx->req.spu].failedOps.add();
+        spuFaults_[op.spu].failedOps.add();
         PISO_TRACE(TraceCat::Disk, events_.now(), "io failed disk",
-                   ctx->disk, " spu", ctx->req.spu, " after ",
-                   ctx->attempt, " attempts",
-                   diskDead ? " (disk dead)" : "");
-        if (ctx->onFail)
-            ctx->onFail();
+                   op.disk, " spu", op.spu, " after ", op.attempt,
+                   " attempts", diskDead ? " (disk dead)" : "");
+        settleIo(slot, false);
         return;
     }
     stats_.ioRetries.add();
-    spuFaults_[ctx->req.spu].ioRetries.add();
-    const Time delay = retryBackoff(config_.ioRetryBackoff, ctx->attempt);
-    PISO_TRACE(TraceCat::Disk, events_.now(), "io retry disk",
-               ctx->disk, " spu", ctx->req.spu, " attempt ",
-               ctx->attempt + 1, " in ", formatTime(delay));
+    spuFaults_[op.spu].ioRetries.add();
+    const Time delay = retryBackoff(config_.ioRetryBackoff, op.attempt);
+    PISO_TRACE(TraceCat::Disk, events_.now(), "io retry disk", op.disk,
+               " spu", op.spu, " attempt ", op.attempt + 1, " in ",
+               formatTime(delay));
+    ++op.pendingRetries;
     events_.scheduleAfter(
-        delay, [this, ctx] { issueIo(ctx); }, "ioRetry");
+        delay,
+        [this, slot, generation = op.generation] {
+            PISO_CHECK(ops_[slot].generation == generation,
+                       "retry of a freed I/O op in slot ", slot);
+            retryIo(slot);
+        },
+        "ioRetry");
+}
+
+void
+Kernel::retryIo(std::uint32_t slot)
+{
+    PISO_CHECK(ops_[slot].pendingRetries > 0, "unexpected retry of the "
+               "I/O op in slot ", slot);
+    --ops_[slot].pendingRetries;
+    issueIo(slot);
+    const IoOp &op = ops_[slot];
+    if (op.settled && op.pendingRetries == 0)
+        freeOp(slot);
+}
+
+void
+Kernel::settleIo(std::uint32_t slot, bool ok)
+{
+    PISO_INVARIANT(!ops_[slot].settled, "I/O op in slot ", slot,
+                   " settled twice");
+    ops_[slot].settled = true;
+    // A copy: the outcome may start new I/O, which can grow the slab.
+    const IoOp op = ops_[slot];
+    if (ok)
+        ioSucceeded(op);
+    else
+        ioFailed(op);
+    if (ops_[slot].pendingRetries == 0)
+        freeOp(slot);
+}
+
+void
+Kernel::ioSucceeded(const IoOp &op)
+{
+    switch (op.kind) {
+      case IoKind::DemandRead:
+        validateBlocks(op);
+        ioArrived(*op.proc);
+        return;
+      case IoKind::ReadAhead:
+        validateBlocks(op);
+        return;
+      case IoKind::BypassWrite:
+        ioArrived(*op.proc);
+        return;
+      case IoKind::SyncWrite:
+        for (std::uint64_t b = op.first; b < op.first + op.count; ++b) {
+            if (CacheBlock *blk = cache_.find(BlockKey{op.file, b}))
+                cache_.markClean(*blk);
+        }
+        ioArrived(*op.proc);
+        return;
+      case IoKind::SwapIn:
+        ++op.proc->resident;
+        wakeProcess(*op.proc);
+        return;
+      case IoKind::FramePageout:
+        vm_.transferCharge(op.from, op.grantSpu);
+        grantFrame(*op.proc, op.grant);
+        return;
+      case IoKind::ClusterPageout:
+        for (std::uint64_t i = 0; i < op.count; ++i)
+            vm_.uncharge(op.from);
+        return;
+      case IoKind::FlushWrite:
+        for (const BlockKey &k : opKeys_[op.slot]) {
+            if (CacheBlock *blk = cache_.find(k))
+                cache_.markClean(*blk);
+        }
+        return;
+      case IoKind::NetSend:
+        wakeProcess(*op.proc);
+        return;
+    }
+}
+
+void
+Kernel::ioFailed(const IoOp &op)
+{
+    switch (op.kind) {
+      case IoKind::DemandRead:
+        dropFailedReadBlocks(op);
+        failProcessIo(*op.proc);
+        return;
+      case IoKind::ReadAhead:
+        // Speculative read: nobody is blocked on it unless they found
+        // the in-flight block and queued as waiters — those are
+        // released by the drop.
+        dropFailedReadBlocks(op);
+        return;
+      case IoKind::BypassWrite:
+        failProcessIo(*op.proc);
+        return;
+      case IoKind::SyncWrite:
+        // The sync write is reported failed to the writer; the blocks
+        // stay dirty for bdflush (which drops them if the disk is
+        // truly gone).
+        for (std::uint64_t b = op.first; b < op.first + op.count; ++b) {
+            if (CacheBlock *blk = cache_.find(BlockKey{op.file, b}))
+                blk->flushing = false;
+        }
+        failProcessIo(*op.proc);
+        return;
+      case IoKind::SwapIn:
+        // The frame is charged and stays with the process, but its
+        // backing data is gone: fatal for the process.
+        ++op.proc->resident;
+        op.proc->ioFailed = true;
+        wakeProcess(*op.proc);
+        return;
+      case IoKind::FramePageout:
+        // The frame must be granted whether or not the writeback made
+        // it to disk; a permanently failed write means the victim
+        // page's data is lost, not that the waiting allocation may
+        // hang.
+        stats_.lostWrites.add();
+        vm_.transferCharge(op.from, op.grantSpu);
+        grantFrame(*op.proc, op.grant);
+        return;
+      case IoKind::ClusterPageout:
+        // Evicted pages whose writeback failed: data lost, but the
+        // frames still return to the pool.
+        stats_.lostWrites.add(op.count);
+        for (std::uint64_t i = 0; i < op.count; ++i)
+            vm_.uncharge(op.from);
+        return;
+      case IoKind::FlushWrite:
+        for (const BlockKey &k : opKeys_[op.slot]) {
+            if (CacheBlock *blk = cache_.find(k))
+                blk->flushing = false;
+        }
+        return;
+      case IoKind::NetSend:
+        PISO_PANIC("network sends do not fail");
+    }
 }
 
 void
@@ -932,15 +1141,25 @@ Kernel::failProcessIo(Process &p)
 }
 
 void
-Kernel::dropFailedReadBlocks(const std::vector<BlockKey> &keys)
+Kernel::validateBlocks(const IoOp &op)
 {
-    for (const BlockKey &key : keys) {
+    for (std::uint64_t b = op.first; b < op.first + op.count; ++b) {
+        if (CacheBlock *blk = cache_.find(BlockKey{op.file, b}))
+            cache_.markValid(*blk, [this](Process &q) { ioArrived(q); });
+    }
+}
+
+void
+Kernel::dropFailedReadBlocks(const IoOp &op)
+{
+    for (std::uint64_t b = op.first; b < op.first + op.count; ++b) {
+        const BlockKey key{op.file, b};
         CacheBlock *blk = cache_.find(key);
         if (!blk)
             continue;
-        // Run the waiters so nobody hangs on the block, then drop it
-        // (the data never arrived) and return the frame.
-        cache_.markValid(*blk);
+        // Release the waiters so nobody hangs on the block, then drop
+        // it (the data never arrived) and return the frame.
+        cache_.markValid(*blk, [this](Process &q) { ioArrived(q); });
         const SpuId owner = blk->owner;
         cache_.remove(key);
         vm_.uncharge(owner);
@@ -969,20 +1188,23 @@ struct BlockRun
     std::uint64_t count = 0;
 };
 
-/** Split a sorted block list into contiguous runs of <= maxBlocks. */
-std::vector<BlockRun>
-makeRuns(const std::vector<std::uint64_t> &blocks, std::uint64_t maxBlocks)
+/** Call @p fn(BlockRun) on each contiguous run of <= maxBlocks of a
+ *  sorted block list, in order. */
+template <typename Fn>
+void
+forEachRun(const std::vector<std::uint64_t> &blocks, std::uint64_t maxBlocks,
+           Fn &&fn)
 {
-    std::vector<BlockRun> runs;
-    for (std::uint64_t b : blocks) {
-        if (!runs.empty() && runs.back().first + runs.back().count == b &&
-            runs.back().count < maxBlocks) {
-            ++runs.back().count;
-        } else {
-            runs.push_back(BlockRun{b, 1});
-        }
+    std::size_t i = 0;
+    while (i < blocks.size()) {
+        BlockRun run{blocks[i], 1};
+        while (i + run.count < blocks.size() &&
+               blocks[i + run.count] == run.first + run.count &&
+               run.count < maxBlocks)
+            ++run.count;
+        fn(run);
+        i += run.count;
     }
-    return runs;
 }
 
 } // namespace
@@ -996,7 +1218,8 @@ Kernel::doRead(Process &p, const ReadAction &a)
     const std::uint32_t spb = fs_.sectorsPerBlock();
     const std::uint64_t maxBlocks = config_.maxIoSectors / spb;
 
-    std::vector<std::uint64_t> missing;
+    std::vector<std::uint64_t> &missing = blockScratch_;
+    missing.clear();
     for (std::uint64_t b = first; b < first + nblocks; ++b) {
         BlockKey key{a.file, b};
         CacheBlock *blk = cache_.find(key);
@@ -1014,7 +1237,7 @@ Kernel::doRead(Process &p, const ReadAction &a)
                 // In flight (read-ahead); wait for it.
                 stats_.cacheMisses.add();
                 ++p.pendingIo;
-                blk->waiters.push_back([this, &p] { ioArrived(p); });
+                cache_.addWaiter(*blk, p);
             }
             continue;
         }
@@ -1022,40 +1245,35 @@ Kernel::doRead(Process &p, const ReadAction &a)
         missing.push_back(b);
     }
 
-    for (const BlockRun &run : makeRuns(missing, maxBlocks)) {
+    forEachRun(missing, maxBlocks, [&](const BlockRun &run) {
         // Insert cache entries for the blocks we can hold; blocks with
-        // no frame are read but not cached (bypass).
-        std::vector<BlockKey> cached;
+        // no frame are read but not cached (bypass). Once a frame is
+        // refused, every later one is too (a refusal changes nothing
+        // it depends on), so the cached blocks are a prefix of the run.
+        std::uint64_t cached = 0;
         for (std::uint64_t i = 0; i < run.count; ++i) {
-            BlockKey key{a.file, run.first + i};
             if (frameForCache(p.spu())) {
-                cache_.insert(key, p.spu(), false);
-                cached.push_back(key);
+                PISO_CHECK(cached == i, "cache frame granted after a "
+                           "refusal in one read run");
+                cache_.insert(BlockKey{a.file, run.first + i}, p.spu(),
+                              false);
+                ++cached;
             }
         }
-        DiskRequest req;
-        req.spu = p.spu();
-        req.pid = p.pid();
-        req.startSector = fs_.blockSector(a.file, run.first);
-        req.sectors = static_cast<std::uint32_t>(run.count * spb);
-        req.write = false;
         ++p.pendingIo;
         ++p.diskReads;
         stats_.readRequests.add();
-        submitIo(
-            f.disk, std::move(req),
-            [this, &p, cached](const DiskRequest &) {
-                for (const BlockKey &key : cached) {
-                    if (CacheBlock *blk = cache_.find(key))
-                        cache_.markValid(*blk);
-                }
-                ioArrived(p);
-            },
-            [this, &p, cached] {
-                dropFailedReadBlocks(cached);
-                failProcessIo(p);
-            });
-    }
+        issueIo(newOp(IoOp{
+            .kind = IoKind::DemandRead,
+            .disk = f.disk,
+            .spu = p.spu(),
+            .proc = &p,
+            .sector = fs_.blockSector(a.file, run.first),
+            .sectors = static_cast<std::uint32_t>(run.count * spb),
+            .file = a.file,
+            .first = run.first,
+            .count = cached}));
+    });
 
     maybeReadAhead(p, a.file, first + nblocks);
 
@@ -1090,7 +1308,8 @@ Kernel::maybeReadAhead(Process &p, FileId file, std::uint64_t endBlock)
         std::min<std::uint64_t>(endBlock + config_.readAheadBlocks,
                                 fileBlocks);
 
-    std::vector<std::uint64_t> toFetch;
+    std::vector<std::uint64_t> &toFetch = blockScratch_;
+    toFetch.clear();
     for (std::uint64_t b = endBlock; b < last; ++b) {
         BlockKey bkey{file, b};
         if (cache_.find(bkey))
@@ -1102,30 +1321,19 @@ Kernel::maybeReadAhead(Process &p, FileId file, std::uint64_t endBlock)
     }
 
     const std::uint64_t maxBlocks = config_.maxIoSectors / spb;
-    for (const BlockRun &run : makeRuns(toFetch, maxBlocks)) {
-        DiskRequest req;
-        req.spu = p.spu();
-        req.pid = p.pid();
-        req.startSector = fs_.blockSector(file, run.first);
-        req.sectors = static_cast<std::uint32_t>(run.count * spb);
-        req.write = false;
+    forEachRun(toFetch, maxBlocks, [&](const BlockRun &run) {
         stats_.readAheadRequests.add();
-        std::vector<BlockKey> keys;
-        for (std::uint64_t i = 0; i < run.count; ++i)
-            keys.push_back(BlockKey{file, run.first + i});
-        submitIo(
-            f.disk, std::move(req),
-            [this, keys](const DiskRequest &) {
-                for (const BlockKey &k : keys) {
-                    if (CacheBlock *blk = cache_.find(k))
-                        cache_.markValid(*blk);
-                }
-            },
-            // Speculative read: nobody is blocked on it unless they
-            // found the in-flight block and queued as waiters — those
-            // are released by the drop.
-            [this, keys] { dropFailedReadBlocks(keys); });
-    }
+        issueIo(newOp(IoOp{
+            .kind = IoKind::ReadAhead,
+            .disk = f.disk,
+            .spu = p.spu(),
+            .proc = &p,
+            .sector = fs_.blockSector(file, run.first),
+            .sectors = static_cast<std::uint32_t>(run.count * spb),
+            .file = file,
+            .first = run.first,
+            .count = run.count}));
+    });
 }
 
 bool
@@ -1136,18 +1344,14 @@ Kernel::throttled(DiskId disk) const
 }
 
 void
-Kernel::submitFlushWrite(DiskId disk, DiskRequest req)
+Kernel::submitFlushWrite(std::uint32_t slot, DiskRequest req)
 {
-    flushBacklog_[disk] += req.sectors;
-    auto inner = std::move(req.onComplete);
-    req.onComplete = [this, disk, sectors = req.sectors,
-                      inner = std::move(inner)](const DiskRequest &r) {
-        flushBacklog_[disk] -= sectors;
-        if (inner)
-            inner(r);
-        wakeThrottled(disk);
-    };
-    disks_.at(static_cast<std::size_t>(disk))->submit(std::move(req));
+    IoOp &op = ops_[slot];
+    op.attempt = 1;
+    op.sectors = req.sectors;
+    flushBacklog_[op.disk] += req.sectors;
+    req.tag = tagOf(op);
+    disks_.at(static_cast<std::size_t>(op.disk))->submit(std::move(req));
 }
 
 void
@@ -1186,8 +1390,10 @@ Kernel::doWrite(Process &p, const WriteAction &a)
     const std::uint32_t spb = fs_.sectorsPerBlock();
     const std::uint64_t maxBlocks = config_.maxIoSectors / spb;
 
-    std::vector<std::uint64_t> bypass;
-    std::vector<std::uint64_t> dirtied;
+    std::vector<std::uint64_t> &bypass = blockScratch_;
+    std::vector<std::uint64_t> &dirtied = syncScratch_;
+    bypass.clear();
+    dirtied.clear();
     for (std::uint64_t b = first; b < first + nblocks; ++b) {
         BlockKey key{a.file, b};
         CacheBlock *blk = cache_.find(key);
@@ -1211,63 +1417,44 @@ Kernel::doWrite(Process &p, const WriteAction &a)
 
     // Write-through for blocks that found no frame: the process's own
     // (blocking) requests.
-    for (const BlockRun &run : makeRuns(bypass, maxBlocks)) {
-        DiskRequest req;
-        req.spu = p.spu();
-        req.pid = p.pid();
-        req.startSector = fs_.blockSector(a.file, run.first);
-        req.sectors = static_cast<std::uint32_t>(run.count * spb);
-        req.write = true;
+    const auto startWrite = [&](IoKind kind, const BlockRun &run) {
         ++p.pendingIo;
         ++p.diskWrites;
+        issueIo(newOp(IoOp{
+            .kind = kind,
+            .disk = f.disk,
+            .spu = p.spu(),
+            .proc = &p,
+            .sector = fs_.blockSector(a.file, run.first),
+            .sectors = static_cast<std::uint32_t>(run.count * spb),
+            .file = a.file,
+            .first = run.first,
+            .count = run.count}));
+    };
+
+    // Write-through for blocks that found no frame: the process's own
+    // (blocking) requests.
+    forEachRun(bypass, maxBlocks, [&](const BlockRun &run) {
         stats_.bypassWrites.add();
-        submitIo(
-            f.disk, std::move(req),
-            [this, &p](const DiskRequest &) { ioArrived(p); },
-            [this, &p] { failProcessIo(p); });
-    }
+        startWrite(IoKind::BypassWrite, run);
+    });
 
     if (a.sync) {
         // Force this action's cached blocks to disk under the
-        // process's own SPU (metadata-style synchronous writes).
-        for (const BlockRun &run : makeRuns(dirtied, maxBlocks)) {
-            std::vector<BlockKey> keys;
-            for (std::uint64_t i = 0; i < run.count; ++i) {
-                BlockKey k{a.file, run.first + i};
-                if (CacheBlock *blk = cache_.find(k)) {
-                    blk->flushing = true;
-                    keys.push_back(k);
-                }
+        // process's own SPU (metadata-style synchronous writes). Every
+        // dirtied block is still cached: nothing since could steal a
+        // dirty block.
+        forEachRun(dirtied, maxBlocks, [&](const BlockRun &run) {
+            for (std::uint64_t b = run.first; b < run.first + run.count;
+                 ++b) {
+                CacheBlock *blk = cache_.find(BlockKey{a.file, b});
+                PISO_INVARIANT(blk != nullptr, "sync write lost dirtied "
+                               "block ", b, " of file ", a.file);
+                blk->flushing = true;
             }
-            DiskRequest req;
-            req.spu = p.spu();
-            req.pid = p.pid();
-            req.startSector = fs_.blockSector(a.file, run.first);
-            req.sectors = static_cast<std::uint32_t>(run.count * spb);
-            req.write = true;
-            ++p.pendingIo;
-            ++p.diskWrites;
             stats_.syncWriteRequests.add();
-            submitIo(
-                f.disk, std::move(req),
-                [this, &p, keys](const DiskRequest &) {
-                    for (const BlockKey &k : keys) {
-                        if (CacheBlock *blk = cache_.find(k))
-                            cache_.markClean(*blk);
-                    }
-                    ioArrived(p);
-                },
-                [this, &p, keys] {
-                    // The sync write is reported failed to the writer;
-                    // the blocks stay dirty for bdflush (which drops
-                    // them if the disk is truly gone).
-                    for (const BlockKey &k : keys) {
-                        if (CacheBlock *blk = cache_.find(k))
-                            blk->flushing = false;
-                    }
-                    failProcessIo(p);
-                });
-        }
+            startWrite(IoKind::SyncWrite, run);
+        });
     }
 
     if (cache_.dirtyCount() >
@@ -1323,29 +1510,32 @@ Kernel::bdflush()
     // visited blocks: the slab never moves a block, and nothing below
     // removes one except the dead-disk drop, which removes only that
     // disk's own items.
-    struct Item
-    {
-        std::uint64_t sector;
-        CacheBlock *blk;
-    };
-    std::map<DiskId, std::vector<Item>> perDisk;
+    for (std::vector<FlushItem> &items : flushItems_)
+        items.clear();
     cache_.forEachDirty([&](CacheBlock &blk) {
         const FileInfo &f = fs_.file(blk.key.file);
-        perDisk[f.disk].push_back(
-            Item{fs_.blockSector(blk.key.file, blk.key.block), &blk});
+        if (flushItems_.empty())
+            flushItems_.resize(disks_.size());
+        flushItems_.at(static_cast<std::size_t>(f.disk))
+            .push_back(FlushItem{
+                fs_.blockSector(blk.key.file, blk.key.block), &blk});
     });
 
     const std::uint32_t spb = fs_.sectorsPerBlock();
-    for (auto &[disk, items] : perDisk) {
+    for (std::size_t d = 0; d < flushItems_.size(); ++d) {
+        std::vector<FlushItem> &items = flushItems_[d];
+        if (items.empty())
+            continue;
+        const auto disk = static_cast<DiskId>(d);
         // A dead disk can never take its dirty data back: drop the
         // blocks (counted as lost writes) instead of re-flushing them
         // forever — otherwise the end-of-run drain would hang.
-        if (disks_.at(static_cast<std::size_t>(disk))->dead()) {
+        if (disks_[d]->dead()) {
             stats_.lostWrites.add(items.size());
             PISO_TRACE(TraceCat::Disk, events_.now(), "bdflush drops ",
                        items.size(), " dirty blocks for dead disk",
                        disk);
-            for (const Item &item : items) {
+            for (const FlushItem &item : items) {
                 const SpuId owner = item.blk->owner;
                 const BlockKey key = item.blk->key; // remove() scrubs it
                 cache_.remove(key);
@@ -1354,7 +1544,7 @@ Kernel::bdflush()
             continue;
         }
         std::sort(items.begin(), items.end(),
-                  [](const Item &x, const Item &y) {
+                  [](const FlushItem &x, const FlushItem &y) {
                       return x.sector < y.sector;
                   });
         std::size_t i = 0;
@@ -1367,12 +1557,14 @@ Kernel::bdflush()
                 ++j;
             }
 
-            std::vector<BlockKey> keys;
-            SpuTable<std::uint32_t> chargeMap;
+            const std::uint32_t slot =
+                newOp(IoOp{.kind = IoKind::FlushWrite, .disk = disk});
+            std::vector<BlockKey> &keys = opKeys_[slot];
+            flushCharges_.clear();
             for (std::size_t k = i; k < j; ++k) {
                 CacheBlock &blk = *items[k].blk;
                 keys.push_back(blk.key);
-                chargeMap[blk.owner] += spb;
+                flushCharges_[blk.owner] += spb;
                 blk.flushing = true;
             }
 
@@ -1381,31 +1573,12 @@ Kernel::bdflush()
             req.startSector = items[i].sector;
             req.sectors = static_cast<std::uint32_t>((j - i) * spb);
             req.write = true;
-            req.charges.clear();
-            for (const auto &[owner, sectors] : chargeMap)
+            for (const auto &[owner, sectors] : flushCharges_)
                 req.charges.emplace_back(owner, sectors);
-            req.onComplete = [this,
-                              keys = std::move(keys)](const DiskRequest &r) {
-                if (r.failed) {
-                    // Delayed writes re-dirty and retry: clearing the
-                    // flushing flag re-exposes the blocks to the next
-                    // bdflush pass (or the dead-disk drop above).
-                    stats_.diskErrors.add();
-                    for (const BlockKey &k : keys) {
-                        if (CacheBlock *blk = cache_.find(k))
-                            blk->flushing = false;
-                    }
-                    return;
-                }
-                for (const BlockKey &k : keys) {
-                    if (CacheBlock *blk = cache_.find(k))
-                        cache_.markClean(*blk);
-                }
-            };
             stats_.bdflushRequests.add();
             PISO_TRACE(TraceCat::Disk, events_.now(), "bdflush disk",
                        disk, " sectors=", req.sectors);
-            submitFlushWrite(disk, std::move(req));
+            submitFlushWrite(slot, std::move(req));
             i = j;
         }
     }
@@ -1445,6 +1618,8 @@ Kernel::requireIoQuiescent() const
                                  "' waiting on I/O at checkpoint time");
         }
     }
+    if (liveOps_ > 0)
+        throw InvariantError("I/O operation in flight at checkpoint time");
 }
 
 void

@@ -181,8 +181,13 @@ struct SpuFaultStats
 /**
  * The OS kernel: action interpreter, memory manager, I/O path, and
  * daemons. One instance per simulated machine.
+ *
+ * Every logical disk or network I/O in flight is a plain record
+ * (IoOp) in a kernel-owned slab. Devices name it by an IoTag and
+ * report completions to the kernel as their one sink; the kernel runs
+ * the outcome through a switch on the record's kind.
  */
-class Kernel : public SchedClient
+class Kernel : public SchedClient, private DiskSink, private NetSink
 {
   public:
     /**
@@ -204,8 +209,9 @@ class Kernel : public SchedClient
     void setSpuDisk(SpuId spu, DiskId disk);
 
     /** Attach the machine's network interface (optional; SendActions
-     *  are rejected without one). Not owned. */
-    void setNetwork(NetworkInterface *net) { net_ = net; }
+     *  are rejected without one) and become its completion sink. Not
+     *  owned. */
+    void setNetwork(NetworkInterface *net);
 
     /** The attached network interface, or nullptr. */
     NetworkInterface *network() { return net_; }
@@ -283,6 +289,9 @@ class Kernel : public SchedClient
      *  remains — the I/O system is fully drained. */
     bool ioIdle() const;
 
+    /** I/O operations started and not yet settled. */
+    std::size_t liveIoOps() const { return liveOps_; }
+
     /** @name Checkpoint
      *  ckpt() covers every mutable kernel structure except the
      *  pending events, which the Simulation re-schedules through the
@@ -293,8 +302,8 @@ class Kernel : public SchedClient
     /**
      * Throw InvariantError unless the I/O system is quiescent enough
      * to checkpoint: no disk or network activity, no flush backlog,
-     * no throttled writers, no process waiting on I/O. Dirty cache
-     * blocks are fine; in-flight ones are not.
+     * no throttled writers, no process waiting on I/O, no live I/O
+     * operation. Dirty cache blocks are fine; in-flight ones are not.
      */
     void requireIoQuiescent() const;
 
@@ -370,14 +379,27 @@ class Kernel : public SchedClient
     /// @{
     Time sampleFaultTime(Process &p);
     void pageFault(Process &p);
+    /** What a frame obtained through a dirty-page writeback is for. */
+    enum class FrameGrant : std::uint8_t
+    {
+        ZeroFill, //!< a first-touch page: the process resumes
+        SwapIn,   //!< a refault: the page is read back from swap
+    };
+
     /**
      * Obtain a frame charged to @p p's SPU. Returns true when the
      * frame is available synchronously. Returns false when a dirty
      * page must be written first: the caller must block @p p, and
-     * @p onGranted runs (with the charge already transferred) when
-     * the writeback completes.
+     * once the writeback completes the charge is transferred and
+     * grantFrame(p, @p grant) runs.
      */
-    bool acquireFrame(Process &p, std::function<void()> onGranted);
+    bool acquireFrame(Process &p, FrameGrant grant);
+
+    /** Finish a frame acquisition that waited on a writeback. */
+    void grantFrame(Process &p, FrameGrant grant);
+
+    /** Read @p p's refaulted page back from its swap extent. */
+    void startSwapIn(Process &p);
 
     /** Reclaim one page from @p victim (clean-cache first, then anon,
      *  then dirty-cache). Does not touch the free pool: the caller
@@ -399,8 +421,10 @@ class Kernel : public SchedClient
                       Rng &rng, std::uint64_t pages = 1);
 
     void pageoutDaemon();
-    /** Write one reclaimed dirty page; runs @p done on completion. */
-    void writeReclaimedPage(const Reclaimed &r, std::function<void()> done);
+    /** Write one reclaimed dirty page so @p p's frame can be granted
+     *  (as @p grant) once it completes. */
+    void writeReclaimedPage(const Reclaimed &r, Process &p,
+                            FrameGrant grant);
     /** Issue the daemon's dirty evictions as clustered swap writes. */
     void flushClusteredPageouts(
         const std::map<std::pair<SpuId, DiskId>, std::uint64_t> &dirty);
@@ -410,41 +434,101 @@ class Kernel : public SchedClient
 
     /** @name I/O path */
     /// @{
-    /**
-     * In-flight state of one logical I/O under timeout/retry. Shared
-     * between the completion lambda, the watchdog event, and retry
-     * events; `attempt` tokens let late completions of a timed-out
-     * attempt be recognised as stale and ignored.
-     */
-    struct IoCtx
+    /** What an I/O operation is; one kind per submitter. */
+    enum class IoKind : std::uint8_t
     {
-        DiskId disk = 0;
-        DiskRequest req;  //!< template; onComplete is filled per attempt
-        int attempt = 0;  //!< attempts issued so far
-        bool settled = false;
-        EventId timeoutEvent = kNoEvent;
-        std::function<void(const DiskRequest &)> onSuccess;
-        std::function<void()> onFail;
+        DemandRead,     //!< a process's read of blocks it missed
+        ReadAhead,      //!< a sequential reader's prefetch
+        BypassWrite,    //!< write-through of blocks that found no frame
+        SyncWrite,      //!< a synchronous write of cached blocks
+        SwapIn,         //!< a refault reading its page back
+        FramePageout,   //!< a dirty page written to free a frame
+        ClusterPageout, //!< the pageout daemon's clustered swap write
+        FlushWrite,     //!< a bdflush batch (no watchdog, no retry)
+        NetSend,        //!< a process's network message
     };
 
     /**
-     * Submit @p req to @p disk under the kernel's fault handling:
-     * watchdog timeout, bounded retries with exponential backoff.
-     * Exactly one of @p onSuccess / @p onFail eventually runs.
+     * One logical I/O in flight: the request to (re)issue, the state
+     * of the watchdog and retries, and what its outcome touches.
+     * Blocks are named by key: a read or sync write covers blocks
+     * [first, first + count) of @ref file, re-found at completion; a
+     * flush batch keeps its keys in the slot's key vector.
      */
-    void submitIo(DiskId disk, DiskRequest req,
-                  std::function<void(const DiskRequest &)> onSuccess,
-                  std::function<void()> onFail);
-    void issueIo(std::shared_ptr<IoCtx> ctx);
-    void ioAttemptFailed(std::shared_ptr<IoCtx> ctx);
+    struct IoOp
+    {
+        IoKind kind = IoKind::DemandRead;
+        FrameGrant grant = FrameGrant::ZeroFill; //!< FramePageout
+        bool settled = false;
+        std::int32_t attempt = 0;       //!< attempts issued so far
+        /** Retry events scheduled and not yet run. The slot stays
+         *  allocated until they have run, even once settled. */
+        std::int32_t pendingRetries = 0;
+        std::uint32_t generation = 0;   //!< bumped when the slot frees
+        std::uint32_t slot = 0;
+        DiskId disk = 0;
+        SpuId spu = kNoSpu;             //!< the request's SPU
+        Process *proc = nullptr;        //!< the process it serves
+        std::uint64_t sector = 0;       //!< the request's first sector
+        std::uint32_t sectors = 0;
+        /** Reads and sync writes: blocks [first, first + count) of
+         *  file. Cluster pageouts: count pages. */
+        FileId file = kNoFile;
+        std::uint64_t first = 0;
+        std::uint64_t count = 0;
+        EventId timeoutEvent = kNoEvent;
+        SpuId grantSpu = kNoSpu;        //!< FramePageout: charged SPU
+        SpuId from = kNoSpu;            //!< pageouts: the pages' owner
+    };
+
+    /** Copy @p op into a free slot as a new live operation (its
+     *  generation and slot are the slot's). @return the slot. */
+    std::uint32_t newOp(const IoOp &op);
+    /** Return a settled record's slot to the free list. */
+    void freeOp(std::uint32_t slot);
+    /** The live record @p tag names, or nullptr when @p tag is stale
+     *  (its attempt was abandoned, or its operation settled). */
+    IoOp *liveOp(const IoTag &tag);
+    static IoTag tagOf(const IoOp &op);
+
+    /** The device request of @p op's current attempt. */
+    DiskRequest requestFor(const IoOp &op) const;
+
+    /**
+     * Issue the next attempt of the operation in @p slot under the
+     * kernel's fault handling: watchdog timeout, bounded retries with
+     * exponential backoff. It settles exactly once, through
+     * ioSucceeded or ioFailed.
+     */
+    void issueIo(std::uint32_t slot);
+    void ioTimedOut(const IoTag &tag);
+    void ioAttemptFailed(std::uint32_t slot);
+    /** Run a scheduled retry: issue the next attempt. A late
+     *  completion may have settled the operation during the backoff;
+     *  the attempt is issued all the same (its completion is then
+     *  stale), and the slot is freed after the last retry. */
+    void retryIo(std::uint32_t slot);
+    /** Mark the operation settled, run its outcome, and free its slot
+     *  unless a retry is still pending. */
+    void settleIo(std::uint32_t slot, bool ok);
+    void ioSucceeded(const IoOp &op);
+    void ioFailed(const IoOp &op);
+
+    /** DiskSink and NetSink: a device finished a request. */
+    void diskComplete(const DiskRequest &req) override;
+    void netComplete(const NetMessage &msg) override;
 
     /** Fail a process's outstanding logical I/O: the process dies at
      *  its next dispatch (failed-action outcome). */
     void failProcessIo(Process &p);
 
+    /** Mark the cached blocks of @p op's block range valid, releasing
+     *  their waiters. */
+    void validateBlocks(const IoOp &op);
+
     /** Drop the failed read's in-flight cache blocks (waiters run,
      *  frames uncharged). */
-    void dropFailedReadBlocks(const std::vector<BlockKey> &keys);
+    void dropFailedReadBlocks(const IoOp &op);
 
     void ioArrived(Process &p);
     void bdflush();
@@ -452,7 +536,8 @@ class Kernel : public SchedClient
     void bdflushPeriodicHelper();
     void pageoutDaemonHelper();
     bool throttled(DiskId disk) const;
-    void submitFlushWrite(DiskId disk, DiskRequest req);
+    /** Submit bdflush batch @p slot: no watchdog, no retry. */
+    void submitFlushWrite(std::uint32_t slot, DiskRequest req);
     void wakeThrottled(DiskId disk);
     void maybeReadAhead(Process &p, FileId file, std::uint64_t endBlock);
     /// @}
@@ -497,6 +582,29 @@ class Kernel : public SchedClient
 
     /** Sequential-read detection: (pid, file) -> next expected block. */
     std::map<std::pair<Pid, FileId>, std::uint64_t> readCursor_;
+
+    // The I/O operation slab. Not imaged: a checkpoint requires it to
+    // hold no live operation.
+    std::vector<IoOp> ops_;
+    /** bdflush batch keys by op slot, reused with their capacity. */
+    std::vector<std::vector<BlockKey>> opKeys_;
+    std::vector<std::uint32_t> freeOps_;
+    std::size_t liveOps_ = 0;
+
+    /** @name Scratch buffers of the read, write and flush paths,
+     *  reused across calls (none of them is re-entered). */
+    /// @{
+    std::vector<std::uint64_t> blockScratch_;
+    std::vector<std::uint64_t> syncScratch_;
+    /** bdflush's dirty blocks: one list per disk, indexed by DiskId. */
+    struct FlushItem
+    {
+        std::uint64_t sector;
+        CacheBlock *blk;
+    };
+    std::vector<std::vector<FlushItem>> flushItems_;
+    SpuTable<std::uint32_t> flushCharges_;
+    /// @}
 
     KernelStats stats_;
     mutable SpuTable<SpuFaultStats> spuFaults_;

@@ -50,6 +50,20 @@ inline constexpr FileId kNoFile = -1;
 using JobId = std::int32_t;
 inline constexpr JobId kNoJob = -1;
 
+/**
+ * Names the kernel I/O operation a device request or network message
+ * belongs to: the operation's slot in the kernel's slab, the slot's
+ * generation when the request was issued (a slot is reused once its
+ * operation settles) and the attempt number. Devices carry it through
+ * untouched and hand it back with the completion.
+ */
+struct IoTag
+{
+    std::uint32_t slot = 0;
+    std::uint32_t generation = 0;
+    std::int32_t attempt = 0;
+};
+
 } // namespace piso
 
 #endif // PISO_SIM_IDS_HH

@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "src/os/buffer_cache.hh"
+#include "src/os/process.hh"
+#include "src/workload/synthetic.hh"
 
 using namespace piso;
 
@@ -13,6 +19,15 @@ namespace {
 const BlockKey kA{1, 0};
 const BlockKey kB{1, 1};
 const BlockKey kC{2, 0};
+
+/** A process for the waiter lists (the cache never runs it). */
+std::unique_ptr<Process>
+makeProc(Pid pid)
+{
+    return std::make_unique<Process>(
+        pid, 2, kNoJob, "p" + std::to_string(pid),
+        std::make_unique<ScriptBehavior>(std::vector<Action>{}), Rng(1));
+}
 } // namespace
 
 TEST(BufferCache, FindMissReturnsNull)
@@ -126,13 +141,65 @@ TEST(BufferCache, MarkValidRunsWaiters)
 {
     BufferCache c;
     CacheBlock &a = c.insert(kA, 2, false);
+    const auto p = makeProc(1);
+    c.addWaiter(a, *p);
+    c.addWaiter(a, *p);
+    EXPECT_TRUE(c.hasWaiters(a));
     int woken = 0;
-    a.waiters.push_back([&] { ++woken; });
-    a.waiters.push_back([&] { ++woken; });
-    c.markValid(a);
+    c.markValid(a, [&](Process &q) {
+        EXPECT_EQ(&q, p.get());
+        ++woken;
+    });
     EXPECT_EQ(woken, 2);
     EXPECT_TRUE(a.valid);
-    EXPECT_TRUE(a.waiters.empty());
+    EXPECT_FALSE(c.hasWaiters(a));
+}
+
+TEST(BufferCache, WaitersWakeInArrivalOrder)
+{
+    // Two processes wait on one block: the first to arrive wakes
+    // first. A second block's list is independent of the first's.
+    BufferCache c;
+    CacheBlock &a = c.insert(kA, 2, false);
+    CacheBlock &b = c.insert(kB, 2, false);
+    const auto p1 = makeProc(1);
+    const auto p2 = makeProc(2);
+    const auto p3 = makeProc(3);
+    c.addWaiter(a, *p2);
+    c.addWaiter(b, *p3);
+    c.addWaiter(a, *p1);
+    std::vector<Pid> order;
+    c.markValid(a, [&](Process &q) { order.push_back(q.pid()); });
+    EXPECT_EQ(order, (std::vector<Pid>{2, 1}));
+    order.clear();
+    c.markValid(b, [&](Process &q) { order.push_back(q.pid()); });
+    EXPECT_EQ(order, (std::vector<Pid>{3}));
+}
+
+TEST(BufferCache, WakeMayQueueNewWaiters)
+{
+    // The first wake queues a waiter on another block (reusing the
+    // pool node just released); the rest of the detached list still
+    // wakes in order, and the new waiter stays on its own block.
+    BufferCache c;
+    CacheBlock &a = c.insert(kA, 2, false);
+    CacheBlock &b = c.insert(kB, 2, false);
+    const auto p1 = makeProc(1);
+    const auto p2 = makeProc(2);
+    const auto p3 = makeProc(3);
+    c.addWaiter(a, *p1);
+    c.addWaiter(a, *p2);
+    std::vector<Pid> order;
+    c.markValid(a, [&](Process &q) {
+        order.push_back(q.pid());
+        if (q.pid() == 1)
+            c.addWaiter(b, *p3);
+    });
+    EXPECT_EQ(order, (std::vector<Pid>{1, 2}));
+    EXPECT_FALSE(c.hasWaiters(a));
+    order.clear();
+    c.markValid(b, [&](Process &q) { order.push_back(q.pid()); });
+    EXPECT_EQ(order, (std::vector<Pid>{3}));
 }
 
 TEST(BufferCache, SetOwnerMovesPerSpuCounts)
@@ -174,6 +241,7 @@ TEST(BufferCache, RemoveWithWaitersPanics)
 {
     BufferCache c;
     CacheBlock &a = c.insert(kA, 2, false);
-    a.waiters.push_back([] {});
+    const auto p = makeProc(1);
+    c.addWaiter(a, *p);
     EXPECT_DEATH(c.remove(kA), "waiters");
 }

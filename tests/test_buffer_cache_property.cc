@@ -193,7 +193,7 @@ TEST(BufferCacheProperty, FuzzAgainstReferenceModel)
                     blk->flushing = !blk->flushing;
                     model.blocks[key].flushing = blk->flushing;
                 } else if (blk && !blk->valid) {
-                    cache.markValid(*blk);
+                    cache.markValid(*blk, [](Process &) {});
                     model.blocks[key].valid = true;
                 }
                 break;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "src/machine/disk.hh"
 #include "src/os/cscan.hh"
 #include "src/sim/event_queue.hh"
@@ -12,6 +14,23 @@
 using namespace piso;
 
 namespace {
+
+/** Completion sink: records each completed request's tag and runs an
+ *  optional hook (which may submit more work). */
+class StubSink : public DiskSink
+{
+  public:
+    void
+    diskComplete(const DiskRequest &req) override
+    {
+        done.push_back(req.tag.slot);
+        if (hook)
+            hook(req);
+    }
+
+    std::vector<std::uint32_t> done;
+    std::function<void(const DiskRequest &)> hook;
+};
 
 /** FIFO scheduler for deterministic lifecycle tests. */
 class FifoScheduler : public DiskScheduler
@@ -27,16 +46,21 @@ class FifoScheduler : public DiskScheduler
 struct DeviceFixture : public ::testing::Test
 {
     EventQueue events;
+    StubSink sink;
     DiskDevice disk{events, DiskModel{},
                     std::make_unique<FifoScheduler>(), Rng(1)};
 
+    DeviceFixture() { disk.setSink(sink); }
+
     DiskRequest
-    request(std::uint64_t sector, std::uint32_t sectors, SpuId spu = 2)
+    request(std::uint64_t sector, std::uint32_t sectors, SpuId spu = 2,
+            std::uint32_t tag = 0)
     {
         DiskRequest r;
         r.spu = spu;
         r.startSector = sector;
         r.sectors = sectors;
+        r.tag.slot = tag;
         return r;
     }
 };
@@ -52,13 +76,10 @@ TEST_F(DeviceFixture, StartsIdle)
 
 TEST_F(DeviceFixture, SingleRequestCompletes)
 {
-    bool done = false;
-    DiskRequest r = request(1000, 8);
-    r.onComplete = [&](const DiskRequest &) { done = true; };
-    disk.submit(std::move(r));
+    disk.submit(request(1000, 8, 2, 7));
     EXPECT_TRUE(disk.busy());
     events.runAll();
-    EXPECT_TRUE(done);
+    EXPECT_EQ(sink.done, (std::vector<std::uint32_t>{7}));
     EXPECT_FALSE(disk.busy());
     EXPECT_EQ(disk.headSector(), 1008u);
     EXPECT_EQ(disk.stats().requests.value(), 1u);
@@ -75,16 +96,10 @@ TEST_F(DeviceFixture, RequestsAssignedUniqueIds)
 
 TEST_F(DeviceFixture, FifoOrderWithFifoScheduler)
 {
-    std::vector<int> order;
-    for (int i = 0; i < 3; ++i) {
-        DiskRequest r = request(static_cast<std::uint64_t>(i) * 5000, 8);
-        r.onComplete = [&order, i](const DiskRequest &) {
-            order.push_back(i);
-        };
-        disk.submit(std::move(r));
-    }
+    for (std::uint32_t i = 0; i < 3; ++i)
+        disk.submit(request(std::uint64_t{i} * 5000, 8, 2, i));
     events.runAll();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(sink.done, (std::vector<std::uint32_t>{0, 1, 2}));
 }
 
 TEST_F(DeviceFixture, WaitTimeGrowsWithQueue)
@@ -118,17 +133,32 @@ TEST_F(DeviceFixture, BusyTimeAccumulates)
 
 TEST_F(DeviceFixture, CompletionMaySubmitMore)
 {
-    int completions = 0;
-    DiskRequest r = request(0, 8);
-    r.onComplete = [&](const DiskRequest &) {
-        ++completions;
-        DiskRequest next = request(90000, 8);
-        next.onComplete = [&](const DiskRequest &) { ++completions; };
-        disk.submit(std::move(next));
+    sink.hook = [&](const DiskRequest &req) {
+        if (req.tag.slot == 1)
+            disk.submit(request(90000, 8, 2, 2));
     };
-    disk.submit(std::move(r));
+    disk.submit(request(0, 8, 2, 1));
     events.runAll();
-    EXPECT_EQ(completions, 2);
+    EXPECT_EQ(sink.done, (std::vector<std::uint32_t>{1, 2}));
+}
+
+TEST_F(DeviceFixture, KilledDeviceFailsEveryRequestInOrder)
+{
+    // Request 0 is in service when the disk dies; 1 and 2 are queued
+    // and fail at once, in queue order, then 0 fails at the end of its
+    // service time. A request submitted to the dead disk fails too.
+    std::vector<bool> failed;
+    sink.hook = [&](const DiskRequest &req) { failed.push_back(req.failed); };
+    for (std::uint32_t i = 0; i < 3; ++i)
+        disk.submit(request(std::uint64_t{i} * 5000, 8, 2, i));
+    disk.kill();
+    disk.submit(request(20000, 8, 2, 3));
+    EXPECT_EQ(disk.queueDepth(), 0u);
+    events.runAll();
+    EXPECT_EQ(sink.done, (std::vector<std::uint32_t>{1, 2, 3, 0}));
+    EXPECT_EQ(failed, (std::vector<bool>(4, true)));
+    EXPECT_EQ(disk.stats().errors.value(), 4u);
+    EXPECT_FALSE(disk.busy());
 }
 
 TEST_F(DeviceFixture, SchedulerSwapRequiresIdle)
@@ -147,6 +177,7 @@ TEST_F(DeviceFixture, SequentialStreamIsFasterThanScattered)
     EventQueue ev2;
     DiskDevice seq{ev2, DiskModel{}, std::make_unique<FifoScheduler>(),
                    Rng(2)};
+    seq.setSink(sink);
     std::uint64_t pos = 0;
     for (int i = 0; i < 20; ++i) {
         DiskRequest r;
@@ -162,6 +193,7 @@ TEST_F(DeviceFixture, SequentialStreamIsFasterThanScattered)
     EventQueue ev3;
     DiskDevice scat{ev3, DiskModel{}, std::make_unique<FifoScheduler>(),
                     Rng(2)};
+    scat.setSink(sink);
     for (int i = 0; i < 20; ++i) {
         DiskRequest r;
         r.spu = 2;
@@ -179,6 +211,8 @@ TEST(DiskDevice, RejectsZeroLengthRequest)
     EventQueue events;
     DiskDevice disk{events, DiskModel{},
                     std::make_unique<FifoScheduler>(), Rng(1)};
+    StubSink sink;
+    disk.setSink(sink);
     DiskRequest r;
     r.sectors = 0;
     EXPECT_DEATH(disk.submit(std::move(r)), "zero-length");

@@ -1,10 +1,15 @@
 /**
  * @file
  * Kernel I/O-path details: where paging traffic lands, how delayed
- * writes are batched and charged, and end-of-run draining.
+ * writes are batched and charged, end-of-run draining, and the
+ * watchdog: timeouts, retries and stale completions of abandoned
+ * attempts.
  */
 
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <vector>
 
 #include "src/piso.hh"
 
@@ -22,6 +27,8 @@ class SpyScheduler : public DiskScheduler
         bool write;
         std::uint32_t sectors;
         std::vector<std::pair<SpuId, std::uint32_t>> charges;
+        IoTag tag;
+        Time at;
     };
 
     std::size_t
@@ -32,10 +39,10 @@ class SpyScheduler : public DiskScheduler
     }
 
     void
-    onComplete(const DiskRequest &req, Time) override
+    onComplete(const DiskRequest &req, Time now) override
     {
         seen_.push_back(Seen{req.spu, req.write, req.sectors,
-                             req.charges});
+                             req.charges, req.tag, now});
     }
 
     const std::vector<Seen> &seen() const { return seen_; }
@@ -43,6 +50,85 @@ class SpyScheduler : public DiskScheduler
   private:
     CScanScheduler inner_;
     std::vector<Seen> seen_;
+};
+
+/** A hand-wired machine: @p diskCount spied disks (disk d draws its
+ *  rotational latency from Rng(7 + d)), SPUs 2 and 3, a kernel. */
+struct IoRig
+{
+    EventQueue events;
+    PhysicalMemory phys;
+    VirtualMemory vm;
+    BufferCache cache;
+    FileSystem fs;
+    SmpScheduler sched{events, 2};
+    DiskModel model{DiskParams{}};
+    std::vector<SpyScheduler *> spies;
+    std::vector<std::unique_ptr<DiskDevice>> disks;
+    std::unique_ptr<Kernel> kernel;
+
+    IoRig(KernelConfig kc, int diskCount = 1, std::uint64_t pages = 4096,
+          std::uint64_t userPages = 4096)
+        : phys(pages * 4096), vm(phys)
+    {
+        std::vector<DiskDevice *> ptrs;
+        for (int d = 0; d < diskCount; ++d) {
+            auto spy = std::make_unique<SpyScheduler>();
+            spies.push_back(spy.get());
+            disks.push_back(std::make_unique<DiskDevice>(
+                events, model, std::move(spy),
+                Rng(7 + static_cast<std::uint64_t>(d))));
+            fs.addDisk(d, model.totalSectors());
+            ptrs.push_back(disks.back().get());
+        }
+        kernel = std::make_unique<Kernel>(events, vm, cache, fs, sched,
+                                          std::move(ptrs), Rng(11), kc);
+        for (SpuId s : {SpuId{2}, SpuId{3}}) {
+            vm.registerSpu(s);
+            vm.setEntitled(s, userPages);
+            vm.setAllowed(s, userPages);
+        }
+        vm.setAllowed(kKernelSpu, pages);
+        vm.setAllowed(kSharedSpu, pages);
+    }
+
+    Process *
+    spawn(SpuId spu, std::vector<Action> script, Time startAt = 0)
+    {
+        return kernel->createProcess(
+            spu, kNoJob, "p",
+            std::make_unique<ScriptBehavior>(std::move(script)), startAt);
+    }
+
+    void
+    runUntil(Time end)
+    {
+        while (events.now() < end && events.runOne()) {
+        }
+    }
+
+    /** Slow disk 0 so that the first request it serves, a one-block
+     *  read at @p sector from head position 0, takes @p service. */
+    void
+    slowFirstRequest(std::uint64_t sector, Time service)
+    {
+        Rng probe(7); // disk 0's stream: its first draw is this request
+        const Time base =
+            model.service(0, sector, fs.sectorsPerBlock(), probe).total();
+        ASSERT_LT(base, service);
+        disks[0]->setSlowFactor(static_cast<double>(service) /
+                                static_cast<double>(base));
+    }
+
+    /** Run until disk 0 starts serving, then restore its full speed. */
+    void
+    restoreSpeedOnceBusy()
+    {
+        while (!disks[0]->busy() && events.runOne()) {
+        }
+        ASSERT_TRUE(disks[0]->busy());
+        disks[0]->setSlowFactor(1.0);
+    }
 };
 
 } // namespace
@@ -291,4 +377,233 @@ TEST(KernelIo, CopyCostMakesCachedReadsNonFree)
     const SimResults r = sim.run();
     // 100 warm re-reads of 64 blocks at 10 us/block = 64 ms of CPU.
     EXPECT_GT(r.spus.at(u).cpuTime, 60 * kMs);
+}
+
+TEST(KernelIoWatchdog, TimedOutAttemptIsRetriedAndItsLateCompletionIgnored)
+{
+    // One 1-block read. Attempt 1 takes 150 ms; the watchdog fires at
+    // 100 ms and attempt 2 is issued after the 20 ms backoff (at 120 ms).
+    // It queues behind attempt 1, whose completion at 150 ms is stale,
+    // then takes one normal service time and beats its own watchdog
+    // (220 ms). Hand count: one timeout, one retry, no error.
+    KernelConfig kc;
+    kc.ioTimeout = 100 * kMs;
+    IoRig rig(kc);
+    const FileId f = rig.fs.createFile(0, 4096);
+    rig.slowFirstRequest(rig.fs.blockSector(f, 0), 150 * kMs);
+    Process *p = rig.spawn(2, {ReadAction{f, 0, 4096}});
+    Time exitAt = kTimeNever;
+    rig.kernel->onProcessExit = [&](Process &) { exitAt = rig.events.now(); };
+    rig.kernel->start();
+    rig.restoreSpeedOnceBusy();
+    rig.runUntil(5 * kSec);
+
+    const KernelStats &ks = rig.kernel->stats();
+    EXPECT_EQ(ks.ioTimeouts.value(), 1u);
+    EXPECT_EQ(ks.ioRetries.value(), 1u);
+    EXPECT_EQ(ks.diskErrors.value(), 0u);
+    EXPECT_EQ(ks.failedIos.value(), 0u);
+    EXPECT_EQ(rig.kernel->spuFaults(2).ioTimeouts.value(), 1u);
+    EXPECT_EQ(rig.kernel->spuFaults(2).ioRetries.value(), 1u);
+
+    // Both attempts reached the disk, attempt 1 first; they name the
+    // same operation.
+    const auto &seen = rig.spies[0]->seen();
+    ASSERT_EQ(seen.size(), 2u);
+    EXPECT_EQ(seen[0].tag.attempt, 1);
+    EXPECT_EQ(seen[1].tag.attempt, 2);
+    EXPECT_EQ(seen[0].tag.slot, seen[1].tag.slot);
+    EXPECT_EQ(seen[0].tag.generation, seen[1].tag.generation);
+    EXPECT_GE(seen[0].at, 150 * kMs - kUs);
+    EXPECT_LT(seen[1].at, 220 * kMs);
+
+    // Settled once, by attempt 2: the reader woke only after it.
+    EXPECT_EQ(rig.kernel->liveIoOps(), 0u);
+    EXPECT_EQ(p->state(), ProcState::Exited);
+    EXPECT_FALSE(p->ioFailed);
+    EXPECT_EQ(p->pendingIo, 0);
+    EXPECT_GE(exitAt, seen[1].at);
+}
+
+TEST(KernelIoWatchdog, LateCompletionInsideTheBackoffSettlesTheIo)
+{
+    // Attempt 1 times out at 100 ms, but the retry waits a 100 ms
+    // backoff, so attempt 1's completion (150 ms) arrives while it is
+    // still the current attempt: it settles the read. The retry still
+    // runs at 200 ms and sends attempt 2 to the disk; that completion
+    // is stale, and the slot is freed only after the retry has run.
+    KernelConfig kc;
+    kc.ioTimeout = 100 * kMs;
+    kc.ioRetryBackoff = 100 * kMs;
+    IoRig rig(kc);
+    const FileId f = rig.fs.createFile(0, 4096);
+    rig.slowFirstRequest(rig.fs.blockSector(f, 0), 150 * kMs);
+    Process *p = rig.spawn(2, {ReadAction{f, 0, 4096}});
+    Time exitAt = kTimeNever;
+    rig.kernel->onProcessExit = [&](Process &) { exitAt = rig.events.now(); };
+    rig.kernel->start();
+    rig.restoreSpeedOnceBusy();
+    rig.runUntil(175 * kMs);
+    EXPECT_EQ(p->state(), ProcState::Exited);
+    EXPECT_EQ(rig.kernel->liveIoOps(), 1u); // the retry is pending
+    rig.runUntil(5 * kSec);
+
+    EXPECT_EQ(rig.kernel->stats().ioTimeouts.value(), 1u);
+    EXPECT_EQ(rig.kernel->stats().ioRetries.value(), 1u);
+    const auto &seen = rig.spies[0]->seen();
+    ASSERT_EQ(seen.size(), 2u);
+    EXPECT_EQ(seen[1].tag.attempt, 2);
+    EXPECT_LT(exitAt, 200 * kMs);
+    EXPECT_GE(seen[1].at, 200 * kMs);
+    EXPECT_FALSE(p->ioFailed);
+    EXPECT_EQ(rig.kernel->liveIoOps(), 0u);
+}
+
+TEST(KernelIoWatchdog, StaleCompletionIsIgnoredAfterItsSlotIsReused)
+{
+    // No retries: attempt 1 of the first read times out at 100 ms and
+    // the operation fails, freeing its slot. A second process starts a
+    // read at 110 ms, which takes the same slot (and is also attempt
+    // 1). The abandoned request completes at 150 ms naming that slot;
+    // only the generation tells it apart, and it must not complete the
+    // second read.
+    KernelConfig kc;
+    kc.ioTimeout = 100 * kMs;
+    kc.ioRetryLimit = 0;
+    IoRig rig(kc);
+    const FileId f1 = rig.fs.createFile(0, 4096);
+    const FileId f2 = rig.fs.createFile(0, 4096);
+    rig.slowFirstRequest(rig.fs.blockSector(f1, 0), 150 * kMs);
+    Process *p1 = rig.spawn(2, {ReadAction{f1, 0, 4096}});
+    Process *p2 = rig.spawn(3, {ReadAction{f2, 0, 4096}}, 110 * kMs);
+    Time p2ExitAt = kTimeNever;
+    rig.kernel->onProcessExit = [&](Process &q) {
+        if (&q == p2)
+            p2ExitAt = rig.events.now();
+    };
+    rig.kernel->start();
+    rig.restoreSpeedOnceBusy();
+    rig.runUntil(5 * kSec);
+
+    const KernelStats &ks = rig.kernel->stats();
+    EXPECT_EQ(ks.ioTimeouts.value(), 1u);
+    EXPECT_EQ(ks.ioRetries.value(), 0u);
+    EXPECT_EQ(ks.failedIos.value(), 1u);
+    EXPECT_TRUE(p1->ioFailed);
+
+    const auto &seen = rig.spies[0]->seen();
+    ASSERT_EQ(seen.size(), 2u);
+    EXPECT_EQ(seen[0].tag.slot, seen[1].tag.slot);
+    EXPECT_NE(seen[0].tag.generation, seen[1].tag.generation);
+    EXPECT_EQ(seen[0].tag.attempt, seen[1].tag.attempt);
+
+    EXPECT_EQ(rig.kernel->liveIoOps(), 0u);
+    EXPECT_EQ(p2->state(), ProcState::Exited);
+    EXPECT_FALSE(p2->ioFailed);
+    EXPECT_EQ(p2->pendingIo, 0);
+    EXPECT_GE(p2ExitAt, seen[1].at);
+}
+
+TEST(KernelIoWatchdog, EveryIoSettlesOnceUnderRandomFaultPlans)
+{
+    // Random plans of transient errors, slowdowns and disk deaths over
+    // two disks, against sequential readers (read-ahead), delayed and
+    // synchronous writers, a random reader and a memory hog that pages
+    // (pageouts for frames, swap-ins, clustered pageouts). However the
+    // faults fall, every I/O operation started must settle exactly once
+    // (settling twice panics) and nobody may be left waiting on I/O.
+    std::uint64_t timeouts = 0, retries = 0, failed = 0, errors = 0;
+    std::uint64_t refaults = 0, pageouts = 0, readAheads = 0, syncs = 0;
+    int deaths = 0;
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        Rng rng(seed);
+        KernelConfig kc;
+        kc.ioTimeout = 150 * kMs;
+        IoRig rig(kc, 2, /*pages=*/3072, /*userPages=*/1024);
+
+        const FileId seq0 = rig.fs.createFile(0, 2 * kMiB);
+        const FileId seq1 = rig.fs.createFile(1, 2 * kMiB);
+        const FileId out0 = rig.fs.createFile(0, 1 * kMiB);
+        const FileId out1 = rig.fs.createFile(1, 1 * kMiB);
+        const FileId rnd = rig.fs.createFile(1, 4 * kMiB);
+
+        std::vector<Process *> procs;
+        for (const auto &[spu, file] :
+             {std::pair{SpuId{2}, seq0}, std::pair{SpuId{3}, seq1}}) {
+            std::vector<Action> script;
+            for (std::uint64_t off = 0; off < 2 * kMiB; off += 32 * 1024)
+                script.push_back(ReadAction{file, off, 32 * 1024});
+            procs.push_back(rig.spawn(spu, std::move(script)));
+        }
+        for (const auto &[spu, file] :
+             {std::pair{SpuId{2}, out0}, std::pair{SpuId{3}, out1}}) {
+            std::vector<Action> script;
+            for (std::uint64_t off = 0; off < kMiB; off += 64 * 1024) {
+                script.push_back(WriteAction{file, off, 64 * 1024,
+                                             off % (256 * 1024) == 0});
+                script.push_back(ComputeAction{5 * kMs});
+            }
+            procs.push_back(rig.spawn(spu, std::move(script)));
+        }
+        {
+            std::vector<Action> script;
+            for (int i = 0; i < 40; ++i) {
+                const std::uint64_t block = rng.uniformInt(1024);
+                script.push_back(ReadAction{rnd, block * 4096, 4096});
+            }
+            procs.push_back(rig.spawn(3, std::move(script)));
+        }
+        procs.push_back(rig.spawn(
+            2, {GrowMemAction{1400}, ComputeAction{800 * kMs},
+                ShrinkMemAction{1400}}));
+
+        // The plan: a few windows of errors or slowdowns, and sometimes
+        // a death, on random disks within the first two seconds.
+        const int windows = 1 + static_cast<int>(rng.uniformInt(4));
+        for (int w = 0; w < windows; ++w) {
+            DiskDevice *d = rig.disks[rng.uniformInt(2)].get();
+            const Time at = rng.uniformInt(2000) * kMs;
+            const Time len = (50 + rng.uniformInt(600)) * kMs;
+            if (rng.chance(0.5)) {
+                const double rate = 0.2 + 0.8 * rng.uniform();
+                rig.events.schedule(at, [d, rate] { d->setErrorRate(rate); });
+                rig.events.schedule(at + len, [d] { d->setErrorRate(0.0); });
+            } else {
+                const double factor = 2.0 + 30.0 * rng.uniform();
+                rig.events.schedule(at,
+                                    [d, factor] { d->setSlowFactor(factor); });
+                rig.events.schedule(at + len, [d] { d->setSlowFactor(1.0); });
+            }
+        }
+        if (rng.chance(0.3)) {
+            DiskDevice *d = rig.disks[rng.uniformInt(2)].get();
+            rig.events.schedule(rng.uniformInt(3000) * kMs,
+                                [d] { d->kill(); });
+            ++deaths;
+        }
+
+        rig.kernel->start();
+        rig.runUntil(120 * kSec);
+
+        EXPECT_EQ(rig.kernel->liveIoOps(), 0u);
+        for (const Process *p : procs) {
+            EXPECT_EQ(p->state(), ProcState::Exited);
+            EXPECT_EQ(p->pendingIo, 0);
+        }
+        const KernelStats &ks = rig.kernel->stats();
+        timeouts += ks.ioTimeouts.value();
+        retries += ks.ioRetries.value();
+        failed += ks.failedIos.value();
+        errors += ks.diskErrors.value();
+        refaults += ks.refaults.value();
+        pageouts += ks.pageoutWrites.value();
+        readAheads += ks.readAheadRequests.value();
+        syncs += ks.syncWriteRequests.value();
+    }
+    // The plans reached every path the property is about.
+    EXPECT_GT(deaths, 0);
+    for (std::uint64_t n : {timeouts, retries, failed, errors, refaults,
+                            pageouts, readAheads, syncs})
+        EXPECT_GT(n, 0u);
 }

@@ -16,13 +16,29 @@ using namespace piso;
 namespace {
 
 NetMessage
-msg(SpuId spu, std::uint64_t bytes)
+msg(SpuId spu, std::uint64_t bytes, std::uint32_t tag = 0)
 {
     NetMessage m;
     m.spu = spu;
     m.bytes = bytes;
+    m.tag.slot = tag;
     return m;
 }
+
+/** Completion sink recording each transmitted message's SPU and tag. */
+class StubSink : public NetSink
+{
+  public:
+    void
+    netComplete(const NetMessage &m) override
+    {
+        spus.push_back(m.spu);
+        tags.push_back(m.tag.slot);
+    }
+
+    std::vector<SpuId> spus;
+    std::vector<std::uint32_t> tags;
+};
 
 } // namespace
 
@@ -49,13 +65,12 @@ TEST(NetworkInterface, SingleMessageCompletes)
     EventQueue events;
     NetworkInterface net(events, 10e6,
                          std::make_unique<FifoNetScheduler>());
-    bool done = false;
-    NetMessage m = msg(2, 1250);
-    m.onComplete = [&](const NetMessage &) { done = true; };
-    net.submit(std::move(m));
+    StubSink sink;
+    net.setSink(sink);
+    net.submit(msg(2, 1250, 9));
     EXPECT_TRUE(net.busy());
     events.runAll();
-    EXPECT_TRUE(done);
+    EXPECT_EQ(sink.tags, (std::vector<std::uint32_t>{9}));
     EXPECT_FALSE(net.busy());
     EXPECT_EQ(net.spuStats(2).bytes.value(), 1250u);
     EXPECT_EQ(net.totalMessages(), 1u);
@@ -66,16 +81,12 @@ TEST(NetworkInterface, FifoOrder)
     EventQueue events;
     NetworkInterface net(events, 10e6,
                          std::make_unique<FifoNetScheduler>());
-    std::vector<int> order;
-    for (int i = 0; i < 3; ++i) {
-        NetMessage m = msg(2 + i, 1000);
-        m.onComplete = [&order, i](const NetMessage &) {
-            order.push_back(i);
-        };
-        net.submit(std::move(m));
-    }
+    StubSink sink;
+    net.setSink(sink);
+    for (std::uint32_t i = 0; i < 3; ++i)
+        net.submit(msg(2 + static_cast<SpuId>(i), 1000, i));
     events.runAll();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(sink.tags, (std::vector<std::uint32_t>{0, 1, 2}));
 }
 
 TEST(NetworkInterface, RejectsBadConfig)
@@ -94,21 +105,18 @@ TEST(FairNetScheduler, AlternatesBetweenEqualSpus)
     auto sched = std::make_unique<FairNetScheduler>();
     FairNetScheduler *fair = sched.get();
     NetworkInterface net(events, 10e6, std::move(sched));
+    StubSink sink;
+    net.setSink(sink);
     fair->tracker().setShare(2, 1.0);
     fair->tracker().setShare(3, 1.0);
 
-    std::vector<SpuId> order;
     for (int i = 0; i < 4; ++i) {
-        for (SpuId spu : {SpuId{2}, SpuId{2}, SpuId{3}}) {
-            // SPU 2 floods 2:1, but service should alternate ~1:1.
-            NetMessage m = msg(spu, 2000);
-            m.onComplete = [&order, spu](const NetMessage &) {
-                order.push_back(spu);
-            };
-            net.submit(std::move(m));
-        }
+        // SPU 2 floods 2:1, but service should alternate ~1:1.
+        for (SpuId spu : {SpuId{2}, SpuId{2}, SpuId{3}})
+            net.submit(msg(spu, 2000));
     }
     events.runAll();
+    const std::vector<SpuId> &order = sink.spus;
     // Count SPU 3 messages in the first half of completions: strict
     // FIFO would leave most of them at the back.
     int spu3First = 0;
@@ -123,21 +131,18 @@ TEST(FairNetScheduler, SharesWeightService)
     auto sched = std::make_unique<FairNetScheduler>();
     FairNetScheduler *fair = sched.get();
     NetworkInterface net(events, 10e6, std::move(sched));
+    StubSink sink;
+    net.setSink(sink);
     fair->tracker().setShare(2, 3.0);
     fair->tracker().setShare(3, 1.0);
 
     // Both SPUs keep 20 equal messages queued.
-    std::vector<SpuId> order;
     for (int i = 0; i < 20; ++i) {
-        for (SpuId spu : {SpuId{2}, SpuId{3}}) {
-            NetMessage m = msg(spu, 4000);
-            m.onComplete = [&order, spu](const NetMessage &) {
-                order.push_back(spu);
-            };
-            net.submit(std::move(m));
-        }
+        for (SpuId spu : {SpuId{2}, SpuId{3}})
+            net.submit(msg(spu, 4000));
     }
     events.runAll();
+    const std::vector<SpuId> &order = sink.spus;
     // In the first 12 services, the 3-share SPU should get about 3x.
     int a = 0, b = 0;
     for (std::size_t i = 0; i < 12; ++i)
