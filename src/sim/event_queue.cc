@@ -13,25 +13,7 @@ EventQueue::schedule(Time when, Callback cb, const char *name)
                    " < now=", formatTime(now_), ")");
     PISO_INVARIANT(cb, "event '", name,
                    "' scheduled with empty callback");
-
-    std::uint32_t idx;
-    if (!freeSlots_.empty()) {
-        idx = freeSlots_.back();
-        freeSlots_.pop_back();
-    } else {
-        idx = static_cast<std::uint32_t>(slots_.size());
-        slots_.emplace_back();
-        state_.push_back(packState(0, false));
-    }
-    Slot &slot = slots_[idx];
-    slot.cb = std::move(cb);
-    slot.name = name;
-    const std::uint32_t gen = state_[idx] >> 1;
-    state_[idx] = packState(gen, true);
-
-    heap_.push(HeapEntry{when, nextSeq_++, idx, gen});
-    ++live_;
-    return makeId(idx, gen);
+    return insert(when, nextSeq_++, std::move(cb), name);
 }
 
 EventId
@@ -40,7 +22,13 @@ EventQueue::scheduleRestored(Time when, std::uint64_t seq, Callback cb,
 {
     PISO_INVARIANT(cb, "restored event '", name,
                    "' re-bound with empty callback");
+    return insert(when, seq, std::move(cb), name);
+}
 
+EventId
+EventQueue::insert(Time when, std::uint64_t seq, Callback &&cb,
+                   const char *name)
+{
     std::uint32_t idx;
     if (!freeSlots_.empty()) {
         idx = freeSlots_.back();
@@ -56,7 +44,7 @@ EventQueue::scheduleRestored(Time when, std::uint64_t seq, Callback cb,
     const std::uint32_t gen = state_[idx] >> 1;
     state_[idx] = packState(gen, true);
 
-    heap_.push(HeapEntry{when, seq, idx, gen});
+    heap_.push(HeapEntry{when, seq, idx});
     ++live_;
     return makeId(idx, gen);
 }
@@ -71,6 +59,7 @@ EventQueue::clearPending()
             freeSlots_.push_back(idx);
         }
     }
+    heap_.clear();
     live_ = 0;
 }
 
@@ -105,44 +94,33 @@ EventQueue::cancel(EventId id)
     if (idx >= state_.size() ||
         state_[idx] != packState(genOf(id), true))
         return false;
+    PISO_CHECK(heap_.indexes(idx),
+               "pending event's heap position is stale (slot ", idx, ")");
 
-    // Free the slot now; the heap entry goes stale (its generation no
-    // longer matches) and is discarded when it reaches the head.
+    heap_.remove(idx);
     slots_[idx].cb.reset();
     state_[idx] = packState(genOf(id) + 1, false);
     freeSlots_.push_back(idx);
     --live_;
+    PISO_CHECK(heap_.size() == live_, "event heap holds ", heap_.size(),
+               " entries for ", live_, " pending events");
     return true;
-}
-
-void
-EventQueue::skipStale() const
-{
-    while (!heap_.empty()) {
-        const HeapEntry &top = heap_.top();
-        if (state_[top.slot] == packState(top.gen, true))
-            break;
-        heap_.pop();
-    }
-}
-
-Time
-EventQueue::nextEventTime() const
-{
-    skipStale();
-    return heap_.empty() ? kTimeNever : heap_.top().when;
 }
 
 void
 EventQueue::popAndRun()
 {
     const HeapEntry entry = heap_.top();
-    heap_.pop();
+    PISO_CHECK(heap_.size() == live_, "event heap holds ", heap_.size(),
+               " entries for ", live_, " pending events");
     PISO_CHECK(entry.slot < slots_.size(),
                "event heap entry points past the slab (slot ",
                entry.slot, " of ", slots_.size(), ")");
-    PISO_CHECK(state_[entry.slot] == packState(entry.gen, true),
-               "live heap entry with a stale slot generation");
+    PISO_CHECK(heap_.indexes(entry.slot),
+               "heap head's position is stale (slot ", entry.slot, ")");
+    PISO_CHECK(state_[entry.slot] & 1u,
+               "heap entry for a slot that holds no pending event");
+    heap_.pop();
 
     // Retire the event before invoking so the callback may freely
     // schedule and cancel other events: the state bump makes cancel()
@@ -150,7 +128,7 @@ EventQueue::popAndRun()
     // after the callback finishes, so it cannot be reused (and the
     // deque keeps the in-place callable stable) while it runs.
     Slot &slot = slots_[entry.slot];
-    state_[entry.slot] = packState(entry.gen + 1, false);
+    state_[entry.slot] = packState((state_[entry.slot] >> 1) + 1, false);
     --live_;
     ++executed_;
 
@@ -162,7 +140,6 @@ EventQueue::popAndRun()
 bool
 EventQueue::runOne()
 {
-    skipStale();
     if (heap_.empty())
         return false;
     popAndRun();
@@ -173,10 +150,7 @@ std::size_t
 EventQueue::runAll(Time limit)
 {
     std::size_t count = 0;
-    for (;;) {
-        skipStale();
-        if (heap_.empty() || heap_.top().when > limit)
-            break;
+    while (!heap_.empty() && heap_.top().when <= limit) {
         popAndRun();
         ++count;
     }

@@ -12,9 +12,11 @@
  *
  * Internally the queue is a generation-counted slab: each scheduled
  * event occupies a reusable slot, and an EventId encodes
- * (slot, generation) so cancel() and pendingEvent() are O(1) array
- * probes with no hashing. The binary heap holds small POD entries;
- * callbacks live in the slab behind a small-buffer wrapper so the
+ * (slot, generation) so pendingEvent() is an O(1) array probe with no
+ * hashing. A 4-ary heap of small POD entries, indexed by slot, orders
+ * the pending events; cancel() removes an event's entry where it
+ * sits, so the heap never holds anything but pending events.
+ * Callbacks live in the slab behind a small-buffer wrapper so the
  * common capture sizes ([this], [this, ptr], [this, id, time]) never
  * touch the allocator.
  */
@@ -217,11 +219,12 @@ class EventCallback
 /**
  * A deterministic, cancellable discrete-event queue.
  *
- * Ordering is (time, scheduling sequence number). Cancellation frees
- * the slab slot immediately (destroying the callback) and bumps the
- * slot's generation; the matching heap entry becomes stale and is
- * discarded when it reaches the head, keeping cancel() O(1) and pop()
- * amortised O(log n).
+ * Ordering is (time, scheduling sequence number), a key unique to
+ * each event. Cancellation frees the slab slot immediately
+ * (destroying the callback), bumps the slot's generation and removes
+ * the event's heap entry in place, so cancel() and pop() are both
+ * O(log n) in the number of pending events and the heap holds exactly
+ * pending() entries.
  */
 class EventQueue
 {
@@ -291,7 +294,11 @@ class EventQueue
     std::size_t runAll(Time limit = kTimeNever);
 
     /** Firing time of the next live event, or kTimeNever if none. */
-    Time nextEventTime() const;
+    Time
+    nextEventTime() const
+    {
+        return heap_.empty() ? kTimeNever : heap_.top().when;
+    }
 
     /**
      * @name Checkpoint/restore support
@@ -315,11 +322,9 @@ class EventQueue
     void
     forEachPending(Fn &&fn) const
     {
-        for (const HeapEntry &e : heap_.entries()) {
-            if (state_[e.slot] == packState(e.gen, true))
-                fn(makeId(e.slot, e.gen), e.when, e.seq,
-                   slots_[e.slot].name);
-        }
+        for (const HeapEntry &e : heap_.entries())
+            fn(makeId(e.slot, state_[e.slot] >> 1), e.when, e.seq,
+               slots_[e.slot].name);
     }
 
     /** Next sequence number to be handed out (image clock header). */
@@ -363,51 +368,60 @@ class EventQueue
     };
 
     // Per-slot (generation << 1) | live, kept in a dense side array so
-    // the stale-entry checks in the pop loop (and cancel/pendingEvent
-    // probes) stay within a few cache lines instead of striding across
-    // the fat callback slots.
+    // the cancel() and pendingEvent() id checks stay within a few cache
+    // lines instead of striding across the fat callback slots.
     static std::uint32_t
     packState(std::uint32_t gen, bool live)
     {
         return (gen << 1) | static_cast<std::uint32_t>(live);
     }
 
-    /** POD heap entry; slot+gen resolve the callback at pop time. */
+    /** POD heap entry: the (when, seq) key and the slot it orders. */
     struct HeapEntry
     {
         Time when;
         std::uint64_t seq;
         std::uint32_t slot;
-        std::uint32_t gen;
     };
 
     /**
      * 4-ary min-heap of HeapEntry ordered by (when, seq). Shallower
      * than a binary heap and with children sharing cache lines, so the
-     * pop-heavy event loop touches fewer lines per operation.
+     * pop-heavy event loop touches fewer lines per operation. The heap
+     * is indexed by slab slot: every move updates pos_[slot], so an
+     * entry can be removed from the middle in O(log n).
      */
     class EventHeap
     {
       public:
         bool empty() const { return v_.empty(); }
+        std::size_t size() const { return v_.size(); }
         const HeapEntry &top() const { return v_.front(); }
         const std::vector<HeapEntry> &entries() const { return v_; }
+
+        /** True when @p slot's entry sits where pos_ says it does. */
+        bool
+        indexes(std::uint32_t slot) const
+        {
+            return slot < pos_.size() && pos_[slot] < v_.size() &&
+                   v_[pos_[slot]].slot == slot;
+        }
 
         void
         push(const HeapEntry &e)
         {
-            v_.push_back(e);
-            siftUp(v_.size() - 1);
+            if (e.slot >= pos_.size())
+                pos_.resize(e.slot + 1);
+            v_.emplace_back();
+            siftUp(v_.size() - 1, e);
         }
 
-        void
-        pop()
-        {
-            v_.front() = v_.back();
-            v_.pop_back();
-            if (!v_.empty())
-                siftDown(0);
-        }
+        void pop() { removeAt(0); }
+
+        /** Remove @p slot's entry wherever it sits. */
+        void remove(std::uint32_t slot) { removeAt(pos_[slot]); }
+
+        void clear() { v_.clear(); }
 
       private:
         static bool
@@ -419,23 +433,44 @@ class EventQueue
         }
 
         void
-        siftUp(std::size_t i)
+        place(std::size_t i, const HeapEntry &e)
         {
-            const HeapEntry e = v_[i];
+            v_[i] = e;
+            pos_[e.slot] = static_cast<std::uint32_t>(i);
+        }
+
+        /** Fill the hole at @p i with the last entry and restore order. */
+        void
+        removeAt(std::size_t i)
+        {
+            const HeapEntry last = v_.back();
+            v_.pop_back();
+            if (i == v_.size())
+                return;
+            if (i > 0 && before(last, v_[(i - 1) / 4]))
+                siftUp(i, last);
+            else
+                siftDown(i, last);
+        }
+
+        /** Place @p e at or above the hole @p i. */
+        void
+        siftUp(std::size_t i, const HeapEntry &e)
+        {
             while (i > 0) {
                 const std::size_t parent = (i - 1) / 4;
                 if (!before(e, v_[parent]))
                     break;
-                v_[i] = v_[parent];
+                place(i, v_[parent]);
                 i = parent;
             }
-            v_[i] = e;
+            place(i, e);
         }
 
+        /** Place @p e at or below the hole @p i. */
         void
-        siftDown(std::size_t i)
+        siftDown(std::size_t i, const HeapEntry &e)
         {
-            const HeapEntry e = v_[i];
             const std::size_t n = v_.size();
             for (;;) {
                 const std::size_t first = 4 * i + 1;
@@ -450,13 +485,14 @@ class EventQueue
                 }
                 if (!before(v_[best], e))
                     break;
-                v_[i] = v_[best];
+                place(i, v_[best]);
                 i = best;
             }
-            v_[i] = e;
+            place(i, e);
         }
 
         std::vector<HeapEntry> v_;
+        std::vector<std::uint32_t> pos_; //!< per slot: index into v_
     };
 
     static std::uint32_t
@@ -478,16 +514,17 @@ class EventQueue
                (static_cast<EventId>(slot) + 1);
     }
 
-    /** Drop stale (cancelled-and-reused-slot) heap heads. */
-    void skipStale() const;
+    /** Take a slab slot for @p cb and push it at (when, seq). */
+    EventId insert(Time when, std::uint64_t seq, Callback &&cb,
+                   const char *name);
 
-    /** Pop the (live) head and run its callback. */
+    /** Pop the head and run its callback. */
     void popAndRun();
 
     // Slots live in a deque so references stay valid while a callback
     // executes in place even if the callback schedules new events and
     // grows the slab.
-    mutable EventHeap heap_;
+    EventHeap heap_;
     std::deque<Slot> slots_;
     std::vector<std::uint32_t> state_;
     std::vector<std::uint32_t> freeSlots_;

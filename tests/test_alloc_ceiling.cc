@@ -1,17 +1,23 @@
 /**
  * @file
- * Allocation ceilings: the number of operator new calls made inside
- * Simulation::run() for the Table 3 and Figure 2 PIso points.
+ * Work-counter gates for the Table 3 and Figure 2 PIso points: the
+ * number of operator new calls made inside Simulation::run(), the
+ * events it executes and its policy-loop iterations.
  *
- * Allocation counts are deterministic, so they can gate where wall
- * time cannot. The I/O path allocates nothing per request (operations
- * are records in a slab, block waiters sit in a node pool, scratch
+ * These counts are deterministic, so they can gate where wall time
+ * cannot. The I/O path allocates nothing per request (operations are
+ * records in a slab, block waiters sit in a node pool, scratch
  * buffers are reused), so a closure or a per-call vector put back on
- * that path shows up here as thousands of extra calls. Each ceiling
- * is about 25% above the count it was set from, to absorb standard
- * library differences; docs/performance.md records the counts.
+ * that path shows up here as thousands of extra calls. Each
+ * allocation ceiling is about 25% above the count it was set from, to
+ * absorb standard library differences; docs/performance.md records
+ * the counts. Sanitizer builds replace the allocator, so the
+ * allocation tests skip there.
  *
- * Sanitizer builds replace the allocator, so the test skips there.
+ * Events and policy iterations do not depend on the allocator or the
+ * standard library, so they are pinned exactly in every build: a
+ * change that moves them changes what the simulator does, not how
+ * fast it does it.
  */
 
 #include <gtest/gtest.h>
@@ -47,22 +53,29 @@ using namespace piso;
 
 namespace {
 
-/** operator new calls inside sim.run(). */
-std::uint64_t
-allocsInRun(Simulation &sim)
+/** What one sim.run() did: operator new calls and the run's perf
+ *  counters. */
+struct RunCounts
+{
+    std::uint64_t allocs = 0;
+    RunPerf perf;
+};
+
+RunCounts
+countRun(Simulation &sim)
 {
     gAllocs = 0;
     gCounting = true;
     const SimResults r = sim.run();
     gCounting = false;
     EXPECT_TRUE(r.completed);
-    return gAllocs;
+    return {gAllocs, r.perf};
 }
 
 /** The Table 3 machine (as in test_golden) under the PIso disk
  *  policy: pmake against a 20 MB copy on one shared disk. */
-std::uint64_t
-table3PisoAllocs()
+RunCounts
+table3PisoRun()
 {
     SystemConfig cfg;
     cfg.cpus = 2;
@@ -85,16 +98,16 @@ table3PisoAllocs()
     FileCopyConfig cc;
     cc.bytes = 20 * kMiB;
     sim.addJob(cpy, makeFileCopy("copy", cc));
-    return allocsInRun(sim);
+    return countRun(sim);
 }
 
 /** The Figure 2 machine under PIso: Pmake8, unbalanced. */
-std::uint64_t
-fig2PisoAllocs()
+RunCounts
+fig2PisoRun()
 {
     Simulation sim(bench::pmake8Config(Scheme::PIso, 1));
     bench::populatePmake8(sim, /*unbalanced=*/true);
-    return allocsInRun(sim);
+    return countRun(sim);
 }
 
 } // namespace
@@ -105,7 +118,7 @@ TEST(AllocCeiling, Table3PisoRun)
     GTEST_SKIP() << "sanitizer builds replace the allocator";
 #endif
     // 3,361 when set (28,125 before the I/O path lost its closures).
-    const std::uint64_t n = table3PisoAllocs();
+    const std::uint64_t n = table3PisoRun().allocs;
     RecordProperty("allocs", static_cast<int>(n));
     EXPECT_LE(n, 4200u) << "operator new calls in run()";
 }
@@ -116,7 +129,25 @@ TEST(AllocCeiling, Fig2PisoRun)
     GTEST_SKIP() << "sanitizer builds replace the allocator";
 #endif
     // 3,754 when set (10,598 before).
-    const std::uint64_t n = fig2PisoAllocs();
+    const std::uint64_t n = fig2PisoRun().allocs;
     RecordProperty("allocs", static_cast<int>(n));
     EXPECT_LE(n, 4700u) << "operator new calls in run()";
+}
+
+TEST(WorkCounters, Table3PisoRun)
+{
+    const RunPerf perf = table3PisoRun().perf;
+    EXPECT_EQ(perf.events, 6685u);
+    EXPECT_EQ(perf.policyItersCpu, 845u);
+    EXPECT_EQ(perf.policyItersMem, 314u);
+    EXPECT_EQ(perf.policyItersDisk, 14680u);
+}
+
+TEST(WorkCounters, Fig2PisoRun)
+{
+    const RunPerf perf = fig2PisoRun().perf;
+    EXPECT_EQ(perf.events, 10352u);
+    EXPECT_EQ(perf.policyItersCpu, 5109u);
+    EXPECT_EQ(perf.policyItersMem, 440u);
+    EXPECT_EQ(perf.policyItersDisk, 1287u);
 }

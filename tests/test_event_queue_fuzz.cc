@@ -6,13 +6,14 @@
  * of the simulator deterministic; these tests interleave schedule /
  * cancel / runOne operations — deliberately piling events onto equal
  * timestamps — and check the firing order, the pending bookkeeping,
- * and the lazy-cancellation corner cases against a sorted-list model.
+ * and in-place cancellation against a sorted-list model.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "src/sim/event_queue.hh"
@@ -30,6 +31,34 @@ struct ModelEvent
     EventId id;
     int payload;          //!< which callback this is
 };
+
+bool
+modelBefore(const ModelEvent &a, const ModelEvent &b)
+{
+    if (a.when != b.when)
+        return a.when < b.when;
+    return a.order < b.order;
+}
+
+/** forEachPending() visits exactly the model's events, each with its
+ *  id, time and sequence number (the model's order is the queue's
+ *  sequence number when every event went through schedule()). */
+void
+expectPendingMatchesModel(const EventQueue &q,
+                          const std::vector<ModelEvent> &model)
+{
+    using Key = std::tuple<EventId, Time, std::uint64_t>;
+    std::vector<Key> seen;
+    q.forEachPending([&](EventId id, Time when, std::uint64_t seq,
+                         const char *) { seen.emplace_back(id, when, seq); });
+    std::vector<Key> want;
+    for (const ModelEvent &e : model)
+        want.emplace_back(e.id, e.when, e.order);
+    std::sort(seen.begin(), seen.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(seen.size(), q.pending());
+    EXPECT_EQ(seen, want);
+}
 
 } // namespace
 
@@ -180,8 +209,8 @@ TEST(EventQueueFuzz, ScheduleFromCallbackAtSameInstant)
 
 TEST(EventQueueFuzz, CancelStormThenDrain)
 {
-    // Schedule a burst, cancel most of it, and make sure the lazy
-    // tombstones neither fire nor linger in the counts.
+    // Schedule a burst, cancel most of it, and make sure the cancelled
+    // events neither fire nor linger in the counts.
     Rng rng(13);
     EventQueue q;
     std::vector<EventId> ids;
@@ -202,4 +231,188 @@ TEST(EventQueueFuzz, CancelStormThenDrain)
     q.runAll();
     EXPECT_EQ(fired.size(), live);
     EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueFuzz, ForEachPendingAfterCancelStormMatchesModel)
+{
+    // After a storm of out-of-order cancels, the checkpoint walk sees
+    // exactly the pending events, with their ids and heap keys intact.
+    Rng rng(29);
+    EventQueue q;
+    std::vector<ModelEvent> model;
+    std::vector<int> fired;
+    for (int i = 0; i < 600; ++i) {
+        const Time when = static_cast<Time>(rng.uniformInt(40));
+        const EventId id =
+            q.schedule(when, [i, &fired] { fired.push_back(i); });
+        model.push_back({when, static_cast<std::uint64_t>(i), id, i});
+    }
+    for (int round = 0; round < 4; ++round) {
+        for (std::size_t n = model.size() / 2; n > 0; --n) {
+            const std::size_t i = rng.uniformInt(model.size());
+            EXPECT_TRUE(q.cancel(model[i].id));
+            model.erase(model.begin() + static_cast<std::ptrdiff_t>(i));
+        }
+        EXPECT_EQ(q.pending(), model.size());
+        expectPendingMatchesModel(q, model);
+    }
+    std::sort(model.begin(), model.end(), modelBefore);
+    q.runAll();
+    ASSERT_EQ(fired.size(), model.size());
+    for (std::size_t i = 0; i < model.size(); ++i)
+        EXPECT_EQ(fired[i], model[i].payload);
+}
+
+namespace {
+
+/**
+ * The kernel's traffic: a small set of pending work events, each of
+ * which fires, schedules its successor and arms a far-future watchdog;
+ * watchdogs are cancelled later in no particular order, some from
+ * inside a callback, and some work is cancelled at the very instant it
+ * was due. Every firing is checked against the model's head.
+ */
+class WatchdogTrial
+{
+  public:
+    explicit WatchdogTrial(std::uint64_t seed) : rng_(seed) {}
+
+    void
+    run(int steps)
+    {
+        for (int i = 0; i < 16; ++i)
+            add(static_cast<Time>(rng_.uniformInt(3)), false);
+        for (int step = 0; step < steps; ++step) {
+            runOneAgainstModel();
+            if (step % 64 == 0)
+                expectPendingMatchesModel(q_, model_);
+        }
+        // Stop the work, out of order, then let the armed watchdogs
+        // fire: they must come out in (time, sequence) order.
+        while (!work_.empty())
+            cancelPayload(takeRandom(work_));
+        expectPendingMatchesModel(q_, model_);
+        for (std::size_t armed = model_.size(); armed > 0; --armed)
+            runOneAgainstModel();
+        EXPECT_FALSE(q_.runOne());
+        EXPECT_TRUE(q_.empty());
+        EXPECT_GT(sameInstantCancels_, 0u);
+        EXPECT_GT(watchdogsFired_, 0u);
+    }
+
+  private:
+    static constexpr Time kWatchdog = 10 * kSec;
+
+    void
+    add(Time when, bool watchdog)
+    {
+        const int payload = nextPayload_++;
+        const EventId id = q_.schedule(
+            when, [this, payload, watchdog] { fire(payload, watchdog); },
+            watchdog ? "watchdog" : "work");
+        model_.push_back({when, order_++, id, payload});
+        (watchdog ? watchdogs_ : work_).push_back(payload);
+    }
+
+    int
+    takeRandom(std::vector<int> &from)
+    {
+        const std::size_t i = rng_.uniformInt(from.size());
+        const int payload = from[i];
+        from.erase(from.begin() + static_cast<std::ptrdiff_t>(i));
+        return payload;
+    }
+
+    void
+    cancelPayload(int payload)
+    {
+        const auto it = std::find_if(
+            model_.begin(), model_.end(),
+            [payload](const ModelEvent &e) { return e.payload == payload; });
+        ASSERT_NE(it, model_.end());
+        EXPECT_TRUE(q_.cancel(it->id));
+        EXPECT_FALSE(q_.pendingEvent(it->id));
+        model_.erase(it);
+    }
+
+    void
+    fire(int payload, bool watchdog)
+    {
+        fired_.push_back(payload);
+        std::vector<int> &mine = watchdog ? watchdogs_ : work_;
+        const auto it = std::find(mine.begin(), mine.end(), payload);
+        ASSERT_NE(it, mine.end());
+        mine.erase(it);
+        if (watchdog) {
+            ++watchdogsFired_;
+            return;
+        }
+        const Time now = q_.now();
+        add(now + static_cast<Time>(rng_.uniformInt(3)), false);
+        // A few watchdogs are armed with a short fuse so that some
+        // reach the head while the work is still running.
+        add(now + (rng_.chance(0.02) ? 2 : kWatchdog), true);
+        // Completions arrive in any order: cancel random watchdogs
+        // until only a handful are armed.
+        const std::size_t keep = 2 + rng_.uniformInt(6);
+        while (watchdogs_.size() > keep)
+            cancelPayload(takeRandom(watchdogs_));
+        // Cancel a work event due at this very instant, and replace it
+        // so the pending set keeps its size.
+        if (rng_.chance(0.3)) {
+            for (const ModelEvent &e : model_) {
+                if (e.when == now &&
+                    std::find(work_.begin(), work_.end(), e.payload) !=
+                        work_.end()) {
+                    const int victim = e.payload;
+                    work_.erase(
+                        std::find(work_.begin(), work_.end(), victim));
+                    cancelPayload(victim);
+                    add(now + 1 + static_cast<Time>(rng_.uniformInt(3)),
+                        false);
+                    ++sameInstantCancels_;
+                    break;
+                }
+            }
+        }
+    }
+
+    void
+    runOneAgainstModel()
+    {
+        ASSERT_FALSE(model_.empty());
+        const auto head =
+            std::min_element(model_.begin(), model_.end(), modelBefore);
+        const ModelEvent expect = *head;
+        model_.erase(head);
+        const std::size_t firedBefore = fired_.size();
+        EXPECT_EQ(q_.nextEventTime(), expect.when);
+        ASSERT_TRUE(q_.runOne());
+        ASSERT_GT(fired_.size(), firedBefore);
+        EXPECT_EQ(fired_[firedBefore], expect.payload);
+        EXPECT_EQ(q_.now(), expect.when);
+        EXPECT_FALSE(q_.pendingEvent(expect.id));
+        EXPECT_EQ(q_.pending(), model_.size());
+    }
+
+    EventQueue q_;
+    Rng rng_;
+    std::vector<ModelEvent> model_; // pending per the model
+    std::vector<int> work_;         // payloads of pending work events
+    std::vector<int> watchdogs_;    // payloads of armed watchdogs
+    std::vector<int> fired_;
+    std::uint64_t order_ = 0;
+    int nextPayload_ = 0;
+    std::size_t sameInstantCancels_ = 0;
+    std::size_t watchdogsFired_ = 0;
+};
+
+} // namespace
+
+TEST(EventQueueFuzz, WatchdogTrafficMatchesModel)
+{
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        SCOPED_TRACE(seed);
+        WatchdogTrial(seed).run(3000);
+    }
 }

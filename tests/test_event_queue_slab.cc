@@ -6,7 +6,8 @@
  * cancel or an execution, and the generation bump is what makes a
  * stale id — one whose slot has since been reused — harmless. These
  * tests pin that lifecycle (reuse, stale rejection, the executed-event
- * counter) and fuzz the whole thing against the same sorted-list model
+ * counter), cancel entries at known places in the slot-indexed heap,
+ * and fuzz the whole thing against the same sorted-list model
  * test_event_queue_fuzz uses, with extra stale-id probing.
  */
 
@@ -14,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "src/sim/event_queue.hh"
@@ -251,4 +253,159 @@ TEST(EventQueueSlab, FuzzReuseParityWithModel)
         EXPECT_EQ(q.executedEvents(),
                   static_cast<std::uint64_t>(fired.size()));
     }
+}
+
+// ---------------------------------------------------------------------
+// In-place cancellation at known heap positions
+// ---------------------------------------------------------------------
+
+TEST(EventQueueSlab, CancelInPlaceAtRootLastAndMiddle)
+{
+    // Each time below is at least its 4-ary parent's when it is
+    // scheduled, so the heap array is exactly this order: index i has
+    // children 4i+1..4i+4. Index 21 (time 15) sits under index 5
+    // (time 11); index 22 (time 75) is the last element.
+    const std::vector<Time> times = {0,  10, 50, 60, 70, 11, 12, 13,
+                                     14, 51, 52, 53, 54, 61, 62, 63,
+                                     64, 71, 72, 73, 74, 15, 75};
+    EventQueue q;
+    std::vector<Time> fired;
+    std::map<Time, EventId> ids;
+    for (const Time t : times)
+        ids[t] = q.schedule(t, [t, &fired] { fired.push_back(t); });
+
+    std::vector<Time> expect(times);
+    const auto cancelTime = [&](Time t) {
+        EXPECT_TRUE(q.cancel(ids.at(t)));
+        EXPECT_FALSE(q.pendingEvent(ids.at(t)));
+        expect.erase(std::find(expect.begin(), expect.end(), t));
+        EXPECT_EQ(q.pending(), expect.size());
+    };
+
+    cancelTime(75); // the last array element: nothing moves
+    cancelTime(64); // index 16: the last entry (15) must sift up past 60
+    // Grow the array past index 16 so later removals refill holes from
+    // these, not from wherever 15 ended up.
+    for (Time t = 80; t < 90; ++t) {
+        ids[t] = q.schedule(t, [t, &fired] { fired.push_back(t); });
+        expect.push_back(t);
+    }
+    EXPECT_EQ(q.nextEventTime(), 0u);
+    cancelTime(0);  // the root: the last entry must sift down
+    EXPECT_EQ(q.nextEventTime(), 10u);
+    cancelTime(52); // the middle of the heap
+    for (Time t = 10; t < 15; ++t)
+        cancelTime(t); // the root each time
+    EXPECT_EQ(q.nextEventTime(), 15u);
+
+    std::size_t visited = 0;
+    q.forEachPending([&](EventId id, Time when, std::uint64_t,
+                         const char *) {
+        ++visited;
+        EXPECT_EQ(ids.at(when), id);
+    });
+    EXPECT_EQ(visited, expect.size());
+
+    q.runAll();
+    std::sort(expect.begin(), expect.end());
+    EXPECT_EQ(fired, expect);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueSlab, CancelFromCallbackAtSameInstant)
+{
+    // a fires first at t=5 and cancels b, now the heap root, and d,
+    // also due at t=5, then schedules e at t=5 behind everything queued.
+    EventQueue q;
+    std::vector<char> fired;
+    EventId b = kNoEvent;
+    EventId d = kNoEvent;
+    q.schedule(5, [&] {
+        fired.push_back('a');
+        EXPECT_EQ(q.nextEventTime(), 5u);
+        EXPECT_TRUE(q.cancel(b));
+        EXPECT_TRUE(q.cancel(d));
+        q.schedule(5, [&] { fired.push_back('e'); });
+        EXPECT_EQ(q.pending(), 3u); // c, e and f
+    });
+    b = q.schedule(5, [&] { fired.push_back('b'); });
+    q.schedule(5, [&] { fired.push_back('c'); });
+    d = q.schedule(5, [&] { fired.push_back('d'); });
+    q.schedule(6, [&] { fired.push_back('f'); });
+    q.runAll();
+    EXPECT_EQ(fired, (std::vector<char>{'a', 'c', 'e', 'f'}));
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueSlab, ClearPendingThenRestoreFiresInOriginalOrder)
+{
+    // Snapshot a churned queue as a checkpoint does, wipe it with
+    // clearPending(), and re-bind every event at its recorded
+    // (when, seq) in a shuffled order: it drains exactly as the
+    // original would have.
+    Rng rng(5);
+    EventQueue q;
+    std::vector<int> fired;
+    std::vector<EventId> ids;
+    std::map<EventId, int> payloadOf;
+    for (int i = 0; i < 300; ++i) {
+        const EventId id =
+            q.schedule(static_cast<Time>(rng.uniformInt(8)),
+                       [i, &fired] { fired.push_back(i); });
+        ids.push_back(id);
+        payloadOf[id] = i;
+    }
+    for (const EventId id : ids) {
+        if (rng.chance(0.4)) {
+            EXPECT_TRUE(q.cancel(id));
+        }
+    }
+    for (int i = 0; i < 20; ++i)
+        EXPECT_TRUE(q.runOne());
+
+    struct Rec
+    {
+        Time when;
+        std::uint64_t seq;
+        int payload;
+    };
+    std::vector<Rec> recs;
+    q.forEachPending([&](EventId id, Time when, std::uint64_t seq,
+                         const char *) {
+        recs.push_back({when, seq, payloadOf.at(id)});
+    });
+    ASSERT_EQ(recs.size(), q.pending());
+    const Time now = q.now();
+    const std::uint64_t nextSeq = q.nextSeq();
+    const std::uint64_t executed = q.executedEvents();
+
+    std::vector<Rec> expect(recs);
+    std::sort(expect.begin(), expect.end(),
+              [](const Rec &a, const Rec &b) {
+                  return a.when != b.when ? a.when < b.when
+                                          : a.seq < b.seq;
+              });
+
+    q.clearPending();
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.nextEventTime(), kTimeNever);
+    for (const EventId id : ids)
+        EXPECT_FALSE(q.pendingEvent(id));
+
+    for (std::size_t i = recs.size(); i > 1; --i)
+        std::swap(recs[i - 1], recs[rng.uniformInt(i)]);
+    for (const Rec &r : recs) {
+        const int payload = r.payload;
+        q.scheduleRestored(r.when, r.seq,
+                           [payload, &fired] { fired.push_back(payload); });
+    }
+    q.restoreClock(now, nextSeq, executed);
+    EXPECT_EQ(q.pending(), expect.size());
+
+    const std::size_t firedBefore = fired.size();
+    q.runAll();
+    ASSERT_EQ(fired.size(), firedBefore + expect.size());
+    for (std::size_t i = 0; i < expect.size(); ++i)
+        EXPECT_EQ(fired[firedBefore + i], expect[i].payload);
+    EXPECT_EQ(q.executedEvents(), executed + expect.size());
 }

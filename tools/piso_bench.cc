@@ -9,9 +9,9 @@
  *
  * Three benchmarks, one per hot path the engine's speed rests on:
  *
- *   eventq  schedule/cancel/run churn on the EventQueue (the cost of
- *           every simulated event, dominated by allocation and
- *           cancellation bookkeeping).
+ *   eventq  steady-state EventQueue traffic: a small pending set whose
+ *           firings schedule successors and arm and cancel watchdogs
+ *           (the cost of every simulated event).
  *   cache   buffer-cache lookup/insert/touch/steal churn (the file
  *           I/O path's per-block cost).
  *   fig2    the paper's Figure 2 machine end-to-end (8 SPUs, 12 pmake
@@ -62,44 +62,50 @@ median(std::vector<double> v)
 }
 
 /**
- * Event-queue churn modelled on what the kernel actually does: most
- * events fire, but a large fraction (compute-segment ends, I/O
- * watchdogs) are cancelled before firing, and pendingEvent() guards
- * are probed along the way.
- * @return events processed (scheduled) per second.
+ * Event-queue traffic shaped like a simulation's steady state: 16
+ * pending work events (compute segments, ticks, completions) 1-20 ms
+ * apart, so one fires about every 0.6 ms of simulated time as in the
+ * Figure 2 machine. Each firing schedules its successor, cancels the
+ * 10 s watchdog the previous firing armed (an I/O completing) and
+ * arms a new one, probing pendingEvent() as the kernel's guards do.
+ * @return events scheduled (work and watchdogs) per second.
  */
 double
 benchEventQueue(std::uint64_t totalEvents)
 {
-    const std::uint64_t batch = 10000;
-    std::uint64_t fired = 0;
-    std::uint64_t scheduled = 0;
-
-    const double start = nowSec();
-    while (scheduled < totalEvents) {
+    struct Traffic
+    {
         EventQueue q;
-        std::vector<EventId> ids;
-        ids.reserve(batch);
-        std::uint64_t x = scheduled + 12345;
-        for (std::uint64_t i = 0; i < batch; ++i) {
+        EventId watchdog = kNoEvent;
+        std::uint64_t x = 12345;
+        std::uint64_t scheduled = 0;
+
+        void
+        work()
+        {
+            if (q.pendingEvent(watchdog))
+                q.cancel(watchdog);
             x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-            const Time when = static_cast<Time>((x >> 33) % 100000);
-            ids.push_back(
-                q.schedule(when, [&fired] { ++fired; }, "bench"));
+            const Time delay = static_cast<Time>(1 + (x >> 33) % 20) * kMs;
+            q.scheduleAfter(delay, [this] { work(); }, "bench");
+            watchdog = q.scheduleAfter(10 * kSec, [] {}, "watchdog");
+            scheduled += 2;
         }
-        // Cancel every third event (segment-end style churn), probing
-        // pendingEvent() like the kernel's guards do.
-        for (std::uint64_t i = 0; i < ids.size(); i += 3) {
-            if (q.pendingEvent(ids[i]))
-                q.cancel(ids[i]);
-        }
-        q.runAll();
-        scheduled += batch;
+    };
+
+    Traffic t;
+    const double start = nowSec();
+    for (int i = 0; i < 16; ++i) {
+        t.q.schedule(static_cast<Time>(i) * kMs, [&t] { t.work(); },
+                     "bench");
+        ++t.scheduled;
     }
+    while (t.scheduled < totalEvents)
+        t.q.runOne();
     const double sec = nowSec() - start;
-    if (fired == 0)
+    if (t.q.executedEvents() == 0)
         PISO_FATAL("event queue benchmark fired nothing");
-    return static_cast<double>(scheduled) / sec;
+    return static_cast<double>(t.scheduled) / sec;
 }
 
 /**
@@ -254,7 +260,7 @@ main(int argc, char **argv)
         const std::uint64_t n = quick ? 300000 : 3000000;
         const double rate = benchEventQueue(n);
         std::printf("eventq: %8.2f M events/s  (%llu events, "
-                    "schedule+cancel third+run)\n",
+                    "16 pending + watchdog per firing)\n",
                     rate / 1e6, static_cast<unsigned long long>(n));
         std::fflush(stdout);
         if (check && rate < kEventqFloor) {
