@@ -1,6 +1,7 @@
 #include "src/os/buffer_cache.hh"
 
 #include <algorithm>
+#include <iterator>
 #include <string>
 
 #include "src/util/log.hh"
@@ -27,15 +28,14 @@ badImage(const std::string &why)
 } // namespace
 
 std::uint64_t
-BufferCache::hashKey(const BlockKey &key)
+BufferCache::hashKey(FileId file, std::uint64_t run)
 {
-    // Mix file and block, then a splitmix64-style finalizer; the low
+    // Mix file and run, then a splitmix64-style finalizer; the low
     // bits must be well distributed because the table is a power of
     // two and probing is linear.
     std::uint64_t x =
-        key.block * 0x9e3779b97f4a7c15ull +
-        (static_cast<std::uint64_t>(
-             static_cast<std::uint32_t>(key.file)) *
+        run * 0x9e3779b97f4a7c15ull +
+        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(file)) *
          0xc2b2ae3d27d4eb4full);
     x ^= x >> 30;
     x *= 0xbf58476d1ce4e5b9ull;
@@ -46,11 +46,11 @@ BufferCache::hashKey(const BlockKey &key)
 }
 
 std::size_t
-BufferCache::probe(const BlockKey &key) const
+BufferCache::probe(FileId file, std::uint64_t run) const
 {
-    std::size_t pos = hashKey(key) & indexMask_;
+    std::size_t pos = hashKey(file, run) & indexMask_;
     while (index_[pos].file != kNoFile) {
-        if (index_[pos].file == key.file && index_[pos].block == key.block)
+        if (index_[pos].file == file && index_[pos].run == run)
             return pos;
         pos = (pos + 1) & indexMask_;
     }
@@ -67,7 +67,7 @@ BufferCache::growIndex()
     for (const IndexEntry &e : old) {
         if (e.file == kNoFile)
             continue;
-        std::size_t pos = hashKey(BlockKey{e.file, e.block}) & indexMask_;
+        std::size_t pos = hashKey(e.file, e.run) & indexMask_;
         while (index_[pos].file != kNoFile)
             pos = (pos + 1) & indexMask_;
         index_[pos] = e;
@@ -83,8 +83,7 @@ BufferCache::eraseIndexAt(std::size_t pos)
     std::size_t next = (hole + 1) & indexMask_;
     while (index_[next].file != kNoFile) {
         const std::size_t home =
-            hashKey(BlockKey{index_[next].file, index_[next].block}) &
-            indexMask_;
+            hashKey(index_[next].file, index_[next].run) & indexMask_;
         // Movable iff its home slot is outside the cyclic range
         // (hole, next] — i.e. probing from home reaches the hole
         // before (or at) its current position.
@@ -95,6 +94,41 @@ BufferCache::eraseIndexAt(std::size_t pos)
         next = (next + 1) & indexMask_;
     }
     index_[hole] = IndexEntry{};
+}
+
+BufferCache::Run &
+BufferCache::runFor(const BlockKey &key)
+{
+    const std::uint64_t run = key.block >> kRunShift;
+    std::size_t pos = index_.empty() ? 0 : probe(key.file, run);
+    if (index_.empty() || index_[pos].file == kNoFile) {
+        // Keep the load factor at or below 1/2: most probes are
+        // misses, and a miss walks the whole chain.
+        if ((liveRuns() + 1) * 2 > index_.size()) {
+            growIndex();
+            pos = probe(key.file, run);
+        }
+        std::uint32_t rec;
+        if (!freeRuns_.empty()) {
+            rec = freeRuns_.back(); // emptied, so every slot is null
+            freeRuns_.pop_back();
+        } else {
+            rec = static_cast<std::uint32_t>(runs_.size());
+            Run &fresh = runs_.emplace_back();
+            std::fill(std::begin(fresh.slots), std::end(fresh.slots),
+                      kNullSlot);
+        }
+        index_[pos] = IndexEntry{run, key.file, rec};
+    }
+    return runs_[index_[pos].rec];
+}
+
+std::uint32_t
+BufferCache::cachedBlocks(const Run &r)
+{
+    return static_cast<std::uint32_t>(
+        std::count_if(std::begin(r.slots), std::end(r.slots),
+                      [](std::uint32_t s) { return s != kNullSlot; }));
 }
 
 template <typename L>
@@ -150,23 +184,23 @@ BufferCache::find(const BlockKey &key)
 {
     if (index_.empty())
         return nullptr;
-    const std::size_t pos = probe(key);
-    if (index_[pos].file == kNoFile)
+    const IndexEntry &e = index_[probe(key.file, key.block >> kRunShift)];
+    if (e.file == kNoFile)
         return nullptr;
-    return &slab_[index_[pos].slot];
+    const std::uint32_t slot =
+        runs_[e.rec].slots[key.block & (kRunBlocks - 1)];
+    return slot == kNullSlot ? nullptr : &slab_[slot];
 }
 
 CacheBlock &
 BufferCache::insert(const BlockKey &key, SpuId owner, bool valid)
 {
-    // Keep the load factor at or below 1/2: most probes are misses,
-    // and a miss walks the whole chain.
-    if ((size_ + 1) * 2 > index_.size())
-        growIndex();
-    const std::size_t pos = probe(key);
-    PISO_INVARIANT(index_[pos].file == kNoFile,
-                   "duplicate cache insert for file ", key.file,
-                   " block ", key.block);
+    PISO_INVARIANT(key.file >= 0, "cache insert for file ", key.file,
+                   " block ", key.block, " (a file id is never negative)");
+    Run &run = runFor(key);
+    std::uint32_t &entry = run.slots[key.block & (kRunBlocks - 1)];
+    PISO_INVARIANT(entry == kNullSlot, "duplicate cache insert for file ",
+                   key.file, " block ", key.block);
 
     std::uint32_t slot;
     if (!freeSlab_.empty()) {
@@ -175,7 +209,8 @@ BufferCache::insert(const BlockKey &key, SpuId owner, bool valid)
     } else {
         slot = slab_.grow();
     }
-    index_[pos] = IndexEntry{key.block, key.file, slot};
+    entry = slot;
+    ++run.live;
 
     CacheBlock &blk = slab_[slot];
     blk.key = key;
@@ -227,10 +262,13 @@ void
 BufferCache::remove(const BlockKey &key)
 {
     PISO_INVARIANT(!index_.empty(), "removing uncached block");
-    const std::size_t pos = probe(key);
+    const std::size_t pos = probe(key.file, key.block >> kRunShift);
     PISO_INVARIANT(index_[pos].file != kNoFile, "removing uncached block");
+    Run &run = runs_[index_[pos].rec];
+    std::uint32_t &entry = run.slots[key.block & (kRunBlocks - 1)];
+    PISO_INVARIANT(entry != kNullSlot, "removing uncached block");
 
-    CacheBlock &blk = slab_[index_[pos].slot];
+    CacheBlock &blk = slab_[entry];
     PISO_INVARIANT(!hasWaiters(blk), "removing a block with waiters");
     PISO_CHECK(blk.key == key,
                "cache index slot disagrees with its slab block (file ",
@@ -244,7 +282,13 @@ BufferCache::remove(const BlockKey &key)
     --o.pages;
     unlink<LruLinks>(lru_, blk);
     freeSlab_.push_back(blk.slabIndex);
-    eraseIndexAt(pos);
+    entry = kNullSlot;
+    if (--run.live == 0) {
+        PISO_CHECK(cachedBlocks(run) == 0, "emptied cache run of file ",
+                   key.file, " still names ", cachedBlocks(run), " blocks");
+        freeRuns_.push_back(index_[pos].rec);
+        eraseIndexAt(pos);
+    }
     --size_;
     // Scrub the freed block so a saved image carries no stale state.
     blk.key = BlockKey{};
@@ -337,10 +381,10 @@ BufferCache::collectDirty()
         const CacheBlock &blk = slab_[idx];
         if (blk.valid && !blk.flushing)
             dirtyScratch_.push_back(
-                IndexEntry{blk.key.block, blk.key.file, idx});
+                DirtyEntry{blk.key.block, blk.key.file, idx});
     }
     std::sort(dirtyScratch_.begin(), dirtyScratch_.end(),
-              [](const IndexEntry &a, const IndexEntry &b) {
+              [](const DirtyEntry &a, const DirtyEntry &b) {
                   return a.file != b.file ? a.file < b.file
                                           : a.block < b.block;
               });
@@ -349,22 +393,25 @@ BufferCache::collectDirty()
 void
 BufferCache::rebuildIndex(const std::vector<char> &state)
 {
-    std::size_t cap = 64;
-    while (size_ * 2 > cap)
-        cap *= 2;
-    index_.assign(cap, IndexEntry{});
-    indexMask_ = cap - 1;
+    runs_.clear();
+    freeRuns_.clear();
+    index_.clear();
+    indexMask_ = 0;
     for (std::size_t i = 0; i < slab_.size(); ++i) {
         if (state[i] != kLive)
             continue;
         const BlockKey &key = slab_[i].key;
-        const std::size_t pos = probe(key);
-        if (index_[pos].file != kNoFile)
+        Run &run = runFor(key);
+        std::uint32_t &entry = run.slots[key.block & (kRunBlocks - 1)];
+        if (entry != kNullSlot)
             badImage("holds file " + std::to_string(key.file) +
                      " block " + std::to_string(key.block) + " twice");
-        index_[pos] =
-            IndexEntry{key.block, key.file, static_cast<std::uint32_t>(i)};
+        entry = static_cast<std::uint32_t>(i);
+        ++run.live;
     }
+    for ([[maybe_unused]] const Run &run : runs_)
+        PISO_CHECK(cachedBlocks(run) == run.live, "rebuilt cache run counts ",
+                   run.live, " blocks but names ", cachedBlocks(run));
 }
 
 void

@@ -12,10 +12,17 @@
  * Kernel charges/uncharges frames through VirtualMemory and tells the
  * cache what happened; this keeps all memory policy in one place.
  *
- * Blocks live in a pointer-stable slab (fixed chunks that never move)
- * and are found through an open-addressed hash index (linear probing,
- * backward-shift deletion, load factor at most 1/2). Each block sits
- * on up to three intrusive doubly-linked lists of slab indices:
+ * Blocks live in a pointer-stable slab (fixed chunks that never move).
+ * They are found by run: a run is 16 consecutive blocks of one file,
+ * `(file, block >> 4)`, and a pooled Run record maps each of its
+ * blocks to a slab slot. An open-addressed hash index (linear probing,
+ * backward-shift deletion, load factor at most 1/2 of live runs) maps
+ * a run key to its record, so a lookup is one probe plus one array
+ * read. A run lives while it holds a cached block; its record and
+ * index entry are freed with its last block. Files read or written
+ * front to back fill whole runs, so the index holds about one entry
+ * per 16 blocks of them. Each block sits on up to three intrusive
+ * doubly-linked lists of slab indices:
  *
  *  - the global LRU list (front = most recently used);
  *  - its owner SPU's LRU list, holding *all* of that owner's blocks,
@@ -34,9 +41,9 @@
  * order.
  *
  * A checkpoint images the slab, the free list and the global LRU
- * links, so steal order survives a restore. The index, the owner lists
- * and the dirty list are derived state: loading validates the imaged
- * links and rebuilds all three from the slab.
+ * links, so steal order survives a restore. The runs, the index, the
+ * owner lists and the dirty list are derived state: loading validates
+ * the imaged links and rebuilds them from the slab.
  */
 
 #include <cstdint>
@@ -98,7 +105,8 @@ class BufferCache
 
     /**
      * Insert a block whose frame the caller has already charged to
-     * @p owner. @p valid=false marks a read in flight. The returned
+     * @p owner. @p valid=false marks a read in flight. The file must
+     * not be negative (kNoFile marks an empty index entry). The returned
      * reference (like every CacheBlock pointer) stays valid until the
      * block is removed: the slab never relocates blocks.
      */
@@ -174,6 +182,12 @@ class BufferCache
     /** Blocks stealClean() has examined so far (a work counter). */
     std::uint64_t stealVisits() const { return stealVisits_; }
 
+    /** Run records in the pool, live or free. */
+    std::size_t runRecords() const { return runs_.size(); }
+
+    /** Runs holding at least one cached block. */
+    std::size_t liveRuns() const { return runs_.size() - freeRuns_.size(); }
+
     /** Invoke @p fn on every dirty, valid, non-flushing block, in
      *  ascending key order (the order the old std::map walk produced,
      *  which downstream flush clustering depends on). @p fn must not
@@ -183,7 +197,7 @@ class BufferCache
     forEachDirty(Fn &&fn)
     {
         collectDirty();
-        for (const IndexEntry &e : dirtyScratch_)
+        for (const DirtyEntry &e : dirtyScratch_)
             fn(slab_[e.slot]);
     }
 
@@ -232,15 +246,35 @@ class BufferCache
         std::size_t size_ = 0;
     };
 
-    /** One hash-table entry; file == kNoFile marks it empty. Also the
-     *  sort record of forEachDirty. */
+    /** A run is 16 consecutive blocks of one file. */
+    static constexpr unsigned kRunShift = 4;
+    static constexpr std::uint32_t kRunBlocks = 1u << kRunShift;
+
+    /** The slab slots of one run's blocks (kNullSlot: not cached) and
+     *  how many of them are cached. */
+    struct Run
+    {
+        std::uint32_t slots[kRunBlocks];
+        std::uint32_t live = 0;
+    };
+
+    /** One hash-table entry, keyed by (file, run number); file ==
+     *  kNoFile marks it empty. */
     struct IndexEntry
+    {
+        std::uint64_t run = 0;
+        FileId file = kNoFile;
+        std::uint32_t rec = kNullSlot; //!< index into runs_
+    };
+    static_assert(sizeof(IndexEntry) == 16);
+
+    /** The sort record of forEachDirty. */
+    struct DirtyEntry
     {
         std::uint64_t block = 0;
         FileId file = kNoFile;
         std::uint32_t slot = kNullSlot;
     };
-    static_assert(sizeof(IndexEntry) == 16);
 
     /** One waiter in the pool: a process and the next node. */
     struct WaitNode
@@ -284,18 +318,26 @@ class BufferCache
     template <typename L> void unlink(ListEnds &list, CacheBlock &blk);
     template <typename L> void pushFront(ListEnds &list, CacheBlock &blk);
 
-    static std::uint64_t hashKey(const BlockKey &key);
+    static std::uint64_t hashKey(FileId file, std::uint64_t run);
 
     /** Double (or create) the index; out of line, off the insert path. */
     void growIndex();
 
-    /** Size the index for size_ blocks and enter every block whose
-     *  load-time @p state is live. */
+    /** Rebuild the runs and the index from every block whose load-time
+     *  @p state is live. */
     void rebuildIndex(const std::vector<char> &state);
 
-    /** Probe for @p key. @return the index position holding it, or the
-     *  first empty position when absent. */
-    std::size_t probe(const BlockKey &key) const;
+    /** Probe for run @p run of @p file. @return the index position
+     *  holding it, or the first empty position when absent. The index
+     *  must not be empty. */
+    std::size_t probe(FileId file, std::uint64_t run) const;
+
+    /** The run holding @p key's block, made (empty) if missing. */
+    Run &runFor(const BlockKey &key);
+
+    /** Slots of @p r that name a block (PISO_HARDENED probes compare
+     *  it with the live count). */
+    static std::uint32_t cachedBlocks(const Run &r);
 
     /** Backward-shift deletion at index position @p pos. */
     void eraseIndexAt(std::size_t pos);
@@ -308,6 +350,8 @@ class BufferCache
 
     Slab slab_;
     std::vector<std::uint32_t> freeSlab_;
+    std::vector<Run> runs_;
+    std::vector<std::uint32_t> freeRuns_;
     std::vector<IndexEntry> index_;
     std::size_t indexMask_ = 0;
     ListEnds lru_;
@@ -315,7 +359,7 @@ class BufferCache
     std::size_t size_ = 0;
     std::size_t dirty_ = 0;
     SpuTable<Owner> owners_;
-    std::vector<IndexEntry> dirtyScratch_;
+    std::vector<DirtyEntry> dirtyScratch_;
     std::vector<WaitNode> waitNodes_;
     std::uint32_t freeWait_ = kNullSlot;  //!< free-node list head
     std::uint64_t stealVisits_ = 0;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -237,6 +239,14 @@ TEST(BufferCache, DuplicateInsertPanics)
     EXPECT_DEATH(c.insert(kA, 2, true), "duplicate");
 }
 
+TEST(BufferCache, NegativeFileInsertPanics)
+{
+    // kNoFile marks an empty index entry: a block filed under it would
+    // be silently lost.
+    BufferCache c;
+    EXPECT_DEATH(c.insert(BlockKey{kNoFile, 3}, 2, true), "never negative");
+}
+
 TEST(BufferCache, RemoveWithWaitersPanics)
 {
     BufferCache c;
@@ -244,4 +254,90 @@ TEST(BufferCache, RemoveWithWaitersPanics)
     const auto p = makeProc(1);
     c.addWaiter(a, *p);
     EXPECT_DEATH(c.remove(kA), "waiters");
+}
+
+// The index is keyed by runs of 16 blocks, (file, block >> 4).
+
+TEST(BufferCache, BlocksAcrossRunBoundariesAreIndependent)
+{
+    BufferCache c;
+    const std::uint64_t blocks[] = {15, 16, 31, 32};
+    for (std::uint64_t b : blocks)
+        c.insert(BlockKey{1, b}, 2, true);
+    EXPECT_EQ(c.liveRuns(), 3u); // 16 and 31 share a run
+    for (std::uint64_t b : blocks) {
+        const CacheBlock *blk = c.find(BlockKey{1, b});
+        ASSERT_NE(blk, nullptr) << "block " << b;
+        EXPECT_EQ(blk->key, (BlockKey{1, b}));
+    }
+    c.remove(BlockKey{1, 16});
+    EXPECT_EQ(c.find(BlockKey{1, 16}), nullptr);
+    EXPECT_NE(c.find(BlockKey{1, 15}), nullptr);
+    EXPECT_NE(c.find(BlockKey{1, 31}), nullptr);
+    EXPECT_EQ(c.liveRuns(), 3u);
+    c.remove(BlockKey{1, 31});
+    EXPECT_EQ(c.liveRuns(), 2u);
+    EXPECT_NE(c.find(BlockKey{1, 32}), nullptr);
+}
+
+TEST(BufferCache, UncachedBlockInLiveRunMisses)
+{
+    BufferCache c;
+    c.insert(BlockKey{1, 3}, 2, true);
+    EXPECT_EQ(c.find(BlockKey{1, 0}), nullptr);
+    EXPECT_EQ(c.find(BlockKey{1, 4}), nullptr);
+    EXPECT_EQ(c.find(BlockKey{1, 15}), nullptr);
+    EXPECT_NE(c.find(BlockKey{1, 3}), nullptr);
+}
+
+TEST(BufferCache, EmptiedRunIsFreedAndReused)
+{
+    BufferCache c;
+    c.insert(BlockKey{1, 0}, 2, true);
+    c.insert(BlockKey{1, 1}, 2, true);
+    c.remove(BlockKey{1, 0});
+    EXPECT_EQ(c.liveRuns(), 1u);
+    c.remove(BlockKey{1, 1});
+    EXPECT_EQ(c.liveRuns(), 0u);
+    EXPECT_EQ(c.find(BlockKey{1, 1}), nullptr);
+
+    // A new run takes the freed record, which names no stale block.
+    c.insert(BlockKey{7, 40}, 3, true);
+    EXPECT_EQ(c.runRecords(), 1u);
+    EXPECT_EQ(c.liveRuns(), 1u);
+    EXPECT_EQ(c.find(BlockKey{1, 1}), nullptr);
+    EXPECT_EQ(c.find(BlockKey{7, 33}), nullptr);
+    ASSERT_NE(c.find(BlockKey{7, 40}), nullptr);
+    EXPECT_EQ(c.find(BlockKey{7, 40})->owner, 3);
+}
+
+TEST(BufferCache, SameRunOfTwoFilesDoesNotCollide)
+{
+    BufferCache c;
+    CacheBlock &a = c.insert(BlockKey{1, 5}, 2, true);
+    CacheBlock &b = c.insert(BlockKey{2, 5}, 3, true);
+    EXPECT_EQ(c.liveRuns(), 2u);
+    EXPECT_EQ(c.find(BlockKey{1, 5}), &a);
+    EXPECT_EQ(c.find(BlockKey{2, 5}), &b);
+    EXPECT_EQ(c.find(BlockKey{2, 6}), nullptr);
+    c.remove(BlockKey{1, 5});
+    EXPECT_EQ(c.find(BlockKey{1, 5}), nullptr);
+    EXPECT_EQ(c.find(BlockKey{2, 5}), &b);
+}
+
+TEST(BufferCache, BlocksNearTheTopOfTheRange)
+{
+    const std::uint64_t top = std::numeric_limits<std::uint64_t>::max();
+    BufferCache c;
+    c.insert(BlockKey{1, top}, 2, true);
+    c.insert(BlockKey{1, top - 15}, 2, true); // same run as top
+    c.insert(BlockKey{1, top - 16}, 2, true); // the run before
+    EXPECT_EQ(c.liveRuns(), 2u);
+    EXPECT_EQ(c.find(BlockKey{1, top - 1}), nullptr);
+    c.remove(BlockKey{1, top});
+    c.remove(BlockKey{1, top - 15});
+    EXPECT_EQ(c.liveRuns(), 1u);
+    EXPECT_EQ(c.find(BlockKey{1, top}), nullptr);
+    ASSERT_NE(c.find(BlockKey{1, top - 16}), nullptr);
+    EXPECT_EQ(c.find(BlockKey{1, top - 16})->key.block, top - 16);
 }

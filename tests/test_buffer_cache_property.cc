@@ -2,16 +2,17 @@
  * @file
  * Randomized BufferCache testing against a reference model.
  *
- * The cache's open-addressed index, intrusive LRU, per-owner and
- * dirty lists replaced a std::map + std::list pair; this fuzz harness
+ * The cache's run-keyed index, intrusive LRU, per-owner and dirty
+ * lists replaced a std::map + std::list pair; this fuzz harness
  * replays random insert / find+touch / dirty / clean / remove / steal
  * / touch+reown sequences against exactly that simple structure and
  * checks every observable after each step: lookup results, size and
  * dirty counts, per-SPU occupancy, LRU steal order (global and
  * victim-filtered), and forEachDirty's ascending key order (the
- * property flush clustering depends on). Every 97 operations the cache
- * is round-tripped through a checkpoint into a fresh instance, so the
- * index and lists rebuilt on load are checked against the same model.
+ * property flush clustering depends on), and how many 16-block runs
+ * hold a block. Every 97 operations the cache is round-tripped through
+ * a checkpoint into a fresh instance, so the runs, index and lists
+ * rebuilt on load are checked against the same model.
  */
 
 #include <gtest/gtest.h>
@@ -73,6 +74,20 @@ struct ModelCache
         return n;
     }
 
+    /** Distinct (file, block >> 4) runs among the cached blocks. */
+    std::size_t liveRuns() const
+    {
+        std::size_t n = 0;
+        const BlockKey *last = nullptr;
+        for (const auto &[k, b] : blocks) {
+            if (!last || last->file != k.file ||
+                last->block >> 4 != k.block >> 4)
+                ++n;
+            last = &k;
+        }
+        return n;
+    }
+
     /** LRU-most clean/valid/non-flushing block owned by @p victim
      *  (any owner when kNoSpu); nullptr when none qualifies. */
     const BlockKey *stealCandidate(SpuId victim) const
@@ -92,13 +107,32 @@ struct ModelCache
 constexpr SpuId kSpus[] = {0, 1, 2, 3, 4};
 constexpr std::size_t kSpuBound = 5;
 
-BlockKey
-randomKey(Rng &rng)
+/** A front-to-back pass over files 8 and 9 in turn. */
+struct Stream
 {
-    // Half the keys come from a small universe so hits, collisions,
-    // reinsertion after removal, and probe-chain shifts all happen
-    // constantly; the other half from a wide one, so the cache grows
-    // to hundreds of blocks and the index doubles several times.
+    static constexpr std::uint64_t kBlocks = 240;
+    FileId file = 8;
+    std::uint64_t next = 0;
+};
+
+BlockKey
+randomKey(Rng &rng, Stream &stream)
+{
+    // A third of the keys stream through a file front to back, as a
+    // copy reads and writes: runs fill, cross boundaries and empty
+    // under steals and removes.
+    if (rng.chance(1.0 / 3)) {
+        const BlockKey key{stream.file, stream.next};
+        if (++stream.next == Stream::kBlocks) {
+            stream.next = 0;
+            stream.file = stream.file == 8 ? 9 : 8;
+        }
+        return key;
+    }
+    // Of the rest, half come from a small universe so hits,
+    // collisions, reinsertion after removal, and probe-chain shifts
+    // all happen constantly; the other half from a wide one, so the
+    // cache grows to hundreds of blocks and the index doubles.
     if (rng.chance(0.5))
         return BlockKey{static_cast<FileId>(rng.uniformInt(4)),
                         rng.uniformInt(32)};
@@ -136,11 +170,13 @@ TEST(BufferCacheProperty, FuzzAgainstReferenceModel)
     for (int trial = 0; trial < 10; ++trial) {
         auto owned = std::make_unique<BufferCache>();
         ModelCache model;
+        Stream stream;
         std::size_t peak = 0;
+        std::size_t peakRuns = 0;
 
         for (int op = 0; op < 3000; ++op) {
             BufferCache &cache = *owned;
-            const BlockKey key = randomKey(rng);
+            const BlockKey key = randomKey(rng, stream);
             CacheBlock *blk = cache.find(key);
             const auto mit = model.blocks.find(key);
             ASSERT_EQ(blk != nullptr, mit != model.blocks.end());
@@ -254,15 +290,18 @@ TEST(BufferCacheProperty, FuzzAgainstReferenceModel)
                         want.push_back(k);  // map order == ascending
                 }
                 ASSERT_EQ(got, want);
+                ASSERT_EQ(cache.liveRuns(), model.liveRuns());
             }
 
             peak = std::max(peak, cache.size());
+            peakRuns = std::max(peakRuns, cache.liveRuns());
             if (op % 97 == 96)
                 owned = roundTrip(cache, model);
         }
-        // 64 entries at load factor 1/2 hold 32 blocks: beyond 128 the
-        // index has doubled at least three times.
+        // 64 entries at load factor 1/2 hold 32 runs: beyond 64 the
+        // index has doubled at least twice.
         EXPECT_GT(peak, 128u) << "trial " << trial;
+        EXPECT_GT(peakRuns, 64u) << "trial " << trial;
 
         BufferCache &cache = *owned;
 

@@ -13,7 +13,9 @@
  *           firings schedule successors and arm and cancel watchdogs
  *           (the cost of every simulated event).
  *   cache   buffer-cache lookup/insert/touch/steal churn (the file
- *           I/O path's per-block cost).
+ *           I/O path's per-block cost), then a stream pass: a fresh
+ *           cache filled by two files read and written front to back,
+ *           as a file copy does (no --check floor).
  *   fig2    the paper's Figure 2 machine end-to-end (8 SPUs, 12 pmake
  *           jobs, PIso), warmup + repetitions + median wall time.
  *
@@ -173,6 +175,36 @@ benchBufferCache(std::uint64_t totalOps)
 }
 
 /**
+ * Buffer-cache streaming, a file copy's traffic: each of @p passes
+ * takes a fresh cache and walks two 5,120-block files front to back,
+ * finding each block and inserting it on the miss, the read file's
+ * blocks clean and the written file's dirty. @return finds and inserts
+ * per second.
+ */
+double
+benchCacheStream(std::uint64_t passes)
+{
+    constexpr std::uint64_t kBlocks = 5120;
+
+    const double start = nowSec();
+    for (std::uint64_t pass = 0; pass < passes; ++pass) {
+        BufferCache cache;
+        for (std::uint64_t b = 0; b < kBlocks; ++b) {
+            const BlockKey from{0, b};
+            if (!cache.find(from))
+                cache.insert(from, 2, true);
+            const BlockKey to{1, b};
+            if (!cache.find(to))
+                cache.markDirty(cache.insert(to, 2, true));
+        }
+        if (cache.size() != 2 * kBlocks)
+            PISO_FATAL("cache stream benchmark lost blocks");
+    }
+    const double sec = nowSec() - start;
+    return static_cast<double>(4 * kBlocks * passes) / sec;
+}
+
+/**
  * One fig2 repetition: a batch of back-to-back runs of the golden
  * fixture's machine (a single run is a few milliseconds, so batching
  * keeps the clock honest). @return wall seconds per run.
@@ -286,6 +318,13 @@ main(int argc, char **argv)
                          rate / 1e6, kCacheFloor / 1e6);
             ok = false;
         }
+        const std::uint64_t passes = quick ? 20 : 200;
+        const double streamRate = benchCacheStream(passes);
+        std::printf("stream: %8.2f M ops/s     (%llu passes x 2 files x "
+                    "5120 blocks, find+insert, fresh cache per pass)\n",
+                    streamRate / 1e6,
+                    static_cast<unsigned long long>(passes));
+        std::fflush(stdout);
     }
 
     if (wants("fig2")) {
