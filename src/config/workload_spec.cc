@@ -51,6 +51,36 @@ parseOptions(const std::vector<std::string> &tokens, std::size_t first,
     return opts;
 }
 
+/** The number under @p key, or @p def when the key is absent. */
+double
+optionNumber(const Options &opts, const std::string &key, double def,
+             int line)
+{
+    const auto it = opts.find(key);
+    if (it == opts.end())
+        return def;
+    try {
+        std::size_t pos = 0;
+        const double v = std::stod(it->second, &pos);
+        if (pos != it->second.size())
+            throw std::invalid_argument("trailing");
+        return v;
+    } catch (const std::exception &) {
+        PISO_FATAL("line ", line, ": option '", key,
+                   "' wants a number, got '", it->second, "'");
+    }
+}
+
+/** The job option naming its submission time, in seconds. */
+constexpr const char *kStartKey = "start_s";
+
+/** When the job declared by @p decl is submitted. */
+Time
+jobStartAt(const JobDecl &decl)
+{
+    return fromSeconds(optionNumber(decl.options, kStartKey, 0.0, decl.line));
+}
+
 /** Typed accessors that consume keys (leftovers are typos). */
 class OptionReader
 {
@@ -74,20 +104,9 @@ class OptionReader
     double
     num(const std::string &key, double def)
     {
-        auto it = opts_.find(key);
-        if (it == opts_.end())
-            return def;
-        try {
-            std::size_t pos = 0;
-            const double v = std::stod(it->second, &pos);
-            if (pos != it->second.size())
-                throw std::invalid_argument("trailing");
-            opts_.erase(it);
-            return v;
-        } catch (const std::exception &) {
-            PISO_FATAL("line ", line_, ": option '", key,
-                       "' wants a number, got '", it->second, "'");
-        }
+        const double v = optionNumber(opts_, key, def, line_);
+        opts_.erase(key);
+        return v;
     }
 
     std::int64_t
@@ -452,7 +471,7 @@ JobSpec
 buildJob(const JobDecl &decl)
 {
     OptionReader r(decl.options, decl.line);
-    const Time startAt = fromSeconds(r.num("start_s", 0.0));
+    const Time startAt = fromSeconds(r.num(kStartKey, 0.0));
     JobSpec job;
 
     if (decl.kind == "pmake") {
@@ -528,6 +547,44 @@ populateWorkloadSpec(Simulation &sim, const WorkloadSpec &spec)
     }
     for (const JobDecl &j : spec.jobs)
         sim.addJob(ids.at(j.spu), buildJob(j));
+}
+
+std::uint64_t
+specConfigDigest(const WorkloadSpec &spec)
+{
+    // populateWorkloadSpec() gives the i-th declared SPU the id
+    // kFirstUserSpu + i and resolves a name to the latest SPU declared
+    // under it so far; walk the same mapping without building anything.
+    const std::size_t n = spec.spus.size();
+    auto idOf = [&](const std::string &name, std::size_t before) {
+        for (std::size_t i = before; i-- > 0;) {
+            if (spec.spus[i].name == name)
+                return kFirstUserSpu + static_cast<SpuId>(i);
+        }
+        PISO_FATAL("unknown SPU '", name, "'");
+    };
+    std::vector<SpuId> parents(n, kNoSpu);
+    std::vector<bool> group(n, false);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (spec.spus[i].parent.empty())
+            continue;
+        parents[i] = idOf(spec.spus[i].parent, i);
+        group[static_cast<std::size_t>(parents[i] - kFirstUserSpu)] = true;
+    }
+
+    ConfigDigest d(spec.config);
+    d.spus(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const SpuDecl &s = spec.spus[i];
+        const SpuId id = kFirstUserSpu + static_cast<SpuId>(i);
+        // SpuManager names an unnamed SPU after its id.
+        d.spu(id, s.name.empty() ? "spu" + std::to_string(id) : s.name,
+              s.share, s.disk, parents[i], group[i]);
+    }
+    d.jobs(spec.jobs.size());
+    for (const JobDecl &j : spec.jobs)
+        d.job(idOf(j.spu, n), j.name, jobStartAt(j));
+    return d.value();
 }
 
 SimResults

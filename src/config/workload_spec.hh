@@ -108,6 +108,17 @@ SimResults runWorkloadSpec(const WorkloadSpec &spec);
 void populateWorkloadSpec(Simulation &sim, const WorkloadSpec &spec);
 
 /**
+ * The config digest (Simulation::configDigest()) of the Simulation
+ * that populateWorkloadSpec() would build from @p spec, computed from
+ * the spec alone: no Simulation is constructed. The warm-start sweep
+ * engine groups tasks by it.
+ * @throws ConfigError (via PISO_FATAL) when a parent or job names an
+ *         SPU that the spec does not declare before it, or a job's
+ *         `start_s` is not a number.
+ */
+std::uint64_t specConfigDigest(const WorkloadSpec &spec);
+
+/**
  * Like runWorkloadSpec, but resume from a checkpoint @p image (as
  * produced by SystemConfig::checkpointSink or Simulation::checkpoint)
  * instead of starting at time zero. The image must come from an

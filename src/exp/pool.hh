@@ -7,11 +7,22 @@
  *
  * Each Simulation is a self-contained deterministic DES, so a
  * parameter sweep is embarrassingly parallel: parallelFor() runs
- * `fn(0) .. fn(n-1)` across a fixed-size pool of worker threads,
- * claiming indices dynamically (good load balance when task runtimes
- * differ) and blocking until every task finished. Results keyed by
- * index are therefore deterministic regardless of the worker count —
- * the property the determinism test battery enforces end to end.
+ * `fn(0) .. fn(n-1)` on the calling thread plus up to `jobs - 1`
+ * helper threads, claiming indices dynamically (good load balance
+ * when task runtimes differ) and blocking until every task finished.
+ * Results keyed by index are therefore deterministic regardless of
+ * the worker count — the property the determinism test battery
+ * enforces end to end.
+ *
+ * The helpers are made once per process: the first call with
+ * `jobs > 1` starts them, the pool grows to the largest `jobs - 1`
+ * ever asked for, idle helpers park on a condition variable, and the
+ * pool joins them at static destruction. A call with `jobs` workers
+ * uses the lowest `jobs - 1` helpers only. One batch holds the pool
+ * at a time: a nested call, or a concurrent one from another thread,
+ * runs inline on its own caller. With `jobs > 1` every task starts at
+ * a default trace and log context wherever it runs, so what a task
+ * installs never reaches the next task on that thread.
  */
 
 #include <cstddef>

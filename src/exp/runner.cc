@@ -140,25 +140,47 @@ struct WarmGroup
  * chaos knobs — is equal too, because those shape the run before the
  * boundary just as much as the digested config does. Fault plans stay
  * out: diverging fault suffixes are exactly what the group shares a
- * prefix across. A task whose config cannot even construct gets a
- * unique key; it will fail in its own cold run with the right error.
+ * prefix across. The digest comes from the spec, not from a built
+ * Simulation. A task whose spec has no digest (it names an undeclared
+ * SPU, or a start time that does not parse) keys alone; it fails in
+ * its own cold run with the right error. Other unconstructible specs
+ * (an SPU on a missing disk) share a digest only with tasks that fail
+ * the same way, so their group's template fails and it runs cold.
  */
-std::string
+struct WarmKey
+{
+    bool digested = true;
+    std::size_t task = 0;        //!< set only when !digested
+    std::uint64_t digest = 0;
+    Time maxTime = 0;
+    Time watchdogSimTime = 0;
+    std::uint64_t watchdogEvents = 0;
+    std::uint64_t invariantAtEvent = 0;
+    std::uint64_t allocCapPages = 0;
+    int resourceUntilAttempt = 0;
+
+    auto operator<=>(const WarmKey &) const = default;
+};
+
+WarmKey
 warmGroupKey(const ExperimentTask &task)
 {
-    std::ostringstream os;
+    WarmKey key;
     try {
-        Simulation sim(task.spec.config);
-        populateWorkloadSpec(sim, task.spec);
-        const SystemConfig &c = task.spec.config;
-        os << sim.configDigest() << ':' << c.maxTime << ':'
-           << c.watchdogSimTime << ':' << c.watchdogEvents << ':'
-           << c.chaos.invariantAtEvent << ':' << c.chaos.allocCapPages
-           << ':' << c.chaos.resourceUntilAttempt;
+        key.digest = specConfigDigest(task.spec);
     } catch (const std::exception &) {
-        os << "unconstructible:" << task.index;
+        key.digested = false;
+        key.task = task.index;
+        return key;
     }
-    return os.str();
+    const SystemConfig &c = task.spec.config;
+    key.maxTime = c.maxTime;
+    key.watchdogSimTime = c.watchdogSimTime;
+    key.watchdogEvents = c.watchdogEvents;
+    key.invariantAtEvent = c.chaos.invariantAtEvent;
+    key.allocCapPages = c.chaos.allocCapPages;
+    key.resourceUntilAttempt = c.chaos.resourceUntilAttempt;
+    return key;
 }
 
 /**
@@ -286,14 +308,9 @@ planWarmStart(const std::vector<ExperimentTask> &tasks,
               const SweepOptions &opts,
               std::vector<WarmGroup> &groups)
 {
-    std::vector<std::string> keys(tasks.size());
-    parallelFor(tasks.size(), opts.jobs, [&](std::size_t i) {
-        keys[i] = warmGroupKey(tasks[i]);
-    });
-
-    std::map<std::string, std::vector<std::size_t>> byKey;
+    std::map<WarmKey, std::vector<std::size_t>> byKey;
     for (std::size_t i = 0; i < tasks.size(); ++i)
-        byKey[keys[i]].push_back(i);
+        byKey[warmGroupKey(tasks[i])].push_back(i);
 
     for (auto &[key, members] : byKey) {
         if (members.size() < 2)

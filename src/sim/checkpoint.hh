@@ -70,6 +70,9 @@ class CkptWriter
 
     const std::string &payload() const { return payload_; }
 
+    /** Reserve room for @p bytes of payload. */
+    void reserve(std::size_t bytes) { payload_.reserve(bytes); }
+
     /** Assemble the full image (header + payload + checksum). */
     std::string image(std::uint64_t configDigest) const;
 

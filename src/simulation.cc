@@ -879,10 +879,13 @@ Simulation::run()
 // Checkpoint/restore
 // --------------------------------------------------------------------
 
-std::uint64_t
-Simulation::Impl::configDigest() const
+ConfigDigest::ConfigDigest(const SystemConfig &cfg)
 {
-    CkptWriter w;
+    // The machine part is about 350 bytes; the rest leaves room for a
+    // dozen SPUs and jobs before the payload has to grow.
+    w_.reserve(1024);
+    CkptWriter &w = w_;
+    const SchemeProfile profile = cfg.resolvedProfile();
     w.u64(static_cast<std::uint64_t>(cfg.cpus));
     w.u64(cfg.memoryBytes);
     w.u64(static_cast<std::uint64_t>(cfg.diskCount));
@@ -946,25 +949,61 @@ Simulation::Impl::configDigest() const
     w.time(cfg.timeSlice);
     w.u64(cfg.kernelResidentBytes);
     w.u64(cfg.seed);
+}
 
-    const auto users = spuMgr.userSpus();
-    w.u64(users.size());
+void
+ConfigDigest::spus(std::size_t count)
+{
+    w_.u64(count);
+}
+
+void
+ConfigDigest::spu(SpuId id, std::string_view name, double share,
+                  DiskId homeDisk, SpuId parent, bool group)
+{
+    w_.i64(id);
+    w_.str(name);
+    w_.f64(share);
+    w_.i64(homeDisk);
+    w_.i64(parent);
+    w_.boolean(group);
+}
+
+void
+ConfigDigest::jobs(std::size_t count)
+{
+    w_.u64(count);
+}
+
+void
+ConfigDigest::job(SpuId spu, std::string_view name, Time startAt)
+{
+    w_.i64(spu);
+    w_.str(name);
+    w_.time(startAt);
+}
+
+std::uint64_t
+ConfigDigest::value() const
+{
+    return ckptFnv1a(w_.payload());
+}
+
+std::uint64_t
+Simulation::Impl::configDigest() const
+{
+    ConfigDigest d(cfg);
+    const auto &users = spuMgr.userSpus();
+    d.spus(users.size());
     for (SpuId id : users) {
         const Spu &s = spuMgr.spu(id);
-        w.i64(id);
-        w.str(s.name);
-        w.f64(s.share);
-        w.i64(s.homeDisk);
-        w.i64(s.parent);
-        w.boolean(spuMgr.isGroup(id));
+        d.spu(id, s.name, s.share, s.homeDisk, s.parent,
+              spuMgr.isGroup(id));
     }
-    w.u64(pendingJobs.size());
-    for (const PendingJob &pj : pendingJobs) {
-        w.i64(pj.spu);
-        w.str(pj.spec.name);
-        w.time(pj.spec.startAt);
-    }
-    return ckptFnv1a(w.payload());
+    d.jobs(pendingJobs.size());
+    for (const PendingJob &pj : pendingJobs)
+        d.job(pj.spu, pj.spec.name, pj.spec.startAt);
+    return d.value();
 }
 
 std::optional<std::vector<EvDesc>>

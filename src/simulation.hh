@@ -25,6 +25,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/mem_policy.hh"
@@ -35,6 +36,7 @@
 #include "src/machine/numa.hh"
 #include "src/metrics/results.hh"
 #include "src/os/kernel.hh"
+#include "src/sim/checkpoint.hh"
 #include "src/sim/fault_plan.hh"
 #include "src/workload/job.hh"
 
@@ -201,6 +203,36 @@ struct SystemConfig
      *  be set when checkpointAt > 0. */
     std::function<void(std::string)> checkpointSink;
     /// @}
+};
+
+/**
+ * The canonical encoding behind Simulation::configDigest(): the
+ * machine configuration, then the user SPUs (ascending id), then the
+ * declared jobs in order. Simulation::configDigest() feeds it from a
+ * populated Simulation and specConfigDigest() (workload_spec.hh) from
+ * a parsed spec, so the format has this one definition. Run control —
+ * faults, maxTime, watchdogs, chaos, checkpoint knobs — and
+ * eagerPolicyLoops stay out (see docs/checkpoint.md).
+ */
+class ConfigDigest
+{
+  public:
+    explicit ConfigDigest(const SystemConfig &cfg);
+
+    /** Start the SPU list; @p count spu() calls follow. */
+    void spus(std::size_t count);
+    void spu(SpuId id, std::string_view name, double share,
+             DiskId homeDisk, SpuId parent, bool group);
+
+    /** Start the job list; @p count job() calls follow. */
+    void jobs(std::size_t count);
+    void job(SpuId spu, std::string_view name, Time startAt);
+
+    /** FNV-1a over everything encoded so far. */
+    std::uint64_t value() const;
+
+  private:
+    CkptWriter w_;
 };
 
 /**

@@ -21,11 +21,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/config/workload_spec.hh"
+#include "src/exp/experiment.hh"
 #include "src/metrics/report.hh"
 #include "src/piso.hh"
 #include "src/sim/checkpoint.hh"
@@ -454,6 +457,96 @@ TEST(Checkpoint, MaxTimeAndWatchdogsAreNotPartOfTheDigest)
     longer.config.watchdogEvents = 50'000'000;
     EXPECT_EQ(formatResultsJson(runWorkloadSpecFrom(longer, o.image)),
               coldJson(longer));
+}
+
+// ---------------------------------------------------------------------
+// The spec-level digest the warm-start engine groups by equals the
+// digest of the Simulation the spec builds
+// ---------------------------------------------------------------------
+
+namespace {
+
+std::uint64_t
+builtDigest(const WorkloadSpec &spec)
+{
+    Simulation sim(spec.config);
+    populateWorkloadSpec(sim, spec);
+    return sim.configDigest();
+}
+
+std::string
+readFile(const std::filesystem::path &path)
+{
+    std::ifstream in(path);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+} // namespace
+
+TEST(Checkpoint, SpecDigestMatchesTheBuiltSimulationForEveryExample)
+{
+    std::size_t specs = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(PISO_EXAMPLE_SPEC_DIR)) {
+        if (entry.path().extension() != ".piso")
+            continue;
+        ++specs;
+        const WorkloadSpec spec =
+            parseWorkloadSpec(readFile(entry.path()));
+        EXPECT_EQ(specConfigDigest(spec), builtDigest(spec))
+            << entry.path().filename();
+    }
+    EXPECT_GE(specs, 5u);
+}
+
+TEST(Checkpoint, SpecDigestMatchesTheBuiltSimulationForEveryGridKey)
+{
+    // One variant per grid key (docs/sweeps.md), over a hierarchical
+    // spec with a delayed job so every digested field is populated.
+    const WorkloadSpec base = parseWorkloadSpec(R"(
+machine cpus=4 memory_mb=32 disks=2 scheme=piso seed=3
+[spus]
+eng       share=2
+eng.build share=3 disk=0
+eng.test  share=1 disk=1
+ops       share=1 disk=1
+job eng.build pmake   name=build workers=2 files=4
+job eng.test  compute name=fuzz cpu_ms=500 ws_pages=100 start_s=0.25
+job ops       copy    name=logs bytes_kb=1024
+)");
+    const std::vector<std::pair<std::string, std::string>> variants = {
+        {"scheme", "quota"},         {"cpu", "smp"},
+        {"memory", "quota"},         {"network", "smp"},
+        {"disk_policy", "pos"},      {"cpus", "6"},
+        {"disks", "3"},              {"memory_mb", "48"},
+        {"seed", "11"},              {"max_time_s", "5"},
+        {"network_mbps", "100"},     {"bw_threshold", "512"},
+        {"bw_halflife_ms", "250"},   {"seek_scale", "0.5"},
+        {"ipi_revocation", "0"},     {"loan_holdoff_ms", "20"},
+        {"tick_ms", "20"},           {"slice_ms", "40"},
+        {"reserve_frac", "0.2"},     {"numa_domains", "2"},
+        {"numa_local_us", "0.2"},    {"numa_remote_us", "0.9"},
+        {"bus_mbps", "800"},         {"bus_saturation", "0.7"},
+        {"bus_halflife_ms", "5"},    {"fault_disk_slow", "1:1:0:4"},
+        {"fault_disk_error", "1:1:0:0.5"},
+        {"fault_disk_dead", "2:1"},
+    };
+    EXPECT_EQ(specConfigDigest(base), builtDigest(base));
+    for (const auto &[key, value] : variants) {
+        WorkloadSpec spec = base;
+        exp::applyGridKey(spec.config, key, value);
+        EXPECT_EQ(specConfigDigest(spec), builtDigest(spec))
+            << key << "=" << value;
+    }
+}
+
+TEST(Checkpoint, SpecDigestRejectsAnUndeclaredSpu)
+{
+    WorkloadSpec spec = shapeSpec(kCopyShape, Scheme::PIso);
+    spec.jobs.front().spu = "nobody";
+    EXPECT_THROW(specConfigDigest(spec), ConfigError);
 }
 
 // ---------------------------------------------------------------------

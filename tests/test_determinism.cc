@@ -167,6 +167,34 @@ TEST(Determinism, WarmStartHandlesMixedDigestGroups)
     EXPECT_EQ(coldSerial, sweepJsonlWarm(plan, 4, true));
 }
 
+TEST(Determinism, WarmStartWithUnconstructiblePointsMatchesCold)
+{
+    // disks=1 strands bob's SPU on a missing disk: those points fail
+    // to construct. Their failure records, and every other point's
+    // results, must not depend on warm start or the worker count.
+    exp::ExperimentPlan plan = faultAxisPlan();
+    plan.axes.insert(plan.axes.begin(), exp::parseGridAxis("disks=1,2"));
+    const std::string coldSerial = sweepJsonlWarm(plan, 1, false);
+    EXPECT_NE(coldSerial.find("\"status\":\"failed\""),
+              std::string::npos);
+    EXPECT_EQ(coldSerial, sweepJsonlWarm(plan, 1, true));
+    EXPECT_EQ(coldSerial, sweepJsonlWarm(plan, 4, true));
+    EXPECT_EQ(coldSerial, sweepJsonlWarm(plan, 4, false));
+}
+
+TEST(Determinism, WarmStartWithAnUndeclaredJobSpuMatchesCold)
+{
+    // A spec-level digest cannot be computed for a job on an
+    // undeclared SPU; the task keys alone and fails in its cold run.
+    exp::ExperimentPlan plan = faultAxisPlan();
+    plan.base.jobs.back().spu = "nobody";
+    const std::string coldSerial = sweepJsonlWarm(plan, 1, false);
+    EXPECT_NE(coldSerial.find("\"status\":\"failed\""),
+              std::string::npos);
+    EXPECT_EQ(coldSerial, sweepJsonlWarm(plan, 1, true));
+    EXPECT_EQ(coldSerial, sweepJsonlWarm(plan, 4, true));
+}
+
 TEST(Determinism, WarmStartOnSchemeOnlyPlanIsInert)
 {
     // Singleton digest groups (nothing shares a prefix): warm start
