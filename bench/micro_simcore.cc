@@ -15,19 +15,27 @@ using namespace piso;
 
 namespace {
 
+/** Counts the events fired on it. */
+struct CountingSink final : EventSink
+{
+    std::uint64_t fired = 0;
+
+    void fire(EvKind, const EventArg &) override { ++fired; }
+};
+
 void
 BM_EventQueueScheduleRun(benchmark::State &state)
 {
     const int batch = static_cast<int>(state.range(0));
     for (auto _ : state) {
         EventQueue q;
-        std::uint64_t fired = 0;
+        CountingSink sink;
         for (int i = 0; i < batch; ++i) {
             q.schedule(static_cast<Time>((i * 7919) % 100000),
-                       [&fired] { ++fired; });
+                       EvKind::External, sink);
         }
         q.runAll();
-        benchmark::DoNotOptimize(fired);
+        benchmark::DoNotOptimize(sink.fired);
     }
     state.SetItemsProcessed(state.iterations() * batch);
 }
@@ -38,10 +46,13 @@ BM_EventQueueCancel(benchmark::State &state)
 {
     for (auto _ : state) {
         EventQueue q;
+        CountingSink sink;
         std::vector<EventId> ids;
         ids.reserve(1000);
-        for (int i = 0; i < 1000; ++i)
-            ids.push_back(q.schedule(static_cast<Time>(i), [] {}));
+        for (int i = 0; i < 1000; ++i) {
+            ids.push_back(
+                q.schedule(static_cast<Time>(i), EvKind::External, sink));
+        }
         for (EventId id : ids)
             q.cancel(id);
         q.runAll();

@@ -10,11 +10,46 @@
  */
 
 #include <cstdio>
-#include <functional>
+#include <string>
 
 #include "src/piso.hh"
 
 using namespace piso;
+
+namespace {
+
+/** Adds a row of both SPUs' levels to a table every 250 ms: an event
+ *  target of its own, firing `external` events. */
+struct LevelProbe final : EventSink
+{
+    Simulation &sim;
+    SpuId lender;
+    SpuId borrower;
+    TextTable &table;
+
+    LevelProbe(Simulation &s, SpuId l, SpuId b, TextTable &t)
+        : sim(s), lender(l), borrower(b), table(t)
+    {
+    }
+
+    void
+    fire(EvKind, const EventArg &) override
+    {
+        auto eau = [](const MemLevels &m) {
+            return std::to_string(m.entitled) + "/" +
+                   std::to_string(m.allowed) + "/" +
+                   std::to_string(m.used);
+        };
+        table.addRow({TextTable::num(toSeconds(sim.events().now()), 2),
+                      eau(sim.vm().levels(lender)),
+                      eau(sim.vm().levels(borrower)),
+                      std::to_string(sim.vm().freePages()),
+                      std::to_string(sim.vm().reservePages())});
+        sim.events().scheduleAfter(250 * kMs, EvKind::External, *this);
+    }
+};
+
+} // namespace
 
 int
 main()
@@ -48,21 +83,8 @@ main()
 
     TextTable table({"t (s)", "lender E/A/U", "borrower E/A/U",
                      "free", "reserve"});
-    std::function<void()> probe = [&] {
-        const MemLevels &l = sim.vm().levels(lender);
-        const MemLevels &b = sim.vm().levels(borrower);
-        auto eau = [](const MemLevels &m) {
-            return std::to_string(m.entitled) + "/" +
-                   std::to_string(m.allowed) + "/" +
-                   std::to_string(m.used);
-        };
-        table.addRow({TextTable::num(toSeconds(sim.events().now()), 2),
-                      eau(l), eau(b),
-                      std::to_string(sim.vm().freePages()),
-                      std::to_string(sim.vm().reservePages())});
-        sim.events().scheduleAfter(250 * kMs, probe);
-    };
-    sim.events().schedule(0, probe);
+    LevelProbe probe{sim, lender, borrower, table};
+    sim.events().schedule(0, EvKind::External, probe);
 
     const SimResults r = sim.run();
     table.print();

@@ -600,8 +600,7 @@ runWorkloadSpecFrom(const WorkloadSpec &spec, const std::string &image)
 {
     Simulation sim(spec.config);
     populateWorkloadSpec(sim, spec);
-    std::istringstream in(image);
-    sim.restore(in);
+    sim.restore(image);
     return sim.run();
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/core/ledger.hh"
+#include "src/util/error.hh"
 #include "src/util/log.hh"
 #include "src/sim/trace.hh"
 
@@ -39,8 +40,15 @@ MemorySharingPolicy::arm()
     if (!started_ || armed_)
         return;
     armed_ = true;
-    events_.scheduleAfter(config_.period, [this] { tick(); },
-                          "memPolicy");
+    events_.scheduleAfter(config_.period, EvKind::MemPolicy, *this);
+}
+
+void
+MemorySharingPolicy::fire([[maybe_unused]] EvKind kind, const EventArg &)
+{
+    PISO_CHECK(kind == EvKind::MemPolicy, "memory policy fired a '",
+               kindName(kind), "' event");
+    tick();
 }
 
 void

@@ -42,7 +42,7 @@ struct MemPolicyConfig
 };
 
 /** Periodic entitled/allowed level manager for the PIso scheme. */
-class MemorySharingPolicy
+class MemorySharingPolicy : public EventSink
 {
   public:
     MemorySharingPolicy(EventQueue &events, VirtualMemory &vm,
@@ -80,24 +80,16 @@ class MemorySharingPolicy
      *  never in JSONL. */
     std::uint64_t policyIters() const { return policyIters_; }
 
-    /** Checkpoint restore: re-schedule the periodic recomputation with
-     *  its original (when, seq) ordering key. The policy itself holds
-     *  no other mutable state — levels live in the VM's ledger. */
-    void restoreTick(Time when, std::uint64_t seq)
-    {
-        started_ = true;
-        armed_ = true;
-        events_.scheduleRestored(when, seq, [this] { tick(); },
-                                 "memPolicy");
-    }
-
-    /** Checkpoint restore: the tick scheduled by the replayed start()
-     *  was just wiped with the rest of the pending event queue; forget
-     *  it so restoreTick() (or a drained image's absence of one) is
-     *  the only source of truth. */
-    void clearScheduled() { armed_ = false; }
+    /** Checkpoint restore: whether the restored event queue holds
+     *  this policy's tick. The replayed start()'s tick was wiped with
+     *  the rest of the queue, so the image is the only source of
+     *  truth. The policy holds no other mutable state — levels live in
+     *  the VM's ledger. */
+    void setTickPending(bool pending) { armed_ = pending; }
 
   private:
+    /** EventSink: the memPolicy event. */
+    void fire(EvKind kind, const EventArg &arg) override;
     void tick();
 
     EventQueue &events_;

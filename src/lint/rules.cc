@@ -731,140 +731,6 @@ timeUnitCheck(const SourceFile &f, std::vector<Finding> &out)
 }
 
 // ---------------------------------------------------------------------
-// context-capture
-// ---------------------------------------------------------------------
-
-bool
-contextCaptureApplies(const std::string &p)
-{
-    return startsWith(p, "src/");
-}
-
-void
-contextCaptureCheck(const SourceFile &f, std::vector<Finding> &out)
-{
-    // Pass 1: names declared in this file as a TraceContext/LogContext
-    // (value, pointer or reference).
-    struct CtxVar
-    {
-        std::string name;
-        bool pointer;
-    };
-    std::vector<CtxVar> vars;
-    for (std::size_t i = 0; i + 1 < f.tokens.size(); ++i) {
-        const Token &t = f.tokens[i];
-        if (t.kind != TokKind::Ident ||
-            (t.text != "TraceContext" && t.text != "LogContext"))
-            continue;
-        std::size_t j = i + 1;
-        bool pointer = false;
-        while (j < f.tokens.size() &&
-               (at(f, j) == "*" || at(f, j) == "&" ||
-                at(f, j) == "const")) {
-            pointer = pointer || at(f, j) == "*";
-            ++j;
-        }
-        if (j < f.tokens.size() && f.tokens[j].kind == TokKind::Ident)
-            vars.push_back({f.tokens[j].text, pointer});
-    }
-    const auto findVar = [&](const std::string &name) -> const CtxVar * {
-        for (const CtxVar &v : vars) {
-            if (v.name == name)
-                return &v;
-        }
-        return nullptr;
-    };
-
-    // Pass 2: lambdas inside EventQueue schedule calls. Their closure
-    // outlives the current stack frame and may fire on another sweep
-    // worker, so a captured per-thread context is a use-after-scope in
-    // waiting.
-    static const char *kScheduleCalls[] = {"schedule", "scheduleAfter",
-                                           "scheduleRestored"};
-    for (std::size_t i = 0; i + 1 < f.tokens.size(); ++i) {
-        const Token &t = f.tokens[i];
-        if (t.kind != TokKind::Ident ||
-            !std::any_of(std::begin(kScheduleCalls),
-                         std::end(kScheduleCalls),
-                         [&](const char *c) { return t.text == c; }) ||
-            at(f, i + 1) != "(")
-            continue;
-        int depth = 0;
-        for (std::size_t j = i + 1; j < f.tokens.size(); ++j) {
-            const std::string &x = at(f, j);
-            if (x == "(") {
-                ++depth;
-            } else if (x == ")") {
-                if (--depth == 0)
-                    break;
-            } else if (x == "[" && j > 0) {
-                // Lambda introducer vs subscript: a subscript follows
-                // a value (identifier, ')', ']'); an introducer does
-                // not.
-                const Token &prev = f.tokens[j - 1];
-                if (prev.kind == TokKind::Ident || prev.text == ")" ||
-                    prev.text == "]")
-                    continue;
-                // Scan the capture list entries.
-                std::size_t k = j + 1;
-                int sub = 0;
-                std::vector<std::size_t> entry;  // token indices
-                const auto flush = [&]() {
-                    bool byRef = false;
-                    for (std::size_t e : entry) {
-                        const Token &et = f.tokens[e];
-                        if (et.kind == TokKind::Punct &&
-                            et.text == "&")
-                            byRef = true;
-                        if (et.kind != TokKind::Ident)
-                            continue;
-                        if (et.text == "traceContext" ||
-                            et.text == "logContext") {
-                            report(f, out, "context-capture", et.line,
-                                   "EventQueue lambda captures the "
-                                   "per-thread context accessor '" +
-                                       et.text +
-                                       "()' (pool-owned; resolve it "
-                                       "inside the callback instead)");
-                            continue;
-                        }
-                        const CtxVar *v = findVar(et.text);
-                        if (v != nullptr && (byRef || v->pointer)) {
-                            report(
-                                f, out, "context-capture", et.line,
-                                "EventQueue lambda captures a raw "
-                                "pointer/reference to per-thread "
-                                "context '" +
-                                    et.text +
-                                    "' (pool-owned; the callback may "
-                                    "fire on another worker — capture "
-                                    "the owning object and resolve "
-                                    "the context inside)");
-                        }
-                    }
-                    entry.clear();
-                };
-                for (; k < f.tokens.size(); ++k) {
-                    const std::string &y = at(f, k);
-                    if (y == "[") {
-                        ++sub;
-                    } else if (y == "]") {
-                        if (sub-- == 0)
-                            break;
-                    } else if (y == "," && sub == 0) {
-                        flush();
-                        continue;
-                    }
-                    entry.push_back(k);
-                }
-                flush();
-                j = k;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // layering (cross-file)
 // ---------------------------------------------------------------------
 
@@ -971,9 +837,6 @@ ruleRegistry()
         {"time-unit-literal",
          "bare integer literals in arithmetic with Time-typed values",
          timeUnitApplies, timeUnitCheck},
-        {"context-capture",
-         "EventQueue lambdas capturing pool-owned per-thread contexts",
-         contextCaptureApplies, contextCaptureCheck},
     };
     return kRules;
 }

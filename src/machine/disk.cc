@@ -93,8 +93,7 @@ DiskDevice::failFast(DiskRequest req)
 {
     req.failed = true;
     failing_.push_back(std::move(req));
-    events_.scheduleAfter(0, [this] { completeFailFast(); },
-                          "diskFailFast");
+    events_.scheduleAfter(0, EvKind::DiskFailFast, *this);
 }
 
 void
@@ -174,8 +173,22 @@ DiskDevice::startNext()
     ss.serviceMs.sample(toMillis(st.total()));
 
     busy_ = true;
-    events_.scheduleAfter(st.total(), [this] { complete(); },
-                          "diskComplete");
+    events_.scheduleAfter(st.total(), EvKind::DiskComplete, *this);
+}
+
+void
+DiskDevice::fire(EvKind kind, const EventArg &)
+{
+    switch (kind) {
+      case EvKind::DiskComplete:
+        complete();
+        return;
+      case EvKind::DiskFailFast:
+        completeFailFast();
+        return;
+      default:
+        PISO_PANIC(name_, " fired a '", kindName(kind), "' event");
+    }
 }
 
 void

@@ -128,7 +128,7 @@ struct DiskStats
  * A single disk drive: HP97560-modelled mechanism plus a request queue
  * drained under a pluggable scheduling policy.
  */
-class DiskDevice
+class DiskDevice : private EventSink
 {
   public:
     /**
@@ -204,13 +204,15 @@ class DiskDevice
     const std::string &name() const { return name_; }
 
     /** Image head/fault/RNG/stats state. Saving is only legal while
-     *  idle with an empty queue (in-flight callbacks cannot
-     *  serialise). Per-SPU ids must be below @p spuBound. */
+     *  idle with an empty queue (requests in flight are not imaged).
+     *  Per-SPU ids must be below @p spuBound. */
     void ckpt(CkptIo &io, std::size_t spuBound);
 
   private:
     bool queued() const { return queueDepth() > 0; }
     void startNext();
+    /** EventSink: the diskComplete and diskFailFast events. */
+    void fire(EvKind kind, const EventArg &arg) override;
     /** Finish the request in service (the diskComplete event). */
     void complete();
 

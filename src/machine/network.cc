@@ -87,8 +87,16 @@ NetworkInterface::startNext()
     ss.waitMs.sample(toMillis(events_.now() - inService_.issueTime));
 
     busy_ = true;
-    events_.scheduleAfter(transmitTime(inService_.bytes),
-                          [this] { complete(); }, "netTx");
+    events_.scheduleAfter(transmitTime(inService_.bytes), EvKind::NetTx,
+                          *this);
+}
+
+void
+NetworkInterface::fire([[maybe_unused]] EvKind kind, const EventArg &)
+{
+    PISO_CHECK(kind == EvKind::NetTx, name_, " fired a '",
+               kindName(kind), "' event");
+    complete();
 }
 
 void

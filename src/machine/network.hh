@@ -95,7 +95,7 @@ struct SpuNetStats
  * A network interface: one transmitter draining a message queue at
  * link speed under the configured scheduler.
  */
-class NetworkInterface
+class NetworkInterface : private EventSink
 {
   public:
     /**
@@ -140,6 +140,8 @@ class NetworkInterface
 
   private:
     void startNext();
+    /** EventSink: the netTx event. */
+    void fire(EvKind kind, const EventArg &arg) override;
     /** Finish the message on the wire (the netTx event). */
     void complete();
 

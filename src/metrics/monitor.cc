@@ -1,5 +1,6 @@
 #include "src/metrics/monitor.hh"
 
+#include "src/util/error.hh"
 #include "src/util/log.hh"
 
 namespace piso {
@@ -38,7 +39,15 @@ SpuMonitor::sample()
         s.spus[spu] = ss;
     }
     samples_.push_back(std::move(s));
-    events_.scheduleAfter(period_, [this] { sample(); }, "spuMonitor");
+    events_.scheduleAfter(period_, EvKind::SpuMonitor, *this);
+}
+
+void
+SpuMonitor::fire([[maybe_unused]] EvKind kind, const EventArg &)
+{
+    PISO_CHECK(kind == EvKind::SpuMonitor, "SPU monitor fired a '",
+               kindName(kind), "' event");
+    sample();
 }
 
 double

@@ -41,7 +41,7 @@ struct MonitorSample
  * Samples per-SPU memory levels and CPU usage on a fixed period.
  * Attach before Simulation::run(); read the series afterwards.
  */
-class SpuMonitor
+class SpuMonitor : private EventSink
 {
   public:
     /**
@@ -68,6 +68,8 @@ class SpuMonitor
     std::uint64_t peakUsed(SpuId spu) const;
 
   private:
+    /** EventSink: the spuMonitor event. */
+    void fire(EvKind kind, const EventArg &arg) override;
     void sample();
 
     EventQueue &events_;

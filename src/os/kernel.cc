@@ -8,6 +8,29 @@
 
 namespace piso {
 
+namespace {
+
+/** An I/O tag as an event operand: slot and generation in the value,
+ *  the attempt in aux. */
+EventArg
+eventArg(const IoTag &tag)
+{
+    return EventArg{static_cast<std::int64_t>(
+                        std::uint64_t{tag.generation} << 32 | tag.slot),
+                    static_cast<std::uint32_t>(tag.attempt)};
+}
+
+IoTag
+ioTag(const EventArg &arg)
+{
+    const auto v = static_cast<std::uint64_t>(arg.value);
+    return IoTag{static_cast<std::uint32_t>(v),
+                 static_cast<std::uint32_t>(v >> 32),
+                 static_cast<std::int32_t>(arg.aux)};
+}
+
+} // namespace
+
 Kernel::Kernel(EventQueue &events, VirtualMemory &vm, BufferCache &cache,
                FileSystem &fs, CpuScheduler &sched,
                std::vector<DiskDevice *> disks, Rng rng,
@@ -47,10 +70,51 @@ Kernel::start()
         PISO_FATAL("kernel started twice");
     started_ = true;
     sched_.start();
-    events_.scheduleAfter(config_.bdflushPeriod,
-                          [this] { bdflushPeriodicHelper(); }, "bdflush");
-    events_.scheduleAfter(config_.pageoutPeriod,
-                          [this] { pageoutDaemonHelper(); }, "pageout");
+    events_.scheduleAfter(config_.bdflushPeriod, EvKind::Bdflush, *this);
+    events_.scheduleAfter(config_.pageoutPeriod, EvKind::Pageout, *this);
+}
+
+void
+Kernel::fire(EvKind kind, const EventArg &arg)
+{
+    switch (kind) {
+      case EvKind::SegEnd:
+        segmentEnd(*process(static_cast<Pid>(arg.value)));
+        return;
+      case EvKind::ProcStart: {
+        Process *p = process(static_cast<Pid>(arg.value));
+        p->startEvent = kNoEvent;
+        sched_.processReady(p);
+        return;
+      }
+      case EvKind::SleepWake: {
+        Process *p = process(static_cast<Pid>(arg.value));
+        p->wakeEvent = kNoEvent;
+        wakeProcess(*p);
+        return;
+      }
+      case EvKind::Bdflush:
+        bdflushPeriodicHelper();
+        return;
+      case EvKind::Pageout:
+        pageoutDaemonHelper();
+        return;
+      case EvKind::BdflushKick:
+        bdflush();
+        return;
+      case EvKind::IoTimeout:
+        ioTimedOut(ioTag(arg));
+        return;
+      case EvKind::IoRetry: {
+        const IoTag tag = ioTag(arg);
+        PISO_CHECK(ops_[tag.slot].generation == tag.generation,
+                   "retry of a freed I/O op in slot ", tag.slot);
+        retryIo(tag.slot);
+        return;
+      }
+      default:
+        PISO_PANIC("kernel fired a '", kindName(kind), "' event");
+    }
 }
 
 // --------------------------------------------------------------------
@@ -73,24 +137,19 @@ Kernel::createProcess(SpuId spu, JobId job, std::string name,
     p->startTime = startAt;
     sched_.processCreated(p);
     const Time when = std::max(startAt, events_.now());
-    p->startEvent = events_.schedule(
-        when,
-        [this, p] {
-            p->startEvent = kNoEvent;
-            sched_.processReady(p);
-        },
-        "procStart");
+    p->startEvent =
+        events_.schedule(when, EvKind::ProcStart, *this, {p->pid()});
     return p;
 }
 
 Process *
 Kernel::process(Pid pid) const
 {
-    for (const auto &p : processes_) {
-        if (p->pid() == pid)
-            return p.get();
-    }
-    return nullptr;
+    // Pids are dense from 1 in creation order, and processes are
+    // never erased.
+    if (pid < 1 || static_cast<std::size_t>(pid) > processes_.size())
+        return nullptr;
+    return processes_[static_cast<std::size_t>(pid - 1)].get();
 }
 
 int
@@ -226,8 +285,8 @@ Kernel::beginSegment(Process &p)
         p.segmentFaults = false;
     }
     p.segmentStart = events_.now();
-    p.segmentEvent = events_.scheduleAfter(
-        seg, [this, &p] { segmentEnd(p); }, "segEnd");
+    p.segmentEvent =
+        events_.scheduleAfter(seg, EvKind::SegEnd, *this, {p.pid()});
 }
 
 void
@@ -319,12 +378,7 @@ Kernel::execute(Process &p, const Action &a)
                 return Exec::Continue;
             } else if constexpr (std::is_same_v<T, SleepAction>) {
                 p.wakeEvent = events_.scheduleAfter(
-                    act.duration,
-                    [this, &p] {
-                        p.wakeEvent = kNoEvent;
-                        wakeProcess(p);
-                    },
-                    "sleepWake");
+                    act.duration, EvKind::SleepWake, *this, {p.pid()});
                 blockProcess(p);
                 return Exec::Blocked;
             } else if constexpr (std::is_same_v<T, BarrierAction>) {
@@ -905,10 +959,9 @@ Kernel::issueIo(std::uint32_t slot)
     IoOp &op = ops_[slot];
     ++op.attempt;
     if (config_.ioTimeout > 0) {
-        const IoTag tag = tagOf(op);
-        op.timeoutEvent = events_.scheduleAfter(
-            config_.ioTimeout, [this, tag] { ioTimedOut(tag); },
-            "ioTimeout");
+        op.timeoutEvent =
+            events_.scheduleAfter(config_.ioTimeout, EvKind::IoTimeout,
+                                  *this, eventArg(tagOf(op)));
     }
     disks_.at(static_cast<std::size_t>(op.disk))->submit(requestFor(op));
 }
@@ -989,14 +1042,8 @@ Kernel::ioAttemptFailed(std::uint32_t slot)
                " spu", op.spu, " attempt ", op.attempt + 1, " in ",
                formatTime(delay));
     ++op.pendingRetries;
-    events_.scheduleAfter(
-        delay,
-        [this, slot, generation = op.generation] {
-            PISO_CHECK(ops_[slot].generation == generation,
-                       "retry of a freed I/O op in slot ", slot);
-            retryIo(slot);
-        },
-        "ioRetry");
+    events_.scheduleAfter(delay, EvKind::IoRetry, *this,
+                          eventArg(tagOf(op)));
 }
 
 void
@@ -1478,24 +1525,21 @@ Kernel::kickBdflush()
     if (bdflushPending_)
         return;
     bdflushPending_ = true;
-    events_.scheduleAfter(
-        kMs, [this] { bdflush(); }, "bdflushKick");
+    events_.scheduleAfter(kMs, EvKind::BdflushKick, *this);
 }
 
 void
 Kernel::bdflushPeriodicHelper()
 {
     bdflush();
-    events_.scheduleAfter(config_.bdflushPeriod,
-                          [this] { bdflushPeriodicHelper(); }, "bdflush");
+    events_.scheduleAfter(config_.bdflushPeriod, EvKind::Bdflush, *this);
 }
 
 void
 Kernel::pageoutDaemonHelper()
 {
     pageoutDaemon();
-    events_.scheduleAfter(config_.pageoutPeriod,
-                          [this] { pageoutDaemonHelper(); }, "pageout");
+    events_.scheduleAfter(config_.pageoutPeriod, EvKind::Pageout, *this);
 }
 
 void
@@ -1697,79 +1741,25 @@ Kernel::imagedProcess(Pid pid)
     return p;
 }
 
-Pid
-Kernel::eventOwner(EventId id) const
+void
+Kernel::relinkEvent(EvKind kind, Pid pid, EventId id)
 {
-    for (const auto &p : processes_) {
-        if (p->segmentEvent == id || p->startEvent == id ||
-            p->wakeEvent == id)
-            return p->pid();
+    Process &p = *imagedProcess(pid);
+    PISO_CHECK(events_.pendingEvent(id), "re-linked '", kindName(kind),
+               "' event of pid ", pid, " is not pending");
+    switch (kind) {
+      case EvKind::ProcStart:
+        p.startEvent = id;
+        return;
+      case EvKind::SegEnd:
+        p.segmentEvent = id;
+        return;
+      case EvKind::SleepWake:
+        p.wakeEvent = id;
+        return;
+      default:
+        PISO_PANIC("'", kindName(kind), "' events have no owner process");
     }
-    return kNoPid;
-}
-
-void
-Kernel::restoreProcStart(Pid pid, Time when, std::uint64_t seq)
-{
-    Process *p = process(pid);
-    if (!p)
-        throw ConfigError("checkpoint start event for unknown pid " +
-                          std::to_string(pid));
-    p->startEvent = events_.scheduleRestored(
-        when, seq,
-        [this, p] {
-            p->startEvent = kNoEvent;
-            sched_.processReady(p);
-        },
-        "procStart");
-}
-
-void
-Kernel::restoreSegEnd(Pid pid, Time when, std::uint64_t seq)
-{
-    Process *p = process(pid);
-    if (!p)
-        throw ConfigError("checkpoint segment event for unknown pid " +
-                          std::to_string(pid));
-    p->segmentEvent = events_.scheduleRestored(
-        when, seq, [this, p] { segmentEnd(*p); }, "segEnd");
-}
-
-void
-Kernel::restoreSleepWake(Pid pid, Time when, std::uint64_t seq)
-{
-    Process *p = process(pid);
-    if (!p)
-        throw ConfigError("checkpoint wake event for unknown pid " +
-                          std::to_string(pid));
-    p->wakeEvent = events_.scheduleRestored(
-        when, seq,
-        [this, p] {
-            p->wakeEvent = kNoEvent;
-            wakeProcess(*p);
-        },
-        "sleepWake");
-}
-
-void
-Kernel::restoreBdflush(Time when, std::uint64_t seq)
-{
-    events_.scheduleRestored(
-        when, seq, [this] { bdflushPeriodicHelper(); }, "bdflush");
-}
-
-void
-Kernel::restorePageout(Time when, std::uint64_t seq)
-{
-    events_.scheduleRestored(
-        when, seq, [this] { pageoutDaemonHelper(); }, "pageout");
-}
-
-void
-Kernel::restoreBdflushKick(Time when, std::uint64_t seq)
-{
-    events_.scheduleRestored(
-        when, seq, [this] { bdflush(); }, "bdflushKick");
 }
 
 } // namespace piso

@@ -187,7 +187,10 @@ struct SpuFaultStats
  * report completions to the kernel as their one sink; the kernel runs
  * the outcome through a switch on the record's kind.
  */
-class Kernel : public SchedClient, private DiskSink, private NetSink
+class Kernel : public SchedClient,
+               public EventSink,
+               private DiskSink,
+               private NetSink
 {
   public:
     /**
@@ -258,6 +261,8 @@ class Kernel : public SchedClient, private DiskSink, private NetSink
     /** Processes not yet exited. */
     std::size_t liveProcesses() const { return live_; }
 
+    /** The process with @p pid, or nullptr for a pid never created.
+     *  O(1): pids are dense from 1. */
     Process *process(Pid pid) const;
 
     const KernelStats &stats() const { return stats_; }
@@ -294,10 +299,10 @@ class Kernel : public SchedClient, private DiskSink, private NetSink
 
     /** @name Checkpoint
      *  ckpt() covers every mutable kernel structure except the
-     *  pending events, which the Simulation re-schedules through the
-     *  restore*() hooks using the descriptors it recorded (each hook
-     *  re-creates one pending event with its original (when, seq)
-     *  ordering key, so the restored heap pops identically). */
+     *  pending events. The Simulation images those as records and
+     *  re-schedules them on restore with their original (when, seq)
+     *  ordering keys; relinkEvent() then points each process at its
+     *  restored event. */
     /// @{
     /**
      * Throw InvariantError unless the I/O system is quiescent enough
@@ -317,16 +322,10 @@ class Kernel : public SchedClient, private DiskSink, private NetSink
      *  an image; throws ConfigError for a pid it never created. */
     Process *imagedProcess(Pid pid);
 
-    /** Pid owning pending event @p id via its startEvent /
-     *  segmentEvent / wakeEvent field; kNoPid when no process does. */
-    Pid eventOwner(EventId id) const;
-
-    void restoreProcStart(Pid pid, Time when, std::uint64_t seq);
-    void restoreSegEnd(Pid pid, Time when, std::uint64_t seq);
-    void restoreSleepWake(Pid pid, Time when, std::uint64_t seq);
-    void restoreBdflush(Time when, std::uint64_t seq);
-    void restorePageout(Time when, std::uint64_t seq);
-    void restoreBdflushKick(Time when, std::uint64_t seq);
+    /** Record restored event @p id, a procStart, segEnd or sleepWake
+     *  event of @p pid, in that process's startEvent, segmentEvent or
+     *  wakeEvent. Throws ConfigError for an unknown pid. */
+    void relinkEvent(EvKind kind, Pid pid, EventId id);
     /// @}
 
     /** Invoked whenever a process exits (job tracking). */
@@ -513,6 +512,9 @@ class Kernel : public SchedClient, private DiskSink, private NetSink
     void settleIo(std::uint32_t slot, bool ok);
     void ioSucceeded(const IoOp &op);
     void ioFailed(const IoOp &op);
+
+    /** EventSink: process, daemon and I/O-watchdog events. */
+    void fire(EvKind kind, const EventArg &arg) override;
 
     /** DiskSink and NetSink: a device finished a request. */
     void diskComplete(const DiskRequest &req) override;

@@ -85,13 +85,13 @@ class Process
     /** Wall-clock start of the segment currently running on a CPU. */
     Time segmentStart = 0;
     /** Pending segment-end event while Running. */
-    // Not imaged: Kernel::restoreSegEnd re-links it.
+    // Not imaged: Kernel::relinkEvent re-links it on restore.
     EventId segmentEvent = kNoEvent;
     /** Pending process-start event while Embryo. */
-    // Not imaged: Kernel::restoreProcStart re-links it.
+    // Not imaged: Kernel::relinkEvent re-links it on restore.
     EventId startEvent = kNoEvent;
     /** Pending wake event while Blocked in a SleepAction. */
-    // Not imaged: Kernel::restoreSleepWake re-links it.
+    // Not imaged: Kernel::relinkEvent re-links it on restore.
     EventId wakeEvent = kNoEvent;
     /** True when the current segment will end in a page fault. */
     bool segmentFaults = false;

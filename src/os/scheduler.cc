@@ -32,7 +32,7 @@ CpuScheduler::start()
     lastDecay_ = events_.now();
     for (auto &c : cpus_)
         c.idleSince = events_.now();
-    events_.scheduleAfter(tickPeriod_, [this] { tick(); }, "schedTick");
+    events_.scheduleAfter(tickPeriod_, EvKind::SchedTick, *this);
 }
 
 void
@@ -288,6 +288,14 @@ CpuScheduler::rebuildCpuIndex()
 }
 
 void
+CpuScheduler::fire([[maybe_unused]] EvKind kind, const EventArg &)
+{
+    PISO_CHECK(kind == EvKind::SchedTick, "CPU scheduler fired a '",
+               kindName(kind), "' event");
+    tick();
+}
+
+void
 CpuScheduler::tick()
 {
     const Time now = events_.now();
@@ -326,7 +334,7 @@ CpuScheduler::tick()
     policyTick();
     idlePass();
 
-    events_.scheduleAfter(tickPeriod_, [this] { tick(); }, "schedTick");
+    events_.scheduleAfter(tickPeriod_, EvKind::SchedTick, *this);
 }
 
 Time
@@ -543,12 +551,6 @@ CpuScheduler::ckpt(CkptIo &io, const ProcessByPid &byPid,
     ckptReady(io, byPid, spuBound);
     if (io.loading())
         rebuildCpuIndex();
-}
-
-void
-CpuScheduler::restoreTick(Time when, std::uint64_t seq)
-{
-    events_.scheduleRestored(when, seq, [this] { tick(); }, "schedTick");
 }
 
 } // namespace piso

@@ -113,7 +113,7 @@ struct Cpu
  * decay, and all accounting. Subclasses provide the ready-queue
  * structure and the eligibility rules.
  */
-class CpuScheduler
+class CpuScheduler : public EventSink
 {
   public:
     /**
@@ -234,16 +234,11 @@ class CpuScheduler
     int bringCpusOnline(int count);
     /// @}
 
-    /** @name Checkpoint
-     *  ckpt() covers the base accounting, the per-CPU state (running
-     *  processes as pids) and the subclass ready queues. The clock
-     *  tick is re-established separately through restoreTick() with
-     *  its original (when, seq) ordering key. */
-    /// @{
+    /** Checkpoint: the base accounting, the per-CPU state (running
+     *  processes as pids) and the subclass ready queues. The pending
+     *  clock tick is an imaged event record of its own. */
     void ckpt(CkptIo &io, const ProcessByPid &byPid,
               std::size_t spuBound);
-    void restoreTick(Time when, std::uint64_t seq);
-    /// @}
 
   protected:
     /** Pick (and remove from the ready structures) the next process for
@@ -310,6 +305,8 @@ class CpuScheduler
     std::uint64_t policyIters_ = 0;
 
   private:
+    /** EventSink: the schedTick event. */
+    void fire(EvKind kind, const EventArg &arg) override;
     void tick();
     void freeCpu(Process *p, bool requeue);
 

@@ -28,7 +28,7 @@ appendLe(std::string &out, std::uint64_t v, int bytes)
 }
 
 std::uint64_t
-readLe(const std::string &in, std::size_t at, int bytes)
+readLe(std::string_view in, std::size_t at, int bytes)
 {
     std::uint64_t v = 0;
     for (int i = 0; i < bytes; ++i) {
@@ -48,7 +48,7 @@ badImage(const std::string &what)
 } // namespace
 
 std::uint64_t
-ckptFnv1a(const std::string &data)
+ckptFnv1a(std::string_view data)
 {
     std::uint64_t h = 0xcbf29ce484222325ull;
     for (char c : data) {
@@ -105,7 +105,18 @@ CkptWriter::emit(std::ostream &out, std::uint64_t configDigest) const
     out.write(img.data(), static_cast<std::streamsize>(img.size()));
 }
 
-CkptReader::CkptReader(const std::string &image)
+CkptReader::CkptReader(std::string_view image)
+{
+    parse(image);
+}
+
+CkptReader::CkptReader(std::string &&image) : owned_(std::move(image))
+{
+    parse(owned_);
+}
+
+void
+CkptReader::parse(std::string_view image)
 {
     if (image.size() < kHeaderBytes + kTrailerBytes)
         badImage("truncated header (" + std::to_string(image.size()) +
@@ -147,7 +158,7 @@ CkptReader::fromStream(std::istream &in)
     os << in.rdbuf();
     if (in.bad())
         badImage("stream read failed");
-    return CkptReader(os.str());
+    return CkptReader(std::move(os).str());
 }
 
 void

@@ -46,7 +46,7 @@ inline constexpr char kCkptMagic[8] = {'P', 'I', 'S', 'O',
 inline constexpr std::uint32_t kCkptVersion = 3;
 
 /** FNV-1a 64-bit over @p data (payload checksums, config digests). */
-std::uint64_t ckptFnv1a(const std::string &data);
+std::uint64_t ckptFnv1a(std::string_view data);
 
 /**
  * Appends fixed-width little-endian fields to an in-memory payload.
@@ -86,13 +86,22 @@ class CkptWriter
 /**
  * Validating reader over a checkpoint image. Construction parses and
  * checks the container; the typed accessors then consume the payload
- * with bounds checks. Any violation throws ConfigError.
+ * in place, with bounds checks. Any violation throws ConfigError.
+ * Neither copyable nor movable: the payload view may point into the
+ * reader's own buffer.
  */
 class CkptReader
 {
   public:
-    /** Parse an in-memory image; validates everything up front. */
-    explicit CkptReader(const std::string &image);
+    /** Parse an in-memory image without copying it; validates
+     *  everything up front. @p image must outlive the reader. */
+    explicit CkptReader(std::string_view image);
+
+    /** Parse an image the reader takes over. */
+    explicit CkptReader(std::string &&image);
+
+    CkptReader(const CkptReader &) = delete;
+    CkptReader &operator=(const CkptReader &) = delete;
 
     /** Slurp @p in to the end and parse it as an image. */
     static CkptReader fromStream(std::istream &in);
@@ -120,8 +129,11 @@ class CkptReader
 
   private:
     void need(std::size_t n) const;
+    /** Validate @p image's container and point payload_ into it. */
+    void parse(std::string_view image);
 
-    std::string payload_;
+    std::string owned_;        //!< the image, when the reader owns it
+    std::string_view payload_;
     std::size_t pos_ = 0;
     std::uint64_t configDigest_ = 0;
 };

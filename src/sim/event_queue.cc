@@ -5,42 +5,43 @@
 
 namespace piso {
 
-EventId
-EventQueue::schedule(Time when, Callback cb, const char *name)
+const char *
+kindName(EvKind kind)
 {
-    PISO_INVARIANT(when >= now_, "event '", name,
+    // In EvKind order.
+    static constexpr const char *kNames[kEvKinds] = {
+        "schedTick", "memPolicy", "bdflush", "pageout", "bdflushKick",
+        "procStart", "segEnd", "sleepWake", "faultRestoreSlow",
+        "faultRestoreError", "ioTimeout", "ioRetry", "diskComplete",
+        "diskFailFast", "netTx", "spuMonitor", "external",
+    };
+    const auto k = static_cast<std::uint8_t>(kind);
+    return k < kEvKinds ? kNames[k] : "unknown";
+}
+
+EventId
+EventQueue::schedule(Time when, EvKind kind, EventSink &target,
+                     EventArg arg)
+{
+    PISO_INVARIANT(when >= now_, "event '", kindName(kind),
                    "' scheduled in the past (", formatTime(when),
                    " < now=", formatTime(now_), ")");
-    PISO_INVARIANT(cb, "event '", name,
-                   "' scheduled with empty callback");
-    return insert(when, nextSeq_++, std::move(cb), name);
+    return insert(when, nextSeq_++, Slot{&target, arg, kind});
 }
 
 EventId
-EventQueue::scheduleRestored(Time when, std::uint64_t seq, Callback cb,
-                             const char *name)
-{
-    PISO_INVARIANT(cb, "restored event '", name,
-                   "' re-bound with empty callback");
-    return insert(when, seq, std::move(cb), name);
-}
-
-EventId
-EventQueue::insert(Time when, std::uint64_t seq, Callback &&cb,
-                   const char *name)
+EventQueue::insert(Time when, std::uint64_t seq, const Slot &slot)
 {
     std::uint32_t idx;
     if (!freeSlots_.empty()) {
         idx = freeSlots_.back();
         freeSlots_.pop_back();
+        slots_[idx] = slot;
     } else {
         idx = static_cast<std::uint32_t>(slots_.size());
-        slots_.emplace_back();
+        slots_.push_back(slot);
         state_.push_back(packState(0, false));
     }
-    Slot &slot = slots_[idx];
-    slot.cb = std::move(cb);
-    slot.name = name;
     const std::uint32_t gen = state_[idx] >> 1;
     state_[idx] = packState(gen, true);
 
@@ -54,7 +55,6 @@ EventQueue::clearPending()
 {
     for (std::uint32_t idx = 0; idx < state_.size(); ++idx) {
         if (state_[idx] & 1u) {
-            slots_[idx].cb.reset();
             state_[idx] = packState((state_[idx] >> 1) + 1, false);
             freeSlots_.push_back(idx);
         }
@@ -98,7 +98,6 @@ EventQueue::cancel(EventId id)
                "pending event's heap position is stale (slot ", idx, ")");
 
     heap_.remove(idx);
-    slots_[idx].cb.reset();
     state_[idx] = packState(genOf(id) + 1, false);
     freeSlots_.push_back(idx);
     --live_;
@@ -122,19 +121,18 @@ EventQueue::popAndRun()
                "heap entry for a slot that holds no pending event");
     heap_.pop();
 
-    // Retire the event before invoking so the callback may freely
+    // Retire the event before firing so its target may freely
     // schedule and cancel other events: the state bump makes cancel()
-    // on the firing id a no-op, and the slot joins the free list only
-    // after the callback finishes, so it cannot be reused (and the
-    // deque keeps the in-place callable stable) while it runs.
-    Slot &slot = slots_[entry.slot];
+    // on the firing id a no-op, and the record is a copy, so the slot
+    // may be reused at once.
+    const Slot slot = slots_[entry.slot];
     state_[entry.slot] = packState((state_[entry.slot] >> 1) + 1, false);
+    freeSlots_.push_back(entry.slot);
     --live_;
     ++executed_;
 
     now_ = entry.when;
-    slot.cb.invokeAndReset();
-    freeSlots_.push_back(entry.slot);
+    slot.target->fire(slot.kind, slot.arg);
 }
 
 bool

@@ -10,23 +10,24 @@
  * policy daemons) is an event. Events scheduled for the same instant
  * fire in scheduling order, which keeps runs fully deterministic.
  *
+ * An event is a plain record: (when, seq) orders it, and
+ * (kind, target, arg) says what it does. Firing calls
+ * target->fire(kind, arg) once; each target (the kernel, the CPU
+ * scheduler, a device, ...) dispatches on the kind with one switch.
+ * The record holds no code, so a checkpoint images a pending event by
+ * writing its fields, and a restore re-schedules it on the target the
+ * kind names.
+ *
  * Internally the queue is a generation-counted slab: each scheduled
  * event occupies a reusable slot, and an EventId encodes
  * (slot, generation) so pendingEvent() is an O(1) array probe with no
  * hashing. A 4-ary heap of small POD entries, indexed by slot, orders
  * the pending events; cancel() removes an event's entry where it
  * sits, so the heap never holds anything but pending events.
- * Callbacks live in the slab behind a small-buffer wrapper so the
- * common capture sizes ([this], [this, ptr], [this, id, time]) never
- * touch the allocator.
  */
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <new>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "src/util/time.hh"
@@ -44,193 +45,87 @@ using EventId = std::uint64_t;
 inline constexpr EventId kNoEvent = 0;
 
 /**
- * Move-only callable wrapper with a small-buffer optimisation sized
- * for event-loop lambdas. Captures up to kInlineSize bytes are stored
- * in place; larger ones fall back to the heap.
+ * What an event does. The first kImageableKinds are the kinds a
+ * checkpoint may hold; their numbers are the image's kind bytes and
+ * must never change. The others belong to in-flight I/O, devices,
+ * monitors and tests, and a pending one makes a boundary
+ * non-checkpointable.
  */
-class EventCallback
+enum class EvKind : std::uint8_t
+{
+    SchedTick,          //!< CpuScheduler clock tick
+    MemPolicy,          //!< MemorySharingPolicy recomputation
+    Bdflush,            //!< periodic delayed-write flush daemon
+    Pageout,            //!< periodic pageout daemon
+    BdflushKick,        //!< one-shot high-water bdflush kick
+    ProcStart,          //!< process start (arg = pid)
+    SegEnd,             //!< compute-segment end (arg = pid)
+    SleepWake,          //!< sleep expiry (arg = pid)
+    FaultRestoreSlow,   //!< disk-slow window end (arg = disk)
+    FaultRestoreError,  //!< disk-error window end (arg = disk)
+    IoTimeout,          //!< I/O watchdog (arg = I/O tag)
+    IoRetry,            //!< I/O retry after backoff (arg = op slot)
+    DiskComplete,       //!< disk request finished service
+    DiskFailFast,       //!< dead disk bounces its queue
+    NetTx,              //!< network message transmitted
+    SpuMonitor,         //!< SpuMonitor sampling tick
+    External,           //!< tests and examples (arg = their own index)
+};
+
+/** Kinds 0 .. kImageableKinds-1 may be pending in a checkpoint. */
+inline constexpr std::uint8_t kImageableKinds = 10;
+
+/** Number of EvKind values. */
+inline constexpr std::uint8_t kEvKinds =
+    static_cast<std::uint8_t>(EvKind::External) + 1;
+
+/** True when a pending @p kind event can be imaged. */
+constexpr bool
+imageable(EvKind kind)
+{
+    return static_cast<std::uint8_t>(kind) < kImageableKinds;
+}
+
+/** The kind's name, for traces and checkpoint refusals. */
+const char *kindName(EvKind kind);
+
+/**
+ * An event's operand: plain data its target reads according to the
+ * kind. `value` is a pid, a disk, an op slot or a test's index (-1
+ * when the kind takes none) and is what a checkpoint images; `aux`
+ * carries the rest of an I/O tag.
+ */
+struct EventArg
+{
+    std::int64_t value = -1;
+    std::uint32_t aux = 0;
+};
+
+/**
+ * The owner of events: fire() runs one of its events. Implementations
+ * switch on @p kind and treat any kind they never schedule as a bug.
+ */
+class EventSink
 {
   public:
-    EventCallback() = default;
+    virtual void fire(EvKind kind, const EventArg &arg) = 0;
 
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, EventCallback> &&
-                  std::is_invocable_r_v<void, std::decay_t<F> &>>>
-    EventCallback(F &&f) // NOLINT: implicit like std::function
-    {
-        using Fn = std::decay_t<F>;
-        if constexpr (sizeof(Fn) <= kInlineSize &&
-                      alignof(Fn) <= alignof(std::max_align_t) &&
-                      std::is_nothrow_move_constructible_v<Fn>) {
-            new (buf_) Fn(std::forward<F>(f));
-            vt_ = &vtableFor<Fn, /*OnHeap=*/false>;
-        } else {
-            // piso-lint: allow(memory-raw-new) -- small-buffer wrapper's heap fallback; ownership sits in vt_, freed by destroyHeap/invokeDestroyHeap
-            heap_ = new Fn(std::forward<F>(f));
-            vt_ = &vtableFor<Fn, /*OnHeap=*/true>;
-        }
-    }
-
-    EventCallback(EventCallback &&other) noexcept { moveFrom(other); }
-
-    EventCallback &
-    operator=(EventCallback &&other) noexcept
-    {
-        if (this != &other) {
-            reset();
-            moveFrom(other);
-        }
-        return *this;
-    }
-
-    EventCallback(const EventCallback &) = delete;
-    EventCallback &operator=(const EventCallback &) = delete;
-
-    ~EventCallback() { reset(); }
-
-    /** True when a callable is held. */
-    explicit operator bool() const { return vt_ != nullptr; }
-
-    /** Invoke the held callable. Undefined when empty. */
-    void operator()() { vt_->invoke(target()); }
-
-    /**
-     * Invoke the held callable, then destroy it, leaving the wrapper
-     * empty — one indirect call instead of two on the fire path.
-     * Undefined when empty.
-     */
-    void
-    invokeAndReset()
-    {
-        const VTable *vt = vt_;
-        vt_ = nullptr;
-        vt->invokeDestroy(vt->onHeap ? heap_
-                                     : static_cast<void *>(buf_));
-    }
-
-    /** Destroy the held callable, leaving the wrapper empty. */
-    void
-    reset()
-    {
-        if (vt_) {
-            vt_->destroy(target());
-            vt_ = nullptr;
-        }
-    }
-
-    /** Inline storage size; tuned to the kernel's largest hot capture. */
-    static constexpr std::size_t kInlineSize = 48;
-
-  private:
-    struct VTable
-    {
-        void (*invoke)(void *obj);
-        void (*destroy)(void *obj);
-        void (*invokeDestroy)(void *obj);
-        /** Move src's inline object into dstBuf and destroy src. */
-        void (*relocate)(void *dstBuf, void *src);
-        bool onHeap;
-    };
-
-    template <typename Fn>
-    static void
-    invokeImpl(void *obj)
-    {
-        (*static_cast<Fn *>(obj))();
-    }
-
-    template <typename Fn>
-    static void
-    destroyInline(void *obj)
-    {
-        static_cast<Fn *>(obj)->~Fn();
-    }
-
-    template <typename Fn>
-    static void
-    destroyHeap(void *obj)
-    {
-        // piso-lint: allow(memory-raw-new) -- matching release for the wrapper's heap-fallback new above
-        delete static_cast<Fn *>(obj);
-    }
-
-    template <typename Fn>
-    static void
-    relocateInline(void *dstBuf, void *src)
-    {
-        new (dstBuf) Fn(std::move(*static_cast<Fn *>(src)));
-        static_cast<Fn *>(src)->~Fn();
-    }
-
-    template <typename Fn>
-    static void
-    invokeDestroyInline(void *obj)
-    {
-        Fn *fn = static_cast<Fn *>(obj);
-        (*fn)();
-        fn->~Fn();
-    }
-
-    template <typename Fn>
-    static void
-    invokeDestroyHeap(void *obj)
-    {
-        Fn *fn = static_cast<Fn *>(obj);
-        (*fn)();
-        // piso-lint: allow(memory-raw-new) -- matching release for the wrapper's heap-fallback new above
-        delete fn;
-    }
-
-    template <typename Fn, bool OnHeap>
-    static constexpr VTable vtableFor{
-        &invokeImpl<Fn>,
-        OnHeap ? &destroyHeap<Fn> : &destroyInline<Fn>,
-        OnHeap ? &invokeDestroyHeap<Fn> : &invokeDestroyInline<Fn>,
-        OnHeap ? nullptr : &relocateInline<Fn>, OnHeap};
-
-    void *
-    target()
-    {
-        return vt_->onHeap ? heap_ : static_cast<void *>(buf_);
-    }
-
-    void
-    moveFrom(EventCallback &other) noexcept
-    {
-        vt_ = other.vt_;
-        if (!vt_)
-            return;
-        if (vt_->onHeap)
-            heap_ = other.heap_;
-        else
-            vt_->relocate(buf_, other.buf_);
-        other.vt_ = nullptr;
-    }
-
-    union
-    {
-        alignas(std::max_align_t) unsigned char buf_[kInlineSize];
-        void *heap_;
-    };
-    const VTable *vt_ = nullptr;
+  protected:
+    ~EventSink() = default;
 };
 
 /**
  * A deterministic, cancellable discrete-event queue.
  *
  * Ordering is (time, scheduling sequence number), a key unique to
- * each event. Cancellation frees the slab slot immediately
- * (destroying the callback), bumps the slot's generation and removes
- * the event's heap entry in place, so cancel() and pop() are both
- * O(log n) in the number of pending events and the heap holds exactly
- * pending() entries.
+ * each event. Cancellation frees the slab slot immediately, bumps the
+ * slot's generation and removes the event's heap entry in place, so
+ * cancel() and pop() are both O(log n) in the number of pending
+ * events and the heap holds exactly pending() entries.
  */
 class EventQueue
 {
   public:
-    using Callback = EventCallback;
-
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -239,20 +134,21 @@ class EventQueue
     Time now() const { return now_; }
 
     /**
-     * Schedule @p cb to run at absolute time @p when.
+     * Schedule a @p kind event on @p target at absolute time @p when:
+     * at that time the queue calls target.fire(kind, arg).
      * @param when Absolute firing time; must be >= now().
-     * @param cb   Callback executed when the event fires.
-     * @param name Optional label used in debug traces; must point at
-     *             storage outliving the event (string literals do).
+     * @param target Outlives the event (or cancels it first).
      * @return Handle usable with cancel().
      */
-    EventId schedule(Time when, Callback cb, const char *name = "");
+    EventId schedule(Time when, EvKind kind, EventSink &target,
+                     EventArg arg = {});
 
-    /** Schedule @p cb to run @p delay after the current time. */
+    /** schedule() @p delay after the current time. */
     EventId
-    scheduleAfter(Time delay, Callback cb, const char *name = "")
+    scheduleAfter(Time delay, EvKind kind, EventSink &target,
+                  EventArg arg = {})
     {
-        return schedule(now_ + delay, std::move(cb), name);
+        return schedule(now_ + delay, kind, target, arg);
     }
 
     /**
@@ -303,28 +199,29 @@ class EventQueue
     /**
      * @name Checkpoint/restore support
      *
-     * Callbacks are closures and cannot be serialised; instead the
-     * Simulation snapshots every live event's (id, when, seq, name)
-     * with forEachPending(), re-creates the callbacks from named
-     * descriptors on restore, and re-binds them at the *exact* heap
-     * coordinates with scheduleRestored() so ties keep firing in the
-     * original order. See src/sim/checkpoint.hh and docs/checkpoint.md.
+     * The Simulation images every pending record's (kind, when, seq,
+     * arg) from forEachPending(), and on restore re-schedules each on
+     * the target its kind names at the *exact* heap coordinates with
+     * scheduleRestored(), so ties keep firing in the original order.
+     * See src/sim/checkpoint.hh and docs/checkpoint.md.
      */
     /// @{
 
     /**
      * Visit every live (pending) event in unspecified order.
      * @param fn Invoked as fn(EventId, Time when, std::uint64_t seq,
-     *           const char *name); callers sort by seq for
-     *           deterministic output.
+     *           EvKind kind, const EventArg &arg); callers sort by seq
+     *           for deterministic output.
      */
     template <typename Fn>
     void
     forEachPending(Fn &&fn) const
     {
-        for (const HeapEntry &e : heap_.entries())
+        for (const HeapEntry &e : heap_.entries()) {
+            const Slot &slot = slots_[e.slot];
             fn(makeId(e.slot, state_[e.slot] >> 1), e.when, e.seq,
-               slots_[e.slot].name);
+               slot.kind, slot.arg);
+        }
     }
 
     /** Next sequence number to be handed out (image clock header). */
@@ -336,8 +233,12 @@ class EventQueue
      * position among equal-time events. Does not advance nextSeq_;
      * restoreClock() sets the sequence counter afterwards.
      */
-    EventId scheduleRestored(Time when, std::uint64_t seq, Callback cb,
-                             const char *name = "");
+    EventId
+    scheduleRestored(Time when, std::uint64_t seq, EvKind kind,
+                     EventSink &target, EventArg arg)
+    {
+        return insert(when, seq, Slot{&target, arg, kind});
+    }
 
     /** Cancel every live event (restore wipes before re-binding). */
     void clearPending();
@@ -345,8 +246,8 @@ class EventQueue
     /**
      * Overwrite the clock state from a checkpoint: current time, the
      * next sequence number to hand out, and the executed-event count.
-     * Called after every scheduleRestored(); the sequence counter must
-     * not move backwards.
+     * The sequence counter must not move backwards, and must end up
+     * above every restored event's seq.
      */
     void restoreClock(Time now, std::uint64_t nextSeq,
                       std::uint64_t executed);
@@ -361,15 +262,17 @@ class EventQueue
     /// @}
 
   private:
+    /** What a pending event does: its slab record. */
     struct Slot
     {
-        Callback cb;
-        const char *name = "";
+        EventSink *target;
+        EventArg arg;
+        EvKind kind;
     };
 
     // Per-slot (generation << 1) | live, kept in a dense side array so
     // the cancel() and pendingEvent() id checks stay within a few cache
-    // lines instead of striding across the fat callback slots.
+    // lines instead of striding across the slot records.
     static std::uint32_t
     packState(std::uint32_t gen, bool live)
     {
@@ -514,18 +417,16 @@ class EventQueue
                (static_cast<EventId>(slot) + 1);
     }
 
-    /** Take a slab slot for @p cb and push it at (when, seq). */
-    EventId insert(Time when, std::uint64_t seq, Callback &&cb,
-                   const char *name);
+    /** Take a slab slot for @p slot and push it at (when, seq). */
+    EventId insert(Time when, std::uint64_t seq, const Slot &slot);
 
-    /** Pop the head and run its callback. */
+    /** Pop the head and fire it. */
     void popAndRun();
 
-    // Slots live in a deque so references stay valid while a callback
-    // executes in place even if the callback schedules new events and
-    // grows the slab.
+    // The head's record is copied out before it fires, so the slab may
+    // grow (and move) while its target runs.
     EventHeap heap_;
-    std::deque<Slot> slots_;
+    std::vector<Slot> slots_;
     std::vector<std::uint32_t> state_;
     std::vector<std::uint32_t> freeSlots_;
     Time now_ = 0;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <istream>
-#include <map>
-#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string_view>
@@ -56,32 +54,9 @@ SystemConfig::resolvedProfile() const
 
 namespace {
 
-/** Serialisable pending-event kinds — the checkpoint's closed set.
- *  Event callbacks are closures and cannot be serialised; instead a
- *  checkpoint stores one of these descriptors per pending event and
- *  the restore path reconstructs the exact callback from (kind, arg).
- *  A pending event outside this set makes the boundary
- *  non-checkpointable (in-flight I/O events never appear here because
- *  quiescence already excludes them). */
-enum class EvKind : std::uint8_t
-{
-    SchedTick,          //!< CpuScheduler clock tick
-    MemPolicy,          //!< MemorySharingPolicy recomputation
-    Bdflush,            //!< periodic delayed-write flush daemon
-    Pageout,            //!< periodic pageout daemon
-    BdflushKick,        //!< one-shot high-water bdflush kick
-    ProcStart,          //!< process start (arg = pid)
-    SegEnd,             //!< compute-segment end (arg = pid)
-    SleepWake,          //!< sleep expiry (arg = pid)
-    FaultRestoreSlow,   //!< disk-slow window end (arg = disk)
-    FaultRestoreError,  //!< disk-error window end (arg = disk)
-};
-
-inline constexpr std::uint8_t kMaxEvKind =
-    static_cast<std::uint8_t>(EvKind::FaultRestoreError);
-
-/** One pending event as stored in the image. */
-struct EvDesc
+/** One pending event as the image holds it: the fields of its queue
+ *  record, less the target, which the kind names. */
+struct ImagedEvent
 {
     EvKind kind = EvKind::SchedTick;
     Time when = 0;
@@ -91,7 +66,7 @@ struct EvDesc
 
 } // namespace
 
-struct Simulation::Impl
+struct Simulation::Impl : EventSink
 {
     SystemConfig cfg;
     SchemeProfile profile;
@@ -141,16 +116,13 @@ struct Simulation::Impl
     std::vector<FaultEvent> faultSchedule;
     std::size_t faultCursor = 0;
 
-    /** Pending fault-window-end events: id -> (kind, disk). Entries
-     *  of fired events go stale but are never looked up again —
-     *  generation-tagged EventIds are not reused. */
-    std::map<EventId, std::pair<FaultKind, DiskId>> faultRestores;
-
     void rebalance();
     void applyBandwidthShares(DiskBandwidthTracker &tracker);
     SpuTable<SpuId> spuParents() const;
     void applyMemoryLevels();
     void applyFault(const FaultEvent &ev);
+    /** EventSink: a fault window's end. */
+    void fire(EvKind kind, const EventArg &arg) override;
 
     /** @name Checkpoint internals */
     /// @{
@@ -165,21 +137,32 @@ struct Simulation::Impl
      *  horizon — that is what the warm-start sweep engine does. */
     std::uint64_t configDigest() const;
 
-    /** Classify every pending event; nullopt (and @p reject) when one
-     *  is not serialisable. Sorted by sequence number. */
-    std::optional<std::vector<EvDesc>>
-    pendingDescriptors(std::string *reject = nullptr) const;
+    /** Every pending event in seq order, into @p out; false (and
+     *  @p reject) when one has a kind an image cannot hold. */
+    bool pendingEvents(std::vector<ImagedEvent> &out,
+                       std::string &reject) const;
 
     /** Attempt a checkpoint at the current boundary; false when the
      *  simulation is not quiescent here. */
     bool tryCheckpoint(std::string *why = nullptr);
 
-    void writeImage(std::ostream &out);
+    void writeImage(std::ostream &out,
+                    std::vector<ImagedEvent> &pending);
+    /** Simulation::restore() from a parsed image. */
+    void restore(CkptReader &r);
     void loadImage(CkptReader &r);
+    /** The event section of the image, both directions: the queue's
+     *  clock and @p pending. Loading restores the clock; the records
+     *  are re-scheduled by rebindEvents once the subsystems are in. */
+    void ckptEvents(CkptIo &io, std::vector<ImagedEvent> &pending);
     /** The subsystem section of the image, both directions. */
     void ckptSubsystems(CkptIo &io);
-    void restoreFaultRestore(FaultKind kind, DiskId disk, Time when,
-                             std::uint64_t seq);
+    /** The sink a restored @p e fires on; throws ConfigError when the
+     *  image names a target this simulation does not have. */
+    EventSink *restoredTarget(const ImagedEvent &e);
+    /** Replace the replayed setup's pending events with @p pending,
+     *  each at its original (when, seq). */
+    void rebindEvents(const std::vector<ImagedEvent> &pending);
     /// @}
 
     explicit Impl(const SystemConfig &c)
@@ -424,10 +407,8 @@ Simulation::Impl::applyFault(const FaultEvent &ev)
         DiskDevice *d = disks.at(static_cast<std::size_t>(ev.disk)).get();
         d->setSlowFactor(ev.factor);
         if (ev.duration > 0) {
-            const EventId id = events.scheduleAfter(
-                ev.duration, [d] { d->setSlowFactor(1.0); },
-                "faultRestore");
-            faultRestores[id] = {FaultKind::DiskSlow, ev.disk};
+            events.scheduleAfter(ev.duration, EvKind::FaultRestoreSlow,
+                                 *this, {ev.disk});
         }
         break;
       }
@@ -435,10 +416,8 @@ Simulation::Impl::applyFault(const FaultEvent &ev)
         DiskDevice *d = disks.at(static_cast<std::size_t>(ev.disk)).get();
         d->setErrorRate(ev.rate);
         if (ev.duration > 0) {
-            const EventId id = events.scheduleAfter(
-                ev.duration, [d] { d->setErrorRate(0.0); },
-                "faultRestore");
-            faultRestores[id] = {FaultKind::DiskError, ev.disk};
+            events.scheduleAfter(ev.duration, EvKind::FaultRestoreError,
+                                 *this, {ev.disk});
         }
         break;
       }
@@ -461,6 +440,22 @@ Simulation::Impl::applyFault(const FaultEvent &ev)
         phys.grow(ev.pages);
         applyMemoryLevels();
         break;
+    }
+}
+
+void
+Simulation::Impl::fire(EvKind kind, const EventArg &arg)
+{
+    DiskDevice &d = *disks[static_cast<std::size_t>(arg.value)];
+    switch (kind) {
+      case EvKind::FaultRestoreSlow:
+        d.setSlowFactor(1.0);
+        return;
+      case EvKind::FaultRestoreError:
+        d.setErrorRate(0.0);
+        return;
+      default:
+        PISO_PANIC("simulation fired a '", kindName(kind), "' event");
     }
 }
 
@@ -623,7 +618,7 @@ Simulation::run()
     im.ran = true;
 
     // Run under this simulation's own trace/log contexts: every event
-    // callback below executes inside these scopes, whatever thread
+    // below fires inside these scopes, whatever thread
     // run() was called from.
     TraceContextScope traceScope(im.trace);
     LogContextScope logScope(im.log);
@@ -1006,70 +1001,27 @@ Simulation::Impl::configDigest() const
     return d.value();
 }
 
-std::optional<std::vector<EvDesc>>
-Simulation::Impl::pendingDescriptors(std::string *reject) const
+bool
+Simulation::Impl::pendingEvents(std::vector<ImagedEvent> &out,
+                                std::string &reject) const
 {
-    std::vector<EvDesc> out;
-    bool ok = true;
-    events.forEachPending([&](EventId id, Time when, std::uint64_t seq,
-                              const char *name) {
-        if (!ok)
-            return;
-        const std::string_view n = name;
-        EvDesc d;
-        d.when = when;
-        d.seq = seq;
-        if (n == "schedTick") {
-            d.kind = EvKind::SchedTick;
-        } else if (n == "memPolicy") {
-            d.kind = EvKind::MemPolicy;
-        } else if (n == "bdflush") {
-            d.kind = EvKind::Bdflush;
-        } else if (n == "pageout") {
-            d.kind = EvKind::Pageout;
-        } else if (n == "bdflushKick") {
-            d.kind = EvKind::BdflushKick;
-        } else if (n == "procStart" || n == "segEnd" ||
-                   n == "sleepWake") {
-            const Pid pid = kernel->eventOwner(id);
-            if (pid == kNoPid) {
-                ok = false;
-                if (reject)
-                    *reject = std::string(n) + " event with no owner";
-                return;
-            }
-            d.kind = n == "procStart" ? EvKind::ProcStart
-                     : n == "segEnd"  ? EvKind::SegEnd
-                                      : EvKind::SleepWake;
-            d.arg = pid;
-        } else if (n == "faultRestore") {
-            const auto it = faultRestores.find(id);
-            if (it == faultRestores.end()) {
-                ok = false;
-                if (reject)
-                    *reject = "unregistered faultRestore event";
-                return;
-            }
-            d.kind = it->second.first == FaultKind::DiskSlow
-                         ? EvKind::FaultRestoreSlow
-                         : EvKind::FaultRestoreError;
-            d.arg = it->second.second;
-        } else {
-            ok = false;
-            if (reject)
-                *reject = "pending '" + std::string(n) +
-                          "' event is not checkpointable";
-            return;
-        }
-        out.push_back(d);
+    out.clear();
+    events.forEachPending([&out](EventId, Time when, std::uint64_t seq,
+                                 EvKind kind, const EventArg &arg) {
+        out.push_back(ImagedEvent{kind, when, seq, arg.value});
     });
-    if (!ok)
-        return std::nullopt;
     std::sort(out.begin(), out.end(),
-              [](const EvDesc &a, const EvDesc &b) {
+              [](const ImagedEvent &a, const ImagedEvent &b) {
                   return a.seq < b.seq;
               });
-    return out;
+    for (const ImagedEvent &e : out) {
+        if (!imageable(e.kind)) {
+            reject = std::string("pending '") + kindName(e.kind) +
+                     "' event is not checkpointable";
+            return false;
+        }
+    }
+    return true;
 }
 
 bool
@@ -1100,42 +1052,51 @@ Simulation::Impl::tryCheckpoint(std::string *why)
         return false;
     }
     std::string reject;
-    if (!pendingDescriptors(&reject)) {
+    std::vector<ImagedEvent> pending;
+    if (!pendingEvents(pending, reject)) {
         if (why)
             *why = reject;
         return false;
     }
     std::ostringstream os;
-    writeImage(os);
+    writeImage(os, pending);
     cfg.checkpointSink(std::move(os).str());
     return true;
 }
 
 void
-Simulation::Impl::writeImage(std::ostream &out)
+Simulation::Impl::writeImage(std::ostream &out,
+                             std::vector<ImagedEvent> &pending)
 {
-    std::string reject;
-    const auto descs = pendingDescriptors(&reject);
-    if (!descs)
-        throw InvariantError("checkpoint rejected: " + reject,
-                             events.now());
-
     CkptWriter w;
-    w.time(events.now());
-    w.u64(events.nextSeq());
-    w.u64(events.executedEvents());
-    w.u64(descs->size());
-    for (const EvDesc &d : *descs) {
-        w.u8(static_cast<std::uint8_t>(d.kind));
-        w.time(d.when);
-        w.u64(d.seq);
-        w.i64(d.arg);
-    }
-
     CkptIo io(w);
+    ckptEvents(io, pending);
     ckptSubsystems(io);
-
     w.emit(out, configDigest());
+}
+
+void
+Simulation::Impl::ckptEvents(CkptIo &io, std::vector<ImagedEvent> &pending)
+{
+    Time now = events.now();
+    std::uint64_t nextSeq = events.nextSeq();
+    std::uint64_t executed = events.executedEvents();
+    io.time(now);
+    io.u64(nextSeq);
+    io.u64(executed);
+    io.seq(pending, [&io](ImagedEvent &e) {
+        io.u8(e.kind);
+        if (!imageable(e.kind)) {
+            throw ConfigError(
+                "checkpoint image rejected: unknown event kind " +
+                std::to_string(static_cast<unsigned>(e.kind)));
+        }
+        io.time(e.when);
+        io.u64(e.seq);
+        io.i64(e.arg);
+    });
+    if (io.loading())
+        events.restoreClock(now, nextSeq, executed);
 }
 
 void
@@ -1185,116 +1146,79 @@ Simulation::Impl::ckptSubsystems(CkptIo &io)
         j.ckpt(io);
 }
 
-void
-Simulation::Impl::restoreFaultRestore(FaultKind kind, DiskId disk,
-                                      Time when, std::uint64_t seq)
+EventSink *
+Simulation::Impl::restoredTarget(const ImagedEvent &e)
 {
-    if (disk < 0 || static_cast<std::size_t>(disk) >= disks.size()) {
-        throw ConfigError("checkpoint image rejected: faultRestore "
-                          "references unknown disk " +
-                          std::to_string(disk));
+    switch (e.kind) {
+      case EvKind::SchedTick:
+        return sched.get();
+      case EvKind::MemPolicy:
+        if (!memPolicy) {
+            throw ConfigError("checkpoint image rejected: memPolicy "
+                              "event without a memory sharing policy");
+        }
+        return memPolicy.get();
+      case EvKind::ProcStart:
+      case EvKind::SegEnd:
+      case EvKind::SleepWake:
+        // Throws for a pid the replay never created.
+        kernel->imagedProcess(static_cast<Pid>(e.arg));
+        return kernel.get();
+      case EvKind::Bdflush:
+      case EvKind::Pageout:
+      case EvKind::BdflushKick:
+        return kernel.get();
+      case EvKind::FaultRestoreSlow:
+      case EvKind::FaultRestoreError:
+        if (e.arg < 0 || static_cast<std::size_t>(e.arg) >= disks.size()) {
+            throw ConfigError("checkpoint image rejected: " +
+                              std::string(kindName(e.kind)) +
+                              " references unknown disk " +
+                              std::to_string(e.arg));
+        }
+        return this;
+      default:
+        return nullptr;
     }
-    DiskDevice *d = disks[static_cast<std::size_t>(disk)].get();
-    EventId id = kNoEvent;
-    if (kind == FaultKind::DiskSlow) {
-        id = events.scheduleRestored(
-            when, seq, [d] { d->setSlowFactor(1.0); }, "faultRestore");
-    } else {
-        id = events.scheduleRestored(
-            when, seq, [d] { d->setErrorRate(0.0); }, "faultRestore");
+}
+
+void
+Simulation::Impl::rebindEvents(const std::vector<ImagedEvent> &pending)
+{
+    events.clearPending();
+    bool memTick = false;
+    for (const ImagedEvent &e : pending) {
+        EventSink *target = restoredTarget(e);
+        PISO_CHECK(target != nullptr, "no target for a restored '",
+                   kindName(e.kind), "' event");
+        const EventId id =
+            events.scheduleRestored(e.when, e.seq, e.kind, *target, {e.arg});
+        switch (e.kind) {
+          case EvKind::ProcStart:
+          case EvKind::SegEnd:
+          case EvKind::SleepWake:
+            kernel->relinkEvent(e.kind, static_cast<Pid>(e.arg), id);
+            break;
+          case EvKind::MemPolicy:
+            memTick = true;
+            break;
+          default:
+            break;
+        }
     }
-    faultRestores[id] = {kind, disk};
+    if (memPolicy)
+        memPolicy->setTickPending(memTick);
 }
 
 void
 Simulation::Impl::loadImage(CkptReader &r)
 {
-    const Time now = r.time();
-    const std::uint64_t nextSeq = r.u64();
-    const std::uint64_t executed = r.u64();
-
-    const std::uint64_t ndescs = r.u64();
-    if (ndescs > r.remaining()) {
-        throw ConfigError("checkpoint image rejected: event count "
-                          "exceeds the payload");
-    }
-    std::vector<EvDesc> descs;
-    descs.reserve(ndescs);
-    for (std::uint64_t i = 0; i < ndescs; ++i) {
-        const std::uint8_t kind = r.u8();
-        if (kind > kMaxEvKind) {
-            throw ConfigError(
-                "checkpoint image rejected: unknown event kind " +
-                std::to_string(kind));
-        }
-        EvDesc d;
-        d.kind = static_cast<EvKind>(kind);
-        d.when = r.time();
-        d.seq = r.u64();
-        d.arg = r.i64();
-        descs.push_back(d);
-    }
-
     CkptIo io(r);
+    std::vector<ImagedEvent> pending;
+    ckptEvents(io, pending);
     ckptSubsystems(io);
     r.expectEnd();
-
-    // Re-bind every pending event at its original heap coordinates,
-    // replacing the setup replay's events wholesale.
-    events.clearPending();
-    faultRestores.clear();
-    // The tick the replayed start() scheduled was just wiped; the
-    // descriptor loop below (or its absence in a drained image) is the
-    // only source of truth for a pending memPolicy tick.
-    if (memPolicy)
-        memPolicy->clearScheduled();
-    for (const EvDesc &d : descs) {
-        switch (d.kind) {
-          case EvKind::SchedTick:
-            sched->restoreTick(d.when, d.seq);
-            break;
-          case EvKind::MemPolicy:
-            if (!memPolicy) {
-                throw ConfigError(
-                    "checkpoint image rejected: memPolicy event "
-                    "without a memory sharing policy");
-            }
-            memPolicy->restoreTick(d.when, d.seq);
-            break;
-          case EvKind::Bdflush:
-            kernel->restoreBdflush(d.when, d.seq);
-            break;
-          case EvKind::Pageout:
-            kernel->restorePageout(d.when, d.seq);
-            break;
-          case EvKind::BdflushKick:
-            kernel->restoreBdflushKick(d.when, d.seq);
-            break;
-          case EvKind::ProcStart:
-            kernel->restoreProcStart(static_cast<Pid>(d.arg), d.when,
-                                     d.seq);
-            break;
-          case EvKind::SegEnd:
-            kernel->restoreSegEnd(static_cast<Pid>(d.arg), d.when,
-                                  d.seq);
-            break;
-          case EvKind::SleepWake:
-            kernel->restoreSleepWake(static_cast<Pid>(d.arg), d.when,
-                                     d.seq);
-            break;
-          case EvKind::FaultRestoreSlow:
-            restoreFaultRestore(FaultKind::DiskSlow,
-                                static_cast<DiskId>(d.arg), d.when,
-                                d.seq);
-            break;
-          case EvKind::FaultRestoreError:
-            restoreFaultRestore(FaultKind::DiskError,
-                                static_cast<DiskId>(d.arg), d.when,
-                                d.seq);
-            break;
-        }
-    }
-    events.restoreClock(now, nextSeq, executed);
+    rebindEvents(pending);
 
     // Faults at or before the checkpoint already fired in the original
     // run (their effects are part of the device state); resume the
@@ -1303,7 +1227,7 @@ Simulation::Impl::loadImage(CkptReader &r)
     // image was taken under — the warm-start prefix contract.
     faultCursor = 0;
     while (faultCursor < faultSchedule.size() &&
-           faultSchedule[faultCursor].at <= now)
+           faultSchedule[faultCursor].at <= events.now())
         ++faultCursor;
 }
 
@@ -1323,7 +1247,13 @@ Simulation::checkpoint(std::ostream &out)
             im.events.now());
     }
     im.kernel->requireIoQuiescent();
-    im.writeImage(out);
+    std::string reject;
+    std::vector<ImagedEvent> pending;
+    if (!im.pendingEvents(pending, reject)) {
+        throw InvariantError("checkpoint rejected: " + reject,
+                             im.events.now());
+    }
+    im.writeImage(out, pending);
 }
 
 std::uint64_t
@@ -1335,18 +1265,30 @@ Simulation::configDigest() const
 void
 Simulation::restore(std::istream &in)
 {
-    Impl &im = *impl_;
-    if (im.ran || im.setupDone)
-        PISO_FATAL("Simulation::restore() must precede run()");
-    TraceContextScope traceScope(im.trace);
-    LogContextScope logScope(im.log);
     CkptReader r = CkptReader::fromStream(in);
-    r.requireDigest(im.configDigest());
-    im.setupRun();
+    impl_->restore(r);
+}
+
+void
+Simulation::restore(std::string_view image)
+{
+    CkptReader r(image);
+    impl_->restore(r);
+}
+
+void
+Simulation::Impl::restore(CkptReader &r)
+{
+    if (ran || setupDone)
+        PISO_FATAL("Simulation::restore() must precede run()");
+    TraceContextScope traceScope(trace);
+    LogContextScope logScope(log);
+    r.requireDigest(configDigest());
+    setupRun();
     // piso-lint: allow(determinism-wallclock) -- host-side RunPerf timing; reported out-of-band, never feeds simulated state
     const auto loadStart = std::chrono::steady_clock::now();
-    im.loadImage(r);
-    im.loadSec =
+    loadImage(r);
+    loadSec =
         // piso-lint: allow(determinism-wallclock) -- host-side RunPerf timing; reported out-of-band, never feeds simulated state
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       loadStart)

@@ -184,7 +184,7 @@ struct SystemConfig
      * state at the first quiescent event boundary at or after that
      * time and hands the image to checkpointSink. A boundary is
      * quiescent when no I/O is in flight and every pending event is
-     * one of the serialisable descriptor kinds; the run keeps
+     * of an imageable kind (src/sim/event_queue.hh); the run keeps
      * executing events until it finds one.
      */
     /// @{
@@ -285,6 +285,8 @@ class Simulation
     /// @{
     void checkpoint(std::ostream &out);
     void restore(std::istream &in);
+    /** restore() from an in-memory image, read in place. */
+    void restore(std::string_view image);
 
     /**
      * The digest a checkpoint image of this simulation would carry:

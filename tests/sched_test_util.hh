@@ -14,6 +14,7 @@
 #include "src/os/scheduler.hh"
 #include "src/sim/event_queue.hh"
 #include "src/workload/synthetic.hh"
+#include "tests/fn_sink.hh"
 
 namespace piso::test {
 
@@ -59,15 +60,12 @@ class FakeClient : public SchedClient
     {
         p.segmentStart = events_.now();
         const Time w = work_[&p];
-        pending_[&p] = events_.scheduleAfter(
-            w,
-            [this, &p] {
-                pending_.erase(&p);
-                p.cpuTime += events_.now() - p.segmentStart;
-                work_[&p] = 0;
-                sched_.processExited(&p);
-            },
-            "fakeDone");
+        pending_[&p] = done_.scheduleAfter(w, [this, &p] {
+            pending_.erase(&p);
+            p.cpuTime += events_.now() - p.segmentStart;
+            work_[&p] = 0;
+            sched_.processExited(&p);
+        });
     }
 
     void
@@ -121,6 +119,7 @@ class FakeClient : public SchedClient
   private:
     EventQueue &events_;
     CpuScheduler &sched_;
+    FnSink done_{events_};
     Pid nextPid_ = 1;
     std::vector<std::unique_ptr<Process>> procs_;
     std::map<Process *, Time> work_;

@@ -20,15 +20,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/config/workload_spec.hh"
 #include "src/exp/experiment.hh"
+#include "src/metrics/monitor.hh"
 #include "src/metrics/report.hh"
 #include "src/piso.hh"
 #include "src/sim/checkpoint.hh"
@@ -775,4 +779,244 @@ TEST(Checkpoint, ImageBytesArePinned)
             << pin.shape << "/" << schemeName(pin.scheme)
             << (pin.timeZero ? " t=0" : " early");
     }
+}
+
+// ---------------------------------------------------------------------
+// Event records: the image holds each pending record's kind byte
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** One pending event as the image's event section holds it. */
+struct ImagedRecord
+{
+    std::uint8_t kind;
+    Time when;
+    std::uint64_t seq;
+    std::int64_t arg;
+};
+
+/** Parse the event section at the head of @p image's payload. */
+std::vector<ImagedRecord>
+imagedRecords(const std::string &image)
+{
+    CkptReader r(image);
+    r.time();  // now
+    r.u64();   // next sequence number
+    r.u64();   // executed events
+    std::vector<ImagedRecord> out(r.u64());
+    for (ImagedRecord &e : out) {
+        e.kind = r.u8();
+        e.when = r.time();
+        e.seq = r.u64();
+        e.arg = r.i64();
+    }
+    return out;
+}
+
+bool
+holds(const std::vector<ImagedRecord> &records, EvKind kind)
+{
+    for (const ImagedRecord &e : records) {
+        if (e.kind == static_cast<std::uint8_t>(kind))
+            return true;
+    }
+    return false;
+}
+
+/** Accepts any event kind and does nothing with it. */
+struct NullSink final : EventSink
+{
+    void fire(EvKind, const EventArg &) override {}
+};
+
+/**
+ * A writer that crosses the dirty high-water mark early (a bdflush
+ * kick with no I/O in flight yet), a process that mostly sleeps, and
+ * slow and error windows on the disk nobody uses that outlast the
+ * run's start: at some early boundary every one of sleepWake,
+ * bdflushKick and both fault-window ends is pending.
+ */
+SystemConfig
+kindsConfig()
+{
+    SystemConfig cfg;
+    cfg.cpus = 2;
+    cfg.memoryBytes = 8 * kMiB;
+    cfg.diskCount = 2;
+    cfg.scheme = Scheme::PIso;
+    cfg.seed = 13;
+    cfg.faults.diskSlow(kMs, 1, 10 * kSec, 3.0);
+    cfg.faults.diskError(kMs, 1, 10 * kSec, 0.5);
+    return cfg;
+}
+
+void
+populateKinds(Simulation &sim)
+{
+    const SpuId writer = sim.addSpu({.name = "writer", .homeDisk = 0});
+    const SpuId sleeper = sim.addSpu({.name = "sleeper", .homeDisk = 1});
+
+    JobSpec write;
+    write.name = "write";
+    write.build = [](Kernel &, WorkloadEnv &env) {
+        const FileId f = env.fs.createFile(env.disk, 4 * kMiB);
+        std::vector<Action> script;
+        for (std::uint64_t off = 0; off < 4 * kMiB; off += 64 * 1024) {
+            script.push_back(WriteAction{f, off, 64 * 1024});
+            script.push_back(ComputeAction{2 * kMs});
+        }
+        std::vector<ProcessSpec> procs;
+        procs.push_back(ProcessSpec{
+            "write", std::make_unique<ScriptBehavior>(std::move(script))});
+        return procs;
+    };
+    sim.addJob(writer, std::move(write));
+
+    std::vector<Action> naps;
+    for (int i = 0; i < 100; ++i) {
+        naps.push_back(ComputeAction{kMs});
+        naps.push_back(SleepAction{9 * kMs});
+    }
+    sim.addJob(sleeper, makeScriptJob("nap", std::move(naps)));
+}
+
+SimResults
+runKinds(const std::string *image = nullptr)
+{
+    Simulation sim(kindsConfig());
+    populateKinds(sim);
+    if (image)
+        sim.restore(*image);
+    return sim.run();
+}
+
+} // namespace
+
+TEST(Checkpoint, ImageableKindBytesArePinned)
+{
+    // The image stores each pending event's kind as this byte:
+    // renumbering a kind is a format change.
+    const std::pair<EvKind, const char *> pinned[] = {
+        {EvKind::SchedTick, "schedTick"},
+        {EvKind::MemPolicy, "memPolicy"},
+        {EvKind::Bdflush, "bdflush"},
+        {EvKind::Pageout, "pageout"},
+        {EvKind::BdflushKick, "bdflushKick"},
+        {EvKind::ProcStart, "procStart"},
+        {EvKind::SegEnd, "segEnd"},
+        {EvKind::SleepWake, "sleepWake"},
+        {EvKind::FaultRestoreSlow, "faultRestoreSlow"},
+        {EvKind::FaultRestoreError, "faultRestoreError"},
+    };
+    ASSERT_EQ(std::size(pinned), std::size_t{kImageableKinds});
+    for (std::size_t i = 0; i < std::size(pinned); ++i) {
+        EXPECT_EQ(static_cast<std::uint8_t>(pinned[i].first), i);
+        EXPECT_STREQ(kindName(pinned[i].first), pinned[i].second);
+        EXPECT_TRUE(imageable(pinned[i].first));
+    }
+    for (std::uint8_t k = kImageableKinds; k < kEvKinds; ++k)
+        EXPECT_FALSE(imageable(static_cast<EvKind>(k))) << int{k};
+
+    // A t=0 image holds the daemons' and the scheduler's ticks and one
+    // procStart per process, whose arg is the pid.
+    const WorkloadSpec spec = shapeSpec(kComputeShape, Scheme::PIso);
+    const std::vector<ImagedRecord> records =
+        imagedRecords(timeZeroImage(spec));
+    std::vector<std::uint8_t> kinds;
+    std::vector<std::int64_t> starts;
+    for (const ImagedRecord &e : records) {
+        kinds.push_back(e.kind);
+        if (e.kind == 5)
+            starts.push_back(e.arg);
+        else
+            EXPECT_EQ(e.arg, -1) << int{e.kind};
+    }
+    std::sort(kinds.begin(), kinds.end());
+    kinds.erase(std::unique(kinds.begin(), kinds.end()), kinds.end());
+    EXPECT_EQ(kinds, (std::vector<std::uint8_t>{0, 1, 2, 3, 5}));
+    EXPECT_EQ(starts, (std::vector<std::int64_t>{1, 2, 3, 4}));
+}
+
+TEST(Checkpoint, NonImageableKindsAreRefusedByName)
+{
+    for (std::uint8_t k = kImageableKinds; k < kEvKinds; ++k) {
+        const auto kind = static_cast<EvKind>(k);
+        const WorkloadSpec spec = shapeSpec(kComputeShape, Scheme::PIso);
+        Simulation sim(spec.config);
+        populateWorkloadSpec(sim, spec);
+        NullSink sink;
+        sim.events().schedule(kSec, kind, sink);
+        std::ostringstream out;
+        try {
+            sim.checkpoint(out);
+            ADD_FAILURE() << kindName(kind) << " was imaged";
+        } catch (const InvariantError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          std::string("pending '") + kindName(kind) + "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(Checkpoint, PendingMonitorSampleIsRefusedByName)
+{
+    const WorkloadSpec spec = shapeSpec(kComputeShape, Scheme::PIso);
+    Simulation sim(spec.config);
+    populateWorkloadSpec(sim, spec);
+    SpuMonitor monitor(sim.events(), sim.vm(), sim.scheduler(),
+                       sim.spus().leafSpus());
+    monitor.start();
+    std::ostringstream out;
+    try {
+        sim.checkpoint(out);
+        ADD_FAILURE() << "checkpoint taken with a monitor sample pending";
+    } catch (const InvariantError &e) {
+        EXPECT_NE(std::string(e.what()).find("'spuMonitor'"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Checkpoint, RareKindsRoundTripToTheColdRun)
+{
+    // Walk checkpointAt forward until an image holds every rare kind
+    // at once, then continue from it.
+    std::string image;
+    for (Time at = 20 * kMs; at < 400 * kMs && image.empty();
+         at += kMs / 2) {
+        SystemConfig cfg = kindsConfig();
+        cfg.checkpointAt = at;
+        cfg.checkpointStop = true;
+        std::string taken;
+        cfg.checkpointSink = [&taken](std::string img) {
+            taken = std::move(img);
+        };
+        Simulation sim(cfg);
+        populateKinds(sim);
+        sim.run();
+        if (taken.empty())
+            continue;
+        const std::vector<ImagedRecord> records = imagedRecords(taken);
+        if (holds(records, EvKind::SleepWake) &&
+            holds(records, EvKind::BdflushKick) &&
+            holds(records, EvKind::FaultRestoreSlow) &&
+            holds(records, EvKind::FaultRestoreError))
+            image = taken;
+    }
+    ASSERT_FALSE(image.empty())
+        << "no boundary held sleepWake, bdflushKick and both "
+           "fault-window ends";
+
+    const std::string cold = formatResultsJson(runKinds());
+    EXPECT_EQ(formatResultsJson(runKinds(&image)), cold);
+
+    // And the restored simulation images itself byte for byte.
+    Simulation again(kindsConfig());
+    populateKinds(again);
+    again.restore(image);
+    std::ostringstream out;
+    again.checkpoint(out);
+    EXPECT_EQ(out.str(), image);
 }

@@ -34,6 +34,7 @@
 #include "src/piso.hh"
 #include "src/sim/checkpoint.hh"
 #include "src/sim/event_queue.hh"
+#include "tests/fn_sink.hh"
 #include "src/sim/random.hh"
 
 using namespace piso;
@@ -413,6 +414,7 @@ fuzzRound(std::uint64_t seed)
 {
     Rng rng(seed);
     EventQueue q;
+    test::FnSink s(q);
     std::vector<ModelEvent> model;
     std::vector<int> fired;            // tags, in queue firing order
     std::vector<int> modelFired;       // tags, in model order
@@ -423,8 +425,8 @@ fuzzRound(std::uint64_t seed)
         const Time when = q.now() + rng.uniformInt(50);
         const std::uint64_t seq = q.nextSeq();
         const int tag = nextTag++;
-        EventId id = q.schedule(
-            when, [&fired, tag] { fired.push_back(tag); }, "fuzz");
+        EventId id =
+            s.schedule(when, [&fired, tag] { fired.push_back(tag); });
         model.push_back({when, seq, tag});
         bySeq[seq] = id;
     };
@@ -470,18 +472,16 @@ fuzzRound(std::uint64_t seed)
     }
     EXPECT_EQ(q.pending(), model.size());
 
-    // Snapshot exactly as Simulation::checkpoint does: collect
-    // descriptors, sort by seq for determinism.
+    // Snapshot exactly as Simulation::checkpoint does: collect the
+    // pending records, sort by seq for determinism.
     struct Desc
     {
         Time when;
         std::uint64_t seq;
     };
     std::vector<Desc> descs;
-    q.forEachPending(
-        [&](EventId, Time when, std::uint64_t seq, const char *) {
-            descs.push_back({when, seq});
-        });
+    q.forEachPending([&](EventId, Time when, std::uint64_t seq, EvKind,
+                         const EventArg &) { descs.push_back({when, seq}); });
     std::sort(descs.begin(), descs.end(),
               [](const Desc &a, const Desc &b) { return a.seq < b.seq; });
     ASSERT_EQ(descs.size(), model.size());
@@ -490,18 +490,19 @@ fuzzRound(std::uint64_t seed)
     const std::uint64_t snapExec = q.executedEvents();
 
     // Rebind into a fresh queue, looking each event's tag up by its
-    // sequence number (the simulator uses named descriptors instead).
+    // sequence number (the simulator images each record's kind and arg
+    // instead).
     std::map<std::uint64_t, int> tagBySeq;
     for (const ModelEvent &e : model)
         tagBySeq[e.seq] = e.tag;
 
     EventQueue r;
+    test::FnSink rs(r);
     std::vector<int> rFired;
     for (const Desc &d : descs) {
         const int tag = tagBySeq.at(d.seq);
-        r.scheduleRestored(
-            d.when, d.seq, [&rFired, tag] { rFired.push_back(tag); },
-            "fuzz");
+        rs.scheduleRestored(d.when, d.seq,
+                            [&rFired, tag] { rFired.push_back(tag); });
     }
     r.restoreClock(snapNow, snapSeq, snapExec);
     EXPECT_EQ(r.now(), snapNow);
@@ -542,9 +543,10 @@ TEST(CheckpointFuzz, EventQueueRestorePreservesOrderUnderInterleaving)
 TEST(CheckpointFuzz, ClearPendingDestroysEverything)
 {
     EventQueue q;
+    test::FnSink s(q);
     int firedCount = 0;
     for (int i = 0; i < 100; ++i)
-        q.schedule(i, [&firedCount] { ++firedCount; });
+        s.schedule(i, [&firedCount] { ++firedCount; });
     q.clearPending();
     EXPECT_TRUE(q.empty());
     EXPECT_FALSE(q.runOne());

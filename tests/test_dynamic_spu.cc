@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "src/piso.hh"
+#include "tests/fn_sink.hh"
 
 using namespace piso;
 
@@ -33,8 +34,9 @@ TEST(DynamicSpu, SuspensionReleasesCpusToOthers)
             sim.addJob(b, makeComputeJob("hog" + std::to_string(i),
                                          hog));
         }
+        test::FnSink sink(sim.events());
         if (suspendA) {
-            sim.events().schedule(500 * kMs, [&sim, a] {
+            sink.schedule(500 * kMs, [&sim, a] {
                 sim.spus().suspend(a);
                 sim.rebalanceSpus();
             });
@@ -67,12 +69,13 @@ TEST(DynamicSpu, SuspensionGrowsOthersMemoryEntitlement)
     sim.addJob(b, makeComputeJob("worker", job));
 
     std::uint64_t entitledBefore = 0, entitledAfter = 0;
-    sim.events().schedule(300 * kMs, [&] {
+    test::FnSink sink(sim.events());
+    sink.schedule(300 * kMs, [&] {
         entitledBefore = sim.vm().levels(b).entitled;
         sim.spus().suspend(a);
         sim.rebalanceSpus();
     });
-    sim.events().schedule(800 * kMs, [&] {
+    sink.schedule(800 * kMs, [&] {
         entitledAfter = sim.vm().levels(b).entitled;
     });
     ASSERT_TRUE(sim.run().completed);
@@ -109,11 +112,12 @@ TEST(DynamicSpu, ResumeRestoresProtection)
     lateJob.startAt = kSec;
     sim.addJob(a, std::move(lateJob));
 
-    sim.events().schedule(100 * kMs, [&] {
+    test::FnSink sink(sim.events());
+    sink.schedule(100 * kMs, [&] {
         sim.spus().suspend(a);
         sim.rebalanceSpus();
     });
-    sim.events().schedule(900 * kMs, [&] {
+    sink.schedule(900 * kMs, [&] {
         sim.spus().resume(a);
         sim.rebalanceSpus();
     });
@@ -146,7 +150,8 @@ TEST(DynamicSpu, RepartitionKeepsCpuStateConsistent)
                    makeComputeJob("j" + std::to_string(i), hog));
     }
     bool checked = false;
-    sim.events().schedule(200 * kMs, [&] {
+    test::FnSink sink(sim.events());
+    sink.schedule(200 * kMs, [&] {
         sim.spus().suspend(a);
         sim.rebalanceSpus();
         for (int c = 0; c < 4; ++c) {

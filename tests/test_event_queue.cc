@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/sim/event_queue.hh"
+#include "tests/fn_sink.hh"
 
 using namespace piso;
 
@@ -24,10 +25,11 @@ TEST(EventQueue, StartsEmptyAtTimeZero)
 TEST(EventQueue, RunsEventsInTimeOrder)
 {
     EventQueue q;
+    test::FnSink s(q);
     std::vector<int> order;
-    q.schedule(30, [&] { order.push_back(3); });
-    q.schedule(10, [&] { order.push_back(1); });
-    q.schedule(20, [&] { order.push_back(2); });
+    s.schedule(30, [&] { order.push_back(3); });
+    s.schedule(10, [&] { order.push_back(1); });
+    s.schedule(20, [&] { order.push_back(2); });
     q.runAll();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(q.now(), 30u);
@@ -36,9 +38,10 @@ TEST(EventQueue, RunsEventsInTimeOrder)
 TEST(EventQueue, SameTimeEventsFireInScheduleOrder)
 {
     EventQueue q;
+    test::FnSink s(q);
     std::vector<int> order;
     for (int i = 0; i < 10; ++i)
-        q.schedule(5, [&order, i] { order.push_back(i); });
+        s.schedule(5, [&order, i] { order.push_back(i); });
     q.runAll();
     for (int i = 0; i < 10; ++i)
         EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
@@ -47,8 +50,9 @@ TEST(EventQueue, SameTimeEventsFireInScheduleOrder)
 TEST(EventQueue, NowAdvancesToFiringTime)
 {
     EventQueue q;
+    test::FnSink s(q);
     Time seen = 0;
-    q.schedule(123, [&] { seen = q.now(); });
+    s.schedule(123, [&] { seen = q.now(); });
     q.runAll();
     EXPECT_EQ(seen, 123u);
 }
@@ -56,9 +60,10 @@ TEST(EventQueue, NowAdvancesToFiringTime)
 TEST(EventQueue, ScheduleAfterUsesCurrentTime)
 {
     EventQueue q;
+    test::FnSink s(q);
     Time seen = 0;
-    q.schedule(100, [&] {
-        q.scheduleAfter(50, [&] { seen = q.now(); });
+    s.schedule(100, [&] {
+        s.scheduleAfter(50, [&] { seen = q.now(); });
     });
     q.runAll();
     EXPECT_EQ(seen, 150u);
@@ -67,8 +72,9 @@ TEST(EventQueue, ScheduleAfterUsesCurrentTime)
 TEST(EventQueue, CancelPreventsExecution)
 {
     EventQueue q;
+    test::FnSink s(q);
     bool ran = false;
-    EventId id = q.schedule(10, [&] { ran = true; });
+    EventId id = s.schedule(10, [&] { ran = true; });
     EXPECT_TRUE(q.cancel(id));
     q.runAll();
     EXPECT_FALSE(ran);
@@ -78,7 +84,8 @@ TEST(EventQueue, CancelPreventsExecution)
 TEST(EventQueue, CancelIsIdempotent)
 {
     EventQueue q;
-    EventId id = q.schedule(10, [] {});
+    test::FnSink s(q);
+    EventId id = s.schedule(10, [] {});
     EXPECT_TRUE(q.cancel(id));
     EXPECT_FALSE(q.cancel(id));
     EXPECT_FALSE(q.cancel(kNoEvent));
@@ -87,7 +94,8 @@ TEST(EventQueue, CancelIsIdempotent)
 TEST(EventQueue, CancelAfterFiringReturnsFalse)
 {
     EventQueue q;
-    EventId id = q.schedule(10, [] {});
+    test::FnSink s(q);
+    EventId id = s.schedule(10, [] {});
     q.runAll();
     EXPECT_FALSE(q.cancel(id));
 }
@@ -95,8 +103,9 @@ TEST(EventQueue, CancelAfterFiringReturnsFalse)
 TEST(EventQueue, PendingTracksLiveEvents)
 {
     EventQueue q;
-    EventId a = q.schedule(10, [] {});
-    q.schedule(20, [] {});
+    test::FnSink s(q);
+    EventId a = s.schedule(10, [] {});
+    s.schedule(20, [] {});
     EXPECT_EQ(q.pending(), 2u);
     q.cancel(a);
     EXPECT_EQ(q.pending(), 1u);
@@ -107,7 +116,8 @@ TEST(EventQueue, PendingTracksLiveEvents)
 TEST(EventQueue, PendingEventQuery)
 {
     EventQueue q;
-    EventId id = q.schedule(10, [] {});
+    test::FnSink s(q);
+    EventId id = s.schedule(10, [] {});
     EXPECT_TRUE(q.pendingEvent(id));
     q.runAll();
     EXPECT_FALSE(q.pendingEvent(id));
@@ -117,13 +127,14 @@ TEST(EventQueue, PendingEventQuery)
 TEST(EventQueue, CallbackMaySchedule)
 {
     EventQueue q;
+    test::FnSink s(q);
     int fired = 0;
     std::function<void()> chain = [&] {
         ++fired;
         if (fired < 5)
-            q.scheduleAfter(10, chain);
+            s.scheduleAfter(10, chain);
     };
-    q.schedule(0, chain);
+    s.schedule(0, chain);
     q.runAll();
     EXPECT_EQ(fired, 5);
     EXPECT_EQ(q.now(), 40u);
@@ -132,10 +143,11 @@ TEST(EventQueue, CallbackMaySchedule)
 TEST(EventQueue, CallbackMayCancelSiblingAtSameTime)
 {
     EventQueue q;
+    test::FnSink s(q);
     bool second = false;
     EventId sibling = kNoEvent;
-    q.schedule(10, [&] { q.cancel(sibling); });
-    sibling = q.schedule(10, [&] { second = true; });
+    s.schedule(10, [&] { q.cancel(sibling); });
+    sibling = s.schedule(10, [&] { second = true; });
     q.runAll();
     EXPECT_FALSE(second);
 }
@@ -143,10 +155,11 @@ TEST(EventQueue, CallbackMayCancelSiblingAtSameTime)
 TEST(EventQueue, RunAllHonoursLimit)
 {
     EventQueue q;
+    test::FnSink s(q);
     int fired = 0;
-    q.schedule(10, [&] { ++fired; });
-    q.schedule(20, [&] { ++fired; });
-    q.schedule(30, [&] { ++fired; });
+    s.schedule(10, [&] { ++fired; });
+    s.schedule(20, [&] { ++fired; });
+    s.schedule(30, [&] { ++fired; });
     EXPECT_EQ(q.runAll(20), 2u);
     EXPECT_EQ(fired, 2);
     EXPECT_EQ(q.now(), 20u);
@@ -156,8 +169,9 @@ TEST(EventQueue, RunAllHonoursLimit)
 TEST(EventQueue, NextEventTimeSkipsCancelled)
 {
     EventQueue q;
-    EventId a = q.schedule(10, [] {});
-    q.schedule(20, [] {});
+    test::FnSink s(q);
+    EventId a = s.schedule(10, [] {});
+    s.schedule(20, [] {});
     q.cancel(a);
     EXPECT_EQ(q.nextEventTime(), 20u);
 }
@@ -165,8 +179,9 @@ TEST(EventQueue, NextEventTimeSkipsCancelled)
 TEST(EventQueue, SchedulingAtNowIsAllowed)
 {
     EventQueue q;
+    test::FnSink s(q);
     bool ran = false;
-    q.schedule(10, [&] { q.schedule(q.now(), [&] { ran = true; }); });
+    s.schedule(10, [&] { s.schedule(q.now(), [&] { ran = true; }); });
     q.runAll();
     EXPECT_TRUE(ran);
 }
@@ -174,11 +189,12 @@ TEST(EventQueue, SchedulingAtNowIsAllowed)
 TEST(EventQueue, ManyEventsStressOrdering)
 {
     EventQueue q;
+    test::FnSink s(q);
     Time last = 0;
     bool monotonic = true;
     for (int i = 0; i < 5000; ++i) {
         const Time when = static_cast<Time>((i * 7919) % 1000);
-        q.schedule(when, [&, when] {
+        s.schedule(when, [&, when] {
             monotonic = monotonic && when >= last;
             last = when;
         });

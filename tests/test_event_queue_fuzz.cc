@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/sim/event_queue.hh"
+#include "tests/fn_sink.hh"
 #include "src/sim/random.hh"
 
 using namespace piso;
@@ -49,8 +50,10 @@ expectPendingMatchesModel(const EventQueue &q,
 {
     using Key = std::tuple<EventId, Time, std::uint64_t>;
     std::vector<Key> seen;
-    q.forEachPending([&](EventId id, Time when, std::uint64_t seq,
-                         const char *) { seen.emplace_back(id, when, seq); });
+    q.forEachPending([&](EventId id, Time when, std::uint64_t seq, EvKind,
+                         const EventArg &) {
+        seen.emplace_back(id, when, seq);
+    });
     std::vector<Key> want;
     for (const ModelEvent &e : model)
         want.emplace_back(e.id, e.when, e.order);
@@ -71,6 +74,7 @@ TEST(EventQueueFuzz, InterleavedOpsPreserveFifoOrder)
     Rng rng(101);
     for (int trial = 0; trial < 40; ++trial) {
         EventQueue q;
+        test::FnSink s(q);
         std::vector<ModelEvent> model;  // still-pending events
         std::vector<int> fired;         // payloads in firing order
         std::vector<EventId> firedIds;
@@ -85,9 +89,8 @@ TEST(EventQueueFuzz, InterleavedOpsPreserveFifoOrder)
                 const Time when =
                     q.now() + static_cast<Time>(rng.uniformInt(3));
                 const int payload = nextPayload++;
-                const EventId id = q.schedule(
-                    when, [payload, &fired] { fired.push_back(payload); },
-                    "fuzz");
+                const EventId id = s.schedule(
+                    when, [payload, &fired] { fired.push_back(payload); });
                 EXPECT_NE(id, kNoEvent);
                 EXPECT_TRUE(q.pendingEvent(id));
                 model.push_back({when, order++, id, payload});
@@ -166,9 +169,10 @@ TEST(EventQueueFuzz, InterleavedOpsPreserveFifoOrder)
 TEST(EventQueueFuzz, AllEventsAtOneInstantFireInScheduleOrder)
 {
     EventQueue q;
+    test::FnSink s(q);
     std::vector<int> fired;
     for (int i = 0; i < 100; ++i)
-        q.schedule(5, [i, &fired] { fired.push_back(i); });
+        s.schedule(5, [i, &fired] { fired.push_back(i); });
     q.runAll();
     ASSERT_EQ(fired.size(), 100u);
     for (int i = 0; i < 100; ++i)
@@ -179,9 +183,10 @@ TEST(EventQueueFuzz, AllEventsAtOneInstantFireInScheduleOrder)
 TEST(EventQueueFuzz, CancelledHeadRunIsSkippedNotExecuted)
 {
     EventQueue q;
+    test::FnSink s(q);
     std::vector<int> fired;
-    const EventId a = q.schedule(1, [&] { fired.push_back(1); });
-    q.schedule(1, [&] { fired.push_back(2); });
+    const EventId a = s.schedule(1, [&] { fired.push_back(1); });
+    s.schedule(1, [&] { fired.push_back(2); });
     EXPECT_TRUE(q.cancel(a));
     EXPECT_EQ(q.pending(), 1u);
     EXPECT_TRUE(q.runOne());
@@ -197,12 +202,13 @@ TEST(EventQueueFuzz, ScheduleFromCallbackAtSameInstant)
     // An event scheduling another event at now() must run it after
     // every already-queued event at that instant (sequence order).
     EventQueue q;
+    test::FnSink s(q);
     std::vector<int> fired;
-    q.schedule(3, [&] {
+    s.schedule(3, [&] {
         fired.push_back(1);
-        q.schedule(3, [&] { fired.push_back(3); });
+        s.schedule(3, [&] { fired.push_back(3); });
     });
-    q.schedule(3, [&] { fired.push_back(2); });
+    s.schedule(3, [&] { fired.push_back(2); });
     q.runAll();
     EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
@@ -213,10 +219,11 @@ TEST(EventQueueFuzz, CancelStormThenDrain)
     // events neither fire nor linger in the counts.
     Rng rng(13);
     EventQueue q;
+    test::FnSink s(q);
     std::vector<EventId> ids;
     std::vector<int> fired;
     for (int i = 0; i < 500; ++i)
-        ids.push_back(q.schedule(
+        ids.push_back(s.schedule(
             static_cast<Time>(i % 7), [i, &fired] { fired.push_back(i); }));
     std::size_t live = ids.size();
     for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -239,12 +246,13 @@ TEST(EventQueueFuzz, ForEachPendingAfterCancelStormMatchesModel)
     // exactly the pending events, with their ids and heap keys intact.
     Rng rng(29);
     EventQueue q;
+    test::FnSink s(q);
     std::vector<ModelEvent> model;
     std::vector<int> fired;
     for (int i = 0; i < 600; ++i) {
         const Time when = static_cast<Time>(rng.uniformInt(40));
         const EventId id =
-            q.schedule(when, [i, &fired] { fired.push_back(i); });
+            s.schedule(when, [i, &fired] { fired.push_back(i); });
         model.push_back({when, static_cast<std::uint64_t>(i), id, i});
     }
     for (int round = 0; round < 4; ++round) {
@@ -307,9 +315,8 @@ class WatchdogTrial
     add(Time when, bool watchdog)
     {
         const int payload = nextPayload_++;
-        const EventId id = q_.schedule(
-            when, [this, payload, watchdog] { fire(payload, watchdog); },
-            watchdog ? "watchdog" : "work");
+        const EventId id = s_.schedule(
+            when, [this, payload, watchdog] { fire(payload, watchdog); });
         model_.push_back({when, order_++, id, payload});
         (watchdog ? watchdogs_ : work_).push_back(payload);
     }
@@ -396,6 +403,7 @@ class WatchdogTrial
     }
 
     EventQueue q_;
+    test::FnSink s_{q_};
     Rng rng_;
     std::vector<ModelEvent> model_; // pending per the model
     std::vector<int> work_;         // payloads of pending work events

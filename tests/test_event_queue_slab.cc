@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/sim/event_queue.hh"
+#include "tests/fn_sink.hh"
 #include "src/sim/random.hh"
 
 using namespace piso;
@@ -48,13 +49,14 @@ genOf(EventId id)
 TEST(EventQueueSlab, CancelRecyclesTheSlotWithANewGeneration)
 {
     EventQueue q;
-    const EventId a = q.schedule(1, [] {});
+    test::FnSink s(q);
+    const EventId a = s.schedule(1, [] {});
     ASSERT_NE(a, kNoEvent);
     EXPECT_TRUE(q.cancel(a));
 
     // A single-slot queue must hand the same slot back, under a newer
     // generation, so the stale id can never alias the new event.
-    const EventId b = q.schedule(2, [] {});
+    const EventId b = s.schedule(2, [] {});
     EXPECT_NE(b, a);
     EXPECT_EQ(slotOf(b), slotOf(a));
     EXPECT_GT(genOf(b), genOf(a));
@@ -66,12 +68,13 @@ TEST(EventQueueSlab, CancelRecyclesTheSlotWithANewGeneration)
 TEST(EventQueueSlab, ExecutionRecyclesTheSlotWithANewGeneration)
 {
     EventQueue q;
+    test::FnSink s(q);
     int fired = 0;
-    const EventId a = q.schedule(1, [&] { ++fired; });
+    const EventId a = s.schedule(1, [&] { ++fired; });
     EXPECT_TRUE(q.runOne());
     EXPECT_EQ(fired, 1);
 
-    const EventId b = q.schedule(2, [&] { ++fired; });
+    const EventId b = s.schedule(2, [&] { ++fired; });
     EXPECT_EQ(slotOf(b), slotOf(a));
     EXPECT_GT(genOf(b), genOf(a));
 
@@ -91,12 +94,13 @@ TEST(EventQueueSlab, StaleIdSurvivesManyReuses)
     // Recycle one slot through many generations; every retired id must
     // stay rejected even as the generation counter climbs.
     EventQueue q;
+    test::FnSink s(q);
     std::vector<EventId> retired;
-    EventId live = q.schedule(1, [] {});
+    EventId live = s.schedule(1, [] {});
     for (int i = 0; i < 100; ++i) {
         EXPECT_TRUE(q.cancel(live));
         retired.push_back(live);
-        live = q.schedule(static_cast<Time>(i + 2), [] {});
+        live = s.schedule(static_cast<Time>(i + 2), [] {});
         EXPECT_EQ(slotOf(live), slotOf(retired.front()));
         for (const EventId id : retired) {
             EXPECT_FALSE(q.pendingEvent(id));
@@ -112,8 +116,9 @@ TEST(EventQueueSlab, IdsAreNeverNoEvent)
     // half) must keep every real id distinct from it, including the
     // very first slot.
     EventQueue q;
+    test::FnSink s(q);
     for (int i = 0; i < 64; ++i)
-        EXPECT_NE(q.schedule(1, [] {}), kNoEvent);
+        EXPECT_NE(s.schedule(1, [] {}), kNoEvent);
     EXPECT_FALSE(q.pendingEvent(kNoEvent));
     EXPECT_FALSE(q.cancel(kNoEvent));
 }
@@ -125,11 +130,12 @@ TEST(EventQueueSlab, IdsAreNeverNoEvent)
 TEST(EventQueueSlab, ExecutedEventsCountsOnlyRunCallbacks)
 {
     EventQueue q;
+    test::FnSink s(q);
     EXPECT_EQ(q.executedEvents(), 0u);
 
     std::vector<EventId> ids;
     for (int i = 0; i < 10; ++i)
-        ids.push_back(q.schedule(static_cast<Time>(i + 1), [] {}));
+        ids.push_back(s.schedule(static_cast<Time>(i + 1), [] {}));
     EXPECT_EQ(q.executedEvents(), 0u);  // scheduling doesn't count
 
     for (int i = 0; i < 4; ++i)
@@ -143,7 +149,7 @@ TEST(EventQueueSlab, ExecutedEventsCountsOnlyRunCallbacks)
     EXPECT_EQ(q.executedEvents(), 6u);  // 10 scheduled - 4 cancelled
 
     // The counter is cumulative across the queue's life.
-    q.schedule(q.now() + 1, [] {});
+    s.schedule(q.now() + 1, [] {});
     q.runAll();
     EXPECT_EQ(q.executedEvents(), 7u);
 }
@@ -169,6 +175,7 @@ TEST(EventQueueSlab, FuzzReuseParityWithModel)
     Rng rng(77);
     for (int trial = 0; trial < 20; ++trial) {
         EventQueue q;
+        test::FnSink s(q);
         std::vector<ModelEvent> model;    // pending per the model
         std::vector<EventId> retired;     // cancelled or fired ids
         std::vector<int> fired;
@@ -183,10 +190,8 @@ TEST(EventQueueSlab, FuzzReuseParityWithModel)
                 const Time when =
                     q.now() + static_cast<Time>(rng.uniformInt(3));
                 const int payload = nextPayload++;
-                const EventId id = q.schedule(
-                    when,
-                    [payload, &fired] { fired.push_back(payload); },
-                    "slab-fuzz");
+                const EventId id = s.schedule(
+                    when, [payload, &fired] { fired.push_back(payload); });
                 EXPECT_NE(id, kNoEvent);
                 model.push_back({when, order++, id, payload});
                 break;
@@ -269,10 +274,11 @@ TEST(EventQueueSlab, CancelInPlaceAtRootLastAndMiddle)
                                      14, 51, 52, 53, 54, 61, 62, 63,
                                      64, 71, 72, 73, 74, 15, 75};
     EventQueue q;
+    test::FnSink s(q);
     std::vector<Time> fired;
     std::map<Time, EventId> ids;
     for (const Time t : times)
-        ids[t] = q.schedule(t, [t, &fired] { fired.push_back(t); });
+        ids[t] = s.schedule(t, [t, &fired] { fired.push_back(t); });
 
     std::vector<Time> expect(times);
     const auto cancelTime = [&](Time t) {
@@ -287,7 +293,7 @@ TEST(EventQueueSlab, CancelInPlaceAtRootLastAndMiddle)
     // Grow the array past index 16 so later removals refill holes from
     // these, not from wherever 15 ended up.
     for (Time t = 80; t < 90; ++t) {
-        ids[t] = q.schedule(t, [t, &fired] { fired.push_back(t); });
+        ids[t] = s.schedule(t, [t, &fired] { fired.push_back(t); });
         expect.push_back(t);
     }
     EXPECT_EQ(q.nextEventTime(), 0u);
@@ -300,7 +306,7 @@ TEST(EventQueueSlab, CancelInPlaceAtRootLastAndMiddle)
 
     std::size_t visited = 0;
     q.forEachPending([&](EventId id, Time when, std::uint64_t,
-                         const char *) {
+                         EvKind, const EventArg &) {
         ++visited;
         EXPECT_EQ(ids.at(when), id);
     });
@@ -317,21 +323,22 @@ TEST(EventQueueSlab, CancelFromCallbackAtSameInstant)
     // a fires first at t=5 and cancels b, now the heap root, and d,
     // also due at t=5, then schedules e at t=5 behind everything queued.
     EventQueue q;
+    test::FnSink s(q);
     std::vector<char> fired;
     EventId b = kNoEvent;
     EventId d = kNoEvent;
-    q.schedule(5, [&] {
+    s.schedule(5, [&] {
         fired.push_back('a');
         EXPECT_EQ(q.nextEventTime(), 5u);
         EXPECT_TRUE(q.cancel(b));
         EXPECT_TRUE(q.cancel(d));
-        q.schedule(5, [&] { fired.push_back('e'); });
+        s.schedule(5, [&] { fired.push_back('e'); });
         EXPECT_EQ(q.pending(), 3u); // c, e and f
     });
-    b = q.schedule(5, [&] { fired.push_back('b'); });
-    q.schedule(5, [&] { fired.push_back('c'); });
-    d = q.schedule(5, [&] { fired.push_back('d'); });
-    q.schedule(6, [&] { fired.push_back('f'); });
+    b = s.schedule(5, [&] { fired.push_back('b'); });
+    s.schedule(5, [&] { fired.push_back('c'); });
+    d = s.schedule(5, [&] { fired.push_back('d'); });
+    s.schedule(6, [&] { fired.push_back('f'); });
     q.runAll();
     EXPECT_EQ(fired, (std::vector<char>{'a', 'c', 'e', 'f'}));
     EXPECT_TRUE(q.empty());
@@ -345,12 +352,13 @@ TEST(EventQueueSlab, ClearPendingThenRestoreFiresInOriginalOrder)
     // original would have.
     Rng rng(5);
     EventQueue q;
+    test::FnSink s(q);
     std::vector<int> fired;
     std::vector<EventId> ids;
     std::map<EventId, int> payloadOf;
     for (int i = 0; i < 300; ++i) {
         const EventId id =
-            q.schedule(static_cast<Time>(rng.uniformInt(8)),
+            s.schedule(static_cast<Time>(rng.uniformInt(8)),
                        [i, &fired] { fired.push_back(i); });
         ids.push_back(id);
         payloadOf[id] = i;
@@ -371,7 +379,7 @@ TEST(EventQueueSlab, ClearPendingThenRestoreFiresInOriginalOrder)
     };
     std::vector<Rec> recs;
     q.forEachPending([&](EventId id, Time when, std::uint64_t seq,
-                         const char *) {
+                         EvKind, const EventArg &) {
         recs.push_back({when, seq, payloadOf.at(id)});
     });
     ASSERT_EQ(recs.size(), q.pending());
@@ -396,7 +404,7 @@ TEST(EventQueueSlab, ClearPendingThenRestoreFiresInOriginalOrder)
         std::swap(recs[i - 1], recs[rng.uniformInt(i)]);
     for (const Rec &r : recs) {
         const int payload = r.payload;
-        q.scheduleRestored(r.when, r.seq,
+        s.scheduleRestored(r.when, r.seq,
                            [payload, &fired] { fired.push_back(payload); });
     }
     q.restoreClock(now, nextSeq, executed);

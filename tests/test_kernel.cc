@@ -14,6 +14,7 @@
 #include "src/os/kernel.hh"
 #include "src/os/sched_smp.hh"
 #include "src/os/vm.hh"
+#include "src/util/error.hh"
 #include "src/workload/synthetic.hh"
 
 using namespace piso;
@@ -83,6 +84,30 @@ TEST_F(KernelFixture, ComputeRunsToCompletion)
     EXPECT_EQ(p->state(), ProcState::Exited);
     EXPECT_NEAR(toMillis(p->cpuTime), 200.0, 1.0);
     EXPECT_NEAR(toMillis(p->endTime), 200.0, 5.0);
+}
+
+TEST_F(KernelFixture, ProcessLookupByPid)
+{
+    // Pids are dense from 1; anything outside [1, last created] is
+    // unknown, including the next pid to be handed out.
+    EXPECT_EQ(kernel->process(1), nullptr);
+    std::vector<Process *> made;
+    for (int i = 0; i < 3; ++i)
+        made.push_back(spawn(2, {ComputeAction{kMs}}));
+    for (Process *p : made)
+        EXPECT_EQ(kernel->process(p->pid()), p);
+    EXPECT_EQ(made.front()->pid(), 1);
+    const Pid next = made.back()->pid() + 1;
+    EXPECT_EQ(kernel->process(next), nullptr);
+    EXPECT_EQ(kernel->process(0), nullptr);
+    EXPECT_EQ(kernel->process(-1), nullptr);
+    EXPECT_EQ(kernel->process(kNoPid), nullptr);
+
+    // Exited processes stay addressable.
+    run();
+    EXPECT_EQ(kernel->process(made[1]->pid()), made[1]);
+    EXPECT_EQ(made[1]->state(), ProcState::Exited);
+    EXPECT_THROW(kernel->imagedProcess(next), ConfigError);
 }
 
 TEST_F(KernelFixture, TwoComputeProcessesInParallel)

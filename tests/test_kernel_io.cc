@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/piso.hh"
+#include "tests/fn_sink.hh"
 
 using namespace piso;
 
@@ -560,6 +561,7 @@ TEST(KernelIoWatchdog, EveryIoSettlesOnceUnderRandomFaultPlans)
 
         // The plan: a few windows of errors or slowdowns, and sometimes
         // a death, on random disks within the first two seconds.
+        test::FnSink plan(rig.events);
         const int windows = 1 + static_cast<int>(rng.uniformInt(4));
         for (int w = 0; w < windows; ++w) {
             DiskDevice *d = rig.disks[rng.uniformInt(2)].get();
@@ -567,19 +569,17 @@ TEST(KernelIoWatchdog, EveryIoSettlesOnceUnderRandomFaultPlans)
             const Time len = (50 + rng.uniformInt(600)) * kMs;
             if (rng.chance(0.5)) {
                 const double rate = 0.2 + 0.8 * rng.uniform();
-                rig.events.schedule(at, [d, rate] { d->setErrorRate(rate); });
-                rig.events.schedule(at + len, [d] { d->setErrorRate(0.0); });
+                plan.schedule(at, [d, rate] { d->setErrorRate(rate); });
+                plan.schedule(at + len, [d] { d->setErrorRate(0.0); });
             } else {
                 const double factor = 2.0 + 30.0 * rng.uniform();
-                rig.events.schedule(at,
-                                    [d, factor] { d->setSlowFactor(factor); });
-                rig.events.schedule(at + len, [d] { d->setSlowFactor(1.0); });
+                plan.schedule(at, [d, factor] { d->setSlowFactor(factor); });
+                plan.schedule(at + len, [d] { d->setSlowFactor(1.0); });
             }
         }
         if (rng.chance(0.3)) {
             DiskDevice *d = rig.disks[rng.uniformInt(2)].get();
-            rig.events.schedule(rng.uniformInt(3000) * kMs,
-                                [d] { d->kill(); });
+            plan.schedule(rng.uniformInt(3000) * kMs, [d] { d->kill(); });
             ++deaths;
         }
 

@@ -9,6 +9,7 @@
 #include <tuple>
 
 #include "src/piso.hh"
+#include "tests/fn_sink.hh"
 
 using namespace piso;
 
@@ -70,15 +71,16 @@ TEST_P(ConservationProp, MemoryNeverOverCommitted)
 
     // Sample the invariant as the run progresses.
     bool violated = false;
+    test::FnSink sink(sim.events());
     std::function<void()> probe = [&] {
         std::uint64_t total = 0;
         for (SpuId spu : sim.vm().spus())
             total += sim.vm().levels(spu).used;
         if (total > sim.vm().totalPages())
             violated = true;
-        sim.events().scheduleAfter(50 * kMs, probe);
+        sink.scheduleAfter(50 * kMs, probe);
     };
-    sim.events().schedule(0, probe);
+    sink.schedule(0, probe);
 
     sim.run();
     EXPECT_FALSE(violated);
@@ -119,12 +121,13 @@ TEST_P(QuotaLimitProp, UsageNeverExceedsQuota)
     sim.addJob(a, makeComputeJob("big", big));
 
     bool violated = false;
+    test::FnSink sink(sim.events());
     std::function<void()> probe = [&] {
         if (sim.vm().levels(a).used > sim.vm().levels(a).allowed)
             violated = true;
-        sim.events().scheduleAfter(20 * kMs, probe);
+        sink.scheduleAfter(20 * kMs, probe);
     };
-    sim.events().schedule(0, probe);
+    sink.schedule(0, probe);
     const SimResults r = sim.run();
     EXPECT_TRUE(r.completed);
     EXPECT_FALSE(violated);

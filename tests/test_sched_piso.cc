@@ -8,6 +8,7 @@
 
 #include "src/core/sched_piso.hh"
 #include "tests/sched_test_util.hh"
+#include "tests/fn_sink.hh"
 
 using namespace piso;
 using piso::test::FakeClient;
@@ -19,6 +20,7 @@ struct PisoFixture : public ::testing::Test
     EventQueue events;
     PisoScheduler sched{events, 4};
     FakeClient client{events, sched};
+    test::FnSink sink{events};
 
     void
     partitionHalf()
@@ -77,7 +79,7 @@ TEST_F(PisoFixture, RevocationWithinTenMs)
     // within one clock tick (10 ms).
     Process *owner = client.createProcess(3, 50 * kMs);
     Time dispatched = 0;
-    events.schedule(100 * kMs, [&] { client.startProcess(owner); });
+    sink.schedule(100 * kMs, [&] { client.startProcess(owner); });
     while (events.runOne()) {
         if (owner->state() == ProcState::Running && dispatched == 0)
             dispatched = events.now();
@@ -97,7 +99,7 @@ TEST_F(PisoFixture, IpiRevocationIsImmediate)
     for (int i = 0; i < 6; ++i)
         client.startProcess(client.createProcess(2, 2 * kSec));
     Process *owner = client.createProcess(3, 50 * kMs);
-    events.schedule(105 * kMs, [&] { client.startProcess(owner); });
+    sink.schedule(105 * kMs, [&] { client.startProcess(owner); });
     events.runAll(105 * kMs);
     EXPECT_EQ(owner->state(), ProcState::Running);
     EXPECT_GE(sched.revocations(), 1u);
@@ -112,7 +114,7 @@ TEST_F(PisoFixture, IsolationUnderForeignFlood)
     for (int i = 0; i < 10; ++i)
         client.startProcess(client.createProcess(3, 3 * kSec));
     Process *light = client.createProcess(2, 300 * kMs);
-    events.schedule(50 * kMs, [&] { client.startProcess(light); });
+    sink.schedule(50 * kMs, [&] { client.startProcess(light); });
     client.runToCompletion();
     const double resp = toMillis(light->endTime - 50 * kMs);
     EXPECT_NEAR(resp, 300.0, 25.0);
@@ -173,7 +175,7 @@ TEST_F(PisoFixture, LoanHoldoffBlocksImmediateRelending)
     // An SPU-3 process arrives and leaves quickly: the revoked CPU
     // must stay home-only for the hold-off window.
     Process *owner = client.createProcess(3, 20 * kMs);
-    events.schedule(100 * kMs, [&] { client.startProcess(owner); });
+    sink.schedule(100 * kMs, [&] { client.startProcess(owner); });
     events.runAll(200 * kMs);
     EXPECT_EQ(owner->state(), ProcState::Exited);
     // Inside the hold-off: at most one CPU still loaned (the one that
@@ -192,7 +194,7 @@ TEST_F(PisoFixture, ZeroHoldoffRelendsImmediately)
     for (int i = 0; i < 6; ++i)
         client.startProcess(client.createProcess(2, 2 * kSec));
     Process *owner = client.createProcess(3, 20 * kMs);
-    events.schedule(100 * kMs, [&] { client.startProcess(owner); });
+    sink.schedule(100 * kMs, [&] { client.startProcess(owner); });
     events.runAll(200 * kMs);
     EXPECT_EQ(owner->state(), ProcState::Exited);
     EXPECT_EQ(sched.loanedCount(), 2); // re-lent right away
@@ -205,7 +207,7 @@ TEST_F(PisoFixture, RevocationsCountedOnce)
     for (int i = 0; i < 4; ++i)
         client.startProcess(client.createProcess(2, 500 * kMs));
     Process *owner = client.createProcess(3, 100 * kMs);
-    events.schedule(50 * kMs, [&] { client.startProcess(owner); });
+    sink.schedule(50 * kMs, [&] { client.startProcess(owner); });
     client.runToCompletion();
     EXPECT_LE(sched.revocations(), 2u);
 }

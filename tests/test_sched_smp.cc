@@ -7,6 +7,7 @@
 
 #include "src/os/sched_smp.hh"
 #include "tests/sched_test_util.hh"
+#include "tests/fn_sink.hh"
 
 using namespace piso;
 using piso::test::FakeClient;
@@ -18,6 +19,7 @@ struct SmpFixture : public ::testing::Test
     EventQueue events;
     SmpScheduler sched{events, 2};
     FakeClient client{events, sched};
+    test::FnSink sink{events};
 };
 
 } // namespace
@@ -140,7 +142,7 @@ TEST_F(SmpFixture, DelayedStartDispatches)
 {
     sched.start();
     Process *p = client.createProcess(2, 100 * kMs);
-    events.schedule(250 * kMs, [&] { client.startProcess(p); });
+    sink.schedule(250 * kMs, [&] { client.startProcess(p); });
     client.runToCompletion();
     EXPECT_EQ(p->state(), ProcState::Exited);
     EXPECT_NEAR(toMillis(p->endTime), 350.0, 1.0);

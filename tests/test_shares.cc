@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "src/piso.hh"
+#include "tests/fn_sink.hh"
 
 using namespace piso;
 
@@ -87,7 +88,8 @@ TEST(WeightedShares, DiskBandwidthFollowsContract)
 
     // Sample mid-run, while both streams still contend.
     std::uint64_t sectorsA = 0, sectorsB = 0;
-    sim.events().schedule(4 * kSec, [&] {
+    test::FnSink sink(sim.events());
+    sink.schedule(4 * kSec, [&] {
         sectorsA = sim.kernel().disk(0).spuStats(a).sectors.value();
         sectorsB = sim.kernel().disk(0).spuStats(b).sectors.value();
     });
@@ -121,7 +123,8 @@ TEST(WeightedShares, NetworkBandwidthFollowsContract)
                                     std::move(sendsB)));
     }
     std::uint64_t bytesA = 0, bytesB = 0;
-    sim.events().schedule(3 * kSec, [&] {
+    test::FnSink sink(sim.events());
+    sink.schedule(3 * kSec, [&] {
         bytesA = sim.network()->spuStats(a).bytes.value();
         bytesB = sim.network()->spuStats(b).bytes.value();
     });

@@ -75,12 +75,20 @@ median(std::vector<double> v)
 double
 benchEventQueue(std::uint64_t totalEvents)
 {
-    struct Traffic
+    // Work events carry arg 0, watchdogs arg 1.
+    struct Traffic final : EventSink
     {
         EventQueue q;
         EventId watchdog = kNoEvent;
         std::uint64_t x = 12345;
         std::uint64_t scheduled = 0;
+
+        void
+        fire(EvKind, const EventArg &arg) override
+        {
+            if (arg.value == 0)
+                work();
+        }
 
         void
         work()
@@ -89,8 +97,9 @@ benchEventQueue(std::uint64_t totalEvents)
                 q.cancel(watchdog);
             x = x * 6364136223846793005ULL + 1442695040888963407ULL;
             const Time delay = static_cast<Time>(1 + (x >> 33) % 20) * kMs;
-            q.scheduleAfter(delay, [this] { work(); }, "bench");
-            watchdog = q.scheduleAfter(10 * kSec, [] {}, "watchdog");
+            q.scheduleAfter(delay, EvKind::External, *this, {0});
+            watchdog =
+                q.scheduleAfter(10 * kSec, EvKind::External, *this, {1});
             scheduled += 2;
         }
     };
@@ -98,8 +107,7 @@ benchEventQueue(std::uint64_t totalEvents)
     Traffic t;
     const double start = nowSec();
     for (int i = 0; i < 16; ++i) {
-        t.q.schedule(static_cast<Time>(i) * kMs, [&t] { t.work(); },
-                     "bench");
+        t.q.schedule(static_cast<Time>(i) * kMs, EvKind::External, t, {0});
         ++t.scheduled;
     }
     while (t.scheduled < totalEvents)
