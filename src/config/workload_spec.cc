@@ -132,43 +132,6 @@ class OptionReader
 };
 
 /**
- * Resolve a policy name for @p resource through the PolicyRegistry,
- * reporting unknown names with the offending line and the full list
- * of accepted spellings.
- */
-int
-parsePolicyKey(PolicyResource resource, const char *key,
-               const std::string &s, int line)
-{
-    const auto v = PolicyRegistry::instance().tryParse(resource, s);
-    if (!v) {
-        std::string valid;
-        for (const std::string &n :
-             PolicyRegistry::instance().names(resource)) {
-            if (!valid.empty())
-                valid += '|';
-            valid += n;
-        }
-        PISO_FATAL("line ", line, ": unknown ", key, " policy '", s,
-                   "' (", valid, ")");
-    }
-    return *v;
-}
-
-Scheme
-parseSchemeKey(const std::string &s, int line)
-{
-    if (s == "smp")
-        return Scheme::Smp;
-    if (s == "quota" || s == "quo")
-        return Scheme::Quota;
-    if (s == "piso")
-        return Scheme::PIso;
-    PISO_FATAL("line ", line, ": unknown scheme '", s,
-               "' (smp|quota|piso)");
-}
-
-/**
  * One directive inside a `[faults]` section. Times are seconds
  * (`at_s`, and `for_s` for windowed faults); memory sizes are MiB.
  */
@@ -342,29 +305,19 @@ parseWorkloadSpec(const std::string &text)
                                       kMiB;
             spec.config.diskCount =
                 static_cast<int>(r.integer("disks", 1));
+            const std::string where =
+                "line " + std::to_string(lineNo) + ": ";
             spec.config.scheme =
-                parseSchemeKey(r.str("scheme", "piso"), lineNo);
-            spec.config.diskPolicy = static_cast<DiskPolicy>(
-                parsePolicyKey(PolicyResource::Disk, "disk",
-                               r.str("disk_policy", "default"),
-                               lineNo));
+                parseScheme(r.str("scheme", "piso"), where);
             // Per-resource overrides on top of the uniform scheme.
-            if (const std::string v = r.str("cpu", ""); !v.empty()) {
-                spec.config.cpuPolicy = static_cast<CpuPolicy>(
-                    parsePolicyKey(PolicyResource::Cpu, "cpu", v,
-                                   lineNo));
-            }
-            if (const std::string v = r.str("memory", ""); !v.empty()) {
-                spec.config.memoryPolicy = static_cast<MemoryPolicy>(
-                    parsePolicyKey(PolicyResource::Memory, "memory", v,
-                                   lineNo));
-            }
-            if (const std::string v = r.str("network", "");
-                !v.empty()) {
-                spec.config.netPolicy = static_cast<NetPolicy>(
-                    parsePolicyKey(PolicyResource::Net, "network", v,
-                                   lineNo));
-            }
+            spec.config.diskPolicy = parseDiskOverride(
+                r.str("disk_policy", kSchemeDiskPolicy), where);
+            if (const std::string v = r.str("cpu", ""); !v.empty())
+                spec.config.cpuPolicy = parseCpuPolicy(v, where);
+            if (const std::string v = r.str("memory", ""); !v.empty())
+                spec.config.memoryPolicy = parseMemoryPolicy(v, where);
+            if (const std::string v = r.str("network", ""); !v.empty())
+                spec.config.netPolicy = parseNetPolicy(v, where);
             spec.config.seed =
                 static_cast<std::uint64_t>(r.integer("seed", 1));
             spec.config.maxTime = fromSeconds(

@@ -61,7 +61,7 @@ MemorySharingPolicy::tick()
         return;
     // O(1) skip: no ledger or SPU-tree change since the last full
     // pass means the pass would write back identical levels.
-    if (config_.eagerRecompute || !seenValid_ ||
+    if (!seenValid_ ||
         vm_.version() != seenVmVersion_ ||
         spus_.version() != seenSpuVersion_) {
         recompute();
@@ -108,11 +108,13 @@ MemorySharingPolicy::recompute()
 
     // 3. Find SPUs that want more than their entitlement.
     std::vector<SpuId> needy;
+    bool pressureOnly = false;
     for (SpuId spu : users) {
         const MemLevels &l = vm_.levels(spu);
         const bool pressured = vm_.takePressure(spu) > 0;
         if (pressured || l.used >= entitled[spu])
             needy.push_back(spu);
+        pressureOnly |= pressured && l.used < entitled[spu];
     }
 
     // 4. Baseline allowed = entitled; lendable split equally among the
@@ -133,10 +135,11 @@ MemorySharingPolicy::recompute()
 
     // Capture the versions *after* the pass: the writes above bump
     // the VM version, and the skip must key off the state this pass
-    // left behind, not the state it started from.
+    // left behind, not the state it started from. A pressure-only
+    // grant is withdrawn by the next pass, so that pass must run.
     seenVmVersion_ = vm_.version();
     seenSpuVersion_ = spus_.version();
-    seenValid_ = true;
+    seenValid_ = !pressureOnly;
 }
 
 } // namespace piso

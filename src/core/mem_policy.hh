@@ -34,11 +34,6 @@ struct MemPolicyConfig
     /** Fraction of total memory kept free (the paper picks 8%, the
      *  value IRIX uses to decide it is low on memory). */
     double reserveFraction = 0.08;
-
-    /** Run every periodic pass even when no ledger or SPU-tree change
-     *  occurred (the pre-PR-9 behavior). Bit-exact with the default
-     *  O(1) skip; benchmark baseline only (bench/ext_scale). */
-    bool eagerRecompute = false;
 };
 
 /** Periodic entitled/allowed level manager for the PIso scheme. */
@@ -108,7 +103,10 @@ class MemorySharingPolicy : public EventSink
      *  unchanged skips the pass in O(1): no charge, entitlement, or
      *  topology change means the pass would write back the identical
      *  levels (and pressure, which bumps the VM version when noted,
-     *  is necessarily zero). */
+     *  is necessarily zero). One pass is not idempotent: one that
+     *  counted an SPU below its entitlement as needy only through the
+     *  pressure it consumed leaves seenValid_ false, since the next
+     *  pass would withdraw that SPU's grant. */
     bool seenValid_ = false;
     std::uint64_t seenVmVersion_ = 0;
     std::uint64_t seenSpuVersion_ = 0;

@@ -45,44 +45,23 @@ PisoScheduler::popBestKin(SpuId owner)
     if (parents_.empty())
         return popBestForeign(owner);
 
+    // Empty queues never produce a candidate and never move bestKin,
+    // so walking only the non-empty SPUs (in the same ascending order)
+    // picks what a full table scan would.
     Process *best = nullptr;
     std::size_t bestKin = 0;
-    if (eagerLoops_) {
-        // Pre-PR-9 reference path (bench/ext_scale baseline).
-        // piso-lint: allow(hot-path-full-scan) -- eager-baseline
-        // reference loop, compiled out of the default path.
-        for (auto [spu, queue] : ready_) {
-            ++policyIters_;
-            if (spu == owner)
-                continue;
-            const std::size_t kin = kinship(parents_, owner, spu);
-            if (best && kin < bestKin)
-                continue;
-            for (Process *q : queue) {
-                if (!best || kin > bestKin ||
-                    (kin == bestKin && higherPriority(q, best))) {
-                    best = q;
-                    bestKin = kin;
-                }
-            }
-        }
-    } else {
-        // Empty queues never produce a candidate and never move
-        // bestKin, so walking only the non-empty SPUs (in the same
-        // ascending order) picks the identical process.
-        for (SpuId spu : nonEmpty_) {
-            ++policyIters_;
-            if (spu == owner)
-                continue;
-            const std::size_t kin = kinship(parents_, owner, spu);
-            if (best && kin < bestKin)
-                continue;
-            for (Process *q : ready_[spu]) {
-                if (!best || kin > bestKin ||
-                    (kin == bestKin && higherPriority(q, best))) {
-                    best = q;
-                    bestKin = kin;
-                }
+    for (SpuId spu : nonEmpty_) {
+        ++policyIters_;
+        if (spu == owner)
+            continue;
+        const std::size_t kin = kinship(parents_, owner, spu);
+        if (best && kin < bestKin)
+            continue;
+        for (Process *q : ready_[spu]) {
+            if (!best || kin > bestKin ||
+                (kin == bestKin && higherPriority(q, best))) {
+                best = q;
+                bestKin = kin;
             }
         }
     }

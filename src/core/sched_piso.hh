@@ -79,12 +79,12 @@ class PisoScheduler : public QuotaScheduler
         io.u64(revocations_);
     }
 
-  private:
-    void revoke(Cpu &cpu);
-
     /** Best foreign ready process, preferring higher kinship with
      *  @p owner; equals popBestForeign when no parent links exist. */
     Process *popBestKin(SpuId owner);
+
+  private:
+    void revoke(Cpu &cpu);
 
     SpuTable<SpuId> parents_;
     bool ipiRevoke_ = false;

@@ -40,34 +40,18 @@ QuotaScheduler::popBest(SpuId spu)
 Process *
 QuotaScheduler::popBestForeign(SpuId exclude)
 {
+    // Only SPUs with waiting work can contribute a candidate, and
+    // nonEmpty_ iterates them in the same ascending-id order a full
+    // table scan would: the pick is identical (tests/sched_ref_util.hh
+    // keeps that scan as the reference).
     Process *best = nullptr;
-    if (eagerLoops_) {
-        // Pre-PR-9 reference path: visit every SPU's queue, empty or
-        // not (bench/ext_scale baseline). DenseTable iteration yields
-        // (id, reference) pairs by value.
-        // piso-lint: allow(hot-path-full-scan) -- eager-baseline
-        // reference loop, compiled out of the default path.
-        for (auto [spu, queue] : ready_) {
-            ++policyIters_;
-            if (spu == exclude)
-                continue;
-            for (Process *q : queue) {
-                if (!best || higherPriority(q, best))
-                    best = q;
-            }
-        }
-    } else {
-        // Only SPUs with waiting work can contribute a candidate, and
-        // nonEmpty_ iterates them in the same ascending-id order the
-        // full table scan would: the pick is identical.
-        for (SpuId spu : nonEmpty_) {
-            ++policyIters_;
-            if (spu == exclude)
-                continue;
-            for (Process *q : ready_[spu]) {
-                if (!best || higherPriority(q, best))
-                    best = q;
-            }
+    for (SpuId spu : nonEmpty_) {
+        ++policyIters_;
+        if (spu == exclude)
+            continue;
+        for (Process *q : ready_[spu]) {
+            if (!best || higherPriority(q, best))
+                best = q;
         }
     }
     if (best) {

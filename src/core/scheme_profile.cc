@@ -79,8 +79,6 @@ PolicyRegistry::PolicyRegistry()
         false);
     add(PolicyResource::Disk, "quo", disk(DiskPolicy::BlindFair),
         false);
-    add(PolicyResource::Disk, "default", disk(DiskPolicy::SchemeDefault),
-        true);
 
     const auto net = [](NetPolicy p) { return static_cast<int>(p); };
     add(PolicyResource::Net, "smp", net(NetPolicy::Smp), true);
@@ -163,13 +161,21 @@ resourceLabel(PolicyResource resource)
     return "?";
 }
 
+[[noreturn]] void
+unknownName(const std::string &where, const std::string &what,
+            const std::string &name, const std::string &valid)
+{
+    PISO_FATAL(where, "unknown ", what, " '", name, "' (", valid, ")");
+}
+
 int
-parseOrDie(PolicyResource resource, const std::string &name)
+parsePolicy(PolicyResource resource, const std::string &name,
+            const std::string &where)
 {
     const auto v = PolicyRegistry::instance().tryParse(resource, name);
     if (!v) {
-        PISO_FATAL("unknown ", resourceLabel(resource), " policy '",
-                   name, "' (", joinNames(resource), ")");
+        unknownName(where, std::string(resourceLabel(resource)) + " policy",
+                    name, joinNames(resource));
     }
     return *v;
 }
@@ -205,7 +211,7 @@ policySpecName(DiskPolicy p)
 }
 
 Scheme
-parseScheme(const std::string &name)
+parseScheme(const std::string &name, const std::string &where)
 {
     if (name == "smp")
         return Scheme::Smp;
@@ -213,33 +219,50 @@ parseScheme(const std::string &name)
         return Scheme::Quota;
     if (name == "piso")
         return Scheme::PIso;
-    PISO_FATAL("unknown scheme '", name, "' (smp|quota|piso)");
+    unknownName(where, "scheme", name, "smp|quota|piso");
 }
 
 CpuPolicy
-parseCpuPolicy(const std::string &name)
+parseCpuPolicy(const std::string &name, const std::string &where)
 {
-    return static_cast<CpuPolicy>(parseOrDie(PolicyResource::Cpu, name));
+    return static_cast<CpuPolicy>(
+        parsePolicy(PolicyResource::Cpu, name, where));
 }
 
 MemoryPolicy
-parseMemoryPolicy(const std::string &name)
+parseMemoryPolicy(const std::string &name, const std::string &where)
 {
     return static_cast<MemoryPolicy>(
-        parseOrDie(PolicyResource::Memory, name));
+        parsePolicy(PolicyResource::Memory, name, where));
 }
 
 DiskPolicy
-parseDiskPolicy(const std::string &name)
+parseDiskPolicy(const std::string &name, const std::string &where)
 {
     return static_cast<DiskPolicy>(
-        parseOrDie(PolicyResource::Disk, name));
+        parsePolicy(PolicyResource::Disk, name, where));
 }
 
 NetPolicy
-parseNetPolicy(const std::string &name)
+parseNetPolicy(const std::string &name, const std::string &where)
 {
-    return static_cast<NetPolicy>(parseOrDie(PolicyResource::Net, name));
+    return static_cast<NetPolicy>(
+        parsePolicy(PolicyResource::Net, name, where));
+}
+
+std::optional<DiskPolicy>
+parseDiskOverride(const std::string &name, const std::string &where)
+{
+    if (name == kSchemeDiskPolicy)
+        return std::nullopt;
+    const auto v =
+        PolicyRegistry::instance().tryParse(PolicyResource::Disk, name);
+    if (!v) {
+        unknownName(where, "disk policy", name,
+                    joinNames(PolicyResource::Disk) + '|' +
+                        kSchemeDiskPolicy);
+    }
+    return static_cast<DiskPolicy>(*v);
 }
 
 } // namespace piso

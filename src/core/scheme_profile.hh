@@ -15,9 +15,10 @@
  * columns exactly.
  *
  * Policy names are resolved through a string-keyed PolicyRegistry so
- * the `.piso` workload format, reports, and JSON output all agree on
- * spelling (`smp | quota | piso`, plus the §4.5 disk aliases
- * `pos | iso`).
+ * the `.piso` workload format, sweep grid keys, reports, and JSON
+ * output all agree on spelling (`smp | quota | piso`, plus the §4.5
+ * disk aliases `pos | iso`). The parse functions below are the one
+ * place a scheme or policy name is read.
  */
 
 #include <optional>
@@ -64,8 +65,7 @@ enum class PolicyResource
 
 /**
  * One independently selectable policy per resource. `disk` reuses the
- * §4.5 DiskPolicy (Pos/Iso/PIso); a resolved profile never holds
- * DiskPolicy::SchemeDefault.
+ * §4.5 DiskPolicy (Pos/Iso/PIso).
  */
 struct SchemeProfile
 {
@@ -145,13 +145,29 @@ const char *policyName(NetPolicy p);
 const char *policySpecName(DiskPolicy p);
 /// @}
 
-/** @name Parsing (fatal on unknown names, listing the valid ones) */
+/** @name Parsing
+ *  An unknown name is a ConfigError "<where>unknown <what> '<name>'
+ *  (<valid names>)": @p where is the caller's location prefix
+ *  ("line 3: ", "grid key 'cpu': "), empty for none. */
 /// @{
-Scheme parseScheme(const std::string &name);
-CpuPolicy parseCpuPolicy(const std::string &name);
-MemoryPolicy parseMemoryPolicy(const std::string &name);
-DiskPolicy parseDiskPolicy(const std::string &name);
-NetPolicy parseNetPolicy(const std::string &name);
+/** "smp" | "quota" | "quo" | "piso". */
+Scheme parseScheme(const std::string &name, const std::string &where = {});
+CpuPolicy parseCpuPolicy(const std::string &name,
+                         const std::string &where = {});
+MemoryPolicy parseMemoryPolicy(const std::string &name,
+                               const std::string &where = {});
+DiskPolicy parseDiskPolicy(const std::string &name,
+                           const std::string &where = {});
+NetPolicy parseNetPolicy(const std::string &name,
+                         const std::string &where = {});
+
+/** The spelling of a `disk_policy=` value that follows the scheme. */
+inline constexpr const char *kSchemeDiskPolicy = "default";
+
+/** A `disk_policy=` value: a disk policy name, or kSchemeDiskPolicy
+ *  for none (follow the scheme). */
+std::optional<DiskPolicy> parseDiskOverride(const std::string &name,
+                                            const std::string &where = {});
 /// @}
 
 } // namespace piso

@@ -38,38 +38,6 @@ toInteger(const std::string &key, const std::string &value)
     return static_cast<std::int64_t>(toNumber(key, value));
 }
 
-Scheme
-toScheme(const std::string &value)
-{
-    if (value == "smp")
-        return Scheme::Smp;
-    if (value == "quota" || value == "quo")
-        return Scheme::Quota;
-    if (value == "piso")
-        return Scheme::PIso;
-    PISO_FATAL("grid key 'scheme': unknown scheme '", value,
-               "' (smp|quota|piso)");
-}
-
-int
-toPolicy(PolicyResource resource, const std::string &key,
-         const std::string &value)
-{
-    const auto v = PolicyRegistry::instance().tryParse(resource, value);
-    if (!v) {
-        std::string valid;
-        for (const std::string &n :
-             PolicyRegistry::instance().names(resource)) {
-            if (!valid.empty())
-                valid += '|';
-            valid += n;
-        }
-        PISO_FATAL("grid key '", key, "': unknown policy '", value,
-                   "' (", valid, ")");
-    }
-    return *v;
-}
-
 /**
  * Split a colon-separated fault value ("AT:FOR:DISK:FACTOR") into
  * exactly @p want numeric fields.
@@ -107,20 +75,17 @@ void
 applyGridKey(SystemConfig &cfg, const std::string &key,
              const std::string &value)
 {
+    const auto where = [&key] { return "grid key '" + key + "': "; };
     if (key == "scheme") {
-        cfg.scheme = toScheme(value);
+        cfg.scheme = parseScheme(value, where());
     } else if (key == "cpu") {
-        cfg.cpuPolicy = static_cast<CpuPolicy>(
-            toPolicy(PolicyResource::Cpu, key, value));
+        cfg.cpuPolicy = parseCpuPolicy(value, where());
     } else if (key == "memory") {
-        cfg.memoryPolicy = static_cast<MemoryPolicy>(
-            toPolicy(PolicyResource::Memory, key, value));
+        cfg.memoryPolicy = parseMemoryPolicy(value, where());
     } else if (key == "network") {
-        cfg.netPolicy = static_cast<NetPolicy>(
-            toPolicy(PolicyResource::Net, key, value));
+        cfg.netPolicy = parseNetPolicy(value, where());
     } else if (key == "disk_policy") {
-        cfg.diskPolicy = static_cast<DiskPolicy>(
-            toPolicy(PolicyResource::Disk, key, value));
+        cfg.diskPolicy = parseDiskOverride(value, where());
     } else if (key == "cpus") {
         cfg.cpus = static_cast<int>(toInteger(key, value));
     } else if (key == "disks") {

@@ -37,12 +37,31 @@ class Behavior
     /** Produce the process's next action. */
     virtual Action next(Process &self, const BehaviorContext &ctx) = 0;
 
-    /** @name Checkpoint — serialise only mutable cursor state; the
+    /** @name Checkpoint — image only mutable cursor state; the
      *  behaviour object itself (scripts, parameters) is rebuilt by
-     *  the deterministic setup replay. Default: stateless. */
+     *  the deterministic setup replay. */
     /// @{
-    virtual void save(CkptWriter &) const {}
-    virtual void load(CkptReader &) {}
+    /** One body writes the state and reads it back (io.loading()
+     *  tells which), checking what it reads only when loading.
+     *  Default: stateless. */
+    virtual void ckpt(CkptIo &) {}
+
+    /** The two directions Process::ckpt calls, both running ckpt(). A
+     *  behaviour that wraps another forwards these to it. */
+    virtual void
+    save(CkptWriter &w) const
+    {
+        CkptIo io(w);
+        // Saving only reads the fields ckpt() names.
+        const_cast<Behavior *>(this)->ckpt(io);
+    }
+
+    virtual void
+    load(CkptReader &r)
+    {
+        CkptIo io(r);
+        ckpt(io);
+    }
     /// @}
 };
 

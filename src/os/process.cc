@@ -115,6 +115,8 @@ Process::ckpt(CkptIo &io)
                           std::to_string(static_cast<int>(state_)));
     }
     rng_.ckpt(io);
+    // Through save()/load(), the seams a wrapping behaviour forwards;
+    // both run the behaviour's own ckpt().
     if (io.loading())
         behavior_->load(io.reader());
     else

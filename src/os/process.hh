@@ -140,12 +140,11 @@ class Process
     /** @name Decayed recent CPU usage (lower means higher priority)
      *
      * The scheduler halves every process's usage once per decay
-     * period. Rather than sweeping all processes eagerly, it bumps a
-     * shared epoch counter and each process folds the missed halvings
-     * in on first read (foldDecay). The multiply sequence is identical
-     * to the eager sweep's, so the values are bit-exact either way;
-     * an unbound process (no scheduler, or the eager-baseline loops)
-     * never folds.
+     * period. Rather than sweeping all processes, it bumps a shared
+     * epoch counter and each process folds the missed halvings in on
+     * first read (foldDecay). The multiply sequence is identical to a
+     * sweep's, so the values are bit-exact with one; a process bound
+     * to no scheduler never folds.
      */
     /// @{
     /** Attach this process to the scheduler's decay epoch. The
@@ -199,8 +198,6 @@ class Process
         recentCpu_ += seconds;
     }
 
-    /** Halve the usage in place (the eager-baseline sweep). */
-    void scaleRecentCpu(double factor) { recentCpu_ *= factor; }
     /// @}
 
     /** Effective scheduling priority; smaller is better. */

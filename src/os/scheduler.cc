@@ -39,10 +39,7 @@ void
 CpuScheduler::processCreated(Process *p)
 {
     all_.push_back(p);
-    // Eager-baseline processes stay unbound: the periodic sweep
-    // multiplies them directly and foldDecay() is a no-op.
-    if (!eagerLoops_)
-        p->bindDecayEpoch(&decayEpoch_);
+    p->bindDecayEpoch(&decayEpoch_);
 }
 
 bool
@@ -151,8 +148,7 @@ CpuScheduler::processExited(Process *p)
     p->setState(ProcState::Exited);
     p->endTime = events_.now();
     // An exited process leaves the decay registry: settle the decay
-    // it has seen, then detach so later epoch bumps no longer apply
-    // (exactly what removal from the eager sweep's roster did).
+    // it has seen, then detach so later epoch bumps no longer apply.
     p->foldDecay();
     p->bindDecayEpoch(nullptr);
     all_.erase(std::remove(all_.begin(), all_.end(), p), all_.end());
@@ -246,11 +242,8 @@ CpuScheduler::idlePass()
     // to wake them: give them a dispatch chance every tick. With
     // nothing ready no dispatch can pick, and a dispatch that picks
     // nothing only clears revokePending, which is already false on
-    // every idle online CPU: the pass would change nothing. The eager
-    // baseline (bench/ext_scale) keeps the unskipped pass: its
-    // dispatches drive the full ready-table scans that baseline exists
-    // to measure.
-    if (!anyReady() && !eagerLoops_)
+    // every idle online CPU: the pass would change nothing.
+    if (!anyReady())
         return;
     for (auto &c : cpus_) {
         if (!c.running)
@@ -308,18 +301,12 @@ CpuScheduler::tick()
         }
     }
 
-    // Decay recent usage by half every second, IRIX-style. The
-    // default is O(1): bump the epoch and let each process fold the
-    // halving in when its priority is next read — the same multiply
-    // sequence, so values are bit-exact with the eager sweep.
+    // Decay recent usage by half every second, IRIX-style, in O(1):
+    // bump the epoch and let each process fold the halving in when its
+    // priority is next read — the same multiply sequence a sweep over
+    // every process would run, so the values are bit-exact with it.
     if (now - lastDecay_ >= decayPeriod_) {
-        if (eagerLoops_) {
-            policyIters_ += all_.size();
-            for (auto *p : all_)
-                p->scaleRecentCpu(0.5);
-        } else {
-            ++decayEpoch_;
-        }
+        ++decayEpoch_;
         lastDecay_ = now;
     }
 

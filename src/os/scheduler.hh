@@ -176,20 +176,11 @@ class CpuScheduler : public EventSink
     Time timeSlice() const { return timeSlice_; }
 
     /** Ready-structure scan iterations performed by policy decisions
-     *  (queue scans, decay sweeps) — the O(SPUs)-regression canary
+     *  (queue scans) — the O(SPUs)-regression canary
      *  surfaced as perf.policy_iters_cpu. Out of band: never
      *  serialised, never in JSONL. */
     std::uint64_t policyIters() const { return policyIters_; }
     /// @}
-
-    /**
-     * Run the pre-PR-9 O(all-SPUs) loop bodies (eager decay sweep,
-     * full ready-table scans) instead of the lazy/active-set ones.
-     * Bit-exact with the default: only wall-clock differs. Benchmark
-     * baseline only (bench/ext_scale); excluded from the config
-     * digest. Must be set before the first processCreated().
-     */
-    void setEagerPolicyLoops(bool eager) { eagerLoops_ = eager; }
 
     /**
      * Record the SPU tree's parent links (kNoSpu / absent = top
@@ -293,9 +284,6 @@ class CpuScheduler : public EventSink
     SchedClient *client_ = nullptr;
     std::vector<Cpu> cpus_;
     std::vector<Process *> all_;
-
-    /** Eager-baseline mode (see setEagerPolicyLoops). */
-    bool eagerLoops_ = false;
 
     /** Policy-loop iteration counter (see policyIters). Out of band
      *  like MemPolicy::policyIters: host-side perf telemetry, never

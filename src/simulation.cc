@@ -41,8 +41,8 @@ SchemeProfile
 SystemConfig::resolvedProfile() const
 {
     SchemeProfile p = SchemeProfile::uniform(scheme);
-    if (diskPolicy != DiskPolicy::SchemeDefault)
-        p.disk = diskPolicy;
+    if (diskPolicy)
+        p.disk = *diskPolicy;
     if (cpuPolicy)
         p.cpu = *cpuPolicy;
     if (memoryPolicy)
@@ -142,6 +142,12 @@ struct Simulation::Impl : EventSink
     bool pendingEvents(std::vector<ImagedEvent> &out,
                        std::string &reject) const;
 
+    /** Why the state cannot be imaged whatever the boundary: I/O in
+     *  flight, or a pending event of a kind an image cannot hold.
+     *  Empty when it can be, and @p pending then holds every pending
+     *  event in seq order. */
+    std::string imageBlocker(std::vector<ImagedEvent> &pending) const;
+
     /** Attempt a checkpoint at the current boundary; false when the
      *  simulation is not quiescent here. */
     bool tryCheckpoint(std::string *why = nullptr);
@@ -196,8 +202,6 @@ struct Simulation::Impl : EventSink
                 dsched = std::move(s);
                 break;
               }
-              case DiskPolicy::SchemeDefault:
-                PISO_PANIC("unresolved disk policy");
             }
             disks.push_back(std::make_unique<DiskDevice>(
                 events, model, std::move(dsched), rng.fork(),
@@ -223,7 +227,6 @@ struct Simulation::Impl : EventSink
             break;
           }
         }
-        sched->setEagerPolicyLoops(cfg.eagerPolicyLoops);
 
         KernelConfig kc = cfg.kernel;
         kc.globalReplacement = profile.memory == MemoryPolicy::Smp;
@@ -256,10 +259,8 @@ struct Simulation::Impl : EventSink
         }
 
         if (profile.memory == MemoryPolicy::PIso) {
-            MemPolicyConfig mpc = cfg.memPolicy;
-            mpc.eagerRecompute = cfg.eagerPolicyLoops;
             memPolicy = std::make_unique<MemorySharingPolicy>(
-                events, vm, spuMgr, mpc);
+                events, vm, spuMgr, cfg.memPolicy);
         }
     }
 };
@@ -724,10 +725,16 @@ Simulation::run()
                     }
                 } else if (im.cfg.checkpointDeadline > 0 &&
                            im.events.now() >= im.cfg.checkpointDeadline) {
+                    // The last boundary's reason is often only a
+                    // same-instant tie; name what blocks every
+                    // boundary when something does.
+                    std::vector<ImagedEvent> pending;
+                    std::string blocker = im.imageBlocker(pending);
+                    if (blocker.empty())
+                        blocker = why;
                     throw InvariantError(
                         "no quiescent checkpoint boundary found by "
-                        "the deadline (last boundary rejected: " +
-                            why + ")",
+                        "the deadline (" + blocker + ")",
                         im.events.now());
                 }
             }
@@ -911,10 +918,7 @@ ConfigDigest::ConfigDigest(const SystemConfig &cfg)
     w.time(cfg.memPolicy.period);
     w.f64(cfg.memPolicy.reserveFraction);
 
-    // NUMA/bus machine model. eagerPolicyLoops is deliberately NOT
-    // digested: it is bit-exact with the default paths, so images may
-    // cross between the two (the ext_scale warm-start check relies on
-    // this).
+    // NUMA/bus machine model.
     w.u64(static_cast<std::uint64_t>(cfg.numa.domains));
     w.time(cfg.numa.localLatency);
     w.time(cfg.numa.remoteLatency);
@@ -1024,6 +1028,20 @@ Simulation::Impl::pendingEvents(std::vector<ImagedEvent> &out,
     return true;
 }
 
+std::string
+Simulation::Impl::imageBlocker(std::vector<ImagedEvent> &pending) const
+{
+    try {
+        kernel->requireIoQuiescent();
+    } catch (const InvariantError &e) {
+        return e.what();
+    }
+    std::string reject;
+    if (!pendingEvents(pending, reject))
+        return reject;
+    return {};
+}
+
 bool
 Simulation::Impl::tryCheckpoint(std::string *why)
 {
@@ -1044,18 +1062,10 @@ Simulation::Impl::tryCheckpoint(std::string *why)
             *why = "a scheduled fault is due at the current time";
         return false;
     }
-    try {
-        kernel->requireIoQuiescent();
-    } catch (const InvariantError &e) {
-        if (why)
-            *why = e.what();
-        return false;
-    }
-    std::string reject;
     std::vector<ImagedEvent> pending;
-    if (!pendingEvents(pending, reject)) {
+    if (std::string blocker = imageBlocker(pending); !blocker.empty()) {
         if (why)
-            *why = reject;
+            *why = std::move(blocker);
         return false;
     }
     std::ostringstream os;

@@ -71,7 +71,9 @@ struct SystemConfig
      */
     /// @{
     Scheme scheme = Scheme::PIso;
-    DiskPolicy diskPolicy = DiskPolicy::SchemeDefault;
+
+    /** Disk policy override; unset = follow `scheme`. */
+    std::optional<DiskPolicy> diskPolicy;
 
     /** CPU policy override; unset = follow `scheme`. */
     std::optional<CpuPolicy> cpuPolicy;
@@ -125,13 +127,6 @@ struct SystemConfig
     /** @name Run control */
     /// @{
     std::uint64_t seed = 1;
-
-    /** Run every periodic policy loop with the pre-PR-9 full scans
-     *  (eager CPU decay sweeps, full ready-table scans, every-period
-     *  memory recomputes). Bit-exact with the default O(active) paths;
-     *  exists only as the bench/ext_scale wall-clock baseline and is
-     *  excluded from the checkpoint config digest. */
-    bool eagerPolicyLoops = false;
 
     /** Hard stop; a run that hits it reports completed = false. */
     Time maxTime = 600 * kSec;
@@ -211,8 +206,8 @@ struct SystemConfig
  * declared jobs in order. Simulation::configDigest() feeds it from a
  * populated Simulation and specConfigDigest() (workload_spec.hh) from
  * a parsed spec, so the format has this one definition. Run control —
- * faults, maxTime, watchdogs, chaos, checkpoint knobs — and
- * eagerPolicyLoops stay out (see docs/checkpoint.md).
+ * faults, maxTime, watchdogs, chaos, checkpoint knobs — stays out
+ * (see docs/checkpoint.md).
  */
 class ConfigDigest
 {

@@ -47,13 +47,11 @@ class CompileWorker : public Behavior
         return actionAt(index_++);
     }
 
-    void save(CkptWriter &w) const override { w.u64(index_); }
-
     void
-    load(CkptReader &r) override
+    ckpt(CkptIo &io) override
     {
-        index_ = r.u64();
-        if (index_ > length())
+        io.u64(index_);
+        if (io.loading() && index_ > length())
             throw ConfigError("checkpoint image rejected: pmake "
                               "cursor beyond script end");
     }

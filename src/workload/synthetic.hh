@@ -37,13 +37,11 @@ class ScriptBehavior : public Behavior
 
     std::size_t remaining() const { return script_.size() - index_; }
 
-    void save(CkptWriter &w) const override { w.u64(index_); }
-
     void
-    load(CkptReader &r) override
+    ckpt(CkptIo &io) override
     {
-        index_ = r.u64();
-        if (index_ > script_.size())
+        io.u64(index_);
+        if (io.loading() && index_ > script_.size())
             throw ConfigError("checkpoint image rejected: script "
                               "cursor beyond script end");
     }
@@ -75,17 +73,10 @@ class ComputeBehavior : public Behavior
     Action next(Process &self, const BehaviorContext &ctx) override;
 
     void
-    save(CkptWriter &w) const override
+    ckpt(CkptIo &io) override
     {
-        w.time(done_);
-        w.boolean(grown_);
-    }
-
-    void
-    load(CkptReader &r) override
-    {
-        done_ = r.time();
-        grown_ = r.boolean();
+        io.time(done_);
+        io.boolean(grown_);
     }
 
   private:

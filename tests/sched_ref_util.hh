@@ -13,8 +13,10 @@
  * tick offers a dispatch to every idle CPU. FullScanRef<Policy> runs a
  * policy with those scans, so a twin driven through the same steps
  * must end every step in the same state (test_sched_index.cc). The
- * path-building kinship PIso's loans used before it walked the tree
- * in place is kept here too.
+ * cross-SPU picks (Quo's popBestForeign, PIso's popBestKin) walk only
+ * the SPUs with waiting work; their full ready-table scans are kept
+ * here as popForeignRef. The path-building kinship PIso's loans used
+ * before it walked the tree in place is kept here too.
  */
 
 #include <algorithm>
@@ -65,6 +67,63 @@ class FullScanRef : public Policy
         return fallback;
     }
 
+    /** @name Cross-SPU picks */
+    /// @{
+    /** Make @p p ready without placing it (a ready set, built up). */
+    void enqueue(Process *p) { this->enqueueReady(p); }
+
+    /** The policy's own pick of the best ready process outside
+     *  @p owner's queue: popBestKin under PIso, else popBestForeign. */
+    Process *
+    popForeign(SpuId owner)
+    {
+        if constexpr (std::is_base_of_v<PisoScheduler, Policy>)
+            return this->popBestKin(owner);
+        else
+            return this->popBestForeign(owner);
+    }
+
+    /** The same pick as a scan of every SPU's queue, empty or not, in
+     *  ascending id order: the highest kinship with @p owner wins,
+     *  then priority. With no parent links every kinship is 0, which
+     *  is popBestForeign's scan. */
+    Process *
+    popForeignRef(SpuId owner)
+    {
+        Process *best = nullptr;
+        std::size_t bestKin = 0;
+        for (auto [spu, queue] : this->ready_) {
+            if (spu == owner)
+                continue;
+            const std::size_t kin =
+                PisoScheduler::kinship(parents_, owner, spu);
+            if (best && kin < bestKin)
+                continue;
+            for (Process *q : queue) {
+                if (!best || kin > bestKin ||
+                    (kin == bestKin && this->higherPriority(q, best))) {
+                    best = q;
+                    bestKin = kin;
+                }
+            }
+        }
+        if (best) {
+            this->ready_[best->spu()].remove(best);
+            this->noteQueueDrained(best->spu());
+        }
+        return best;
+    }
+    /// @}
+
+    void
+    setSpuParents(const SpuTable<SpuId> &parents) override
+    {
+        // Only PIso's loans follow kinship.
+        if constexpr (std::is_base_of_v<PisoScheduler, Policy>)
+            parents_ = parents;
+        Policy::setSpuParents(parents);
+    }
+
   protected:
     void
     onReadyNoIdle(Process *p) override
@@ -89,6 +148,10 @@ class FullScanRef : public Policy
                 this->dispatch(c);
         }
     }
+
+  private:
+    /** The parent links popForeignRef's kinship reads. */
+    SpuTable<SpuId> parents_;
 };
 
 /** PisoScheduler::kinship as it was first written: build both

@@ -2,7 +2,11 @@
  * @file
  * Work-counter gates for the Table 3 and Figure 2 PIso points: the
  * number of operator new calls made inside Simulation::run(), the
- * events it executes and its policy-loop iterations. One more gate
+ * events it executes and its policy-loop iterations. The events and
+ * policy iterations of ext_scale's 256-CPU x 512-SPU point, under Quo
+ * and PIso, are pinned too: there a policy loop that walks every SPU
+ * or every process instead of the active ones moves the count by
+ * thousands. One more gate
  * counts the operator new calls of a whole warm-started sweep plan,
  * the fault_sweep benchmark's, run serially: there the sweep engine's
  * own work (grouping, template, restores) is counted too, so a
@@ -32,6 +36,7 @@
 #include <new>
 
 #include "bench/pmake8.hh"
+#include "bench/scale_point.hh"
 #include "src/config/workload_spec.hh"
 #include "src/exp/runner.hh"
 #include "src/piso.hh"
@@ -178,6 +183,29 @@ TEST(WorkCounters, Fig2PisoRun)
     EXPECT_EQ(perf.policyItersCpu, 5109u);
     EXPECT_EQ(perf.policyItersMem, 440u);
     EXPECT_EQ(perf.policyItersDisk, 1287u);
+}
+
+TEST(WorkCounters, Scale512QuotaRun)
+{
+    // The active pmakes outlast the horizon on purpose.
+    const RunPerf perf =
+        bench::makeScalePoint(256, 512, Scheme::Quota, 10 * kSec)->run().perf;
+    EXPECT_EQ(perf.events, 21597u);
+    EXPECT_EQ(perf.policyItersCpu, 9352u);
+    EXPECT_EQ(perf.policyItersMem, 0u);
+    EXPECT_EQ(perf.policyItersDisk, 3797u);
+    EXPECT_EQ(perf.policyItersNet, 0u);
+}
+
+TEST(WorkCounters, Scale512PisoRun)
+{
+    const RunPerf perf =
+        bench::makeScalePoint(256, 512, Scheme::PIso, 10 * kSec)->run().perf;
+    EXPECT_EQ(perf.events, 35113u);
+    EXPECT_EQ(perf.policyItersCpu, 8832u);
+    EXPECT_EQ(perf.policyItersMem, 43520u);
+    EXPECT_EQ(perf.policyItersDisk, 39256u);
+    EXPECT_EQ(perf.policyItersNet, 0u);
 }
 
 TEST(AllocCeiling, FaultSweepWarmPlan)

@@ -979,6 +979,32 @@ TEST(Checkpoint, PendingMonitorSampleIsRefusedByName)
     }
 }
 
+TEST(Checkpoint, DeadlineNamesThePendingMonitorSample)
+{
+    // Every boundary after checkpointAt is blocked by the monitor's
+    // pending sample, though most are rejected first for events still
+    // due at that instant: the deadline error must name the sample.
+    WorkloadSpec spec = shapeSpec(kComputeShape, Scheme::PIso);
+    spec.config.checkpointAt = 500 * kMs;
+    spec.config.checkpointDeadline = 600 * kMs;
+    spec.config.checkpointSink = [](std::string) {
+        ADD_FAILURE() << "checkpoint taken with a monitor sample pending";
+    };
+    Simulation sim(spec.config);
+    populateWorkloadSpec(sim, spec);
+    SpuMonitor monitor(sim.events(), sim.vm(), sim.scheduler(),
+                       sim.spus().leafSpus());
+    monitor.start();
+    try {
+        sim.run();
+        ADD_FAILURE() << "the deadline did not fire";
+    } catch (const InvariantError &e) {
+        EXPECT_NE(std::string(e.what()).find("spuMonitor"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(Checkpoint, RareKindsRoundTripToTheColdRun)
 {
     // Walk checkpointAt forward until an image holds every rare kind

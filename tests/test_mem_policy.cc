@@ -273,3 +273,110 @@ TEST_F(PolicyFixture, UnchangedTickSkipsTheFullPass)
     events.runAll(events.now() + 150 * kMs);
     EXPECT_GT(policy.policyIters(), settled);
 }
+
+namespace {
+
+/** One machine of the recompute twin test below. */
+struct MemMachine
+{
+    PhysicalMemory phys{1000 * 4096};
+    VirtualMemory vm{phys};
+    SpuManager spus;
+    EventQueue events;
+    MemorySharingPolicy policy{events, vm, spus};
+
+    MemMachine()
+    {
+        vm.registerSpu(kKernelSpu);
+        vm.registerSpu(kSharedSpu);
+        vm.setAllowed(kKernelSpu, 1000);
+        vm.setAllowed(kSharedSpu, 1000);
+        for (const char *name : {"a", "b", "c"})
+            vm.registerSpu(spus.create({.name = name}));
+        policy.start();
+    }
+};
+
+} // namespace
+
+TEST(MemPolicyTwin, RecomputeEveryPeriodEqualsTheSkippingTick)
+{
+    // The periodic tick skips its pass when neither the VM ledger nor
+    // the SPU registry changed since the last one. Its reference calls
+    // the public recompute() at every period instead. Driven through
+    // the same random charges, releases, pressure notes and SPU
+    // life-cycle changes — with idle periods in between — both must
+    // leave the same levels after every period. That includes a pass
+    // that grants pages to an SPU needy only through the pressure it
+    // consumed: the next pass, unchanged otherwise, takes them back,
+    // so it may not be skipped.
+    std::uint64_t skipped = 0;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        MemMachine lazy;
+        MemMachine full;
+        Rng rng(seed);
+        const Time period = lazy.policy.config().period;
+        for (int round = 0; round < 200; ++round) {
+            const std::vector<SpuId> users = lazy.spus.userSpus();
+            const int ops = rng.chance(0.4)
+                                ? 0
+                                : static_cast<int>(rng.uniformInt(6));
+            for (int op = 0; op < ops; ++op) {
+                const SpuId spu = users[rng.uniformInt(users.size())];
+                const std::size_t roll = rng.uniformInt(100);
+                if (roll < 50) {
+                    for (int n = 1 + static_cast<int>(rng.uniformInt(40));
+                         n > 0; --n) {
+                        const bool got = lazy.vm.tryCharge(spu);
+                        ASSERT_EQ(full.vm.tryCharge(spu), got);
+                        if (!got) {
+                            lazy.vm.notePressure(spu);
+                            full.vm.notePressure(spu);
+                            break;
+                        }
+                    }
+                } else if (roll < 80) {
+                    for (int n = 1 + static_cast<int>(rng.uniformInt(40));
+                         n > 0 && lazy.vm.levels(spu).used > 0; --n) {
+                        lazy.vm.uncharge(spu);
+                        full.vm.uncharge(spu);
+                    }
+                } else if (roll < 88) {
+                    lazy.vm.notePressure(spu);
+                    full.vm.notePressure(spu);
+                } else if (roll < 94) {
+                    // Suspend or resume, keeping one tenant active so
+                    // the tick keeps its period.
+                    const bool active =
+                        lazy.spus.spu(spu).state == SpuState::Active;
+                    if (active && lazy.spus.leafSpus().size() > 1) {
+                        lazy.spus.suspend(spu);
+                        full.spus.suspend(spu);
+                    } else if (!active) {
+                        lazy.spus.resume(spu);
+                        full.spus.resume(spu);
+                    }
+                } else if (users.size() < 8) {
+                    const std::string name = "n" + std::to_string(round);
+                    lazy.vm.registerSpu(lazy.spus.create({.name = name}));
+                    full.vm.registerSpu(full.spus.create({.name = name}));
+                }
+            }
+            const std::uint64_t before = lazy.policy.policyIters();
+            lazy.events.runAll(lazy.events.now() + period);
+            full.policy.recompute();
+            skipped += lazy.policy.policyIters() == before;
+            for (SpuId spu : full.vm.spus()) {
+                const MemLevels &x = lazy.vm.levels(spu);
+                const MemLevels &y = full.vm.levels(spu);
+                ASSERT_TRUE(x.entitled == y.entitled &&
+                            x.allowed == y.allowed && x.used == y.used &&
+                            lazy.vm.pressure(spu) == full.vm.pressure(spu))
+                    << "seed " << seed << " round " << round << " spu "
+                    << spu;
+            }
+        }
+    }
+    // The idle periods really took the skip.
+    EXPECT_GT(skipped, 200u);
+}

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -185,17 +186,13 @@ struct Scenario
     bool tree;
     std::uint64_t seed;
     int steps;
-    /** Run the scheduler under test as the eager baseline (the
-     *  reference stays lazy: both loop styles must pick alike). */
-    bool eager = false;
 };
 
 std::string
 scenarioName(const Scenario &sc)
 {
     return std::to_string(sc.cpus) + "x" + std::to_string(sc.spus) +
-           (sc.tree ? " tree" : "") + (sc.eager ? " eager" : "") +
-           " seed " + std::to_string(sc.seed);
+           (sc.tree ? " tree" : "") + " seed " + std::to_string(sc.seed);
 }
 
 /**
@@ -223,7 +220,6 @@ runTwins(const Scenario &sc)
         return sameState(s, r, sc.spus, where);
     };
 
-    s.sched.setEagerPolicyLoops(sc.eager);
     const SpuTable<double> first = randomShares(rng, sc.spus);
     both([&](auto &side) { side.sched.partitionCpus(first); });
     if (sc.tree) {
@@ -399,9 +395,9 @@ scenarios()
 {
     static const std::vector<Scenario> kAll = {
         {4, 3, false, 11, 1500},    {8, 6, false, 12, 1500},
-        {8, 6, true, 13, 1500},     {8, 6, true, 19, 1500, true},
+        {8, 6, true, 13, 1500},     {8, 6, true, 19, 1500},
         {16, 40, false, 14, 1200},  {16, 40, true, 15, 1200},
-        {64, 96, true, 16, 800},    {64, 96, true, 20, 800, true},
+        {64, 96, true, 16, 800},    {64, 96, true, 20, 800},
         {256, 512, false, 17, 500}, {256, 512, true, 18, 500},
     };
     return kAll;
@@ -440,6 +436,92 @@ TEST(SchedIndexEquivalence, PisoMatchesFullScan)
     }
     // The scenarios reach the revocation path, not only placement.
     EXPECT_GT(revocations, 0U);
+}
+
+namespace {
+
+/**
+ * Fill two twins with the same random ready set over @p spus SPUs
+ * (flat, or under a random tree), then pop cross-SPU picks for random
+ * owners from both — the policy's own pick from one, the full
+ * ready-table scan from the other — topping the set up between pops.
+ * Priorities are drawn from a few values so ties exercise the FIFO
+ * tie-break. @return picks made.
+ */
+template <class Policy>
+int
+runPickTwins(int spus, bool tree, std::uint64_t seed)
+{
+    EventQueue events;
+    FullScanRef<Policy> lazy(events, 4);
+    FullScanRef<Policy> full(events, 4);
+    Rng rng(seed);
+    if (tree) {
+        const SpuTable<SpuId> parents = randomTree(rng, spus);
+        lazy.setSpuParents(parents);
+        full.setSpuParents(parents);
+    }
+    std::vector<std::unique_ptr<Process>> procs;
+    const auto add = [&] {
+        const Pid pid = static_cast<Pid>(procs.size() + 1);
+        // Work clustered on a few SPUs, the rest spread thin.
+        const SpuId spu = rng.chance(0.6)
+                              ? randomSpu(rng, std::min(spus, 6))
+                              : randomSpu(rng, spus);
+        procs.push_back(std::make_unique<Process>(
+            pid, spu, kNoJob, "p",
+            std::make_unique<ScriptBehavior>(std::vector<Action>{}),
+            Rng(static_cast<std::uint64_t>(pid))));
+        Process *p = procs.back().get();
+        p->setRecentCpu(0.25 * static_cast<double>(rng.uniformInt(4)));
+        p->readySince = rng.uniformTime(5 * kMs);
+        lazy.enqueue(p);
+        full.enqueue(p);
+    };
+    for (int i = 0, n = static_cast<int>(rng.uniformInt(120)); i < n; ++i)
+        add();
+    int picks = 0;
+    for (int step = 0; step < 400; ++step) {
+        if (rng.chance(0.3)) {
+            add();
+            continue;
+        }
+        // Owners include ids outside the tree and SPUs with no work.
+        const SpuId owner = randomSpu(rng, spus + 2);
+        Process *want = full.popForeignRef(owner);
+        Process *got = lazy.popForeign(owner);
+        EXPECT_EQ(got ? got->pid() : kNoPid, want ? want->pid() : kNoPid)
+            << "spus " << spus << (tree ? " tree" : "") << " seed "
+            << seed << " step " << step << " owner " << owner;
+        if (::testing::Test::HasFailure())
+            return picks;
+        picks += want != nullptr;
+    }
+    return picks;
+}
+
+} // namespace
+
+TEST(SchedIndexPick, QuotaForeignPickMatchesFullScan)
+{
+    int picks = 0;
+    for (const int spus : {3, 40, 512}) {
+        for (std::uint64_t seed = 1; seed <= 6; ++seed)
+            picks += runPickTwins<QuotaScheduler>(spus, false, seed);
+    }
+    EXPECT_GT(picks, 1000);
+}
+
+TEST(SchedIndexPick, PisoKinPickMatchesFullScan)
+{
+    int picks = 0;
+    for (const bool tree : {false, true}) {
+        for (const int spus : {3, 40, 512}) {
+            for (std::uint64_t seed = 1; seed <= 6; ++seed)
+                picks += runPickTwins<PisoScheduler>(spus, tree, seed);
+        }
+    }
+    EXPECT_GT(picks, 2000);
 }
 
 TEST(SchedIndexKinship, MatchesPathPrefixReference)

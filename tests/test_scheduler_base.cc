@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "src/os/sched_smp.hh"
 #include "tests/sched_test_util.hh"
 
@@ -46,6 +49,61 @@ TEST(SchedulerBase, RecentCpuDecaysByHalfEverySecond)
     // Ran one more second (+1.0) but decayed by half once: the value
     // stays bounded rather than growing linearly.
     EXPECT_LT(idleish->recentCpu(), before + 1.0);
+}
+
+TEST(SchedulerBase, EpochDecayFoldEqualsEagerSweepExactly)
+{
+    // The scheduler halves recent usage once per decay period by
+    // bumping an epoch each process folds in on its next read. The
+    // eager sweep it replaced multiplied every live process by 0.5 at
+    // the period boundary. Over random interleavings of tick charges,
+    // idle periods, reads at any point and exits, every value must be
+    // bit-identical to the sweep's: 0 ulp.
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        Rng rng(seed);
+        std::uint32_t epoch = 0;
+        constexpr int kProcs = 6;
+        std::vector<std::unique_ptr<Process>> lazy;
+        std::vector<double> eager(kProcs, 0.0);
+        std::vector<bool> live(kProcs, true);
+        for (int i = 0; i < kProcs; ++i) {
+            lazy.push_back(std::make_unique<Process>(
+                i + 1, 2, kNoJob, "p",
+                std::make_unique<ScriptBehavior>(std::vector<Action>{}),
+                Rng(seed)));
+            lazy.back()->bindDecayEpoch(&epoch);
+        }
+        for (int step = 0; step < 3000; ++step) {
+            const auto i = static_cast<std::size_t>(rng.uniformInt(kProcs));
+            const std::size_t roll = rng.uniformInt(100);
+            if (roll < 55) {
+                // One tick's charge (several ticks in a row run the
+                // same process; idle stretches charge no one).
+                if (!live[i])
+                    continue;
+                const double tick = 0.01 * (1 + rng.uniformInt(3));
+                lazy[i]->chargeCpu(tick);
+                eager[i] += tick;
+            } else if (roll < 75) {
+                ++epoch;
+                for (int k = 0; k < kProcs; ++k) {
+                    if (live[static_cast<std::size_t>(k)])
+                        eager[static_cast<std::size_t>(k)] *= 0.5;
+                }
+            } else if (roll < 98) {
+                ASSERT_EQ(lazy[i]->recentCpu(), eager[i])
+                    << "seed " << seed << " step " << step << " pid "
+                    << i + 1;
+            } else if (live[i] && rng.chance(0.03)) {
+                // processExited: settle, then leave the registry.
+                lazy[i]->foldDecay();
+                lazy[i]->bindDecayEpoch(nullptr);
+                live[i] = false;
+            }
+        }
+        for (std::size_t i = 0; i < kProcs; ++i)
+            EXPECT_EQ(lazy[i]->recentCpu(), eager[i]) << "seed " << seed;
+    }
 }
 
 TEST(SchedulerBase, BlockedProcessGainsPriority)

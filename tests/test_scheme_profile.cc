@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 
 #include "src/config/workload_spec.hh"
+#include "src/exp/experiment.hh"
 #include "src/metrics/report.hh"
 #include "src/piso.hh"
 
@@ -30,8 +32,7 @@ TEST(PolicyRegistry, RoundTripsCanonicalNames)
          {NetPolicy::Smp, NetPolicy::Quota, NetPolicy::PIso})
         EXPECT_EQ(parseNetPolicy(policyName(p)), p);
     for (DiskPolicy p : {DiskPolicy::HeadPosition, DiskPolicy::BlindFair,
-                         DiskPolicy::FairPosition,
-                         DiskPolicy::SchemeDefault})
+                         DiskPolicy::FairPosition})
         EXPECT_EQ(parseDiskPolicy(policySpecName(p)), p);
 }
 
@@ -52,6 +53,84 @@ TEST(PolicyRegistry, RejectsUnknownNames)
     EXPECT_THROW(parseMemoryPolicy("POS"), std::runtime_error);
     EXPECT_THROW(parseDiskPolicy("cscan"), std::runtime_error);
     EXPECT_THROW(parseNetPolicy(""), std::runtime_error);
+}
+
+namespace {
+
+/** The message of the ConfigError @p fn throws ("" if none). */
+template <class Fn>
+std::string
+errorOf(Fn fn)
+{
+    try {
+        fn();
+    } catch (const ConfigError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(PolicyRegistry, OneMessagePerNameWithTheCallersPrefix)
+{
+    // The spec parser and the grid keys read names through the same
+    // functions and differ only in the location prefix they pass.
+    EXPECT_EQ(errorOf([] { parseScheme("x"); }),
+              "fatal: unknown scheme 'x' (smp|quota|piso)");
+    EXPECT_EQ(errorOf([] { parseWorkloadSpec("machine scheme=x\n"); }),
+              "fatal: line 1: unknown scheme 'x' (smp|quota|piso)");
+    EXPECT_EQ(errorOf([] {
+                  SystemConfig cfg;
+                  exp::applyGridKey(cfg, "scheme", "x");
+              }),
+              "fatal: grid key 'scheme': unknown scheme 'x' "
+              "(smp|quota|piso)");
+
+    EXPECT_EQ(errorOf([] { parseCpuPolicy("x", "line 4: "); }),
+              "fatal: line 4: unknown cpu policy 'x' (smp|quota|quo|piso)");
+    EXPECT_EQ(errorOf([] { parseNetPolicy("x"); }),
+              "fatal: unknown network policy 'x' "
+              "(smp|quota|quo|piso|fifo)");
+    EXPECT_EQ(errorOf([] {
+                  SystemConfig cfg;
+                  exp::applyGridKey(cfg, "memory", "x");
+              }),
+              "fatal: grid key 'memory': unknown memory policy 'x' "
+              "(smp|quota|quo|piso)");
+    // A disk override also accepts "default" (follow the scheme), and
+    // lists it.
+    EXPECT_EQ(errorOf([] { parseWorkloadSpec("\nmachine disk_policy=x\n"); }),
+              "fatal: line 2: unknown disk policy 'x' "
+              "(pos|iso|piso|smp|quota|quo|default)");
+    EXPECT_EQ(errorOf([] {
+                  SystemConfig cfg;
+                  exp::applyGridKey(cfg, "disk_policy", "x");
+              }),
+              "fatal: grid key 'disk_policy': unknown disk policy 'x' "
+              "(pos|iso|piso|smp|quota|quo|default)");
+    EXPECT_EQ(errorOf([] { parseDiskPolicy("default"); }),
+              "fatal: unknown disk policy 'default' "
+              "(pos|iso|piso|smp|quota|quo)");
+}
+
+TEST(SchemeProfile, DefaultDiskPolicyFollowsTheScheme)
+{
+    EXPECT_EQ(parseDiskOverride("default"), std::nullopt);
+    EXPECT_EQ(parseDiskOverride("pos"), DiskPolicy::HeadPosition);
+
+    const WorkloadSpec spec = parseWorkloadSpec(
+        "machine scheme=smp disk_policy=default\nspu u\njob u compute\n");
+    EXPECT_FALSE(spec.config.diskPolicy.has_value());
+    EXPECT_EQ(spec.config.resolvedProfile(),
+              SchemeProfile::uniform(Scheme::Smp));
+
+    // A grid key clears an override the spec set.
+    SystemConfig cfg;
+    cfg.scheme = Scheme::Quota;
+    cfg.diskPolicy = DiskPolicy::FairPosition;
+    exp::applyGridKey(cfg, "disk_policy", "default");
+    EXPECT_EQ(cfg.resolvedProfile(), SchemeProfile::uniform(Scheme::Quota));
 }
 
 TEST(PolicyRegistry, ListsNamesForErrorMessages)

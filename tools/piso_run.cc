@@ -210,10 +210,12 @@ main(int argc, char **argv)
                             formatResultsJson(r, true).c_str());
                 return 0;
             }
+            // Name the profile the run used: a scheme's overrides can
+            // add up to another scheme's uniform profile.
             const SchemeProfile profile = spec.config.resolvedProfile();
+            const std::optional<Scheme> uniform = profile.asUniform();
             printBanner(std::string("piso_run: ") + path + " (" +
-                        (profile.mixed() ? profile.str()
-                                         : schemeName(spec.config.scheme)) +
+                        (uniform ? schemeName(*uniform) : profile.str()) +
                         ")");
             std::fputs(formatResults(r, true).c_str(), stdout);
             return 0;
@@ -233,6 +235,7 @@ main(int argc, char **argv)
             uniform.config.scheme = s;
             uniform.config.cpuPolicy.reset();
             uniform.config.memoryPolicy.reset();
+            uniform.config.diskPolicy.reset();
             uniform.config.netPolicy.reset();
             variants.push_back(std::move(uniform));
         }
