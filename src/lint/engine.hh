@@ -3,26 +3,11 @@
 
 /**
  * @file
- * The piso-lint driver: runs every applicable per-file rule over a set
- * of sources, builds the semantic index (src/lint/index.hh) and runs
- * the cross-file project rules over it, applies
- * `// piso-lint: allow(<rule>) -- <why>` suppressions (a justification
- * is mandatory), and renders text or SARIF-lite output.
- *
- * Two incremental features sit on top:
- *
- *  - A content-hash cache (`--cache <file>`): per-file summaries and
- *    raw per-file findings are persisted keyed by FNV-1a of the file
- *    contents. On a warm run only changed files — plus their reverse
- *    include-graph closure — are re-lexed and re-analyzed; project
- *    rules and suppression auditing always rerun from the summaries,
- *    so cached and cold runs report identical findings by
- *    construction.
- *
- *  - A diff filter (`--diff-base <ref>`): findings are restricted to
- *    changed lines, except the layering family, which gates tree-wide
- *    (a diff touching no include line can still break a whole-tree
- *    property).
+ * The piso-lint driver: one cold pass over a set of sources. It runs
+ * every applicable per-file rule, builds the semantic index
+ * (src/lint/index.hh) and runs the cross-file layering rule over it,
+ * applies `// piso-lint: allow(<rule>) -- <why>` suppressions (a
+ * justification is mandatory), and renders text output.
  *
  * Exit-code contract (stable; CI keys off it):
  *   0  clean
@@ -30,7 +15,6 @@
  *   2  usage or I/O error
  */
 
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -55,18 +39,9 @@ struct LintResult
     std::vector<Finding> findings;  //!< sorted by (path, line, rule)
     std::vector<AllowEntry> allows;  //!< every directive seen, sorted
     int filesScanned = 0;
-    int filesReanalyzed = 0;  //!< files actually re-lexed (== scanned
-                              //!< when no cache was used)
 
     /** 0 when clean, 1 when any finding survived. */
     int exitCode() const { return findings.empty() ? 0 : 1; }
-};
-
-/** Changed lines per project-relative path (from `git diff -U0`). */
-struct DiffLines
-{
-    /** Half-open is overkill at this size: inclusive [first, last]. */
-    std::map<std::string, std::vector<std::pair<int, int>>> byPath;
 };
 
 /**
@@ -92,28 +67,8 @@ bool collectFiles(const std::vector<std::string> &paths,
 bool lintFiles(const std::vector<std::string> &paths, LintResult &result,
                std::string &error);
 
-/**
- * Like lintFiles, but incremental: summaries and per-file findings are
- * read from / written back to @p cachePath (created on first run; a
- * stale or corrupt cache is silently ignored and rebuilt). An empty
- * @p cachePath degrades to lintFiles.
- */
-bool lintFilesCached(const std::vector<std::string> &paths,
-                     const std::string &cachePath, LintResult &result,
-                     std::string &error);
-
-/**
- * Drop findings outside @p diff's changed lines — except the
- * tree-wide-gating layering family (kRuleLayering), which is always
- * kept.
- */
-void filterToDiff(LintResult &result, const DiffLines &diff);
-
 /** Render findings as `path:line: [rule] message` lines + summary. */
 std::string formatText(const LintResult &result);
-
-/** Render findings as a SARIF-lite 2.1.0 JSON document. */
-std::string formatSarif(const LintResult &result);
 
 /** Render every suppression directive for `--list-allows`. */
 std::string formatAllows(const LintResult &result);

@@ -12,17 +12,6 @@ startsWith(const std::string &s, const std::string &prefix)
 
 } // namespace
 
-std::uint64_t
-lintFnv1a(const std::string &data)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (char c : data) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
 FileSummary
 summarizeFile(const SourceFile &file)
 {

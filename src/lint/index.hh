@@ -3,16 +3,14 @@
 
 /**
  * @file
- * The cross-file index behind piso-lint's project rules.
+ * The cross-file index behind piso-lint's layering rule.
  *
  * The per-file token rules see one translation unit at a time; the
- * index is what lets a rule reason *across* files. It holds two things
- * per file: the project includes (the edges the layering rule walks)
- * and each suppression directive with the line it covers, resolved
- * while the token stream is at hand so cached files need no re-lex.
+ * index is what lets the layering rule reason *across* files. It holds
+ * two things per file: the project includes (the edges the layering
+ * rule walks) and each suppression directive with the line it covers.
  */
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -27,18 +25,16 @@ struct IncludeEdge
     std::string target;  //!< as written, e.g. "src/os/vm.hh"
 };
 
-/** Everything the project rules need to know about one file. */
+/** Everything the engine needs to know about one file after its
+ *  token stream is gone. */
 struct FileSummary
 {
-    std::string path;          //!< project-relative
-    std::uint64_t hash = 0;    //!< FNV-1a of the file contents
+    std::string path;  //!< project-relative
     std::vector<IncludeEdge> includes;
     std::vector<Suppression> suppressions;
     /** Per-suppression resolved target line: the line the directive
-     *  covers (own-line comments cover the next code line). Resolved at
-     *  summary time so the engine can apply suppressions to cached
-     *  files without re-lexing them. Empty-by-construction only for
-     *  whole-file directives' entries (target 0 = any line). */
+     *  covers (own-line comments cover the next code line; 0 = any
+     *  line, for whole-file directives). */
     std::vector<int> suppressionTargets;
 };
 
@@ -49,13 +45,7 @@ struct ProjectIndex
     std::vector<const FileSummary *> files;
 };
 
-/** FNV-1a over @p data — the content hash the incremental cache keys
- *  on (kept separate from the simulator's ckptFnv1a: the lint library
- *  must stay independent of libpiso). */
-std::uint64_t lintFnv1a(const std::string &data);
-
-/** Build a file's summary from its token stream (everything except
- *  `hash`, which only the engine knows). */
+/** Build a file's summary from its token stream. */
 FileSummary summarizeFile(const SourceFile &file);
 
 /**

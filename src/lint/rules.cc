@@ -730,6 +730,8 @@ timeUnitCheck(const SourceFile &f, std::vector<Finding> &out)
     }
 }
 
+} // namespace
+
 // ---------------------------------------------------------------------
 // layering (cross-file)
 // ---------------------------------------------------------------------
@@ -800,8 +802,6 @@ layeringCheck(const ProjectIndex &index, std::vector<Finding> &out)
     }
 }
 
-} // namespace
-
 const std::vector<Rule> &
 ruleRegistry()
 {
@@ -841,29 +841,13 @@ ruleRegistry()
     return kRules;
 }
 
-const std::vector<ProjectRule> &
-projectRuleRegistry()
-{
-    static const std::vector<ProjectRule> kRules = {
-        {kRuleLayering,
-         "include edges respect the layer order; no include cycles",
-         layeringCheck},
-    };
-    return kRules;
-}
-
 bool
 knownRule(const std::string &name)
 {
     const auto &rules = ruleRegistry();
-    if (std::any_of(rules.begin(), rules.end(),
-                    [&](const Rule &r) { return name == r.name; }))
-        return true;
-    const auto &project = projectRuleRegistry();
-    return std::any_of(project.begin(), project.end(),
-                       [&](const ProjectRule &r) {
-                           return name == r.name;
-                       });
+    return name == kRuleLayering ||
+           std::any_of(rules.begin(), rules.end(),
+                       [&](const Rule &r) { return name == r.name; });
 }
 
 } // namespace piso::lint

@@ -41,34 +41,25 @@ struct Rule
     void (*check)(const SourceFile &file, std::vector<Finding> &out);
 };
 
-/**
- * A cross-file rule: runs once per lint run over the semantic index
- * (src/lint/index.hh) instead of once per file, so it can walk the
- * whole include graph. Findings carry the file/line of the offending
- * include, and the normal per-line `piso-lint: allow` escape applies
- * there.
- */
-struct ProjectRule
-{
-    const char *name;     //!< stable id used by allow(...) directives
-    const char *summary;  //!< one-line description for --list-rules
-    /** Scan the whole-project index and append raw findings. */
-    void (*check)(const ProjectIndex &index, std::vector<Finding> &out);
-};
-
 /** All registered per-file rules, in reporting order. */
 const std::vector<Rule> &ruleRegistry();
 
-/** All registered cross-file rules, in reporting order. */
-const std::vector<ProjectRule> &projectRuleRegistry();
-
-/** True when @p name names a registered rule (either registry). */
-bool knownRule(const std::string &name);
-
-/** The rule family that gates tree-wide even under --diff-base. An
- *  upward include or a cycle is a whole-tree property: a diff touching
- *  no include line can still introduce one. */
+/** The cross-file rule: its stable id and one-line summary. */
 inline constexpr const char *kRuleLayering = "layering";
+inline constexpr const char *kLayeringSummary =
+    "include edges respect the layer order; no include cycles";
+
+/**
+ * The layering rule. Runs once per lint run over the semantic index
+ * (src/lint/index.hh) instead of once per file, so it can walk the
+ * whole include graph: an upward include or a cycle is a whole-tree
+ * property. Findings carry the file/line of the offending include, and
+ * the normal per-line `piso-lint: allow` escape applies there.
+ */
+void layeringCheck(const ProjectIndex &index, std::vector<Finding> &out);
+
+/** True when @p name names a registered rule or the layering rule. */
+bool knownRule(const std::string &name);
 
 /** @name Rule names used by the engine's own suppression findings.
  *  These are not in the registry (they cannot be suppressed). */

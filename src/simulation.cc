@@ -148,9 +148,16 @@ struct Simulation::Impl : EventSink
      *  event in seq order. */
     std::string imageBlocker(std::vector<ImagedEvent> &pending) const;
 
-    /** Attempt a checkpoint at the current boundary; false when the
-     *  simulation is not quiescent here. */
-    bool tryCheckpoint(std::string *why = nullptr);
+    /** Why no image may be cut at the current boundary: events or a
+     *  scheduled fault still due at now(), or an imageBlocker().
+     *  Empty when one may, and @p pending then holds every pending
+     *  event in seq order. The one predicate behind both the
+     *  checkpointAt trigger and Simulation::checkpoint(). */
+    std::string boundaryBlocker(std::vector<ImagedEvent> &pending) const;
+
+    /** Attempt a checkpoint at the current boundary; false (and
+     *  @p why) when the simulation is not quiescent here. */
+    bool tryCheckpoint(std::string &why);
 
     void writeImage(std::ostream &out,
                     std::vector<ImagedEvent> &pending);
@@ -696,13 +703,26 @@ Simulation::run()
                    ? im.faultSchedule[im.faultCursor].at
                    : kTimeNever;
     };
-    // A fault due before (or at) the next event. The cursor test comes
-    // first, so a run without a fault plan never probes the queue head
-    // twice per event, and a drained queue never reads past the plan.
-    const auto faultDue = [&im] {
-        return im.faultCursor < im.faultSchedule.size() &&
-               im.faultSchedule[im.faultCursor].at <=
-                   im.events.nextEventTime();
+    // One step of either loop below: deliver a fault due before (or
+    // at) the next event, at its exact timestamp, or else run the next
+    // event and check the budgets. False once nothing is left to
+    // happen. The cursor test comes first, so a run without a fault
+    // plan never probes the queue head twice per event, and a drained
+    // queue never reads past the plan.
+    const auto step = [&im, guarded, &checkBudgets] {
+        if (im.faultCursor < im.faultSchedule.size() &&
+            im.faultSchedule[im.faultCursor].at <=
+                im.events.nextEventTime()) {
+            const FaultEvent &ev = im.faultSchedule[im.faultCursor++];
+            im.events.advanceTo(ev.at);
+            im.applyFault(ev);
+            return true;
+        }
+        if (!im.events.runOne())
+            return false;
+        if (guarded)
+            checkBudgets();
+        return true;
     };
 
     while (im.kernel->liveProcesses() > 0 &&
@@ -717,7 +737,7 @@ Simulation::run()
                 if (im.events.now() < at)
                     im.events.advanceTo(at);
                 std::string why;
-                if (im.tryCheckpoint(&why)) {
+                if (im.tryCheckpoint(why)) {
                     ckptPending = false;
                     if (im.cfg.checkpointStop) {
                         stoppedAtCheckpoint = true;
@@ -739,18 +759,8 @@ Simulation::run()
                 }
             }
         }
-        // Fault-plan cursor: deliver every fault due before (or at)
-        // the next event, at its exact timestamp.
-        if (faultDue()) {
-            const FaultEvent &ev = im.faultSchedule[im.faultCursor++];
-            im.events.advanceTo(ev.at);
-            im.applyFault(ev);
-            continue;
-        }
-        if (!im.events.runOne())
+        if (!step())
             break;
-        if (guarded)
-            checkBudgets();
     }
 
     // A requested checkpoint that never fired must not silently produce
@@ -772,17 +782,8 @@ Simulation::run()
         im.kernel->syncAll();
         while (!im.kernel->ioIdle() &&
                im.events.now() <= im.cfg.maxTime) {
-            if (faultDue()) {
-                const FaultEvent &ev =
-                    im.faultSchedule[im.faultCursor++];
-                im.events.advanceTo(ev.at);
-                im.applyFault(ev);
-                continue;
-            }
-            if (!im.events.runOne())
+            if (!step())
                 break;
-            if (guarded)
-                checkBudgets();
         }
     }
 
@@ -1042,32 +1043,30 @@ Simulation::Impl::imageBlocker(std::vector<ImagedEvent> &pending) const
     return {};
 }
 
-bool
-Simulation::Impl::tryCheckpoint(std::string *why)
+std::string
+Simulation::Impl::boundaryBlocker(std::vector<ImagedEvent> &pending) const
 {
     // A boundary is legal pre-loop (nothing executed yet) or strictly
     // between event times; never with events still due at now().
     if (events.executedEvents() > 0 &&
-        events.nextEventTime() <= events.now()) {
-        if (why)
-            *why = "events still due at the current time";
-        return false;
-    }
+        events.nextEventTime() <= events.now())
+        return "events still due at the current time";
     // Nor with a fault due at the current time: restore re-derives the
     // fault cursor as "first fault strictly after now()", so an image
     // taken here would silently drop that fault from the continuation.
     if (faultCursor < faultSchedule.size() &&
-        faultSchedule[faultCursor].at <= events.now()) {
-        if (why)
-            *why = "a scheduled fault is due at the current time";
-        return false;
-    }
+        faultSchedule[faultCursor].at <= events.now())
+        return "a scheduled fault is due at the current time";
+    return imageBlocker(pending);
+}
+
+bool
+Simulation::Impl::tryCheckpoint(std::string &why)
+{
     std::vector<ImagedEvent> pending;
-    if (std::string blocker = imageBlocker(pending); !blocker.empty()) {
-        if (why)
-            *why = std::move(blocker);
+    why = boundaryBlocker(pending);
+    if (!why.empty())
         return false;
-    }
     std::ostringstream os;
     writeImage(os, pending);
     cfg.checkpointSink(std::move(os).str());
@@ -1249,20 +1248,10 @@ Simulation::checkpoint(std::ostream &out)
     LogContextScope logScope(im.log);
     if (!im.setupDone)
         im.setupRun();
-    if (im.events.executedEvents() > 0 &&
-        im.events.nextEventTime() <= im.events.now()) {
-        throw InvariantError(
-            "checkpoint requires a quiescent event boundary (events "
-            "still due at the current time)",
-            im.events.now());
-    }
-    im.kernel->requireIoQuiescent();
-    std::string reject;
     std::vector<ImagedEvent> pending;
-    if (!im.pendingEvents(pending, reject)) {
-        throw InvariantError("checkpoint rejected: " + reject,
+    if (std::string why = im.boundaryBlocker(pending); !why.empty())
+        throw InvariantError("checkpoint rejected: " + why,
                              im.events.now());
-    }
     im.writeImage(out, pending);
 }
 

@@ -268,8 +268,9 @@ class Simulation
      * checkpoint() serialises the complete state to @p out. It may be
      * called before run() (a t=0 image) or from inside a scheduled
      * event; either way the simulation must be at a quiescent
-     * boundary — no I/O in flight and only serialisable events
-     * pending — or InvariantError is thrown.
+     * boundary — no event or scheduled fault still due at now(), no
+     * I/O in flight and only serialisable events pending — or
+     * InvariantError is thrown.
      *
      * restore() is the inverse: construct a Simulation with the exact
      * same SystemConfig and replay the identical addSpu()/addJob()

@@ -602,6 +602,29 @@ TEST(Checkpoint, CheckpointWaitsOutAnActiveFaultWindow)
               cold);
 }
 
+TEST(Checkpoint, ExplicitCheckpointRefusesAFaultDueNow)
+{
+    // A fault due at t=0 is delivered by run(), not before it. An image
+    // cut here would resume the fault cursor strictly after now() and
+    // never deliver the fault, so checkpoint() must refuse it, as the
+    // checkpointAt trigger does.
+    WorkloadSpec spec = shapeSpec(kComputeShape, Scheme::PIso);
+    spec.config.faults.diskSlow(0, 1, 5 * kSec, 8.0);
+    Simulation sim(spec.config);
+    populateWorkloadSpec(sim, spec);
+    std::ostringstream out;
+    try {
+        sim.checkpoint(out);
+        ADD_FAILURE() << "checkpoint taken with a fault due";
+    } catch (const InvariantError &e) {
+        EXPECT_NE(std::string(e.what()).find("scheduled fault is due"),
+                  std::string::npos)
+            << e.what();
+    }
+    // The refused attempt leaves the run itself untouched.
+    EXPECT_EQ(formatResultsJson(sim.run()), coldJson(spec));
+}
+
 // ---------------------------------------------------------------------
 // Misuse and error handling
 // ---------------------------------------------------------------------

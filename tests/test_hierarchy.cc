@@ -88,8 +88,9 @@ checkNode(const ShareTree &tree, const ResourceLedger &l,
     if (node.spu != kNoSpu) {
         EXPECT_EQ(l.levels(node.spu).entitled, amount)
             << "node for SPU " << node.spu;
-        if (node.share == 0.0)
+        if (node.share == 0.0) {
             EXPECT_EQ(amount, 0u) << "zero-share SPU " << node.spu;
+        }
     }
     if (node.children.empty())
         return;
