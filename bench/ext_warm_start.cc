@@ -6,10 +6,10 @@
  * zero by >= 2x.
  *
  * The plan is the warm-start engine's best case, which is also the
- * common what-if shape: one compute-heavy base workload (dense
- * quiescent boundaries) swept over a late-fault axis, so every grid
- * point shares the long undisturbed prefix and differs only in its
- * tail. Cold cost ~ N runs; warm cost ~ one prefix run + N tails.
+ * common what-if shape: one compute-heavy base workload swept over
+ * a late-fault axis, so every grid point shares the long undisturbed
+ * prefix and differs only in its tail. Cold cost ~ N runs; warm
+ * cost ~ one prefix run + N tails.
  *
  * BM_SweepCold / BM_SweepWarm share one plan; compare their times for
  * the speedup. BM_TemplateCheckpoint isolates the fixed cost warm
@@ -29,8 +29,7 @@ namespace {
 
 /**
  * Compute-dominated base: the hogs run ~5s of simulated time, and the
- * disk is quiet after the startup page-ins, so quiescent boundaries
- * stay dense right up to the fault axis' divergence times below.
+ * disk is quiet after the startup page-ins.
  */
 const char *kSpec = R"(
 machine cpus=4 memory_mb=32 disks=2 scheme=piso seed=3

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "src/sim/checkpoint.hh"
 #include "src/util/log.hh"
 #include "src/workload/filecopy.hh"
 #include "src/workload/oltp.hh"
@@ -79,6 +80,22 @@ Time
 jobStartAt(const JobDecl &decl)
 {
     return fromSeconds(optionNumber(decl.options, kStartKey, 0.0, decl.line));
+}
+
+/** FNV-1a of the declaration's kind and options as "kind key=value
+ *  ...", in option-key order: what the config digest holds of how the
+ *  job is built. */
+std::uint64_t
+jobRecipe(const JobDecl &decl)
+{
+    std::uint64_t h = ckptFnv1a(decl.kind);
+    for (const auto &[key, value] : decl.options) {
+        h = ckptFnv1a(" ", h);
+        h = ckptFnv1a(key, h);
+        h = ckptFnv1a("=", h);
+        h = ckptFnv1a(value, h);
+    }
+    return h;
 }
 
 /** Typed accessors that consume keys (leftovers are typos). */
@@ -483,6 +500,7 @@ buildJob(const JobDecl &decl)
     }
 
     job.startAt = startAt;
+    job.recipe = jobRecipe(decl);
     r.finish();
     return job;
 }
@@ -536,7 +554,7 @@ specConfigDigest(const WorkloadSpec &spec)
     }
     d.jobs(spec.jobs.size());
     for (const JobDecl &j : spec.jobs)
-        d.job(idOf(j.spu, n), j.name, jobStartAt(j));
+        d.job(idOf(j.spu, n), j.name, jobStartAt(j), jobRecipe(j));
     return d.value();
 }
 

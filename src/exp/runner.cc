@@ -221,12 +221,11 @@ faultPrefix(const std::vector<ExperimentTask> &tasks, WarmGroup &group)
 }
 
 /**
- * Run the group's shared prefix to a checkpoint. The boundary must
- * land strictly before the divergence time, and as late as possible
- * for the best sharing, so the target time steps down from 3/4 of the
- * divergence time until a run finds a quiescent boundary inside
- * [target, divergeAt). Returns an empty image when none exists — the
- * group then runs cold, which is always correct.
+ * Run the group's shared prefix to a checkpoint at 3/4 of the
+ * divergence time. Any event boundary admits an image, so one run
+ * finds one; it must still land strictly before the divergence time.
+ * Returns an empty image when the prefix run fails or overshoots —
+ * the group then runs cold, which is always correct.
  */
 std::string
 buildTemplateImage(const ExperimentTask &first, const WarmGroup &group,
@@ -243,34 +242,28 @@ buildTemplateImage(const ExperimentTask &first, const WarmGroup &group,
     if (opts.watchdogEvents > 0)
         spec.config.watchdogEvents = opts.watchdogEvents;
 
-    for (const double fraction : {0.75, 0.5, 0.25, 0.0}) {
-        const Time target = std::max<Time>(
-            1, static_cast<Time>(
-                   static_cast<double>(group.divergeAt) * fraction));
-        std::string image;
-        spec.config.checkpointAt = target;
-        spec.config.checkpointDeadline = group.divergeAt;
-        spec.config.checkpointStop = true;
-        spec.config.checkpointSink = [&image](std::string img) {
-            image = std::move(img);
-        };
-        try {
-            runWorkloadSpec(spec);
-        } catch (const std::exception &) {
-            // No boundary in [target, divergeAt) — or the prefix run
-            // itself failed, in which case every member will report
-            // its own failure from its own cold run.
-            continue;
-        }
-        if (image.empty())
-            continue;
-        // The image's first payload field is the boundary time; an
-        // image taken at or past the divergence point would hand
-        // members a prefix they do not share.
-        if (CkptReader(image).time() < group.divergeAt)
-            return image;
+    std::string image;
+    spec.config.checkpointAt = std::max<Time>(
+        1, static_cast<Time>(static_cast<double>(group.divergeAt) * 0.75));
+    spec.config.checkpointDeadline = group.divergeAt;
+    spec.config.checkpointStop = true;
+    spec.config.checkpointSink = [&image](std::string img) {
+        image = std::move(img);
+    };
+    try {
+        runWorkloadSpec(spec);
+    } catch (const std::exception &) {
+        // The prefix run failed, or reached divergeAt without an
+        // image; every member then reports its own outcome from its
+        // own cold run.
+        return std::string();
     }
-    return std::string();
+    // The image's first payload field is the boundary time; an image
+    // taken at or past the divergence point would hand members a
+    // prefix they do not share.
+    if (image.empty() || CkptReader(image).time() >= group.divergeAt)
+        return std::string();
+    return image;
 }
 
 /**

@@ -65,9 +65,9 @@ struct SweepOptions
      *  instead of re-simulating from time zero (docs/checkpoint.md).
      *  Purely a wall-clock optimisation: the JSONL stream is
      *  byte-identical with it on or off, at any `jobs` value — any
-     *  group whose template cannot find a quiescent boundary, and any
-     *  member whose warm run fails, silently falls back to a cold
-     *  run. `piso_sweep --no-warm-start` clears it. */
+     *  group whose template run yields no image before the
+     *  divergence time, and any member whose warm run fails, silently
+     *  falls back to a cold run. `piso_sweep --no-warm-start` clears it. */
     bool warmStart = true;
 };
 

@@ -13,9 +13,9 @@ DiskScheduler::onComplete(const DiskRequest &, Time)
 
 DiskDevice::DiskDevice(EventQueue &events, const DiskModel &model,
                        std::unique_ptr<DiskScheduler> scheduler, Rng rng,
-                       std::string name)
+                       std::string name, DiskId index)
     : events_(events), model_(model), scheduler_(std::move(scheduler)),
-      rng_(rng), name_(std::move(name))
+      rng_(rng), name_(std::move(name)), index_(index)
 {
     if (!scheduler_)
         PISO_FATAL("disk '", name_, "' constructed without a scheduler");
@@ -93,7 +93,7 @@ DiskDevice::failFast(DiskRequest req)
 {
     req.failed = true;
     failing_.push_back(std::move(req));
-    events_.scheduleAfter(0, EvKind::DiskFailFast, *this);
+    events_.scheduleAfter(0, EvKind::DiskFailFast, *this, {index_});
 }
 
 void
@@ -173,7 +173,8 @@ DiskDevice::startNext()
     ss.serviceMs.sample(toMillis(st.total()));
 
     busy_ = true;
-    events_.scheduleAfter(st.total(), EvKind::DiskComplete, *this);
+    events_.scheduleAfter(st.total(), EvKind::DiskComplete, *this,
+                          {index_});
 }
 
 void
@@ -255,13 +256,46 @@ DiskStats::ckpt(CkptIo &io)
 }
 
 void
-DiskDevice::ckpt(CkptIo &io, std::size_t spuBound)
+DiskDevice::ckptRequest(CkptIo &io, DiskRequest &req, std::size_t spuBound,
+                        std::size_t opBound)
 {
-    if (!io.loading() && (busy_ || queued() || !failing_.empty())) {
-        throw InvariantError("disk '" + name_ +
-                             "' has in-flight or queued requests at "
-                             "checkpoint time (not I/O-quiescent)");
+    io.u64(req.id);
+    io.i64(req.spu);
+    io.i64(req.pid);
+    io.u64(req.startSector);
+    io.u32(req.sectors);
+    io.boolean(req.write);
+    io.time(req.issueTime);
+    io.boolean(req.failed);
+    io.u32(req.tag.slot);
+    io.u32(req.tag.generation);
+    io.u32(req.tag.attempt);
+    io.seq(req.charges, [&io](std::pair<SpuId, std::uint32_t> &c) {
+        io.i64(c.first);
+        io.u32(c.second);
+    });
+    if (!io.loading())
+        return;
+    const auto knownSpu = [spuBound](SpuId spu) {
+        return spu >= 0 && static_cast<std::size_t>(spu) < spuBound;
+    };
+    bool ok = knownSpu(req.spu) && req.sectors > 0 &&
+              req.startSector < model_.totalSectors() &&
+              req.sectors <= model_.totalSectors() - req.startSector &&
+              req.tag.slot < opBound;
+    for (const auto &[spu, sectors] : req.charges)
+        ok = ok && knownSpu(spu);
+    if (!ok) {
+        throw ConfigError("checkpoint image rejected: disk '" + name_ +
+                          "' request " + std::to_string(req.id) +
+                          " names an unknown SPU, sector range or "
+                          "I/O op slot");
     }
+}
+
+void
+DiskDevice::ckpt(CkptIo &io, std::size_t spuBound, std::size_t opBound)
+{
     io.u64(headSector_);
     io.u64(nextId_);
     io.f64(slowFactor_);
@@ -271,6 +305,36 @@ DiskDevice::ckpt(CkptIo &io, std::size_t spuBound)
     stats_.ckpt(io);
     spuStats_.table(io, spuBound,
                     [&io](SpuDiskStats &s) { s.ckpt(io); });
+
+    const auto request = [&](DiskRequest &req) {
+        ckptRequest(io, req, spuBound, opBound);
+    };
+    const std::size_t queued = io.count(queueDepth());
+    if (io.loading() && queued > 0 && !queue_)
+        queue_.emplace();
+    if (queue_) {
+        if (io.loading())
+            queue_->resize(queued);
+        for (DiskRequest &req : *queue_)
+            request(req);
+    }
+    io.boolean(busy_);
+    if (busy_) {
+        request(inService_);
+        io.time(inServiceTime_.seek);
+        io.time(inServiceTime_.rotational);
+        io.time(inServiceTime_.transfer);
+        io.time(inServiceTime_.overhead);
+    }
+    // Only the fast-failed requests not yet reported; loading puts the
+    // oldest at the head.
+    const std::size_t failed = io.count(failing_.size() - failHead_);
+    if (io.loading()) {
+        failing_.assign(failed, DiskRequest{});
+        failHead_ = 0;
+    }
+    for (std::size_t i = failHead_; i < failing_.size(); ++i)
+        request(failing_[i]);
 }
 
 } // namespace piso

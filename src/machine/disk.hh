@@ -128,7 +128,7 @@ struct DiskStats
  * A single disk drive: HP97560-modelled mechanism plus a request queue
  * drained under a pluggable scheduling policy.
  */
-class DiskDevice : private EventSink
+class DiskDevice : public EventSink
 {
   public:
     /**
@@ -137,10 +137,12 @@ class DiskDevice : private EventSink
      * @param scheduler Scheduling policy; must not be null.
      * @param rng       Private random stream (rotational latency).
      * @param name      Label for logs.
+     * @param index     The machine's index of this disk: the arg of
+     *                  its events, which a restore resolves by it.
      */
     DiskDevice(EventQueue &events, const DiskModel &model,
                std::unique_ptr<DiskScheduler> scheduler, Rng rng,
-               std::string name = "disk");
+               std::string name = "disk", DiskId index = 0);
 
     /** Report completions to @p sink (set before the first submit;
      *  replaceable only while idle). */
@@ -203,10 +205,13 @@ class DiskDevice : private EventSink
 
     const std::string &name() const { return name_; }
 
-    /** Image head/fault/RNG/stats state. Saving is only legal while
-     *  idle with an empty queue (requests in flight are not imaged).
-     *  Per-SPU ids must be below @p spuBound. */
-    void ckpt(CkptIo &io, std::size_t spuBound);
+    /** Image head/fault/RNG/stats state and every request in
+     *  flight: the queue, the one in service with its service time,
+     *  and the fast-failed ones not yet reported. Loading rejects
+     *  (ConfigError) a request whose SPU is not below @p spuBound,
+     *  whose sectors leave the disk, or whose tag names an op slot not
+     *  below @p opBound. */
+    void ckpt(CkptIo &io, std::size_t spuBound, std::size_t opBound);
 
   private:
     bool queued() const { return queueDepth() > 0; }
@@ -221,15 +226,18 @@ class DiskDevice : private EventSink
     void failFast(DiskRequest req);
     /** Report the oldest fast-failed request (the diskFailFast event). */
     void completeFailFast();
+    /** Image one request in flight (see ckpt()). */
+    void ckptRequest(CkptIo &io, DiskRequest &req, std::size_t spuBound,
+                     std::size_t opBound);
 
     EventQueue &events_;
     DiskModel model_;
     std::unique_ptr<DiskScheduler> scheduler_;
     Rng rng_;
     std::string name_;
+    DiskId index_;
     DiskSink *sink_ = nullptr;
 
-    // Saving throws unless the queues are empty: nothing to image.
     // Made on the first submit: an empty std::deque allocates, and a
     // machine may never use some of its disks.
     std::optional<std::deque<DiskRequest>> queue_;
@@ -238,7 +246,6 @@ class DiskDevice : private EventSink
      *  run in this order. */
     std::vector<DiskRequest> failing_;
     std::size_t failHead_ = 0;
-    // Saving throws unless idle: false in any image.
     bool busy_ = false;
     /** The request in service and its service time (valid while busy). */
     DiskRequest inService_;

@@ -118,17 +118,40 @@ NetworkInterface::complete()
 }
 
 void
-NetworkInterface::ckpt(CkptIo &io, std::size_t spuBound)
+NetworkInterface::ckptMessage(CkptIo &io, NetMessage &msg,
+                              std::size_t spuBound, std::size_t opBound)
 {
-    if (!io.loading() && (busy_ || !queue_.empty())) {
-        throw InvariantError("network '" + name_ +
-                             "' has in-flight or queued messages at "
-                             "checkpoint time (not quiescent)");
+    io.u64(msg.id);
+    io.i64(msg.spu);
+    io.i64(msg.pid);
+    io.u64(msg.bytes);
+    io.time(msg.issueTime);
+    io.u32(msg.tag.slot);
+    io.u32(msg.tag.generation);
+    io.u32(msg.tag.attempt);
+    if (io.loading() &&
+        (msg.spu < 0 || static_cast<std::size_t>(msg.spu) >= spuBound ||
+         msg.bytes == 0 || msg.tag.slot >= opBound)) {
+        throw ConfigError("checkpoint image rejected: network message " +
+                          std::to_string(msg.id) +
+                          " names an unknown SPU or I/O op slot");
     }
+}
+
+void
+NetworkInterface::ckpt(CkptIo &io, std::size_t spuBound,
+                       std::size_t opBound)
+{
     io.u64(nextId_);
     total_.ckpt(io);
     spuStats_.table(io, spuBound,
                     [&io](SpuNetStats &s) { s.ckpt(io); });
+    io.seq(queue_, [&](NetMessage &msg) {
+        ckptMessage(io, msg, spuBound, opBound);
+    });
+    io.boolean(busy_);
+    if (busy_)
+        ckptMessage(io, inService_, spuBound, opBound);
 }
 
 } // namespace piso

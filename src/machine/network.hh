@@ -95,7 +95,7 @@ struct SpuNetStats
  * A network interface: one transmitter draining a message queue at
  * link speed under the configured scheduler.
  */
-class NetworkInterface : private EventSink
+class NetworkInterface : public EventSink
 {
   public:
     /**
@@ -123,7 +123,6 @@ class NetworkInterface : private EventSink
     Time transmitTime(std::uint64_t bytes) const;
 
     bool busy() const { return busy_; }
-    std::size_t queueDepth() const { return queue_.size(); }
 
     const SpuNetStats &spuStats(SpuId spu) const;
     std::uint64_t totalMessages() const { return total_.value(); }
@@ -134,9 +133,11 @@ class NetworkInterface : private EventSink
     NetScheduler &scheduler() { return *scheduler_; }
     const NetScheduler &scheduler() const { return *scheduler_; }
 
-    /** Image counters; saving is only legal while idle with an empty
-     *  queue. Per-SPU ids must be below @p spuBound. */
-    void ckpt(CkptIo &io, std::size_t spuBound);
+    /** Image counters and every message in flight: the queue and the
+     *  one on the wire. Loading rejects (ConfigError) a message whose
+     *  SPU is not below @p spuBound or whose tag names an op slot not
+     *  below @p opBound. */
+    void ckpt(CkptIo &io, std::size_t spuBound, std::size_t opBound);
 
   private:
     void startNext();
@@ -144,6 +145,9 @@ class NetworkInterface : private EventSink
     void fire(EvKind kind, const EventArg &arg) override;
     /** Finish the message on the wire (the netTx event). */
     void complete();
+    /** Image one message in flight (see ckpt()). */
+    void ckptMessage(CkptIo &io, NetMessage &msg, std::size_t spuBound,
+                     std::size_t opBound);
 
     EventQueue &events_;
     double bitsPerSec_;
@@ -152,9 +156,7 @@ class NetworkInterface : private EventSink
     Time overhead_;
     NetSink *sink_ = nullptr;
 
-    // Saving throws unless the queue is empty: nothing to image.
     std::deque<NetMessage> queue_;
-    // Saving throws unless idle: false in any image.
     bool busy_ = false;
     NetMessage inService_;  //!< the message on the wire (while busy)
     std::uint64_t nextId_ = 1;

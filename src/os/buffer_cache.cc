@@ -415,24 +415,48 @@ BufferCache::rebuildIndex(const std::vector<char> &state)
 }
 
 void
-BufferCache::ckpt(CkptIo &io, std::size_t spuBound)
+BufferCache::checkWaiters(const std::vector<char> &state) const
 {
-    if (!io.loading()) {
-        for (std::uint32_t i = 0; i < slab_.size(); ++i) {
-            const CacheBlock &blk = slab_[i];
-            if (hasWaiters(blk)) {
-                throw InvariantError(
-                    "buffer cache has a block with read waiters at "
-                    "checkpoint time (not I/O-quiescent)");
-            }
-            if (blk.flushing) {
-                throw InvariantError(
-                    "buffer cache has a flushing block at checkpoint "
-                    "time (not I/O-quiescent)");
-            }
+    std::vector<char> listed(waitNodes_.size(), 0);
+    // Walk one list from @p head; @return its last node.
+    const auto walk = [&](std::uint32_t head, bool waiting) {
+        std::uint32_t last = kNullSlot;
+        for (std::uint32_t n = head; n != kNullSlot;
+             n = waitNodes_[n].next) {
+            if (n >= waitNodes_.size() || listed[n])
+                badImage("waiter node " + std::to_string(n) +
+                         " out of range or on two lists");
+            listed[n] = 1;
+            if ((waitNodes_[n].proc != nullptr) != waiting)
+                badImage("waiter node " + std::to_string(n) +
+                         (waiting ? " names no process"
+                                  : " is free but names a process"));
+            PISO_CHECK(!waiting || waitNodes_[n].proc->state() ==
+                                       ProcState::Blocked,
+                       "restored cache waiter pid ",
+                       waitNodes_[n].proc->pid(), " is not blocked");
+            last = n;
         }
+        return last;
+    };
+    walk(freeWait_, false);
+    for (std::size_t i = 0; i < state.size(); ++i) {
+        const CacheBlock &blk = slab_[static_cast<std::uint32_t>(i)];
+        if (!hasWaiters(blk) && blk.waitTail == kNullSlot)
+            continue;
+        if (state[i] != kLive || blk.valid ||
+            walk(blk.waitHead, true) != blk.waitTail)
+            badImage("block " + std::to_string(i) +
+                     " has a malformed waiter list");
     }
+    if (std::find(listed.begin(), listed.end(), 0) != listed.end())
+        badImage("waiter pool has a node on no list");
+}
 
+void
+BufferCache::ckpt(CkptIo &io, const ProcessByPid &byPid,
+                  std::size_t spuBound)
+{
     const std::size_t slots = io.count(slab_.size());
     if (io.loading()) {
         if (slots >= kNullSlot)
@@ -440,9 +464,6 @@ BufferCache::ckpt(CkptIo &io, std::size_t spuBound)
         slab_.clear();
         for (std::size_t i = 0; i < slots; ++i)
             slab_.grow();
-        // An image has no waiters, so none of the pool is in use.
-        waitNodes_.clear();
-        freeWait_ = kNullSlot;
     }
     for (std::uint32_t i = 0; i < slots; ++i) {
         CacheBlock &blk = slab_[i];
@@ -450,10 +471,13 @@ BufferCache::ckpt(CkptIo &io, std::size_t spuBound)
         io.u64(blk.key.block);
         io.boolean(blk.valid);
         io.boolean(blk.dirty);
+        io.boolean(blk.flushing);
         io.i64(blk.owner);
         io.u32(blk.slabIndex);
         io.u32(blk.lruPrev);
         io.u32(blk.lruNext);
+        io.u32(blk.waitHead);
+        io.u32(blk.waitTail);
     }
     io.seq(freeSlab_, [&io](std::uint32_t &slot) { io.u32(slot); });
     io.u32(lru_.head);
@@ -462,6 +486,14 @@ BufferCache::ckpt(CkptIo &io, std::size_t spuBound)
     io.u64(dirty_);
     owners_.table(io, spuBound,
                   [&io](Owner &o) { io.u64(o.pages); });
+    io.seq(waitNodes_, [&io, &byPid](WaitNode &node) {
+        Pid pid = node.proc ? node.proc->pid() : kNoPid;
+        io.i64(pid);
+        io.u32(node.next);
+        if (io.loading())
+            node.proc = pid == kNoPid ? nullptr : byPid(pid);
+    });
+    io.u32(freeWait_);
     if (!io.loading())
         return;
 
@@ -535,6 +567,8 @@ BufferCache::ckpt(CkptIo &io, std::size_t spuBound)
             badImage("page count of SPU " + std::to_string(spu) +
                      " disagrees with the blocks");
     }
+
+    checkWaiters(state);
 
     // Rebuild the derived structures. Owner lists are filled from the
     // LRU tail so each is the global order filtered by owner.

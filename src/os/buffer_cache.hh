@@ -41,9 +41,11 @@
  * order.
  *
  * A checkpoint images the slab, the free list and the global LRU
- * links, so steal order survives a restore. The runs, the index, the
- * owner lists and the dirty list are derived state: loading validates
- * the imaged links and rebuilds them from the slab.
+ * links, so steal order survives a restore, and the waiter pool with
+ * each block's waiter list, so blocks with reads or writes in flight
+ * restore with their waiters. The runs, the index, the owner lists
+ * and the dirty list are derived state: loading validates the imaged
+ * links and rebuilds them from the slab.
  */
 
 #include <cstdint>
@@ -51,12 +53,11 @@
 #include <vector>
 
 #include "src/core/spu_table.hh"
+#include "src/os/process.hh"
 #include "src/sim/checkpoint.hh"
 #include "src/sim/ids.hh"
 
 namespace piso {
-
-class Process;
 
 /** Identifies one file block. */
 struct BlockKey
@@ -159,6 +160,7 @@ class BufferCache
             WaitNode &node = waitNodes_[n];
             Process *p = node.proc;
             const std::uint32_t next = node.next;
+            node.proc = nullptr;
             node.next = freeWait_;
             freeWait_ = n;
             wake(*p);
@@ -188,6 +190,17 @@ class BufferCache
     /** Runs holding at least one cached block. */
     std::size_t liveRuns() const { return runs_.size() - freeRuns_.size(); }
 
+    /** Invoke @p fn(const CacheBlock &) on every cached block, most
+     *  recently used first. */
+    template <typename Fn>
+    void
+    forEachBlock(Fn &&fn) const
+    {
+        for (std::uint32_t idx = lru_.head; idx != kNullSlot;
+             idx = slab_[idx].lruNext)
+            fn(slab_[idx]);
+    }
+
     /** Invoke @p fn on every dirty, valid, non-flushing block, in
      *  ascending key order (the order the old std::map walk produced,
      *  which downstream flush clustering depends on). @p fn must not
@@ -201,15 +214,14 @@ class BufferCache
             fn(slab_[e.slot]);
     }
 
-    /** Checkpoint: the slab, free list, global LRU links and per-SPU
-     *  page counts are imaged verbatim so that LRU order — observable
-     *  through steal decisions — restores bit-identically; loading
-     *  validates them (ConfigError) and rebuilds the index, the owner
-     *  lists and the dirty list. SPU ids must be below @p spuBound.
-     *  Only legal when no block is invalid or flushing and no waiters
-     *  are registered (I/O quiescence); saving throws InvariantError
-     *  otherwise. */
-    void ckpt(CkptIo &io, std::size_t spuBound);
+    /** Checkpoint: the slab, free list, global LRU links, per-SPU
+     *  page counts and the waiter pool are imaged verbatim so that LRU
+     *  order — observable through steal decisions — and the release
+     *  order of waiters restore bit-identically; loading validates them
+     *  (ConfigError) and rebuilds the index, the owner lists and the
+     *  dirty list. SPU ids must be below @p spuBound; a waiter's pid
+     *  is resolved through @p byPid. */
+    void ckpt(CkptIo &io, const ProcessByPid &byPid, std::size_t spuBound);
 
   private:
     /** Slab index meaning "none" (end of a list, free entry). */
@@ -222,6 +234,12 @@ class BufferCache
       public:
         CacheBlock &
         operator[](std::uint32_t slot)
+        {
+            return chunks_[slot >> kChunkShift][slot & (kChunk - 1)];
+        }
+
+        const CacheBlock &
+        operator[](std::uint32_t slot) const
         {
             return chunks_[slot >> kChunkShift][slot & (kChunk - 1)];
         }
@@ -276,7 +294,8 @@ class BufferCache
         std::uint32_t slot = kNullSlot;
     };
 
-    /** One waiter in the pool: a process and the next node. */
+    /** One waiter in the pool: a process (none while on the free
+     *  list) and the next node. */
     struct WaitNode
     {
         Process *proc = nullptr;
@@ -344,6 +363,11 @@ class BufferCache
 
     /** Fill dirtyScratch_ with the flushable blocks, sorted by key. */
     void collectDirty();
+
+    /** Validate the loaded waiter pool against the slab's live blocks
+     *  (@p state as rebuildIndex takes it): every node on exactly one
+     *  list, in range, with a process exactly when it waits. */
+    void checkWaiters(const std::vector<char> &state) const;
 
     /** Owner entry of @p spu, which must have a block. */
     Owner &ownerOf(SpuId spu);

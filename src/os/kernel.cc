@@ -1633,40 +1633,6 @@ Kernel::bdflush()
 // --------------------------------------------------------------------
 
 void
-Kernel::requireIoQuiescent() const
-{
-    for (const DiskDevice *d : disks_) {
-        if (d->busy() || d->queueDepth() > 0) {
-            throw InvariantError("disk '" + d->name() +
-                                 "' active at checkpoint time");
-        }
-    }
-    if (net_ && (net_->busy() || net_->queueDepth() > 0))
-        throw InvariantError("network active at checkpoint time");
-    for (DiskId d : flushBacklog_.ids()) {
-        if (const std::uint64_t *v = flushBacklog_.find(d); v && *v != 0) {
-            throw InvariantError(
-                "flush backlog outstanding at checkpoint time");
-        }
-    }
-    for (DiskId d : throttleWaiters_.ids()) {
-        if (const std::vector<Process *> *v = throttleWaiters_.find(d);
-            v && !v->empty()) {
-            throw InvariantError(
-                "write-throttled processes at checkpoint time");
-        }
-    }
-    for (const auto &p : processes_) {
-        if (p->pendingIo > 0) {
-            throw InvariantError("process '" + p->name() +
-                                 "' waiting on I/O at checkpoint time");
-        }
-    }
-    if (liveOps_ > 0)
-        throw InvariantError("I/O operation in flight at checkpoint time");
-}
-
-void
 Kernel::ckpt(CkptIo &io, std::size_t spuBound)
 {
     // Every pid was handed out by the replayed set-up.
@@ -1709,8 +1675,51 @@ Kernel::ckpt(CkptIo &io, std::size_t spuBound)
             throw ConfigError("checkpoint swap extent names unknown "
                               "file " + std::to_string(f));
     });
+
+    // I/O in flight: the op slab verbatim (a freed slot's record and
+    // generation too, so a stale tag stays stale), the flush batches'
+    // keys, the free list, and the throttling state.
+    io.seq(ops_, [&io, &byPid](IoOp &op) {
+        io.u8(op.kind);
+        io.u8(op.grant);
+        io.boolean(op.settled);
+        io.u32(op.attempt);
+        io.u32(op.pendingRetries);
+        io.u32(op.generation);
+        io.u32(op.slot);
+        io.i64(op.disk);
+        io.i64(op.spu);
+        Pid pid = op.proc ? op.proc->pid() : kNoPid;
+        io.i64(pid);
+        io.u64(op.sector);
+        io.u32(op.sectors);
+        io.i64(op.file);
+        io.u64(op.first);
+        io.u64(op.count);
+        io.i64(op.grantSpu);
+        io.i64(op.from);
+        if (io.loading())
+            op.proc = pid == kNoPid ? nullptr : byPid(pid);
+    });
+    if (io.loading())
+        opKeys_.resize(ops_.size());
+    for (std::vector<BlockKey> &keys : opKeys_) {
+        io.seq(keys, [&io](BlockKey &k) {
+            io.i64(k.file);
+            io.u64(k.block);
+        });
+    }
+    io.seq(freeOps_, [&io](std::uint32_t &slot) { io.u32(slot); });
+    flushBacklog_.table(io, disks_.size(),
+                        [&io](std::uint64_t &v) { io.u64(v); });
+    throttleWaiters_.table(io, disks_.size(),
+                           [&io, &byPid](std::vector<Process *> &v) {
+                               ckptProcesses(io, v, byPid);
+                           });
     if (!io.loading())
         return;
+
+    checkLoadedOps(spuBound);
 
     // Membership lists derive from per-process state: rebuild them in
     // pid order, which is exactly the order createProcess built and
@@ -1742,23 +1751,98 @@ Kernel::imagedProcess(Pid pid)
 }
 
 void
-Kernel::relinkEvent(EvKind kind, Pid pid, EventId id)
+Kernel::checkLoadedOps(std::size_t spuBound)
 {
-    Process &p = *imagedProcess(pid);
+    const auto bad = [](const std::string &why) {
+        throw ConfigError("checkpoint image rejected: I/O " + why);
+    };
+    std::vector<char> freed(ops_.size(), 0);
+    for (std::uint32_t slot : freeOps_) {
+        if (slot >= ops_.size() || freed[slot])
+            bad("free list names op slot " + std::to_string(slot) +
+                " out of range or twice");
+        freed[slot] = 1;
+    }
+    const auto spuOk = [spuBound](SpuId spu) {
+        return spu == kNoSpu ||
+               (spu >= 0 && static_cast<std::size_t>(spu) < spuBound);
+    };
+    for (std::size_t i = 0; i < ops_.size(); ++i) {
+        const IoOp &op = ops_[i];
+        const bool needsProc = op.kind != IoKind::ClusterPageout &&
+                               op.kind != IoKind::FlushWrite;
+        if (op.slot != i || op.kind > IoKind::NetSend ||
+            op.grant > FrameGrant::SwapIn || op.disk < 0 ||
+            static_cast<std::size_t>(op.disk) >= disks_.size() ||
+            !spuOk(op.spu) || !spuOk(op.grantSpu) || !spuOk(op.from) ||
+            (freed[i] && !op.settled) ||
+            (!freed[i] && needsProc && op.proc == nullptr))
+            bad("op slot " + std::to_string(i) + " is malformed");
+    }
+    liveOps_ = ops_.size() - freeOps_.size();
+}
+
+void
+Kernel::relinkEvent(EvKind kind, const EventArg &arg, EventId id)
+{
     PISO_CHECK(events_.pendingEvent(id), "re-linked '", kindName(kind),
-               "' event of pid ", pid, " is not pending");
+               "' event is not pending");
+    const auto pid = static_cast<Pid>(arg.value);
     switch (kind) {
       case EvKind::ProcStart:
-        p.startEvent = id;
+        imagedProcess(pid)->startEvent = id;
         return;
       case EvKind::SegEnd:
-        p.segmentEvent = id;
+        imagedProcess(pid)->segmentEvent = id;
         return;
       case EvKind::SleepWake:
-        p.wakeEvent = id;
+        imagedProcess(pid)->wakeEvent = id;
         return;
+      case EvKind::Bdflush:
+      case EvKind::Pageout:
+      case EvKind::BdflushKick:
+        return;
+      case EvKind::IoTimeout:
+      case EvKind::IoRetry: {
+        const IoTag tag = ioTag(arg);
+        if (tag.slot >= ops_.size()) {
+            throw ConfigError("checkpoint image rejected: '" +
+                              std::string(kindName(kind)) +
+                              "' names I/O op slot " +
+                              std::to_string(tag.slot) + " of " +
+                              std::to_string(ops_.size()));
+        }
+        IoOp &op = ops_[tag.slot];
+        const bool current = op.generation == tag.generation;
+        if (kind == EvKind::IoRetry &&
+            (!current || op.pendingRetries <= 0)) {
+            throw ConfigError("checkpoint image rejected: 'ioRetry' of "
+                              "I/O op slot " + std::to_string(tag.slot) +
+                              ", which has no retry pending");
+        }
+        // A watchdog of an attempt the op has moved past, or of an op
+        // since freed, stays pending but stale, as in the original run.
+        if (kind == EvKind::IoTimeout && current &&
+            op.attempt == tag.attempt)
+            op.timeoutEvent = id;
+        return;
+      }
       default:
-        PISO_PANIC("'", kindName(kind), "' events have no owner process");
+        PISO_PANIC("kernel re-linked a '", kindName(kind), "' event");
+    }
+}
+
+void
+Kernel::checkRelinkedIo() const
+{
+    for ([[maybe_unused]] const IoOp &op : ops_) {
+        PISO_CHECK(op.settled || op.pendingRetries > 0 ||
+                       config_.ioTimeout == 0 ||
+                       op.kind == IoKind::FlushWrite ||
+                       op.kind == IoKind::NetSend ||
+                       events_.pendingEvent(op.timeoutEvent),
+                   "restored I/O op in slot ", op.slot,
+                   " has no pending watchdog");
     }
 }
 

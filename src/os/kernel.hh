@@ -301,31 +301,34 @@ class Kernel : public SchedClient,
      *  ckpt() covers every mutable kernel structure except the
      *  pending events. The Simulation images those as records and
      *  re-schedules them on restore with their original (when, seq)
-     *  ordering keys; relinkEvent() then points each process at its
-     *  restored event. */
+     *  ordering keys; relinkEvent() then points each process and I/O
+     *  operation at its restored event. */
     /// @{
-    /**
-     * Throw InvariantError unless the I/O system is quiescent enough
-     * to checkpoint: no disk or network activity, no flush backlog,
-     * no throttled writers, no process waiting on I/O, no live I/O
-     * operation. Dirty cache blocks are fine; in-flight ones are not.
-     */
-    void requireIoQuiescent() const;
-
     /** Image the kernel's run state: counters, processes, barriers,
-     *  locks and the I/O bookkeeping. Loading rebuilds the per-SPU
-     *  membership lists from the restored process states. SPU ids
-     *  must be below @p spuBound. */
+     *  locks and the I/O bookkeeping, in-flight operations included.
+     *  Loading rebuilds the per-SPU membership lists from the restored
+     *  process states. SPU ids must be below @p spuBound. */
     void ckpt(CkptIo &io, std::size_t spuBound);
 
     /** The replayed process with @p pid, for resolving pids read from
      *  an image; throws ConfigError for a pid it never created. */
     Process *imagedProcess(Pid pid);
 
-    /** Record restored event @p id, a procStart, segEnd or sleepWake
-     *  event of @p pid, in that process's startEvent, segmentEvent or
-     *  wakeEvent. Throws ConfigError for an unknown pid. */
-    void relinkEvent(EvKind kind, Pid pid, EventId id);
+    /** I/O op slots in the slab, live or free: the bound on the op
+     *  slot a device's imaged request may name. */
+    std::size_t ioOpSlots() const { return ops_.size(); }
+
+    /** Link restored kernel event @p id to what it belongs to: a
+     *  procStart, segEnd or sleepWake event into its process's
+     *  startEvent, segmentEvent or wakeEvent, an ioTimeout into its
+     *  operation's timeoutEvent. Throws ConfigError when @p arg names
+     *  a pid the replay never created or an op slot it does not hold
+     *  (or, for an ioRetry, a slot whose generation moved on). */
+    void relinkEvent(EvKind kind, const EventArg &arg, EventId id);
+
+    /** PISO_HARDENED probe once every event is re-linked: each live
+     *  operation outside a retry backoff has its watchdog pending. */
+    void checkRelinkedIo() const;
     /// @}
 
     /** Invoked whenever a process exits (job tracking). */
@@ -475,10 +478,15 @@ class Kernel : public SchedClient,
         FileId file = kNoFile;
         std::uint64_t first = 0;
         std::uint64_t count = 0;
+        // Not imaged: relinkEvent re-links it on restore.
         EventId timeoutEvent = kNoEvent;
         SpuId grantSpu = kNoSpu;        //!< FramePageout: charged SPU
         SpuId from = kNoSpu;            //!< pageouts: the pages' owner
     };
+
+    /** Validate the op slab and free list just loaded (ConfigError)
+     *  and re-derive the live count. */
+    void checkLoadedOps(std::size_t spuBound);
 
     /** Copy @p op into a free slot as a new live operation (its
      *  generation and slot are the slot's). @return the slot. */
@@ -576,17 +584,15 @@ class Kernel : public SchedClient,
     SpuTable<FileId> swapExtent_;
 
     /** Outstanding kernel-write sectors per disk (throttling). */
-    // Zero whenever requireIoQuiescent() admits a checkpoint.
     DenseTable<DiskId, std::uint64_t> flushBacklog_;
-    // Empty whenever requireIoQuiescent() admits a checkpoint.
     DenseTable<DiskId, std::vector<Process *>> throttleWaiters_;
     bool bdflushPending_ = false;
 
     /** Sequential-read detection: (pid, file) -> next expected block. */
     std::map<std::pair<Pid, FileId>, std::uint64_t> readCursor_;
 
-    // The I/O operation slab. Not imaged: a checkpoint requires it to
-    // hold no live operation.
+    /** The I/O operation slab. A freed slot keeps its record until
+     *  reused; only the generation moves on. */
     std::vector<IoOp> ops_;
     /** bdflush batch keys by op slot, reused with their capacity. */
     std::vector<std::vector<BlockKey>> opKeys_;

@@ -48,9 +48,8 @@ badImage(const std::string &what)
 } // namespace
 
 std::uint64_t
-ckptFnv1a(std::string_view data)
+ckptFnv1a(std::string_view data, std::uint64_t h)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
     for (char c : data) {
         h ^= static_cast<unsigned char>(c);
         h *= 0x100000001b3ull;

@@ -43,10 +43,12 @@ inline constexpr char kCkptMagic[8] = {'P', 'I', 'S', 'O',
                                        'C', 'K', 'P', 'T'};
 
 /** Bump on any payload layout change; old images are rejected. */
-inline constexpr std::uint32_t kCkptVersion = 3;
+inline constexpr std::uint32_t kCkptVersion = 4;
 
-/** FNV-1a 64-bit over @p data (payload checksums, config digests). */
-std::uint64_t ckptFnv1a(std::string_view data);
+/** FNV-1a 64-bit over @p data (payload checksums, config digests).
+ *  Passing the hash of a prefix as @p h hashes the concatenation. */
+std::uint64_t ckptFnv1a(std::string_view data,
+                        std::uint64_t h = 0xcbf29ce484222325ull);
 
 /**
  * Appends fixed-width little-endian fields to an in-memory payload.

@@ -47,8 +47,8 @@ inline constexpr EventId kNoEvent = 0;
 /**
  * What an event does. The first kImageableKinds are the kinds a
  * checkpoint may hold; their numbers are the image's kind bytes and
- * must never change. The others belong to in-flight I/O, devices,
- * monitors and tests, and a pending one makes a boundary
+ * must never change. The others belong to monitors and tests, which
+ * no image holds, and a pending one makes a boundary
  * non-checkpointable.
  */
 enum class EvKind : std::uint8_t
@@ -64,16 +64,16 @@ enum class EvKind : std::uint8_t
     FaultRestoreSlow,   //!< disk-slow window end (arg = disk)
     FaultRestoreError,  //!< disk-error window end (arg = disk)
     IoTimeout,          //!< I/O watchdog (arg = I/O tag)
-    IoRetry,            //!< I/O retry after backoff (arg = op slot)
-    DiskComplete,       //!< disk request finished service
-    DiskFailFast,       //!< dead disk bounces its queue
+    IoRetry,            //!< I/O retry after backoff (arg = I/O tag)
+    DiskComplete,       //!< disk request finished service (arg = disk)
+    DiskFailFast,       //!< dead disk bounces its queue (arg = disk)
     NetTx,              //!< network message transmitted
     SpuMonitor,         //!< SpuMonitor sampling tick
     External,           //!< tests and examples (arg = their own index)
 };
 
 /** Kinds 0 .. kImageableKinds-1 may be pending in a checkpoint. */
-inline constexpr std::uint8_t kImageableKinds = 10;
+inline constexpr std::uint8_t kImageableKinds = 15;
 
 /** Number of EvKind values. */
 inline constexpr std::uint8_t kEvKinds =
@@ -91,9 +91,9 @@ const char *kindName(EvKind kind);
 
 /**
  * An event's operand: plain data its target reads according to the
- * kind. `value` is a pid, a disk, an op slot or a test's index (-1
- * when the kind takes none) and is what a checkpoint images; `aux`
- * carries the rest of an I/O tag.
+ * kind. `value` is a pid, a disk, an I/O tag's slot and generation
+ * or a test's index (-1 when the kind takes none); `aux` carries the
+ * rest of an I/O tag. A checkpoint images both.
  */
 struct EventArg
 {

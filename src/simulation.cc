@@ -61,7 +61,7 @@ struct ImagedEvent
     EvKind kind = EvKind::SchedTick;
     Time when = 0;
     std::uint64_t seq = 0;
-    std::int64_t arg = -1;  //!< pid or disk index, kind-dependent
+    EventArg arg;
 };
 
 } // namespace
@@ -137,26 +137,16 @@ struct Simulation::Impl : EventSink
      *  horizon — that is what the warm-start sweep engine does. */
     std::uint64_t configDigest() const;
 
-    /** Every pending event in seq order, into @p out; false (and
-     *  @p reject) when one has a kind an image cannot hold. */
-    bool pendingEvents(std::vector<ImagedEvent> &out,
-                       std::string &reject) const;
-
-    /** Why the state cannot be imaged whatever the boundary: I/O in
-     *  flight, or a pending event of a kind an image cannot hold.
-     *  Empty when it can be, and @p pending then holds every pending
-     *  event in seq order. */
-    std::string imageBlocker(std::vector<ImagedEvent> &pending) const;
-
-    /** Why no image may be cut at the current boundary: events or a
-     *  scheduled fault still due at now(), or an imageBlocker().
-     *  Empty when one may, and @p pending then holds every pending
-     *  event in seq order. The one predicate behind both the
+    /** Why no image may be cut at the current boundary: a pending
+     *  event of a kind an image cannot hold (named first, as it blocks
+     *  every boundary), or events or a scheduled fault still due at
+     *  now(). Empty when one may, and @p pending then holds every
+     *  pending event in seq order. The one predicate behind both the
      *  checkpointAt trigger and Simulation::checkpoint(). */
     std::string boundaryBlocker(std::vector<ImagedEvent> &pending) const;
 
     /** Attempt a checkpoint at the current boundary; false (and
-     *  @p why) when the simulation is not quiescent here. */
+     *  @p why) when no image may be cut here. */
     bool tryCheckpoint(std::string &why);
 
     void writeImage(std::ostream &out,
@@ -212,7 +202,7 @@ struct Simulation::Impl : EventSink
             }
             disks.push_back(std::make_unique<DiskDevice>(
                 events, model, std::move(dsched), rng.fork(),
-                "disk" + std::to_string(d)));
+                "disk" + std::to_string(d), d));
             fs.addDisk(d, model.totalSectors());
         }
 
@@ -729,7 +719,7 @@ Simulation::run()
            im.events.now() <= im.cfg.maxTime) {
         // Checkpoint trigger: once the requested time is the earliest
         // thing left to happen, advance the clock onto it and try at
-        // this (and every later) boundary until the state is quiescent.
+        // this (and every later) boundary until one admits an image.
         if (ckptPending) {
             const Time at = im.cfg.checkpointAt;
             if (im.events.now() >= at ||
@@ -745,16 +735,9 @@ Simulation::run()
                     }
                 } else if (im.cfg.checkpointDeadline > 0 &&
                            im.events.now() >= im.cfg.checkpointDeadline) {
-                    // The last boundary's reason is often only a
-                    // same-instant tie; name what blocks every
-                    // boundary when something does.
-                    std::vector<ImagedEvent> pending;
-                    std::string blocker = im.imageBlocker(pending);
-                    if (blocker.empty())
-                        blocker = why;
                     throw InvariantError(
-                        "no quiescent checkpoint boundary found by "
-                        "the deadline (" + blocker + ")",
+                        "no checkpoint boundary found by the deadline (" +
+                            why + ")",
                         im.events.now());
                 }
             }
@@ -769,8 +752,8 @@ Simulation::run()
     if (ckptPending)
         throw InvariantError(
             "simulation ended before the requested checkpoint could be "
-            "taken (no quiescent boundary at or after the requested "
-            "time)",
+            "taken (no boundary at or after the requested time admitted "
+            "an image)",
             im.events.now());
 
     // Drain: push every delayed write to disk so the measured disk
@@ -976,11 +959,13 @@ ConfigDigest::jobs(std::size_t count)
 }
 
 void
-ConfigDigest::job(SpuId spu, std::string_view name, Time startAt)
+ConfigDigest::job(SpuId spu, std::string_view name, Time startAt,
+                  std::uint64_t recipe)
 {
     w_.i64(spu);
     w_.str(name);
     w_.time(startAt);
+    w_.u64(recipe);
 }
 
 std::uint64_t
@@ -1002,50 +987,28 @@ Simulation::Impl::configDigest() const
     }
     d.jobs(pendingJobs.size());
     for (const PendingJob &pj : pendingJobs)
-        d.job(pj.spu, pj.spec.name, pj.spec.startAt);
+        d.job(pj.spu, pj.spec.name, pj.spec.startAt, pj.spec.recipe);
     return d.value();
-}
-
-bool
-Simulation::Impl::pendingEvents(std::vector<ImagedEvent> &out,
-                                std::string &reject) const
-{
-    out.clear();
-    events.forEachPending([&out](EventId, Time when, std::uint64_t seq,
-                                 EvKind kind, const EventArg &arg) {
-        out.push_back(ImagedEvent{kind, when, seq, arg.value});
-    });
-    std::sort(out.begin(), out.end(),
-              [](const ImagedEvent &a, const ImagedEvent &b) {
-                  return a.seq < b.seq;
-              });
-    for (const ImagedEvent &e : out) {
-        if (!imageable(e.kind)) {
-            reject = std::string("pending '") + kindName(e.kind) +
-                     "' event is not checkpointable";
-            return false;
-        }
-    }
-    return true;
-}
-
-std::string
-Simulation::Impl::imageBlocker(std::vector<ImagedEvent> &pending) const
-{
-    try {
-        kernel->requireIoQuiescent();
-    } catch (const InvariantError &e) {
-        return e.what();
-    }
-    std::string reject;
-    if (!pendingEvents(pending, reject))
-        return reject;
-    return {};
 }
 
 std::string
 Simulation::Impl::boundaryBlocker(std::vector<ImagedEvent> &pending) const
 {
+    pending.clear();
+    events.forEachPending([&pending](EventId, Time when, std::uint64_t seq,
+                                     EvKind kind, const EventArg &arg) {
+        pending.push_back(ImagedEvent{kind, when, seq, arg});
+    });
+    std::sort(pending.begin(), pending.end(),
+              [](const ImagedEvent &a, const ImagedEvent &b) {
+                  return a.seq < b.seq;
+              });
+    for (const ImagedEvent &e : pending) {
+        if (!imageable(e.kind)) {
+            return std::string("pending '") + kindName(e.kind) +
+                   "' event is not checkpointable";
+        }
+    }
     // A boundary is legal pre-loop (nothing executed yet) or strictly
     // between event times; never with events still due at now().
     if (events.executedEvents() > 0 &&
@@ -1057,7 +1020,7 @@ Simulation::Impl::boundaryBlocker(std::vector<ImagedEvent> &pending) const
     if (faultCursor < faultSchedule.size() &&
         faultSchedule[faultCursor].at <= events.now())
         return "a scheduled fault is due at the current time";
-    return imageBlocker(pending);
+    return {};
 }
 
 bool
@@ -1102,7 +1065,8 @@ Simulation::Impl::ckptEvents(CkptIo &io, std::vector<ImagedEvent> &pending)
         }
         io.time(e.when);
         io.u64(e.seq);
-        io.i64(e.arg);
+        io.i64(e.arg.value);
+        io.u32(e.arg.aux);
     });
     if (io.loading())
         events.restoreClock(now, nextSeq, executed);
@@ -1126,29 +1090,34 @@ Simulation::Impl::ckptSubsystems(CkptIo &io)
     // Taken before spuMgr's walk loads the imaged allocator.
     const std::size_t spus = spuMgr.idBound();
 
+    const ProcessByPid byPid = [this](Pid pid) {
+        return kernel->imagedProcess(pid);
+    };
+
     rng.ckpt(io);
     phys.ckpt(io);
     vm.ckpt(io, spus);
-    cache.ckpt(io, spus);
     fs.ckpt(io);
     spuMgr.ckpt(io);
+    sched->ckpt(io, byPid, spus);
+    // The kernel precedes what names its processes' states and its
+    // I/O ops: the cache's waiters and the devices' requests.
+    kernel->ckpt(io, spus);
+    cache.ckpt(io, byPid, spus);
 
+    const std::size_t ops = kernel->ioOpSlots();
     io.expect(disks.size(), "disk");
     for (auto &d : disks)
-        d->ckpt(io, spus);
+        d->ckpt(io, spus, ops);
     for (FairDiskScheduler *fds : fairSchedulers)
         fds->tracker().ckpt(io, spus);
     if (present(network != nullptr, "network presence")) {
-        network->ckpt(io, spus);
+        network->ckpt(io, spus, ops);
         if (present(fairNet != nullptr, "network scheduler"))
             fairNet->tracker().ckpt(io, spus);
     }
     if (present(numa != nullptr, "NUMA model presence"))
         numa->ckpt(io);
-
-    sched->ckpt(
-        io, [this](Pid pid) { return kernel->imagedProcess(pid); }, spus);
-    kernel->ckpt(io, spus);
 
     io.expect(jobs.size(), "job");
     for (Job &j : jobs)
@@ -1158,6 +1127,16 @@ Simulation::Impl::ckptSubsystems(CkptIo &io)
 EventSink *
 Simulation::Impl::restoredTarget(const ImagedEvent &e)
 {
+    const auto disk = [this, &e]() -> DiskDevice & {
+        if (e.arg.value < 0 ||
+            static_cast<std::size_t>(e.arg.value) >= disks.size()) {
+            throw ConfigError("checkpoint image rejected: " +
+                              std::string(kindName(e.kind)) +
+                              " references unknown disk " +
+                              std::to_string(e.arg.value));
+        }
+        return *disks[static_cast<std::size_t>(e.arg.value)];
+    };
     switch (e.kind) {
       case EvKind::SchedTick:
         return sched.get();
@@ -1170,22 +1149,26 @@ Simulation::Impl::restoredTarget(const ImagedEvent &e)
       case EvKind::ProcStart:
       case EvKind::SegEnd:
       case EvKind::SleepWake:
-        // Throws for a pid the replay never created.
-        kernel->imagedProcess(static_cast<Pid>(e.arg));
-        return kernel.get();
       case EvKind::Bdflush:
       case EvKind::Pageout:
       case EvKind::BdflushKick:
+      case EvKind::IoTimeout:
+      case EvKind::IoRetry:
+        // Kernel::relinkEvent validates the arg.
         return kernel.get();
       case EvKind::FaultRestoreSlow:
       case EvKind::FaultRestoreError:
-        if (e.arg < 0 || static_cast<std::size_t>(e.arg) >= disks.size()) {
-            throw ConfigError("checkpoint image rejected: " +
-                              std::string(kindName(e.kind)) +
-                              " references unknown disk " +
-                              std::to_string(e.arg));
-        }
+        disk();
         return this;
+      case EvKind::DiskComplete:
+      case EvKind::DiskFailFast:
+        return &disk();
+      case EvKind::NetTx:
+        if (!network) {
+            throw ConfigError("checkpoint image rejected: netTx event "
+                              "without a network");
+        }
+        return network.get();
       default:
         return nullptr;
     }
@@ -1201,22 +1184,36 @@ Simulation::Impl::rebindEvents(const std::vector<ImagedEvent> &pending)
         PISO_CHECK(target != nullptr, "no target for a restored '",
                    kindName(e.kind), "' event");
         const EventId id =
-            events.scheduleRestored(e.when, e.seq, e.kind, *target, {e.arg});
-        switch (e.kind) {
-          case EvKind::ProcStart:
-          case EvKind::SegEnd:
-          case EvKind::SleepWake:
-            kernel->relinkEvent(e.kind, static_cast<Pid>(e.arg), id);
-            break;
-          case EvKind::MemPolicy:
+            events.scheduleRestored(e.when, e.seq, e.kind, *target, e.arg);
+        if (target == kernel.get())
+            kernel->relinkEvent(e.kind, e.arg, id);
+        else if (e.kind == EvKind::MemPolicy)
             memTick = true;
-            break;
-          default:
-            break;
-        }
     }
     if (memPolicy)
         memPolicy->setTickPending(memTick);
+
+    // A busy device finishes its request through exactly one pending
+    // completion; an idle one has none.
+    [[maybe_unused]] const auto completions = [&pending](EvKind kind,
+                                                         std::int64_t arg) {
+        return std::count_if(pending.begin(), pending.end(),
+                             [kind, arg](const ImagedEvent &e) {
+                                 return e.kind == kind && e.arg.value == arg;
+                             });
+    };
+    for (std::size_t d = 0; d < disks.size(); ++d) {
+        PISO_CHECK(completions(EvKind::DiskComplete,
+                               static_cast<std::int64_t>(d)) ==
+                       (disks[d]->busy() ? 1 : 0),
+                   "restored ", disks[d]->name(),
+                   " has a completion pending exactly when busy");
+    }
+    PISO_CHECK(completions(EvKind::NetTx, -1) ==
+                   (network && network->busy() ? 1 : 0),
+               "restored network has a completion pending exactly when "
+               "busy");
+    kernel->checkRelinkedIo();
 }
 
 void

@@ -176,17 +176,17 @@ struct SystemConfig
     /** @name Checkpoint (docs/checkpoint.md)
      *
      * With checkpointAt > 0, run() serialises the complete simulation
-     * state at the first quiescent event boundary at or after that
-     * time and hands the image to checkpointSink. A boundary is
-     * quiescent when no I/O is in flight and every pending event is
-     * of an imageable kind (src/sim/event_queue.hh); the run keeps
-     * executing events until it finds one.
+     * state at the first event boundary at or after that time and
+     * hands the image to checkpointSink, I/O in flight included. Only
+     * a pending monitor or test event (src/sim/event_queue.hh) keeps a
+     * boundary from admitting an image; the run keeps executing events
+     * until one does.
      */
     /// @{
     /** Earliest simulated time to checkpoint at (0 = off). */
     Time checkpointAt = 0;
 
-    /** Fail with InvariantError if no quiescent boundary was found by
+    /** Fail with InvariantError if no boundary admitted an image by
      *  this time (0 = keep looking until the run ends). */
     Time checkpointDeadline = 0;
 
@@ -221,7 +221,9 @@ class ConfigDigest
 
     /** Start the job list; @p count job() calls follow. */
     void jobs(std::size_t count);
-    void job(SpuId spu, std::string_view name, Time startAt);
+    /** One job; @p recipe is its JobSpec::recipe. */
+    void job(SpuId spu, std::string_view name, Time startAt,
+             std::uint64_t recipe);
 
     /** FNV-1a over everything encoded so far. */
     std::uint64_t value() const;
@@ -267,10 +269,9 @@ class Simulation
      *
      * checkpoint() serialises the complete state to @p out. It may be
      * called before run() (a t=0 image) or from inside a scheduled
-     * event; either way the simulation must be at a quiescent
-     * boundary — no event or scheduled fault still due at now(), no
-     * I/O in flight and only serialisable events pending — or
-     * InvariantError is thrown.
+     * event; either way the simulation must be at an event boundary —
+     * no event or scheduled fault still due at now() and no monitor
+     * or test event pending — or InvariantError is thrown.
      *
      * restore() is the inverse: construct a Simulation with the exact
      * same SystemConfig and replay the identical addSpu()/addJob()

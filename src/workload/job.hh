@@ -7,6 +7,7 @@
  * what the paper's figures report.
  */
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -56,6 +57,10 @@ struct JobSpec
     std::string name;
     Time startAt = 0;
     std::function<std::vector<ProcessSpec>(Kernel &, WorkloadEnv &)> build;
+    /** How build was made, for the config digest: the FNV-1a of a
+     *  workload file's job kind and options (see populateWorkloadSpec);
+     *  0 for a job built through the API. */
+    std::uint64_t recipe = 0;
 };
 
 /** Run-time tracking of one job. */

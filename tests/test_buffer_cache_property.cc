@@ -12,7 +12,9 @@
  * property flush clustering depends on), and how many 16-block runs
  * hold a block. Every 97 operations the cache is round-tripped through
  * a checkpoint into a fresh instance, so the runs, index and lists
- * rebuilt on load are checked against the same model.
+ * rebuilt on load are checked against the same model. The states it
+ * saves hold flushing blocks and in-flight blocks with queued waiters,
+ * whose release order after a round trip must still be arrival order.
  */
 
 #include <gtest/gtest.h>
@@ -22,10 +24,12 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/os/buffer_cache.hh"
 #include "src/sim/random.hh"
+#include "src/workload/synthetic.hh"
 
 using namespace piso;
 
@@ -38,6 +42,7 @@ struct ModelBlock
     bool dirty = false;
     bool flushing = false;
     SpuId owner = kNoSpu;
+    std::vector<Pid> waiters;  //!< in arrival order
 };
 
 /** The reference: ordered map for state, list for LRU (front = MRU). */
@@ -140,24 +145,50 @@ randomKey(Rng &rng, Stream &stream)
                     rng.uniformInt(256)};
 }
 
-/** Save @p cache and load the image into a fresh cache. Ends every
- *  flush first: an image is only taken at I/O quiescence. */
-std::unique_ptr<BufferCache>
-roundTrip(BufferCache &cache, ModelCache &model)
+/** The processes that wait on in-flight blocks, by pid 1..n. They
+ *  are blocked, as a waiter always is. */
+struct Waiters
 {
-    for (auto &[key, b] : model.blocks) {
-        if (b.flushing) {
-            cache.find(key)->flushing = false;
-            b.flushing = false;
+    std::vector<std::unique_ptr<Process>> procs;
+
+    explicit Waiters(int n)
+    {
+        for (Pid pid = 1; pid <= n; ++pid) {
+            procs.push_back(std::make_unique<Process>(
+                pid, 2, kNoJob, "w" + std::to_string(pid),
+                std::make_unique<ScriptBehavior>(std::vector<Action>{}),
+                Rng(static_cast<std::uint64_t>(pid))));
+            procs.back()->setState(ProcState::Blocked);
         }
     }
+
+    Process &
+    pick(Rng &rng)
+    {
+        return *procs[rng.uniformInt(procs.size())];
+    }
+
+    ProcessByPid
+    byPid()
+    {
+        return [this](Pid pid) {
+            return procs.at(static_cast<std::size_t>(pid - 1)).get();
+        };
+    }
+};
+
+/** Save @p cache and load the image into a fresh cache, flushing
+ *  blocks and waiters included. */
+std::unique_ptr<BufferCache>
+roundTrip(BufferCache &cache, Waiters &waiters)
+{
     CkptWriter w;
     CkptIo save(w);
-    cache.ckpt(save, kSpuBound);
+    cache.ckpt(save, waiters.byPid(), kSpuBound);
     CkptReader r(w.image(0));
     CkptIo load(r);
     auto fresh = std::make_unique<BufferCache>();
-    fresh->ckpt(load, kSpuBound);
+    fresh->ckpt(load, waiters.byPid(), kSpuBound);
     r.expectEnd();
     return fresh;
 }
@@ -167,6 +198,9 @@ roundTrip(BufferCache &cache, ModelCache &model)
 TEST(BufferCacheProperty, FuzzAgainstReferenceModel)
 {
     Rng rng(2024);
+    Waiters waiters(6);
+    std::size_t savedFlushing = 0;
+    std::size_t savedWaiters = 0;
     for (int trial = 0; trial < 10; ++trial) {
         auto owned = std::make_unique<BufferCache>();
         ModelCache model;
@@ -186,6 +220,8 @@ TEST(BufferCacheProperty, FuzzAgainstReferenceModel)
                 EXPECT_EQ(blk->dirty, mit->second.dirty);
                 EXPECT_EQ(blk->flushing, mit->second.flushing);
                 EXPECT_EQ(blk->owner, mit->second.owner);
+                EXPECT_EQ(cache.hasWaiters(*blk),
+                          !mit->second.waiters.empty());
             }
 
             switch (rng.uniformInt(8)) {
@@ -201,7 +237,7 @@ TEST(BufferCacheProperty, FuzzAgainstReferenceModel)
                     EXPECT_EQ(nb.valid, valid);
                     EXPECT_FALSE(nb.dirty);
                     model.blocks[key] =
-                        ModelBlock{valid, false, false, owner};
+                        ModelBlock{valid, false, false, owner, {}};
                     model.lru.push_front(key);
                 } else {
                     cache.touch(*blk);
@@ -224,18 +260,28 @@ TEST(BufferCacheProperty, FuzzAgainstReferenceModel)
                 }
                 break;
             }
-            case 4: { // start or finish a flush; validate reads
+            case 4: { // start or finish a flush; wait on or validate reads
                 if (blk && rng.chance(0.5)) {
                     blk->flushing = !blk->flushing;
                     model.blocks[key].flushing = blk->flushing;
+                } else if (blk && !blk->valid && rng.chance(0.6)) {
+                    Process &p = waiters.pick(rng);
+                    cache.addWaiter(*blk, p);
+                    model.blocks[key].waiters.push_back(p.pid());
                 } else if (blk && !blk->valid) {
-                    cache.markValid(*blk, [](Process &) {});
-                    model.blocks[key].valid = true;
+                    std::vector<Pid> woken;
+                    cache.markValid(*blk, [&woken](Process &p) {
+                        woken.push_back(p.pid());
+                    });
+                    ModelBlock &mb = model.blocks[key];
+                    EXPECT_EQ(woken, mb.waiters);
+                    mb.waiters.clear();
+                    mb.valid = true;
                 }
                 break;
             }
-            case 5: { // remove
-                if (blk) {
+            case 5: { // remove (never a block with waiters)
+                if (blk && !cache.hasWaiters(*blk)) {
                     cache.remove(key);
                     model.remove(key);
                 }
@@ -295,8 +341,13 @@ TEST(BufferCacheProperty, FuzzAgainstReferenceModel)
 
             peak = std::max(peak, cache.size());
             peakRuns = std::max(peakRuns, cache.liveRuns());
-            if (op % 97 == 96)
-                owned = roundTrip(cache, model);
+            if (op % 97 == 96) {
+                for (const auto &[k, b] : model.blocks) {
+                    savedFlushing += b.flushing ? 1 : 0;
+                    savedWaiters += b.waiters.size();
+                }
+                owned = roundTrip(cache, waiters);
+            }
         }
         // 64 entries at load factor 1/2 hold 32 runs: beyond 64 the
         // index has doubled at least twice.
@@ -304,6 +355,20 @@ TEST(BufferCacheProperty, FuzzAgainstReferenceModel)
         EXPECT_GT(peakRuns, 64u) << "trial " << trial;
 
         BufferCache &cache = *owned;
+
+        // Release every waiter: in arrival order, after any number of
+        // round trips.
+        for (auto &[key, b] : model.blocks) {
+            if (b.waiters.empty())
+                continue;
+            std::vector<Pid> woken;
+            cache.markValid(*cache.find(key), [&woken](Process &p) {
+                woken.push_back(p.pid());
+            });
+            EXPECT_EQ(woken, b.waiters);
+            b.waiters.clear();
+            b.valid = true;
+        }
 
         // Drain with steals: eviction must proceed in exact LRU order
         // over the clean blocks, then stall on the dirty remainder.
@@ -318,6 +383,9 @@ TEST(BufferCacheProperty, FuzzAgainstReferenceModel)
         }
         ASSERT_EQ(cache.size(), model.blocks.size());
     }
+    // The saved states really held I/O in flight.
+    EXPECT_GT(savedFlushing, 100u);
+    EXPECT_GT(savedWaiters, 100u);
 }
 
 TEST(BufferCacheProperty, StealOrderIsExactLru)

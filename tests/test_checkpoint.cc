@@ -93,20 +93,17 @@ struct Shape
 {
     const char *name;
     const char *text;
-
-    /** Two mid-run checkpoint times per shape. Quiescent boundaries
-     *  (no I/O in flight) are a property of the workload: the
-     *  disk-saturating shapes only quiesce in specific phases, so the
-     *  times are chosen where each shape actually breathes. */
-    Time early;
-    Time late;
 };
 
-const Shape kShapes[] = {
-    {"pmake", kPmakeShape, 500 * kMs, 1500 * kMs},
-    {"compute", kComputeShape, 500 * kMs, 2 * kSec},
-    {"copy", kCopyShape, 50 * kMs, 90 * kMs},
-    {"tree", kTreeShape, 500 * kMs, 1510 * kMs}};
+const Shape kShapes[] = {{"pmake", kPmakeShape},
+                         {"compute", kComputeShape},
+                         {"copy", kCopyShape},
+                         {"tree", kTreeShape}};
+
+/** The two mid-run checkpoint times every shape is imaged at. Any
+ *  event boundary admits an image, I/O in flight included. */
+constexpr Time kEarly = 500 * kMs;
+constexpr Time kLate = 1500 * kMs;
 
 const Scheme kSchemes[] = {Scheme::Smp, Scheme::Quota, Scheme::PIso};
 
@@ -180,21 +177,9 @@ TEST(Checkpoint, RestoredRunMatchesColdAcrossShapesAndSchemes)
     for (const Shape &shape : kShapes) {
         for (Scheme scheme : kSchemes) {
             const WorkloadSpec spec = shapeSpec(shape.text, scheme);
-
-            // The documented counter-example (docs/checkpoint.md): the
-            // copy shape under the quota scheme keeps its single disk
-            // busy for the entire run, so no quiescent boundary ever
-            // exists and a requested checkpoint must fail loudly
-            // instead of being silently dropped.
-            if (shape.text == kCopyShape && scheme == Scheme::Quota) {
-                EXPECT_THROW(observe(spec, shape.early),
-                             InvariantError);
-                continue;
-            }
-
             const std::string cold = coldJson(spec);
 
-            for (Time at : {shape.early, shape.late}) {
+            for (Time at : {kEarly, kLate}) {
                 const Observed o = observe(spec, at);
                 ASSERT_FALSE(o.image.empty())
                     << shape.name << "/" << schemeName(scheme)
@@ -264,7 +249,7 @@ TEST(Checkpoint, RoundTripImageIsByteIdentical)
 {
     for (const Shape &shape : kShapes) {
         const WorkloadSpec spec = shapeSpec(shape.text, Scheme::PIso);
-        const Observed o = observe(spec, shape.early);
+        const Observed o = observe(spec, kEarly);
         ASSERT_FALSE(o.image.empty()) << shape.name;
 
         Simulation sim(spec.config);
@@ -445,6 +430,29 @@ TEST(Checkpoint, DigestRejectsMismatchedConfig)
         other.jobs.pop_back();
         EXPECT_THROW(runWorkloadSpecFrom(other, o.image), ConfigError);
     }
+}
+
+TEST(Checkpoint, DigestRejectsAJobWithDifferentOptions)
+{
+    // The same job name, SPU and start, built from other options: an
+    // image of the 2.5 s hogs must not restore into 9 s hogs.
+    const WorkloadSpec spec = shapeSpec(kComputeShape, Scheme::PIso);
+    const Observed o = observe(spec, kEarly);
+    ASSERT_FALSE(o.image.empty());
+
+    WorkloadSpec other = spec;
+    for (JobDecl &j : other.jobs) {
+        if (j.name == "hog1")
+            j.options["cpu_ms"] = "9000";
+    }
+    EXPECT_NE(specConfigDigest(other), specConfigDigest(spec));
+    EXPECT_THROW(runWorkloadSpecFrom(other, o.image), ConfigError);
+
+    // So does another kind under the same name.
+    other = spec;
+    other.jobs.back().kind = "ocean";
+    other.jobs.back().options = {{"procs", "1"}};
+    EXPECT_THROW(runWorkloadSpecFrom(other, o.image), ConfigError);
 }
 
 TEST(Checkpoint, MaxTimeAndWatchdogsAreNotPartOfTheDigest)
@@ -744,32 +752,32 @@ struct PinnedImage
 };
 
 /** A mismatch here means the payload layout changed: that needs a
- *  kCkptVersion bump (docs/checkpoint.md), not just new digests. The
- *  copy shape under Quo never quiesces, so it has no mid-run image. */
+ *  kCkptVersion bump (docs/checkpoint.md), not just new digests. */
 const PinnedImage kPinnedImages[] = {
-    {"pmake", Scheme::Smp, true, 0xf981a74a75917483ull},
-    {"pmake", Scheme::Smp, false, 0xc04f115c82745bbaull},
-    {"pmake", Scheme::Quota, true, 0xa8a30c4efcbc348bull},
-    {"pmake", Scheme::Quota, false, 0xfce32cc34e962116ull},
-    {"pmake", Scheme::PIso, true, 0xc3f86a56a8a524e8ull},
-    {"pmake", Scheme::PIso, false, 0x066c0d59b6423087ull},
-    {"compute", Scheme::Smp, true, 0x95585ae0b53ca1e3ull},
-    {"compute", Scheme::Smp, false, 0x193ee0ba7fe3d1a9ull},
-    {"compute", Scheme::Quota, true, 0x677d91e17270e573ull},
-    {"compute", Scheme::Quota, false, 0x78766c4eb4615750ull},
-    {"compute", Scheme::PIso, true, 0x380f7e96ef2d6400ull},
-    {"compute", Scheme::PIso, false, 0x9dc8d001fa814279ull},
-    {"copy", Scheme::Smp, true, 0xa6d92cd190019581ull},
-    {"copy", Scheme::Smp, false, 0x3d381c2bb536f598ull},
-    {"copy", Scheme::Quota, true, 0x0d9342ed5227a279ull},
-    {"copy", Scheme::PIso, true, 0xb84c0f9bde73336eull},
-    {"copy", Scheme::PIso, false, 0xf72daaa6e8745521ull},
-    {"tree", Scheme::Smp, true, 0xe032422ca83bde1dull},
-    {"tree", Scheme::Smp, false, 0x89761ec9624aca9cull},
-    {"tree", Scheme::Quota, true, 0x9bc1008aa955ff2dull},
-    {"tree", Scheme::Quota, false, 0xc2ee74f1343dc49bull},
-    {"tree", Scheme::PIso, true, 0x4871b5d77b5c1930ull},
-    {"tree", Scheme::PIso, false, 0x968eea2926dd7a4eull},
+    {"pmake", Scheme::Smp, true, 0x7ba2bb657206921cull},
+    {"pmake", Scheme::Smp, false, 0xbbed67ef6009d1c5ull},
+    {"pmake", Scheme::Quota, true, 0xa53881c1caac9a82ull},
+    {"pmake", Scheme::Quota, false, 0xaee5533f1cb3051full},
+    {"pmake", Scheme::PIso, true, 0x02ccc5de827ca810ull},
+    {"pmake", Scheme::PIso, false, 0xaca4e355dbc03a51ull},
+    {"compute", Scheme::Smp, true, 0x0febb3926949ebbfull},
+    {"compute", Scheme::Smp, false, 0x925420fd2a95a623ull},
+    {"compute", Scheme::Quota, true, 0x9cb1f48fbd0279d9ull},
+    {"compute", Scheme::Quota, false, 0x8fcf0cf43364f35full},
+    {"compute", Scheme::PIso, true, 0x5db983d58bfe0266ull},
+    {"compute", Scheme::PIso, false, 0x970a9630580a465bull},
+    {"copy", Scheme::Smp, true, 0x0cc2d98bb4a2563dull},
+    {"copy", Scheme::Smp, false, 0xe6db0321f0538876ull},
+    {"copy", Scheme::Quota, true, 0x3c770b811d8f0b6full},
+    {"copy", Scheme::Quota, false, 0xac82019ae20e5ad3ull},
+    {"copy", Scheme::PIso, true, 0x3cc9b9e9328359c1ull},
+    {"copy", Scheme::PIso, false, 0xc48ded935fde01b3ull},
+    {"tree", Scheme::Smp, true, 0xac936acdfb430401ull},
+    {"tree", Scheme::Smp, false, 0x7c6cc6faa8091ee3ull},
+    {"tree", Scheme::Quota, true, 0xb3cb39cd2d0116e4ull},
+    {"tree", Scheme::Quota, false, 0x3a0ad087689fa64bull},
+    {"tree", Scheme::PIso, true, 0xd354b4ca87048860ull},
+    {"tree", Scheme::PIso, false, 0xde44b3d0b9fa38dfull},
 };
 
 std::string
@@ -796,7 +804,7 @@ TEST(Checkpoint, ImageBytesArePinned)
         const WorkloadSpec spec = shapeSpec(shape->text, pin.scheme);
         const std::string image = pin.timeZero
                                       ? timeZeroImage(spec)
-                                      : observe(spec, shape->early).image;
+                                      : observe(spec, kEarly).image;
         ASSERT_FALSE(image.empty()) << pin.shape;
         EXPECT_EQ(ckptFnv1a(image), pin.digest)
             << pin.shape << "/" << schemeName(pin.scheme)
@@ -817,6 +825,7 @@ struct ImagedRecord
     Time when;
     std::uint64_t seq;
     std::int64_t arg;
+    std::uint32_t aux;
 };
 
 /** Parse the event section at the head of @p image's payload. */
@@ -833,6 +842,7 @@ imagedRecords(const std::string &image)
         e.when = r.time();
         e.seq = r.u64();
         e.arg = r.i64();
+        e.aux = r.u32();
     }
     return out;
 }
@@ -931,6 +941,11 @@ TEST(Checkpoint, ImageableKindBytesArePinned)
         {EvKind::SleepWake, "sleepWake"},
         {EvKind::FaultRestoreSlow, "faultRestoreSlow"},
         {EvKind::FaultRestoreError, "faultRestoreError"},
+        {EvKind::IoTimeout, "ioTimeout"},
+        {EvKind::IoRetry, "ioRetry"},
+        {EvKind::DiskComplete, "diskComplete"},
+        {EvKind::DiskFailFast, "diskFailFast"},
+        {EvKind::NetTx, "netTx"},
     };
     ASSERT_EQ(std::size(pinned), std::size_t{kImageableKinds});
     for (std::size_t i = 0; i < std::size(pinned); ++i) {
@@ -1068,4 +1083,144 @@ TEST(Checkpoint, RareKindsRoundTripToTheColdRun)
     std::ostringstream out;
     again.checkpoint(out);
     EXPECT_EQ(out.str(), image);
+}
+
+// ---------------------------------------------------------------------
+// I/O in flight: every boundary admits an image
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** The copy shape under Quo keeps its one disk busy from the first
+ *  request to the end of the run: at 50 ms a request is in service,
+ *  others are queued, and their watchdogs are pending. */
+Observed
+midIoImage()
+{
+    return observe(shapeSpec(kCopyShape, Scheme::Quota), 50 * kMs);
+}
+
+/** Payload offset of event record @p i's arg in an image: the header,
+ *  the clock (now, next seq, executed events) and the record count,
+ *  then 29-byte records (kind, when, seq, arg, aux). */
+std::size_t
+recordArgOffset(std::size_t i)
+{
+    return 32 + 4 * 8 + i * 29 + 1 + 8 + 8;
+}
+
+/** @p image with event record @p i's arg replaced by @p arg and the
+ *  checksum recomputed, so only the loader can object. */
+std::string
+withRecordArg(std::string image, std::size_t i, std::int64_t arg)
+{
+    const std::size_t at = recordArgOffset(i);
+    for (int b = 0; b < 8; ++b)
+        image[at + b] = static_cast<char>(
+            (static_cast<std::uint64_t>(arg) >> (8 * b)) & 0xff);
+    const std::size_t payload = image.size() - 32 - 8;
+    const std::uint64_t sum =
+        ckptFnv1a(std::string_view(image).substr(32, payload));
+    for (int b = 0; b < 8; ++b)
+        image[32 + payload + b] = static_cast<char>((sum >> (8 * b)) & 0xff);
+    return image;
+}
+
+/** Index of the first record of @p kind in @p image. */
+std::size_t
+firstRecord(const std::string &image, EvKind kind)
+{
+    const std::vector<ImagedRecord> records = imagedRecords(image);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        if (records[i].kind == static_cast<std::uint8_t>(kind))
+            return i;
+    }
+    ADD_FAILURE() << "no pending '" << kindName(kind) << "' record";
+    return 0;
+}
+
+} // namespace
+
+TEST(Checkpoint, InFlightIoRestoresAndReimagesExactly)
+{
+    const WorkloadSpec spec = shapeSpec(kCopyShape, Scheme::Quota);
+    const Observed o = midIoImage();
+    ASSERT_FALSE(o.image.empty());
+    const std::vector<ImagedRecord> records = imagedRecords(o.image);
+    EXPECT_TRUE(holds(records, EvKind::DiskComplete));
+    EXPECT_TRUE(holds(records, EvKind::IoTimeout));
+    EXPECT_EQ(formatResultsJson(o.results), coldJson(spec));
+    EXPECT_EQ(formatResultsJson(runWorkloadSpecFrom(spec, o.image)),
+              coldJson(spec));
+
+    Simulation sim(spec.config);
+    populateWorkloadSpec(sim, spec);
+    sim.restore(o.image);
+    EXPECT_GT(sim.kernel().liveIoOps(), 0u);
+    EXPECT_TRUE(sim.kernel().disk(0).busy());
+    EXPECT_GT(sim.kernel().disk(0).queueDepth(), 0u);
+    std::ostringstream out;
+    sim.checkpoint(out);
+    EXPECT_EQ(out.str(), o.image);
+}
+
+TEST(Checkpoint, InFlightRecordsNamingNothingAreConfigErrors)
+{
+    const WorkloadSpec spec = shapeSpec(kCopyShape, Scheme::Quota);
+    const std::string image = midIoImage().image;
+    ASSERT_FALSE(image.empty());
+    const auto rejection = [&spec](const std::string &bad) -> std::string {
+        try {
+            runWorkloadSpecFrom(spec, bad);
+        } catch (const ConfigError &e) {
+            return e.what();
+        }
+        return "accepted";
+    };
+    // The untouched image loads.
+    EXPECT_EQ(rejection(withRecordArg(image, 0, imagedRecords(image)[0].arg)),
+              "accepted");
+
+    // A completion of the one disk's request names disk 3.
+    EXPECT_NE(rejection(withRecordArg(
+                            image, firstRecord(image, EvKind::DiskComplete),
+                            3))
+                  .find("unknown disk 3"),
+              std::string::npos);
+    // A watchdog names op slot 70000 of a much smaller slab.
+    EXPECT_NE(rejection(withRecordArg(
+                            image, firstRecord(image, EvKind::IoTimeout),
+                            70000))
+                  .find("I/O op slot 70000"),
+              std::string::npos);
+    // A segment end names a pid the replay never created.
+    EXPECT_NE(rejection(withRecordArg(image,
+                                      firstRecord(image, EvKind::SegEnd),
+                                      99))
+                  .find("unknown pid 99"),
+              std::string::npos);
+}
+
+TEST(Checkpoint, NetworkAndRetriesInFlightRestoreExactly)
+{
+    // The degraded-disk example: web replies queue on a 10 Mbit/s
+    // link the whole run, and the disk throws transient errors from
+    // 12 s to 13 s, so operations back off to retry.
+    const WorkloadSpec spec = parseWorkloadSpec(readFile(
+        std::filesystem::path(PISO_EXAMPLE_SPEC_DIR) / "degraded_disk.piso"));
+    const std::string cold = coldJson(spec);
+    bool netTx = false;
+    bool retry = false;
+    for (Time at : {kEarly, 12200 * kMs, 12500 * kMs, 12800 * kMs}) {
+        const Observed o = observe(spec, at, /*stop=*/true);
+        ASSERT_FALSE(o.image.empty()) << "t=" << at;
+        const std::vector<ImagedRecord> records = imagedRecords(o.image);
+        netTx |= holds(records, EvKind::NetTx);
+        retry |= holds(records, EvKind::IoRetry);
+        EXPECT_EQ(formatResultsJson(runWorkloadSpecFrom(spec, o.image)),
+                  cold)
+            << "t=" << at;
+    }
+    EXPECT_TRUE(netTx) << "no message on the wire imaged";
+    EXPECT_TRUE(retry) << "no retry backoff imaged";
 }

@@ -50,23 +50,47 @@ job pmk pmake name=build workers=2 files=6
 job cpy copy name=cp bytes_kb=4096
 )";
 
+/** kSpec under @p scheme. */
+WorkloadSpec
+specFor(Scheme scheme)
+{
+    WorkloadSpec spec = parseWorkloadSpec(kSpec);
+    spec.config.scheme = scheme;
+    return spec;
+}
+
+/** The image of kSpec under @p scheme at 50 ms. */
+std::string
+imageAt50ms(Scheme scheme)
+{
+    WorkloadSpec spec = specFor(scheme);
+    std::string img;
+    spec.config.checkpointAt = 50 * kMs;
+    spec.config.checkpointStop = true;
+    spec.config.checkpointSink = [&img](std::string i) {
+        img = std::move(i);
+    };
+    Simulation sim(spec.config);
+    populateWorkloadSpec(sim, spec);
+    sim.run();
+    return img;
+}
+
 /** One valid checkpoint image of kSpec, built once per process. */
 const std::string &
 validImage()
 {
-    static const std::string image = [] {
-        WorkloadSpec spec = parseWorkloadSpec(kSpec);
-        std::string img;
-        spec.config.checkpointAt = 50 * kMs;
-        spec.config.checkpointStop = true;
-        spec.config.checkpointSink = [&img](std::string i) {
-            img = std::move(i);
-        };
-        Simulation sim(spec.config);
-        populateWorkloadSpec(sim, spec);
-        sim.run();
-        return img;
-    }();
+    static const std::string image = imageAt50ms(Scheme::PIso);
+    return image;
+}
+
+/** A valid image taken mid-I/O: under Quo the one disk is busy from
+ *  the first request on, so the image holds a request in service,
+ *  queued requests, live I/O ops and their pending watchdogs. */
+const std::string &
+midIoImage()
+{
+    static const std::string image = imageAt50ms(Scheme::Quota);
     return image;
 }
 
@@ -75,13 +99,26 @@ validImage()
  * Returns normally only if restore accepted the bytes.
  */
 void
-tryRestore(const std::string &image)
+tryRestore(const std::string &image, Scheme scheme = Scheme::PIso)
 {
-    WorkloadSpec spec = parseWorkloadSpec(kSpec);
+    WorkloadSpec spec = specFor(scheme);
     Simulation sim(spec.config);
     populateWorkloadSpec(sim, spec);
     std::istringstream in(image);
     sim.restore(in);
+}
+
+/** The corpus the truncation and corruption tests mutate. */
+struct Corpus
+{
+    const std::string &image;
+    Scheme scheme;
+};
+
+std::vector<Corpus>
+corpus()
+{
+    return {{validImage(), Scheme::PIso}, {midIoImage(), Scheme::Quota}};
 }
 
 } // namespace
@@ -90,50 +127,62 @@ tryRestore(const std::string &image)
 // Container corruption: every mutation rejects with a SimError
 // ---------------------------------------------------------------------
 
+TEST(CheckpointFuzz, BothImagesOfTheCorpusRestore)
+{
+    EXPECT_NO_THROW(tryRestore(validImage()));
+    EXPECT_NO_THROW(tryRestore(midIoImage(), Scheme::Quota));
+    // The mid-I/O image holds more than the other's idle devices.
+    EXPECT_GT(midIoImage().size(), validImage().size());
+}
+
 TEST(CheckpointFuzz, TruncationsAreRejectedStructurally)
 {
-    const std::string &image = validImage();
-    ASSERT_GT(image.size(), 48u);
+    for (const Corpus &c : corpus()) {
+        const std::string &image = c.image;
+        ASSERT_GT(image.size(), 48u);
 
-    // Every length across the header and trailer, plus a stride of
-    // cuts through the payload: all must fail cleanly. (A truncated
-    // image can never pass — the trailing checksum is missing.)
-    std::vector<std::size_t> cuts;
-    for (std::size_t n = 0; n <= 64 && n < image.size(); ++n)
-        cuts.push_back(n);
-    for (std::size_t n = 64; n < image.size(); n += 97)
-        cuts.push_back(n);
-    for (std::size_t back = 1; back <= 16; ++back)
-        cuts.push_back(image.size() - back);
+        // Every length across the header and trailer, plus a stride of
+        // cuts through the payload: all must fail cleanly. (A truncated
+        // image can never pass — the trailing checksum is missing.)
+        std::vector<std::size_t> cuts;
+        for (std::size_t n = 0; n <= 64 && n < image.size(); ++n)
+            cuts.push_back(n);
+        for (std::size_t n = 64; n < image.size(); n += 97)
+            cuts.push_back(n);
+        for (std::size_t back = 1; back <= 16; ++back)
+            cuts.push_back(image.size() - back);
 
-    for (std::size_t n : cuts) {
-        const std::string cut = image.substr(0, n);
-        EXPECT_THROW(tryRestore(cut), SimError)
-            << "truncation to " << n << " bytes accepted";
+        for (std::size_t n : cuts) {
+            const std::string cut = image.substr(0, n);
+            EXPECT_THROW(tryRestore(cut, c.scheme), SimError)
+                << "truncation to " << n << " bytes accepted";
+        }
     }
 }
 
 TEST(CheckpointFuzz, SingleByteCorruptionIsRejectedStructurally)
 {
-    const std::string &image = validImage();
-    Rng rng(0xf00du);
+    for (const Corpus &c : corpus()) {
+        const std::string &image = c.image;
+        Rng rng(0xf00du);
 
-    // Every header byte, then a deterministic-random sample of payload
-    // and trailer bytes. Any single-byte change must be caught: header
-    // fields are validated individually and the payload is covered by
-    // the trailing FNV checksum.
-    std::vector<std::size_t> offsets;
-    for (std::size_t i = 0; i < 48; ++i)
-        offsets.push_back(i);
-    for (int i = 0; i < 256; ++i)
-        offsets.push_back(48 + rng.uniformInt(image.size() - 48));
+        // Every header byte, then a deterministic-random sample of payload
+        // and trailer bytes. Any single-byte change must be caught: header
+        // fields are validated individually and the payload is covered by
+        // the trailing FNV checksum.
+        std::vector<std::size_t> offsets;
+        for (std::size_t i = 0; i < 48; ++i)
+            offsets.push_back(i);
+        for (int i = 0; i < 256; ++i)
+            offsets.push_back(48 + rng.uniformInt(image.size() - 48));
 
-    for (std::size_t off : offsets) {
-        std::string bad = image;
-        bad[off] = static_cast<char>(
-            bad[off] ^ static_cast<char>(1 + rng.uniformInt(255)));
-        EXPECT_THROW(tryRestore(bad), SimError)
-            << "byte flip at offset " << off << " accepted";
+        for (std::size_t off : offsets) {
+            std::string bad = image;
+            bad[off] = static_cast<char>(
+                bad[off] ^ static_cast<char>(1 + rng.uniformInt(255)));
+            EXPECT_THROW(tryRestore(bad, c.scheme), SimError)
+                << "byte flip at offset " << off << " accepted";
+        }
     }
 }
 
@@ -151,23 +200,6 @@ TEST(CheckpointFuzz, WrongMagicVersionAndDigestAreConfigErrors)
     wrongVersion[8] = static_cast<char>(kCkptVersion + 1);
     EXPECT_THROW(tryRestore(wrongVersion), ConfigError);
 
-    // Version 1 imaged the buffer-cache index and version 2 the whole
-    // file table; their images are refused by name, not misread.
-    for (const int old : {1, 2}) {
-        std::string oldImage = image;
-        oldImage[8] = static_cast<char>(old);
-        try {
-            tryRestore(oldImage);
-            ADD_FAILURE() << "version-" << old << " image accepted";
-        } catch (const ConfigError &e) {
-            EXPECT_NE(std::string(e.what()).find(
-                          "format version " + std::to_string(old) +
-                          " (this build reads version 3)"),
-                      std::string::npos)
-                << e.what();
-        }
-    }
-
     std::string wrongFlags = image;
     wrongFlags[12] = 1;
     EXPECT_THROW(tryRestore(wrongFlags), ConfigError);
@@ -175,6 +207,28 @@ TEST(CheckpointFuzz, WrongMagicVersionAndDigestAreConfigErrors)
     std::string wrongDigest = image;
     wrongDigest[16] = static_cast<char>(wrongDigest[16] ^ 0x5a);
     EXPECT_THROW(tryRestore(wrongDigest), ConfigError);
+}
+
+TEST(CheckpointFuzz, OlderVersionsAreRefusedByName)
+{
+    // Version 1 imaged the buffer-cache index, version 2 the whole
+    // file table, and version 3 could hold no I/O in flight; their
+    // images are refused by name, not misread.
+    ASSERT_EQ(kCkptVersion, 4u);
+    for (const int old : {1, 2, 3}) {
+        std::string oldImage = validImage();
+        oldImage[8] = static_cast<char>(old);
+        try {
+            tryRestore(oldImage);
+            ADD_FAILURE() << "version-" << old << " image accepted";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "format version " + std::to_string(old) +
+                          " (this build reads version 4)"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(CheckpointFuzz, EmptyAndGarbageStreamsAreConfigErrors)
@@ -222,24 +276,38 @@ struct Links
     std::uint32_t next;
 };
 
-/** A checksummed buffer-cache section: one clean valid block of SPU 2
- *  per entry of @p links, no free slots, and the given list ends and
- *  size. */
+/** Block 0's waiter list and the waiter pool: (pid, next) nodes. */
+struct Waiting
+{
+    std::uint32_t head = kNull;
+    std::uint32_t tail = kNull;
+    std::vector<std::pair<std::int64_t, std::uint32_t>> nodes;
+    std::uint32_t freeHead = kNull;
+};
+
+/** A checksummed buffer-cache section: one clean block of SPU 2 per
+ *  entry of @p links, valid unless it is block 0 with waiters, no free
+ *  slots, the given list ends and size, and @p waiting. */
 std::string
 cacheImage(const std::vector<Links> &links, std::uint32_t head,
-           std::uint32_t tail, std::uint64_t size)
+           std::uint32_t tail, std::uint64_t size,
+           const Waiting &waiting = {})
 {
     CkptWriter w;
     w.u64(links.size());
     for (std::size_t i = 0; i < links.size(); ++i) {
+        const bool waited = i == 0 && waiting.head != kNull;
         w.i64(1);           // file
         w.u64(i);           // block
-        w.boolean(true);    // valid
+        w.boolean(!waited); // valid
         w.boolean(false);   // dirty
+        w.boolean(false);   // flushing
         w.i64(2);           // owner
         w.u32(static_cast<std::uint32_t>(i));
         w.u32(links[i].prev);
         w.u32(links[i].next);
+        w.u32(i == 0 ? waiting.head : kNull);
+        w.u32(i == 0 ? waiting.tail : kNull);
     }
     w.u64(0);               // free-slab slots
     w.u32(head);
@@ -249,7 +317,20 @@ cacheImage(const std::vector<Links> &links, std::uint32_t head,
     w.u64(1);               // per-SPU page counts: SPU 2 holds all
     w.u64(2);
     w.u64(links.size());
+    w.u64(waiting.nodes.size());
+    for (const auto &[pid, next] : waiting.nodes) {
+        w.i64(pid);
+        w.u32(next);
+    }
+    w.u32(waiting.freeHead);
     return w.image(0);
+}
+
+/** The cache's pid resolver where no process exists. */
+Process *
+noProcess(Pid pid)
+{
+    throw ConfigError("unknown pid " + std::to_string(pid));
 }
 
 /** Load a buffer-cache section; @return the ConfigError's text, or
@@ -261,7 +342,7 @@ cacheRejection(const std::string &image)
     CkptIo io(r);
     BufferCache cache;
     try {
-        cache.ckpt(io, 8);
+        cache.ckpt(io, noProcess, 8);
     } catch (const ConfigError &e) {
         return e.what();
     }
@@ -297,7 +378,7 @@ TEST(CheckpointFuzz, HugeSectionCountsAreRejectedBeforeSizing)
         CkptReader r(w.image(0));
         CkptIo io(r);
         BufferCache cache;
-        EXPECT_THROW(cache.ckpt(io, 8), ConfigError);
+        EXPECT_THROW(cache.ckpt(io, noProcess, 8), ConfigError);
     }
     {
         CkptWriter w;
@@ -380,6 +461,28 @@ TEST(CheckpointFuzz, HugeSectionCountsAreRejectedBeforeSizing)
     // The list holds two blocks, size_ claims three.
     EXPECT_TRUE(rejected(cacheImage({{kNull, 1}, {0, kNull}}, 0, 1, 3),
                          "size says 3"));
+
+    // Waiter lists are followed only after they are validated too. A
+    // free node on the free list is well formed.
+    const std::vector<Links> one = {{kNull, kNull}};
+    EXPECT_EQ(cacheRejection(cacheImage(
+                  one, 0, 0, 1, {kNull, kNull, {{kNoPid, kNull}}, 0})),
+              "");
+    // Block 0 waits on node 5 of an empty pool.
+    EXPECT_TRUE(rejected(cacheImage(one, 0, 0, 1, {5, 5, {}, kNull}),
+                         "waiter node 5 out of range"));
+    // Its waiter is pid 42, which the replay never created.
+    EXPECT_TRUE(rejected(cacheImage(one, 0, 0, 1,
+                                    {0, 0, {{42, kNull}}, kNull}),
+                         "unknown pid 42"));
+    // A node on neither a block's list nor the free list.
+    EXPECT_TRUE(rejected(
+        cacheImage(one, 0, 0, 1, {kNull, kNull, {{kNoPid, kNull}}, kNull}),
+        "node on no list"));
+    // The free list runs into a node twice.
+    EXPECT_TRUE(rejected(
+        cacheImage(one, 0, 0, 1, {kNull, kNull, {{kNoPid, 0}}, 0}),
+        "on two lists"));
 }
 
 // ---------------------------------------------------------------------

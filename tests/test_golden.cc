@@ -11,13 +11,18 @@
  * is caught at ctest time instead of surfacing as a silently shifted
  * figure.
  *
- * Every fixture is also replayed through the checkpoint layer: the
- * run is checkpointed at its first quiescent boundary (t ~= 0), a
- * fresh Simulation is populated identically, restored, and run to
- * completion — and must reproduce the golden bytes exactly
- * (docs/checkpoint.md). That pins serialisation coverage to the same
- * fixtures that pin the numbers: a subsystem whose state is dropped
- * by the image shows up here as a golden mismatch.
+ * Every fixture is also replayed through the checkpoint layer by the
+ * boundary battery: the run is checkpointed at nine event boundaries
+ * spread over it (the first one at t ~= 0), and each image is
+ * restored onto a fresh, identically populated Simulation and run to
+ * completion — which must reproduce the golden bytes exactly
+ * (docs/checkpoint.md). Any event boundary admits an image, I/O in
+ * flight included, and the battery checks that its boundaries really
+ * caught disk requests in service and queued, flushing blocks,
+ * blocks with waiters, throttled writers and (on a faulty disk) an
+ * operation waiting out its retry backoff. That pins serialisation
+ * coverage to the same fixtures that pin the numbers: a subsystem
+ * whose state is dropped by the image shows up as a golden mismatch.
  *
  * To regenerate after an intentional change:
  *     PISO_UPDATE_GOLDEN=1 ctest -R test_golden
@@ -26,11 +31,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "bench/pmake8.hh"
 #include "src/metrics/report.hh"
@@ -175,32 +183,6 @@ runCold(const Fixture &fx)
     return sim.run();
 }
 
-/** Checkpoint @p fx at its first quiescent boundary, replay the setup
- *  on a fresh Simulation, restore the image onto it, and run that
- *  restored instance to completion. */
-SimResults
-runRestored(const Fixture &fx)
-{
-    std::string image;
-    SystemConfig ckpt = fx.cfg;
-    ckpt.checkpointAt = 1;  // first quiescent boundary after t=0
-    ckpt.checkpointStop = true;
-    ckpt.checkpointSink = [&image](std::string img) {
-        image = std::move(img);
-    };
-    {
-        Simulation sim(ckpt);
-        fx.populate(sim);
-        sim.run();
-    }
-
-    Simulation sim(fx.cfg);
-    fx.populate(sim);
-    std::istringstream in(image);
-    sim.restore(in);
-    return sim.run();
-}
-
 std::string
 goldenPath(const std::string &fixture)
 {
@@ -208,8 +190,7 @@ goldenPath(const std::string &fixture)
 }
 
 void
-checkGolden(const std::string &fixture, const Fixture &fx,
-            bool quiesces = true)
+checkGolden(const std::string &fixture, const Fixture &fx)
 {
     const std::string current = formatResultsJson(runCold(fx));
     const std::string path = goldenPath(fixture);
@@ -231,26 +212,113 @@ checkGolden(const std::string &fixture, const Fixture &fx,
         << "results drifted from " << path
         << "; if the change is intentional, regenerate with "
            "PISO_UPDATE_GOLDEN=1 and review the diff";
+}
 
-    if (!quiesces) {
-        // The documented counter-example (docs/checkpoint.md): a
-        // blind-fair disk under a long copy is busy from the first
-        // request to the end of the run, so no quiescent boundary
-        // ever exists and the checkpoint request must fail loudly
-        // rather than silently produce nothing.
-        EXPECT_THROW(runRestored(fx), InvariantError);
-        return;
+/** Boundaries at which the battery saw each in-flight state. */
+struct InFlight
+{
+    int inService = 0;    //!< a disk request in service
+    int queued = 0;       //!< a disk request queued behind it
+    int retryBackoff = 0; //!< an op waiting out its retry backoff
+    int flushing = 0;     //!< a cache block being written
+    int waiters = 0;      //!< a cache block with processes waiting
+    int throttled = 0;    //!< a writer parked on the flush backlog
+};
+
+/** Note which in-flight states @p sim holds at its boundary. */
+void
+noteInFlight(Simulation &sim, InFlight &seen)
+{
+    Kernel &k = sim.kernel();
+    bool inService = false;
+    bool queued = false;
+    for (std::size_t d = 0; d < k.diskCount(); ++d) {
+        inService |= k.disk(static_cast<DiskId>(d)).busy();
+        queued |= k.disk(static_cast<DiskId>(d)).queueDepth() > 0;
     }
-    EXPECT_EQ(current, formatResultsJson(runRestored(fx)))
-        << "checkpoint/restore replay of " << fixture
-        << " diverged from the cold run — some subsystem's state is "
-           "not round-tripping through the image (docs/checkpoint.md)";
+    bool retry = false;
+    sim.events().forEachPending([&retry](EventId, Time, std::uint64_t,
+                                         EvKind kind, const EventArg &) {
+        retry |= kind == EvKind::IoRetry;
+    });
+    bool flushing = false;
+    bool waiters = false;
+    k.cache().forEachBlock([&](const CacheBlock &b) {
+        flushing |= b.flushing;
+        waiters |= k.cache().hasWaiters(b);
+    });
+    // The write throttle is the one place a process blocks with an
+    // action still to run.
+    bool throttled = false;
+    for (Pid pid = 1; Process *p = k.process(pid); ++pid)
+        throttled |= p->state() == ProcState::Blocked &&
+                     p->pendingAction.has_value();
+    seen.inService += inService;
+    seen.queued += queued;
+    seen.retryBackoff += retry;
+    seen.flushing += flushing;
+    seen.waiters += waiters;
+    seen.throttled += throttled;
+}
+
+/** Checkpoint @p fx at the first boundary at or after @p at, noting
+ *  what is in flight there; replay the setup on a fresh Simulation,
+ *  restore the image onto it, and run that instance to completion.
+ *  @p events gets the events both runs executed. */
+SimResults
+runRestored(const Fixture &fx, Time at, InFlight &seen,
+            std::uint64_t &events)
+{
+    std::string image;
+    Simulation *live = nullptr;
+    SystemConfig ckpt = fx.cfg;
+    ckpt.checkpointAt = at;
+    ckpt.checkpointStop = true;
+    ckpt.checkpointSink = [&](std::string img) {
+        image = std::move(img);
+        noteInFlight(*live, seen);
+    };
+    {
+        Simulation sim(ckpt);
+        live = &sim;
+        fx.populate(sim);
+        events = sim.run().perf.events;
+    }
+
+    Simulation sim(fx.cfg);
+    fx.populate(sim);
+    sim.restore(image);
+    SimResults res = sim.run();
+    events += res.perf.events;
+    return res;
+}
+
+/** Restore @p fx from nine boundaries spread over its run; each
+ *  continuation must reproduce the @p cold run's JSON, and with the
+ *  prefix execute exactly its events (a watchdog the restore failed
+ *  to re-link would fire as an extra, stale event). */
+void
+checkBoundaries(const std::string &name, const Fixture &fx,
+                const SimResults &cold, InFlight &seen)
+{
+    const std::string want = formatResultsJson(cold);
+    for (Time k = 0; k < 9; ++k) {
+        const Time at = std::max<Time>(1, cold.simulatedTime / 9 * k);
+        std::uint64_t events = 0;
+        EXPECT_EQ(formatResultsJson(runRestored(fx, at, seen, events)),
+                  want)
+            << "checkpoint/restore replay of " << name << " at t=" << at
+            << " diverged from the cold run — some subsystem's state "
+               "is not round-tripping through the image "
+               "(docs/checkpoint.md)";
+        EXPECT_EQ(events, cold.perf.events) << name << " at t=" << at;
+    }
 }
 
 } // namespace
 
 // One fixture per (workload, scheme): 12 golden files, each checked
-// cold and via a t~=0 checkpoint/restore replay.
+// cold here and through the boundary battery below.
 
 TEST(Golden, Fig2Smp) { checkGolden("fig2_smp", fig2(Scheme::Smp)); }
 TEST(Golden, Fig2Quota)
@@ -288,12 +356,56 @@ TEST(Golden, Table3Pos)
 }
 TEST(Golden, Table3Iso)
 {
-    // quiesces=false: blind-fair keeps the shared disk saturated for
-    // the whole run, so this fixture has no checkpoint boundary.
-    checkGolden("table3_iso", table3(DiskPolicy::BlindFair),
-                /*quiesces=*/false);
+    checkGolden("table3_iso", table3(DiskPolicy::BlindFair));
 }
 TEST(Golden, Table3PIso)
 {
     checkGolden("table3_piso", table3(DiskPolicy::FairPosition));
+}
+
+TEST(Golden, EveryBoundaryRestoresToTheGolden)
+{
+    const std::pair<const char *, Fixture> fixtures[] = {
+        {"fig2_smp", fig2(Scheme::Smp)},
+        {"fig2_quota", fig2(Scheme::Quota)},
+        {"fig2_piso", fig2(Scheme::PIso)},
+        {"fig5_smp", fig5(Scheme::Smp)},
+        {"fig5_quota", fig5(Scheme::Quota)},
+        {"fig5_piso", fig5(Scheme::PIso)},
+        {"fig7_smp", fig7(Scheme::Smp)},
+        {"fig7_quota", fig7(Scheme::Quota)},
+        {"fig7_piso", fig7(Scheme::PIso)},
+        {"table3_pos", table3(DiskPolicy::HeadPosition)},
+        {"table3_iso", table3(DiskPolicy::BlindFair)},
+        {"table3_piso", table3(DiskPolicy::FairPosition)},
+    };
+    InFlight seen;
+    for (const auto &[name, fx] : fixtures) {
+        const SimResults cold = runCold(fx);
+        std::ifstream in(goldenPath(name));
+        std::ostringstream golden;
+        golden << in.rdbuf();
+        ASSERT_EQ(golden.str(), formatResultsJson(cold)) << name;
+        checkBoundaries(name, fx, cold, seen);
+    }
+
+    // No golden fixture has a faulty disk; Table 3's Iso machine with
+    // transient media errors all run long has operations backing off
+    // to retry.
+    Fixture faulty = table3(DiskPolicy::BlindFair);
+    faulty.cfg.faults.diskError(kMs, 0, 0, 0.2);
+    checkBoundaries("table3_iso with disk errors", faulty, runCold(faulty),
+                    seen);
+
+    EXPECT_GT(seen.inService, 0) << "no disk request in service imaged";
+    EXPECT_GT(seen.queued, 0) << "no queued disk request imaged";
+    EXPECT_GT(seen.retryBackoff, 0) << "no retry backoff imaged";
+    EXPECT_GT(seen.flushing, 0) << "no flushing cache block imaged";
+    EXPECT_GT(seen.waiters, 0) << "no cache block with waiters imaged";
+    EXPECT_GT(seen.throttled, 0) << "no throttled writer imaged";
+    std::printf("boundary battery in flight: in service %d, queued %d, "
+                "retry backoff %d, flushing %d, waiters %d, "
+                "throttled %d\n",
+                seen.inService, seen.queued, seen.retryBackoff,
+                seen.flushing, seen.waiters, seen.throttled);
 }

@@ -7,7 +7,7 @@
  *   piso_run --trace=sched,mem workload.piso  # with execution traces
  *   piso_run --json workload.piso     # machine-readable results
  *
- *   # checkpoint at the first quiescent boundary at/after 2s, then
+ *   # checkpoint at the first event boundary at/after 2s, then
  *   # later resume a byte-identical continuation (docs/checkpoint.md):
  *   piso_run --checkpoint-at=2 --checkpoint-out=run.ckpt workload.piso
  *   piso_run --restore=run.ckpt workload.piso
@@ -86,7 +86,7 @@ usage(std::FILE *to)
                  "lock,kernel,all\n"
                  "  --json        print machine-readable results\n"
                  "  --checkpoint-at=T   write a checkpoint at the first "
-                 "quiescent boundary\n"
+                 "event boundary\n"
                  "                      at or after T seconds of "
                  "simulated time\n"
                  "  --checkpoint-out=F  checkpoint image file (required "
