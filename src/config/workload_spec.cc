@@ -1,6 +1,8 @@
 #include "src/config/workload_spec.hh"
 
 #include <algorithm>
+#include <charconv>
+#include <limits>
 #include <sstream>
 
 #include "src/sim/checkpoint.hh"
@@ -126,11 +128,47 @@ class OptionReader
         return v;
     }
 
-    std::int64_t
-    integer(const std::string &key, std::int64_t def)
+    /** The integer under @p key, or @p def when the key is absent. The
+     *  whole value must be a decimal integer that T holds: a fraction,
+     *  an exponent or an out-of-range value is an error, not rounded
+     *  or wrapped. */
+    template <typename T>
+    T
+    integer(const std::string &key, T def)
     {
-        const double v = num(key, static_cast<double>(def));
-        return static_cast<std::int64_t>(v);
+        const auto it = opts_.find(key);
+        if (it == opts_.end())
+            return def;
+        const std::string text = it->second;
+        opts_.erase(it);
+        T v{};
+        const char *end = text.data() + text.size();
+        const auto [stop, ec] = std::from_chars(text.data(), end, v);
+        if (ec == std::errc::result_out_of_range) {
+            PISO_FATAL("line ", line_, ": option '", key,
+                       "' wants an integer in [",
+                       std::numeric_limits<T>::min(), ", ",
+                       std::numeric_limits<T>::max(), "], got '", text,
+                       "'");
+        }
+        if (ec != std::errc() || stop != end) {
+            PISO_FATAL("line ", line_, ": option '", key,
+                       "' wants an integer, got '", text, "'");
+        }
+        return v;
+    }
+
+    /** integer<std::uint64_t>(@p key, @p def) units of @p unit bytes,
+     *  as a byte count; the count must fit in 64 bits too. */
+    std::uint64_t
+    bytes(const std::string &key, std::uint64_t def, std::uint64_t unit)
+    {
+        const std::uint64_t v = integer<std::uint64_t>(key, def);
+        if (v > std::numeric_limits<std::uint64_t>::max() / unit) {
+            PISO_FATAL("line ", line_, ": option '", key, "' of ", v,
+                       " overflows a 64-bit byte count");
+        }
+        return v * unit;
     }
 
     /** All options must have been consumed. */
@@ -165,7 +203,7 @@ parseFaultLine(const std::vector<std::string> &tokens, int lineNo,
     const Time at = fromSeconds(atSec);
 
     if (kind == "disk_slow") {
-        const int disk = static_cast<int>(r.integer("disk", 0));
+        const int disk = r.integer<int>("disk", 0);
         const Time dur = fromSeconds(r.num("for_s", 0.0));
         const double factor = r.num("factor", 4.0);
         if (factor < 1.0)
@@ -173,7 +211,7 @@ parseFaultLine(const std::vector<std::string> &tokens, int lineNo,
                        ">= 1, got ", factor);
         plan.diskSlow(at, disk, dur, factor);
     } else if (kind == "disk_error") {
-        const int disk = static_cast<int>(r.integer("disk", 0));
+        const int disk = r.integer<int>("disk", 0);
         const Time dur = fromSeconds(r.num("for_s", 0.0));
         const double rate = r.num("rate", 0.5);
         if (rate < 0.0 || rate > 1.0)
@@ -181,26 +219,24 @@ parseFaultLine(const std::vector<std::string> &tokens, int lineNo,
                        "[0,1], got ", rate);
         plan.diskError(at, disk, dur, rate);
     } else if (kind == "disk_dead") {
-        plan.diskDead(at, static_cast<int>(r.integer("disk", 0)));
+        plan.diskDead(at, r.integer<int>("disk", 0));
     } else if (kind == "cpu_offline") {
-        const int count = static_cast<int>(r.integer("count", 1));
+        const int count = r.integer<int>("count", 1);
         if (count < 1)
             PISO_FATAL("line ", lineNo,
                        ": cpu_offline count must be >= 1");
         plan.cpuOffline(at, count);
     } else if (kind == "cpu_online") {
-        const int count = static_cast<int>(r.integer("count", 1));
+        const int count = r.integer<int>("count", 1);
         if (count < 1)
             PISO_FATAL("line ", lineNo,
                        ": cpu_online count must be >= 1");
         plan.cpuOnline(at, count);
     } else if (kind == "mem_shrink" || kind == "mem_grow") {
-        const std::int64_t mb = r.integer("mb", 0);
-        if (mb <= 0)
+        const std::uint64_t pages = r.bytes("mb", 0, kMiB) / 4096;
+        if (pages == 0)
             PISO_FATAL("line ", lineNo, ": ", kind,
                        " needs mb=<MiB> > 0");
-        const std::uint64_t pages =
-            static_cast<std::uint64_t>(mb) * kMiB / 4096;
         if (kind == "mem_shrink")
             plan.memShrink(at, pages);
         else
@@ -239,7 +275,7 @@ parseSpuTreeLine(const std::vector<std::string> &tokens, int lineNo,
     }
     OptionReader r(parseOptions(tokens, 1, lineNo), lineNo);
     s.share = r.num("share", 1.0);
-    s.disk = static_cast<DiskId>(r.integer("disk", 0));
+    s.disk = r.integer<DiskId>("disk", 0);
     r.finish();
 
     const auto dot = s.name.rfind('.');
@@ -315,13 +351,9 @@ parseWorkloadSpec(const std::string &text)
                 PISO_FATAL("line ", lineNo, ": duplicate machine line");
             sawMachine = true;
             OptionReader r(parseOptions(tokens, 1, lineNo), lineNo);
-            spec.config.cpus =
-                static_cast<int>(r.integer("cpus", 8));
-            spec.config.memoryBytes = static_cast<std::uint64_t>(
-                                          r.integer("memory_mb", 64)) *
-                                      kMiB;
-            spec.config.diskCount =
-                static_cast<int>(r.integer("disks", 1));
+            spec.config.cpus = r.integer<int>("cpus", 8);
+            spec.config.memoryBytes = r.bytes("memory_mb", 64, kMiB);
+            spec.config.diskCount = r.integer<int>("disks", 1);
             const std::string where =
                 "line " + std::to_string(lineNo) + ": ";
             spec.config.scheme =
@@ -335,8 +367,7 @@ parseWorkloadSpec(const std::string &text)
                 spec.config.memoryPolicy = parseMemoryPolicy(v, where);
             if (const std::string v = r.str("network", ""); !v.empty())
                 spec.config.netPolicy = parseNetPolicy(v, where);
-            spec.config.seed =
-                static_cast<std::uint64_t>(r.integer("seed", 1));
+            spec.config.seed = r.integer<std::uint64_t>("seed", 1);
             spec.config.maxTime = fromSeconds(
                 r.num("max_time_s", toSeconds(spec.config.maxTime)));
             spec.config.networkBitsPerSec =
@@ -346,12 +377,11 @@ parseWorkloadSpec(const std::string &text)
             spec.config.diskParams.seekScale =
                 r.num("seek_scale", 1.0);
             spec.config.ipiRevocation =
-                r.integer("ipi_revocation", 0) != 0;
+                r.integer<std::int64_t>("ipi_revocation", 0) != 0;
             // NUMA/bus machine model (src/machine/numa.hh). The
             // defaults describe a uniform-memory machine and add zero
             // cost, so omitting every key keeps runs byte-identical.
-            spec.config.numa.domains =
-                static_cast<int>(r.integer("numa_domains", 1));
+            spec.config.numa.domains = r.integer<int>("numa_domains", 1);
             spec.config.numa.localLatency =
                 static_cast<Time>(r.num("numa_local_us", 0.0) * kUs);
             spec.config.numa.remoteLatency =
@@ -375,7 +405,7 @@ parseWorkloadSpec(const std::string &text)
                            "[spus] section");
             OptionReader r(parseOptions(tokens, 2, lineNo), lineNo);
             s.share = r.num("share", 1.0);
-            s.disk = static_cast<DiskId>(r.integer("disk", 0));
+            s.disk = r.integer<DiskId>("disk", 0);
             r.finish();
             for (const SpuDecl &other : spec.spus) {
                 if (other.name == s.name)
@@ -446,53 +476,42 @@ buildJob(const JobDecl &decl)
 
     if (decl.kind == "pmake") {
         PmakeConfig c;
-        c.parallelism = static_cast<int>(r.integer("workers", 2));
-        c.filesPerWorker = static_cast<int>(r.integer("files", 12));
+        c.parallelism = r.integer<int>("workers", 2);
+        c.filesPerWorker = r.integer<int>("files", 12);
         c.compileCpu = fromMillis(r.num("compile_ms", 120.0));
-        c.workerWsPages = static_cast<std::uint64_t>(
-            r.integer("ws_pages", 600));
+        c.workerWsPages = r.integer<std::uint64_t>("ws_pages", 600);
         job = makePmake(decl.name, c);
     } else if (decl.kind == "copy") {
         FileCopyConfig c;
-        c.bytes = static_cast<std::uint64_t>(
-                      r.integer("bytes_kb", 20 * 1024)) *
-                  1024;
+        c.bytes = r.bytes("bytes_kb", 20 * 1024, 1024);
         job = makeFileCopy(decl.name, c);
     } else if (decl.kind == "compute") {
         ComputeSpec c;
         c.totalCpu = fromMillis(r.num("cpu_ms", 1000.0));
-        c.wsPages = static_cast<std::uint64_t>(
-            r.integer("ws_pages", 256));
+        c.wsPages = r.integer<std::uint64_t>("ws_pages", 256);
         job = makeComputeJob(decl.name, c);
     } else if (decl.kind == "ocean") {
         OceanConfig c;
-        c.processes = static_cast<int>(r.integer("procs", 4));
-        c.iterations = static_cast<int>(r.integer("iters", 400));
+        c.processes = r.integer<int>("procs", 4);
+        c.iterations = r.integer<int>("iters", 400);
         c.grain = fromMillis(r.num("grain_ms", 20.0));
-        c.wsPagesPerProc = static_cast<std::uint64_t>(
-            r.integer("ws_pages", 512));
+        c.wsPagesPerProc = r.integer<std::uint64_t>("ws_pages", 512);
         job = makeOcean(decl.name, c);
     } else if (decl.kind == "oltp") {
         OltpConfig c;
-        c.servers = static_cast<int>(r.integer("servers", 4));
-        c.transactionsPerServer =
-            static_cast<int>(r.integer("txns", 100));
+        c.servers = r.integer<int>("servers", 4);
+        c.transactionsPerServer = r.integer<int>("txns", 100);
         c.txnCpu = fromMillis(r.num("txn_ms", 2.0));
         c.updateFraction = r.num("update_frac", 0.3);
-        c.tableBytes = static_cast<std::uint64_t>(
-                           r.integer("table_mb", 64)) *
-                       kMiB;
+        c.tableBytes = r.bytes("table_mb", 64, kMiB);
         job = makeOltp(decl.name, c);
     } else if (decl.kind == "web") {
         WebServerConfig c;
-        c.workers = static_cast<int>(r.integer("workers", 4));
-        c.requestsPerWorker =
-            static_cast<int>(r.integer("requests", 200));
+        c.workers = r.integer<int>("workers", 4);
+        c.requestsPerWorker = r.integer<int>("requests", 200);
         c.requestCpu = fromMillis(r.num("request_ms", 0.5));
-        c.responseBytes = static_cast<std::uint64_t>(
-                              r.integer("response_kb", 16)) *
-                          1024;
-        c.documents = static_cast<int>(r.integer("documents", 200));
+        c.responseBytes = r.bytes("response_kb", 16, 1024);
+        c.documents = r.integer<int>("documents", 200);
         job = makeWebServer(decl.name, c);
     } else {
         PISO_FATAL("line ", decl.line, ": unknown job kind '",

@@ -47,102 +47,174 @@ FileSystem::findDisk(DiskId disk) const
     return space.metadataEnd == 0 ? nullptr : &space;
 }
 
-FileId
-FileSystem::allocate(DiskId disk, std::uint64_t bytes,
-                     FilePlacement placement, bool withMetadata)
+FileSystem::DiskSpace &
+FileSystem::diskSpace(DiskId disk)
 {
     if (!findDisk(disk))
         PISO_FATAL("unknown disk ", disk, " in the file system");
-    DiskSpace &space = disks_[static_cast<std::size_t>(disk)];
+    return disks_[static_cast<std::size_t>(disk)];
+}
 
-    std::uint64_t blocks = (bytes + blockBytes_ - 1) / blockBytes_;
-    if (blocks == 0)
-        blocks = 1;
-    const std::uint64_t sectors = blocks * sectorsPerBlock_;
+std::uint64_t
+FileSystem::sectorsFor(std::uint64_t bytes) const
+{
+    const std::uint64_t blocks = (bytes + blockBytes_ - 1) / blockBytes_;
+    return std::max<std::uint64_t>(blocks, 1) * sectorsPerBlock_;
+}
 
-    std::uint64_t start;
-    if (placement == FilePlacement::Scattered) {
-        // Pseudo-random placement, retrying a few times on collision
-        // with the next-fit frontier region.
-        const std::uint64_t span = space.totalSectors - space.metadataEnd;
-        if (sectors > span)
-            PISO_FATAL("file of ", bytes, " bytes larger than disk ",
-                       disk);
-        // A file filling the whole data zone has one place to go; it
-        // takes it without a draw, so no other file's draws move.
-        start = space.metadataEnd;
-        if (sectors < span) {
-            start += (rng_.uniformInt(span - sectors) / sectorsPerBlock_) *
-                     sectorsPerBlock_;
-        }
-    } else {
-        if (space.nextFree + sectors > space.totalSectors)
-            PISO_FATAL("disk ", disk, " out of space for a file of ",
-                       bytes, " bytes");
-        start = space.nextFree;
-        space.nextFree += sectors;
-    }
+FileId
+FileSystem::allocate(DiskId disk, std::uint64_t bytes, bool withMetadata)
+{
+    DiskSpace &sp = diskSpace(disk);
+    const std::uint64_t sectors = sectorsFor(bytes);
+    if (sp.nextFree + sectors > sp.totalSectors)
+        PISO_FATAL("disk ", disk, " out of space for a file of ", bytes,
+                   " bytes");
 
     FileInfo info;
-    info.id = static_cast<FileId>(fileCount());
+    info.id = static_cast<FileId>(fileCount_);
     info.disk = disk;
-    info.startSector = start;
+    info.startSector = sp.nextFree;
     info.sectors = sectors;
     info.bytes = bytes;
+    sp.nextFree += sectors;
     if (withMetadata) {
-        if (space.nextMetadata >= space.metadataEnd)
-            space.nextMetadata = 0; // metadata sectors are reused
-        info.metadataSector = space.nextMetadata++;
+        if (sp.nextMetadata >= sp.metadataEnd)
+            sp.nextMetadata = 0; // metadata sectors are reused
+        info.metadataSector = sp.nextMetadata++;
     }
-    addFile(info);
+    addIds(1);
+    store(info);
     return info.id;
-}
-
-std::size_t
-FileSystem::fileCount() const
-{
-    return files_.empty()
-               ? 0
-               : (files_.size() - 1) * kChunkFiles + files_.back().size();
-}
-
-void
-FileSystem::addFile(const FileInfo &info)
-{
-    if (files_.empty() || files_.back().size() == kChunkFiles) {
-        files_.emplace_back();
-        files_.back().reserve(kChunkFiles);
-    }
-    files_.back().push_back(info);
 }
 
 FileId
 FileSystem::createFile(DiskId disk, std::uint64_t bytes,
                        FilePlacement placement)
 {
-    return allocate(disk, bytes, placement, true);
+    return createFiles(disk, {&bytes, 1}, 1, placement);
 }
 
 FileId
-FileSystem::createExtent(DiskId disk, std::uint64_t bytes,
-                         FilePlacement placement)
+FileSystem::createFiles(DiskId disk, std::span<const std::uint64_t> bytes,
+                        std::size_t count, FilePlacement placement)
 {
-    return allocate(disk, bytes, placement, false);
+    if (bytes.empty() || count == 0)
+        PISO_FATAL("creating files needs at least one file and one size");
+    const FileId first = static_cast<FileId>(fileCount_);
+    if (placement == FilePlacement::Sequential) {
+        for (std::size_t k = 0; k < count; ++k)
+            allocate(disk, bytes[k % bytes.size()], true);
+        return first;
+    }
+
+    // Scattered: a pseudo-random block-aligned start anywhere in the
+    // data zone, one draw per file. A file filling the whole data zone
+    // has one place to go; it takes it without a draw, so no other
+    // file's draws move. The draws are skipped here and replayed by
+    // place().
+    DiskSpace &sp = diskSpace(disk);
+    const std::uint64_t span = sp.totalSectors - sp.metadataEnd;
+    ScatterRun run;
+    run.first = fileCount_;
+    run.count = count;
+    run.disk = disk;
+    const std::span<const std::uint64_t> used =
+        bytes.first(std::min(count, bytes.size()));
+    run.sizes.reserve(used.size());
+    for (const std::uint64_t b : used) {
+        const std::uint64_t sectors = sectorsFor(b);
+        if (sectors > span)
+            PISO_FATAL("file of ", b, " bytes larger than disk ", disk);
+        run.sizes.push_back({b, sectors, span - sectors});
+    }
+    run.rng = rng_;
+    for (std::size_t k = 0, j = 0; k < count; ++k) {
+        if (const std::uint64_t bound = run.sizes[j].bound; bound != 0)
+            rng_.skipUniformInt(bound);
+        j = j + 1 == run.sizes.size() ? 0 : j + 1;
+    }
+    run.end = rng_;
+
+    // File k takes metadata sector (metaStart + k) % metadataEnd, as
+    // count single-file steps of the wrapping cursor would.
+    run.metaStart = sp.nextMetadata;
+    sp.nextMetadata = (run.metaStart + count - 1) % sp.metadataEnd + 1;
+
+    addIds(count);
+    runs_.push_back(std::move(run));
+    return first;
 }
 
-std::size_t
-FileSystem::index(FileId id) const
+FileId
+FileSystem::createExtent(DiskId disk, std::uint64_t bytes)
 {
-    if (id < 0 || static_cast<std::size_t>(id) >= fileCount())
-        PISO_PANIC("unknown file id ", id);
-    return static_cast<std::size_t>(id);
+    return allocate(disk, bytes, false);
+}
+
+void
+FileSystem::addIds(std::size_t n)
+{
+    fileCount_ += n;
+    chunks_.resize((fileCount_ + kChunkFiles - 1) / kChunkFiles);
+}
+
+void
+FileSystem::store(const FileInfo &info) const
+{
+    const std::size_t i = static_cast<std::size_t>(info.id);
+    FileInfo *&chunk = chunks_[i / kChunkFiles];
+    if (!chunk) {
+        constexpr std::size_t kSlabFiles = kSlabChunks * kChunkFiles;
+        if (slabs_.empty() || slabs_.back().size() == kSlabFiles) {
+            slabs_.emplace_back();
+            slabs_.back().reserve(kSlabFiles);
+        }
+        std::vector<FileInfo> &slab = slabs_.back();
+        slab.resize(slab.size() + kChunkFiles);
+        chunk = slab.data() + slab.size() - kChunkFiles;
+    }
+    chunk[i % kChunkFiles] = info;
+    ++placedFiles_;
 }
 
 const FileInfo &
-FileSystem::file(FileId id) const
+FileSystem::place(FileId id) const
 {
-    const std::size_t i = index(id);
-    return files_[i / kChunkFiles][i % kChunkFiles];
+    const std::size_t i = static_cast<std::size_t>(id);
+    if (id < 0 || i >= fileCount_)
+        PISO_PANIC("unknown file id ", id);
+    const auto after = std::upper_bound(
+        runs_.begin(), runs_.end(), i,
+        [](std::size_t at, const ScatterRun &r) { return at < r.first; });
+    if (after == runs_.begin() || i >= std::prev(after)->first +
+                                           std::prev(after)->count)
+        PISO_PANIC("file id ", id, " was never placed");
+    ScatterRun &run = *std::prev(after);
+    const DiskSpace &sp = disks_[static_cast<std::size_t>(run.disk)];
+    const std::size_t upTo = std::min(
+        run.count, (i - run.first) / kPlaceBatch * kPlaceBatch + kPlaceBatch);
+    for (; run.placed < upTo; ++run.placed) {
+        const std::size_t k = run.placed;
+        const RunSize &size = run.sizes[k % run.sizes.size()];
+        FileInfo info;
+        info.id = static_cast<FileId>(run.first + k);
+        info.disk = run.disk;
+        info.bytes = size.bytes;
+        info.sectors = size.sectors;
+        info.startSector = sp.metadataEnd;
+        if (size.bound != 0) {
+            info.startSector +=
+                run.rng.uniformInt(size.bound) / sectorsPerBlock_ *
+                sectorsPerBlock_;
+        }
+        info.metadataSector = (run.metaStart + k) % sp.metadataEnd;
+        store(info);
+    }
+    PISO_CHECK(run.placed < run.count || run.rng == run.end,
+               "scattered run at file ", run.first,
+               " ended its draws off the position its creation skipped to");
+    return chunks_[i / kChunkFiles][i % kChunkFiles];
 }
 
 std::uint64_t
@@ -211,7 +283,7 @@ FileSystem::ckpt(CkptIo &io)
     // The replay has rebuilt the set-up's files; only the ones made
     // after it are imaged, each as the next id.
     io.expect(setupFiles_, "set-up file");
-    if (io.loading() && fileCount() != setupFiles_)
+    if (io.loading() && fileCount_ != setupFiles_)
         PISO_PANIC("file-system load expects the replayed set-up table (",
                    setupFiles_, " files), found ", fileCount());
     const std::size_t n = io.count(fileCount() - setupFiles_);
@@ -232,8 +304,9 @@ FileSystem::ckpt(CkptIo &io)
             f.sectors > space->totalSectors - f.startSector ||
             f.metadataSector >= space->metadataEnd)
             reject("file extent outside the configured disks");
-        f.id = static_cast<FileId>(fileCount());
-        addFile(f);
+        f.id = static_cast<FileId>(fileCount_);
+        addIds(1);
+        store(f);
     }
 }
 

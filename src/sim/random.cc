@@ -24,6 +24,20 @@ rotl(std::uint64_t x, int k)
     return (x << k) | (x >> (64 - k));
 }
 
+/**
+ * Whether uniformInt(@p n) keeps the raw draw @p v. Rejection sampling
+ * avoids modulo bias: only draws below limit = max - max % n, the end
+ * of the last whole run of n values, are kept. limit exceeds max - n,
+ * so a draw at or below that is kept without computing limit; only
+ * the last n values of the range cost the division.
+ */
+bool
+keepsDraw(std::uint64_t v, std::uint64_t n)
+{
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    return v <= kMax - n || v < kMax - kMax % n;
+}
+
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -65,13 +79,20 @@ Rng::uniformInt(std::uint64_t n)
 {
     if (n == 0)
         PISO_PANIC("uniformInt(0)");
-    // Rejection sampling to avoid modulo bias.
-    const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % n);
     std::uint64_t v;
     do {
         v = next();
-    } while (v >= limit);
+    } while (!keepsDraw(v, n));
     return v % n;
+}
+
+void
+Rng::skipUniformInt(std::uint64_t n)
+{
+    if (n == 0)
+        PISO_PANIC("skipUniformInt(0)");
+    while (!keepsDraw(next(), n)) {
+    }
 }
 
 double

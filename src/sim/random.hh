@@ -40,6 +40,10 @@ class Rng
     /** Uniform integer in [0, n); n must be > 0. */
     std::uint64_t uniformInt(std::uint64_t n);
 
+    /** Advance the stream exactly as uniformInt(@p n) would (the same
+     *  next() calls and rejections) without computing the value. */
+    void skipUniformInt(std::uint64_t n);
+
     /** Exponentially distributed double with the given mean. */
     double exponential(double mean);
 
@@ -58,6 +62,9 @@ class Rng
      * perturb another.
      */
     Rng fork();
+
+    /** Same stream position. */
+    bool operator==(const Rng &) const = default;
 
     /** Image the full 256-bit stream position. */
     void

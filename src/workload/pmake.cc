@@ -11,14 +11,6 @@ namespace piso {
 
 namespace {
 
-/** One source file of a compile worker. */
-struct CompileStep
-{
-    FileId src;
-    FileId obj;
-    Time compile;  //!< jittered compile CPU for this file
-};
-
 /**
  * A compile worker. Its program is the unrolled script
  *
@@ -26,16 +18,20 @@ struct CompileStep
  *   [lock shared] read src, compute, write obj, [lock exclusive],
  *   write meta
  *
- * (the bracketed lock actions only with an inode lock), but it keeps
- * one CompileStep per file and generates action i when the kernel
- * asks for it instead of storing 4-6 Actions per file up front.
+ * (the bracketed lock actions only with an inode lock), but it
+ * generates action i when the kernel asks for it instead of storing
+ * 4-6 Actions per file up front. Its files are one run of sources and
+ * objects, alternating, so file k's source is first + 2k and its
+ * object the id after. Its compile times come from a copy of the job's
+ * stream taken when the worker was built, read forward one draw per
+ * file.
  */
 class CompileWorker : public Behavior
 {
   public:
-    CompileWorker(const PmakeConfig &cfg, FileId meta,
-                  std::vector<CompileStep> steps)
-        : cfg_(cfg), meta_(meta), steps_(std::move(steps))
+    CompileWorker(const PmakeConfig &cfg, FileId meta, FileId files,
+                  Rng jitter)
+        : cfg_(cfg), meta_(meta), files_(files), jitter_(jitter)
     {
     }
 
@@ -78,24 +74,44 @@ class CompileWorker : public Behavior
     {
         return locked() ? std::size(kLocked) : std::size(kUnlocked);
     }
-    std::size_t length() const { return 1 + steps_.size() * perFile(); }
+    std::size_t
+    length() const
+    {
+        return 1 + static_cast<std::size_t>(cfg_.filesPerWorker) * perFile();
+    }
+
+    /** Compile time of file @p step: the draw after step - 1's. Steps
+     *  are asked for in order; after a restore the cursor starts over
+     *  and skips the draws of the steps already run. */
+    Time
+    compileTime(std::size_t step)
+    {
+        PISO_CHECK(step >= drawn_, "pmake compile time of file ", step,
+                   " asked for after file ", drawn_ - 1, "'s");
+        for (; drawn_ < step; ++drawn_)
+            jitter_.next();
+        ++drawn_;
+        const double f = jitter_.uniformRange(0.8, 1.2);
+        return static_cast<Time>(static_cast<double>(cfg_.compileCpu) * f);
+    }
 
     Action
-    actionAt(std::size_t i) const
+    actionAt(std::size_t i)
     {
         if (i == 0)
             return GrowMemAction{cfg_.workerWsPages};
-        const CompileStep &step = steps_[(i - 1) / perFile()];
+        const std::size_t step = (i - 1) / perFile();
+        const FileId src = files_ + static_cast<FileId>(2 * step);
         const std::size_t k = (i - 1) % perFile();
         switch (locked() ? kLocked[k] : kUnlocked[k]) {
           case Slot::LockShared:
             return LockAction{cfg_.inodeLock, false, cfg_.lockHold};
           case Slot::Read:
-            return ReadAction{step.src, 0, cfg_.srcBytes};
+            return ReadAction{src, 0, cfg_.srcBytes};
           case Slot::Compute:
-            return ComputeAction{step.compile};
+            return ComputeAction{compileTime(step)};
           case Slot::WriteObj:
-            return WriteAction{step.obj, 0, cfg_.objBytes, false};
+            return WriteAction{src + 1, 0, cfg_.objBytes, false};
           case Slot::LockExclusive:
             return LockAction{cfg_.inodeLock, true, cfg_.lockHold};
           case Slot::WriteMeta:
@@ -106,8 +122,10 @@ class CompileWorker : public Behavior
 
     PmakeConfig cfg_;
     FileId meta_;
-    // Replayed by setup; only the cursor is imaged.
-    std::vector<CompileStep> steps_;
+    FileId files_;  //!< the first source
+    // Replayed by setup; only the action cursor is imaged.
+    Rng jitter_;
+    std::size_t drawn_ = 0;  //!< compile times drawn from jitter_
     std::size_t index_ = 0;
 };
 
@@ -127,26 +145,23 @@ makePmake(std::string name, const PmakeConfig &cfg)
         // so the disk sees repeated writes to a single sector.
         const FileId meta = env.fs.createFile(env.disk, 512);
 
+        const std::uint64_t sizes[] = {cfg.srcBytes, cfg.objBytes};
+        const std::size_t files =
+            static_cast<std::size_t>(cfg.filesPerWorker);
         std::vector<ProcessSpec> procs;
         for (int w = 0; w < cfg.parallelism; ++w) {
-            std::vector<CompileStep> steps;
-            steps.reserve(static_cast<std::size_t>(cfg.filesPerWorker));
-            for (int i = 0; i < cfg.filesPerWorker; ++i) {
-                const FileId src = env.fs.createFile(
-                    env.disk, cfg.srcBytes, FilePlacement::Scattered);
-                const FileId obj = env.fs.createFile(
-                    env.disk, cfg.objBytes, FilePlacement::Scattered);
-
-                const double f = env.rng.uniformRange(0.8, 1.2);
-                const Time compile = static_cast<Time>(
-                    static_cast<double>(cfg.compileCpu) * f);
-                steps.push_back({src, obj, compile});
-            }
+            const FileId first = env.fs.createFiles(
+                env.disk, sizes, 2 * files, FilePlacement::Scattered);
+            // The worker draws its compile times from this copy; the
+            // job's stream moves past them (uniformRange is one next()).
+            const Rng jitter = env.rng;
+            for (std::size_t i = 0; i < files; ++i)
+                env.rng.next();
 
             ProcessSpec spec;
             spec.name = jobName + ".cc" + std::to_string(w);
-            spec.behavior = std::make_unique<CompileWorker>(
-                cfg, meta, std::move(steps));
+            spec.behavior =
+                std::make_unique<CompileWorker>(cfg, meta, first, jitter);
             spec.touchInterval = cfg.touchInterval;
             procs.push_back(std::move(spec));
         }

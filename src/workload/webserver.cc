@@ -16,12 +16,10 @@ makeWebServer(std::string name, const WebServerConfig &cfg)
     JobSpec job;
     job.name = std::move(name);
     job.build = [cfg, jobName = job.name](Kernel &, WorkloadEnv &env) {
-        std::vector<FileId> docs;
-        docs.reserve(static_cast<std::size_t>(cfg.documents));
-        for (int d = 0; d < cfg.documents; ++d) {
-            docs.push_back(env.fs.createFile(env.disk, cfg.docBytes,
-                                             FilePlacement::Scattered));
-        }
+        const std::uint64_t docBytes[] = {cfg.docBytes};
+        const FileId firstDoc = env.fs.createFiles(
+            env.disk, docBytes, static_cast<std::size_t>(cfg.documents),
+            FilePlacement::Scattered);
         const int hotCount = std::max(1, cfg.documents / 10);
 
         std::vector<ProcessSpec> procs;
@@ -38,8 +36,7 @@ makeWebServer(std::string name, const WebServerConfig &cfg)
                         : env.rng.uniformInt(static_cast<std::uint64_t>(
                               cfg.documents));
                 script.push_back(ReadAction{
-                    docs[static_cast<std::size_t>(idx)], 0,
-                    cfg.docBytes});
+                    firstDoc + static_cast<FileId>(idx), 0, cfg.docBytes});
                 const double f = env.rng.uniformRange(0.7, 1.3);
                 script.push_back(ComputeAction{static_cast<Time>(
                     static_cast<double>(cfg.requestCpu) * f)});

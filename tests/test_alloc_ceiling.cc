@@ -26,7 +26,11 @@
  * Events and policy iterations do not depend on the allocator or the
  * standard library, so they are pinned exactly in every build: a
  * change that moves them changes what the simulator does, not how
- * fast it does it.
+ * fast it does it. So are the files each run placed
+ * (FileSystem::placedFiles): scattered files are placed when first
+ * touched, so a run that placed every file it laid out shows up at
+ * the 256 x 512 point as a quarter of a million instead of a few
+ * thousand.
  */
 
 #include <gtest/gtest.h>
@@ -65,12 +69,13 @@ using namespace piso;
 
 namespace {
 
-/** What one sim.run() did: operator new calls and the run's perf
- *  counters. */
+/** What one sim.run() did: operator new calls, the run's perf
+ *  counters and the files it placed. */
 struct RunCounts
 {
     std::uint64_t allocs = 0;
     RunPerf perf;
+    std::size_t placedFiles = 0;
 };
 
 RunCounts
@@ -81,7 +86,16 @@ countRun(Simulation &sim)
     const SimResults r = sim.run();
     gCounting = false;
     EXPECT_TRUE(r.completed);
-    return {gAllocs, r.perf};
+    return {gAllocs, r.perf, sim.fs().placedFiles()};
+}
+
+/** ext_scale's 256 x 512 machine under @p scheme, run to 10 s. */
+RunCounts
+scale512Run(Scheme scheme)
+{
+    const auto sim = bench::makeScalePoint(256, 512, scheme, 10 * kSec);
+    const RunPerf perf = sim->run().perf;
+    return {0, perf, sim->fs().placedFiles()};
 }
 
 /** The Table 3 machine (as in test_golden) under the PIso disk
@@ -169,43 +183,52 @@ TEST(AllocCeiling, Fig2PisoRun)
 
 TEST(WorkCounters, Table3PisoRun)
 {
-    const RunPerf perf = table3PisoRun().perf;
+    const RunCounts run = table3PisoRun();
+    const RunPerf &perf = run.perf;
     EXPECT_EQ(perf.events, 6685u);
     EXPECT_EQ(perf.policyItersCpu, 845u);
     EXPECT_EQ(perf.policyItersMem, 314u);
     EXPECT_EQ(perf.policyItersDisk, 14680u);
+    EXPECT_EQ(run.placedFiles, 163u);  // every file: both jobs finish
 }
 
 TEST(WorkCounters, Fig2PisoRun)
 {
-    const RunPerf perf = fig2PisoRun().perf;
+    const RunCounts run = fig2PisoRun();
+    const RunPerf &perf = run.perf;
     EXPECT_EQ(perf.events, 10352u);
     EXPECT_EQ(perf.policyItersCpu, 5109u);
     EXPECT_EQ(perf.policyItersMem, 440u);
     EXPECT_EQ(perf.policyItersDisk, 1287u);
+    EXPECT_EQ(run.placedFiles, 400u);
 }
 
 TEST(WorkCounters, Scale512QuotaRun)
 {
-    // The active pmakes outlast the horizon on purpose.
-    const RunPerf perf =
-        bench::makeScalePoint(256, 512, Scheme::Quota, 10 * kSec)->run().perf;
+    // The active pmakes outlast the horizon on purpose, so only the
+    // files they reached (up to the end of each batch) are placed:
+    // 1,048 of 262,168.
+    const RunCounts run = scale512Run(Scheme::Quota);
+    const RunPerf &perf = run.perf;
     EXPECT_EQ(perf.events, 21597u);
     EXPECT_EQ(perf.policyItersCpu, 9352u);
     EXPECT_EQ(perf.policyItersMem, 0u);
     EXPECT_EQ(perf.policyItersDisk, 3797u);
     EXPECT_EQ(perf.policyItersNet, 0u);
+    EXPECT_EQ(run.placedFiles, 1048u);
 }
 
 TEST(WorkCounters, Scale512PisoRun)
 {
-    const RunPerf perf =
-        bench::makeScalePoint(256, 512, Scheme::PIso, 10 * kSec)->run().perf;
+    // 3,088 of 262,160 files placed.
+    const RunCounts run = scale512Run(Scheme::PIso);
+    const RunPerf &perf = run.perf;
     EXPECT_EQ(perf.events, 35113u);
     EXPECT_EQ(perf.policyItersCpu, 8832u);
     EXPECT_EQ(perf.policyItersMem, 43520u);
     EXPECT_EQ(perf.policyItersDisk, 39256u);
     EXPECT_EQ(perf.policyItersNet, 0u);
+    EXPECT_EQ(run.placedFiles, 3088u);
 }
 
 TEST(AllocCeiling, FaultSweepWarmPlan)

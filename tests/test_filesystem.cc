@@ -179,6 +179,26 @@ TEST(FileSystem, ScatteredFileFillingTheDataZoneTakesItWithoutADraw)
     EXPECT_EQ(fs.file(a).startSector, ref.file(b).startSector);
 }
 
+TEST(FileSystem, ScatteredRunsRejectBadSizesBeforeTakingIds)
+{
+    FileSystem fs;
+    fs.addDisk(0, 64 + 80);
+    const std::uint64_t tooBig[] = {4096, 11 * 4096};
+    EXPECT_THROW(fs.createFiles(0, tooBig, 2, FilePlacement::Scattered),
+                 ConfigError);
+    // Only the sizes a run uses are checked: one file takes the first.
+    EXPECT_EQ(fs.createFiles(0, tooBig, 1, FilePlacement::Scattered), 0);
+    EXPECT_THROW(fs.createFiles(0, tooBig, 0, FilePlacement::Scattered),
+                 ConfigError);
+    EXPECT_THROW(fs.createFiles(0, {}, 3, FilePlacement::Scattered),
+                 ConfigError);
+    EXPECT_THROW(fs.createFiles(1, tooBig, 1, FilePlacement::Scattered),
+                 ConfigError);
+    EXPECT_EQ(fs.fileCount(), 1u);
+    EXPECT_GE(fs.file(0).startSector, 64u);
+    EXPECT_LE(fs.file(0).startSector + fs.file(0).sectors, 64u + 80u);
+}
+
 TEST(FileSystem, IdsRunInCreationOrder)
 {
     FileSystem fs = makeFs();

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/sim/random.hh"
 
 using namespace piso;
@@ -146,4 +148,64 @@ TEST(Rng, ForkedStreamsDiffer)
     for (int i = 0; i < 100; ++i)
         same += a.next() == b.next() ? 1 : 0;
     EXPECT_LT(same, 3);
+}
+
+namespace {
+
+/** uniformInt as first written: limit computed on every draw. */
+std::uint64_t
+uniformIntTwoDivisions(Rng &r, std::uint64_t n)
+{
+    const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % n);
+    std::uint64_t v;
+    do {
+        v = r.next();
+    } while (v >= limit);
+    return v % n;
+}
+
+} // namespace
+
+TEST(Rng, UniformIntAndItsSkipMatchTheTwoDivisionFormula)
+{
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    std::vector<std::uint64_t> ns = {1,
+                                     2,
+                                     3,
+                                     (std::uint64_t{1} << 32) - 1,
+                                     (std::uint64_t{1} << 32) + 1,
+                                     std::uint64_t{1} << 63,
+                                     (std::uint64_t{1} << 63) + 1,
+                                     kMax};
+    Rng pick(99);
+    for (int i = 0; i < 8; ++i) {
+        ns.push_back(pick.next() | 1);                  // any width
+        ns.push_back(1 + (pick.next() >> (1 + i * 7))); // narrower
+    }
+
+    const std::uint64_t halfPlusOne = (std::uint64_t{1} << 63) + 1;
+    std::uint64_t rejected = 0;
+    for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+        for (const std::uint64_t n : ns) {
+            Rng fast(seed), skip(seed), ref(seed);
+            for (int d = 0; d < 64; ++d) {
+                ASSERT_EQ(fast.uniformInt(n), uniformIntTwoDivisions(ref, n))
+                    << "seed " << seed << " n " << n << " draw " << d;
+                skip.skipUniformInt(n);
+                ASSERT_EQ(skip, ref) << "seed " << seed << " n " << n;
+            }
+            ASSERT_EQ(fast, ref);
+            if (n != halfPlusOne)
+                continue;
+            // Raw draws beyond the 64 kept ones were rejected.
+            Rng walk(seed);
+            for (std::uint64_t draws = 0; !(walk == ref); ++draws) {
+                walk.next();
+                rejected += draws >= 64 ? 1 : 0;
+            }
+        }
+    }
+    // n = 2^63 + 1 keeps only draws at or below 2^63, so about half of
+    // all raw draws are rejected and the rejection loop is exercised.
+    EXPECT_GT(rejected, 64u * 64 / 2);
 }

@@ -236,3 +236,79 @@ job u compute name=late cpu_ms=10 start_s=1.5
     const SimResults r = runWorkloadSpec(s);
     EXPECT_GE(r.job("late").start, 1500 * kMs);
 }
+
+namespace {
+
+/** The ConfigError that parsing @p text and building its jobs raises,
+ *  or "" when both succeed. */
+std::string
+specError(const std::string &text)
+{
+    try {
+        const WorkloadSpec s = parseWorkloadSpec(text);
+        for (const JobDecl &j : s.jobs)
+            (void)buildJob(j);
+    } catch (const ConfigError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(WorkloadSpec, IntegerOptionsAreParsedExactly)
+{
+    const std::string spu = "spu u disk=0\n";
+    const std::string job = "job u compute cpu_ms=10\n";
+
+    // A fraction, an exponent or a value too big for the field is an
+    // error naming the line and the key; none is rounded or wrapped.
+    const std::vector<std::pair<std::string, std::string>> bad = {
+        {"machine cpus=1e30\n" + spu + job,
+         "line 1: option 'cpus' wants an integer, got '1e30'"},
+        {"machine cpus=2.5\n" + spu + job,
+         "line 1: option 'cpus' wants an integer, got '2.5'"},
+        {"machine cpus=4294967297\n" + spu + job,
+         "line 1: option 'cpus' wants an integer in [-2147483648, "
+         "2147483647], got '4294967297'"},
+        {"machine seed=18446744073709551616\n" + spu + job,
+         "line 1: option 'seed' wants an integer in [0, "
+         "18446744073709551615], got '18446744073709551616'"},
+        {"machine seed=-1\n" + spu + job,
+         "line 1: option 'seed' wants an integer, got '-1'"},
+        {"machine memory_mb=17592186044416\n" + spu + job,
+         "line 1: option 'memory_mb' of 17592186044416 overflows a "
+         "64-bit byte count"},
+        {"spu u disk=1.0\n" + job,
+         "line 1: option 'disk' wants an integer, got '1.0'"},
+        {spu + "job u pmake files=1.9\n",
+         "line 2: option 'files' wants an integer, got '1.9'"},
+        {spu + "job u pmake files=4294967297\n",
+         "line 2: option 'files' wants an integer in [-2147483648, "
+         "2147483647], got '4294967297'"},
+        {spu + "job u web documents=+5\n",
+         "line 2: option 'documents' wants an integer, got '+5'"},
+        {spu + job + "[faults]\ndisk_dead at_s=1 disk=0x1\n",
+         "line 4: option 'disk' wants an integer, got '0x1'"},
+        {spu + job + "[faults]\nmem_shrink at_s=1 mb=1.5\n",
+         "line 4: option 'mb' wants an integer, got '1.5'"},
+    };
+    for (const auto &[text, want] : bad)
+        EXPECT_EQ(specError(text), "fatal: " + want) << text;
+
+    // Integers past 2^53 keep every digit.
+    const WorkloadSpec a =
+        parseWorkloadSpec("machine seed=9007199254740992\n" + spu + job);
+    const WorkloadSpec b =
+        parseWorkloadSpec("machine seed=9007199254740993\n" + spu + job);
+    EXPECT_EQ(a.config.seed, 9007199254740992u);
+    EXPECT_EQ(b.config.seed, 9007199254740993u);
+    EXPECT_EQ(parseWorkloadSpec("machine seed=18446744073709551615\n" +
+                                spu + job)
+                  .config.seed,
+              18446744073709551615u);
+    EXPECT_EQ(specError("machine cpus=4 memory_mb=48 disks=2 "
+                        "numa_domains=2 ipi_revocation=1\n" +
+                        spu + "job u pmake workers=3 files=30\n"),
+              "");
+}
