@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <charconv>
 #include <limits>
+#include <optional>
 #include <sstream>
+#include <type_traits>
 
 #include "src/sim/checkpoint.hh"
 #include "src/util/log.hh"
@@ -18,8 +20,6 @@ namespace piso {
 
 namespace {
 
-using Options = std::map<std::string, std::string>;
-
 /** Split a line into whitespace-separated tokens. */
 std::vector<std::string>
 tokenize(const std::string &line)
@@ -32,56 +32,218 @@ tokenize(const std::string &line)
     return out;
 }
 
-/** Parse trailing `key=value` tokens into a map. */
-Options
-parseOptions(const std::vector<std::string> &tokens, std::size_t first,
-             int line)
+/** The `key=value` tokens from @p first on, as views into @p tokens. */
+std::vector<SpecOption>
+splitOptions(const std::vector<std::string> &tokens, std::size_t first,
+             const Where &where)
 {
-    Options opts;
+    std::vector<SpecOption> opts;
     for (std::size_t i = first; i < tokens.size(); ++i) {
-        const std::string &tok = tokens[i];
+        const std::string_view tok = tokens[i];
         const auto eq = tok.find('=');
-        if (eq == std::string::npos || eq == 0 ||
-            eq == tok.size() - 1) {
-            PISO_FATAL("line ", line, ": expected key=value, got '",
-                       tok, "'");
+        if (eq == std::string_view::npos || eq == 0 ||
+            eq == tok.size() - 1)
+            PISO_FATAL(where, "expected key=value, got '", tok, "'");
+        const std::string_view key = tok.substr(0, eq);
+        for (const SpecOption &o : opts) {
+            if (o.first == key)
+                PISO_FATAL(where, "duplicate option '", key, "'");
         }
-        const std::string key = tok.substr(0, eq);
-        if (opts.count(key))
-            PISO_FATAL("line ", line, ": duplicate option '", key, "'");
-        opts[key] = tok.substr(eq + 1);
+        opts.emplace_back(key, tok.substr(eq + 1));
     }
     return opts;
 }
 
-/** The number under @p key, or @p def when the key is absent. */
-double
-optionNumber(const Options &opts, const std::string &key, double def,
-             int line)
+/** Typed accessors that consume keys (leftovers are typos). */
+class OptionReader
 {
-    const auto it = opts.find(key);
-    if (it == opts.end())
-        return def;
-    try {
-        std::size_t pos = 0;
-        const double v = std::stod(it->second, &pos);
-        if (pos != it->second.size())
-            throw std::invalid_argument("trailing");
-        return v;
-    } catch (const std::exception &) {
-        PISO_FATAL("line ", line, ": option '", key,
-                   "' wants a number, got '", it->second, "'");
+  public:
+    OptionReader(std::vector<SpecOption> opts, const Where &where)
+        : opts_(std::move(opts)), where_(where)
+    {
     }
+
+    template <typename T>
+    T
+    read(std::string_view key, T def)
+    {
+        const auto v = take(key);
+        return v ? v->template read<T>() : def;
+    }
+
+    std::uint64_t
+    bytes(std::string_view key, std::uint64_t def, std::uint64_t unit)
+    {
+        const auto v = take(key);
+        return v ? v->bytes(unit) : def * unit;
+    }
+
+    /** All options must have been consumed. */
+    void
+    finish() const
+    {
+        if (!opts_.empty())
+            PISO_FATAL(where_, "unknown option '", opts_.front().first,
+                       "'");
+    }
+
+  private:
+    std::optional<OptionValue>
+    take(std::string_view key)
+    {
+        const auto it = std::find_if(
+            opts_.begin(), opts_.end(),
+            [key](const SpecOption &o) { return o.first == key; });
+        if (it == opts_.end())
+            return std::nullopt;
+        const OptionValue v{key, it->second, where_};
+        opts_.erase(it);
+        return v;
+    }
+
+    std::vector<SpecOption> opts_;
+    Where where_;
+};
+
+// The SystemConfig field behind each machine key, in documentation
+// order; a spec that omits a key and a grid that never sets it run
+// with the same default. A row is a key and the statement that sets
+// its field of `c`, the SystemConfig, from `v`, its OptionValue.
+#define PISO_MACHINE_KEY(name, ...)                                        \
+    MachineKey{name,                                                       \
+               [](SystemConfig &c, const OptionValue &v) { __VA_ARGS__; }}
+const MachineKey kMachineKeys[] = {
+    PISO_MACHINE_KEY("cpus", c.cpus = v.read<int>()),
+    PISO_MACHINE_KEY("memory_mb", c.memoryBytes = v.bytes(kMiB)),
+    PISO_MACHINE_KEY("disks", c.diskCount = v.read<int>()),
+    PISO_MACHINE_KEY("scheme", c.scheme = parseScheme(v.text, v.where)),
+    // Per-resource overrides on top of the uniform scheme.
+    PISO_MACHINE_KEY("cpu", c.cpuPolicy = parseCpuPolicy(v.text, v.where)),
+    PISO_MACHINE_KEY("memory",
+                     c.memoryPolicy = parseMemoryPolicy(v.text, v.where)),
+    PISO_MACHINE_KEY("disk_policy",
+                     c.diskPolicy = parseDiskOverride(v.text, v.where)),
+    PISO_MACHINE_KEY("network",
+                     c.netPolicy = parseNetPolicy(v.text, v.where)),
+    PISO_MACHINE_KEY("seed", c.seed = v.read<std::uint64_t>()),
+    PISO_MACHINE_KEY("max_time_s",
+                     c.maxTime = fromSeconds(v.read<double>())),
+    PISO_MACHINE_KEY("network_mbps",
+                     c.networkBitsPerSec = v.read<double>() * 1e6),
+    PISO_MACHINE_KEY("bw_threshold",
+                     c.bwThresholdSectors = v.read<double>()),
+    PISO_MACHINE_KEY("bw_halflife_ms",
+                     c.bwHalfLife = fromMillis(v.read<double>())),
+    PISO_MACHINE_KEY("seek_scale",
+                     c.diskParams.seekScale = v.read<double>()),
+    PISO_MACHINE_KEY("ipi_revocation",
+                     c.ipiRevocation = v.read<std::int64_t>() != 0),
+    PISO_MACHINE_KEY("loan_holdoff_ms",
+                     c.loanHoldoff = fromMillis(v.read<double>())),
+    PISO_MACHINE_KEY("tick_ms",
+                     c.tickPeriod = fromMillis(v.read<double>())),
+    PISO_MACHINE_KEY("slice_ms",
+                     c.timeSlice = fromMillis(v.read<double>())),
+    PISO_MACHINE_KEY("reserve_frac",
+                     c.memPolicy.reserveFraction = v.read<double>()),
+    // NUMA/bus machine model (src/machine/numa.hh). The defaults
+    // describe a uniform-memory machine and add zero cost.
+    PISO_MACHINE_KEY("numa_domains", c.numa.domains = v.read<int>()),
+    PISO_MACHINE_KEY("numa_local_us",
+                     c.numa.localLatency =
+                         static_cast<Time>(v.read<double>() * kUs)),
+    PISO_MACHINE_KEY("numa_remote_us",
+                     c.numa.remoteLatency =
+                         static_cast<Time>(v.read<double>() * kUs)),
+    PISO_MACHINE_KEY("bus_mbps",
+                     c.numa.busBytesPerSec = v.read<double>() * 1e6 / 8.0),
+    PISO_MACHINE_KEY("bus_saturation",
+                     c.numa.busSaturation = v.read<double>()),
+    PISO_MACHINE_KEY("bus_halflife_ms",
+                     c.numa.busHalfLife = fromMillis(v.read<double>())),
+};
+
+#undef PISO_MACHINE_KEY
+
+/** A job kind: its name and how its options build the job. */
+struct JobKind
+{
+    std::string_view name;
+    JobSpec (*build)(const std::string &name, OptionReader &r);
+};
+
+const JobKind kJobKinds[] = {
+    {"pmake", [](const std::string &name, OptionReader &r) {
+        PmakeConfig c;
+        c.parallelism = r.read<int>("workers", 2);
+        c.filesPerWorker = r.read<int>("files", 12);
+        c.compileCpu = fromMillis(r.read("compile_ms", 120.0));
+        c.workerWsPages = r.read<std::uint64_t>("ws_pages", 600);
+        return makePmake(name, c);
+    }},
+    {"copy", [](const std::string &name, OptionReader &r) {
+        FileCopyConfig c;
+        c.bytes = r.bytes("bytes_kb", 20 * 1024, 1024);
+        return makeFileCopy(name, c);
+    }},
+    {"compute", [](const std::string &name, OptionReader &r) {
+        ComputeSpec c;
+        c.totalCpu = fromMillis(r.read("cpu_ms", 1000.0));
+        c.wsPages = r.read<std::uint64_t>("ws_pages", 256);
+        return makeComputeJob(name, c);
+    }},
+    {"ocean", [](const std::string &name, OptionReader &r) {
+        OceanConfig c;
+        c.processes = r.read<int>("procs", 4);
+        c.iterations = r.read<int>("iters", 400);
+        c.grain = fromMillis(r.read("grain_ms", 20.0));
+        c.wsPagesPerProc = r.read<std::uint64_t>("ws_pages", 512);
+        return makeOcean(name, c);
+    }},
+    {"oltp", [](const std::string &name, OptionReader &r) {
+        OltpConfig c;
+        c.servers = r.read<int>("servers", 4);
+        c.transactionsPerServer = r.read<int>("txns", 100);
+        c.txnCpu = fromMillis(r.read("txn_ms", 2.0));
+        c.updateFraction = r.read("update_frac", 0.3);
+        c.tableBytes = r.bytes("table_mb", 64, kMiB);
+        return makeOltp(name, c);
+    }},
+    {"web", [](const std::string &name, OptionReader &r) {
+        WebServerConfig c;
+        c.workers = r.read<int>("workers", 4);
+        c.requestsPerWorker = r.read<int>("requests", 200);
+        c.requestCpu = fromMillis(r.read("request_ms", 0.5));
+        c.responseBytes = r.bytes("response_kb", 16, 1024);
+        c.documents = r.read<int>("documents", 200);
+        return makeWebServer(name, c);
+    }},
+};
+
+/** The job kind called @p kind; an unknown kind is an error. */
+const JobKind &
+jobKind(std::string_view kind, const Where &where)
+{
+    for (const JobKind &k : kJobKinds) {
+        if (k.name == kind)
+            return k;
+    }
+    PISO_FATAL(where, "unknown job kind '", kind, "'");
 }
 
 /** The job option naming its submission time, in seconds. */
-constexpr const char *kStartKey = "start_s";
+constexpr std::string_view kStartKey = "start_s";
 
 /** When the job declared by @p decl is submitted. */
 Time
 jobStartAt(const JobDecl &decl)
 {
-    return fromSeconds(optionNumber(decl.options, kStartKey, 0.0, decl.line));
+    const auto it = decl.options.find(std::string(kStartKey));
+    return it == decl.options.end()
+               ? 0
+               : fromSeconds(OptionValue{kStartKey, it->second,
+                                         {.line = decl.line}}
+                                 .read<double>());
 }
 
 /** FNV-1a of the declaration's kind and options as "kind key=value
@@ -100,153 +262,21 @@ jobRecipe(const JobDecl &decl)
     return h;
 }
 
-/** Typed accessors that consume keys (leftovers are typos). */
-class OptionReader
-{
-  public:
-    OptionReader(Options opts, int line)
-        : opts_(std::move(opts)), line_(line)
-    {
-    }
-
-    std::string
-    str(const std::string &key, const std::string &def)
-    {
-        auto it = opts_.find(key);
-        if (it == opts_.end())
-            return def;
-        std::string v = it->second;
-        opts_.erase(it);
-        return v;
-    }
-
-    double
-    num(const std::string &key, double def)
-    {
-        const double v = optionNumber(opts_, key, def, line_);
-        opts_.erase(key);
-        return v;
-    }
-
-    /** The integer under @p key, or @p def when the key is absent. The
-     *  whole value must be a decimal integer that T holds: a fraction,
-     *  an exponent or an out-of-range value is an error, not rounded
-     *  or wrapped. */
-    template <typename T>
-    T
-    integer(const std::string &key, T def)
-    {
-        const auto it = opts_.find(key);
-        if (it == opts_.end())
-            return def;
-        const std::string text = it->second;
-        opts_.erase(it);
-        T v{};
-        const char *end = text.data() + text.size();
-        const auto [stop, ec] = std::from_chars(text.data(), end, v);
-        if (ec == std::errc::result_out_of_range) {
-            PISO_FATAL("line ", line_, ": option '", key,
-                       "' wants an integer in [",
-                       std::numeric_limits<T>::min(), ", ",
-                       std::numeric_limits<T>::max(), "], got '", text,
-                       "'");
-        }
-        if (ec != std::errc() || stop != end) {
-            PISO_FATAL("line ", line_, ": option '", key,
-                       "' wants an integer, got '", text, "'");
-        }
-        return v;
-    }
-
-    /** integer<std::uint64_t>(@p key, @p def) units of @p unit bytes,
-     *  as a byte count; the count must fit in 64 bits too. */
-    std::uint64_t
-    bytes(const std::string &key, std::uint64_t def, std::uint64_t unit)
-    {
-        const std::uint64_t v = integer<std::uint64_t>(key, def);
-        if (v > std::numeric_limits<std::uint64_t>::max() / unit) {
-            PISO_FATAL("line ", line_, ": option '", key, "' of ", v,
-                       " overflows a 64-bit byte count");
-        }
-        return v * unit;
-    }
-
-    /** All options must have been consumed. */
-    void
-    finish() const
-    {
-        if (!opts_.empty()) {
-            PISO_FATAL("line ", line_, ": unknown option '",
-                       opts_.begin()->first, "'");
-        }
-    }
-
-  private:
-    Options opts_;
-    int line_;
-};
-
-/**
- * One directive inside a `[faults]` section. Times are seconds
- * (`at_s`, and `for_s` for windowed faults); memory sizes are MiB.
- */
+/** Declare @p s with the options in @p tokens from @p first on. */
 void
-parseFaultLine(const std::vector<std::string> &tokens, int lineNo,
-               FaultPlan &plan)
+declareSpu(WorkloadSpec &spec, SpuDecl s,
+           const std::vector<std::string> &tokens, std::size_t first,
+           const Where &where)
 {
-    const std::string &kind = tokens[0];
-    OptionReader r(parseOptions(tokens, 1, lineNo), lineNo);
-    const double atSec = r.num("at_s", -1.0);
-    if (atSec < 0.0)
-        PISO_FATAL("line ", lineNo, ": fault '", kind,
-                   "' needs at_s=<seconds>");
-    const Time at = fromSeconds(atSec);
-
-    if (kind == "disk_slow") {
-        const int disk = r.integer<int>("disk", 0);
-        const Time dur = fromSeconds(r.num("for_s", 0.0));
-        const double factor = r.num("factor", 4.0);
-        if (factor < 1.0)
-            PISO_FATAL("line ", lineNo, ": disk_slow factor must be "
-                       ">= 1, got ", factor);
-        plan.diskSlow(at, disk, dur, factor);
-    } else if (kind == "disk_error") {
-        const int disk = r.integer<int>("disk", 0);
-        const Time dur = fromSeconds(r.num("for_s", 0.0));
-        const double rate = r.num("rate", 0.5);
-        if (rate < 0.0 || rate > 1.0)
-            PISO_FATAL("line ", lineNo, ": disk_error rate must be in "
-                       "[0,1], got ", rate);
-        plan.diskError(at, disk, dur, rate);
-    } else if (kind == "disk_dead") {
-        plan.diskDead(at, r.integer<int>("disk", 0));
-    } else if (kind == "cpu_offline") {
-        const int count = r.integer<int>("count", 1);
-        if (count < 1)
-            PISO_FATAL("line ", lineNo,
-                       ": cpu_offline count must be >= 1");
-        plan.cpuOffline(at, count);
-    } else if (kind == "cpu_online") {
-        const int count = r.integer<int>("count", 1);
-        if (count < 1)
-            PISO_FATAL("line ", lineNo,
-                       ": cpu_online count must be >= 1");
-        plan.cpuOnline(at, count);
-    } else if (kind == "mem_shrink" || kind == "mem_grow") {
-        const std::uint64_t pages = r.bytes("mb", 0, kMiB) / 4096;
-        if (pages == 0)
-            PISO_FATAL("line ", lineNo, ": ", kind,
-                       " needs mb=<MiB> > 0");
-        if (kind == "mem_shrink")
-            plan.memShrink(at, pages);
-        else
-            plan.memGrow(at, pages);
-    } else {
-        PISO_FATAL("line ", lineNo, ": unknown fault '", kind,
-                   "' (disk_slow|disk_error|disk_dead|cpu_offline|"
-                   "cpu_online|mem_shrink|mem_grow)");
-    }
+    OptionReader r(splitOptions(tokens, first, where), where);
+    s.share = r.read("share", 1.0);
+    s.disk = r.read<DiskId>("disk", 0);
     r.finish();
+    for (const SpuDecl &other : spec.spus) {
+        if (other.name == s.name)
+            PISO_FATAL(where, "duplicate spu '", s.name, "'");
+    }
+    spec.spus.push_back(std::move(s));
 }
 
 /**
@@ -255,29 +285,18 @@ parseFaultLine(const std::vector<std::string> &tokens, int lineNo,
  * well-formed by construction.
  */
 void
-parseSpuTreeLine(const std::vector<std::string> &tokens, int lineNo,
-                 WorkloadSpec &spec)
+parseSpuTreeLine(const std::vector<std::string> &tokens,
+                 const Where &where, WorkloadSpec &spec)
 {
     SpuDecl s;
     s.name = tokens[0];
     if (s.name == "machine" || s.name == "spu" || s.name == "job")
-        PISO_FATAL("line ", lineNo, ": '", s.name, "' is a directive ",
+        PISO_FATAL(where, "'", s.name, "' is a directive ",
                    "and cannot name an SPU");
-    // Every dot-separated segment must be non-empty.
-    for (std::size_t pos = 0;;) {
-        const auto dot = s.name.find('.', pos);
-        if ((dot == std::string::npos ? s.name.size() : dot) == pos)
-            PISO_FATAL("line ", lineNo, ": bad SPU name '", s.name,
-                       "' (empty path segment)");
-        if (dot == std::string::npos)
-            break;
-        pos = dot + 1;
-    }
-    OptionReader r(parseOptions(tokens, 1, lineNo), lineNo);
-    s.share = r.num("share", 1.0);
-    s.disk = r.integer<DiskId>("disk", 0);
-    r.finish();
-
+    if (s.name.front() == '.' || s.name.back() == '.' ||
+        s.name.find("..") != std::string::npos)
+        PISO_FATAL(where, "bad SPU name '", s.name,
+                   "' (empty path segment)");
     const auto dot = s.name.rfind('.');
     if (dot != std::string::npos) {
         s.parent = s.name.substr(0, dot);
@@ -285,18 +304,124 @@ parseSpuTreeLine(const std::vector<std::string> &tokens, int lineNo,
         for (const SpuDecl &other : spec.spus)
             parentKnown |= other.name == s.parent;
         if (!parentKnown)
-            PISO_FATAL("line ", lineNo, ": SPU '", s.name,
+            PISO_FATAL(where, "SPU '", s.name,
                        "' declared before its group '", s.parent, "'");
     }
-    for (const SpuDecl &other : spec.spus) {
-        if (other.name == s.name)
-            PISO_FATAL("line ", lineNo, ": duplicate spu '", s.name,
-                       "'");
-    }
-    spec.spus.push_back(std::move(s));
+    declareSpu(spec, std::move(s), tokens, 1, where);
 }
 
 } // namespace
+
+template <typename T>
+T
+OptionValue::read() const
+{
+    T v{};
+    const char *end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, v);
+    constexpr bool integral = std::is_integral_v<T>;
+    if (integral && ec == std::errc::result_out_of_range) {
+        PISO_FATAL(where, "option '", key, "' wants an integer in [",
+                   std::numeric_limits<T>::min(), ", ",
+                   std::numeric_limits<T>::max(), "], got '", text, "'");
+    }
+    if (ec != std::errc() || stop != end) {
+        PISO_FATAL(where, "option '", key, "' wants ",
+                   integral ? "an integer" : "a number", ", got '", text,
+                   "'");
+    }
+    return v;
+}
+
+template int OptionValue::read<int>() const;
+template std::int64_t OptionValue::read<std::int64_t>() const;
+template std::uint64_t OptionValue::read<std::uint64_t>() const;
+template double OptionValue::read<double>() const;
+
+std::uint64_t
+OptionValue::bytes(std::uint64_t unit) const
+{
+    const std::uint64_t v = read<std::uint64_t>();
+    if (v > std::numeric_limits<std::uint64_t>::max() / unit) {
+        PISO_FATAL(where, "option '", key, "' of ", v,
+                   " overflows a 64-bit byte count");
+    }
+    return v * unit;
+}
+
+std::span<const MachineKey>
+machineKeys()
+{
+    return kMachineKeys;
+}
+
+const MachineKey *
+findMachineKey(std::string_view name)
+{
+    for (const MachineKey &k : kMachineKeys) {
+        if (k.name == name)
+            return &k;
+    }
+    return nullptr;
+}
+
+/**
+ * Times are seconds (`at_s`, and `for_s` for windowed faults); memory
+ * sizes are MiB.
+ */
+void
+parseFaultLine(std::string_view kind, std::vector<SpecOption> options,
+               const Where &where, FaultPlan &plan)
+{
+    OptionReader r(std::move(options), where);
+    const double atSec = r.read("at_s", -1.0);
+    if (atSec < 0.0)
+        PISO_FATAL(where, "fault '", kind, "' needs at_s=<seconds>");
+    const Time at = fromSeconds(atSec);
+
+    if (kind == "disk_slow") {
+        const int disk = r.read<int>("disk", 0);
+        const Time dur = fromSeconds(r.read("for_s", 0.0));
+        const double factor = r.read("factor", 4.0);
+        if (factor < 1.0)
+            PISO_FATAL(where, "disk_slow factor must be >= 1, got ",
+                       factor);
+        plan.diskSlow(at, disk, dur, factor);
+    } else if (kind == "disk_error") {
+        const int disk = r.read<int>("disk", 0);
+        const Time dur = fromSeconds(r.read("for_s", 0.0));
+        const double rate = r.read("rate", 0.5);
+        if (rate < 0.0 || rate > 1.0)
+            PISO_FATAL(where, "disk_error rate must be in [0,1], got ",
+                       rate);
+        plan.diskError(at, disk, dur, rate);
+    } else if (kind == "disk_dead") {
+        plan.diskDead(at, r.read<int>("disk", 0));
+    } else if (kind == "cpu_offline") {
+        const int count = r.read<int>("count", 1);
+        if (count < 1)
+            PISO_FATAL(where, "cpu_offline count must be >= 1");
+        plan.cpuOffline(at, count);
+    } else if (kind == "cpu_online") {
+        const int count = r.read<int>("count", 1);
+        if (count < 1)
+            PISO_FATAL(where, "cpu_online count must be >= 1");
+        plan.cpuOnline(at, count);
+    } else if (kind == "mem_shrink" || kind == "mem_grow") {
+        const std::uint64_t pages = r.bytes("mb", 0, kMiB) / 4096;
+        if (pages == 0)
+            PISO_FATAL(where, kind, " needs mb=<MiB> > 0");
+        if (kind == "mem_shrink")
+            plan.memShrink(at, pages);
+        else
+            plan.memGrow(at, pages);
+    } else {
+        PISO_FATAL(where, "unknown fault '", kind,
+                   "' (disk_slow|disk_error|disk_dead|cpu_offline|"
+                   "cpu_online|mem_shrink|mem_grow)");
+    }
+    r.finish();
+}
 
 WorkloadSpec
 parseWorkloadSpec(const std::string &text)
@@ -312,6 +437,7 @@ parseWorkloadSpec(const std::string &text)
 
     while (std::getline(is, line)) {
         ++lineNo;
+        const Where where{.line = lineNo};
         const auto hash = line.find('#');
         if (hash != std::string::npos)
             line.erase(hash);
@@ -324,127 +450,73 @@ parseWorkloadSpec(const std::string &text)
             inFaults = true;
             inSpus = false;
             if (tokens.size() > 1)
-                PISO_FATAL("line ", lineNo,
-                           ": [faults] takes no options");
+                PISO_FATAL(where, "[faults] takes no options");
             continue;
         }
         if (inFaults) {
-            parseFaultLine(tokens, lineNo, spec.config.faults);
+            parseFaultLine(kind, splitOptions(tokens, 1, where), where,
+                           spec.config.faults);
             continue;
         }
         if (kind == "[spus]") {
             inSpus = true;
             if (tokens.size() > 1)
-                PISO_FATAL("line ", lineNo, ": [spus] takes no options");
+                PISO_FATAL(where, "[spus] takes no options");
             continue;
         }
         // A directive ends a [spus] section; anything else inside one
         // is a tree-node declaration.
         if (inSpus &&
             kind != "machine" && kind != "spu" && kind != "job") {
-            parseSpuTreeLine(tokens, lineNo, spec);
+            parseSpuTreeLine(tokens, where, spec);
             continue;
         }
         inSpus = false;
         if (kind == "machine") {
             if (sawMachine)
-                PISO_FATAL("line ", lineNo, ": duplicate machine line");
+                PISO_FATAL(where, "duplicate machine line");
             sawMachine = true;
-            OptionReader r(parseOptions(tokens, 1, lineNo), lineNo);
-            spec.config.cpus = r.integer<int>("cpus", 8);
-            spec.config.memoryBytes = r.bytes("memory_mb", 64, kMiB);
-            spec.config.diskCount = r.integer<int>("disks", 1);
-            const std::string where =
-                "line " + std::to_string(lineNo) + ": ";
-            spec.config.scheme =
-                parseScheme(r.str("scheme", "piso"), where);
-            // Per-resource overrides on top of the uniform scheme.
-            spec.config.diskPolicy = parseDiskOverride(
-                r.str("disk_policy", kSchemeDiskPolicy), where);
-            if (const std::string v = r.str("cpu", ""); !v.empty())
-                spec.config.cpuPolicy = parseCpuPolicy(v, where);
-            if (const std::string v = r.str("memory", ""); !v.empty())
-                spec.config.memoryPolicy = parseMemoryPolicy(v, where);
-            if (const std::string v = r.str("network", ""); !v.empty())
-                spec.config.netPolicy = parseNetPolicy(v, where);
-            spec.config.seed = r.integer<std::uint64_t>("seed", 1);
-            spec.config.maxTime = fromSeconds(
-                r.num("max_time_s", toSeconds(spec.config.maxTime)));
-            spec.config.networkBitsPerSec =
-                r.num("network_mbps", 0.0) * 1e6;
-            spec.config.bwThresholdSectors =
-                r.num("bw_threshold", spec.config.bwThresholdSectors);
-            spec.config.diskParams.seekScale =
-                r.num("seek_scale", 1.0);
-            spec.config.ipiRevocation =
-                r.integer<std::int64_t>("ipi_revocation", 0) != 0;
-            // NUMA/bus machine model (src/machine/numa.hh). The
-            // defaults describe a uniform-memory machine and add zero
-            // cost, so omitting every key keeps runs byte-identical.
-            spec.config.numa.domains = r.integer<int>("numa_domains", 1);
-            spec.config.numa.localLatency =
-                static_cast<Time>(r.num("numa_local_us", 0.0) * kUs);
-            spec.config.numa.remoteLatency =
-                static_cast<Time>(r.num("numa_remote_us", 0.0) * kUs);
-            spec.config.numa.busBytesPerSec =
-                r.num("bus_mbps", 0.0) * 1e6 / 8.0;
-            spec.config.numa.busSaturation =
-                r.num("bus_saturation", 0.0);
-            spec.config.numa.busHalfLife = fromMillis(r.num(
-                "bus_halflife_ms",
-                toSeconds(spec.config.numa.busHalfLife) * 1e3));
-            r.finish();
+            for (const auto &[key, value] : splitOptions(tokens, 1, where)) {
+                const MachineKey *k = findMachineKey(key);
+                if (!k)
+                    PISO_FATAL(where, "unknown option '", key, "'");
+                k->set(spec.config, {key, value, where});
+            }
         } else if (kind == "spu") {
             if (tokens.size() < 2)
-                PISO_FATAL("line ", lineNo, ": spu needs a name");
+                PISO_FATAL(where, "spu needs a name");
             SpuDecl s;
             s.name = tokens[1];
             if (s.name.find('.') != std::string::npos)
-                PISO_FATAL("line ", lineNo, ": dotted SPU names ",
+                PISO_FATAL(where, "dotted SPU names ",
                            "declare a hierarchy and belong in a ",
                            "[spus] section");
-            OptionReader r(parseOptions(tokens, 2, lineNo), lineNo);
-            s.share = r.num("share", 1.0);
-            s.disk = r.integer<DiskId>("disk", 0);
-            r.finish();
-            for (const SpuDecl &other : spec.spus) {
-                if (other.name == s.name)
-                    PISO_FATAL("line ", lineNo, ": duplicate spu '",
-                               s.name, "'");
-            }
-            spec.spus.push_back(std::move(s));
+            declareSpu(spec, std::move(s), tokens, 2, where);
         } else if (kind == "job") {
             if (tokens.size() < 3)
-                PISO_FATAL("line ", lineNo,
-                           ": job needs <spu> <kind> [options]");
+                PISO_FATAL(where, "job needs <spu> <kind> [options]");
             JobDecl j;
             j.spu = tokens[1];
             j.kind = tokens[2];
-            j.options = parseOptions(tokens, 3, lineNo);
             j.line = lineNo;
-            auto it = j.options.find("name");
-            if (it != j.options.end()) {
-                j.name = it->second;
-                j.options.erase(it);
-            } else {
-                j.name = j.kind + std::to_string(autoJob++);
+            for (const auto &[key, value] : splitOptions(tokens, 3, where)) {
+                if (key == "name")
+                    j.name = value;
+                else
+                    j.options.emplace(key, value);
             }
-            const bool known =
-                j.kind == "pmake" || j.kind == "copy" ||
-                j.kind == "compute" || j.kind == "ocean" ||
-                j.kind == "oltp" || j.kind == "web";
-            if (!known)
-                PISO_FATAL("line ", lineNo, ": unknown job kind '",
-                           j.kind, "'");
+            if (j.name.empty())
+                j.name = j.kind + std::to_string(autoJob++);
+            (void)jobKind(j.kind, where);
             bool spuKnown = false;
             for (const SpuDecl &s : spec.spus)
                 spuKnown |= s.name == j.spu;
             if (!spuKnown)
-                PISO_FATAL("line ", lineNo, ": job references unknown "
-                           "spu '", j.spu, "'");
+                PISO_FATAL(where, "job references unknown spu '", j.spu,
+                           "'");
             spec.jobs.push_back(std::move(j));
         } else {
-            PISO_FATAL("line ", lineNo, ": unknown directive '", kind,
+            PISO_FATAL(where, "unknown directive '", kind,
                        "' (machine|spu|job|[faults])");
         }
     }
@@ -470,54 +542,11 @@ parseWorkloadSpec(const std::string &text)
 JobSpec
 buildJob(const JobDecl &decl)
 {
-    OptionReader r(decl.options, decl.line);
-    const Time startAt = fromSeconds(r.num(kStartKey, 0.0));
-    JobSpec job;
-
-    if (decl.kind == "pmake") {
-        PmakeConfig c;
-        c.parallelism = r.integer<int>("workers", 2);
-        c.filesPerWorker = r.integer<int>("files", 12);
-        c.compileCpu = fromMillis(r.num("compile_ms", 120.0));
-        c.workerWsPages = r.integer<std::uint64_t>("ws_pages", 600);
-        job = makePmake(decl.name, c);
-    } else if (decl.kind == "copy") {
-        FileCopyConfig c;
-        c.bytes = r.bytes("bytes_kb", 20 * 1024, 1024);
-        job = makeFileCopy(decl.name, c);
-    } else if (decl.kind == "compute") {
-        ComputeSpec c;
-        c.totalCpu = fromMillis(r.num("cpu_ms", 1000.0));
-        c.wsPages = r.integer<std::uint64_t>("ws_pages", 256);
-        job = makeComputeJob(decl.name, c);
-    } else if (decl.kind == "ocean") {
-        OceanConfig c;
-        c.processes = r.integer<int>("procs", 4);
-        c.iterations = r.integer<int>("iters", 400);
-        c.grain = fromMillis(r.num("grain_ms", 20.0));
-        c.wsPagesPerProc = r.integer<std::uint64_t>("ws_pages", 512);
-        job = makeOcean(decl.name, c);
-    } else if (decl.kind == "oltp") {
-        OltpConfig c;
-        c.servers = r.integer<int>("servers", 4);
-        c.transactionsPerServer = r.integer<int>("txns", 100);
-        c.txnCpu = fromMillis(r.num("txn_ms", 2.0));
-        c.updateFraction = r.num("update_frac", 0.3);
-        c.tableBytes = r.bytes("table_mb", 64, kMiB);
-        job = makeOltp(decl.name, c);
-    } else if (decl.kind == "web") {
-        WebServerConfig c;
-        c.workers = r.integer<int>("workers", 4);
-        c.requestsPerWorker = r.integer<int>("requests", 200);
-        c.requestCpu = fromMillis(r.num("request_ms", 0.5));
-        c.responseBytes = r.bytes("response_kb", 16, 1024);
-        c.documents = r.integer<int>("documents", 200);
-        job = makeWebServer(decl.name, c);
-    } else {
-        PISO_FATAL("line ", decl.line, ": unknown job kind '",
-                   decl.kind, "'");
-    }
-
+    const Where where{.line = decl.line};
+    const JobKind &kind = jobKind(decl.kind, where);
+    OptionReader r({decl.options.begin(), decl.options.end()}, where);
+    const Time startAt = fromSeconds(r.read(kStartKey, 0.0));
+    JobSpec job = kind.build(decl.name, r);
     job.startAt = startAt;
     job.recipe = jobRecipe(decl);
     r.finish();

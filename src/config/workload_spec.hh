@@ -46,17 +46,66 @@
  *
  * Unknown keys are errors (typos must not silently change an
  * experiment); all values have the library's defaults. Fault
- * semantics are described in docs/faults.md.
+ * semantics are described in docs/faults.md. Every `machine` key is
+ * also a sweep grid key (src/exp/experiment.hh).
  */
 
+#include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/metrics/results.hh"
 #include "src/simulation.hh"
+#include "src/util/log.hh"
 
 namespace piso {
+
+/** One `key=value` option (views into the text it came from). */
+using SpecOption = std::pair<std::string_view, std::string_view>;
+
+/** An option's value and where it came from, read whole: a bad value
+ *  is a ConfigError "<where>option '<key>' wants ..., got '<text>'". */
+struct OptionValue
+{
+    std::string_view key;
+    std::string_view text;
+    Where where;
+
+    /** All of the text as a T: a decimal number for double, a decimal
+     *  integer that T holds for int, std::int64_t and std::uint64_t (a
+     *  fraction, an exponent or an out-of-range value is an error, not
+     *  rounded or wrapped). */
+    template <typename T>
+    T read() const;
+
+    /** read<std::uint64_t>() units of @p unit bytes, as a byte count;
+     *  the count must fit in 64 bits too. */
+    std::uint64_t bytes(std::uint64_t unit) const;
+};
+
+/** A `machine` line option, which is also a sweep grid key. A key that
+ *  is not set leaves the SystemConfig default. */
+struct MachineKey
+{
+    std::string_view name;
+    void (*set)(SystemConfig &cfg, const OptionValue &value);
+};
+
+/** Every machine key, in the order docs/workload-format.md lists them. */
+std::span<const MachineKey> machineKeys();
+
+/** The machine key called @p name; nullptr when there is none. */
+const MachineKey *findMachineKey(std::string_view name);
+
+/** Add the `[faults]` directive @p kind ("disk_slow", ...) with
+ *  @p options to @p plan; a bad one is a ConfigError after @p where. */
+void parseFaultLine(std::string_view kind,
+                    std::vector<SpecOption> options, const Where &where,
+                    FaultPlan &plan);
 
 /** One `spu` line or `[spus]` node. */
 struct SpuDecl

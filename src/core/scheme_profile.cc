@@ -101,7 +101,7 @@ PolicyRegistry::add(PolicyResource resource, const std::string &name,
 
 std::optional<int>
 PolicyRegistry::tryParse(PolicyResource resource,
-                         const std::string &name) const
+                         std::string_view name) const
 {
     for (const Binding &b : bindings_) {
         if (b.resource == resource && b.name == name)
@@ -162,15 +162,15 @@ resourceLabel(PolicyResource resource)
 }
 
 [[noreturn]] void
-unknownName(const std::string &where, const std::string &what,
-            const std::string &name, const std::string &valid)
+unknownName(const Where &where, const std::string &what,
+            std::string_view name, const std::string &valid)
 {
     PISO_FATAL(where, "unknown ", what, " '", name, "' (", valid, ")");
 }
 
 int
-parsePolicy(PolicyResource resource, const std::string &name,
-            const std::string &where)
+parsePolicy(PolicyResource resource, std::string_view name,
+            const Where &where)
 {
     const auto v = PolicyRegistry::instance().tryParse(resource, name);
     if (!v) {
@@ -211,7 +211,7 @@ policySpecName(DiskPolicy p)
 }
 
 Scheme
-parseScheme(const std::string &name, const std::string &where)
+parseScheme(std::string_view name, const Where &where)
 {
     if (name == "smp")
         return Scheme::Smp;
@@ -223,35 +223,35 @@ parseScheme(const std::string &name, const std::string &where)
 }
 
 CpuPolicy
-parseCpuPolicy(const std::string &name, const std::string &where)
+parseCpuPolicy(std::string_view name, const Where &where)
 {
     return static_cast<CpuPolicy>(
         parsePolicy(PolicyResource::Cpu, name, where));
 }
 
 MemoryPolicy
-parseMemoryPolicy(const std::string &name, const std::string &where)
+parseMemoryPolicy(std::string_view name, const Where &where)
 {
     return static_cast<MemoryPolicy>(
         parsePolicy(PolicyResource::Memory, name, where));
 }
 
 DiskPolicy
-parseDiskPolicy(const std::string &name, const std::string &where)
+parseDiskPolicy(std::string_view name, const Where &where)
 {
     return static_cast<DiskPolicy>(
         parsePolicy(PolicyResource::Disk, name, where));
 }
 
 NetPolicy
-parseNetPolicy(const std::string &name, const std::string &where)
+parseNetPolicy(std::string_view name, const Where &where)
 {
     return static_cast<NetPolicy>(
         parsePolicy(PolicyResource::Net, name, where));
 }
 
 std::optional<DiskPolicy>
-parseDiskOverride(const std::string &name, const std::string &where)
+parseDiskOverride(std::string_view name, const Where &where)
 {
     if (name == kSchemeDiskPolicy)
         return std::nullopt;

@@ -23,9 +23,11 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/scheme.hh"
+#include "src/util/log.hh"
 
 namespace piso {
 
@@ -112,7 +114,7 @@ class PolicyRegistry
 
     /** Look up a name; std::nullopt when unknown. */
     std::optional<int> tryParse(PolicyResource resource,
-                                const std::string &name) const;
+                                std::string_view name) const;
 
     /** Canonical name of @p value ("?" when unregistered). */
     const char *canonicalName(PolicyResource resource, int value) const;
@@ -147,27 +149,24 @@ const char *policySpecName(DiskPolicy p);
 
 /** @name Parsing
  *  An unknown name is a ConfigError "<where>unknown <what> '<name>'
- *  (<valid names>)": @p where is the caller's location prefix
- *  ("line 3: ", "grid key 'cpu': "), empty for none. */
+ *  (<valid names>)": @p where is the caller's location ("line 3: ",
+ *  "grid key 'cpu': "), empty for none. */
 /// @{
 /** "smp" | "quota" | "quo" | "piso". */
-Scheme parseScheme(const std::string &name, const std::string &where = {});
-CpuPolicy parseCpuPolicy(const std::string &name,
-                         const std::string &where = {});
-MemoryPolicy parseMemoryPolicy(const std::string &name,
-                               const std::string &where = {});
-DiskPolicy parseDiskPolicy(const std::string &name,
-                           const std::string &where = {});
-NetPolicy parseNetPolicy(const std::string &name,
-                         const std::string &where = {});
+Scheme parseScheme(std::string_view name, const Where &where = {});
+CpuPolicy parseCpuPolicy(std::string_view name, const Where &where = {});
+MemoryPolicy parseMemoryPolicy(std::string_view name,
+                               const Where &where = {});
+DiskPolicy parseDiskPolicy(std::string_view name, const Where &where = {});
+NetPolicy parseNetPolicy(std::string_view name, const Where &where = {});
 
 /** The spelling of a `disk_policy=` value that follows the scheme. */
 inline constexpr const char *kSchemeDiskPolicy = "default";
 
 /** A `disk_policy=` value: a disk policy name, or kSchemeDiskPolicy
  *  for none (follow the scheme). */
-std::optional<DiskPolicy> parseDiskOverride(const std::string &name,
-                                            const std::string &where = {});
+std::optional<DiskPolicy> parseDiskOverride(std::string_view name,
+                                            const Where &where = {});
 /// @}
 
 } // namespace piso

@@ -1,61 +1,25 @@
 #include "src/exp/experiment.hh"
 
-#include <sstream>
-
-#include "src/core/scheme_profile.hh"
 #include "src/util/log.hh"
 
 namespace piso::exp {
 
 namespace {
 
-const char *const kGridKeys =
-    "scheme|cpu|memory|network|disk_policy|cpus|disks|memory_mb|seed|"
-    "max_time_s|network_mbps|bw_threshold|bw_halflife_ms|seek_scale|"
-    "ipi_revocation|loan_holdoff_ms|tick_ms|slice_ms|reserve_frac|"
-    "numa_domains|numa_local_us|numa_remote_us|bus_mbps|"
-    "bus_saturation|bus_halflife_ms|"
-    "fault_disk_slow|fault_disk_error|fault_disk_dead";
-
-double
-toNumber(const std::string &key, const std::string &value)
+/** A fault axis: each value is `none` (the undisturbed baseline) or the
+ *  values of the `[faults]` directive's options @p fields, `:`-joined. */
+struct FaultAxis
 {
-    try {
-        std::size_t pos = 0;
-        const double v = std::stod(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument("trailing");
-        return v;
-    } catch (const std::exception &) {
-        PISO_FATAL("grid key '", key, "' wants a number, got '", value,
-                   "'");
-    }
-}
+    std::string_view key;
+    std::string_view kind;
+    std::string_view fields;
+};
 
-std::int64_t
-toInteger(const std::string &key, const std::string &value)
-{
-    return static_cast<std::int64_t>(toNumber(key, value));
-}
-
-/**
- * Split a colon-separated fault value ("AT:FOR:DISK:FACTOR") into
- * exactly @p want numeric fields.
- */
-std::vector<double>
-toFaultFields(const std::string &key, const std::string &value,
-              std::size_t want, const char *shape)
-{
-    std::vector<double> fields;
-    std::istringstream is(value);
-    std::string item;
-    while (std::getline(is, item, ':'))
-        fields.push_back(toNumber(key, item));
-    if (fields.size() != want)
-        PISO_FATAL("grid key '", key, "' wants ", shape, ", got '",
-                   value, "'");
-    return fields;
-}
+constexpr FaultAxis kFaultAxes[] = {
+    {"fault_disk_slow", "disk_slow", "at_s:for_s:disk:factor"},
+    {"fault_disk_error", "disk_error", "at_s:for_s:disk:rate"},
+    {"fault_disk_dead", "disk_dead", "at_s:disk"},
+};
 
 } // namespace
 
@@ -75,91 +39,46 @@ void
 applyGridKey(SystemConfig &cfg, const std::string &key,
              const std::string &value)
 {
-    const auto where = [&key] { return "grid key '" + key + "': "; };
-    if (key == "scheme") {
-        cfg.scheme = parseScheme(value, where());
-    } else if (key == "cpu") {
-        cfg.cpuPolicy = parseCpuPolicy(value, where());
-    } else if (key == "memory") {
-        cfg.memoryPolicy = parseMemoryPolicy(value, where());
-    } else if (key == "network") {
-        cfg.netPolicy = parseNetPolicy(value, where());
-    } else if (key == "disk_policy") {
-        cfg.diskPolicy = parseDiskOverride(value, where());
-    } else if (key == "cpus") {
-        cfg.cpus = static_cast<int>(toInteger(key, value));
-    } else if (key == "disks") {
-        cfg.diskCount = static_cast<int>(toInteger(key, value));
-    } else if (key == "memory_mb") {
-        cfg.memoryBytes =
-            static_cast<std::uint64_t>(toInteger(key, value)) * kMiB;
-    } else if (key == "seed") {
-        cfg.seed = static_cast<std::uint64_t>(toInteger(key, value));
-    } else if (key == "max_time_s") {
-        cfg.maxTime = fromSeconds(toNumber(key, value));
-    } else if (key == "network_mbps") {
-        cfg.networkBitsPerSec = toNumber(key, value) * 1e6;
-    } else if (key == "bw_threshold") {
-        cfg.bwThresholdSectors = toNumber(key, value);
-    } else if (key == "bw_halflife_ms") {
-        cfg.bwHalfLife = fromMillis(toNumber(key, value));
-    } else if (key == "seek_scale") {
-        cfg.diskParams.seekScale = toNumber(key, value);
-    } else if (key == "ipi_revocation") {
-        cfg.ipiRevocation = toInteger(key, value) != 0;
-    } else if (key == "loan_holdoff_ms") {
-        cfg.loanHoldoff = fromMillis(toNumber(key, value));
-    } else if (key == "tick_ms") {
-        cfg.tickPeriod = fromMillis(toNumber(key, value));
-    } else if (key == "slice_ms") {
-        cfg.timeSlice = fromMillis(toNumber(key, value));
-    } else if (key == "reserve_frac") {
-        cfg.memPolicy.reserveFraction = toNumber(key, value);
-    } else if (key == "numa_domains") {
-        cfg.numa.domains = static_cast<int>(toInteger(key, value));
-    } else if (key == "numa_local_us") {
-        cfg.numa.localLatency =
-            static_cast<Time>(toNumber(key, value) * kUs);
-    } else if (key == "numa_remote_us") {
-        cfg.numa.remoteLatency =
-            static_cast<Time>(toNumber(key, value) * kUs);
-    } else if (key == "bus_mbps") {
-        cfg.numa.busBytesPerSec = toNumber(key, value) * 1e6 / 8.0;
-    } else if (key == "bus_saturation") {
-        cfg.numa.busSaturation = toNumber(key, value);
-    } else if (key == "bus_halflife_ms") {
-        cfg.numa.busHalfLife = fromMillis(toNumber(key, value));
-    } else if (key == "fault_disk_slow") {
+    const Where where{.gridKey = key};
+    if (const MachineKey *k = findMachineKey(key)) {
+        k->set(cfg, {key, value, where});
+        return;
+    }
+    for (const FaultAxis &axis : kFaultAxes) {
+        if (axis.key != key)
+            continue;
         // Fault axes append to the plan's fault schedule, so a grid
         // can sweep what-if failure scenarios over one base workload.
         // Grid points differing only in their late faults share the
         // pre-fault prefix, which is exactly what the warm-start
-        // engine checkpoints once per group. "none" = no fault, so an
-        // axis can include the undisturbed baseline.
-        if (value != "none") {
-            const auto f = toFaultFields(key, value, 4,
-                                         "AT_S:FOR_S:DISK:FACTOR");
-            cfg.faults.diskSlow(fromSeconds(f[0]),
-                                static_cast<int>(f[2]),
-                                fromSeconds(f[1]), f[3]);
+        // engine checkpoints once per group.
+        if (value == "none")
+            return;
+        std::vector<SpecOption> options;
+        std::string_view names = axis.fields;
+        for (std::string_view rest = value;;) {
+            const auto name = names.find(':');
+            const auto field = rest.find(':');
+            if ((name == names.npos) != (field == rest.npos))
+                PISO_FATAL(where, "wants ", axis.fields, ", got '", value,
+                           "'");
+            options.emplace_back(names.substr(0, name),
+                                 rest.substr(0, field));
+            if (name == names.npos)
+                break;
+            names.remove_prefix(name + 1);
+            rest.remove_prefix(field + 1);
         }
-    } else if (key == "fault_disk_error") {
-        if (value != "none") {
-            const auto f = toFaultFields(key, value, 4,
-                                         "AT_S:FOR_S:DISK:RATE");
-            cfg.faults.diskError(fromSeconds(f[0]),
-                                 static_cast<int>(f[2]),
-                                 fromSeconds(f[1]), f[3]);
-        }
-    } else if (key == "fault_disk_dead") {
-        if (value != "none") {
-            const auto f = toFaultFields(key, value, 2, "AT_S:DISK");
-            cfg.faults.diskDead(fromSeconds(f[0]),
-                                static_cast<int>(f[1]));
-        }
-    } else {
-        PISO_FATAL("unknown grid key '", key, "' (", kGridKeys, ")");
+        parseFaultLine(axis.kind, std::move(options), where, cfg.faults);
+        return;
     }
+    std::string names;
+    for (const MachineKey &k : machineKeys())
+        (names += k.name) += '|';
+    for (const FaultAxis &axis : kFaultAxes)
+        (names += axis.key) += '|';
+    names.pop_back();
+    PISO_FATAL("unknown grid key '", key, "' (", names, ")");
 }
 
 GridAxis
@@ -171,25 +90,29 @@ parseGridAxis(const std::string &text)
 
     GridAxis axis;
     axis.key = text.substr(0, eq);
-    std::istringstream is(text.substr(eq + 1));
-    std::string value;
-    while (std::getline(is, value, ',')) {
-        if (value.empty())
+    for (std::size_t at = eq + 1;;) {
+        const auto comma = text.find(',', at);
+        axis.values.push_back(text.substr(at, comma - at));
+        if (axis.values.back().empty())
             PISO_FATAL("grid axis '", text, "' has an empty value");
-        axis.values.push_back(value);
+        if (comma == std::string::npos)
+            return axis;
+        at = comma + 1;
     }
-    if (axis.values.empty())
-        PISO_FATAL("grid axis '", text, "' has no values");
-    return axis;
 }
 
 std::vector<ExperimentTask>
 expandPlan(const ExperimentPlan &plan)
 {
+    bool seedAxis = false;
     for (const GridAxis &axis : plan.axes) {
         if (axis.values.empty())
             PISO_FATAL("grid axis '", axis.key, "' has no values");
+        seedAxis |= axis.key == "seed";
     }
+    if (seedAxis && !plan.seeds.empty())
+        PISO_FATAL("a 'seed' grid axis and a seed list (--seeds) both "
+                   "set the task seeds; use one");
 
     const std::vector<std::uint64_t> seeds =
         plan.seeds.empty() ? std::vector<std::uint64_t>{
@@ -203,7 +126,6 @@ expandPlan(const ExperimentPlan &plan)
         for (std::uint64_t seed : seeds) {
             ExperimentTask task;
             task.index = tasks.size();
-            task.seed = seed;
             task.spec = plan.base;
             for (std::size_t a = 0; a < plan.axes.size(); ++a) {
                 const GridAxis &axis = plan.axes[a];
@@ -211,8 +133,11 @@ expandPlan(const ExperimentPlan &plan)
                 applyGridKey(task.spec.config, axis.key, value);
                 task.params.emplace_back(axis.key, value);
             }
-            task.spec.config.seed = seed;
-            task.params.emplace_back("seed", std::to_string(seed));
+            // A seed axis has set the seed already.
+            if (!seedAxis) {
+                task.spec.config.seed = seed;
+                task.params.emplace_back("seed", std::to_string(seed));
+            }
             tasks.push_back(std::move(task));
         }
 

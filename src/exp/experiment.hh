@@ -7,15 +7,13 @@
  * configuration knobs and seeds, expanded into a flat, deterministic
  * task list (the unit of work of the parallel sweep engine).
  *
- * A grid axis is `key=v1,v2,...` using the machine-line spellings of
- * the `.piso` format (scheme, cpu, memory, network, disk_policy,
- * cpus, memory_mb, ...) plus a few engine-only knobs (bw_halflife_ms,
- * loan_holdoff_ms, tick_ms, slice_ms, reserve_frac). Expansion is the
- * cross product in declaration order with seeds varying fastest, so
- * task indices — and therefore JSONL output order — are a pure
+ * A grid axis is `key=v1,v2,...` over a machine key of the `.piso`
+ * format (machineKeys()) or a fault axis (fault_disk_*). Expansion is
+ * the cross product in declaration order with seeds varying fastest,
+ * so task indices — and therefore JSONL output order — are a pure
  * function of the plan, never of scheduling.
  *
- * See docs/sweeps.md for the full grid-key table and JSONL schema.
+ * See docs/sweeps.md for the fault axes, seed rules and JSONL schema.
  */
 
 #include <cstdint>
@@ -41,8 +39,7 @@ struct ExperimentPlan
     std::vector<GridAxis> axes;
 
     /** Seeds to replicate every grid point with; empty = just the
-     *  base spec's seed. Applied after the axes (a `seed` axis is
-     *  overridden by an explicit seed list). */
+     *  base spec's seed (a plan with a `seed` axis must leave it so). */
     std::vector<std::uint64_t> seeds;
 };
 
@@ -50,8 +47,8 @@ struct ExperimentPlan
 struct ExperimentTask
 {
     std::size_t index = 0;   //!< position in the expanded plan
-    std::uint64_t seed = 1;
-    /** Grid (key, value) pairs in axis order, then ("seed", n). */
+    /** Grid (key, value) pairs in axis order, then ("seed", n) when
+     *  no axis sets the seed. */
     std::vector<std::pair<std::string, std::string>> params;
     WorkloadSpec spec;
 
@@ -61,15 +58,16 @@ struct ExperimentTask
 
 /**
  * Apply one grid assignment to a system config.
- * @throws std::runtime_error (via PISO_FATAL) naming the valid keys
- *         on an unknown key or an unparsable value.
+ * @throws ConfigError (via PISO_FATAL) naming the valid keys on an
+ *         unknown key, or the key and value on a bad value.
  */
 void applyGridKey(SystemConfig &cfg, const std::string &key,
                   const std::string &value);
 
 /**
  * Parse a `--grid` argument of the form `key=v1,v2,...`.
- * @throws std::runtime_error on a malformed axis or empty value list.
+ * @throws ConfigError (via PISO_FATAL) on a malformed axis or an empty
+ *         value.
  */
 GridAxis parseGridAxis(const std::string &text);
 
@@ -77,6 +75,7 @@ GridAxis parseGridAxis(const std::string &text);
  * Expand the plan into its task list: the cross product of the axes
  * (declaration order, first axis outermost) and the seeds (innermost,
  * varying fastest). Every task's spec has all assignments applied.
+ * @throws ConfigError when a `seed` axis meets a seed list.
  */
 std::vector<ExperimentTask> expandPlan(const ExperimentPlan &plan);
 

@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "src/sim/trace.hh"
-#include "src/util/log.hh"
 
 namespace piso::exp {
 
@@ -28,20 +27,16 @@ struct Batch
 
 /** Run fn(i) for every index the batch still hands out, recording
  *  each task's exception at its index. Every task starts at a default
- *  trace and log context, whatever the task before it installed or
- *  changed; the thread's own contexts are back in place on return. */
+ *  trace context, whatever the task before it installed or changed;
+ *  the thread's own context is back in place on return. */
 void
 drain(Batch &b)
 {
     TraceContext trace;
-    LogContext log;
     TraceContext *const prevTrace = traceSetContext(&trace);
-    LogContext *const prevLog = logSetContext(&log);
     for (std::size_t i; (i = b.next.fetch_add(1)) < b.n;) {
         trace = TraceContext{};
-        log = LogContext{};
         traceSetContext(&trace);
-        logSetContext(&log);
         try {
             b.fn(i);
         } catch (...) {
@@ -49,7 +44,6 @@ drain(Batch &b)
         }
     }
     traceSetContext(prevTrace);
-    logSetContext(prevLog);
 }
 
 /**

@@ -427,7 +427,8 @@ formatTaskJsonl(const TaskRun &run)
 {
     std::ostringstream os;
     os << "{\"task\":" << run.task.index
-       << ",\"seed\":" << run.task.seed << ",\"params\":{";
+       << ",\"seed\":" << run.task.spec.config.seed
+       << ",\"params\":{";
     bool first = true;
     for (const auto &[key, value] : run.task.params) {
         os << (first ? "" : ",") << '"' << jsonEscape(key) << "\":\""

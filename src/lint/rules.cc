@@ -438,7 +438,7 @@ ioCheck(const SourceFile &f, std::vector<Finding> &out)
             report(f, out, "hygiene-io", t.line,
                    "direct stdio ('" + t.text +
                        "') in the library (reports go through "
-                       "src/metrics; diagnostics through PISO_INFO/"
+                       "src/metrics; diagnostics through "
                        "PISO_TRACE)");
             continue;
         }

@@ -71,12 +71,11 @@ struct Simulation::Impl : EventSink
     SystemConfig cfg;
     SchemeProfile profile;
 
-    // Trace/log state is per-simulation (snapshotted from the
-    // constructing thread's ambient contexts) and re-installed for the
-    // duration of run(), so concurrent Simulations on sweep workers
-    // never share mutable trace or log state.
+    // Trace state is per-simulation (snapshotted from the constructing
+    // thread's ambient context) and re-installed for the duration of
+    // run(), so concurrent Simulations on sweep workers never share
+    // mutable trace state.
     TraceContext trace;
-    LogContext log;
 
     Rng rng;
 
@@ -170,7 +169,7 @@ struct Simulation::Impl : EventSink
 
     explicit Impl(const SystemConfig &c)
         : cfg(c), profile(c.resolvedProfile()), trace(traceContext()),
-          log(logContext()), rng(c.seed),
+          rng(c.seed),
           phys(c.memoryBytes), vm(phys),
           fs(c.diskParams.sectorBytes, 4096, rng.next())
     {
@@ -615,11 +614,9 @@ Simulation::run()
         PISO_FATAL("Simulation::run() called twice");
     im.ran = true;
 
-    // Run under this simulation's own trace/log contexts: every event
-    // below fires inside these scopes, whatever thread
-    // run() was called from.
+    // Run under this simulation's own trace context: every event below
+    // fires inside this scope, whatever thread run() was called from.
     TraceContextScope traceScope(im.trace);
-    LogContextScope logScope(im.log);
 
     // restore() already replayed the setup when continuing from an
     // image; a cold run does it here.
@@ -1242,7 +1239,6 @@ Simulation::checkpoint(std::ostream &out)
 {
     Impl &im = *impl_;
     TraceContextScope traceScope(im.trace);
-    LogContextScope logScope(im.log);
     if (!im.setupDone)
         im.setupRun();
     std::vector<ImagedEvent> pending;
@@ -1278,7 +1274,6 @@ Simulation::Impl::restore(CkptReader &r)
     if (ran || setupDone)
         PISO_FATAL("Simulation::restore() must precede run()");
     TraceContextScope traceScope(trace);
-    LogContextScope logScope(log);
     r.requireDigest(configDigest());
     setupRun();
     // piso-lint: allow(determinism-wallclock) -- host-side RunPerf timing; reported out-of-band, never feeds simulated state

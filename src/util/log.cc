@@ -8,37 +8,6 @@
 
 namespace piso {
 
-namespace {
-thread_local LogContext tlsDefaultContext;
-thread_local LogContext *tlsContext = nullptr;
-} // namespace
-
-LogContext &
-logContext()
-{
-    return tlsContext ? *tlsContext : tlsDefaultContext;
-}
-
-LogContext *
-logSetContext(LogContext *ctx)
-{
-    LogContext *prev = tlsContext;
-    tlsContext = ctx;
-    return prev;
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    logContext().level = level;
-}
-
-LogLevel
-logLevel()
-{
-    return logContext().level;
-}
-
 std::string
 formatTime(Time t)
 {
@@ -76,14 +45,6 @@ panicImpl(const char *file, int line, const std::string &msg)
     // piso-lint: allow(hygiene-io) -- panic diagnostics go to stderr right before abort(); nothing else may run
     std::fprintf(stderr, "panic: %s (%s:%d)\n", msg.c_str(), file, line);
     std::abort();
-}
-
-void
-logImpl(LogLevel level, const std::string &msg)
-{
-    if (static_cast<int>(level) <= static_cast<int>(logLevel()))
-        // piso-lint: allow(hygiene-io) -- this IS the logging backend the rule points everyone at
-        std::fprintf(stderr, "%s\n", msg.c_str());
 }
 
 } // namespace detail

@@ -3,7 +3,7 @@
 
 /**
  * @file
- * Minimal logging and error-termination helpers.
+ * Error-termination helpers.
  *
  * Follows the gem5 convention: fatal() is for user errors (bad
  * configuration, impossible workload parameters) and throws a
@@ -12,68 +12,43 @@
  * bugs) and aborts so a core dump / debugger can capture the state.
  * For invariants that should be *catchable* in hardened builds, use
  * PISO_INVARIANT / PISO_CHECK from src/util/error.hh instead.
- *
- * The verbosity level lives in a per-thread LogContext (mirroring
- * TraceContext) so parallel sweep workers never share mutable log
- * state; setLogLevel()/logLevel() are shims over the calling thread's
- * current context.
  */
 
-#include <cstdint>
+#include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace piso {
 
-/** Verbosity levels for runtime logging. */
-enum class LogLevel : std::uint8_t { Quiet = 0, Info = 1, Debug = 2 };
-
-/** The mutable state of the logging facility (per thread). */
-struct LogContext
-{
-    LogLevel level = LogLevel::Quiet;
-};
-
-/** The calling thread's current log context (never null). */
-LogContext &logContext();
-
 /**
- * Install @p ctx as the calling thread's current context (nullptr
- * restores the thread's default context).
- * @return the previously installed context pointer (maybe nullptr).
+ * Where a configuration value came from, printed ahead of a fatal
+ * error about it: "line 3: " for a workload-spec line, "grid key
+ * 'cpus': " for a sweep grid value, nothing when neither is set. It
+ * holds no string of its own, so naming a value's origin costs nothing
+ * until the value turns out to be bad.
  */
-LogContext *logSetContext(LogContext *ctx);
-
-/** RAII installation of a LogContext on the current thread. */
-class LogContextScope
+struct Where
 {
-  public:
-    explicit LogContextScope(LogContext &ctx)
-        : prev_(logSetContext(&ctx))
-    {
-    }
-
-    ~LogContextScope() { logSetContext(prev_); }
-
-    LogContextScope(const LogContextScope &) = delete;
-    LogContextScope &operator=(const LogContextScope &) = delete;
-
-  private:
-    LogContext *prev_;
+    int line = 0;               //!< workload-spec line; 0 = none
+    std::string_view gridKey{}; //!< sweep grid key; empty = none
 };
 
-/** Set the current thread's log verbosity (default: Quiet). */
-void setLogLevel(LogLevel level);
-
-/** Current log verbosity of the calling thread. */
-LogLevel logLevel();
+inline std::ostream &
+operator<<(std::ostream &os, const Where &where)
+{
+    if (where.line > 0)
+        return os << "line " << where.line << ": ";
+    if (!where.gridKey.empty())
+        return os << "grid key '" << where.gridKey << "': ";
+    return os;
+}
 
 namespace detail {
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
-void logImpl(LogLevel level, const std::string &msg);
 
 /** Fold a parameter pack into one string via operator<<. */
 template <typename... Args>
@@ -97,15 +72,5 @@ concat(Args &&...args)
 #define PISO_PANIC(...)                                                     \
     ::piso::detail::panicImpl(__FILE__, __LINE__,                           \
                               ::piso::detail::concat(__VA_ARGS__))
-
-/** Informational message, shown at LogLevel::Info and above. */
-#define PISO_INFO(...)                                                      \
-    ::piso::detail::logImpl(::piso::LogLevel::Info,                         \
-                            ::piso::detail::concat(__VA_ARGS__))
-
-/** Debug trace, shown only at LogLevel::Debug. */
-#define PISO_DEBUG(...)                                                     \
-    ::piso::detail::logImpl(::piso::LogLevel::Debug,                        \
-                            ::piso::detail::concat(__VA_ARGS__))
 
 #endif // PISO_UTIL_LOG_HH

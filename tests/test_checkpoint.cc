@@ -25,6 +25,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -513,12 +514,23 @@ TEST(Checkpoint, SpecDigestMatchesTheBuiltSimulationForEveryExample)
     EXPECT_GE(specs, 5u);
 }
 
-TEST(Checkpoint, SpecDigestMatchesTheBuiltSimulationForEveryGridKey)
+namespace {
+
+/** The machine line of the grid-key tests' base spec. */
+const std::map<std::string, std::string> kBaseMachine = {
+    {"cpus", "4"}, {"memory_mb", "32"}, {"disks", "2"},
+    {"scheme", "piso"}, {"seed", "3"},
+};
+
+/** A hierarchical spec with a delayed job, so every digested field is
+ *  populated, under the machine line @p machine. */
+std::string
+gridKeySpec(const std::map<std::string, std::string> &machine)
 {
-    // One variant per grid key (docs/sweeps.md), over a hierarchical
-    // spec with a delayed job so every digested field is populated.
-    const WorkloadSpec base = parseWorkloadSpec(R"(
-machine cpus=4 memory_mb=32 disks=2 scheme=piso seed=3
+    std::string text = "machine";
+    for (const auto &[key, value] : machine)
+        text += " " + key + "=" + value;
+    return text + R"(
 [spus]
 eng       share=2
 eng.build share=3 disk=0
@@ -527,30 +539,77 @@ ops       share=1 disk=1
 job eng.build pmake   name=build workers=2 files=4
 job eng.test  compute name=fuzz cpu_ms=500 ws_pages=100 start_s=0.25
 job ops       copy    name=logs bytes_kb=1024
-)");
-    const std::vector<std::pair<std::string, std::string>> variants = {
-        {"scheme", "quota"},         {"cpu", "smp"},
-        {"memory", "quota"},         {"network", "smp"},
-        {"disk_policy", "pos"},      {"cpus", "6"},
-        {"disks", "3"},              {"memory_mb", "48"},
-        {"seed", "11"},              {"max_time_s", "5"},
-        {"network_mbps", "100"},     {"bw_threshold", "512"},
-        {"bw_halflife_ms", "250"},   {"seek_scale", "0.5"},
-        {"ipi_revocation", "0"},     {"loan_holdoff_ms", "20"},
-        {"tick_ms", "20"},           {"slice_ms", "40"},
-        {"reserve_frac", "0.2"},     {"numa_domains", "2"},
-        {"numa_local_us", "0.2"},    {"numa_remote_us", "0.9"},
-        {"bus_mbps", "800"},         {"bus_saturation", "0.7"},
-        {"bus_halflife_ms", "5"},    {"fault_disk_slow", "1:1:0:4"},
-        {"fault_disk_error", "1:1:0:0.5"},
-        {"fault_disk_dead", "2:1"},
-    };
+)";
+}
+
+/** One value for every machine key (machineKeys()) and fault axis. */
+const std::map<std::string, std::string> kGridValues = {
+    {"scheme", "quota"},         {"cpu", "smp"},
+    {"memory", "quota"},         {"network", "smp"},
+    {"disk_policy", "pos"},      {"cpus", "6"},
+    {"disks", "3"},              {"memory_mb", "48"},
+    {"seed", "11"},              {"max_time_s", "5"},
+    {"network_mbps", "100"},     {"bw_threshold", "512"},
+    {"bw_halflife_ms", "250"},   {"seek_scale", "0.5"},
+    {"ipi_revocation", "0"},     {"loan_holdoff_ms", "20"},
+    {"tick_ms", "20"},           {"slice_ms", "40"},
+    {"reserve_frac", "0.2"},     {"numa_domains", "2"},
+    {"numa_local_us", "0.2"},    {"numa_remote_us", "0.9"},
+    {"bus_mbps", "800"},         {"bus_saturation", "0.7"},
+    {"bus_halflife_ms", "5"},    {"fault_disk_slow", "1:1:0:4"},
+    {"fault_disk_error", "1:1:0:0.5"},
+    {"fault_disk_dead", "2:1"},
+};
+
+/** Every grid key: the machine keys, then the fault axes. */
+std::vector<std::string>
+gridKeys()
+{
+    std::vector<std::string> keys;
+    for (const MachineKey &k : machineKeys())
+        keys.emplace_back(k.name);
+    for (const char *k :
+         {"fault_disk_slow", "fault_disk_error", "fault_disk_dead"})
+        keys.emplace_back(k);
+    return keys;
+}
+
+} // namespace
+
+TEST(Checkpoint, SpecDigestMatchesTheBuiltSimulationForEveryGridKey)
+{
+    const WorkloadSpec base = parseWorkloadSpec(gridKeySpec(kBaseMachine));
     EXPECT_EQ(specConfigDigest(base), builtDigest(base));
-    for (const auto &[key, value] : variants) {
+    const std::vector<std::string> keys = gridKeys();
+    EXPECT_EQ(keys.size(), kGridValues.size());
+    for (const std::string &key : keys) {
+        ASSERT_TRUE(kGridValues.count(key)) << key;
+        const std::string &value = kGridValues.at(key);
         WorkloadSpec spec = base;
         exp::applyGridKey(spec.config, key, value);
         EXPECT_EQ(specConfigDigest(spec), builtDigest(spec))
             << key << "=" << value;
+    }
+}
+
+TEST(SpecKeys, TheMachineLineAndTheGridSetEveryKeyAlike)
+{
+    // `machine K=V` and a grid K=V over the same base go through one
+    // table entry, so they must build the same run.
+    const WorkloadSpec base = parseWorkloadSpec(gridKeySpec(kBaseMachine));
+    for (const MachineKey &k : machineKeys()) {
+        const std::string key(k.name);
+        ASSERT_TRUE(kGridValues.count(key)) << key;
+        auto machine = kBaseMachine;
+        machine[key] = kGridValues.at(key);
+        const WorkloadSpec fromLine = parseWorkloadSpec(gridKeySpec(machine));
+        WorkloadSpec fromGrid = base;
+        exp::applyGridKey(fromGrid.config, key, kGridValues.at(key));
+        EXPECT_EQ(specConfigDigest(fromLine), specConfigDigest(fromGrid))
+            << key;
+        EXPECT_EQ(formatResultsJson(runWorkloadSpec(fromLine)),
+                  formatResultsJson(runWorkloadSpec(fromGrid)))
+            << key;
     }
 }
 

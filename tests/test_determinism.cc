@@ -14,6 +14,7 @@
 
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/config/workload_spec.hh"
@@ -96,8 +97,8 @@ TEST(Determinism, TaskOrderIsExpansionOrder)
     for (std::size_t i = 0; i < out.runs.size(); ++i)
         EXPECT_EQ(out.runs[i].task.index, i);
     // Seeds vary fastest (innermost).
-    EXPECT_EQ(out.runs[0].task.seed, 1u);
-    EXPECT_EQ(out.runs[1].task.seed, 2u);
+    EXPECT_EQ(out.runs[0].task.spec.config.seed, 1u);
+    EXPECT_EQ(out.runs[1].task.spec.config.seed, 2u);
     EXPECT_EQ(out.runs[0].task.params.front().second, "smp");
     EXPECT_EQ(out.runs[2].task.params.front().second, "quota");
     EXPECT_EQ(out.runs[4].task.params.front().second, "piso");
@@ -358,4 +359,96 @@ TEST(Determinism, UnknownGridKeyThrows)
                  std::runtime_error);
     EXPECT_THROW(exp::applyGridKey(cfg, "cpus", "many"),
                  std::runtime_error);
+}
+
+namespace {
+
+/** The ConfigError message of @p fn ("" when it throws none). */
+template <class Fn>
+std::string
+configError(Fn fn)
+{
+    try {
+        fn();
+    } catch (const ConfigError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** The message of applying grid key @p key = @p value. */
+std::string
+gridError(const std::string &key, const std::string &value)
+{
+    return configError([&] {
+        SystemConfig cfg;
+        exp::applyGridKey(cfg, key, value);
+    });
+}
+
+} // namespace
+
+TEST(Grid, ValuesAreReadWholeAndNameTheKey)
+{
+    // A bad value is refused whole, never rounded, wrapped or cut.
+    EXPECT_EQ(gridError("cpus", "2.5"),
+              "fatal: grid key 'cpus': option 'cpus' wants an integer, "
+              "got '2.5'");
+    EXPECT_EQ(gridError("memory_mb", "-1"),
+              "fatal: grid key 'memory_mb': option 'memory_mb' wants an "
+              "integer, got '-1'");
+    EXPECT_EQ(gridError("fault_disk_dead", "2:0.9"),
+              "fatal: grid key 'fault_disk_dead': option 'disk' wants an "
+              "integer, got '0.9'");
+    EXPECT_EQ(gridError("seed", "9007199254740993"), "");
+    EXPECT_EQ(gridError("fault_disk_slow", "1:2:0"),
+              "fatal: grid key 'fault_disk_slow': wants "
+              "at_s:for_s:disk:factor, got '1:2:0'");
+    EXPECT_EQ(gridError("fault_disk_dead", "1:0:2"),
+              "fatal: grid key 'fault_disk_dead': wants at_s:disk, got "
+              "'1:0:2'");
+    EXPECT_EQ(gridError("fault_disk_slow", "none"), "");
+    EXPECT_EQ(configError([] { exp::parseGridAxis("cpus=2,"); }),
+              "fatal: grid axis 'cpus=2,' has an empty value");
+    EXPECT_EQ(exp::parseGridAxis("cpus=2,4").values,
+              (std::vector<std::string>{"2", "4"}));
+    const std::string unknown = gridError("warp_factor", "9");
+    EXPECT_NE(unknown.find("unknown grid key 'warp_factor' (cpus|"),
+              std::string::npos)
+        << unknown;
+    EXPECT_NE(unknown.find("|tick_ms|"), std::string::npos) << unknown;
+    EXPECT_NE(unknown.find("|fault_disk_dead)"), std::string::npos)
+        << unknown;
+}
+
+TEST(Grid, ASeedAxisSetsTheTaskSeedOnce)
+{
+    exp::ExperimentPlan plan;
+    plan.base = parseWorkloadSpec(kSpec);
+    plan.axes.push_back(exp::parseGridAxis("seed=3,9007199254740993"));
+    plan.axes.push_back(exp::parseGridAxis("scheme=smp"));
+    const auto tasks = exp::expandPlan(plan);
+    ASSERT_EQ(tasks.size(), 2u);
+    EXPECT_EQ(tasks[0].spec.config.seed, 3u);
+    EXPECT_EQ(tasks[1].spec.config.seed, 9007199254740993u);
+    using Params = std::vector<std::pair<std::string, std::string>>;
+    EXPECT_EQ(tasks[1].params,
+              (Params{{"seed", "9007199254740993"}, {"scheme", "smp"}}));
+
+    // It is the same run as the base spec under that seed.
+    WorkloadSpec seeded = plan.base;
+    seeded.config.seed = 3;
+    seeded.config.scheme = Scheme::Smp;
+    const std::string line = sweepJsonl(plan, 1);
+    EXPECT_NE(line.find("{\"task\":0,\"seed\":3,\"params\":{\"seed\":\"3\","
+                        "\"scheme\":\"smp\"},\"results\":" +
+                        formatResultsJson(runWorkloadSpec(seeded)) + "}\n"),
+              std::string::npos)
+        << line;
+
+    // A seed list as well would leave one of the two unused.
+    plan.seeds = {1, 2};
+    EXPECT_EQ(configError([&] { exp::expandPlan(plan); }),
+              "fatal: a 'seed' grid axis and a seed list (--seeds) both "
+              "set the task seeds; use one");
 }

@@ -125,23 +125,17 @@ TEST(Pool, EveryTaskStartsAtTheDefaultContexts)
     // of whatever was installed, must not reach the next task on that
     // thread.
     static TraceContext leakedTrace;
-    static LogContext leakedLog;
     leakedTrace.mask = TraceCat::All;
-    leakedLog.level = LogLevel::Debug;
     for (int jobs : {2, 4}) {
         std::atomic<int> dirty{0};
         try {
             exp::parallelFor(64, jobs, [&](std::size_t i) {
-                if (traceMask() != TraceCat::None || traceContext().sink ||
-                    logLevel() != LogLevel::Quiet)
+                if (traceMask() != TraceCat::None || traceContext().sink)
                     dirty.fetch_add(1);
-                if (i % 2 == 0) {
+                if (i % 2 == 0)
                     traceSetContext(&leakedTrace);
-                    logSetContext(&leakedLog);
-                } else {
+                else
                     traceEnable(TraceCat::Sched);
-                    setLogLevel(LogLevel::Info);
-                }
                 throw std::runtime_error("leave it dirty");
             });
         } catch (const std::runtime_error &) {
@@ -150,5 +144,4 @@ TEST(Pool, EveryTaskStartsAtTheDefaultContexts)
     }
     // The caller's own contexts are untouched by the tasks it drained.
     EXPECT_EQ(traceMask(), TraceCat::None);
-    EXPECT_EQ(logLevel(), LogLevel::Quiet);
 }

@@ -87,7 +87,7 @@ TEST(PolicyRegistry, OneMessagePerNameWithTheCallersPrefix)
               "fatal: grid key 'scheme': unknown scheme 'x' "
               "(smp|quota|piso)");
 
-    EXPECT_EQ(errorOf([] { parseCpuPolicy("x", "line 4: "); }),
+    EXPECT_EQ(errorOf([] { parseCpuPolicy("x", Where{.line = 4}); }),
               "fatal: line 4: unknown cpu policy 'x' (smp|quota|quo|piso)");
     EXPECT_EQ(errorOf([] { parseNetPolicy("x"); }),
               "fatal: unknown network policy 'x' "

@@ -21,7 +21,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -61,19 +60,10 @@ usage(std::FILE *to)
         "                  [--max-sim-time S] [--max-events N] "
         "<workload-file>\n"
         "  --grid key=v1,v2,...  sweep axis (repeatable; cross "
-        "product).\n"
-        "                        keys: scheme,cpu,memory,network,"
-        "disk_policy,cpus,\n"
-        "                        disks,memory_mb,seed,max_time_s,"
-        "network_mbps,\n"
-        "                        bw_threshold,bw_halflife_ms,"
-        "seek_scale,ipi_revocation,\n"
-        "                        loan_holdoff_ms,tick_ms,slice_ms,"
-        "reserve_frac,\n"
-        "                        fault_disk_slow (AT_S:FOR_S:DISK:"
-        "FACTOR or none),\n"
-        "                        fault_disk_error (AT_S:FOR_S:DISK:"
-        "RATE), fault_disk_dead\n"
+        "product) over any\n"
+        "                        machine-line key "
+        "(docs/workload-format.md) or\n"
+        "                        fault axis (docs/sweeps.md)\n"
         "  --seeds N             replicate every grid point with "
         "seeds 1..N\n"
         "  --jobs N              worker threads (default 1; 0 = one "
@@ -138,8 +128,14 @@ main(int argc, char **argv)
     bool summary = false;
     bool speedup = false;
     int seeds = 0;
+    bool argsRead = false;
 
     try {
+        // A number flag's value, read whole like a spec option.
+        const auto flagValue = [&](int &i) {
+            ++i;
+            return OptionValue{argv[i - 1], argv[i], {}};
+        };
         for (int i = 1; i < argc; ++i) {
             if (std::strcmp(argv[i], "--grid") == 0 && i + 1 < argc) {
                 plan.axes.push_back(exp::parseGridAxis(argv[++i]));
@@ -147,10 +143,10 @@ main(int argc, char **argv)
                 plan.axes.push_back(exp::parseGridAxis(argv[i] + 7));
             } else if (std::strcmp(argv[i], "--seeds") == 0 &&
                        i + 1 < argc) {
-                seeds = std::atoi(argv[++i]);
+                seeds = flagValue(i).read<int>();
             } else if (std::strcmp(argv[i], "--jobs") == 0 &&
                        i + 1 < argc) {
-                opts.jobs = std::atoi(argv[++i]);
+                opts.jobs = flagValue(i).read<int>();
             } else if (std::strcmp(argv[i], "--out") == 0 &&
                        i + 1 < argc) {
                 outPath = argv[++i];
@@ -167,16 +163,17 @@ main(int argc, char **argv)
                 opts.keepGoing = false;
             } else if (std::strcmp(argv[i], "--retries") == 0 &&
                        i + 1 < argc) {
-                opts.maxRetries = std::atoi(argv[++i]);
+                opts.maxRetries = flagValue(i).read<int>();
             } else if (std::strcmp(argv[i], "--max-sim-time") == 0 &&
                        i + 1 < argc) {
-                opts.watchdogSimTime = fromSeconds(std::atof(argv[++i]));
+                opts.watchdogSimTime =
+                    fromSeconds(flagValue(i).read<double>());
             } else if (std::strcmp(argv[i], "--no-warm-start") == 0) {
                 opts.warmStart = false;
             } else if (std::strcmp(argv[i], "--max-events") == 0 &&
                        i + 1 < argc) {
                 opts.watchdogEvents =
-                    std::strtoull(argv[++i], nullptr, 10);
+                    flagValue(i).read<std::uint64_t>();
             } else if (std::strcmp(argv[i], "-h") == 0 ||
                        std::strcmp(argv[i], "--help") == 0) {
                 usage(stdout);
@@ -196,11 +193,13 @@ main(int argc, char **argv)
         for (int s = 1; s <= seeds; ++s)
             plan.seeds.push_back(static_cast<std::uint64_t>(s));
 
+        argsRead = true;
         plan.base = parseWorkloadSpec(readFile(path));
     } catch (const std::exception &e) {
+        // A bad argument is a usage error; a bad spec file is not.
         std::fprintf(stderr, "piso_sweep: %s: %s\n",
-                     path ? path : "<args>", e.what());
-        return 1;
+                     argsRead ? path : "<args>", e.what());
+        return argsRead ? 1 : 2;
     }
 
     try {
