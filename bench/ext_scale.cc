@@ -10,9 +10,8 @@
  * O(active) policy loops claim: policy work and per-event host cost
  * must track the active set, not the population.
  *
- * Not a google-benchmark target: the self-check contract (--check) is
- * part of the release-perf CI gate, and the sweep output is a plain
- * table.
+ * The self-check contract (--check) is part of the release CI job's
+ * gates, and the sweep output is a plain table.
  *
  *   ext_scale           full sweep table (a minute or so)
  *   ext_scale --quick   tiny structural run (ctest, label `scale`)

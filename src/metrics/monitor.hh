@@ -5,8 +5,8 @@
  * @file
  * SpuMonitor: periodic sampling of per-SPU resource state during a
  * run — the time-series view of the entitled/allowed/used dance that
- * single end-of-run numbers cannot show (see
- * examples/memory_pressure.cpp for the rendered form).
+ * single end-of-run numbers cannot show (tests/test_report.cc's
+ * SpuMonitor.RecordsPeriodicSamples drives one through a run).
  */
 
 #include <vector>

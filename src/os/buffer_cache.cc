@@ -46,15 +46,16 @@ BufferCache::hashKey(FileId file, std::uint64_t run)
 }
 
 std::size_t
-BufferCache::probe(FileId file, std::uint64_t run) const
+BufferCache::probe(FileId file, std::uint64_t run)
 {
     std::size_t pos = hashKey(file, run) & indexMask_;
-    while (index_[pos].file != kNoFile) {
-        if (index_[pos].file == file && index_[pos].run == run)
+    for (;;) {
+        ++probeVisits_;
+        const IndexEntry &e = index_[pos];
+        if (e.file == kNoFile || (e.file == file && e.run == run))
             return pos;
         pos = (pos + 1) & indexMask_;
     }
-    return pos;
 }
 
 void

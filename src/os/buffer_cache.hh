@@ -184,6 +184,11 @@ class BufferCache
     /** Blocks stealClean() has examined so far (a work counter). */
     std::uint64_t stealVisits() const { return stealVisits_; }
 
+    /** Index positions probe() has examined so far, for find(),
+     *  insert() and remove() (a work counter). No PISO_CHECK looks a
+     *  block up, so hardened builds count the same. */
+    std::uint64_t probeVisits() const { return probeVisits_; }
+
     /** Run records in the pool, live or free. */
     std::size_t runRecords() const { return runs_.size(); }
 
@@ -349,7 +354,7 @@ class BufferCache
     /** Probe for run @p run of @p file. @return the index position
      *  holding it, or the first empty position when absent. The index
      *  must not be empty. */
-    std::size_t probe(FileId file, std::uint64_t run) const;
+    std::size_t probe(FileId file, std::uint64_t run);
 
     /** The run holding @p key's block, made (empty) if missing. */
     Run &runFor(const BlockKey &key);
@@ -387,6 +392,7 @@ class BufferCache
     std::vector<WaitNode> waitNodes_;
     std::uint32_t freeWait_ = kNullSlot;  //!< free-node list head
     std::uint64_t stealVisits_ = 0;
+    std::uint64_t probeVisits_ = 0;
 };
 
 } // namespace piso

@@ -31,12 +31,12 @@ ioTag(const EventArg &arg)
 
 } // namespace
 
-Kernel::Kernel(EventQueue &events, VirtualMemory &vm, BufferCache &cache,
-               FileSystem &fs, CpuScheduler &sched,
+Kernel::Kernel(KernelOwner &owner, EventQueue &events, VirtualMemory &vm,
+               BufferCache &cache, FileSystem &fs, CpuScheduler &sched,
                std::vector<DiskDevice *> disks, Rng rng,
                KernelConfig config)
-    : events_(events), vm_(vm), cache_(cache), fs_(fs), sched_(sched),
-      disks_(std::move(disks)), rng_(rng), config_(config)
+    : owner_(owner), events_(events), vm_(vm), cache_(cache), fs_(fs),
+      sched_(sched), disks_(std::move(disks)), rng_(rng), config_(config)
 {
     if (disks_.empty())
         PISO_FATAL("kernel needs at least one disk");
@@ -199,7 +199,7 @@ Kernel::startRunning(Process &p)
 {
     // A permanent I/O failure terminates the process the next time it
     // gets a CPU (the failed-action outcome reaches job accounting via
-    // onProcessExit).
+    // KernelOwner::processExited).
     if (p.ioFailed) {
         PISO_TRACE(TraceCat::Kernel, events_.now(), p.name(),
                    " killed by failed I/O");
@@ -509,8 +509,7 @@ Kernel::doExit(Process &p)
                formatTime(p.blockedTime));
     --live_;
     sched_.processExited(&p);
-    if (onProcessExit)
-        onProcessExit(p);
+    owner_.processExited(p);
 }
 
 // --------------------------------------------------------------------

@@ -15,7 +15,6 @@
  */
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -179,6 +178,20 @@ struct SpuFaultStats
 };
 
 /**
+ * The owner of a kernel, told when each process exits so it can settle
+ * the process's job. The Simulation owns every kernel it builds; a
+ * test rig supplies its own.
+ */
+class KernelOwner
+{
+  public:
+    virtual void processExited(Process &p) = 0;
+
+  protected:
+    ~KernelOwner() = default;
+};
+
+/**
  * The OS kernel: action interpreter, memory manager, I/O path, and
  * daemons. One instance per simulated machine.
  *
@@ -194,12 +207,12 @@ class Kernel : public SchedClient,
 {
   public:
     /**
-     * Wire the kernel to its machine and substrate. All references
-     * must outlive the kernel. Registers itself as the scheduler's
-     * client.
+     * Wire the kernel to its owner, machine and substrate. All
+     * references must outlive the kernel. Registers itself as the
+     * scheduler's client.
      */
-    Kernel(EventQueue &events, VirtualMemory &vm, BufferCache &cache,
-           FileSystem &fs, CpuScheduler &sched,
+    Kernel(KernelOwner &owner, EventQueue &events, VirtualMemory &vm,
+           BufferCache &cache, FileSystem &fs, CpuScheduler &sched,
            std::vector<DiskDevice *> disks, Rng rng,
            KernelConfig config = {});
 
@@ -330,9 +343,6 @@ class Kernel : public SchedClient,
      *  operation outside a retry backoff has its watchdog pending. */
     void checkRelinkedIo() const;
     /// @}
-
-    /** Invoked whenever a process exits (job tracking). */
-    std::function<void(Process &)> onProcessExit;
 
   private:
     struct Barrier
@@ -555,6 +565,7 @@ class Kernel : public SchedClient,
     void blockProcess(Process &p);
     void wakeProcess(Process &p);
 
+    KernelOwner &owner_;
     EventQueue &events_;
     VirtualMemory &vm_;
     BufferCache &cache_;

@@ -176,6 +176,10 @@ class EventQueue
     /** Total number of events executed (fired) so far. */
     std::uint64_t executedEvents() const { return executed_; }
 
+    /** Ordering comparisons the heap has made so far (a work counter:
+     *  host-side, not imaged). */
+    std::uint64_t comparisons() const { return heap_.comparisons(); }
+
     /**
      * Pop and execute the next event, advancing now().
      * @return false if the queue was empty.
@@ -301,6 +305,7 @@ class EventQueue
         std::size_t size() const { return v_.size(); }
         const HeapEntry &top() const { return v_.front(); }
         const std::vector<HeapEntry> &entries() const { return v_; }
+        std::uint64_t comparisons() const { return compares_; }
 
         /** True when @p slot's entry sits where pos_ says it does. */
         bool
@@ -327,9 +332,10 @@ class EventQueue
         void clear() { v_.clear(); }
 
       private:
-        static bool
+        bool
         before(const HeapEntry &a, const HeapEntry &b)
         {
+            ++compares_;
             if (a.when != b.when)
                 return a.when < b.when;
             return a.seq < b.seq;
@@ -396,6 +402,7 @@ class EventQueue
 
         std::vector<HeapEntry> v_;
         std::vector<std::uint32_t> pos_; //!< per slot: index into v_
+        std::uint64_t compares_ = 0;     //!< calls to before()
     };
 
     static std::uint32_t

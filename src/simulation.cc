@@ -66,7 +66,7 @@ struct ImagedEvent
 
 } // namespace
 
-struct Simulation::Impl : EventSink
+struct Simulation::Impl : EventSink, KernelOwner
 {
     SystemConfig cfg;
     SchemeProfile profile;
@@ -122,6 +122,8 @@ struct Simulation::Impl : EventSink
     void applyFault(const FaultEvent &ev);
     /** EventSink: a fault window's end. */
     void fire(EvKind kind, const EventArg &arg) override;
+    /** KernelOwner: settle the exiting process's job. */
+    void processExited(Process &p) override;
 
     /** @name Checkpoint internals */
     /// @{
@@ -230,9 +232,9 @@ struct Simulation::Impl : EventSink
         std::vector<DiskDevice *> diskPtrs;
         for (auto &d : disks)
             diskPtrs.push_back(d.get());
-        kernel = std::make_unique<Kernel>(events, vm, cache, fs, *sched,
-                                          std::move(diskPtrs), rng.fork(),
-                                          kc);
+        kernel = std::make_unique<Kernel>(*this, events, vm, cache, fs,
+                                          *sched, std::move(diskPtrs),
+                                          rng.fork(), kc);
 
         if (cfg.networkBitsPerSec > 0.0) {
             std::unique_ptr<NetScheduler> nsched;
@@ -456,6 +458,17 @@ Simulation::Impl::fire(EvKind kind, const EventArg &arg)
     }
 }
 
+void
+Simulation::Impl::processExited(Process &p)
+{
+    if (p.job() == kNoJob)
+        return;
+    Job &job = jobs[static_cast<std::size_t>(p.job())];
+    if (p.ioFailed)
+        job.markFailed();
+    job.processExited(events.now());
+}
+
 Kernel &
 Simulation::kernel()
 {
@@ -576,15 +589,6 @@ Simulation::Impl::setupRun()
                 p->dirtyFraction = ps.dirtyFraction;
         }
     }
-
-    kernel->onProcessExit = [this](Process &p) {
-        if (p.job() != kNoJob) {
-            Job &job = jobs[static_cast<std::size_t>(p.job())];
-            if (p.ioFailed)
-                job.markFailed();
-            job.processExited(events.now());
-        }
-    };
 
     // --- Fault plan --------------------------------------------------
     if (cfg.faults.maxDiskIndex() >= cfg.diskCount)

@@ -31,6 +31,15 @@
  * touched, so a run that placed every file it laid out shows up at
  * the 256 x 512 point as a quarter of a million instead of a few
  * thousand.
+ *
+ * Two per-operation counters pin the work of the two hottest
+ * structures, where wall time is never gated on: the ordering
+ * comparisons the event heap makes (EventQueue::comparisons) and the
+ * index positions the cache's lookups visit (BufferCache::probeVisits),
+ * both over the simulation's whole life. Neither depends on the
+ * build, so a heap that scans for its minimum, a hash that clusters
+ * or an index that stops growing moves them in every build,
+ * PISO_HARDENED included.
  */
 
 #include <gtest/gtest.h>
@@ -70,13 +79,24 @@ using namespace piso;
 namespace {
 
 /** What one sim.run() did: operator new calls, the run's perf
- *  counters and the files it placed. */
+ *  counters, the files it placed, and the simulation's event-heap
+ *  comparisons and buffer-cache index probes (set-up included). */
 struct RunCounts
 {
     std::uint64_t allocs = 0;
     RunPerf perf;
     std::size_t placedFiles = 0;
+    std::uint64_t heapCompares = 0;
+    std::uint64_t cacheProbes = 0;
 };
+
+RunCounts
+counts(Simulation &sim, std::uint64_t allocs, const SimResults &r)
+{
+    return {allocs, r.perf, sim.fs().placedFiles(),
+            sim.events().comparisons(),
+            sim.kernel().cache().probeVisits()};
+}
 
 RunCounts
 countRun(Simulation &sim)
@@ -86,7 +106,7 @@ countRun(Simulation &sim)
     const SimResults r = sim.run();
     gCounting = false;
     EXPECT_TRUE(r.completed);
-    return {gAllocs, r.perf, sim.fs().placedFiles()};
+    return counts(sim, gAllocs, r);
 }
 
 /** ext_scale's 256 x 512 machine under @p scheme, run to 10 s. */
@@ -94,8 +114,7 @@ RunCounts
 scale512Run(Scheme scheme)
 {
     const auto sim = bench::makeScalePoint(256, 512, scheme, 10 * kSec);
-    const RunPerf perf = sim->run().perf;
-    return {0, perf, sim->fs().placedFiles()};
+    return counts(*sim, 0, sim->run());
 }
 
 /** The Table 3 machine (as in test_golden) under the PIso disk
@@ -190,6 +209,8 @@ TEST(WorkCounters, Table3PisoRun)
     EXPECT_EQ(perf.policyItersMem, 314u);
     EXPECT_EQ(perf.policyItersDisk, 14680u);
     EXPECT_EQ(run.placedFiles, 163u);  // every file: both jobs finish
+    EXPECT_EQ(run.heapCompares, 51175u);
+    EXPECT_EQ(run.cacheProbes, 71799u);
 }
 
 TEST(WorkCounters, Fig2PisoRun)
@@ -201,6 +222,8 @@ TEST(WorkCounters, Fig2PisoRun)
     EXPECT_EQ(perf.policyItersMem, 440u);
     EXPECT_EQ(perf.policyItersDisk, 1287u);
     EXPECT_EQ(run.placedFiles, 400u);
+    EXPECT_EQ(run.heapCompares, 93718u);
+    EXPECT_EQ(run.cacheProbes, 6193u);
 }
 
 TEST(WorkCounters, Scale512QuotaRun)
@@ -216,6 +239,8 @@ TEST(WorkCounters, Scale512QuotaRun)
     EXPECT_EQ(perf.policyItersDisk, 3797u);
     EXPECT_EQ(perf.policyItersNet, 0u);
     EXPECT_EQ(run.placedFiles, 1048u);
+    EXPECT_EQ(run.heapCompares, 440178u);
+    EXPECT_EQ(run.cacheProbes, 6353u);
 }
 
 TEST(WorkCounters, Scale512PisoRun)
@@ -229,6 +254,8 @@ TEST(WorkCounters, Scale512PisoRun)
     EXPECT_EQ(perf.policyItersDisk, 39256u);
     EXPECT_EQ(perf.policyItersNet, 0u);
     EXPECT_EQ(run.placedFiles, 3088u);
+    EXPECT_EQ(run.heapCompares, 743943u);
+    EXPECT_EQ(run.cacheProbes, 45826u);
 }
 
 TEST(AllocCeiling, FaultSweepWarmPlan)

@@ -22,9 +22,11 @@ using namespace piso;
 namespace {
 
 /** A small 2-CPU machine with one disk and an SMP scheduler. */
-struct KernelFixture : public ::testing::Test
+struct KernelFixture : public ::testing::Test, KernelOwner
 {
     static constexpr std::uint64_t kPages = 2048; // 8 MiB
+
+    void processExited(Process &) override {}
 
     EventQueue events;
     PhysicalMemory phys{kPages * 4096};
@@ -42,10 +44,9 @@ struct KernelFixture : public ::testing::Test
         disk = std::make_unique<DiskDevice>(
             events, model, std::make_unique<CScanScheduler>(), Rng(7));
         fs.addDisk(0, model.totalSectors());
-        kernel = std::make_unique<Kernel>(events, vm, cache, fs, sched,
-                                          std::vector<DiskDevice *>{
-                                              disk.get()},
-                                          Rng(11));
+        kernel = std::make_unique<Kernel>(
+            *this, events, vm, cache, fs, sched,
+            std::vector<DiskDevice *>{disk.get()}, Rng(11));
         for (SpuId s : {SpuId{2}, SpuId{3}}) {
             vm.registerSpu(s);
             vm.setEntitled(s, kPages);
@@ -283,7 +284,7 @@ TEST_F(KernelFixture, SpinBarrierReleasesPreemptedWaiter)
     DiskDevice dd(ev2, model, std::make_unique<CScanScheduler>(),
                   Rng(7));
     filesys.addDisk(0, model.totalSectors());
-    Kernel k(ev2, vmem, bc, filesys, one,
+    Kernel k(*this, ev2, vmem, bc, filesys, one,
              std::vector<DiskDevice *>{&dd}, Rng(11));
     vmem.registerSpu(2);
     vmem.setEntitled(2, kPages);
@@ -454,7 +455,7 @@ TEST_F(KernelFixture, PriorityInheritanceShortensLockWait)
         filesys.addDisk(0, model.totalSectors());
         KernelConfig kc;
         kc.lockPriorityInheritance = inheritance;
-        Kernel k(ev, vmem, bc, filesys, s1,
+        Kernel k(*this, ev, vmem, bc, filesys, s1,
                  std::vector<DiskDevice *>{&dd}, Rng(11), kc);
         vmem.registerSpu(2);
         vmem.setEntitled(2, kPages);
@@ -500,7 +501,7 @@ TEST_F(KernelFixture, WriteThrottleEngagesOnFloods)
 {
     KernelConfig kc;
     kc.writeThrottleSectors = 256; // tiny: trigger quickly
-    kernel = std::make_unique<Kernel>(events, vm, cache, fs, sched,
+    kernel = std::make_unique<Kernel>(*this, events, vm, cache, fs, sched,
                                       std::vector<DiskDevice *>{
                                           disk.get()},
                                       Rng(13), kc);

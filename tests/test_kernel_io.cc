@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/piso.hh"
@@ -54,8 +55,9 @@ class SpyScheduler : public DiskScheduler
 };
 
 /** A hand-wired machine: @p diskCount spied disks (disk d draws its
- *  rotational latency from Rng(7 + d)), SPUs 2 and 3, a kernel. */
-struct IoRig
+ *  rotational latency from Rng(7 + d)), SPUs 2 and 3, a kernel whose
+ *  owner is the rig: it records when each process exits. */
+struct IoRig : KernelOwner
 {
     EventQueue events;
     PhysicalMemory phys;
@@ -67,6 +69,7 @@ struct IoRig
     std::vector<SpyScheduler *> spies;
     std::vector<std::unique_ptr<DiskDevice>> disks;
     std::unique_ptr<Kernel> kernel;
+    std::vector<std::pair<const Process *, Time>> exits;
 
     IoRig(KernelConfig kc, int diskCount = 1, std::uint64_t pages = 4096,
           std::uint64_t userPages = 4096)
@@ -82,8 +85,9 @@ struct IoRig
             fs.addDisk(d, model.totalSectors());
             ptrs.push_back(disks.back().get());
         }
-        kernel = std::make_unique<Kernel>(events, vm, cache, fs, sched,
-                                          std::move(ptrs), Rng(11), kc);
+        kernel = std::make_unique<Kernel>(*this, events, vm, cache, fs,
+                                          sched, std::move(ptrs), Rng(11),
+                                          kc);
         for (SpuId s : {SpuId{2}, SpuId{3}}) {
             vm.registerSpu(s);
             vm.setEntitled(s, userPages);
@@ -91,6 +95,23 @@ struct IoRig
         }
         vm.setAllowed(kKernelSpu, pages);
         vm.setAllowed(kSharedSpu, pages);
+    }
+
+    void
+    processExited(Process &p) override
+    {
+        exits.emplace_back(&p, events.now());
+    }
+
+    /** When @p p exited, or kTimeNever if it has not. */
+    Time
+    exitTime(const Process *p) const
+    {
+        for (const auto &[q, at] : exits) {
+            if (q == p)
+                return at;
+        }
+        return kTimeNever;
     }
 
     Process *
@@ -172,7 +193,11 @@ TEST(KernelIo, BdflushChargesPagesToOwningSpus)
     SpyScheduler *spyPtr = spy.get();
     DiskDevice disk(events, model, std::move(spy), Rng(7));
     fs.addDisk(0, model.totalSectors());
-    Kernel kernel(events, vm, cache, fs, sched, {&disk}, Rng(11));
+    struct : KernelOwner
+    {
+        void processExited(Process &) override {}
+    } owner;
+    Kernel kernel(owner, events, vm, cache, fs, sched, {&disk}, Rng(11));
     for (SpuId s : {SpuId{2}, SpuId{3}}) {
         vm.registerSpu(s);
         vm.setEntitled(s, 4096);
@@ -393,8 +418,6 @@ TEST(KernelIoWatchdog, TimedOutAttemptIsRetriedAndItsLateCompletionIgnored)
     const FileId f = rig.fs.createFile(0, 4096);
     rig.slowFirstRequest(rig.fs.blockSector(f, 0), 150 * kMs);
     Process *p = rig.spawn(2, {ReadAction{f, 0, 4096}});
-    Time exitAt = kTimeNever;
-    rig.kernel->onProcessExit = [&](Process &) { exitAt = rig.events.now(); };
     rig.kernel->start();
     rig.restoreSpeedOnceBusy();
     rig.runUntil(5 * kSec);
@@ -423,7 +446,7 @@ TEST(KernelIoWatchdog, TimedOutAttemptIsRetriedAndItsLateCompletionIgnored)
     EXPECT_EQ(p->state(), ProcState::Exited);
     EXPECT_FALSE(p->ioFailed);
     EXPECT_EQ(p->pendingIo, 0);
-    EXPECT_GE(exitAt, seen[1].at);
+    EXPECT_GE(rig.exitTime(p), seen[1].at);
 }
 
 TEST(KernelIoWatchdog, LateCompletionInsideTheBackoffSettlesTheIo)
@@ -440,8 +463,6 @@ TEST(KernelIoWatchdog, LateCompletionInsideTheBackoffSettlesTheIo)
     const FileId f = rig.fs.createFile(0, 4096);
     rig.slowFirstRequest(rig.fs.blockSector(f, 0), 150 * kMs);
     Process *p = rig.spawn(2, {ReadAction{f, 0, 4096}});
-    Time exitAt = kTimeNever;
-    rig.kernel->onProcessExit = [&](Process &) { exitAt = rig.events.now(); };
     rig.kernel->start();
     rig.restoreSpeedOnceBusy();
     rig.runUntil(175 * kMs);
@@ -454,7 +475,7 @@ TEST(KernelIoWatchdog, LateCompletionInsideTheBackoffSettlesTheIo)
     const auto &seen = rig.spies[0]->seen();
     ASSERT_EQ(seen.size(), 2u);
     EXPECT_EQ(seen[1].tag.attempt, 2);
-    EXPECT_LT(exitAt, 200 * kMs);
+    EXPECT_LT(rig.exitTime(p), 200 * kMs);
     EXPECT_GE(seen[1].at, 200 * kMs);
     EXPECT_FALSE(p->ioFailed);
     EXPECT_EQ(rig.kernel->liveIoOps(), 0u);
@@ -477,11 +498,6 @@ TEST(KernelIoWatchdog, StaleCompletionIsIgnoredAfterItsSlotIsReused)
     rig.slowFirstRequest(rig.fs.blockSector(f1, 0), 150 * kMs);
     Process *p1 = rig.spawn(2, {ReadAction{f1, 0, 4096}});
     Process *p2 = rig.spawn(3, {ReadAction{f2, 0, 4096}}, 110 * kMs);
-    Time p2ExitAt = kTimeNever;
-    rig.kernel->onProcessExit = [&](Process &q) {
-        if (&q == p2)
-            p2ExitAt = rig.events.now();
-    };
     rig.kernel->start();
     rig.restoreSpeedOnceBusy();
     rig.runUntil(5 * kSec);
@@ -502,7 +518,7 @@ TEST(KernelIoWatchdog, StaleCompletionIsIgnoredAfterItsSlotIsReused)
     EXPECT_EQ(p2->state(), ProcState::Exited);
     EXPECT_FALSE(p2->ioFailed);
     EXPECT_EQ(p2->pendingIo, 0);
-    EXPECT_GE(p2ExitAt, seen[1].at);
+    EXPECT_GE(rig.exitTime(p2), seen[1].at);
 }
 
 TEST(KernelIoWatchdog, EveryIoSettlesOnceUnderRandomFaultPlans)

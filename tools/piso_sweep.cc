@@ -88,7 +88,7 @@ usage(std::FILE *to)
         "                        (default 2)\n"
         "  --max-sim-time S      simulated-time watchdog: a task still "
         "running\n"
-        "                        after S simulated seconds ends "
+        "                        after S simulated seconds (S > 0) ends "
         "timed_out\n"
         "  --max-events N        event-count watchdog for every task\n"
         "  --no-warm-start       disable checkpoint prefix sharing "
@@ -166,8 +166,12 @@ main(int argc, char **argv)
                 opts.maxRetries = flagValue(i).read<int>();
             } else if (std::strcmp(argv[i], "--max-sim-time") == 0 &&
                        i + 1 < argc) {
-                opts.watchdogSimTime =
-                    fromSeconds(flagValue(i).read<double>());
+                // fromSeconds clamps at 0, which arms no watchdog.
+                const double sec = flagValue(i).read<double>();
+                if (!(sec > 0.0 && sec < toSeconds(kTimeNever)))
+                    PISO_FATAL("--max-sim-time wants seconds > 0, got ",
+                               argv[i]);
+                opts.watchdogSimTime = fromSeconds(sec);
             } else if (std::strcmp(argv[i], "--no-warm-start") == 0) {
                 opts.warmStart = false;
             } else if (std::strcmp(argv[i], "--max-events") == 0 &&
@@ -190,6 +194,12 @@ main(int argc, char **argv)
             return usageError();
         if (seeds < 0)
             PISO_FATAL("--seeds wants a count >= 0, got ", seeds);
+        if (opts.jobs < 0)
+            PISO_FATAL("--jobs wants a count >= 0 (0 = one per core), got ",
+                       opts.jobs);
+        if (opts.maxRetries < 0)
+            PISO_FATAL("--retries wants a count >= 0, got ",
+                       opts.maxRetries);
         for (int s = 1; s <= seeds; ++s)
             plan.seeds.push_back(static_cast<std::uint64_t>(s));
 
