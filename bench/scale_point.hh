@@ -4,7 +4,8 @@
 /**
  * @file
  * The big-machine scaling point of bench/ext_scale: @p cpus CPUs and
- * @p spus configured SPUs, of which at most eight run the Figure 2
+ * @p spus configured SPUs (flat, or as leaves under @p groups
+ * top-level groups), of which at most eight run the Figure 2
  * pmake shape while every SPU hosts a low-duty daemon. The active set
  * stays fixed as the population grows, so the policy loops' work must
  * track the active set, not the population. tests/test_alloc_ceiling
@@ -21,7 +22,8 @@ namespace piso::bench {
 
 /** One fixed-horizon machine, populated but not run. */
 inline std::unique_ptr<Simulation>
-makeScalePoint(int cpus, int spus, Scheme scheme, Time horizon)
+makeScalePoint(int cpus, int spus, Scheme scheme, Time horizon,
+               int groups = 0)
 {
     SystemConfig cfg;
     cfg.cpus = cpus;
@@ -45,11 +47,20 @@ makeScalePoint(int cpus, int spus, Scheme scheme, Time horizon)
     pmake.workerWsPages = 330;
     pmake.inodeLock = sim.kernel().createLock(true);
 
+    // With @p groups, the SPUs are dealt round-robin under that many
+    // top-level groups: the same population as a tree.
+    std::vector<SpuId> parents;
+    for (int g = 0; g < groups; ++g)
+        parents.push_back(sim.addSpu({.name = "g" + std::to_string(g)}));
     const int active = spus < 8 ? spus : 8;
     for (int u = 0; u < spus; ++u) {
         const SpuId spu = sim.addSpu(
             {.name = "u" + std::to_string(u),
-             .homeDisk = static_cast<DiskId>(u % cfg.diskCount)});
+             .homeDisk = static_cast<DiskId>(u % cfg.diskCount),
+             .parent = parents.empty()
+                           ? kNoSpu
+                           : parents[static_cast<std::size_t>(u) %
+                                     parents.size()]});
         if (u < active) {
             sim.addJob(spu, makePmake("pm" + std::to_string(u) + "a",
                                       pmake));

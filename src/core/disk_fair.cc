@@ -102,8 +102,8 @@ FairDiskScheduler::onComplete(const DiskRequest &req, Time now)
     // Shared writes are charged to the user SPUs whose pages they
     // carried (Section 3.3); everything else to the request's SPU.
     if (!req.charges.empty()) {
-        // piso-lint: allow(hot-path-full-scan) -- bounded by the SPUs
-        // charged for this one request, not the SPU population.
+        // Bounded by the SPUs charged for this one request, not the
+        // SPU population.
         for (const auto &[spu, sectors] : req.charges)
             tracker_.addSectors(spu, sectors, now);
     } else {
@@ -215,8 +215,8 @@ PisoDiskScheduler::pick(const std::deque<DiskRequest> &queue,
     }
 
     double avg = 0.0;
-    // piso-lint: allow(hot-path-full-scan) -- 'ratios_' holds only the
-    // SPUs with queued requests on this disk: already O(active).
+    // 'ratios_' holds only the SPUs with queued requests on this
+    // disk: already O(active).
     for (const auto &[spu, ratio] : ratios_)
         avg += ratio;
     avg /= static_cast<double>(ratios_.size());

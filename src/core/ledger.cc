@@ -16,13 +16,31 @@ ResourceLedger::ResourceLedger(std::string resource)
 void
 ResourceLedger::registerSpu(SpuId spu)
 {
-    spus_.tryEmplace(spu);
+    // Room for every SPU in the active set, so marking one never
+    // allocates on the charge path.
+    if (spus_.tryEmplace(spu) && active_.capacity() < spus_.size())
+        active_.reserve(2 * spus_.size());
 }
 
 void
 ResourceLedger::forget(SpuId spu)
 {
+    const Entry *e = spus_.find(spu);
+    if (e && e->active)
+        active_.erase(std::find(active_.begin(), active_.end(), spu));
     spus_.erase(spu);
+}
+
+void
+ResourceLedger::rebuildActive()
+{
+    // Loading recreated every entry unmarked.
+    active_.clear();
+    active_.reserve(spus_.size());
+    for (auto [spu, e] : spus_) {
+        if (e.levels.used > 0 || e.levels.allowed != e.levels.entitled)
+            mark(spu, e);
+    }
 }
 
 bool
@@ -74,8 +92,7 @@ double
 ResourceLedger::totalShare() const
 {
     double total = 0.0;
-    // piso-lint: allow(hot-path-full-scan) -- rebalance/report-time
-    // aggregation, not an event callback.
+    // Rebalance/report-time aggregation, not an event callback.
     for (const auto &[spu, e] : spus_)
         total += e.share;
     return total;
@@ -91,13 +108,19 @@ ResourceLedger::normalizedShare(SpuId spu) const
 void
 ResourceLedger::setEntitled(SpuId spu, std::uint64_t units)
 {
-    entry(spu).levels.entitled = units;
+    Entry &e = entry(spu);
+    e.levels.entitled = units;
+    if (e.levels.allowed != units)
+        mark(spu, e);
 }
 
 void
 ResourceLedger::setAllowed(SpuId spu, std::uint64_t units)
 {
-    entry(spu).levels.allowed = units;
+    Entry &e = entry(spu);
+    e.levels.allowed = units;
+    if (e.levels.entitled != units)
+        mark(spu, e);
 }
 
 const ResourceLevels &
@@ -123,19 +146,24 @@ ResourceLedger::overAllowed(SpuId spu) const
 bool
 ResourceLedger::tryUse(SpuId spu)
 {
-    ResourceLevels &l = entry(spu).levels;
+    Entry &e = entry(spu);
+    ResourceLevels &l = e.levels;
     if (l.used >= l.allowed)
         return false;
-    ++l.used;
+    if (l.used++ == 0)
+        mark(spu, e);
     return true;
 }
 
 void
 ResourceLedger::use(SpuId spu, std::uint64_t units)
 {
-    ResourceLevels &l = entry(spu).levels;
+    Entry &e = entry(spu);
+    ResourceLevels &l = e.levels;
     PISO_CHECK(l.used + units >= l.used, resource_,
                " ledger: use of SPU ", spu, " overflows used units");
+    if (l.used == 0 && units > 0)
+        mark(spu, e);
     l.used += units;
 }
 
@@ -160,8 +188,7 @@ std::uint64_t
 ResourceLedger::usedTotal() const
 {
     std::uint64_t total = 0;
-    // piso-lint: allow(hot-path-full-scan) -- rebalance/report-time
-    // aggregation, not an event callback.
+    // Rebalance/report-time aggregation, not an event callback.
     for (const auto &[spu, e] : spus_)
         total += e.levels.used;
     return total;
@@ -171,8 +198,7 @@ std::uint64_t
 ResourceLedger::entitledTotal() const
 {
     std::uint64_t total = 0;
-    // piso-lint: allow(hot-path-full-scan) -- rebalance/report-time
-    // aggregation, not an event callback.
+    // Rebalance/report-time aggregation, not an event callback.
     for (const auto &[spu, e] : spus_)
         total += e.levels.entitled;
     return total;
@@ -241,8 +267,8 @@ ResourceLedger::entitleByShare(std::uint64_t divisible)
     std::vector<double> shares;
     ids.reserve(spus_.size());
     shares.reserve(spus_.size());
-    // piso-lint: allow(hot-path-full-scan) -- runs once per rebalance,
-    // gated by the policy version skip, not per event.
+    // Runs once per rebalance, gated by the policy version skip, not
+    // per event.
     for (const auto &[spu, e] : spus_) {
         ids.push_back(spu);
         shares.push_back(e.share);

@@ -65,27 +65,49 @@ class MemorySharingPolicy : public EventSink
      *  2. lendable = free + sum(borrowed-out) - reserve;
      *  3. allowed_i = entitled_i, plus an equal split of lendable for
      *     SPUs under pressure.
+     *
+     * Costs O(leaves in the VM's active set): entitlements are
+     * written only when the divisible pages or the SPU tree moved
+     * (then every leaf is visited once), and steps 2 and 3 visit only
+     * the leaves that hold pages, have pressure pending, are allowed
+     * more than their entitlement or are entitled to nothing. Every
+     * other leaf is idle at allowed = entitled, which a pass over it
+     * would write back unchanged (tests/mem_ref_util.hh keeps that
+     * full pass as the reference).
      */
     void recompute();
 
     const MemPolicyConfig &config() const { return config_; }
 
-    /** Leaf-SPU iterations performed by recompute passes — the
-     *  policy_iters_mem perf counter. Out of band: never serialised,
+    /** SPU visits made by recompute passes — each leaf when
+     *  entitlements are rewritten, each active-set member per pass —
+     *  the policy_iters_mem perf counter. Out of band: never serialised,
      *  never in JSONL. */
     std::uint64_t policyIters() const { return policyIters_; }
 
     /** Checkpoint restore: whether the restored event queue holds
      *  this policy's tick. The replayed start()'s tick was wiped with
      *  the rest of the queue, so the image is the only source of
-     *  truth. The policy holds no other mutable state — levels live in
-     *  the VM's ledger. */
-    void setTickPending(bool pending) { armed_ = pending; }
+     *  truth. The policy holds no other imaged state — levels live in
+     *  the VM's ledger, which rebuilt its active set on load — and
+     *  its entitlement cache is dropped, so the first pass after a
+     *  restore is a full one. */
+    void
+    setTickPending(bool pending)
+    {
+        armed_ = pending;
+        entitledValid_ = false;
+    }
 
   private:
     /** EventSink: the memPolicy event. */
     void fire(EvKind kind, const EventArg &arg) override;
     void tick();
+
+    /** Every managed leaf outside the VM's active set is idle: no
+     *  pages, no pressure, entitled to something and allowed exactly
+     *  that (the invariant recompute() relies on; a PISO_CHECK). */
+    bool idleOutsideActiveSet() const;
 
     EventQueue &events_;
     VirtualMemory &vm_;
@@ -110,6 +132,16 @@ class MemorySharingPolicy : public EventSink
     bool seenValid_ = false;
     std::uint64_t seenVmVersion_ = 0;
     std::uint64_t seenSpuVersion_ = 0;
+
+    /** Entitlement cache: each managed leaf's entitlement (0 for one
+     *  under a zero-share level), valid while the divisible pages and
+     *  the SPU-tree version match the ones it was computed for. A
+     *  leaf is managed (an active leaf) iff it has an entry. Derived
+     *  state: never imaged. */
+    bool entitledValid_ = false;
+    std::uint64_t entitledDivisible_ = 0;
+    std::uint64_t entitledSpuVersion_ = 0;
+    SpuTable<std::uint64_t> entitled_;
 
     std::uint64_t policyIters_ = 0;
 };

@@ -80,8 +80,7 @@ PisoScheduler::selectNext(Cpu &cpu)
         return p;
     // On a time-partitioned CPU the other share-holders come before
     // strangers.
-    // piso-lint: allow(hot-path-full-scan) -- bounded by the SPUs
-    // sharing this one CPU, not the SPU population.
+    // Bounded by the SPUs sharing this one CPU, not the SPU population.
     for (const auto &[spu, frac] : cpu.timeShares) {
         if (spu == owner)
             continue;

@@ -95,6 +95,7 @@ QuotaScheduler::idlePass()
     // with ready work can pick. Visit them in the ascending id order of
     // the full pass.
     for (SpuId spu : nonEmpty_) {
+        ++policyIters_;
         const std::vector<CpuId> &own = cpusOf(spu);
         idleScan_.insert(idleScan_.end(), own.begin(), own.end());
     }

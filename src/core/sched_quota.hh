@@ -71,8 +71,7 @@ class QuotaScheduler : public CpuScheduler
         if (!io.loading())
             return;
         nonEmpty_.clear();
-        // piso-lint: allow(hot-path-full-scan) -- restore-time rebuild
-        // of the active set, not an event callback.
+        // Restore-time rebuild of the active set, not an event callback.
         for (auto [spu, queue] : ready_) {
             if (!queue.empty())
                 nonEmpty_.insert(spu);

@@ -134,8 +134,7 @@ SpuManager::pathOf(SpuId id) const
 bool
 SpuManager::hierarchical() const
 {
-    // piso-lint: allow(hot-path-full-scan) -- setup/report-time query,
-    // not an event callback.
+    // Setup/report-time query, not an event callback.
     for (const auto &[id, s] : spus_) {
         if (id >= kFirstUserSpu && s.parent != kNoSpu)
             return true;
@@ -162,8 +161,7 @@ SpuManager::refreshCaches() const
     leafCache_.clear();
     topTotalCache_ = shareSum(topLevel_);
     groupTotalCache_.clear();
-    // piso-lint: allow(hot-path-full-scan) -- rebuilt once per topology
-    // change and served from the cache in between.
+    // Rebuilt once per topology change and served from the cache in between.
     for (const auto &[id, s] : spus_) {
         if (!s.children.empty())
             groupTotalCache_[id] = shareSum(s.children);
@@ -277,8 +275,16 @@ SpuTable<std::uint64_t>
 SpuManager::entitleLeaves(std::uint64_t divisible) const
 {
     SpuTable<std::uint64_t> out;
-    entitleUnder(kNoSpu, divisible, out);
+    entitleLeaves(divisible, out);
     return out;
+}
+
+void
+SpuManager::entitleLeaves(std::uint64_t divisible,
+                          SpuTable<std::uint64_t> &out) const
+{
+    out.clear();
+    entitleUnder(kNoSpu, divisible, out);
 }
 
 void

@@ -162,6 +162,12 @@ class SpuManager
      */
     SpuTable<std::uint64_t> entitleLeaves(std::uint64_t divisible) const;
 
+    /** entitleLeaves() into @p out, which is cleared first; reuses
+     *  @p out's storage, so a refill of the same population allocates
+     *  nothing. */
+    void entitleLeaves(std::uint64_t divisible,
+                       SpuTable<std::uint64_t> &out) const;
+
     /** Checkpoint: the tree structure itself (names, shares,
      *  parent/child edges) is replayed by the deterministic setup
      *  phase; only the mutable run-state — per-SPU life-cycle state

@@ -487,119 +487,6 @@ errorTaxonomyCheck(const SourceFile &f, std::vector<Finding> &out)
 }
 
 // ---------------------------------------------------------------------
-// hot-path-full-scan
-// ---------------------------------------------------------------------
-
-bool
-fullScanApplies(const std::string &p)
-{
-    // The policy layer: its periodic loops must stay O(active SPUs) on
-    // big machines (bench/ext_scale asserts the scaling). The table
-    // container itself is the one place allowed to sweep its storage.
-    return startsWith(p, "src/core/") && p != "src/core/spu_table.hh";
-}
-
-void
-fullScanCheck(const SourceFile &f, std::vector<Finding> &out)
-{
-    // Pass 1: names declared in this file with a SpuTable/DenseTable
-    // type — members, locals, and by-reference parameters alike.
-    std::vector<std::string> tables;
-    for (std::size_t i = 0; i + 1 < f.tokens.size(); ++i) {
-        const Token &t = f.tokens[i];
-        if (t.kind != TokKind::Ident ||
-            (t.text != "SpuTable" && t.text != "DenseTable"))
-            continue;
-        if (at(f, i + 1) != "<")
-            continue;
-        std::size_t j = i + 1;
-        int angle = 0;
-        for (; j < f.tokens.size(); ++j) {
-            if (at(f, j) == "<") {
-                ++angle;
-            } else if (at(f, j) == ">") {
-                if (--angle == 0) {
-                    ++j;
-                    break;
-                }
-            }
-        }
-        while (j < f.tokens.size() &&
-               (at(f, j) == "&" || at(f, j) == "*" || at(f, j) == "const"))
-            ++j;
-        if (j >= f.tokens.size() || f.tokens[j].kind != TokKind::Ident)
-            continue;
-        // 'SpuTable<T> name(' is a function returning a table and
-        // 'SpuTable<T> Class::member(' a qualified definition — only
-        // variable declarations name something iterable.
-        if (at(f, j + 1) == "(" || at(f, j + 1) == "::")
-            continue;
-        tables.push_back(f.tokens[j].text);
-    }
-
-    // Pass 2: range-for statements. Two signals mark a full table
-    // scan: the sequence expression names a table declared above, or
-    // the loop variable is a structured binding — the (id, value) pair
-    // iteration only the dense tables yield in this layer (members are
-    // often declared in the header, invisible to this file).
-    for (std::size_t i = 0; i + 2 < f.tokens.size(); ++i) {
-        const Token &t = f.tokens[i];
-        if (t.kind != TokKind::Ident || t.text != "for" ||
-            at(f, i + 1) != "(")
-            continue;
-        int depth = 1;
-        bool binding = false;
-        std::size_t colon = 0;
-        for (std::size_t j = i + 2; j < f.tokens.size() && depth > 0;
-             ++j) {
-            const std::string &x = at(f, j);
-            if (x == "(") {
-                ++depth;
-            } else if (x == ")") {
-                --depth;
-            } else if (depth == 1 && x == ";") {
-                break;  // classic for (init; cond; step)
-            } else if (depth == 1 && x == ":") {
-                colon = j;
-                break;
-            } else if (x == "[") {
-                binding = true;
-            }
-        }
-        if (colon == 0)
-            continue;
-        std::string table;
-        int depth2 = 1;
-        for (std::size_t j = colon + 1; j < f.tokens.size() && depth2 > 0;
-             ++j) {
-            const std::string &x = at(f, j);
-            if (x == "(") {
-                ++depth2;
-            } else if (x == ")") {
-                --depth2;
-            } else if (f.tokens[j].kind == TokKind::Ident &&
-                       std::find(tables.begin(), tables.end(), x) !=
-                           tables.end()) {
-                table = x;
-            }
-        }
-        if (!table.empty()) {
-            report(f, out, "hot-path-full-scan", t.line,
-                   "range-for over the whole table '" + table +
-                       "' in src/core (policy loops must stay O(active "
-                       "SPUs); iterate an active-set index, or justify "
-                       "with piso-lint: allow)");
-        } else if (binding) {
-            report(f, out, "hot-path-full-scan", t.line,
-                   "structured-binding sweep of a dense table in "
-                   "src/core (policy loops must stay O(active SPUs); "
-                   "iterate an active-set index, or justify with "
-                   "piso-lint: allow)");
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // time-unit-literal
 // ---------------------------------------------------------------------
 
@@ -831,9 +718,6 @@ ruleRegistry()
          "bare throw std::runtime_error in src/exp and src/sim "
          "(use SimError)",
          errorTaxonomyApplies, errorTaxonomyCheck},
-        {"hot-path-full-scan",
-         "full SpuTable/DenseTable iteration on src/core policy paths",
-         fullScanApplies, fullScanCheck},
         {"time-unit-literal",
          "bare integer literals in arithmetic with Time-typed values",
          timeUnitApplies, timeUnitCheck},

@@ -127,7 +127,9 @@ DiskDevice::setScheduler(std::unique_ptr<DiskScheduler> scheduler)
 const SpuDiskStats &
 DiskDevice::spuStats(SpuId spu) const
 {
-    return spuStats_[spu];
+    static const SpuDiskStats kNone;
+    const SpuDiskStats *stats = spuStats_.find(spu);
+    return stats ? *stats : kNone;
 }
 
 void

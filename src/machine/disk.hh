@@ -257,7 +257,7 @@ class DiskDevice : public EventSink
     std::uint64_t nextId_ = 1;
 
     DiskStats stats_;
-    mutable SpuTable<SpuDiskStats> spuStats_;
+    SpuTable<SpuDiskStats> spuStats_;
 };
 
 } // namespace piso

@@ -66,7 +66,9 @@ NetworkInterface::submit(NetMessage msg)
 const SpuNetStats &
 NetworkInterface::spuStats(SpuId spu) const
 {
-    return spuStats_[spu];
+    static const SpuNetStats kNone;
+    const SpuNetStats *stats = spuStats_.find(spu);
+    return stats ? *stats : kNone;
 }
 
 void

@@ -161,7 +161,7 @@ class NetworkInterface : public EventSink
     NetMessage inService_;  //!< the message on the wire (while busy)
     std::uint64_t nextId_ = 1;
     Counter total_;
-    mutable SpuTable<SpuNetStats> spuStats_;
+    SpuTable<SpuNetStats> spuStats_;
 };
 
 } // namespace piso

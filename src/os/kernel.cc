@@ -861,7 +861,9 @@ Kernel::pendingPageouts(
 const SpuFaultStats &
 Kernel::spuFaults(SpuId spu) const
 {
-    return spuFaults_[spu];
+    static const SpuFaultStats kNone;
+    const SpuFaultStats *stats = spuFaults_.find(spu);
+    return stats ? *stats : kNone;
 }
 
 Time

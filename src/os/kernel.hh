@@ -626,7 +626,7 @@ class Kernel : public SchedClient,
     /// @}
 
     KernelStats stats_;
-    mutable SpuTable<SpuFaultStats> spuFaults_;
+    SpuTable<SpuFaultStats> spuFaults_;
     // Not imaged: checkpoints come from running simulations and
     // setup replay re-runs start().
     bool started_ = false;

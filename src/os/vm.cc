@@ -149,6 +149,7 @@ void
 VirtualMemory::notePressure(SpuId spu)
 {
     ++pressureEntry(spu);
+    ledger_.markActive(spu);
     ++version_;
 }
 

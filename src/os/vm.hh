@@ -16,6 +16,7 @@
  */
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/core/ledger.hh"
@@ -122,6 +123,29 @@ class VirtualMemory
     std::uint64_t pressure(SpuId spu) const;
     /// @}
 
+    /** @name Active set for the sharing policy
+     *
+     * The ledger's active set (ResourceLedger::active()) with pressure
+     * notes marked too: an SPU outside it holds no frame, has no
+     * pending pressure and has allowed == entitled, unless the policy
+     * retired it while it was not a leaf the policy manages. Kept up
+     * to date in O(1) when used goes from 0 to 1, pressure is noted
+     * or a level write leaves allowed != entitled; never imaged. */
+    /// @{
+    const std::vector<SpuId> &activeSpus() const
+    {
+        return ledger_.active();
+    }
+    bool isActive(SpuId spu) const { return ledger_.isActive(spu); }
+    void markActive(SpuId spu) { ledger_.markActive(spu); }
+    template <typename Keep>
+    void
+    retainActive(Keep &&keep)
+    {
+        ledger_.retainActive(std::forward<Keep>(keep));
+    }
+    /// @}
+
     /** All registered SPU ids, ascending. */
     std::vector<SpuId> spus() const;
 
@@ -134,10 +158,18 @@ class VirtualMemory
         pressure_.table(io, spuBound,
                         [&io](std::uint64_t &n) { io.u64(n); });
         io.u64(reservePages_);
-        // Restored state replaced everything a policy pass observes;
-        // invalidate any version captured during setup replay.
-        if (io.loading())
+        if (io.loading()) {
+            // The ledger rebuilt its active set from the loaded
+            // levels; pending pressure belongs in it too.
+            for (const auto &[spu, n] : pressure_) {
+                if (n > 0)
+                    ledger_.markActive(spu);
+            }
+            // Restored state replaced everything a policy pass
+            // observes; invalidate any version captured during setup
+            // replay.
             ++version_;
+        }
     }
     /// @}
 

@@ -45,8 +45,7 @@ operator<<(std::ostream &os, const Where &where)
 }
 
 namespace detail {
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &msg);
+[[noreturn]] void fatalImpl(const std::string &msg);
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
 
@@ -63,10 +62,11 @@ concat(Args &&...args)
 
 } // namespace piso
 
-/** Terminate: unrecoverable *user* error (bad config, bad arguments). */
+/** Terminate: unrecoverable *user* error (bad config, bad arguments).
+ *  Throws ConfigError("fatal: <message>") and prints nothing: the
+ *  catcher (a tool's main, the sweep runner) reports it once. */
 #define PISO_FATAL(...)                                                     \
-    ::piso::detail::fatalImpl(__FILE__, __LINE__,                           \
-                              ::piso::detail::concat(__VA_ARGS__))
+    ::piso::detail::fatalImpl(::piso::detail::concat(__VA_ARGS__))
 
 /** Terminate: internal invariant violation (a simulator bug). */
 #define PISO_PANIC(...)                                                     \

@@ -109,11 +109,13 @@ countRun(Simulation &sim)
     return counts(sim, gAllocs, r);
 }
 
-/** ext_scale's 256 x 512 machine under @p scheme, run to 10 s. */
+/** ext_scale's 256 x 512 machine under @p scheme, run to 10 s; with
+ *  @p groups, its SPUs are leaves under that many groups. */
 RunCounts
-scale512Run(Scheme scheme)
+scale512Run(Scheme scheme, int groups = 0)
 {
-    const auto sim = bench::makeScalePoint(256, 512, scheme, 10 * kSec);
+    const auto sim =
+        bench::makeScalePoint(256, 512, scheme, 10 * kSec, groups);
     return counts(*sim, 0, sim->run());
 }
 
@@ -234,7 +236,8 @@ TEST(WorkCounters, Scale512QuotaRun)
     const RunCounts run = scale512Run(Scheme::Quota);
     const RunPerf &perf = run.perf;
     EXPECT_EQ(perf.events, 21597u);
-    EXPECT_EQ(perf.policyItersCpu, 9352u);
+    // 9,352 before the tick's idle pass counted the SPUs it visits.
+    EXPECT_EQ(perf.policyItersCpu, 13290u);
     EXPECT_EQ(perf.policyItersMem, 0u);
     EXPECT_EQ(perf.policyItersDisk, 3797u);
     EXPECT_EQ(perf.policyItersNet, 0u);
@@ -245,12 +248,34 @@ TEST(WorkCounters, Scale512QuotaRun)
 
 TEST(WorkCounters, Scale512PisoRun)
 {
-    // 3,088 of 262,160 files placed.
+    // 3,088 of 262,160 files placed. The memory policy visits all 512
+    // leaves in its one full pass (the divisible pages never move) and
+    // the 8 that hold pages in each of the other 84 (43,520 when every
+    // pass visited every leaf).
     const RunCounts run = scale512Run(Scheme::PIso);
     const RunPerf &perf = run.perf;
     EXPECT_EQ(perf.events, 35113u);
     EXPECT_EQ(perf.policyItersCpu, 8832u);
-    EXPECT_EQ(perf.policyItersMem, 43520u);
+    EXPECT_EQ(perf.policyItersMem, 1184u);
+    EXPECT_EQ(perf.policyItersDisk, 39256u);
+    EXPECT_EQ(perf.policyItersNet, 0u);
+    EXPECT_EQ(run.placedFiles, 3088u);
+    EXPECT_EQ(run.heapCompares, 743943u);
+    EXPECT_EQ(run.cacheProbes, 45826u);
+}
+
+TEST(WorkCounters, Scale512TreePisoRun)
+{
+    // The same machine as a tree, 512 leaves under 32 groups: PIso's
+    // CPU loans pick by kinship over the SPUs with waiting work, and
+    // the memory policy entitles leaves level by level.
+    // Each of the eight busy leaves has a group to itself, so the run
+    // does what the flat one does, count for count.
+    const RunCounts run = scale512Run(Scheme::PIso, 32);
+    const RunPerf &perf = run.perf;
+    EXPECT_EQ(perf.events, 35113u);
+    EXPECT_EQ(perf.policyItersCpu, 8832u);
+    EXPECT_EQ(perf.policyItersMem, 1184u);
     EXPECT_EQ(perf.policyItersDisk, 39256u);
     EXPECT_EQ(perf.policyItersNet, 0u);
     EXPECT_EQ(run.placedFiles, 3088u);

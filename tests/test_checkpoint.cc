@@ -338,6 +338,33 @@ TEST(Checkpoint, TimeZeroImageSizeDoesNotGrowWithTheFileCount)
     EXPECT_EQ(few.size(), many.size());
 }
 
+TEST(Checkpoint, CollectingResultsLeavesTheImageAsTheSinkSawIt)
+{
+    // A run stopped at its checkpoint still collects its results, and
+    // the report reads every SPU's disk, network and fault counters.
+    // Reading creates no table entries, so an explicit checkpoint()
+    // after the run images exactly what the sink received.
+    for (const Shape &shape : kShapes) {
+        for (Scheme scheme : kSchemes) {
+            WorkloadSpec spec = shapeSpec(shape.text, scheme);
+            spec.config.checkpointAt = kEarly;
+            spec.config.checkpointStop = true;
+            std::string sink;
+            spec.config.checkpointSink = [&sink](std::string img) {
+                sink = std::move(img);
+            };
+            Simulation sim(spec.config);
+            populateWorkloadSpec(sim, spec);
+            sim.run();
+            ASSERT_FALSE(sink.empty()) << shape.name;
+            std::ostringstream out;
+            sim.checkpoint(out);
+            EXPECT_TRUE(out.str() == sink)
+                << shape.name << " under " << schemeName(scheme);
+        }
+    }
+}
+
 TEST(Checkpoint, PagedOutShapeImagesItsSwapExtentsAndRestoresExactly)
 {
     const WorkloadSpec spec = parseWorkloadSpec(kSwapShape);

@@ -2,13 +2,22 @@
  * @file
  * Unit tests for the memory sharing policy (Section 3.2): entitled
  * recomputation, lending of idle pages, Reserve Threshold, and
- * revocation via allowed-level reduction.
+ * revocation via allowed-level reduction; and the twin tests that run
+ * the policy's skipping, active-set tick beside the full-scan pass it
+ * replaced (tests/mem_ref_util.hh).
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "src/core/mem_policy.hh"
 #include "src/machine/memory.hh"
+#include "src/sim/checkpoint.hh"
+#include "src/sim/random.hh"
+#include "tests/mem_ref_util.hh"
 
 using namespace piso;
 
@@ -276,107 +285,364 @@ TEST_F(PolicyFixture, UnchangedTickSkipsTheFullPass)
 
 namespace {
 
-/** One machine of the recompute twin test below. */
+/** The SPU population of a twin run. */
+struct TwinShape
+{
+    std::uint64_t pages = 1000;
+    /** Leaves at set-up. */
+    int leaves = 3;
+    /** 0: a flat configuration; else the leaves are dealt round-robin
+     *  under this many top-level groups. */
+    int groups = 0;
+    /** Every n-th leaf gets a share so small its floor is 0 pages
+     *  (0: none). */
+    int tinyEvery = 0;
+    /** Leaves that may be created during the run. */
+    int extraLeaves = 5;
+};
+
+/**
+ * One machine of the twin tests. The policy machine runs the periodic
+ * tick, with its version skip and active set; the reference machine
+ * calls testutil::fullScanRecompute at every period instead. Leaf i
+ * always gets the same parent and share, so building a machine of the
+ * same shape and adding its leaves up to the same count replays the
+ * tree a checkpoint image of the other expects.
+ */
 struct MemMachine
 {
-    PhysicalMemory phys{1000 * 4096};
+    TwinShape shape;
+    PhysicalMemory phys;
     VirtualMemory vm{phys};
     SpuManager spus;
     EventQueue events;
     MemorySharingPolicy policy{events, vm, spus};
+    std::vector<SpuId> groups;
+    std::vector<SpuId> leaves;
 
-    MemMachine()
+    MemMachine(const TwinShape &s, bool reference)
+        : shape(s), phys(s.pages * 4096)
     {
         vm.registerSpu(kKernelSpu);
         vm.registerSpu(kSharedSpu);
-        vm.setAllowed(kKernelSpu, 1000);
-        vm.setAllowed(kSharedSpu, 1000);
-        for (const char *name : {"a", "b", "c"})
-            vm.registerSpu(spus.create({.name = name}));
-        policy.start();
+        vm.setAllowed(kKernelSpu, s.pages);
+        vm.setAllowed(kSharedSpu, s.pages);
+        for (int g = 0; g < s.groups; ++g)
+            groups.push_back(spus.create({.name = "g" + std::to_string(g)}));
+        for (int i = 0; i < s.leaves; ++i)
+            addLeaf();
+        if (reference) {
+            vm.setReservePages(static_cast<std::uint64_t>(
+                policy.config().reserveFraction *
+                static_cast<double>(vm.totalPages())));
+            testutil::fullScanRecompute(vm, spus);
+        } else {
+            policy.start();
+        }
+    }
+
+    void
+    addLeaf()
+    {
+        const std::size_t i = leaves.size();
+        const bool tiny =
+            shape.tinyEvery > 0 && i % static_cast<std::size_t>(
+                                           shape.tinyEvery) == 0;
+        const SpuId spu = spus.create(
+            {.name = "l" + std::to_string(i),
+             .share = tiny ? 1e-9 : 1.0 + static_cast<double>(i % 3),
+             .parent = groups.empty() ? kNoSpu
+                                      : groups[i % groups.size()]});
+        vm.registerSpu(spu);
+        leaves.push_back(spu);
+    }
+
+    /** The periodic pass: one tick period, or the reference scan. */
+    void
+    period(bool reference)
+    {
+        if (reference)
+            testutil::fullScanRecompute(vm, spus);
+        else
+            events.runAll(events.now() + policy.config().period);
+    }
+
+    std::string
+    image()
+    {
+        CkptWriter w;
+        CkptIo io(w);
+        phys.ckpt(io);
+        spus.ckpt(io);
+        vm.ckpt(io, spus.idBound());
+        return w.image(0);
+    }
+
+    /** A machine of this shape with the same leaves, restored from
+     *  this one's image between periods: its tick is pending, as the
+     *  restored event queue would hold it. */
+    std::unique_ptr<MemMachine>
+    restored()
+    {
+        const std::string img = image();
+        auto back = std::make_unique<MemMachine>(shape, false);
+        while (back->leaves.size() < leaves.size())
+            back->addLeaf();
+        CkptReader r(img);
+        CkptIo io(r);
+        back->phys.ckpt(io);
+        back->spus.ckpt(io);
+        back->vm.ckpt(io, back->spus.idBound());
+        r.expectEnd();
+        back->policy.setTickPending(true);
+        return back;
     }
 };
 
+/** Every SPU's levels and pressure agree; after a pass (@p passed),
+ *  every managed leaf outside the policy machine's active set is idle
+ *  at allowed = entitled > 0. */
+::testing::AssertionResult
+sameLevels(MemMachine &lazy, MemMachine &ref, bool passed = true)
+{
+    if (lazy.vm.spus() != ref.vm.spus())
+        return ::testing::AssertionFailure() << "registered SPUs differ";
+    for (SpuId spu : ref.vm.spus()) {
+        const MemLevels &x = lazy.vm.levels(spu);
+        const MemLevels &y = ref.vm.levels(spu);
+        if (x.entitled != y.entitled || x.allowed != y.allowed ||
+            x.used != y.used ||
+            lazy.vm.pressure(spu) != ref.vm.pressure(spu)) {
+            return ::testing::AssertionFailure()
+                   << "spu " << spu << ": entitled " << x.entitled
+                   << "/" << y.entitled << " allowed " << x.allowed
+                   << "/" << y.allowed << " used " << x.used << "/"
+                   << y.used << " pressure " << lazy.vm.pressure(spu)
+                   << "/" << ref.vm.pressure(spu);
+        }
+    }
+    for (SpuId spu : lazy.spus.leafSpus()) {
+        const MemLevels &l = lazy.vm.levels(spu);
+        if (passed && !lazy.vm.isActive(spu) &&
+            (l.used != 0 || lazy.vm.pressure(spu) != 0 ||
+             l.allowed != l.entitled || l.entitled == 0)) {
+            return ::testing::AssertionFailure()
+                   << "leaf " << spu << " is outside the active set "
+                   << "but not idle";
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** Counts a twin run reports. */
+struct TwinRun
+{
+    std::uint64_t periods = 0;
+    std::uint64_t skipped = 0;  //!< periods with no pass at all
+    std::uint64_t partial = 0;  //!< passes over fewer than every leaf
+};
+
+/**
+ * Drive a policy machine and a reference machine of @p shape through
+ * the same random steps for @p rounds periods and compare them after
+ * every period. Most leaves stay idle: eight "hot" leaves take most of
+ * the charges. The steps charge and release pages (noting pressure
+ * when a charge is refused), note pressure, suspend and resume leaves
+ * and groups, charge the kernel and shared SPUs and hand pages to the
+ * shared SPU (so the divisible pages move), and create leaves. Every
+ * @p ckptEvery periods (0: never) the policy machine is replaced by
+ * one restored from its image, and its next pass must visit every
+ * leaf.
+ */
+void
+runTwin(const TwinShape &shape, std::uint64_t seed, int rounds,
+        int ckptEvery, TwinRun &out)
+{
+    auto lazy = std::make_unique<MemMachine>(shape, false);
+    MemMachine ref(shape, true);
+    Rng rng(seed);
+    ASSERT_TRUE(sameLevels(*lazy, ref));
+    for (int round = 0; round < rounds; ++round) {
+        const int ops =
+            rng.chance(0.4) ? 0 : static_cast<int>(rng.uniformInt(6));
+        for (int op = 0; op < ops; ++op) {
+            const std::size_t n = lazy->leaves.size();
+            const std::size_t hot = std::min<std::size_t>(n, 8);
+            const std::size_t pick = rng.chance(0.85)
+                                         ? rng.uniformInt(hot)
+                                         : rng.uniformInt(n);
+            const SpuId spu = lazy->leaves[pick];
+            const std::size_t roll = rng.uniformInt(100);
+            const int count = 1 + static_cast<int>(rng.uniformInt(40));
+            if (roll < 40) {
+                for (int k = 0; k < count; ++k) {
+                    const bool got = lazy->vm.tryCharge(spu);
+                    ASSERT_EQ(ref.vm.tryCharge(spu), got);
+                    if (!got) {
+                        lazy->vm.notePressure(spu);
+                        ref.vm.notePressure(spu);
+                        break;
+                    }
+                }
+            } else if (roll < 65) {
+                for (int k = 0; k < count && ref.vm.levels(spu).used > 0;
+                     ++k) {
+                    lazy->vm.uncharge(spu);
+                    ref.vm.uncharge(spu);
+                }
+            } else if (roll < 72) {
+                lazy->vm.notePressure(spu);
+                ref.vm.notePressure(spu);
+            } else if (roll < 80) {
+                // Suspend or resume a leaf, or (trees) a group, keeping
+                // one leaf active so the tick keeps its period.
+                SpuId target = spu;
+                if (!lazy->groups.empty() && roll >= 76)
+                    target = lazy->groups[rng.uniformInt(
+                        lazy->groups.size())];
+                const bool active =
+                    ref.spus.spu(target).state == SpuState::Active;
+                if (active && ref.spus.leafSpus().size() > 8) {
+                    lazy->spus.suspend(target);
+                    ref.spus.suspend(target);
+                } else if (!active) {
+                    lazy->spus.resume(target);
+                    ref.spus.resume(target);
+                }
+            } else if (roll < 90) {
+                // The kernel or the shared SPU takes or returns pages:
+                // the divisible pages move.
+                const SpuId owner = roll < 85 ? kKernelSpu : kSharedSpu;
+                for (int k = 0; k < count; ++k) {
+                    if (rng.chance(0.5)) {
+                        const bool got = lazy->vm.tryCharge(owner);
+                        ASSERT_EQ(ref.vm.tryCharge(owner), got);
+                    } else if (ref.vm.levels(owner).used > 0) {
+                        lazy->vm.uncharge(owner);
+                        ref.vm.uncharge(owner);
+                    }
+                }
+            } else if (roll < 95) {
+                // A leaf's page becomes a shared buffer-cache page.
+                if (ref.vm.levels(spu).used > 0) {
+                    lazy->vm.transferCharge(spu, kSharedSpu);
+                    ref.vm.transferCharge(spu, kSharedSpu);
+                }
+            } else if (n < static_cast<std::size_t>(shape.leaves +
+                                                    shape.extraLeaves)) {
+                lazy->addLeaf();
+                ref.addLeaf();
+            }
+        }
+        bool restoredNow = false;
+        if (ckptEvery > 0 && round % ckptEvery == ckptEvery - 1) {
+            lazy = lazy->restored();
+            ASSERT_TRUE(sameLevels(*lazy, ref, false))
+                << "restored at round " << round;
+            restoredNow = true;
+        }
+        const std::uint64_t before = lazy->policy.policyIters();
+        lazy->period(false);
+        ref.period(true);
+        const std::uint64_t visited = lazy->policy.policyIters() - before;
+        ++out.periods;
+        out.skipped += visited == 0;
+        out.partial += visited > 0 && visited < ref.spus.leafSpus().size();
+        if (restoredNow) {
+            ASSERT_GE(visited, ref.spus.leafSpus().size())
+                << "the first pass after a restore is a full one";
+        }
+        ASSERT_TRUE(sameLevels(*lazy, ref))
+            << "seed " << seed << " round " << round;
+    }
+}
+
 } // namespace
 
-TEST(MemPolicyTwin, RecomputeEveryPeriodEqualsTheSkippingTick)
+TEST(MemPolicyTwin, SkippingTickEqualsTheFullScanEveryPeriod)
 {
     // The periodic tick skips its pass when neither the VM ledger nor
-    // the SPU registry changed since the last one. Its reference calls
-    // the public recompute() at every period instead. Driven through
-    // the same random charges, releases, pressure notes and SPU
-    // life-cycle changes — with idle periods in between — both must
+    // the SPU registry changed since the last one, and otherwise visits
+    // only the active set. Driven through the same random steps as the
+    // full-scan reference — with idle periods in between — both must
     // leave the same levels after every period. That includes a pass
     // that grants pages to an SPU needy only through the pressure it
     // consumed: the next pass, unchanged otherwise, takes them back,
     // so it may not be skipped.
-    std::uint64_t skipped = 0;
-    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-        MemMachine lazy;
-        MemMachine full;
-        Rng rng(seed);
-        const Time period = lazy.policy.config().period;
-        for (int round = 0; round < 200; ++round) {
-            const std::vector<SpuId> users = lazy.spus.userSpus();
-            const int ops = rng.chance(0.4)
-                                ? 0
-                                : static_cast<int>(rng.uniformInt(6));
-            for (int op = 0; op < ops; ++op) {
-                const SpuId spu = users[rng.uniformInt(users.size())];
-                const std::size_t roll = rng.uniformInt(100);
-                if (roll < 50) {
-                    for (int n = 1 + static_cast<int>(rng.uniformInt(40));
-                         n > 0; --n) {
-                        const bool got = lazy.vm.tryCharge(spu);
-                        ASSERT_EQ(full.vm.tryCharge(spu), got);
-                        if (!got) {
-                            lazy.vm.notePressure(spu);
-                            full.vm.notePressure(spu);
-                            break;
-                        }
-                    }
-                } else if (roll < 80) {
-                    for (int n = 1 + static_cast<int>(rng.uniformInt(40));
-                         n > 0 && lazy.vm.levels(spu).used > 0; --n) {
-                        lazy.vm.uncharge(spu);
-                        full.vm.uncharge(spu);
-                    }
-                } else if (roll < 88) {
-                    lazy.vm.notePressure(spu);
-                    full.vm.notePressure(spu);
-                } else if (roll < 94) {
-                    // Suspend or resume, keeping one tenant active so
-                    // the tick keeps its period.
-                    const bool active =
-                        lazy.spus.spu(spu).state == SpuState::Active;
-                    if (active && lazy.spus.leafSpus().size() > 1) {
-                        lazy.spus.suspend(spu);
-                        full.spus.suspend(spu);
-                    } else if (!active) {
-                        lazy.spus.resume(spu);
-                        full.spus.resume(spu);
-                    }
-                } else if (users.size() < 8) {
-                    const std::string name = "n" + std::to_string(round);
-                    lazy.vm.registerSpu(lazy.spus.create({.name = name}));
-                    full.vm.registerSpu(full.spus.create({.name = name}));
-                }
-            }
-            const std::uint64_t before = lazy.policy.policyIters();
-            lazy.events.runAll(lazy.events.now() + period);
-            full.policy.recompute();
-            skipped += lazy.policy.policyIters() == before;
-            for (SpuId spu : full.vm.spus()) {
-                const MemLevels &x = lazy.vm.levels(spu);
-                const MemLevels &y = full.vm.levels(spu);
-                ASSERT_TRUE(x.entitled == y.entitled &&
-                            x.allowed == y.allowed && x.used == y.used &&
-                            lazy.vm.pressure(spu) == full.vm.pressure(spu))
-                    << "seed " << seed << " round " << round << " spu "
-                    << spu;
+    TwinRun run;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed)
+        runTwin({}, seed, 200, 0, run);
+    // The idle periods really took the skip.
+    EXPECT_GT(run.skipped, 200u);
+}
+
+TEST(MemPolicyTwin, MostlyIdlePopulationsMatchTheFullScan)
+{
+    // Big, mostly idle populations, flat and tree-shaped, some leaves
+    // entitled to nothing (needy every pass, so always in the set),
+    // with a checkpoint save/load every 23 periods.
+    const TwinShape shapes[] = {
+        {.pages = 20000, .leaves = 64},
+        {.pages = 20000, .leaves = 512, .extraLeaves = 8},
+        {.pages = 4000, .leaves = 256, .groups = 16, .tinyEvery = 37},
+        {.pages = 1000, .leaves = 512, .groups = 24, .tinyEvery = 50},
+        {.pages = 3000, .leaves = 128, .tinyEvery = 9},
+    };
+    for (const TwinShape &shape : shapes) {
+        TwinRun run;
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+            runTwin(shape, seed, 120, 23, run);
+            if (HasFatalFailure())
+                return;
+        }
+        // Most passes visited only the active set.
+        // The active-set path ran, not only full and skipped passes.
+        EXPECT_GT(run.partial, run.periods / 5)
+            << shape.leaves << " leaves";
+    }
+}
+
+TEST(MemPolicyTwin, LeafEntitledToNothingStaysNeedyWithNothingToLend)
+{
+    // A leaf whose share floors to 0 pages is needy every pass (used >=
+    // entitled, both 0), even in a pass that has nothing to lend and
+    // leaves it holding nothing at allowed = entitled = 0. It must stay
+    // in the active set: the next grant is split among every needy
+    // leaf, it included.
+    const TwinShape shape{.leaves = 3, .tinyEvery = 3};
+    auto lazy = std::make_unique<MemMachine>(shape, false);
+    MemMachine ref(shape, true);
+    const auto period = [&lazy, &ref] {
+        lazy->period(false);
+        ref.period(true);
+    };
+    // Leaves 1 and 2 (shares 2 and 3) fill their entitlements, 367 and
+    // 551 of the 920 divisible pages: 2 are left to lend, fewer than
+    // the 3 needy leaves, so the pass grants nothing.
+    for (MemMachine *m : {lazy.get(), &ref}) {
+        for (std::size_t i : {1, 2}) {
+            while (m->vm.tryCharge(m->leaves[i])) {
             }
         }
     }
-    // The idle periods really took the skip.
-    EXPECT_GT(skipped, 200u);
+    period();
+    ASSERT_TRUE(sameLevels(*lazy, ref));
+    ASSERT_EQ(lazy->vm.levels(lazy->leaves[0]).allowed, 0u);
+    EXPECT_TRUE(lazy->vm.isActive(lazy->leaves[0]));
+
+    // A restore rebuilds the set from the levels, which do not place
+    // leaf 0 in it; the full pass after the restore must.
+    lazy = lazy->restored();
+    period();
+    ASSERT_TRUE(sameLevels(*lazy, ref));
+    EXPECT_TRUE(lazy->vm.isActive(lazy->leaves[0]));
+
+    // Leaf 1 frees 50 pages: 52 to lend between leaf 0 and leaf 2.
+    for (MemMachine *m : {lazy.get(), &ref}) {
+        for (int k = 0; k < 50; ++k)
+            m->vm.uncharge(m->leaves[1]);
+    }
+    period();
+    ASSERT_TRUE(sameLevels(*lazy, ref));
+    EXPECT_EQ(lazy->vm.levels(lazy->leaves[0]).allowed, 26u);
 }

@@ -120,10 +120,8 @@ isPoisoned(std::size_t task)
     return false;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runChaos(int argc, char **argv)
 {
     int jobs = 8;
     for (int i = 1; i < argc; ++i) {
@@ -219,4 +217,17 @@ main(int argc, char **argv)
     }
     std::fprintf(stderr, "piso_chaos: FAIL (%d check(s))\n", failures);
     return 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return runChaos(argc, argv);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "piso_chaos: %s\n", e.what());
+        return 1;
+    }
 }
