@@ -16,31 +16,13 @@ ResourceLedger::ResourceLedger(std::string resource)
 void
 ResourceLedger::registerSpu(SpuId spu)
 {
-    // Room for every SPU in the active set, so marking one never
-    // allocates on the charge path.
-    if (spus_.tryEmplace(spu) && active_.capacity() < spus_.size())
-        active_.reserve(2 * spus_.size());
+    spus_.tryEmplace(spu);
 }
 
 void
 ResourceLedger::forget(SpuId spu)
 {
-    const Entry *e = spus_.find(spu);
-    if (e && e->active)
-        active_.erase(std::find(active_.begin(), active_.end(), spu));
     spus_.erase(spu);
-}
-
-void
-ResourceLedger::rebuildActive()
-{
-    // Loading recreated every entry unmarked.
-    active_.clear();
-    active_.reserve(spus_.size());
-    for (auto [spu, e] : spus_) {
-        if (e.levels.used > 0 || e.levels.allowed != e.levels.entitled)
-            mark(spu, e);
-    }
 }
 
 bool
@@ -108,19 +90,13 @@ ResourceLedger::normalizedShare(SpuId spu) const
 void
 ResourceLedger::setEntitled(SpuId spu, std::uint64_t units)
 {
-    Entry &e = entry(spu);
-    e.levels.entitled = units;
-    if (e.levels.allowed != units)
-        mark(spu, e);
+    entry(spu).levels.entitled = units;
 }
 
 void
 ResourceLedger::setAllowed(SpuId spu, std::uint64_t units)
 {
-    Entry &e = entry(spu);
-    e.levels.allowed = units;
-    if (e.levels.entitled != units)
-        mark(spu, e);
+    entry(spu).levels.allowed = units;
 }
 
 const ResourceLevels &
@@ -146,24 +122,19 @@ ResourceLedger::overAllowed(SpuId spu) const
 bool
 ResourceLedger::tryUse(SpuId spu)
 {
-    Entry &e = entry(spu);
-    ResourceLevels &l = e.levels;
+    ResourceLevels &l = entry(spu).levels;
     if (l.used >= l.allowed)
         return false;
-    if (l.used++ == 0)
-        mark(spu, e);
+    ++l.used;
     return true;
 }
 
 void
 ResourceLedger::use(SpuId spu, std::uint64_t units)
 {
-    Entry &e = entry(spu);
-    ResourceLevels &l = e.levels;
+    ResourceLevels &l = entry(spu).levels;
     PISO_CHECK(l.used + units >= l.used, resource_,
                " ledger: use of SPU ", spu, " overflows used units");
-    if (l.used == 0 && units > 0)
-        mark(spu, e);
     l.used += units;
 }
 

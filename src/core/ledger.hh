@@ -114,48 +114,6 @@ class ResourceLedger
     std::uint64_t entitledTotal() const;
     /// @}
 
-    /** @name Active set
-     *
-     * The SPUs a level-moving policy must visit: every SPU whose used
-     * level went from 0 to positive, or whose allowed level was set
-     * away from its entitlement, since it was last retired, plus any
-     * SPU marked by hand (the VM marks pressure notes). An SPU outside
-     * the set therefore holds nothing and has allowed == entitled
-     * unless a policy retired it while it was not its concern.
-     * Derived state: never imaged; loading rebuilds it from the
-     * levels. Marking allocates nothing: registration reserves room
-     * for every SPU. */
-    /// @{
-    /** Marked SPUs, in marking order (compacted by retainActive). */
-    const std::vector<SpuId> &active() const { return active_; }
-
-    bool isActive(SpuId spu) const { return entry(spu).active; }
-
-    /** Add @p spu to the active set (no-op when already there). */
-    void
-    markActive(SpuId spu)
-    {
-        mark(spu, entry(spu));
-    }
-
-    /** Keep only the active SPUs for which @p keep(spu) holds; the
-     *  rest leave the set. Order is preserved. */
-    template <typename Keep>
-    void
-    retainActive(Keep &&keep)
-    {
-        std::size_t kept = 0;
-        for (std::size_t i = 0; i < active_.size(); ++i) {
-            const SpuId spu = active_[i];
-            if (keep(spu))
-                active_[kept++] = spu;
-            else
-                entry(spu).active = false;
-        }
-        active_.resize(kept);
-    }
-    /// @}
-
     /** @name Entitlement arithmetic */
     /// @{
     /**
@@ -217,8 +175,6 @@ class ResourceLedger
             io.u64(e.levels.used);
             io.f64(e.share);
         });
-        if (io.loading())
-            rebuildActive();
     }
     /// @}
 
@@ -227,28 +183,13 @@ class ResourceLedger
     {
         ResourceLevels levels;
         double share = 1.0;
-        bool active = false;  //!< listed in active_
     };
 
     const Entry &entry(SpuId spu) const;
     Entry &entry(SpuId spu);
 
-    void
-    mark(SpuId spu, Entry &e)
-    {
-        if (e.active)
-            return;
-        e.active = true;
-        active_.push_back(spu);
-    }
-
-    /** Mark afresh every SPU that holds units or has allowed !=
-     *  entitled (after a load replaced the levels). */
-    void rebuildActive();
-
     std::string resource_;
     SpuTable<Entry> spus_;
-    std::vector<SpuId> active_;
     std::uint64_t capacity_ = 0;
 };
 

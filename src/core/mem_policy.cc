@@ -88,11 +88,12 @@ MemorySharingPolicy::recompute()
     //    the divisible pages down the SPU tree with per-level floors
     //    (a flat configuration reduces to share_i x divisible). They
     //    depend only on the divisible pages and the SPU tree, so they
-    //    are rewritten only when either moved: a full pass. A leaf
-    //    whose allowed level then differs from its new entitlement
-    //    joins the VM's active set (setEntitled marks it), and so does
-    //    every leaf that holds pages or is entitled to nothing (such a
-    //    leaf is needy every pass: used >= entitled with both 0).
+    //    are rewritten only when either moved: a full pass, whose step
+    //    4 writes every leaf's allowed level (setAllowed marks a leaf
+    //    it leaves away from its entitlement). Every leaf that holds
+    //    pages (a resumed one may have left the set) or is entitled to
+    //    nothing (needy every pass: used >= entitled with both 0)
+    //    joins the VM's active set here.
     const bool full = !entitledValid_ ||
                       divisible != entitledDivisible_ ||
                       spus_.version() != entitledSpuVersion_;

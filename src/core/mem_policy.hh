@@ -89,7 +89,7 @@ class MemorySharingPolicy : public EventSink
      *  this policy's tick. The replayed start()'s tick was wiped with
      *  the rest of the queue, so the image is the only source of
      *  truth. The policy holds no other imaged state — levels live in
-     *  the VM's ledger, which rebuilt its active set on load — and
+     *  the VM's ledger, and the VM rebuilt its active set on load — and
      *  its entitlement cache is dropped, so the first pass after a
      *  restore is a full one. */
     void

@@ -13,17 +13,39 @@ void
 VirtualMemory::registerSpu(SpuId spu)
 {
     ledger_.registerSpu(spu);
-    pressure_.tryEmplace(spu);
+    // Room for every SPU in the active set, so marking one never
+    // allocates on the charge path.
+    if (perSpu_.tryEmplace(spu) && active_.capacity() < perSpu_.size())
+        active_.reserve(2 * perSpu_.size());
     ++version_;
 }
 
-std::uint64_t &
-VirtualMemory::pressureEntry(SpuId spu)
+VirtualMemory::SpuEntry &
+VirtualMemory::perSpu(SpuId spu)
 {
-    std::uint64_t *p = pressure_.find(spu);
-    if (!p)
+    SpuEntry *e = perSpu_.find(spu);
+    if (!e)
         PISO_PANIC("unknown SPU ", spu);
-    return *p;
+    return *e;
+}
+
+const VirtualMemory::SpuEntry &
+VirtualMemory::perSpu(SpuId spu) const
+{
+    return const_cast<VirtualMemory *>(this)->perSpu(spu);
+}
+
+void
+VirtualMemory::rebuildActive()
+{
+    // Loading recreated every entry unmarked.
+    active_.clear();
+    active_.reserve(2 * perSpu_.size());
+    for (auto [spu, e] : perSpu_) {
+        const MemLevels &l = ledger_.levels(spu);
+        if (l.used > 0 || l.allowed != l.entitled || e.pressure > 0)
+            mark(spu, e);
+    }
 }
 
 void
@@ -37,6 +59,8 @@ void
 VirtualMemory::setAllowed(SpuId spu, std::uint64_t pages)
 {
     ledger_.setAllowed(spu, pages);
+    if (ledger_.levels(spu).entitled != pages)
+        markActive(spu);
     ++version_;
 }
 
@@ -49,11 +73,15 @@ VirtualMemory::levels(SpuId spu) const
 bool
 VirtualMemory::tryCharge(SpuId spu)
 {
-    if (ledger_.atLimit(spu))
+    const MemLevels &l = ledger_.levels(spu);
+    if (l.used >= l.allowed)
         return false;
     if (!phys_.allocate(1))
         return false;
+    const bool first = l.used == 0;
     ledger_.use(spu);
+    if (first)
+        markActive(spu);
     ++version_;
     return true;
 }
@@ -69,7 +97,10 @@ VirtualMemory::uncharge(SpuId spu)
 void
 VirtualMemory::transferCharge(SpuId from, SpuId to)
 {
+    const bool first = ledger_.levels(to).used == 0;
     ledger_.transfer(from, to);
+    if (first)
+        markActive(to);
     ++version_;
 }
 
@@ -148,15 +179,16 @@ VirtualMemory::weightedVictim(Rng &rng) const
 void
 VirtualMemory::notePressure(SpuId spu)
 {
-    ++pressureEntry(spu);
-    ledger_.markActive(spu);
+    SpuEntry &e = perSpu(spu);
+    ++e.pressure;
+    mark(spu, e);
     ++version_;
 }
 
 std::uint64_t
 VirtualMemory::takePressure(SpuId spu)
 {
-    std::uint64_t &p = pressureEntry(spu);
+    std::uint64_t &p = perSpu(spu).pressure;
     const std::uint64_t v = p;
     p = 0;
     if (v != 0)
@@ -167,10 +199,7 @@ VirtualMemory::takePressure(SpuId spu)
 std::uint64_t
 VirtualMemory::pressure(SpuId spu) const
 {
-    const std::uint64_t *p = pressure_.find(spu);
-    if (!p)
-        PISO_PANIC("unknown SPU ", spu);
-    return *p;
+    return perSpu(spu).pressure;
 }
 
 std::vector<SpuId>

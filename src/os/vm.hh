@@ -15,8 +15,8 @@
  * *allowed* levels around.
  */
 
+#include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "src/core/ledger.hh"
@@ -125,24 +125,39 @@ class VirtualMemory
 
     /** @name Active set for the sharing policy
      *
-     * The ledger's active set (ResourceLedger::active()) with pressure
-     * notes marked too: an SPU outside it holds no frame, has no
-     * pending pressure and has allowed == entitled, unless the policy
-     * retired it while it was not a leaf the policy manages. Kept up
-     * to date in O(1) when used goes from 0 to 1, pressure is noted
-     * or a level write leaves allowed != entitled; never imaged. */
+     * The SPUs a sharing-policy pass must visit: every SPU whose used
+     * level went from 0 to 1, whose allowed level was set away from
+     * its entitlement, or that had pressure noted, since the policy
+     * last retired it. Callers that move an entitlement write the
+     * allowed level after it, as the policy and the set-up do. So an
+     * SPU outside the set holds no frame, has no pending pressure and
+     * has allowed == entitled, unless the policy retired it while it
+     * was not a leaf it manages. Marking is O(1) and allocates nothing
+     * (registration reserves room for every SPU); the set is derived
+     * state, never imaged: loading rebuilds it. */
     /// @{
-    const std::vector<SpuId> &activeSpus() const
-    {
-        return ledger_.active();
-    }
-    bool isActive(SpuId spu) const { return ledger_.isActive(spu); }
-    void markActive(SpuId spu) { ledger_.markActive(spu); }
+    /** Marked SPUs, in marking order (compacted by retainActive). */
+    const std::vector<SpuId> &activeSpus() const { return active_; }
+    bool isActive(SpuId spu) const { return perSpu(spu).active; }
+
+    /** Add @p spu to the active set (no-op when already there). */
+    void markActive(SpuId spu) { mark(spu, perSpu(spu)); }
+
+    /** Keep only the active SPUs for which @p keep(spu) holds; the
+     *  rest leave the set. Order is preserved. */
     template <typename Keep>
     void
     retainActive(Keep &&keep)
     {
-        ledger_.retainActive(std::forward<Keep>(keep));
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < active_.size(); ++i) {
+            const SpuId spu = active_[i];
+            if (keep(spu))
+                active_[kept++] = spu;
+            else
+                perSpu(spu).active = false;
+        }
+        active_.resize(kept);
     }
     /// @}
 
@@ -155,16 +170,11 @@ class VirtualMemory
     ckpt(CkptIo &io, std::size_t spuBound)
     {
         ledger_.ckpt(io, spuBound);
-        pressure_.table(io, spuBound,
-                        [&io](std::uint64_t &n) { io.u64(n); });
+        perSpu_.table(io, spuBound,
+                      [&io](SpuEntry &e) { io.u64(e.pressure); });
         io.u64(reservePages_);
         if (io.loading()) {
-            // The ledger rebuilt its active set from the loaded
-            // levels; pending pressure belongs in it too.
-            for (const auto &[spu, n] : pressure_) {
-                if (n > 0)
-                    ledger_.markActive(spu);
-            }
+            rebuildActive();
             // Restored state replaced everything a policy pass
             // observes; invalidate any version captured during setup
             // replay.
@@ -174,12 +184,34 @@ class VirtualMemory
     /// @}
 
   private:
-    /** Fatal-checked pressure-counter access. */
-    std::uint64_t &pressureEntry(SpuId spu);
+    /** Per-SPU state beside the ledger's levels. */
+    struct SpuEntry
+    {
+        std::uint64_t pressure = 0;  //!< imaged
+        bool active = false;         //!< listed in active_; derived
+    };
+
+    /** Fatal-checked access to a registered SPU's entry. */
+    SpuEntry &perSpu(SpuId spu);
+    const SpuEntry &perSpu(SpuId spu) const;
+
+    void
+    mark(SpuId spu, SpuEntry &e)
+    {
+        if (e.active)
+            return;
+        e.active = true;
+        active_.push_back(spu);
+    }
+
+    /** Mark afresh every SPU that holds frames, has allowed !=
+     *  entitled or has pressure pending (after a load). */
+    void rebuildActive();
 
     PhysicalMemory &phys_;
     ResourceLedger ledger_{"memory"};
-    SpuTable<std::uint64_t> pressure_;
+    SpuTable<SpuEntry> perSpu_;
+    std::vector<SpuId> active_;
     std::uint64_t reservePages_ = 0;
     // Monotonic change counter; loading bumps it rather than
     // restoring it.

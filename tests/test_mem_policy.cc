@@ -440,6 +440,8 @@ struct TwinRun
     std::uint64_t periods = 0;
     std::uint64_t skipped = 0;  //!< periods with no pass at all
     std::uint64_t partial = 0;  //!< passes over fewer than every leaf
+    std::uint64_t suspended = 0;  //!< leaves or groups suspended
+    std::uint64_t resumed = 0;    //!< leaves or groups resumed
 };
 
 /**
@@ -502,12 +504,19 @@ runTwin(const TwinShape &shape, std::uint64_t seed, int rounds,
                         lazy->groups.size())];
                 const bool active =
                     ref.spus.spu(target).state == SpuState::Active;
-                if (active && ref.spus.leafSpus().size() > 8) {
+                // The active leaves a suspension of target would leave.
+                std::size_t left = 0;
+                for (SpuId leaf : ref.spus.leafSpus())
+                    left += leaf != target &&
+                            ref.spus.spu(leaf).parent != target;
+                if (active && left > 0) {
                     lazy->spus.suspend(target);
                     ref.spus.suspend(target);
+                    ++out.suspended;
                 } else if (!active) {
                     lazy->spus.resume(target);
                     ref.spus.resume(target);
+                    ++out.resumed;
                 }
             } else if (roll < 90) {
                 // The kernel or the shared SPU takes or returns pages:
@@ -572,8 +581,11 @@ TEST(MemPolicyTwin, SkippingTickEqualsTheFullScanEveryPeriod)
     TwinRun run;
     for (std::uint64_t seed = 1; seed <= 12; ++seed)
         runTwin({}, seed, 200, 0, run);
-    // The idle periods really took the skip.
+    // The idle periods really took the skip, and leaves really were
+    // suspended and resumed while few of them were active.
     EXPECT_GT(run.skipped, 200u);
+    EXPECT_GT(run.suspended, 50u);
+    EXPECT_GT(run.resumed, 50u);
 }
 
 TEST(MemPolicyTwin, MostlyIdlePopulationsMatchTheFullScan)
@@ -595,10 +607,12 @@ TEST(MemPolicyTwin, MostlyIdlePopulationsMatchTheFullScan)
             if (HasFatalFailure())
                 return;
         }
-        // Most passes visited only the active set.
-        // The active-set path ran, not only full and skipped passes.
+        // The active-set path ran, not only full and skipped passes,
+        // and the populations were suspended and resumed.
         EXPECT_GT(run.partial, run.periods / 5)
             << shape.leaves << " leaves";
+        EXPECT_GT(run.suspended, 0u) << shape.leaves << " leaves";
+        EXPECT_GT(run.resumed, 0u) << shape.leaves << " leaves";
     }
 }
 
