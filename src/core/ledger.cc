@@ -31,12 +31,6 @@ ResourceLedger::knows(SpuId spu) const
     return spus_.contains(spu);
 }
 
-std::vector<SpuId>
-ResourceLedger::spus() const
-{
-    return spus_.ids();
-}
-
 const ResourceLedger::Entry &
 ResourceLedger::entry(SpuId spu) const
 {

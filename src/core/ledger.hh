@@ -43,7 +43,17 @@ struct ResourceLevels
  */
 class ResourceLedger
 {
+    /** One SPU's account. */
+    struct Entry
+    {
+        ResourceLevels levels;
+        double share = 1.0;
+    };
+
   public:
+    /** Registered SPU ids, walked in place (see spus()). */
+    using SpuIds = SpuTable<Entry>::Keys;
+
     /** @param resource Name used in panic messages ("memory", ...). */
     explicit ResourceLedger(std::string resource = "resource");
 
@@ -63,8 +73,9 @@ class ResourceLedger
 
     bool knows(SpuId spu) const;
 
-    /** All registered SPU ids, ascending. */
-    std::vector<SpuId> spus() const;
+    /** All registered SPU ids, ascending, read from the table in
+     *  place: a range-for over them copies nothing. */
+    SpuIds spus() const { return spus_.keys(); }
     /// @}
 
     /** @name Shares */
@@ -179,12 +190,6 @@ class ResourceLedger
     /// @}
 
   private:
-    struct Entry
-    {
-        ResourceLevels levels;
-        double share = 1.0;
-    };
-
     const Entry &entry(SpuId spu) const;
     Entry &entry(SpuId spu);
 

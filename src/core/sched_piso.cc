@@ -49,6 +49,7 @@ PisoScheduler::popBestKin(SpuId owner)
     // so walking only the non-empty SPUs (in the same ascending order)
     // picks what a full table scan would.
     Process *best = nullptr;
+    std::size_t bestAt = 0;
     std::size_t bestKin = 0;
     for (SpuId spu : nonEmpty_) {
         ++policyIters_;
@@ -57,19 +58,17 @@ PisoScheduler::popBestKin(SpuId owner)
         const std::size_t kin = kinship(parents_, owner, spu);
         if (best && kin < bestKin)
             continue;
-        for (Process *q : ready_[spu]) {
+        const std::vector<Process *> &queue = ready_[spu];
+        for (std::size_t i = 0; i < queue.size(); ++i) {
             if (!best || kin > bestKin ||
-                (kin == bestKin && higherPriority(q, best))) {
-                best = q;
+                (kin == bestKin && higherPriority(queue[i], best))) {
+                best = queue[i];
+                bestAt = i;
                 bestKin = kin;
             }
         }
     }
-    if (best) {
-        ready_[best->spu()].remove(best);
-        noteQueueDrained(best->spu());
-    }
-    return best;
+    return best ? takeReady(best->spu(), bestAt) : nullptr;
 }
 
 Process *

@@ -1,6 +1,7 @@
 #include "src/core/sched_quota.hh"
 
 #include <algorithm>
+#include <functional>
 
 namespace piso {
 
@@ -14,27 +15,64 @@ QuotaScheduler::readyCount(SpuId spu) const
 void
 QuotaScheduler::enqueueReady(Process *p)
 {
-    ready_[p->spu()].push_back(p);
-    nonEmpty_.insert(p->spu());
+    std::vector<Process *> &queue = ready_[p->spu()];
+    if (queue.empty()) {
+        nonEmpty_.insert(
+            std::lower_bound(nonEmpty_.begin(), nonEmpty_.end(), p->spu()),
+            p->spu());
+    }
+    queue.push_back(p);
+    PISO_CHECK(readyIndexHolds(), "ready index out of step after "
+               "enqueueing pid ", p->pid());
+}
+
+Process *
+QuotaScheduler::takeReady(SpuId spu, std::size_t at)
+{
+    std::vector<Process *> &queue = ready_[spu];
+    Process *p = queue[at];
+    queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(at));
+    if (queue.empty()) {
+        nonEmpty_.erase(
+            std::lower_bound(nonEmpty_.begin(), nonEmpty_.end(), spu));
+    }
+    PISO_CHECK(readyIndexHolds(), "ready index out of step after "
+               "taking pid ", p->pid(), " off spu ", spu);
+    return p;
+}
+
+bool
+QuotaScheduler::readyIndexHolds() const
+{
+    if (std::adjacent_find(nonEmpty_.begin(), nonEmpty_.end(),
+                           std::greater_equal<>()) != nonEmpty_.end())
+        return false;
+    std::size_t nonEmpty = 0;
+    for (auto [spu, queue] : ready_) {
+        if (queue.empty())
+            continue;
+        if (!std::binary_search(nonEmpty_.begin(), nonEmpty_.end(), spu))
+            return false;
+        ++nonEmpty;
+    }
+    return nonEmpty == nonEmpty_.size();
 }
 
 Process *
 QuotaScheduler::popBest(SpuId spu)
 {
-    auto *qp = ready_.find(spu);
-    if (!qp || qp->empty())
+    const auto *queue = ready_.find(spu);
+    if (!queue || queue->empty())
         return nullptr;
-    auto &queue = *qp;
-    policyIters_ += queue.size();
-    auto best = queue.begin();
-    for (auto q = std::next(queue.begin()); q != queue.end(); ++q) {
-        if (higherPriority(*q, *best))
-            best = q;
+    policyIters_ += queue->size();
+    // Strictly higher priority replaces the best: on a tie the earliest
+    // entry wins.
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < queue->size(); ++i) {
+        if (higherPriority((*queue)[i], (*queue)[best]))
+            best = i;
     }
-    Process *p = *best;
-    queue.erase(best);
-    noteQueueDrained(spu);
-    return p;
+    return takeReady(spu, best);
 }
 
 Process *
@@ -45,20 +83,20 @@ QuotaScheduler::popBestForeign(SpuId exclude)
     // table scan would: the pick is identical (tests/sched_ref_util.hh
     // keeps that scan as the reference).
     Process *best = nullptr;
+    std::size_t bestAt = 0;
     for (SpuId spu : nonEmpty_) {
         ++policyIters_;
         if (spu == exclude)
             continue;
-        for (Process *q : ready_[spu]) {
-            if (!best || higherPriority(q, best))
-                best = q;
+        const std::vector<Process *> &queue = ready_[spu];
+        for (std::size_t i = 0; i < queue.size(); ++i) {
+            if (!best || higherPriority(queue[i], best)) {
+                best = queue[i];
+                bestAt = i;
+            }
         }
     }
-    if (best) {
-        ready_[best->spu()].remove(best);
-        noteQueueDrained(best->spu());
-    }
-    return best;
+    return best ? takeReady(best->spu(), bestAt) : nullptr;
 }
 
 Process *
@@ -108,6 +146,24 @@ QuotaScheduler::idlePass()
             dispatch(c);
     }
     idleScan_.clear();
+}
+
+void
+QuotaScheduler::ckptReady(CkptIo &io, const ProcessByPid &byPid,
+                          std::size_t spuBound)
+{
+    ready_.table(io, spuBound, [&io, &byPid](std::vector<Process *> &q) {
+        ckptProcesses(io, q, byPid);
+    });
+    if (!io.loading())
+        return;
+    nonEmpty_.clear();
+    // Restore-time rebuild of the active set, not an event callback;
+    // the table iterates in ascending id order.
+    for (auto [spu, queue] : ready_) {
+        if (!queue.empty())
+            nonEmpty_.push_back(spu);
+    }
 }
 
 } // namespace piso

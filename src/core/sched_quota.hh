@@ -17,8 +17,7 @@
  * scheduler's business.
  */
 
-#include <list>
-#include <set>
+#include <vector>
 
 // piso-lint: allow(layering) -- the policy/mechanism seam: the quota
 // policy implements the OS scheduler's SchedClient interface one layer
@@ -52,46 +51,42 @@ class QuotaScheduler : public CpuScheduler
     /** Best ready process across all SPUs except @p exclude. */
     Process *popBestForeign(SpuId exclude);
 
-    /** Drop @p spu from the active set if its queue drained. */
-    void
-    noteQueueDrained(SpuId spu)
-    {
-        const auto *q = ready_.find(spu);
-        if (q == nullptr || q->empty())
-            nonEmpty_.erase(spu);
-    }
+    /** Take the process at position @p at off @p spu's queue,
+     *  keeping the order of the rest, and drop @p spu from nonEmpty_
+     *  if that drained it. Every pick leaves the queues through here.
+     *  @return the process taken. */
+    Process *takeReady(SpuId spu, std::size_t at);
 
     void ckptReady(CkptIo &io, const ProcessByPid &byPid,
-                   std::size_t spuBound) override
-    {
-        ready_.table(io, spuBound,
-                     [&io, &byPid](std::list<Process *> &q) {
-                         ckptProcesses(io, q, byPid);
-                     });
-        if (!io.loading())
-            return;
-        nonEmpty_.clear();
-        // Restore-time rebuild of the active set, not an event callback.
-        for (auto [spu, queue] : ready_) {
-            if (!queue.empty())
-                nonEmpty_.insert(spu);
-        }
-    }
-
-    SpuTable<std::list<Process *>> ready_;
+                   std::size_t spuBound) override;
 
     /**
-     * SPUs whose ready queue is currently non-empty. Cross-SPU scans
-     * (popBestForeign, PIso's popBestKin) walk this set instead of the
-     * whole table, making them O(SPUs with waiting work): on a
-     * 512-SPU machine where a handful are runnable a dispatch stays a
-     * handful of comparisons. std::set iterates in ascending SpuId
-     * order — the same order DenseTable iteration yields — so pick
-     * order (and with it every golden) is unchanged.
+     * Per-SPU ready queues in arrival order. A pick erases in place,
+     * so the order of the rest is kept, and an SPU's entry (and the
+     * vector's capacity) outlives its queue draining: a warm queue
+     * allocates nothing. Imaged as pids, in queue order.
      */
-    std::set<SpuId> nonEmpty_;
+    SpuTable<std::vector<Process *>> ready_;
+
+    /**
+     * SPUs whose ready queue is currently non-empty, ascending and
+     * without duplicates. Cross-SPU scans (popBestForeign, PIso's
+     * popBestKin) and Quo's idle pass walk this instead of the whole
+     * table, making them O(SPUs with waiting work): on a 512-SPU
+     * machine where a handful are runnable a dispatch stays a handful
+     * of comparisons. The order is the one DenseTable iteration
+     * yields, so pick order (and with it every golden) is that of a
+     * full scan. A sorted vector: once warm, marking and draining move
+     * ids in place and allocate nothing.
+     */
+    std::vector<SpuId> nonEmpty_;
 
   private:
+    /** PISO_HARDENED probe after every queue mutation: nonEmpty_ is
+     *  sorted, has no duplicates and names exactly the SPUs whose
+     *  queue is non-empty. */
+    bool readyIndexHolds() const;
+
     /** idlePass's merge buffer, kept to stay allocation-free; empty
      *  between calls. */
     std::vector<CpuId> idleScan_;

@@ -311,9 +311,8 @@ SpuManager::shareTree() const
 void
 SpuManager::ckpt(CkptIo &io)
 {
-    const std::vector<SpuId> all = spus_.ids();
-    io.expect(all.size(), "SPU");
-    for (SpuId id : all) {
+    io.expect(spus_.size(), "SPU");
+    for (SpuId id : spus_.keys()) {
         bool suspended = spus_[id].state == SpuState::Suspended;
         io.u64(id);
         io.boolean(suspended);

@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -150,19 +151,6 @@ class DenseTable
         count_ = 0;
     }
 
-    /** All present ids, ascending. */
-    std::vector<Id>
-    ids() const
-    {
-        std::vector<Id> out;
-        out.reserve(count_);
-        for (std::size_t i = 0; i < slots_.size(); ++i) {
-            if (slots_[i])
-                out.push_back(static_cast<Id>(i));
-        }
-        return out;
-    }
-
     template <bool Const>
     class Iter
     {
@@ -252,6 +240,59 @@ class DenseTable
     {
         return const_iterator(&slots_, slots_.size());
     }
+
+    /**
+     * The present ids, ascending, walked in place: a range-for over
+     * keys() copies nothing. Valid while the table lives.
+     */
+    class Keys
+    {
+      public:
+        class iterator
+        {
+          public:
+            using iterator_category = std::input_iterator_tag;
+            using value_type = Id;
+            using difference_type = std::ptrdiff_t;
+            using pointer = const Id *;
+            using reference = Id;
+
+            explicit iterator(const_iterator it) : it_(it) {}
+
+            Id operator*() const { return (*it_).first; }
+
+            iterator &
+            operator++()
+            {
+                ++it_;
+                return *this;
+            }
+
+            iterator
+            operator++(int)
+            {
+                iterator old = *this;
+                ++it_;
+                return old;
+            }
+
+            bool operator==(const iterator &o) const { return it_ == o.it_; }
+            bool operator!=(const iterator &o) const { return it_ != o.it_; }
+
+          private:
+            const_iterator it_;
+        };
+
+        explicit Keys(const DenseTable &table) : table_(&table) {}
+
+        iterator begin() const { return iterator(table_->begin()); }
+        iterator end() const { return iterator(table_->end()); }
+
+      private:
+        const DenseTable *table_;
+    };
+
+    Keys keys() const { return Keys(*this); }
 
   private:
     std::size_t

@@ -4,14 +4,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <thread>
 
-#include <map>
-
 #include "src/exp/pool.hh"
-#include "src/sim/checkpoint.hh"
 #include "src/metrics/report.hh"
+#include "src/sim/checkpoint.hh"
+#include "src/simulation.hh"
 
 namespace piso::exp {
 
@@ -129,8 +130,9 @@ struct WarmGroup
     std::vector<std::size_t> members;   //!< task indices, ascending
     std::vector<FaultEvent> prefix;     //!< shared fault-plan prefix
     Time divergeAt = kTimeNever;        //!< first member-only fault
-    std::string image;                  //!< template checkpoint; empty
-                                        //!< = group runs cold
+    /** The template checkpoint, verified once for every member;
+     *  null = the group runs cold. */
+    std::unique_ptr<const CkptReader> image;
 };
 
 /**
@@ -224,10 +226,11 @@ faultPrefix(const std::vector<ExperimentTask> &tasks, WarmGroup &group)
  * Run the group's shared prefix to a checkpoint at 3/4 of the
  * divergence time. Any event boundary admits an image, so one run
  * finds one; it must still land strictly before the divergence time.
- * Returns an empty image when the prefix run fails or overshoots —
- * the group then runs cold, which is always correct.
+ * Returns the reader that verified the image, or null when the prefix
+ * run fails or overshoots — the group then runs cold, which is always
+ * correct.
  */
-std::string
+std::unique_ptr<const CkptReader>
 buildTemplateImage(const ExperimentTask &first, const WarmGroup &group,
                    const SweepOptions &opts)
 {
@@ -256,24 +259,29 @@ buildTemplateImage(const ExperimentTask &first, const WarmGroup &group,
         // The prefix run failed, or reached divergeAt without an
         // image; every member then reports its own outcome from its
         // own cold run.
-        return std::string();
+        return nullptr;
     }
+    if (image.empty())
+        return nullptr;
+    // The one container check every member's restore relies on.
+    auto reader = std::make_unique<CkptReader>(std::move(image));
     // The image's first payload field is the boundary time; an image
     // taken at or past the divergence point would hand members a
     // prefix they do not share.
-    if (image.empty() || CkptReader(image).time() >= group.divergeAt)
-        return std::string();
-    return image;
+    if (reader->time() >= group.divergeAt)
+        return nullptr;
+    return reader;
 }
 
 /**
- * Run one task forked from @p image. Any failure — or any structural
+ * Run one task forked from the template @p image, read from its start
+ * without a second container check. Any failure — or any structural
  * surprise — falls back to a plain cold contained run, so a sweep's
  * output bytes never depend on whether warm start was attempted.
  */
 TaskOutcome
 runContainedFrom(const ExperimentTask &task, const SweepOptions &opts,
-                 const std::string &image, SimResults &results)
+                 const CkptReader &image, SimResults &results)
 {
     WorkloadSpec spec = task.spec;
     spec.config.chaos.attempt = 1;
@@ -282,7 +290,10 @@ runContainedFrom(const ExperimentTask &task, const SweepOptions &opts,
     if (opts.watchdogEvents > 0)
         spec.config.watchdogEvents = opts.watchdogEvents;
     try {
-        results = runWorkloadSpecFrom(spec, image);
+        Simulation sim(spec.config);
+        populateWorkloadSpec(sim, spec);
+        sim.restore(image);
+        results = sim.run();
         return TaskOutcome{};
     } catch (const std::exception &) {
         results = SimResults{};
@@ -296,7 +307,7 @@ runContainedFrom(const ExperimentTask &task, const SweepOptions &opts,
  * group's template image. Returns, per task, the image to fork from
  * (nullptr = run cold).
  */
-std::vector<const std::string *>
+std::vector<const CkptReader *>
 planWarmStart(const std::vector<ExperimentTask> &tasks,
               const SweepOptions &opts,
               std::vector<WarmGroup> &groups)
@@ -323,12 +334,12 @@ planWarmStart(const std::vector<ExperimentTask> &tasks,
             tasks[groups[g].members.front()], groups[g], opts);
     });
 
-    std::vector<const std::string *> imageOf(tasks.size(), nullptr);
+    std::vector<const CkptReader *> imageOf(tasks.size(), nullptr);
     for (const WarmGroup &group : groups) {
-        if (group.image.empty())
+        if (!group.image)
             continue;
         for (std::size_t i : group.members)
-            imageOf[i] = &group.image;
+            imageOf[i] = group.image.get();
     }
     return imageOf;
 }
@@ -385,7 +396,7 @@ runTasks(std::vector<ExperimentTask> tasks, const SweepOptions &opts)
     // Warm-start planning runs inside the timed region: the template
     // runs are real work the sweep would otherwise repeat per member.
     std::vector<WarmGroup> groups;
-    std::vector<const std::string *> imageOf(tasks.size(), nullptr);
+    std::vector<const CkptReader *> imageOf(tasks.size(), nullptr);
     if (opts.warmStart && tasks.size() > 1)
         imageOf = planWarmStart(tasks, opts, groups);
 

@@ -621,7 +621,9 @@ Kernel::reclaimAny(SpuId requester)
             return r;
     }
     // Fall back to the largest non-kernel users.
-    std::vector<SpuId> order = vm_.spus();
+    std::vector<SpuId> &order = reclaimOrder_;
+    const ResourceLedger::SpuIds ids = vm_.spus();
+    order.assign(ids.begin(), ids.end());
     std::sort(order.begin(), order.end(), [this](SpuId a, SpuId b) {
         return vm_.levels(a).used > vm_.levels(b).used;
     });
@@ -1726,8 +1728,8 @@ Kernel::ckpt(CkptIo &io, std::size_t spuBound)
     // pid order, which is exactly the order createProcess built and
     // doExit's std::remove preserved in the original run.
     live_ = 0;
-    for (SpuId s : spuProcs_.ids())
-        spuProcs_[s].clear();
+    for (auto [spu, procs] : spuProcs_)
+        procs.clear();
     for (const auto &p : processes_) {
         if (p->state() == ProcState::Exited)
             continue;

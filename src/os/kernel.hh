@@ -623,6 +623,9 @@ class Kernel : public SchedClient,
     };
     std::vector<std::vector<FlushItem>> flushItems_;
     SpuTable<std::uint32_t> flushCharges_;
+    /** reclaimAny's fallback order: the registered SPUs, largest
+     *  user first. */
+    std::vector<SpuId> reclaimOrder_;
     /// @}
 
     KernelStats stats_;

@@ -8,13 +8,15 @@ SmpScheduler::selectNext(Cpu &)
     if (ready_.empty())
         return nullptr;
     policyIters_ += ready_.size();
-    auto best = ready_.begin();
-    for (auto it = std::next(ready_.begin()); it != ready_.end(); ++it) {
-        if (higherPriority(*it, *best))
-            best = it;
+    // Strictly higher priority replaces the best: on a tie the earliest
+    // entry wins.
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < ready_.size(); ++i) {
+        if (higherPriority(ready_[i], ready_[best]))
+            best = i;
     }
-    Process *p = *best;
-    ready_.erase(best);
+    Process *p = ready_[best];
+    ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(best));
     return p;
 }
 

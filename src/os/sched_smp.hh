@@ -9,7 +9,7 @@
  * sharing with no isolation.
  */
 
-#include <list>
+#include <vector>
 
 #include "src/os/scheduler.hh"
 
@@ -37,7 +37,10 @@ class SmpScheduler : public CpuScheduler
     }
 
   private:
-    std::list<Process *> ready_;
+    /** The global queue in arrival order; a pick erases in place, so
+     *  the order of the rest is kept, and the vector keeps its
+     *  capacity: a warm queue allocates nothing. */
+    std::vector<Process *> ready_;
 };
 
 } // namespace piso

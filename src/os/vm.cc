@@ -156,7 +156,7 @@ VirtualMemory::victimSpu(SpuId requester) const
 SpuId
 VirtualMemory::weightedVictim(Rng &rng) const
 {
-    const std::vector<SpuId> all = ledger_.spus();
+    const ResourceLedger::SpuIds all = ledger_.spus();
     std::uint64_t total = 0;
     for (SpuId spu : all) {
         if (spu != kKernelSpu)
@@ -200,12 +200,6 @@ std::uint64_t
 VirtualMemory::pressure(SpuId spu) const
 {
     return perSpu(spu).pressure;
-}
-
-std::vector<SpuId>
-VirtualMemory::spus() const
-{
-    return ledger_.spus();
 }
 
 } // namespace piso

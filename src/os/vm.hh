@@ -161,8 +161,8 @@ class VirtualMemory
     }
     /// @}
 
-    /** All registered SPU ids, ascending. */
-    std::vector<SpuId> spus() const;
+    /** All registered SPU ids, ascending, walked in place. */
+    ResourceLedger::SpuIds spus() const { return ledger_.spus(); }
 
     /** @name Checkpoint */
     /// @{

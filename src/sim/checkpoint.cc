@@ -160,6 +160,12 @@ CkptReader::fromStream(std::istream &in)
     return CkptReader(std::move(os).str());
 }
 
+CkptReader
+CkptReader::rewound() const
+{
+    return CkptReader(payload_, configDigest_);
+}
+
 void
 CkptReader::requireDigest(std::uint64_t expected) const
 {

@@ -108,6 +108,15 @@ class CkptReader
     /** Slurp @p in to the end and parse it as an image. */
     static CkptReader fromStream(std::istream &in);
 
+    /**
+     * A second reader over this reader's image, at payload offset 0.
+     * This reader checked the container when it was built, so the new
+     * one reads the same bytes without checking or hashing them again:
+     * a warm sweep's members each restore from their template's one
+     * verified image. This reader must outlive the new one.
+     */
+    CkptReader rewound() const;
+
     /** Config digest recorded in the header. */
     std::uint64_t configDigest() const { return configDigest_; }
 
@@ -130,6 +139,13 @@ class CkptReader
     void expectEnd() const;
 
   private:
+    /** rewound()'s constructor: @p payload was validated by the
+     *  reader that owns it. */
+    CkptReader(std::string_view payload, std::uint64_t configDigest)
+        : payload_(payload), configDigest_(configDigest)
+    {
+    }
+
     void need(std::size_t n) const;
     /** Validate @p image's container and point payload_ into it. */
     void parse(std::string_view image);

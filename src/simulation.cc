@@ -1273,6 +1273,13 @@ Simulation::restore(std::string_view image)
 }
 
 void
+Simulation::restore(const CkptReader &image)
+{
+    CkptReader r = image.rewound();
+    impl_->restore(r);
+}
+
+void
 Simulation::Impl::restore(CkptReader &r)
 {
     if (ran || setupDone)

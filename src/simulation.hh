@@ -284,6 +284,11 @@ class Simulation
     void restore(std::istream &in);
     /** restore() from an in-memory image, read in place. */
     void restore(std::string_view image);
+    /** restore() from the image @p image reads, from its start. The
+     *  reader validated the container when it was built and it is not
+     *  checked again, so many restores of one image (a warm sweep's
+     *  members) share one validation. */
+    void restore(const CkptReader &image);
 
     /**
      * The digest a checkpoint image of this simulation would carry:

@@ -16,10 +16,15 @@
  * cross-SPU picks (Quo's popBestForeign, PIso's popBestKin) walk only
  * the SPUs with waiting work; their full ready-table scans are kept
  * here as popForeignRef. The path-building kinship PIso's loans used
- * before it walked the tree in place is kept here too.
+ * before it walked the tree in place is kept here too, and so are the
+ * node-based ready structures the queues were before they became
+ * vectors (ListReadyRef).
  */
 
 #include <algorithm>
+#include <cstdint>
+#include <list>
+#include <set>
 #include <type_traits>
 #include <vector>
 
@@ -91,6 +96,7 @@ class FullScanRef : public Policy
     popForeignRef(SpuId owner)
     {
         Process *best = nullptr;
+        std::size_t bestAt = 0;
         std::size_t bestKin = 0;
         for (auto [spu, queue] : this->ready_) {
             if (spu == owner)
@@ -99,19 +105,17 @@ class FullScanRef : public Policy
                 PisoScheduler::kinship(parents_, owner, spu);
             if (best && kin < bestKin)
                 continue;
-            for (Process *q : queue) {
+            for (std::size_t i = 0; i < queue.size(); ++i) {
                 if (!best || kin > bestKin ||
-                    (kin == bestKin && this->higherPriority(q, best))) {
-                    best = q;
+                    (kin == bestKin &&
+                     this->higherPriority(queue[i], best))) {
+                    best = queue[i];
+                    bestAt = i;
                     bestKin = kin;
                 }
             }
         }
-        if (best) {
-            this->ready_[best->spu()].remove(best);
-            this->noteQueueDrained(best->spu());
-        }
-        return best;
+        return best ? this->takeReady(best->spu(), bestAt) : nullptr;
     }
     /// @}
 
@@ -176,6 +180,167 @@ pathKinship(const SpuTable<SpuId> &parents, SpuId a, SpuId b)
         ++n;
     return n;
 }
+
+/** CpuScheduler's priority order, for code outside a scheduler. */
+struct PriorityOrder : CpuScheduler
+{
+    using CpuScheduler::higherPriority;
+};
+
+/**
+ * The ready structures as they were before the queues became vectors,
+ * with each pick written over them as it was and its policy-loop
+ * iterations counted alike: one global std::list (SMP), or a std::list
+ * per SPU plus a std::set of the SPUs with waiting work (Quo, PIso).
+ * A twin fed the same processes as a policy must pick the same ones,
+ * count the same iterations and image the same bytes
+ * (test_sched_index.cc).
+ */
+class ListReadyRef
+{
+  public:
+    /** @p global: SMP's one queue, else per-SPU queues. */
+    explicit ListReadyRef(bool global) : global_(global) {}
+
+    /** Make @p p ready, at the back of its queue. */
+    void
+    enqueue(Process *p)
+    {
+        if (global_) {
+            all_.push_back(p);
+            return;
+        }
+        ready_[p->spu()].push_back(p);
+        nonEmpty_.insert(p->spu());
+    }
+
+    /** Take the queued @p p off its queue without a pick. */
+    void
+    take(Process *p)
+    {
+        if (global_) {
+            all_.remove(p);
+            return;
+        }
+        ready_[p->spu()].remove(p);
+        noteQueueDrained(p->spu());
+    }
+
+    /** SmpScheduler::selectNext. */
+    Process *
+    popGlobal()
+    {
+        if (all_.empty())
+            return nullptr;
+        iters_ += all_.size();
+        auto best = all_.begin();
+        for (auto it = std::next(all_.begin()); it != all_.end(); ++it) {
+            if (PriorityOrder::higherPriority(*it, *best))
+                best = it;
+        }
+        Process *p = *best;
+        all_.erase(best);
+        return p;
+    }
+
+    /** QuotaScheduler::popBest. */
+    Process *
+    popBest(SpuId spu)
+    {
+        auto *qp = ready_.find(spu);
+        if (!qp || qp->empty())
+            return nullptr;
+        auto &queue = *qp;
+        iters_ += queue.size();
+        auto best = queue.begin();
+        for (auto q = std::next(queue.begin()); q != queue.end(); ++q) {
+            if (PriorityOrder::higherPriority(*q, *best))
+                best = q;
+        }
+        Process *p = *best;
+        queue.erase(best);
+        noteQueueDrained(spu);
+        return p;
+    }
+
+    /** PisoScheduler::popBestKin over @p parents; with no links,
+     *  QuotaScheduler::popBestForeign. */
+    Process *
+    popBestKin(SpuId owner, const SpuTable<SpuId> &parents)
+    {
+        Process *best = nullptr;
+        std::size_t bestKin = 0;
+        for (SpuId spu : nonEmpty_) {
+            ++iters_;
+            if (spu == owner)
+                continue;
+            const std::size_t kin =
+                parents.empty() ? 0
+                                : PisoScheduler::kinship(parents, owner, spu);
+            if (best && kin < bestKin)
+                continue;
+            for (Process *q : ready_[spu]) {
+                if (!best || kin > bestKin ||
+                    (kin == bestKin &&
+                     PriorityOrder::higherPriority(q, best))) {
+                    best = q;
+                    bestKin = kin;
+                }
+            }
+        }
+        if (best)
+            take(best);
+        return best;
+    }
+
+    /** Image the queues as the policy's ckptReady does. */
+    void
+    ckpt(CkptIo &io, const ProcessByPid &byPid, std::size_t spuBound)
+    {
+        if (global_) {
+            ckptProcesses(io, all_, byPid);
+            return;
+        }
+        ready_.table(io, spuBound, [&io, &byPid](std::list<Process *> &q) {
+            ckptProcesses(io, q, byPid);
+        });
+        if (!io.loading())
+            return;
+        nonEmpty_.clear();
+        for (auto [spu, queue] : ready_) {
+            if (!queue.empty())
+                nonEmpty_.insert(spu);
+        }
+    }
+
+    /** Ready processes of @p spu (per-SPU queues). */
+    std::size_t
+    readyCount(SpuId spu) const
+    {
+        const auto *queue = ready_.find(spu);
+        return queue ? queue->size() : 0;
+    }
+
+    /** Ready processes in the global queue. */
+    std::size_t globalCount() const { return all_.size(); }
+
+    std::uint64_t policyIters() const { return iters_; }
+
+  private:
+    void
+    noteQueueDrained(SpuId spu)
+    {
+        const auto *q = ready_.find(spu);
+        if (q == nullptr || q->empty())
+            nonEmpty_.erase(spu);
+    }
+
+    bool global_;
+    std::list<Process *> all_;
+    SpuTable<std::list<Process *>> ready_;
+    std::set<SpuId> nonEmpty_;
+    std::uint64_t iters_ = 0;
+};
 
 /** cpusOf/unownedCpus recomputed from the CPUs' ownership fields. */
 struct CpuIndexRef

@@ -2,7 +2,8 @@
  * @file
  * Work-counter gates for the Table 3 and Figure 2 PIso points: the
  * number of operator new calls made inside Simulation::run(), the
- * events it executes and its policy-loop iterations. The events and
+ * events it executes and its policy-loop iterations. Figure 2 under
+ * SMP has an allocation gate too, for its one global ready queue. The events and
  * policy iterations of ext_scale's 256-CPU x 512-SPU point, under Quo
  * and PIso, are pinned too: there a policy loop that walks every SPU
  * or every process instead of the active ones moves the count by
@@ -148,13 +149,19 @@ table3PisoRun()
     return countRun(sim);
 }
 
-/** The Figure 2 machine under PIso: Pmake8, unbalanced. */
+/** The Figure 2 machine under @p scheme: Pmake8, unbalanced. */
+RunCounts
+fig2Run(Scheme scheme)
+{
+    Simulation sim(bench::pmake8Config(scheme, 1));
+    bench::populatePmake8(sim, /*unbalanced=*/true);
+    return countRun(sim);
+}
+
 RunCounts
 fig2PisoRun()
 {
-    Simulation sim(bench::pmake8Config(Scheme::PIso, 1));
-    bench::populatePmake8(sim, /*unbalanced=*/true);
-    return countRun(sim);
+    return fig2Run(Scheme::PIso);
 }
 
 /** The fault_sweep benchmark's plan at seed 1 (bench/ext_warm_start's
@@ -185,10 +192,12 @@ TEST(AllocCeiling, Table3PisoRun)
 #ifdef PISO_SANITIZED
     GTEST_SKIP() << "sanitizer builds replace the allocator";
 #endif
-    // 3,361 when set (28,125 before the I/O path lost its closures).
+    // 1,057 when set; 2,842 while the CPU ready queues were node
+    // containers and the memory policy copied the SPU ids per pass
+    // (28,125 before the I/O path lost its closures).
     const std::uint64_t n = table3PisoRun().allocs;
     RecordProperty("allocs", static_cast<int>(n));
-    EXPECT_LE(n, 4200u) << "operator new calls in run()";
+    EXPECT_LE(n, 1320u) << "operator new calls in run()";
 }
 
 TEST(AllocCeiling, Fig2PisoRun)
@@ -196,10 +205,23 @@ TEST(AllocCeiling, Fig2PisoRun)
 #ifdef PISO_SANITIZED
     GTEST_SKIP() << "sanitizer builds replace the allocator";
 #endif
-    // 3,754 when set (10,598 before).
+    // 1,173 when set; 3,396 with node-based ready queues (10,598
+    // before the I/O path lost its closures).
     const std::uint64_t n = fig2PisoRun().allocs;
     RecordProperty("allocs", static_cast<int>(n));
-    EXPECT_LE(n, 4700u) << "operator new calls in run()";
+    EXPECT_LE(n, 1470u) << "operator new calls in run()";
+}
+
+TEST(AllocCeiling, Fig2SmpRun)
+{
+#ifdef PISO_SANITIZED
+    GTEST_SKIP() << "sanitizer builds replace the allocator";
+#endif
+    // SMP's one global ready queue: 905 when set, 2,685 while it was
+    // a std::list.
+    const std::uint64_t n = fig2Run(Scheme::Smp).allocs;
+    RecordProperty("allocs", static_cast<int>(n));
+    EXPECT_LE(n, 1130u) << "operator new calls in run()";
 }
 
 TEST(WorkCounters, Table3PisoRun)
@@ -297,10 +319,10 @@ TEST(AllocCeiling, FaultSweepWarmPlan)
     const std::uint64_t n = gAllocs;
     EXPECT_EQ(outcome.failures(), 0u);
     RecordProperty("allocs", static_cast<int>(n));
-    // 4,809 when set; 5,361 while every task built and populated a
-    // Simulation only to read its config digest, and 5,240 with that
-    // key put back today. The ceiling sits between the two rather than
-    // 25% above: a margin that wide would let the whole regression
-    // through.
-    EXPECT_LE(n, 5000u) << "operator new calls in runPlan()";
+    // 1,846 when set (4,645 with node-based ready queues). Set 4%
+    // above the count rather than 25%: building and populating a
+    // Simulation per task only to read its config digest cost 431
+    // calls more when it was measured, and a 25% margin would let
+    // that regression through.
+    EXPECT_LE(n, 1920u) << "operator new calls in runPlan()";
 }

@@ -307,5 +307,6 @@ TEST(LedgerProperties, ForgetRemovesFromTotals)
     EXPECT_FALSE(l.knows(1));
     EXPECT_EQ(l.usedTotal(), 5u);
     EXPECT_EQ(l.entitledTotal(), 3u);
-    EXPECT_EQ(l.spus(), std::vector<SpuId>{0});
+    EXPECT_EQ(std::vector<SpuId>(l.spus().begin(), l.spus().end()),
+              std::vector<SpuId>{0});
 }

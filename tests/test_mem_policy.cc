@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -405,7 +406,10 @@ struct MemMachine
 ::testing::AssertionResult
 sameLevels(MemMachine &lazy, MemMachine &ref, bool passed = true)
 {
-    if (lazy.vm.spus() != ref.vm.spus())
+    const auto lazySpus = lazy.vm.spus();
+    const auto refSpus = ref.vm.spus();
+    if (!std::equal(lazySpus.begin(), lazySpus.end(), refSpus.begin(),
+                    refSpus.end()))
         return ::testing::AssertionFailure() << "registered SPUs differ";
     for (SpuId spu : ref.vm.spus()) {
         const MemLevels &x = lazy.vm.levels(spu);

@@ -24,6 +24,7 @@
 #include "src/core/sched_piso.hh"
 #include "src/core/sched_quota.hh"
 #include "src/os/sched_smp.hh"
+#include "src/sim/checkpoint.hh"
 #include "src/sim/random.hh"
 #include "tests/sched_ref_util.hh"
 #include "tests/sched_test_util.hh"
@@ -522,6 +523,259 @@ TEST(SchedIndexPick, PisoKinPickMatchesFullScan)
         }
     }
     EXPECT_GT(picks, 2000);
+}
+
+namespace {
+
+/** @p Policy with its ready-queue primitives in reach. */
+template <class Policy>
+class QueueProbe : public Policy
+{
+  public:
+    using Policy::Policy;
+
+    static constexpr bool kPerSpu = std::is_base_of_v<QuotaScheduler, Policy>;
+
+    void enqueue(Process *p) { this->enqueueReady(p); }
+
+    /** SMP's pick, else popBest(@p spu). */
+    Process *
+    pick(SpuId spu)
+    {
+        if constexpr (kPerSpu)
+            return this->popBest(spu);
+        else
+            return this->selectNext(this->cpus_[0]);
+    }
+
+    Process *
+    popForeign(SpuId exclude)
+    {
+        return this->popBestForeign(exclude);
+    }
+
+    Process *
+    popKin(SpuId owner)
+    {
+        return this->popBestKin(owner);
+    }
+
+    /** Take the queued @p p off its SPU's queue, as a pick would. */
+    void
+    take(Process *p)
+    {
+        const std::vector<Process *> &queue = this->ready_[p->spu()];
+        const auto at = std::find(queue.begin(), queue.end(), p);
+        this->takeReady(p->spu(),
+                        static_cast<std::size_t>(at - queue.begin()));
+    }
+
+    /** The ready queues' image, without PIso's revocation count. */
+    void
+    ckptQueues(CkptIo &io, const ProcessByPid &byPid, std::size_t spuBound)
+    {
+        if constexpr (kPerSpu)
+            this->QuotaScheduler::ckptReady(io, byPid, spuBound);
+        else
+            this->ckptReady(io, byPid, spuBound);
+    }
+};
+
+/**
+ * Drive @p Policy's ready queues and the node-based ListReadyRef twin
+ * (tests/sched_ref_util.hh) through @p steps seeded steps over the
+ * same processes: ready (new processes and returning ones), block
+ * (a queued process taken off), tick (recent CPU usage decays or
+ * grows, which reorders priorities), popBest, popBestForeign and
+ * popBestKin for random SPUs, and a checkpoint save and cross-load
+ * between steps. Every pick, the policy-loop iteration count and the
+ * queue lengths must agree after every step, and both sides must
+ * image the same bytes. Priorities come from a few values so ties
+ * exercise the earliest-entry-wins rule. @return picks made.
+ */
+template <class Policy>
+int
+runQueueTwins(int spus, bool tree, std::uint64_t seed, int steps)
+{
+    using Probe = QueueProbe<Policy>;
+    constexpr bool kPiso = std::is_base_of_v<PisoScheduler, Policy>;
+    EventQueue events;
+    Probe real(events, 4);
+    testutil::ListReadyRef ref(!Probe::kPerSpu);
+    Rng rng(seed);
+    SpuTable<SpuId> parents;
+    if (tree) {
+        parents = randomTree(rng, spus);
+        real.setSpuParents(parents);
+    }
+    const std::string name = std::to_string(spus) +
+                             (tree ? " tree" : "") + " seed " +
+                             std::to_string(seed);
+
+    std::vector<std::unique_ptr<Process>> procs;
+    std::vector<bool> queued;
+    const ProcessByPid byPid = [&procs](Pid pid) {
+        return procs.at(static_cast<std::size_t>(pid - 1)).get();
+    };
+    Time clock = 0;
+    const auto ready = [&](Process *p) {
+        p->readySince = clock;
+        queued[static_cast<std::size_t>(p->pid() - 1)] = true;
+        real.enqueue(p);
+        ref.enqueue(p);
+    };
+    const auto picked = [&](Process *p) {
+        if (p)
+            queued[static_cast<std::size_t>(p->pid() - 1)] = false;
+    };
+    const auto anyQueued = [&]() -> Process * {
+        std::vector<Process *> v;
+        for (std::size_t i = 0; i < procs.size(); ++i) {
+            if (queued[i])
+                v.push_back(procs[i].get());
+        }
+        return v.empty() ? nullptr : v[rng.uniformInt(v.size())];
+    };
+    // Owners and excluded SPUs include ids no process runs in.
+    const auto anySpu = [&] { return randomSpu(rng, spus + 2); };
+    const auto spuBound = static_cast<std::size_t>(kFirstSpu + spus + 2);
+
+    int picks = 0;
+    for (int step = 0; step < steps; ++step) {
+        const std::string where = name + " step " + std::to_string(step);
+        const std::size_t roll = rng.uniformInt(100);
+        Process *got = nullptr;
+        Process *want = nullptr;
+        if (roll < 30) {
+            Process *p = nullptr;
+            for (std::size_t i = 0; i < procs.size() && !p; ++i) {
+                if (!queued[i] && rng.chance(0.2))
+                    p = procs[i].get();
+            }
+            if (!p) {
+                const Pid pid = static_cast<Pid>(procs.size() + 1);
+                // Work clustered on a few SPUs, the rest spread thin.
+                const SpuId spu = rng.chance(0.6)
+                                      ? randomSpu(rng, std::min(spus, 6))
+                                      : randomSpu(rng, spus);
+                procs.push_back(std::make_unique<Process>(
+                    pid, spu, kNoJob, "p",
+                    std::make_unique<ScriptBehavior>(
+                        std::vector<Action>{}),
+                    Rng(static_cast<std::uint64_t>(pid))));
+                queued.push_back(false);
+                p = procs.back().get();
+                p->setRecentCpu(0.25 *
+                                static_cast<double>(rng.uniformInt(4)));
+            }
+            ready(p);
+        } else if (roll < 40) {
+            // SMP's one queue has no per-SPU take.
+            if constexpr (Probe::kPerSpu) {
+                if (Process *p = anyQueued()) {
+                    real.take(p);
+                    ref.take(p);
+                    picked(p);
+                }
+            }
+        } else if (roll < 50) {
+            // A tick: a second's decay for some, a slice of CPU for
+            // others, in steps that keep ties common.
+            clock += 10 * kMs;
+            for (const auto &p : procs) {
+                if (rng.chance(0.2))
+                    p->setRecentCpu(p->recentCpu() * 0.5);
+                else if (rng.chance(0.1))
+                    p->setRecentCpu(p->recentCpu() + 0.25);
+            }
+        } else if (roll < 70) {
+            const SpuId spu = anySpu();
+            got = real.pick(spu);
+            want = Probe::kPerSpu ? ref.popBest(spu) : ref.popGlobal();
+        } else if (Probe::kPerSpu && (roll < 85 || !kPiso)) {
+            const SpuId exclude = anySpu();
+            if constexpr (Probe::kPerSpu) {
+                got = real.popForeign(exclude);
+                want = ref.popBestKin(exclude, SpuTable<SpuId>{});
+            }
+        } else if (kPiso) {
+            const SpuId owner = anySpu();
+            if constexpr (kPiso) {
+                got = real.popKin(owner);
+                want = ref.popBestKin(owner, parents);
+            }
+        }
+        EXPECT_EQ(got ? got->pid() : kNoPid, want ? want->pid() : kNoPid)
+            << where << " roll " << roll;
+        picked(got);
+        picks += got != nullptr;
+        EXPECT_EQ(real.policyIters(), ref.policyIters()) << where;
+        if constexpr (Probe::kPerSpu) {
+            for (SpuId spu = 0; spu < static_cast<SpuId>(spuBound); ++spu)
+                EXPECT_EQ(real.readyCount(spu), ref.readyCount(spu))
+                    << where << " spu " << spu;
+        } else {
+            EXPECT_EQ(real.readyCount(), ref.globalCount()) << where;
+        }
+        if (::testing::Test::HasFailure())
+            return picks;
+
+        if (rng.chance(0.25)) {
+            // Save both, compare the bytes, and load each side from
+            // the other's image.
+            CkptWriter wr;
+            CkptIo saveReal(wr);
+            real.ckptQueues(saveReal, byPid, spuBound);
+            CkptWriter wf;
+            CkptIo saveRef(wf);
+            ref.ckpt(saveRef, byPid, spuBound);
+            EXPECT_EQ(wr.payload(), wf.payload()) << where << " image";
+            const std::string realImage = wr.image(0);
+            const std::string refImage = wf.image(0);
+            CkptReader rr(refImage);
+            CkptIo loadReal(rr);
+            real.ckptQueues(loadReal, byPid, spuBound);
+            rr.expectEnd();
+            CkptReader rf(realImage);
+            CkptIo loadRef(rf);
+            ref.ckpt(loadRef, byPid, spuBound);
+            rf.expectEnd();
+        }
+    }
+    return picks;
+}
+
+} // namespace
+
+TEST(SchedQueueTwin, SmpMatchesListQueue)
+{
+    int picks = 0;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed)
+        picks += runQueueTwins<SmpScheduler>(8, false, seed, 800);
+    EXPECT_GT(picks, 600);
+}
+
+TEST(SchedQueueTwin, QuotaMatchesListQueues)
+{
+    int picks = 0;
+    for (const int spus : {8, 64, 512}) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed)
+            picks += runQueueTwins<QuotaScheduler>(spus, false, seed, 800);
+    }
+    EXPECT_GT(picks, 2000);
+}
+
+TEST(SchedQueueTwin, PisoMatchesListQueues)
+{
+    int picks = 0;
+    for (const bool tree : {false, true}) {
+        for (const int spus : {8, 64, 512}) {
+            for (std::uint64_t seed = 1; seed <= 4; ++seed)
+                picks +=
+                    runQueueTwins<PisoScheduler>(spus, tree, seed, 800);
+        }
+    }
+    EXPECT_GT(picks, 4000);
 }
 
 TEST(SchedIndexKinship, MatchesPathPrefixReference)

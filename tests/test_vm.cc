@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/machine/memory.hh"
 #include "src/os/vm.hh"
 
@@ -150,7 +152,7 @@ TEST_F(VmFixture, PressureCountsAndClears)
 
 TEST_F(VmFixture, SpusListsRegistered)
 {
-    const auto spus = vm.spus();
+    const std::vector<SpuId> spus(vm.spus().begin(), vm.spus().end());
     EXPECT_EQ(spus.size(), 4u);
     EXPECT_EQ(spus[0], kKernelSpu);
 }
