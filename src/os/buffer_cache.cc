@@ -46,16 +46,32 @@ BufferCache::hashKey(FileId file, std::uint64_t run)
 }
 
 std::size_t
-BufferCache::probe(FileId file, std::uint64_t run)
+BufferCache::probe(FileId file, std::uint64_t run,
+                   std::uint64_t &visits) const
 {
     std::size_t pos = hashKey(file, run) & indexMask_;
     for (;;) {
-        ++probeVisits_;
+        ++visits;
         const IndexEntry &e = index_[pos];
         if (e.file == kNoFile || (e.file == file && e.run == run))
             return pos;
         pos = (pos + 1) & indexMask_;
     }
+}
+
+bool
+BufferCache::lookasideHolds(FileId file, std::uint64_t run) const
+{
+    if (lookaside_.run != run || lookaside_.file != file ||
+        lookaside_.rec == kNullSlot)
+        return false;
+    [[maybe_unused]] std::uint64_t uncounted = 0;
+    PISO_CHECK(!index_.empty() &&
+                   index_[probe(file, run, uncounted)].rec == lookaside_.rec,
+               "cache lookaside names record ", lookaside_.rec,
+               " for file ", file, " run ", run,
+               ", which the index does not hold");
+    return true;
 }
 
 void
@@ -101,13 +117,16 @@ BufferCache::Run &
 BufferCache::runFor(const BlockKey &key)
 {
     const std::uint64_t run = key.block >> kRunShift;
-    std::size_t pos = index_.empty() ? 0 : probe(key.file, run);
+    if (lookasideHolds(key.file, run))
+        return runs_[lookaside_.rec];
+    std::size_t pos =
+        index_.empty() ? 0 : probe(key.file, run, probeVisits_);
     if (index_.empty() || index_[pos].file == kNoFile) {
         // Keep the load factor at or below 1/2: most probes are
         // misses, and a miss walks the whole chain.
         if ((liveRuns() + 1) * 2 > index_.size()) {
             growIndex();
-            pos = probe(key.file, run);
+            pos = probe(key.file, run, probeVisits_);
         }
         std::uint32_t rec;
         if (!freeRuns_.empty()) {
@@ -121,7 +140,8 @@ BufferCache::runFor(const BlockKey &key)
         }
         index_[pos] = IndexEntry{run, key.file, rec};
     }
-    return runs_[index_[pos].rec];
+    lookaside_ = index_[pos];
+    return runs_[lookaside_.rec];
 }
 
 std::uint32_t
@@ -183,13 +203,17 @@ BufferCache::ownerOf(SpuId spu)
 CacheBlock *
 BufferCache::find(const BlockKey &key)
 {
-    if (index_.empty())
-        return nullptr;
-    const IndexEntry &e = index_[probe(key.file, key.block >> kRunShift)];
-    if (e.file == kNoFile)
-        return nullptr;
+    const std::uint64_t run = key.block >> kRunShift;
+    if (!lookasideHolds(key.file, run)) {
+        if (index_.empty())
+            return nullptr;
+        const IndexEntry &e = index_[probe(key.file, run, probeVisits_)];
+        if (e.file == kNoFile)
+            return nullptr;
+        lookaside_ = e;
+    }
     const std::uint32_t slot =
-        runs_[e.rec].slots[key.block & (kRunBlocks - 1)];
+        runs_[lookaside_.rec].slots[key.block & (kRunBlocks - 1)];
     return slot == kNullSlot ? nullptr : &slab_[slot];
 }
 
@@ -263,7 +287,8 @@ void
 BufferCache::remove(const BlockKey &key)
 {
     PISO_INVARIANT(!index_.empty(), "removing uncached block");
-    const std::size_t pos = probe(key.file, key.block >> kRunShift);
+    const std::size_t pos =
+        probe(key.file, key.block >> kRunShift, probeVisits_);
     PISO_INVARIANT(index_[pos].file != kNoFile, "removing uncached block");
     Run &run = runs_[index_[pos].rec];
     std::uint32_t &entry = run.slots[key.block & (kRunBlocks - 1)];
@@ -287,6 +312,8 @@ BufferCache::remove(const BlockKey &key)
     if (--run.live == 0) {
         PISO_CHECK(cachedBlocks(run) == 0, "emptied cache run of file ",
                    key.file, " still names ", cachedBlocks(run), " blocks");
+        if (lookaside_.rec == index_[pos].rec)
+            lookaside_ = IndexEntry{};
         freeRuns_.push_back(index_[pos].rec);
         eraseIndexAt(pos);
     }
@@ -371,24 +398,16 @@ BufferCache::pagesOf(SpuId spu) const
     return o ? o->pages : 0;
 }
 
-void
-BufferCache::collectDirty()
+CacheBlock *
+BufferCache::firstDirtyOf(SpuId owner)
 {
-    // Sort so callers see ascending key order — flush clustering and
-    // first-dirty-victim selection depend on it.
-    dirtyScratch_.clear();
-    for (std::uint32_t idx = dirtyList_.head; idx != kNullSlot;
-         idx = slab_[idx].dirtyNext) {
-        const CacheBlock &blk = slab_[idx];
-        if (blk.valid && !blk.flushing)
-            dirtyScratch_.push_back(
-                DirtyEntry{blk.key.block, blk.key.file, idx});
-    }
-    std::sort(dirtyScratch_.begin(), dirtyScratch_.end(),
-              [](const DirtyEntry &a, const DirtyEntry &b) {
-                  return a.file != b.file ? a.file < b.file
-                                          : a.block < b.block;
-              });
+    CacheBlock *first = nullptr;
+    forEachFlushable([&](CacheBlock &blk) {
+        if (blk.owner == owner && !hasWaiters(blk) &&
+            (!first || blk.key < first->key))
+            first = &blk;
+    });
+    return first;
 }
 
 void
@@ -398,6 +417,7 @@ BufferCache::rebuildIndex(const std::vector<char> &state)
     freeRuns_.clear();
     index_.clear();
     indexMask_ = 0;
+    lookaside_ = IndexEntry{};
     for (std::size_t i = 0; i < slab_.size(); ++i) {
         if (state[i] != kLive)
             continue;

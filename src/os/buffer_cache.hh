@@ -21,13 +21,20 @@
  * read. A run lives while it holds a cached block; its record and
  * index entry are freed with its last block. Files read or written
  * front to back fill whole runs, so the index holds about one entry
- * per 16 blocks of them. Each block sits on up to three intrusive
- * doubly-linked lists of slab indices:
+ * per 16 blocks of them, and most lookups name the run the previous
+ * one reached: a one-entry lookaside remembers that run's record, and
+ * find() and insert() consult it before they probe. It is forgotten
+ * when its run is freed and when a checkpoint load rebuilds the runs.
+ * Each block sits on up to three intrusive doubly-linked lists of slab
+ * indices:
  *
  *  - the global LRU list (front = most recently used);
  *  - its owner SPU's LRU list, holding *all* of that owner's blocks,
  *    so a victim-filtered steal walks only the victim's blocks;
- *  - the dirty list (unordered), so a flush visits only dirty blocks.
+ *  - the dirty list, so a flush visits only dirty blocks. It has no
+ *    order: the Kernel sorts each flush's blocks once, per disk by
+ *    (sector, file, block), and finds a victim's dirty block by a
+ *    min-key scan (firstDirtyOf).
  *
  * Invariant: each owner's list is the global LRU order filtered by
  * owner. insert() and touch() put a block at the front of both lists,
@@ -43,9 +50,9 @@
  * A checkpoint images the slab, the free list and the global LRU
  * links, so steal order survives a restore, and the waiter pool with
  * each block's waiter list, so blocks with reads or writes in flight
- * restore with their waiters. The runs, the index, the owner lists
- * and the dirty list are derived state: loading validates the imaged
- * links and rebuilds them from the slab.
+ * restore with their waiters. The runs, the index, the lookaside, the
+ * owner lists and the dirty list are derived state: loading validates
+ * the imaged links and rebuilds them from the slab.
  */
 
 #include <cstdint>
@@ -185,8 +192,9 @@ class BufferCache
     std::uint64_t stealVisits() const { return stealVisits_; }
 
     /** Index positions probe() has examined so far, for find(),
-     *  insert() and remove() (a work counter). No PISO_CHECK looks a
-     *  block up, so hardened builds count the same. */
+     *  insert() and remove() (a work counter); a lookaside hit probes
+     *  nothing. The PISO_CHECK that verifies a hit does not count, so
+     *  hardened builds count the same. */
     std::uint64_t probeVisits() const { return probeVisits_; }
 
     /** Run records in the pool, live or free. */
@@ -206,18 +214,24 @@ class BufferCache
             fn(slab_[idx]);
     }
 
-    /** Invoke @p fn on every dirty, valid, non-flushing block, in
-     *  ascending key order (the order the old std::map walk produced,
-     *  which downstream flush clustering depends on). @p fn must not
-     *  insert or remove blocks. */
+    /** Invoke @p fn(CacheBlock &) on every dirty, valid, non-flushing
+     *  block, in dirty-list order (no key order). @p fn must not
+     *  insert or remove blocks, or change whether one is dirty. */
     template <typename Fn>
     void
-    forEachDirty(Fn &&fn)
+    forEachFlushable(Fn &&fn)
     {
-        collectDirty();
-        for (const DirtyEntry &e : dirtyScratch_)
-            fn(slab_[e.slot]);
+        for (std::uint32_t idx = dirtyList_.head; idx != kNullSlot;
+             idx = slab_[idx].dirtyNext) {
+            CacheBlock &blk = slab_[idx];
+            if (blk.valid && !blk.flushing)
+                fn(blk);
+        }
     }
+
+    /** The dirty, valid, non-flushing block of @p owner with the
+     *  lowest key and no waiters; nullptr when there is none. */
+    CacheBlock *firstDirtyOf(SpuId owner);
 
     /** Checkpoint: the slab, free list, global LRU links, per-SPU
      *  page counts and the waiter pool are imaged verbatim so that LRU
@@ -291,14 +305,6 @@ class BufferCache
     };
     static_assert(sizeof(IndexEntry) == 16);
 
-    /** The sort record of forEachDirty. */
-    struct DirtyEntry
-    {
-        std::uint64_t block = 0;
-        FileId file = kNoFile;
-        std::uint32_t slot = kNullSlot;
-    };
-
     /** One waiter in the pool: a process (none while on the free
      *  list) and the next node. */
     struct WaitNode
@@ -351,10 +357,17 @@ class BufferCache
      *  @p state is live. */
     void rebuildIndex(const std::vector<char> &state);
 
-    /** Probe for run @p run of @p file. @return the index position
-     *  holding it, or the first empty position when absent. The index
-     *  must not be empty. */
-    std::size_t probe(FileId file, std::uint64_t run);
+    /** Probe for run @p run of @p file, adding each position examined
+     *  to @p visits. @return the index position holding it, or the
+     *  first empty position when absent. The index must not be
+     *  empty. */
+    std::size_t probe(FileId file, std::uint64_t run,
+                      std::uint64_t &visits) const;
+
+    /** True when the lookaside holds run @p run of @p file. Under
+     *  PISO_HARDENED a hit is checked against the index, by a probe
+     *  that probeVisits() does not count. */
+    bool lookasideHolds(FileId file, std::uint64_t run) const;
 
     /** The run holding @p key's block, made (empty) if missing. */
     Run &runFor(const BlockKey &key);
@@ -365,9 +378,6 @@ class BufferCache
 
     /** Backward-shift deletion at index position @p pos. */
     void eraseIndexAt(std::size_t pos);
-
-    /** Fill dirtyScratch_ with the flushable blocks, sorted by key. */
-    void collectDirty();
 
     /** Validate the loaded waiter pool against the slab's live blocks
      *  (@p state as rebuildIndex takes it): every node on exactly one
@@ -383,12 +393,14 @@ class BufferCache
     std::vector<std::uint32_t> freeRuns_;
     std::vector<IndexEntry> index_;
     std::size_t indexMask_ = 0;
+    /** The run the last find() or insert() reached (rec kNullSlot:
+     *  none); a copy of its index entry. */
+    IndexEntry lookaside_;
     ListEnds lru_;
     ListEnds dirtyList_;
     std::size_t size_ = 0;
     std::size_t dirty_ = 0;
     SpuTable<Owner> owners_;
-    std::vector<DirtyEntry> dirtyScratch_;
     std::vector<WaitNode> waitNodes_;
     std::uint32_t freeWait_ = kNullSlot;  //!< free-node list head
     std::uint64_t stealVisits_ = 0;

@@ -579,12 +579,7 @@ Kernel::reclaimPage(SpuId victim)
 
     // 3. A dirty buffer-cache page of the victim: must be written to
     //    its home location first.
-    CacheBlock *dirtyBlk = nullptr;
-    cache_.forEachDirty([&](CacheBlock &blk) {
-        if (!dirtyBlk && blk.owner == victim && !cache_.hasWaiters(blk))
-            dirtyBlk = &blk;
-    });
-    if (dirtyBlk) {
+    if (CacheBlock *dirtyBlk = cache_.firstDirtyOf(victim)) {
         const FileInfo &f = fs_.file(dirtyBlk->key.file);
         r.found = true;
         r.dirty = true;
@@ -1341,13 +1336,12 @@ Kernel::doRead(Process &p, const ReadAction &a)
 void
 Kernel::maybeReadAhead(Process &p, FileId file, std::uint64_t endBlock)
 {
-    const auto key = std::make_pair(p.pid(), file);
-    auto it = readCursor_.find(key);
-    const bool sequential = it != readCursor_.end() &&
-                            it->second <= endBlock &&
+    const auto [it, fresh] =
+        readCursor_.try_emplace(std::make_pair(p.pid(), file), endBlock);
+    const bool sequential = !fresh && it->second <= endBlock &&
                             endBlock - it->second <=
                                 config_.readAheadBlocks;
-    readCursor_[key] = endBlock;
+    it->second = endBlock;
     if (!sequential)
         return;
 
@@ -1556,10 +1550,11 @@ Kernel::bdflush()
     // owning user SPUs once the write is done). Items point at the
     // visited blocks: the slab never moves a block, and nothing below
     // removes one except the dead-disk drop, which removes only that
-    // disk's own items.
+    // disk's own items. The dirty list has no order; each disk's
+    // items are sorted once below.
     for (std::vector<FlushItem> &items : flushItems_)
         items.clear();
-    cache_.forEachDirty([&](CacheBlock &blk) {
+    cache_.forEachFlushable([&](CacheBlock &blk) {
         const FileInfo &f = fs_.file(blk.key.file);
         if (flushItems_.empty())
             flushItems_.resize(disks_.size());
@@ -1582,6 +1577,12 @@ Kernel::bdflush()
             PISO_TRACE(TraceCat::Disk, events_.now(), "bdflush drops ",
                        items.size(), " dirty blocks for dead disk",
                        disk);
+            // In key order: the order of the removals reaches the
+            // slab's free list, so later inserts see it.
+            std::sort(items.begin(), items.end(),
+                      [](const FlushItem &x, const FlushItem &y) {
+                          return x.blk->key < y.blk->key;
+                      });
             for (const FlushItem &item : items) {
                 const SpuId owner = item.blk->owner;
                 const BlockKey key = item.blk->key; // remove() scrubs it
@@ -1590,9 +1591,13 @@ Kernel::bdflush()
             }
             continue;
         }
+        // Sector order. Scattered files may overlap, so two blocks can
+        // share a sector; the key breaks that tie, so the order never
+        // depends on the dirty list's.
         std::sort(items.begin(), items.end(),
                   [](const FlushItem &x, const FlushItem &y) {
-                      return x.sector < y.sector;
+                      return x.sector != y.sector ? x.sector < y.sector
+                                                  : x.blk->key < y.blk->key;
                   });
         std::size_t i = 0;
         while (i < items.size()) {

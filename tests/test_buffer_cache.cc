@@ -14,6 +14,7 @@
 #include "src/os/buffer_cache.hh"
 #include "src/os/process.hh"
 #include "src/workload/synthetic.hh"
+#include "tests/invariant_test_util.hh"
 
 using namespace piso;
 
@@ -214,7 +215,7 @@ TEST(BufferCache, SetOwnerMovesPerSpuCounts)
     EXPECT_EQ(a.owner, kSharedSpu);
 }
 
-TEST(BufferCache, ForEachDirtyVisitsOnlyFlushable)
+TEST(BufferCache, ForEachFlushableVisitsOnlyFlushable)
 {
     BufferCache c;
     CacheBlock &a = c.insert(kA, 2, true);
@@ -225,18 +226,40 @@ TEST(BufferCache, ForEachDirtyVisitsOnlyFlushable)
     b.flushing = true;
     c.markDirty(x); // dirty but invalid: not flushable
     int visited = 0;
-    c.forEachDirty([&](CacheBlock &blk) {
+    c.forEachFlushable([&](CacheBlock &blk) {
         ++visited;
         EXPECT_EQ(blk.key, kA);
     });
     EXPECT_EQ(visited, 1);
 }
 
+TEST(BufferCache, FirstDirtyOfTakesTheLowestFlushableKeyWithoutWaiters)
+{
+    BufferCache c;
+    // Dirtied out of key order, so the dirty list is not key order.
+    const BlockKey keys[] = {{3, 7}, {1, 40}, {2, 0}, {1, 5}, {1, 2}};
+    for (const BlockKey &k : keys)
+        c.markDirty(c.insert(k, 2, true));
+    CacheBlock &other = c.insert(BlockKey{0, 0}, 3, true);
+    c.markDirty(other);                 // lower key, other owner
+    c.find(BlockKey{1, 2})->flushing = true; // not flushable
+    CacheBlock &waited = c.insert(BlockKey{1, 3}, 2, false);
+    const auto p = makeProc(1);
+    c.addWaiter(waited, *p);
+    c.markDirty(waited);                // invalid, and waited on
+
+    EXPECT_EQ(c.firstDirtyOf(2), c.find(BlockKey{1, 5}));
+    EXPECT_EQ(c.firstDirtyOf(3), &other);
+    EXPECT_EQ(c.firstDirtyOf(4), nullptr);
+    c.markClean(*c.find(BlockKey{1, 5}));
+    EXPECT_EQ(c.firstDirtyOf(2), c.find(BlockKey{1, 40}));
+}
+
 TEST(BufferCache, DuplicateInsertPanics)
 {
     BufferCache c;
     c.insert(kA, 2, true);
-    EXPECT_DEATH(c.insert(kA, 2, true), "duplicate");
+    EXPECT_INVARIANT_FAILS(c.insert(kA, 2, true), "duplicate");
 }
 
 TEST(BufferCache, NegativeFileInsertPanics)
@@ -244,7 +267,8 @@ TEST(BufferCache, NegativeFileInsertPanics)
     // kNoFile marks an empty index entry: a block filed under it would
     // be silently lost.
     BufferCache c;
-    EXPECT_DEATH(c.insert(BlockKey{kNoFile, 3}, 2, true), "never negative");
+    EXPECT_INVARIANT_FAILS(c.insert(BlockKey{kNoFile, 3}, 2, true),
+                           "never negative");
 }
 
 TEST(BufferCache, RemoveWithWaitersPanics)
@@ -253,7 +277,7 @@ TEST(BufferCache, RemoveWithWaitersPanics)
     CacheBlock &a = c.insert(kA, 2, false);
     const auto p = makeProc(1);
     c.addWaiter(a, *p);
-    EXPECT_DEATH(c.remove(kA), "waiters");
+    EXPECT_INVARIANT_FAILS(c.remove(kA), "waiters");
 }
 
 // The index is keyed by runs of 16 blocks, (file, block >> 4).
@@ -309,6 +333,86 @@ TEST(BufferCache, EmptiedRunIsFreedAndReused)
     EXPECT_EQ(c.find(BlockKey{7, 33}), nullptr);
     ASSERT_NE(c.find(BlockKey{7, 40}), nullptr);
     EXPECT_EQ(c.find(BlockKey{7, 40})->owner, 3);
+}
+
+// The lookaside remembers the run the last find() or insert()
+// reached; the index stays the truth.
+
+TEST(BufferCache, RefillingAFreedRunIndexesItAgain)
+{
+    BufferCache c;
+    c.insert(BlockKey{1, 0}, 2, true);
+    ASSERT_NE(c.find(BlockKey{1, 0}), nullptr); // the lookaside's run
+    c.remove(BlockKey{1, 0});                   // frees its record
+    EXPECT_EQ(c.liveRuns(), 0u);
+    EXPECT_EQ(c.find(BlockKey{1, 0}), nullptr);
+
+    // Refilling the run takes its record off the free list and puts
+    // it back in the index.
+    c.insert(BlockKey{1, 1}, 2, true);
+    EXPECT_EQ(c.runRecords(), 1u);
+    EXPECT_EQ(c.liveRuns(), 1u);
+    // A second run needs a second record, not the refilled one.
+    c.insert(BlockKey{2, 0}, 3, true);
+    EXPECT_EQ(c.runRecords(), 2u);
+    EXPECT_EQ(c.liveRuns(), 2u);
+
+    // Both runs are found through the index, after the lookaside has
+    // moved away from each.
+    const std::uint64_t before = c.probeVisits();
+    ASSERT_NE(c.find(BlockKey{1, 1}), nullptr);
+    EXPECT_EQ(c.find(BlockKey{1, 1})->key, (BlockKey{1, 1}));
+    ASSERT_NE(c.find(BlockKey{2, 0}), nullptr);
+    EXPECT_EQ(c.find(BlockKey{2, 0})->owner, 3);
+    EXPECT_EQ(c.find(BlockKey{1, 0}), nullptr);
+    EXPECT_GE(c.probeVisits() - before, 3u); // three run changes
+}
+
+TEST(BufferCache, ConsecutiveLookupsInOneRunProbeOnce)
+{
+    BufferCache c;
+    for (std::uint64_t b = 0; b < 16; ++b)
+        c.insert(BlockKey{4, b}, 2, true);
+    c.insert(BlockKey{5, 0}, 2, true);
+    std::uint64_t before = c.probeVisits();
+    ASSERT_NE(c.find(BlockKey{4, 0}), nullptr); // probes: another run
+    EXPECT_GT(c.probeVisits(), before);
+    before = c.probeVisits();
+    for (std::uint64_t b = 1; b < 16; ++b)
+        ASSERT_NE(c.find(BlockKey{4, b}), nullptr);
+    EXPECT_EQ(c.probeVisits(), before);
+}
+
+TEST(BufferCache, CheckpointLoadForgetsTheCachedRun)
+{
+    const auto byPid = [](Pid) -> Process * { return nullptr; };
+    // The image: file 5's run 0 sits in slab slot 0, then file 6.
+    BufferCache from;
+    from.insert(BlockKey{5, 3}, 2, true);
+    from.insert(BlockKey{6, 0}, 3, true);
+    CkptWriter w;
+    CkptIo save(w);
+    from.ckpt(save, byPid, 4);
+
+    // The cache it loads into last reached file 5's run 0 as well,
+    // under a record the load rebuilds.
+    BufferCache into;
+    for (std::uint64_t b = 0; b < 3; ++b)
+        into.insert(BlockKey{5, b}, 2, true);
+    ASSERT_NE(into.find(BlockKey{5, 1}), nullptr);
+
+    CkptReader r(w.image(0));
+    CkptIo load(r);
+    into.ckpt(load, byPid, 4);
+    r.expectEnd();
+    EXPECT_EQ(into.size(), 2u);
+    EXPECT_EQ(into.liveRuns(), 2u);
+    for (std::uint64_t b = 0; b < 3; ++b)
+        EXPECT_EQ(into.find(BlockKey{5, b}), nullptr) << "block " << b;
+    ASSERT_NE(into.find(BlockKey{5, 3}), nullptr);
+    EXPECT_EQ(into.find(BlockKey{5, 3})->owner, 2);
+    ASSERT_NE(into.find(BlockKey{6, 0}), nullptr);
+    EXPECT_EQ(into.find(BlockKey{6, 0})->owner, 3);
 }
 
 TEST(BufferCache, SameRunOfTwoFilesDoesNotCollide)

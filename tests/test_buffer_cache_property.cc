@@ -8,13 +8,19 @@
  * / touch+reown sequences against exactly that simple structure and
  * checks every observable after each step: lookup results, size and
  * dirty counts, per-SPU occupancy, LRU steal order (global and
- * victim-filtered), and forEachDirty's ascending key order (the
- * property flush clustering depends on), and how many 16-block runs
- * hold a block. Every 97 operations the cache is round-tripped through
- * a checkpoint into a fresh instance, so the runs, index and lists
- * rebuilt on load are checked against the same model. The states it
- * saves hold flushing blocks and in-flight blocks with queued waiters,
- * whose release order after a round trip must still be arrival order.
+ * victim-filtered), that the unordered dirty walk visits exactly the
+ * flushable set, each SPU's first dirty block (the key-ordered walk's,
+ * tests/flush_ref_util.hh), and how many 16-block runs hold a block.
+ * Every insert follows a lookup of its own key and a third of the
+ * keys stream through a file, so lookups keep reaching the run the one
+ * before reached (the lookaside's case) while removes and steals free
+ * runs under it. Every 97 operations the cache is round-tripped
+ * through a checkpoint, alternately into a fresh instance and into the
+ * instance the previous round trip left behind, whose lookaside still
+ * names a run of the old state; the runs, index and lists rebuilt on
+ * load are checked against the same model. The states it saves hold
+ * flushing blocks and in-flight blocks with queued waiters, whose
+ * release order after a round trip must still be arrival order.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +36,7 @@
 #include "src/os/buffer_cache.hh"
 #include "src/sim/random.hh"
 #include "src/workload/synthetic.hh"
+#include "tests/flush_ref_util.hh"
 
 using namespace piso;
 
@@ -177,20 +184,18 @@ struct Waiters
     }
 };
 
-/** Save @p cache and load the image into a fresh cache, flushing
- *  blocks and waiters included. */
-std::unique_ptr<BufferCache>
-roundTrip(BufferCache &cache, Waiters &waiters)
+/** Save @p cache and load the image into @p into, flushing blocks
+ *  and waiters included. */
+void
+roundTrip(BufferCache &cache, BufferCache &into, Waiters &waiters)
 {
     CkptWriter w;
     CkptIo save(w);
     cache.ckpt(save, waiters.byPid(), kSpuBound);
     CkptReader r(w.image(0));
     CkptIo load(r);
-    auto fresh = std::make_unique<BufferCache>();
-    fresh->ckpt(load, waiters.byPid(), kSpuBound);
+    into.ckpt(load, waiters.byPid(), kSpuBound);
     r.expectEnd();
-    return fresh;
 }
 
 } // namespace
@@ -203,6 +208,9 @@ TEST(BufferCacheProperty, FuzzAgainstReferenceModel)
     std::size_t savedWaiters = 0;
     for (int trial = 0; trial < 10; ++trial) {
         auto owned = std::make_unique<BufferCache>();
+        // The instance the last round trip loaded from: the next one
+        // loads into it.
+        auto spare = std::make_unique<BufferCache>();
         ModelCache model;
         Stream stream;
         std::size_t peak = 0;
@@ -322,21 +330,29 @@ TEST(BufferCacheProperty, FuzzAgainstReferenceModel)
             for (SpuId spu : kSpus)
                 ASSERT_EQ(cache.pagesOf(spu), model.pagesOf(spu));
 
-            // forEachDirty: ascending key order over exactly the
-            // valid, dirty, non-flushing set.
+            ASSERT_EQ(cache.liveRuns(), model.liveRuns());
+
+            // The unordered dirty walk visits exactly the valid,
+            // dirty, non-flushing set, once each; each SPU's first
+            // dirty block is the key-ordered walk's.
             if ((op & 63) == 0) {
                 std::vector<BlockKey> got;
-                cache.forEachDirty([&](CacheBlock &b) {
+                cache.forEachFlushable([&](CacheBlock &b) {
                     EXPECT_TRUE(b.valid && b.dirty && !b.flushing);
                     got.push_back(b.key);
                 });
+                std::sort(got.begin(), got.end());
                 std::vector<BlockKey> want;
                 for (const auto &[k, b] : model.blocks) {
                     if (b.valid && b.dirty && !b.flushing)
                         want.push_back(k);  // map order == ascending
                 }
                 ASSERT_EQ(got, want);
-                ASSERT_EQ(cache.liveRuns(), model.liveRuns());
+                for (SpuId spu : kSpus) {
+                    ASSERT_EQ(cache.firstDirtyOf(spu),
+                              test::firstDirtyRef(cache, spu))
+                        << "SPU " << spu;
+                }
             }
 
             peak = std::max(peak, cache.size());
@@ -346,7 +362,10 @@ TEST(BufferCacheProperty, FuzzAgainstReferenceModel)
                     savedFlushing += b.flushing ? 1 : 0;
                     savedWaiters += b.waiters.size();
                 }
-                owned = roundTrip(cache, waiters);
+                if (op % 194 == 96)
+                    spare = std::make_unique<BufferCache>();
+                roundTrip(cache, *spare, waiters);
+                std::swap(owned, spare);
             }
         }
         // 64 entries at load factor 1/2 hold 32 runs: beyond 64 the

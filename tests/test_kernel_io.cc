@@ -8,11 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
 #include <utility>
 #include <vector>
 
 #include "src/piso.hh"
+#include "tests/flush_ref_util.hh"
 #include "tests/fn_sink.hh"
 
 using namespace piso;
@@ -31,6 +34,8 @@ class SpyScheduler : public DiskScheduler
         std::vector<std::pair<SpuId, std::uint32_t>> charges;
         IoTag tag;
         Time at;
+        std::uint64_t startSector;
+        std::uint64_t id; //!< the device numbers requests as issued
     };
 
     std::size_t
@@ -44,7 +49,8 @@ class SpyScheduler : public DiskScheduler
     onComplete(const DiskRequest &req, Time now) override
     {
         seen_.push_back(Seen{req.spu, req.write, req.sectors,
-                             req.charges, req.tag, now});
+                             req.charges, req.tag, now, req.startSector,
+                             req.id});
     }
 
     const std::vector<Seen> &seen() const { return seen_; }
@@ -241,6 +247,157 @@ TEST(KernelIo, BdflushChargesPagesToOwningSpus)
     // 64 KiB each = 128 sectors charged to each owner.
     EXPECT_EQ(charged2, 128u);
     EXPECT_EQ(charged3, 128u);
+}
+
+namespace {
+
+/** Files on each of @p rig's disks: sequential ones, which pack
+ *  together so a flush can coalesce across files, and scattered ones,
+ *  whose ids are not in sector order. */
+std::vector<FileId>
+twinFiles(IoRig &rig)
+{
+    std::vector<FileId> files;
+    for (DiskId d = 0; d < static_cast<DiskId>(rig.disks.size()); ++d) {
+        for (std::uint64_t kib : {96, 40, 200})
+            files.push_back(rig.fs.createFile(d, kib * 1024));
+        for (std::uint64_t kib : {64, 128, 32})
+            files.push_back(rig.fs.createFile(d, kib * 1024,
+                                              FilePlacement::Scattered));
+    }
+    return files;
+}
+
+/** Dirty @p stretches random runs of blocks of @p files in @p rig's
+ *  cache, each frame charged to its owner. A block whose sector an
+ *  earlier block holds (scattered files may overlap) is skipped, so
+ *  every dirty block has its own sector. About one in eight is
+ *  already flushing, and so is not flushable. */
+void
+dirtyRandomBlocks(IoRig &rig, const std::vector<FileId> &files, Rng &rng,
+                  int stretches)
+{
+    const SpuId owners[] = {2, 3, kSharedSpu};
+    const std::uint32_t spb = rig.fs.sectorsPerBlock();
+    std::set<std::pair<DiskId, std::uint64_t>> taken;
+    for (int s = 0; s < stretches; ++s) {
+        const FileId f = files[rng.uniformInt(files.size())];
+        const FileInfo &info = rig.fs.file(f);
+        const std::uint64_t blocks = info.sectors / spb;
+        const std::uint64_t first = rng.uniformInt(blocks);
+        const std::uint64_t len = 1 + rng.uniformInt(12);
+        SpuId owner = owners[rng.uniformInt(3)];
+        for (std::uint64_t b = first; b < std::min(first + len, blocks);
+             ++b) {
+            const BlockKey key{f, b};
+            if (rig.cache.find(key) ||
+                !taken.emplace(info.disk, rig.fs.blockSector(f, b)).second)
+                continue;
+            if (rng.chance(0.25))
+                owner = owners[rng.uniformInt(3)];
+            ASSERT_TRUE(rig.vm.tryCharge(owner));
+            CacheBlock &blk = rig.cache.insert(key, owner, true);
+            rig.cache.markDirty(blk);
+            blk.flushing = rng.chance(0.125);
+        }
+    }
+}
+
+} // namespace
+
+TEST(KernelIoFlushTwin, BdflushIssuesTheKeyThenSectorSortedPlan)
+{
+    // The old planning sorted the flushable blocks by key, then each
+    // disk's by sector. The unordered walk with one (sector, file,
+    // block) sort per disk must issue the same requests.
+    std::size_t requests = 0, multiOwner = 0, full = 0;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        KernelConfig kc;
+        kc.maxIoSectors = 64; // 8 blocks: long stretches split
+        IoRig rig(kc, 3);
+        const std::vector<FileId> files = twinFiles(rig);
+        Rng rng(seed);
+        dirtyRandomBlocks(rig, files, rng, 60);
+        const std::vector<test::FlushRequest> want = test::flushPlanRef(
+            rig.cache, rig.fs, rig.disks.size(), kc.maxIoSectors);
+
+        rig.kernel->start();
+        rig.runUntil(5 * kSec);
+        // One pass issued every request; each disk completes them in
+        // its own order, and numbers them in issue order.
+        std::vector<test::FlushRequest> got;
+        for (std::size_t d = 0; d < rig.spies.size(); ++d) {
+            std::vector<SpyScheduler::Seen> seen = rig.spies[d]->seen();
+            std::sort(seen.begin(), seen.end(),
+                      [](const auto &a, const auto &b) {
+                          return a.id < b.id;
+                      });
+            for (const SpyScheduler::Seen &s : seen) {
+                ASSERT_TRUE(s.write);
+                EXPECT_EQ(s.spu, kSharedSpu);
+                got.push_back(test::FlushRequest{static_cast<DiskId>(d),
+                                                 s.startSector, s.sectors,
+                                                 s.charges});
+            }
+        }
+        ASSERT_EQ(got, want) << "seed " << seed;
+        for (const test::FlushRequest &r : want) {
+            ++requests;
+            multiOwner += r.charges.size() > 1 ? 1 : 0;
+            full += r.sectors == kc.maxIoSectors ? 1 : 0;
+        }
+    }
+    // The seeds made many requests, some charged to several owners
+    // and some cut at the request size limit.
+    EXPECT_GT(requests, 300u);
+    EXPECT_GT(multiOwner, 30u);
+    EXPECT_GT(full, 10u);
+}
+
+TEST(KernelIoFlushTwin, VictimsDirtyBlockIsTheKeyOrderedWalksFirst)
+{
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        IoRig rig(KernelConfig{}, 2);
+        const std::vector<FileId> files = twinFiles(rig);
+        Rng rng(100 + seed);
+        dirtyRandomBlocks(rig, files, rng, 40);
+        for (SpuId spu : {SpuId{2}, SpuId{3}, kSharedSpu, SpuId{4}}) {
+            CacheBlock *want = test::firstDirtyRef(rig.cache, spu);
+            EXPECT_EQ(rig.cache.firstDirtyOf(spu), want)
+                << "seed " << seed << " SPU " << spu;
+            if (spu != SpuId{4}) {
+                EXPECT_NE(want, nullptr) << "seed " << seed;
+            }
+        }
+    }
+}
+
+TEST(KernelIoFlushTwin, DeadDiskDropFreesBlocksInKeyOrder)
+{
+    // The drop's removals reach the slab's free list, which later
+    // inserts pop from the back: they must be made in key order.
+    IoRig rig(KernelConfig{}, 2);
+    const std::vector<FileId> files = twinFiles(rig);
+    Rng rng(77);
+    dirtyRandomBlocks(rig, files, rng, 40);
+    std::vector<std::uint32_t> dropped; // disk 1's, in key order
+    for (const CacheBlock *b : test::sortedFlushable(rig.cache)) {
+        if (rig.fs.file(b->key.file).disk == 1)
+            dropped.push_back(b->slabIndex);
+    }
+    ASSERT_GT(dropped.size(), 20u);
+    rig.disks[1]->kill();
+
+    rig.kernel->start();
+    rig.runUntil(1500 * kMs); // one bdflush pass
+    for (const CacheBlock *b : test::sortedFlushable(rig.cache))
+        ASSERT_NE(rig.fs.file(b->key.file).disk, 1);
+    const FileId fresh = rig.fs.createFile(0, 4 * kMiB);
+    for (std::size_t k = 0; k < dropped.size(); ++k) {
+        const CacheBlock &b = rig.cache.insert(BlockKey{fresh, k}, 2, true);
+        EXPECT_EQ(b.slabIndex, dropped[dropped.size() - 1 - k])
+            << "insert " << k;
+    }
 }
 
 TEST(KernelIo, DrainFlushesEverythingAtRunEnd)

@@ -15,6 +15,7 @@
 #include "src/exp/experiment.hh"
 #include "src/metrics/report.hh"
 #include "src/piso.hh"
+#include "tests/invariant_test_util.hh"
 
 using namespace piso;
 
@@ -291,7 +292,7 @@ TEST(ResourceLedger, ReleaseBelowZeroPanics)
 {
     ResourceLedger l("test");
     l.registerSpu(2);
-    EXPECT_DEATH(l.release(2), "zero used");
+    EXPECT_INVARIANT_FAILS(l.release(2), "zero used");
 }
 
 // ------------------------------------------------------------ spec keys

@@ -9,6 +9,7 @@
 
 #include "src/machine/memory.hh"
 #include "src/os/vm.hh"
+#include "tests/invariant_test_util.hh"
 
 using namespace piso;
 
@@ -166,10 +167,10 @@ TEST_F(VmFixture, ReservePagesStored)
 
 TEST_F(VmFixture, UnchargeBelowZeroPanics)
 {
-    EXPECT_DEATH(vm.uncharge(2), "zero used");
+    EXPECT_INVARIANT_FAILS(vm.uncharge(2), "zero used");
 }
 
 TEST_F(VmFixture, UnknownSpuPanics)
 {
-    EXPECT_DEATH(vm.levels(42), "unknown SPU");
+    EXPECT_INVARIANT_FAILS(vm.levels(42), "unknown SPU");
 }

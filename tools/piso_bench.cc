@@ -202,7 +202,7 @@ benchBufferCache(std::uint64_t totalOps)
         // clean a batch, so dirty blocks never swamp the LRU list.
         if ((ops & 1023) == 0) {
             std::vector<BlockKey> dirty;
-            cache.forEachDirty([&](CacheBlock &b) {
+            cache.forEachFlushable([&](CacheBlock &b) {
                 if (dirty.size() < 256)
                     dirty.push_back(b.key);
             });
